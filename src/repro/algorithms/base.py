@@ -110,7 +110,6 @@ class MatmulAlgorithm(abc.ABC):
         max_virtual_time: float | None = None,
         superstep: bool = True,
         timing_only: bool = False,
-        event_queue: str = "heap",
     ) -> AlgorithmRun:
         """Distribute inputs, simulate, collect (and optionally verify) C.
 
@@ -119,7 +118,7 @@ class MatmulAlgorithm(abc.ABC):
         :class:`~repro.mpi.reliable.ReliableContext` for retransmitting
         delivery on a lossy machine).  ``max_events`` /
         ``max_virtual_time`` are the engine's watchdog caps.
-        ``superstep``/``timing_only``/``event_queue`` pass through to the
+        ``superstep``/``timing_only`` pass through to the
         engine (see :class:`~repro.sim.engine.Engine`); a timing-only run
         returns ``C = None`` and cannot be verified.
         """
@@ -148,7 +147,6 @@ class MatmulAlgorithm(abc.ABC):
             config, spmd, trace=trace,
             max_events=max_events, max_virtual_time=max_virtual_time,
             superstep=superstep, timing_only=timing_only,
-            event_queue=event_queue,
         )
         if timing_only:
             # Per-rank returns are shape-only broadcast views; there is no

@@ -1,16 +1,15 @@
 """Differential conformance harness for the engine's execution paths.
 
-The engine promises that three ways of running the same program are
-*bit-identical*: the event path (``superstep=False``), the closed-form
-superstep path (``superstep=True``), and the calendar-queue event backend
-(``event_queue="calendar"``).  This module turns that promise into a
-seeded, shrinkable differential suite:
+The engine promises that its two ways of running the same program are
+*bit-identical*: the event path (``superstep=False``) and the closed-form
+superstep path (``superstep=True``).  This module turns that promise into
+a seeded, shrinkable differential suite:
 
 * :func:`sample_cases` draws a deterministic case list over
   (algorithm × p × port model × routing × machine parameters × fault
   plan × scenario severity), guaranteeing every registered algorithm
   appears;
-* :func:`diff_case` runs one case through all three paths and returns
+* :func:`diff_case` runs one case through both paths and returns
   ``None`` on agreement or a human-readable mismatch label (runs that
   raise are compared by error, not skipped — both paths must fail
   identically);
@@ -20,10 +19,10 @@ seeded, shrinkable differential suite:
   the reproducer that gets printed is locally minimal;
 * :func:`run_suite` drives the whole sweep and formats reproducers.
 
-Faulty and degraded cases run both "fast" configurations through the
-ordinary event machinery (faults and scenarios disable the closed form
-by design) — there they pin the calendar backend and the
-fallback-equivalence contract instead.
+Faulty and degraded cases run the "fast" configuration through the
+ordinary event machinery too (faults and scenarios disable the closed
+form by design) — there they pin the fallback-equivalence contract
+instead.
 """
 
 from __future__ import annotations
@@ -195,7 +194,7 @@ def _build_config(case: Case) -> MachineConfig:
     )
 
 
-def _outcome(case: Case, *, superstep: bool, event_queue: str) -> dict:
+def _outcome(case: Case, *, superstep: bool) -> dict:
     """One path's observables — or its error, which must also agree."""
     rng = np.random.default_rng([case.data_seed, 99])
     A = rng.standard_normal((case.n, case.n))
@@ -203,8 +202,7 @@ def _outcome(case: Case, *, superstep: bool, event_queue: str) -> dict:
     try:
         run = get_algorithm(case.algorithm).run(
             A, B, _build_config(case),
-            superstep=superstep, event_queue=event_queue,
-            max_virtual_time=None,
+            superstep=superstep, max_virtual_time=None,
         )
     except Exception as exc:  # noqa: BLE001 — failures are outcomes too
         # Message uids ("tag=1#69573") are internal disambiguators whose
@@ -222,21 +220,13 @@ def _outcome(case: Case, *, superstep: bool, event_queue: str) -> dict:
     }
 
 
-_MODES = (
-    ("event", dict(superstep=False, event_queue="heap")),
-    ("calendar", dict(superstep=True, event_queue="calendar")),
-)
-
-
 def diff_case(case: Case) -> str | None:
-    """Run all three paths; ``None`` on bitwise agreement, else a label."""
-    fast = _outcome(case, superstep=True, event_queue="heap")
-    for mode, kw in _MODES:
-        other = _outcome(case, **kw)
-        label = _compare(fast, other, f"fast-vs-{mode}")
-        if label is not None:
-            return label
-    return None
+    """Run both paths; ``None`` on bitwise agreement, else a label."""
+    return _compare(
+        _outcome(case, superstep=True),
+        _outcome(case, superstep=False),
+        "fast-vs-event",
+    )
 
 
 def _compare(a: dict, b: dict, where: str) -> str | None:

@@ -46,9 +46,9 @@ from repro.sim.message import (
     CORRUPT_VERDICT,
     Message,
     MessageTable,
+    copy_payload,
     message_crc,
 )
-from repro.sim.calendar import CalendarQueue
 from repro.sim.ops import (
     COLLECTIVE_FALLBACK,
     SHIFT_FALLBACK,
@@ -65,7 +65,7 @@ from repro.sim.ops import (
 )
 from repro.sim.ports import ContentionTracker
 from repro.sim.superstep import (
-    engine_supports_superstep,
+    superstep_ineligibility_reason,
     try_advance_collective,
     try_advance_superstep,
 )
@@ -91,19 +91,6 @@ _NODE_FAIL = 4
 
 def task_rank(task: Task) -> int:
     return task[0] if isinstance(task, tuple) else task
-
-
-def _copy_payload(data: Any) -> Any:
-    """Deep-copy array payloads so senders can reuse their buffers."""
-    if isinstance(data, np.ndarray):
-        return data.copy()
-    if isinstance(data, list):
-        return [_copy_payload(item) for item in data]
-    if isinstance(data, tuple):
-        return tuple(_copy_payload(item) for item in data)
-    if isinstance(data, dict):
-        return {k: _copy_payload(v) for k, v in data.items()}
-    return data
 
 
 class _Waiter:
@@ -191,10 +178,6 @@ class Engine:
         (they depend only on shapes and sizes); per-rank results are
         meaningless.  This is what lets simulation-backed region maps
         reach p = 2^15 and beyond.
-    event_queue:
-        ``"heap"`` (default) or ``"calendar"`` — the
-        :class:`~repro.sim.calendar.CalendarQueue` bucketed backend for
-        the residual event regions.  Both produce identical event order.
     """
 
     def __init__(
@@ -206,7 +189,6 @@ class Engine:
         max_virtual_time: float | None = None,
         superstep: bool = True,
         timing_only: bool = False,
-        event_queue: str = "heap",
     ):
         self.config = config
         self.tracker = ContentionTracker(config)
@@ -240,13 +222,6 @@ class Engine:
             )
         self.max_events = max_events
         self.max_virtual_time = max_virtual_time
-        if event_queue not in ("heap", "calendar"):
-            raise SimulationError(
-                f"unknown event_queue backend {event_queue!r}"
-            )
-        self._calendar: CalendarQueue | None = (
-            CalendarQueue() if event_queue == "calendar" else None
-        )
         self.superstep_enabled = superstep
         self.timing_only = timing_only
         # Parked shift-phase tasks: task -> (ShiftPhaseOp, park time).
@@ -267,7 +242,7 @@ class Engine:
         self._hazard_nodes: dict[int, float] = {}
         self._hazard_channels: dict[tuple[int, int], float] = {}
         self._one_port = config.port_model.name == "ONE_PORT"
-        self._superstep_ok = engine_supports_superstep(self)
+        self._superstep_ok = superstep_ineligibility_reason(self) is None
 
         n = config.num_nodes
         self.stats: dict[int, RankStats] = {r: RankStats(r) for r in range(n)}
@@ -404,27 +379,18 @@ class Engine:
         ready = self._ready
         max_events = self.max_events
         max_virtual_time = self.max_virtual_time
-        cal = self._calendar
         events = self._events
         heappop = heapq.heappop
         while True:
             # The fast lane holds same-time events in FIFO (= sequence)
             # order; the full (time, seq) comparison picks exactly the
-            # event heappop (or calendar pop) would have.
-            if cal is None:
-                if not (events or ready):
-                    return
-                if ready and (not events or ready[0] < events[0]):
-                    time, _, kind, payload = ready.popleft()
-                else:
-                    time, _, kind, payload = heappop(events)
+            # event heappop would have.
+            if not (events or ready):
+                return
+            if ready and (not events or ready[0] < events[0]):
+                time, _, kind, payload = ready.popleft()
             else:
-                if not (cal or ready):
-                    return
-                if ready and (not cal or ready[0] < cal.min_item()):
-                    time, _, kind, payload = ready.popleft()
-                else:
-                    time, _, kind, payload = cal.pop()
+                time, _, kind, payload = heappop(events)
             self._now = time
             self._events_processed += 1
             if max_events is not None and self._events_processed > max_events:
@@ -468,10 +434,7 @@ class Engine:
         outcome = try_advance_superstep(self, self._parked)
         if outcome is not None:
             self._parked = {}
-            self._hazard_nodes.clear()
-            self._hazard_channels.clear()
-            for task, (finish, blocks) in outcome.items():
-                self._schedule(finish, _RESUME, (task, blocks))
+            self._resume_advanced(outcome)
             return
         parked = self._parked
         if parked:
@@ -523,12 +486,17 @@ class Engine:
         outcome = try_advance_collective(self, self._parked_coll)
         if outcome is not None:
             self._parked_coll = {}
-            self._hazard_nodes.clear()
-            self._hazard_channels.clear()
-            for task, (finish, value) in outcome.items():
-                self._schedule(finish, _RESUME, (task, value))
+            self._resume_advanced(outcome)
             return
         self._release_all_parked()
+
+    def _resume_advanced(self, outcome: dict) -> None:
+        """A closed form advanced every parked task: drop the hazards it
+        guarded and resume each task at its phase-exit time and value."""
+        self._hazard_nodes.clear()
+        self._hazard_channels.clear()
+        for task, (finish, value) in outcome.items():
+            self._schedule(finish, _RESUME, (task, value))
 
     def _release_all_parked(self) -> None:
         """Release both parked sets (shift and collective) onto the event
@@ -577,10 +545,8 @@ class Engine:
         ready = self._ready
         if time == self._now and (not ready or ready[0][0] == time):
             ready.append((time, next(self._seq), kind, payload))
-        elif self._calendar is None:
-            heapq.heappush(self._events, (time, next(self._seq), kind, payload))
         else:
-            self._calendar.push((time, next(self._seq), kind, payload))
+            heapq.heappush(self._events, (time, next(self._seq), kind, payload))
 
     def _step(
         self, task: Task, time: float, value: Any, throw: BaseException | None = None
@@ -898,7 +864,7 @@ class Engine:
         if not events:
             return
         msg = transfer.msg
-        data = _copy_payload(msg.data)
+        data = copy_payload(msg.data)
         flipped = 0
         for lc in events:
             flipped += fs.corrupt_payload(data, lc.model, lc.flips)
@@ -994,7 +960,7 @@ class Engine:
     def _issue_send(self, task: Task, op: SendOp, now: float) -> Handle:
         rank = task_rank(task)
         handle = Handle("send", task, detail=f"send dst={op.dst} tag={op.tag}")
-        data = _copy_payload(op.data) if self.config.copy_on_send else op.data
+        data = copy_payload(op.data) if self.config.copy_on_send else op.data
         msg = Message(
             src=rank, dst=op.dst, tag=op.tag, data=data, nwords=op.nwords,
             send_time=now, msg_id=next(self._msg_seq), ack_tag=op.ack_tag,
@@ -1373,18 +1339,17 @@ def run_spmd(
     max_virtual_time: float | None = None,
     superstep: bool = True,
     timing_only: bool = False,
-    event_queue: str = "heap",
 ) -> RunResult:
     """Run the SPMD ``program`` (one generator per rank) on ``config``.
 
     ``max_events`` / ``max_virtual_time`` are watchdog caps: exceeding
     either raises :class:`~repro.errors.LivelockError` with a per-rank
-    progress snapshot instead of spinning forever.  ``superstep``,
-    ``timing_only`` and ``event_queue`` select the engine's fast paths —
-    see :class:`Engine` for their (bit-identical) semantics.
+    progress snapshot instead of spinning forever.  ``superstep`` and
+    ``timing_only`` select the engine's fast paths — see :class:`Engine`
+    for their (bit-identical) semantics.
     """
     return Engine(
         config, trace=trace, max_events=max_events,
         max_virtual_time=max_virtual_time, superstep=superstep,
-        timing_only=timing_only, event_queue=event_queue,
+        timing_only=timing_only,
     ).run(program)

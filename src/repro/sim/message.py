@@ -25,6 +25,7 @@ __all__ = [
     "Message",
     "MessageTable",
     "payload_words",
+    "copy_payload",
     "canonical_bytes",
     "message_crc",
     "CORRUPT_VERDICT",
@@ -114,6 +115,19 @@ def _container_words(data: Any) -> int:
     if isinstance(data, dict):
         return sum(_container_words(v) for v in data.values())
     return 0  # metadata leaf (int, str, shape tuple member, ...)
+
+
+def copy_payload(data: Any) -> Any:
+    """Deep-copy array payloads so senders can reuse their buffers."""
+    if isinstance(data, np.ndarray):
+        return data.copy()
+    if isinstance(data, list):
+        return [copy_payload(item) for item in data]
+    if isinstance(data, tuple):
+        return tuple(copy_payload(item) for item in data)
+    if isinstance(data, dict):
+        return {k: copy_payload(v) for k, v in data.items()}
+    return data
 
 
 class MessageTable:

@@ -53,47 +53,34 @@ never creation order, so non-dyadic parameter sets are exact too.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.sim.machine import PortModel
-from repro.sim.message import payload_words
+from repro.sim.message import copy_payload, payload_words
 from repro.sim.ops import ShiftPhaseOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 __all__ = [
-    "engine_supports_superstep",
     "superstep_ineligibility_reason",
     "try_advance_superstep",
     "try_advance_collective",
 ]
 
 
-def engine_supports_superstep(engine: "Engine") -> bool:
-    """Whether this engine run may ever use the closed-form path.
-
-    Checked once at construction: fault plans, heterogeneous scenarios and
-    per-hop tracing all need real events, and a ``max_virtual_time``
-    watchdog must observe every intermediate event time.
-    """
-    return (
-        engine.superstep_enabled
-        and engine.faults is None
-        and engine.scenario is None
-        and not engine.trace_enabled
-        and engine.max_virtual_time is None
-    )
-
-
 def superstep_ineligibility_reason(engine: "Engine") -> str | None:
     """Name the feature forcing the event path, or None when eligible.
 
-    The counterpart of :func:`engine_supports_superstep` for user-facing
-    diagnostics: a sim-backed figure run that silently takes the slow path
-    can name why (``repro figure --backend sim`` prints this).
+    Checked once at engine construction: fault plans, heterogeneous
+    scenarios and per-hop tracing all need real events, and a
+    ``max_virtual_time`` watchdog must observe every intermediate event
+    time.  The name is for diagnostics: a sim-backed figure run that
+    silently takes the slow path can say why (``repro figure --backend
+    sim`` prints this).
     """
     if not engine.superstep_enabled:
         return "superstep disabled"
@@ -108,23 +95,29 @@ def superstep_ineligibility_reason(engine: "Engine") -> str | None:
     return None
 
 
+def _all_parked_and_quiet(engine: "Engine", parked: dict) -> bool:
+    """Whether ``parked`` is every active rank's main program (sub-tasks
+    share ports unpredictably) with nothing else in flight in the engine."""
+    if engine._blocked or engine._parallel or engine._barrier_waiting:
+        return False
+    active = engine.config.num_nodes - len(engine.done) - len(engine.failed)
+    if len(parked) != active:
+        return False
+    for task in parked:
+        if isinstance(task, tuple):
+            return False
+    return not (
+        any(engine._mailbox.values()) or any(engine._pending_recvs.values())
+    )
+
+
 def _compatible(engine: "Engine", parked: dict) -> dict | None:
     """Validate the parked phase; returns the vector spec or ``None``.
 
     ``parked`` maps task -> (op, park_time).  All checks are conservative:
     any doubt means event-path fallback, never a wrong fast answer.
     """
-    # Only main rank programs (sub-tasks share ports unpredictably), and
-    # nothing else in flight anywhere in the engine.
-    if engine._blocked or engine._parallel or engine._barrier_waiting:
-        return None
-    active = engine.config.num_nodes - len(engine.done) - len(engine.failed)
-    if len(parked) != active:
-        return None
-    for task in parked:
-        if isinstance(task, tuple):
-            return None
-    if any(engine._mailbox.values()) or any(engine._pending_recvs.values()):
+    if not _all_parked_and_quiet(engine, parked):
         return None
 
     ranks = sorted(parked)
@@ -344,30 +337,44 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 # before running their wire schedule (see ``repro.collectives.phase``).  When
 # every active rank is parked on a CollectivePhaseOp with quiet queues, the
 # phase decomposes into independent *groups* — one per (kind, schedule,
-# member-tuple, tag, root, op) — whose channels are provably disjoint, and
-# each group advances through the same recurrence the event path would fold:
+# member-tuple, tag, root, op) — whose channels are provably disjoint.
 #
-# * one-port SBT exchange (allgather / alltoall / reduce_scatter):
-#   per step ``k``: ``s = max(T, chan_free, port_free)``, ``e = s + d_k``,
-#   ``T' = max(e, e[partner_k])``;
-# * one-port SBT broadcast / reduce: the binomial tree replayed in
-#   BFS / combining-step order with blocking-send and blocking-recv resume
-#   rules (``T' = max(T, arrival)``, sends serialize through the port);
-# * multi-port rotated trees (all five kinds): round-synchronized — each
-#   round reserves one channel per active tree at ``max(T, chan_free)`` and
-#   resumes at the max of the round's send ends and arrivals; rounds with no
-#   handles leave a rank's clock untouched, exactly like the skipped
-#   ``waitall``.
+# Every group runs the same schedule (the paper's Table 1): ``d = log N``
+# rounds of spanning binomial trees, one tree per dimension order in
+# ``orders``.  A one-port machine runs the single identity-order tree and
+# serializes its sends through the node's port; a multi-port machine splits
+# every block into ``d`` chunks and runs the ``d`` rotated trees at once,
+# tree ``j`` crossing dimension ``orders[j][t]`` in round ``t``.  What tells
+# the kinds apart is their *step table* — who sends how many words at each
+# (round, tree) — and ``_reserve`` folds any step table through one
+# recurrence, per send across dimension ``k``:
 #
-# Word counts and result values come from a faithful replay of each
-# schedule's moving dicts/chunks (same helper functions, same fold order),
-# so makespans, per-channel busy times, message/word counters and returned
-# arrays are all bit-identical to the event path.  Any doubt — schedule
-# mismatch with the port model, malformed groups, foreign traffic, or any
-# exception while planning (which the event path would reproduce verbatim) —
-# refuses, and the engine releases every parked rank with
-# ``COLLECTIVE_FALLBACK``.  Planning mutates nothing: tracker resources and
-# stats are written only after every group has planned successfully.
+#     s  = max(T, chan_free[k], port_free)        (port column: one-port only)
+#     e  = s + (t_s + t_w·w)
+#     T' = max(T, e of my sends, e of the sends arriving at me)
+#
+# A send across ``k`` arrives at the sender's ``k``-partner, and ``T'``
+# takes effect when the round ends (the schedules ``waitall`` once per
+# round; a rank with nothing to do in a round keeps its clock).  These are
+# the IEEE operations the event path performs, in the same per-rank order,
+# so makespans, per-channel busy times and message/word counters come out
+# bit-identical; returned values do too, because each step-table builder
+# replays its schedule's data movement with the same helpers and the same
+# fold order.
+#
+# Adding a collective: write ``_<kind>_steps(g, orders, chunked,
+# timing_only)`` returning ``(steps, values)`` — ``steps[t][j]`` is
+# ``(senders, words)``, comm ranks and the word count of each one's message
+# (one int when all are equal); ``values[i]`` is what comm rank ``i``'s call
+# returns.  Register it in ``_STEP_TABLES`` and in ``_EXCHANGE_KINDS`` or
+# ``_ROOTED_KINDS``, have the dispatch function declare ``make_spec(kind,
+# ...)``, and add the kind to ``tests/collectives/test_closed_form.py``.
+#
+# Any doubt — schedule mismatch with the port model, malformed groups,
+# foreign traffic, or any exception while planning (which the event path
+# would reproduce verbatim) — refuses, and the engine releases every parked
+# rank with ``COLLECTIVE_FALLBACK``.  Planning mutates nothing: tracker
+# resources and stats are written only after every group has planned.
 
 _EXCHANGE_KINDS = frozenset({"allgather", "alltoall", "reduce_scatter"})
 _ROOTED_KINDS = frozenset({"broadcast", "reduce"})
@@ -382,7 +389,8 @@ class _CollGroup:
 
     __slots__ = (
         "kind", "sched", "nodes", "free_dims", "tag", "root", "op",
-        "n", "d", "sub", "cr_of_sub", "at", "payloads", "slots",
+        "n", "d", "sub", "cr_of_sub", "partners", "everyone",
+        "at", "payloads", "slots",
     )
 
     def __init__(self, kind, sched, nodes, free_dims, tag, root, op):
@@ -397,6 +405,8 @@ class _CollGroup:
         self.d = len(free_dims)
         self.sub = None
         self.cr_of_sub = None
+        self.partners = None
+        self.everyone = None
         self.at = [0.0] * self.n
         self.payloads = [None] * self.n
         self.slots = [0] * self.n
@@ -423,29 +433,23 @@ class _CollGroup:
             cr_of_sub[s_val] = cr
         self.sub = np.asarray(sub, dtype=np.intp)
         self.cr_of_sub = np.asarray(cr_of_sub, dtype=np.intp)
+        # Comm rank of every member's neighbour across each subcube dim.
+        self.partners = [
+            self.cr_of_sub[self.sub ^ (1 << k)] for k in range(self.d)
+        ]
+        self.everyone = np.arange(self.n)
         return True
-
-    def partner(self, k: int) -> np.ndarray:
-        """Comm rank of every member's neighbour across subcube dim ``k``."""
-        return self.cr_of_sub[self.sub ^ (1 << k)]
 
 
 def _collective_groups(engine: "Engine", parked: dict) -> list | None:
     """Partition the parked ops into validated groups, or ``None``."""
-    if engine._blocked or engine._parallel or engine._barrier_waiting:
-        return None
-    active = engine.config.num_nodes - len(engine.done) - len(engine.failed)
-    if len(parked) != active:
-        return None
-    if any(engine._mailbox.values()) or any(engine._pending_recvs.values()):
+    if not _all_parked_and_quiet(engine, parked):
         return None
     one_port = engine.config.port_model is PortModel.ONE_PORT
 
     groups: dict[tuple, _CollGroup] = {}
     filled: dict[tuple, int] = {}
     for task, (op, at) in parked.items():
-        if isinstance(task, tuple):
-            return None
         specs = op.specs
         if not 1 <= len(specs) <= 2:
             return None
@@ -506,639 +510,374 @@ def _collective_groups(engine: "Engine", parked: dict) -> list | None:
     return out
 
 
-def _channel_seed(tracker, key: tuple) -> tuple:
-    """(next_free, busy_time) of a channel *without* creating it.
+# -- trees --------------------------------------------------------------------
 
-    Channel resources are created lazily and ``channels_used`` counts every
-    created one, so planning must never instantiate a channel a refused
-    attempt would not have touched — creation is deferred to commit.
+
+@lru_cache(maxsize=None)
+def _trees():
+    """``repro.collectives``' tree combinatorics and chunk helpers.
+
+    Imported on first use: the collectives package imports the engine
+    (through ``repro.mpi``), so a module-level import would be circular.
     """
-    i = tracker._channel_ids.get(key)
-    if i is None:
-        return 0.0, 0.0
-    return float(tracker._free[i]), float(tracker._busy[i])
+    from repro.collectives import chunking, sbt
+
+    return sbt, chunking
 
 
-def _copy_value(x):
-    from repro.sim.engine import _copy_payload
-
-    return _copy_payload(x)
-
-
-def _new_plan(n: int):
-    return {
-        "finish": [0.0] * n,
-        "values": [None] * n,
-        "channels": {},
-        "ports": {},
-        "ms": np.zeros(n, dtype=np.int64), "ws": np.zeros(n, dtype=np.int64),
-        "mr": np.zeros(n, dtype=np.int64), "wr": np.zeros(n, dtype=np.int64),
-    }
+@lru_cache(maxsize=64)
+def _orders(d: int, one_port: bool) -> tuple:
+    """Dimension order of every tree a ``d``-dimensional group runs."""
+    sbt, _ = _trees()
+    if one_port:
+        return (sbt.identity_order(d),)
+    return tuple(sbt.rotated_order(d, j) for j in range(d))
 
 
-# -- one-port SBT planners ---------------------------------------------------
+@lru_cache(maxsize=64)
+def _tree_senders(orders: tuple, combine: bool) -> tuple:
+    """Relative indices sending at each ``[round][tree]`` of rooted trees.
 
-
-def _replay_sbt_exchange(g: _CollGroup):
-    """Per-step word counts + final values of a one-port dimension exchange."""
-    n, d = g.n, g.d
-    words = []
-    if g.kind == "allgather":
-        # Recursive doubling over {comm_rank: block} dicts; track held key
-        # sets, word counts via the engine's own payload accounting.
-        word_of = [payload_words({0: p}) for p in g.payloads]
-        held = [{i} for i in range(n)]
-        for k in range(d):
-            pidx = g.partner(k)
-            w = np.array(
-                [sum(word_of[s] for s in held[i]) for i in range(n)],
-                dtype=np.int64,
+    A distribution tree's node forwards in every round after the one it
+    received in (the root in all of them); a combining tree's node sends
+    once, in the round of its first set bit (the root never).  Either way
+    the message crosses ``orders[j][t]``, to the child or the parent.
+    The arrays are shared between callers: read-only.
+    """
+    sbt, _ = _trees()
+    d = len(orders[0])
+    step_of = sbt.combine_send_step if combine else sbt.distribute_recv_step
+    steps = [[step_of(rel, order) for rel in range(1 << d)] for order in orders]
+    return tuple(
+        tuple(
+            np.array(
+                [
+                    rel for rel, step in enumerate(column)
+                    if (step == t if combine else (step is None or step < t))
+                ],
+                dtype=np.intp,
             )
-            words.append(w)
-            held = [held[i] | held[pidx[i]] for i in range(n)]
-        values = [
-            [g.payloads[src] if src == i else _copy_value(g.payloads[src])
-             for src in range(n)]
-            for i in range(n)
-        ]
-        return words, values
-    if g.kind == "alltoall":
-        blocks = [list(p) for p in g.payloads]
-        for b in blocks:
-            if len(b) != n:
-                raise _Refuse
-        word_of = [[payload_words({0: b}) for b in row] for row in blocks]
-        held = [{(i, dst) for dst in range(n)} for i in range(n)]
-        bit = [[(int(g.sub[i]) >> k) & 1 for k in range(d)] for i in range(n)]
-        for k in range(d):
-            pidx = g.partner(k)
-            moving = [
-                {key for key in held[i] if bit[key[1]][k] != bit[i][k]}
-                for i in range(n)
-            ]
-            w = np.array(
-                [sum(word_of[s][t] for (s, t) in moving[i]) for i in range(n)],
-                dtype=np.int64,
-            )
-            words.append(w)
-            held = [
-                (held[i] - moving[i]) | moving[pidx[i]] for i in range(n)
-            ]
-        for i in range(n):
-            if held[i] != {(src, i) for src in range(n)}:
-                raise _Refuse
-        values = [
-            [blocks[i][i] if src == i else _copy_value(blocks[src][i])
-             for src in range(n)]
-            for i in range(n)
-        ]
-        return words, values
-    # reduce_scatter: recursive halving with real folds (values matter).
-    op = g.op
-    acc = [
-        {dst: np.array(g.payloads[i][dst]) for dst in range(n)}
-        for i in range(n)
-    ]
-    for i in range(n):
-        if len(g.payloads[i]) != n:
-            raise _Refuse
-    for k in range(d):
-        pidx = g.partner(k)
-        moving = []
-        for i in range(n):
-            my_bit = (int(g.sub[i]) >> k) & 1
-            moving.append({
-                dst: acc[i].pop(dst)
-                for dst in list(acc[i])
-                if (int(g.sub[dst]) >> k) & 1 != my_bit
-            })
-        words.append(np.array(
-            [payload_words(moving[i]) for i in range(n)], dtype=np.int64
-        ))
-        for i in range(n):
-            for dst, arr in moving[pidx[i]].items():
-                acc[i][dst] = op(acc[i][dst], arr)
-    for i in range(n):
-        if set(acc[i]) != {i}:
-            raise _Refuse
-    return words, [acc[i][i] for i in range(n)]
-
-
-def _plan_sbt_exchange(engine: "Engine", g: _CollGroup) -> dict:
-    n, d = g.n, g.d
-    t_s, t_w = engine._t_s, engine._t_w
-    tracker = engine.tracker
-    words, values = _replay_sbt_exchange(g)
-    plan = _new_plan(n)
-    plan["values"] = values
-
-    T = np.array(g.at, dtype=np.float64)
-    port_free = np.empty(n)
-    port_busy = np.empty(n)
-    for i, node in enumerate(g.nodes):
-        p = tracker._send_port[node]
-        port_free[i] = p.next_free
-        port_busy[i] = p.busy_time
-    sent = np.zeros(n, dtype=np.int64)
-    rcvd = np.zeros(n, dtype=np.int64)
-    for k in range(d):
-        pidx = g.partner(k)
-        w = words[k]
-        dur = t_s + t_w * w
-        dim = g.free_dims[k]
-        cf = np.empty(n)
-        cb = np.empty(n)
-        keys = []
-        for i, node in enumerate(g.nodes):
-            key = (node, node ^ (1 << dim))
-            cf[i], cb[i] = _channel_seed(tracker, key)
-            keys.append(key)
-        s = np.maximum(T, np.maximum(cf, port_free))
-        e = s + dur
-        port_busy = port_busy + dur
-        port_free = e
-        eb = cb + dur
-        for i in range(n):
-            plan["channels"][keys[i]] = (float(e[i]), float(eb[i]), 1)
-        T = np.maximum(e, e[pidx])
-        sent += w
-        rcvd += w[pidx]
-    for i in range(n):
-        plan["finish"][i] = float(T[i])
-        plan["ports"][g.nodes[i]] = (
-            float(port_free[i]), float(port_busy[i]), d
+            for column in steps
         )
-        plan["ms"][i] = d
-        plan["mr"][i] = d
-        plan["ws"][i] = int(sent[i])
-        plan["wr"][i] = int(rcvd[i])
-    return plan
-
-
-def _plan_sbt_broadcast(engine: "Engine", g: _CollGroup) -> dict:
-    n, d = g.n, g.d
-    t_s, t_w = engine._t_s, engine._t_w
-    tracker = engine.tracker
-    plan = _new_plan(n)
-    root = g.root
-    sub_root = int(g.sub[root])
-    rel = [int(g.sub[i]) ^ sub_root for i in range(n)]
-    data = g.payloads[root]
-    m = payload_words(data)
-    dur = t_s + t_w * m
-
-    # Identity order: receive at the highest set bit, send every later step.
-    t_recv = [r.bit_length() - 1 for r in rel]  # root: -1
-    e_send: dict[tuple[int, int], float] = {}
-    # Parents (smaller relative index, earlier recv step) resolve first.
-    for i in sorted(range(n), key=lambda i: t_recv[i]):
-        Ti = g.at[i]
-        if rel[i]:
-            tr = t_recv[i]
-            parent = int(g.cr_of_sub[int(g.sub[i]) ^ (1 << tr)])
-            Ti = max(Ti, e_send[(parent, tr)])
-            start_t = tr + 1
-            plan["mr"][i] = 1
-            plan["wr"][i] = m
-        else:
-            start_t = 0
-        node = g.nodes[i]
-        if start_t < d:
-            port = tracker._send_port[node]
-            pf = port.next_free
-            pb = port.busy_time
-            for t in range(start_t, d):
-                v = node ^ (1 << g.free_dims[t])
-                cf, cb = _channel_seed(tracker, (node, v))
-                s = max(Ti, cf, pf)
-                e = s + dur
-                pf = e
-                pb += dur
-                plan["channels"][(node, v)] = (e, cb + dur, 1)
-                e_send[(i, t)] = e
-                Ti = e  # blocking send: resume at the hop's end
-            plan["ports"][node] = (pf, pb, d - start_t)
-            plan["ms"][i] = d - start_t
-            plan["ws"][i] = m * (d - start_t)
-        plan["finish"][i] = Ti
-        plan["values"][i] = data if i == root else _copy_value(data)
-    return plan
-
-
-def _plan_sbt_reduce(engine: "Engine", g: _CollGroup) -> dict:
-    n, d = g.n, g.d
-    t_s, t_w = engine._t_s, engine._t_w
-    tracker = engine.tracker
-    op = g.op
-    plan = _new_plan(n)
-    root = g.root
-    sub_root = int(g.sub[root])
-    rel = [int(g.sub[i]) ^ sub_root for i in range(n)]
-    # Identity order: send the accumulator at the lowest set bit; receive
-    # (and fold) at every earlier step.
-    my_step = [(r & -r).bit_length() - 1 if r else d for r in rel]
-    acc = [np.array(g.payloads[i]) for i in range(n)]
-    T = list(g.at)
-    e_by_receiver: dict[tuple[int, int], tuple[float, int]] = {}
-    for t in range(d):
-        senders = [i for i in range(n) if my_step[i] == t]
-        for i in senders:
-            parent = int(g.cr_of_sub[int(g.sub[i]) ^ (1 << t)])
-            w = payload_words(acc[i])
-            dur = t_s + t_w * w
-            node = g.nodes[i]
-            v = node ^ (1 << g.free_dims[t])
-            port = tracker._send_port[node]
-            cf, cb = _channel_seed(tracker, (node, v))
-            s = max(T[i], cf, port.next_free)
-            e = s + dur
-            plan["ports"][node] = (e, port.busy_time + dur, 1)
-            plan["channels"][(node, v)] = (e, cb + dur, 1)
-            plan["finish"][i] = e
-            plan["ms"][i] = 1
-            plan["ws"][i] = w
-            e_by_receiver[(parent, t)] = (e, i)
-        for i in range(n):
-            if my_step[i] > t:
-                e_child, child = e_by_receiver[(i, t)]
-                T[i] = max(T[i], e_child)
-                acc[i] = op(acc[i], acc[child])
-                plan["mr"][i] += 1
-                plan["wr"][i] += payload_words(acc[child])
-    plan["finish"][root] = T[root]
-    plan["values"][root] = acc[root]
-    return plan
-
-
-# -- multi-port rotated planners --------------------------------------------
-
-
-def _chunk_sizes(total: int, d: int) -> list[int]:
-    """Element counts ``np.array_split`` gives each of ``d`` flat chunks."""
-    base, extra = divmod(total, d)
-    return [base + 1 if j < extra else base for j in range(d)]
-
-
-def _rotated_steps(rel: list[int], d: int, combine: bool) -> np.ndarray:
-    """Per-(rank, tree) recv step (distribution) or send step (combining).
-
-    Distribution trees receive at the *last* order position of a set bit,
-    combining trees send at the *first*.  The root's sentinel is -1
-    (distribution: "sends from round 0") or ``d`` (combining: "receives at
-    every round").
-    """
-    n = len(rel)
-    out = np.empty((n, d), dtype=np.int64)
-    for i, r in enumerate(rel):
-        for j in range(d):
-            if r == 0:
-                out[i, j] = -1 if not combine else d
-                continue
-            best = -1 if not combine else d
-            for b in range(d):
-                if (r >> b) & 1:
-                    pos = (b - j) % d
-                    if combine:
-                        if pos < best:
-                            best = pos
-                    elif pos > best:
-                        best = pos
-            out[i, j] = best
-    return out
-
-
-def _rotated_round(plan, g, T, Tn, chan_free, chan_busy, chan_used,
-                   t, j, senders, receivers, dur, t_w_words):
-    """Advance one (round, tree) of a rotated schedule; updates Tn in place.
-
-    ``senders``/``receivers`` are boolean masks; ``dur`` the per-sender hop
-    durations (array over members).  Returns the send-end array (NaN where
-    inactive) so callers can read arrivals.
-    """
-    n = g.n
-    k = (j + t) % g.d
-    e_full = np.full(n, -np.inf)
-    idx = np.nonzero(senders)[0]
-    if idx.size:
-        s = np.maximum(T[idx], chan_free[idx, k])
-        e = s + dur[idx]
-        chan_free[idx, k] = e
-        chan_busy[idx, k] += dur[idx]
-        chan_used[idx, k] += 1
-        e_full[idx] = e
-        np.maximum(Tn, np.where(senders, e_full, -np.inf), out=Tn)
-        plan["ms"][idx] += 1
-        plan["ws"][idx] += t_w_words[idx].astype(np.int64)
-    ridx = np.nonzero(receivers)[0]
-    if ridx.size:
-        pidx = g.partner(k)
-        arrival = e_full[pidx]
-        np.maximum(Tn, np.where(receivers, arrival, -np.inf), out=Tn)
-        plan["mr"][ridx] += 1
-        plan["wr"][ridx] += t_w_words[pidx[ridx]].astype(np.int64)
-    return e_full
-
-
-def _commit_rotated_channels(plan, g, chan_free, chan_busy, chan_used):
-    for i, node in enumerate(g.nodes):
-        for k in range(g.d):
-            used = int(chan_used[i, k])
-            if used:
-                key = (node, node ^ (1 << g.free_dims[k]))
-                plan["channels"][key] = (
-                    float(chan_free[i, k]), float(chan_busy[i, k]), used
-                )
-
-
-def _seed_rotated_channels(tracker, g):
-    n, d = g.n, g.d
-    chan_free = np.empty((n, d))
-    chan_busy = np.empty((n, d))
-    for i, node in enumerate(g.nodes):
-        for k in range(d):
-            key = (node, node ^ (1 << g.free_dims[k]))
-            chan_free[i, k], chan_busy[i, k] = _channel_seed(tracker, key)
-    return chan_free, chan_busy
-
-
-def _replay_rotated_exchange(g: _CollGroup):
-    """Word counts per (round, tree) + final values for rotated exchanges."""
-    from repro.collectives.chunking import (
-        chunk_header,
-        rebuild_from_header,
-        split_chunks,
+        for t in range(d)
     )
 
-    n, d = g.n, g.d
-    words = [[None] * d for _ in range(d)]  # [t][j] -> int array (n,)
-    if g.kind == "allgather":
-        arrs = [np.asarray(p) for p in g.payloads]
-        wchunk = [_chunk_sizes(int(a.size), d) for a in arrs]
-        held = [[{i} for _ in range(d)] for i in range(n)]
-        for t in range(d):
-            for j in range(d):
-                k = (j + t) % d
-                pidx = g.partner(k)
-                w = np.array(
-                    [sum(wchunk[s][j] for s in held[i][j]) for i in range(n)],
-                    dtype=np.int64,
-                )
-                words[t][j] = w
-                snap = [held[i][j] for i in range(n)]
-                for i in range(n):
-                    held[i][j] = held[i][j] | snap[pidx[i]]
-        # The event path ships each block as d flat chunks and receivers
-        # reassemble them (split_chunks -> join_chunks round trip), which
-        # reproduces the block exactly; a plain copy is bit-identical and
-        # skips ~n^2 array_split calls per group.
-        values = [
-            [arrs[src].copy() for src in range(n)] for _ in range(n)
-        ]
-        return words, values
-    if g.kind == "alltoall":
-        blocks = [list(p) for p in g.payloads]
-        for b in blocks:
-            if len(b) != n:
-                raise _Refuse
-        arrs = [[np.asarray(b) for b in row] for row in blocks]
-        wchunk = [
-            [_chunk_sizes(int(a.size), d) for a in row] for row in arrs
-        ]
-        bit = [[(int(g.sub[i]) >> k) & 1 for k in range(d)] for i in range(n)]
-        held = [
-            [{(i, dst) for dst in range(n)} for _ in range(d)]
-            for i in range(n)
-        ]
-        for t in range(d):
-            for j in range(d):
-                k = (j + t) % d
-                pidx = g.partner(k)
-                moving = [
-                    {key for key in held[i][j] if bit[key[1]][k] != bit[i][k]}
-                    for i in range(n)
-                ]
-                words[t][j] = np.array(
-                    [
-                        sum(wchunk[s][dst][j] for (s, dst) in moving[i])
-                        for i in range(n)
-                    ],
-                    dtype=np.int64,
-                )
-                for i in range(n):
-                    held[i][j] = (held[i][j] - moving[i]) | moving[pidx[i]]
-        for i in range(n):
-            for j in range(d):
-                if held[i][j] != {(src, i) for src in range(n)}:
-                    raise _Refuse
-        # Chunked transport round-trips to an exact copy (see allgather).
-        values = [
-            [arrs[src][i].copy() for src in range(n)] for i in range(n)
-        ]
-        return words, values
-    # reduce_scatter: rotated halving with real folds.
-    op = g.op
-    for p in g.payloads:
-        if len(p) != n:
+
+def _rooted_senders(g: _CollGroup, orders: tuple, combine: bool) -> list:
+    """:func:`_tree_senders` as comm ranks of ``g``, rooted at ``g.root``."""
+    base = int(g.sub[g.root])
+    return [
+        [g.cr_of_sub[rel ^ base] for rel in row]
+        for row in _tree_senders(orders, combine)
+    ]
+
+
+# -- pieces: how a block splits over the trees and comes back together -------
+
+
+def _chunk_sizes(total: int, trees: int) -> list[int]:
+    """Element counts ``np.array_split`` gives each of ``trees`` flat chunks."""
+    base, extra = divmod(total, trees)
+    return [base + 1 if j < extra else base for j in range(trees)]
+
+
+def _piece_words(blocks, trees: int, chunked: bool) -> list:
+    """``[block][tree]`` word counts of blocks that travel inside a container.
+
+    Whole blocks (one-port) are counted by the engine's own payload
+    accounting; chunked blocks must already be arrays.
+    """
+    if chunked:
+        return [_chunk_sizes(int(b.size), trees) for b in blocks]
+    return [[payload_words({0: b})] for b in blocks]
+
+
+def _received(blocks, mine: int, chunked: bool) -> list:
+    """What a rank ends an exchange with: ``blocks[src]`` from every source.
+
+    Whole blocks arrive as the engine's payload copies, the rank's own
+    stays the object it passed in.  Chunked blocks (arrays) — the rank's
+    own too — are split into flat chunks and reassembled by the receiver,
+    which reproduces the block exactly: a plain copy is bit-identical and
+    skips the ``array_split`` round trip.
+    """
+    if chunked:
+        return [b.copy() for b in blocks]
+    return [b if src == mine else copy_payload(b) for src, b in enumerate(blocks)]
+
+
+def _join(pieces: list, like, chunked: bool):
+    """Reassemble one reduced piece per tree into the value a call returns."""
+    if not chunked:
+        return pieces[0]
+    _, chunking = _trees()
+    return chunking.rebuild_from_header(
+        pieces, chunking.chunk_header(np.asarray(like))
+    )
+
+
+# -- step tables ----------------------------------------------------------------
+
+
+def _allgather_steps(g: _CollGroup, orders, chunked, timing_only):
+    """Recursive doubling: send all you hold, then hold your partner's too."""
+    blocks = [np.asarray(p) for p in g.payloads] if chunked else g.payloads
+    # held[j][i]: words of the tree-j pieces rank i has gathered so far
+    held = list(
+        np.array(_piece_words(blocks, len(orders), chunked), dtype=np.int64).T
+    )
+    steps = []
+    for t in range(g.d):
+        row = []
+        for j, order in enumerate(orders):
+            w = held[j]
+            row.append((g.everyone, w))
+            held[j] = w + w[g.partners[order[t]]]
+        steps.append(row)
+    return steps, [_received(blocks, i, chunked) for i in range(g.n)]
+
+
+def _alltoall_steps(g: _CollGroup, orders, chunked, timing_only):
+    """Dimension exchange: across ``k``, forward every piece whose
+    destination lies on the other side of ``k``."""
+    n = g.n
+    rows = [list(p) for p in g.payloads]
+    for row in rows:
+        if len(row) != n:
             raise _Refuse
-    arrs = [[np.asarray(b) for b in row] for row in g.payloads]
-    # Split each block once; tree j owns chunk j of every destination.
-    chunks = [
-        [[np.array(c) for c in split_chunks(arrs[i][dst], d)]
-         for dst in range(n)]
+    if chunked:
+        rows = [[np.asarray(b) for b in row] for row in rows]
+    words = np.array(
+        [_piece_words(row, len(orders), chunked) for row in rows], dtype=np.int64
+    )
+    # held[j][i, dst]: words of the tree-j pieces at rank i bound for dst
+    held = [words[:, :, j] for j in range(len(orders))]
+    bit = (g.sub[:, None] >> np.arange(g.d)) & 1
+    steps = []
+    for t in range(g.d):
+        row = []
+        for j, order in enumerate(orders):
+            k = order[t]
+            side = bit[:, k]
+            moving = np.where(side[:, None] != side[None, :], held[j], 0)
+            row.append((g.everyone, moving.sum(axis=1)))
+            held[j] = held[j] - moving + moving[g.partners[k]]
+        steps.append(row)
+    return steps, [
+        _received([rows[src][i] for src in range(n)], i, chunked)
         for i in range(n)
     ]
-    sched = [
-        [{dst: chunks[i][dst][j] for dst in range(n)} for j in range(d)]
-        for i in range(n)
-    ]
-    for t in range(d):
-        for j in range(d):
-            k = (j + t) % d
-            pidx = g.partner(k)
+
+
+def _reduce_scatter_steps(g: _CollGroup, orders, chunked, timing_only):
+    """Recursive halving: across ``k``, hand over the partials bound for
+    the other side and fold the ones handed to you (values matter)."""
+    n, op, trees = g.n, g.op, len(orders)
+    for blocks in g.payloads:
+        if len(blocks) != n:
+            raise _Refuse
+    split = _trees()[1].split_chunks
+    # acc[i][j][dst]: rank i's partial of the tree-j piece of block dst
+    acc = [[{} for _ in orders] for _ in range(n)]
+    for i, blocks in enumerate(g.payloads):
+        for dst, block in enumerate(blocks):
+            pieces = split(np.asarray(block), trees) if chunked else (block,)
+            for j, piece in enumerate(pieces):
+                acc[i][j][dst] = np.array(piece)
+    bit = [[(s >> k) & 1 for k in range(g.d)] for s in g.sub.tolist()]
+    steps = []
+    for t in range(g.d):
+        row = []
+        for j, order in enumerate(orders):
+            k = order[t]
             moving = []
             for i in range(n):
-                my_bit = (int(g.sub[i]) >> k) & 1
+                mine, my_bit = acc[i][j], bit[i][k]
                 moving.append({
-                    dst: sched[i][j].pop(dst)
-                    for dst in list(sched[i][j])
-                    if (int(g.sub[dst]) >> k) & 1 != my_bit
+                    dst: mine.pop(dst)
+                    for dst in list(mine) if bit[dst][k] != my_bit
                 })
-            words[t][j] = np.array(
-                [payload_words(moving[i]) for i in range(n)], dtype=np.int64
-            )
-            for i in range(n):
-                for dst, arr in moving[pidx[i]].items():
-                    sched[i][j][dst] = op(sched[i][j][dst], arr)
-    values = []
-    for i in range(n):
-        for j in range(d):
-            if set(sched[i][j]) != {i}:
-                raise _Refuse
-        values.append(rebuild_from_header(
-            [sched[i][j][i] for j in range(d)], chunk_header(arrs[i][i])
-        ))
-    return words, values
+            row.append((g.everyone, np.array(
+                [payload_words(m) for m in moving], dtype=np.int64
+            )))
+            for i, peer in enumerate(g.partners[k].tolist()):
+                mine = acc[i][j]
+                for dst, arr in moving[peer].items():
+                    mine[dst] = op(mine[dst], arr)
+        steps.append(row)
+    return steps, [
+        _join([part[i] for part in acc[i]], g.payloads[i][i], chunked)
+        for i in range(n)
+    ]
 
 
-def _plan_rotated_exchange(engine: "Engine", g: _CollGroup) -> dict:
-    n, d = g.n, g.d
-    t_s, t_w = engine._t_s, engine._t_w
-    tracker = engine.tracker
-    words, values = _replay_rotated_exchange(g)
-    plan = _new_plan(n)
-    plan["values"] = values
-    T = np.array(g.at, dtype=np.float64)
-    chan_free, chan_busy = _seed_rotated_channels(tracker, g)
-    chan_used = np.zeros((n, d), dtype=np.int64)
-    everyone = np.ones(n, dtype=bool)
-    for t in range(d):
-        Tn = T.copy()
-        for j in range(d):
-            w = words[t][j]
-            _rotated_round(
-                plan, g, T, Tn, chan_free, chan_busy, chan_used,
-                t, j, everyone, everyone, t_s + t_w * w, w,
-            )
-        T = Tn
-    plan["finish"] = [float(x) for x in T]
-    _commit_rotated_channels(plan, g, chan_free, chan_busy, chan_used)
-    return plan
+def _broadcast_steps(g: _CollGroup, orders, chunked, timing_only):
+    """Distribution trees: whoever holds tree ``j``'s piece forwards it."""
+    data = g.payloads[g.root]
+    if chunked:
+        arr = np.asarray(data)
+        sizes = _chunk_sizes(int(arr.size), len(orders))
+    else:
+        sizes = [payload_words(data)]
+    steps = [
+        [(senders, sizes[j]) for j, senders in enumerate(row)]
+        for row in _rooted_senders(g, orders, combine=False)
+    ]
+    # Non-roots rebuild the array from its chunks (an exact copy, see
+    # _received) or receive the engine's payload copy.
+    return steps, [
+        data if i == g.root else (arr.copy() if chunked else copy_payload(data))
+        for i in range(g.n)
+    ]
 
 
-def _plan_rotated_broadcast(engine: "Engine", g: _CollGroup) -> dict:
-    from repro.collectives.chunking import (
-        chunk_header,
-        rebuild_from_header,
-        split_chunks,
-    )
-
-    n, d = g.n, g.d
-    t_s, t_w = engine._t_s, engine._t_w
-    tracker = engine.tracker
-    plan = _new_plan(n)
-    root = g.root
-    sub_root = int(g.sub[root])
-    rel = [int(g.sub[i]) ^ sub_root for i in range(n)]
-    arr = np.asarray(g.payloads[root])
-    sizes = _chunk_sizes(int(arr.size), d)
-    recv_steps = _rotated_steps(rel, d, combine=False)
-
-    T = np.array(g.at, dtype=np.float64)
-    chan_free, chan_busy = _seed_rotated_channels(tracker, g)
-    chan_used = np.zeros((n, d), dtype=np.int64)
-    for t in range(d):
-        Tn = T.copy()
-        for j in range(d):
-            senders = recv_steps[:, j] < t  # root's sentinel is -1
-            receivers = recv_steps[:, j] == t
-            w = np.full(n, sizes[j], dtype=np.int64)
-            _rotated_round(
-                plan, g, T, Tn, chan_free, chan_busy, chan_used,
-                t, j, senders, receivers, t_s + t_w * w, w,
-            )
-        T = Tn
-    plan["finish"] = [float(x) for x in T]
-    _commit_rotated_channels(plan, g, chan_free, chan_busy, chan_used)
-    rebuilt = rebuild_from_header(list(split_chunks(arr, d)), chunk_header(arr))
-    for i in range(n):
-        plan["values"][i] = (
-            g.payloads[root] if i == root else rebuilt.copy()
-        )
-    return plan
-
-
-def _replay_rotated_reduce(engine: "Engine", g: _CollGroup, send_steps):
-    """Per-(rank, tree) send word counts + root value for rotated reduce."""
-    from repro.collectives.chunking import (
-        chunk_header,
-        rebuild_from_header,
-        split_chunks,
-    )
-
-    n, d = g.n, g.d
-    op = g.op
+def _reduce_steps(g: _CollGroup, orders, chunked, timing_only):
+    """Combining trees: fold your children's partials, send to your parent."""
+    op, trees = g.op, len(orders)
+    senders = _rooted_senders(g, orders, combine=True)
     arrs = [np.asarray(p) for p in g.payloads]
     shape = arrs[0].shape
+    values = [None] * g.n
     if (
-        engine.timing_only
+        timing_only
         and op is np.add
         and all(a.shape == shape and a.size and not a.any() for a in arrs)
     ):
-        # Timing-only partials are zero views; np.add keeps every chunk an
+        # Timing-only partials are zero views; np.add keeps every piece an
         # all-zero array of fixed size, so word counts follow from shapes
-        # and the root's rebuilt value is plain zeros — skipping the
-        # per-rank fold replay that dominates at region-map scale.
-        sizes = _chunk_sizes(int(arrs[0].size), d)
-        w_send = np.empty((n, d), dtype=np.int64)
-        for j in range(d):
-            w_send[:, j] = sizes[j]
-        return w_send, np.zeros(shape, dtype=arrs[0].dtype)
-    chunks = [
-        [np.array(c) for c in split_chunks(arrs[i], d)] for i in range(n)
+        # and the root's value is plain zeros — skipping the per-rank fold
+        # replay that dominates at region-map scale.
+        sizes = _chunk_sizes(int(arrs[0].size), trees)
+        values[g.root] = np.zeros(shape, dtype=arrs[0].dtype)
+        return [
+            [(si, sizes[j]) for j, si in enumerate(row)] for row in senders
+        ], values
+    split = _trees()[1].split_chunks
+    # acc[i][j]: rank i's accumulated tree-j piece
+    acc = [
+        [np.array(c) for c in (split(a, trees) if chunked else (a,))]
+        for a in arrs
     ]
-    w_send = np.zeros((n, d), dtype=np.int64)
-    for t in range(d):
-        sent: dict[tuple[int, int], object] = {}
-        for i in range(n):
-            for j in range(d):
-                if send_steps[i, j] == t:
-                    w_send[i, j] = payload_words(chunks[i][j])
-                    sent[(i, j)] = chunks[i][j]
-        for i in range(n):
-            for j in range(d):
-                if send_steps[i, j] > t:
-                    k = (j + t) % d
-                    child = int(g.partner(k)[i])
-                    chunks[i][j] = op(chunks[i][j], sent[(child, j)])
-    root = g.root
-    return w_send, rebuild_from_header(
-        chunks[root], chunk_header(arrs[root])
-    )
+    steps = []
+    for t, row in enumerate(senders):
+        out = []
+        for j, si in enumerate(row):
+            sent = [acc[i][j] for i in si.tolist()]
+            out.append((si, np.array(
+                [payload_words(c) for c in sent], dtype=np.int64
+            )))
+            parents = g.partners[orders[j][t]][si]
+            for parent, c in zip(parents.tolist(), sent):
+                acc[parent][j] = op(acc[parent][j], c)
+        steps.append(out)
+    values[g.root] = _join(acc[g.root], arrs[g.root], chunked)
+    return steps, values
 
 
-def _plan_rotated_reduce(engine: "Engine", g: _CollGroup) -> dict:
+_STEP_TABLES = {
+    "allgather": _allgather_steps,
+    "alltoall": _alltoall_steps,
+    "reduce_scatter": _reduce_scatter_steps,
+    "broadcast": _broadcast_steps,
+    "reduce": _reduce_steps,
+}
+
+
+# -- the recurrence -------------------------------------------------------------
+
+
+def _reserve(engine: "Engine", g: _CollGroup, orders, steps, one_port) -> dict:
+    """Fold a step table through the reservation recurrence (see above).
+
+    Reads the live tracker, writes nothing: the returned plan is applied by
+    :func:`_commit` once every group of the phase has planned.
+    """
     n, d = g.n, g.d
-    t_s, t_w = engine._t_s, engine._t_w
     tracker = engine.tracker
-    plan = _new_plan(n)
-    root = g.root
-    sub_root = int(g.sub[root])
-    rel = [int(g.sub[i]) ^ sub_root for i in range(n)]
-    send_steps = _rotated_steps(rel, d, combine=True)  # root sentinel: d
-    w_send, root_value = _replay_rotated_reduce(engine, g, send_steps)
-
-    T = np.array(g.at, dtype=np.float64)
-    chan_free, chan_busy = _seed_rotated_channels(tracker, g)
+    t_s, t_w = engine._t_s, engine._t_w
+    # Channels are created lazily and ``channels_used`` counts every created
+    # one, so planning must not instantiate a channel a refused attempt
+    # would not have touched: unknown channels seed as idle, id -1.
+    ids = tracker._channel_ids
+    keys = [(u, u ^ (1 << dim)) for u in g.nodes for dim in g.free_dims]
+    cid = np.array(
+        [ids[key] if key in ids else -1 for key in keys], dtype=np.intp
+    ).reshape(n, d)
+    chan_free = np.where(cid >= 0, tracker._free[cid], 0.0)
+    chan_busy = np.where(cid >= 0, tracker._busy[cid], 0.0)
     chan_used = np.zeros((n, d), dtype=np.int64)
+    pid = port_free = port_busy = None
+    if one_port:
+        pid = np.array(
+            [tracker._send_port[u]._i for u in g.nodes], dtype=np.intp
+        )
+        port_free, port_busy = tracker._free[pid], tracker._busy[pid]
+    msgs_out, words_out, msgs_in, words_in = np.zeros((4, n), dtype=np.int64)
+    T = np.array(g.at, dtype=np.float64)
     for t in range(d):
         Tn = T.copy()
-        for j in range(d):
-            senders = send_steps[:, j] == t
-            receivers = send_steps[:, j] > t
-            w = w_send[:, j]
-            _rotated_round(
-                plan, g, T, Tn, chan_free, chan_busy, chan_used,
-                t, j, senders, receivers, t_s + t_w * w, w,
-            )
+        for order, (si, w) in zip(orders, steps[t]):
+            k = order[t]
+            ri = g.partners[k][si]
+            s = np.maximum(T[si], chan_free[si, k])
+            if one_port:
+                s = np.maximum(s, port_free[si])
+            dur = t_s + t_w * w
+            e = s + dur
+            chan_free[si, k] = e
+            chan_busy[si, k] += dur
+            chan_used[si, k] += 1
+            if one_port:
+                port_free[si] = e
+                port_busy[si] += dur
+            Tn[si] = np.maximum(Tn[si], e)
+            Tn[ri] = np.maximum(Tn[ri], e)
+            msgs_out[si] += 1
+            words_out[si] += w
+            msgs_in[ri] += 1
+            words_in[ri] += w
         T = Tn
-    plan["finish"] = [float(x) for x in T]
-    _commit_rotated_channels(plan, g, chan_free, chan_busy, chan_used)
-    plan["values"][root] = root_value
-    return plan
+    return {
+        "finish": T.tolist(),
+        "cid": cid, "chan_free": chan_free, "chan_busy": chan_busy,
+        "chan_used": chan_used,
+        "pid": pid, "port_free": port_free, "port_busy": port_busy,
+        "stats": (msgs_out, words_out, msgs_in, words_in),
+    }
 
 
-_PLANNERS = {
-    ("sbt", "allgather"): _plan_sbt_exchange,
-    ("sbt", "alltoall"): _plan_sbt_exchange,
-    ("sbt", "reduce_scatter"): _plan_sbt_exchange,
-    ("sbt", "broadcast"): _plan_sbt_broadcast,
-    ("sbt", "reduce"): _plan_sbt_reduce,
-    ("rotated", "allgather"): _plan_rotated_exchange,
-    ("rotated", "alltoall"): _plan_rotated_exchange,
-    ("rotated", "reduce_scatter"): _plan_rotated_exchange,
-    ("rotated", "broadcast"): _plan_rotated_broadcast,
-    ("rotated", "reduce"): _plan_rotated_reduce,
-}
+def _commit(engine: "Engine", g: _CollGroup, plan: dict) -> None:
+    """Write one group's planned reservations and counters to the engine."""
+    tracker = engine.tracker
+    cid = plan["cid"]
+    ii, kk = np.nonzero(plan["chan_used"])
+    # Create the channels first used here (allocation may grow the columns
+    # and rebind the arrays, so resolve every slot before writing), then
+    # scatter the phase's channel state in three vectorized writes.
+    new = cid[ii, kk] < 0
+    for i, k in zip(ii[new].tolist(), kk[new].tolist()):
+        u = g.nodes[i]
+        cid[i, k] = tracker._channel_slot(u, u ^ (1 << g.free_dims[k]))
+    rows = cid[ii, kk]
+    tracker._free[rows] = plan["chan_free"][ii, kk]
+    tracker._busy[rows] = plan["chan_busy"][ii, kk]
+    tracker._nres[rows] += plan["chan_used"][ii, kk]
+    msgs_out, words_out, msgs_in, words_in = plan["stats"]
+    pid = plan["pid"]
+    if pid is not None:  # idle ports get their seeds back, unchanged
+        tracker._free[pid] = plan["port_free"]
+        tracker._busy[pid] = plan["port_busy"]
+        tracker._nres[pid] += msgs_out
+    stats = engine.stats
+    for u, ms, ws, mr, wr in zip(
+        g.nodes, msgs_out.tolist(), words_out.tolist(),
+        msgs_in.tolist(), words_in.tolist(),
+    ):
+        st = stats[u]
+        st.messages_sent += ms
+        st.words_sent += ws
+        st.messages_received += mr
+        st.words_received += wr
 
 
 def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
@@ -1154,15 +893,22 @@ def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
     groups = _collective_groups(engine, parked)
     if groups is None:
         return None
+    one_port = engine.config.port_model is PortModel.ONE_PORT
     try:
-        plans = [_PLANNERS[(g.sched, g.kind)](engine, g) for g in groups]
-        # Assemble outcomes before committing anything: a malformed group
-        # surfaced here still refuses cleanly.
+        plans = []
         by_task: dict = {}
-        for g, plan in zip(groups, plans):
+        for g in groups:
+            orders = _orders(g.d, one_port)
+            steps, values = _STEP_TABLES[g.kind](
+                g, orders, not one_port, engine.timing_only
+            )
+            plan = _reserve(engine, g, orders, steps, one_port)
+            plans.append(plan)
+            # Assemble outcomes before committing anything: a malformed
+            # group surfaced here still refuses cleanly.
             for i in range(g.n):
                 by_task.setdefault(g.nodes[i], {})[g.slots[i]] = (
-                    plan["finish"][i], plan["values"][i]
+                    plan["finish"][i], values[i]
                 )
         outcome = {}
         for task, (op, _at) in parked.items():
@@ -1177,34 +923,6 @@ def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
     except Exception:
         return None
 
-    tracker = engine.tracker
-    stats = engine.stats
     for g, plan in zip(groups, plans):
-        chans = plan["channels"]
-        if chans:
-            # Resolve every slot first (allocation may grow the columns and
-            # rebind the arrays), then scatter the phase's channel state in
-            # three vectorized writes.  Keys are unique, so += is safe.
-            slot = tracker._channel_slot
-            rows = np.fromiter(
-                (slot(u, v) for u, v in chans), dtype=np.intp, count=len(chans)
-            )
-            vals = np.fromiter(
-                (x for triple in chans.values() for x in triple),
-                dtype=np.float64, count=3 * len(chans),
-            ).reshape(-1, 3)
-            tracker._free[rows] = vals[:, 0]
-            tracker._busy[rows] = vals[:, 1]
-            tracker._nres[rows] += vals[:, 2].astype(np.int64)
-        for u, (free, busy, nres) in plan["ports"].items():
-            port = tracker._send_port[u]
-            port.next_free = free
-            port.busy_time = busy
-            port.reservations += nres
-        for i in range(g.n):
-            st = stats[g.nodes[i]]
-            st.messages_sent += int(plan["ms"][i])
-            st.words_sent += int(plan["ws"][i])
-            st.messages_received += int(plan["mr"][i])
-            st.words_received += int(plan["wr"][i])
+        _commit(engine, g, plan)
     return outcome

@@ -1,8 +1,8 @@
-"""Differential conformance: fast path ≡ event path ≡ calendar backend.
+"""Differential conformance: fast path ≡ event path.
 
 This suite is the enforcement arm of the superstep contract: for a
 seeded sample of ≥ 50 (algorithm, machine, fault, scenario)
-configurations spanning every registered algorithm, all three execution
+configurations spanning every registered algorithm, both execution
 paths must produce bit-identical simulated times, statistics, trace
 digests, and result matrices — and identical *errors* when a fault plan
 makes the run fail.  On mismatch the failing configuration is shrunk

@@ -18,7 +18,7 @@ from repro.errors import AlgorithmError, SimulationError
 from repro.sim import FaultPlan, MachineConfig, PortModel, run_spmd
 from repro.sim.engine import Engine
 from repro.sim.scenario import hotspot
-from repro.sim.superstep import engine_supports_superstep
+from repro.sim.superstep import superstep_ineligibility_reason
 
 PARAMS = {"t_s": 7.0, "t_w": 3.0, "t_c": 0.5}
 
@@ -174,22 +174,24 @@ class TestCannonPaths:
 
 class TestEligibilityGates:
     def test_engine_mode_gates(self):
+        reason = superstep_ineligibility_reason
         cfg = MachineConfig.create(16, **PARAMS)
-        assert engine_supports_superstep(Engine(cfg))
-        assert not engine_supports_superstep(Engine(cfg, superstep=False))
-        assert not engine_supports_superstep(Engine(cfg, trace=True))
-        assert not engine_supports_superstep(
-            Engine(cfg, max_virtual_time=1e9)
+        assert reason(Engine(cfg)) is None
+        assert reason(Engine(cfg, superstep=False)) == "superstep disabled"
+        assert reason(Engine(cfg, trace=True)) == "per-hop tracing"
+        assert (
+            reason(Engine(cfg, max_virtual_time=1e9))
+            == "max_virtual_time watchdog"
         )
         faulty = MachineConfig.create(
             16, faults=FaultPlan(seed=1).with_link_fault(0, 1, start=0.0),
             **PARAMS,
         )
-        assert not engine_supports_superstep(Engine(faulty))
+        assert reason(Engine(faulty)) == "fault plan"
         degraded = MachineConfig.create(
             16, scenario=hotspot(16, node=0, factor=3.0), **PARAMS
         )
-        assert not engine_supports_superstep(Engine(degraded))
+        assert reason(Engine(degraded)) == "heterogeneous scenario"
 
     def test_ineligible_engine_still_answers_shift_ops(self):
         """A traced engine runs shift phases wholly through events, and its
