@@ -55,7 +55,7 @@ from repro.service.jobs import JobSpec, build_cells, finalize, make_spec
 from repro.service.journal import Journal
 from repro.service.scheduler import DeficitScheduler
 from repro.service.streaming import StreamWriter
-from repro.service.supervisor import Supervisor
+from repro.service.supervisor import WAKE_COUNTERS, Supervisor
 
 __all__ = ["SweepService", "JobState"]
 
@@ -176,11 +176,14 @@ class SweepService:
         self.warnings: list[str] = []
         self.jobs_by_id: dict[str, JobState] = {}
         self.last_shed: dict[str, Any] | None = None
-        self.counters: dict[str, int] = {
+        self.counters: dict[str, Any] = {
             "submitted": 0, "coalesced": 0, "sheds": 0,
             "retries": 0, "leases": 0, "quarantined": 0,
             "worker_deaths": 0, "lease_expiries": 0,
             "host_leases": 0, "host_revocations": 0,
+            # Supervisor wake accounting: this process's runs only —
+            # unlike the rest it is never journaled, so never replayed.
+            **dict.fromkeys(WAKE_COUNTERS, 0),
         }
         # Journaled scheduling decisions whose jobs are still unfinished,
         # in decision order — a resumed daemon replays this interleaving
@@ -713,6 +716,7 @@ class SweepService:
                 elif event.get("reason") == "lease-expired":
                     self.counters["lease_expiries"] += 1
 
+        wakes = dict.fromkeys(WAKE_COUNTERS, 0)
         todo = set(range(len(plan))) - set(records_by_chunk)
         if todo:
             initial_attempts = {
@@ -725,6 +729,12 @@ class SweepService:
                 skip_chunks=set(records_by_chunk),
                 initial_attempts=initial_attempts,
             )
+            if isinstance(executor, Supervisor):
+                ran = executor.counters.as_dict()
+                for key in WAKE_COUNTERS:
+                    wakes[key] = ran[key]
+                    self.counters[key] += ran[key]
+                self.counters["wait_s"] = round(self.counters["wait_s"], 4)
             for chunk, outcome in outcomes.items():
                 if outcome.quarantined:
                     job.quarantined.add(chunk)
@@ -750,6 +760,11 @@ class SweepService:
         report = finalize(spec, full_records)
         report["job"] = job.id
         report["quarantined_chunks"] = sorted(job.quarantined)
+        # Diagnostics ride in the report file only: the digest is already
+        # computed, and the journal's job_done record below stays as it is.
+        report["counters"] = {
+            "leases": job.leases, "retries": job.retries, **wakes,
+        }
         job.digest = report.get("digest")
         job.status = "degraded" if job.quarantined else "done"
         self.journal.append({
@@ -774,8 +789,10 @@ class SweepService:
         results.mkdir(parents=True, exist_ok=True)
         path = results / f"{job.id}.json"
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # dumps + one write, not dump: the indented encoder is the pure-
+        # Python one and would call fh.write once per token.
         with open(tmp, "w") as fh:
-            json.dump(report, fh, indent=2, default=repr)
+            fh.write(json.dumps(report, indent=2, default=repr))
         os.replace(tmp, path)
 
     # -- inspection ---------------------------------------------------------

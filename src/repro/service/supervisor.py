@@ -29,6 +29,16 @@ The supervisor is deliberately journal-agnostic: it reports lease /
 retry / quarantine events and chunk completions through callbacks, and
 the service layer decides what to persist.  That keeps this module
 testable with plain lists and keeps WAL policy in one place.
+
+The run loop is event-driven.  Each iteration collects queued reports,
+polices leases, assigns ready chunks to idle workers — in that order,
+so a worker that just reported is re-leased in the same iteration —
+and then blocks in one :func:`multiprocessing.connection.wait` on the
+result pipe and the busy workers' process sentinels.  The timeout is
+the nearest of the stop-check cap (``_POLL_S``), the next lease
+deadline and the next backoff expiry, so the loop wakes the instant a
+chunk finishes or a worker dies and otherwise exactly when policy next
+has something to decide.
 """
 
 from __future__ import annotations
@@ -36,10 +46,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
 import random
 import time
 from dataclasses import dataclass
+from multiprocessing import connection
 from typing import Any, Callable
 
 from repro.errors import ServiceError
@@ -48,9 +58,16 @@ from repro.service.jobs import evaluate_chunk
 
 __all__ = [
     "Supervisor", "ChunkOutcome", "SupervisorCounters", "seeded_backoff",
+    "WAKE_COUNTERS",
 ]
 
-#: how often the supervisor polls results / liveness / deadlines
+#: the run loop's wake accounting in :class:`SupervisorCounters`
+WAKE_COUNTERS = ("wakes_result", "wakes_worker_exit", "wakes_timeout", "wait_s")
+
+#: stop-check cap: the longest the run loop blocks with nothing due.
+#: Results, worker deaths, lease deadlines and backoff expiries wake it
+#: on their own; only ``should_stop`` and the death of an *idle* worker
+#: have no file descriptor or deadline, so they are noticed this late.
 _POLL_S = 0.02
 
 
@@ -103,7 +120,14 @@ class ChunkOutcome:
 
 @dataclass
 class SupervisorCounters:
-    """Robustness bookkeeping for one run (never part of any digest)."""
+    """Robustness and wake bookkeeping for one supervisor (never part of
+    any digest, never journaled).
+
+    ``wakes_*`` count the run loop's returns from its blocking wait by
+    cause — a queued report, a busy worker's exit, or the timeout (cap,
+    lease deadline or backoff expiry); ``wait_s`` is the time spent
+    blocked there, on the injected clock.
+    """
 
     leases: int = 0
     retries: int = 0
@@ -111,6 +135,10 @@ class SupervisorCounters:
     lease_expiries: int = 0
     quarantined: int = 0
     backoff_s: float = 0.0
+    wakes_result: int = 0
+    wakes_worker_exit: int = 0
+    wakes_timeout: int = 0
+    wait_s: float = 0.0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -120,6 +148,10 @@ class SupervisorCounters:
             "lease_expiries": self.lease_expiries,
             "quarantined": self.quarantined,
             "backoff_s": round(self.backoff_s, 4),
+            "wakes_result": self.wakes_result,
+            "wakes_worker_exit": self.wakes_worker_exit,
+            "wakes_timeout": self.wakes_timeout,
+            "wait_s": round(self.wait_s, 4),
         }
 
 
@@ -175,6 +207,15 @@ class Supervisor:
         Callback ``(chunk_id, records)`` fired exactly once per
         completed chunk, in completion order.  Exceptions propagate
         (the ``crash-service`` injection rides on this).
+    clock / wait:
+        Test seams.  ``clock`` is the lease clock (deadlines, backoff,
+        ``wait_s``).  ``wait(objects, timeout)`` is where the run loop
+        blocks, with the contract of
+        :func:`multiprocessing.connection.wait`: ``objects[0]`` is the
+        result pipe, the rest are the busy workers' process sentinels,
+        and the return value is the ready subset.
+    should_stop:
+        Drain hook, checked once per wake-up (at most ``_POLL_S`` apart).
     """
 
     def __init__(
@@ -189,7 +230,7 @@ class Supervisor:
         on_event: Callable[[dict], None] | None = None,
         on_chunk_done: Callable[[int, list], None] | None = None,
         clock: Callable[[], float] | None = None,
-        sleep: Callable[[float], None] | None = None,
+        wait: Callable[[list, float], list] | None = None,
         should_stop: Callable[[], bool] | None = None,
     ):
         if workers < 1:
@@ -213,7 +254,7 @@ class Supervisor:
         # racing the wall clock.  Worker liveness and pool teardown stay
         # on real time — they guard host resources, not lease policy.
         self._clock = clock or time.monotonic
-        self._sleep = sleep or time.sleep
+        self._wait = wait or connection.wait
         # Drain hook: when it turns true the run loop stops leasing,
         # abandons in-flight work (idempotent — it just re-runs later),
         # and returns the outcomes gathered so far.
@@ -284,7 +325,12 @@ class Supervisor:
             return outcomes
 
         initial_attempts = initial_attempts or {}
-        result_q = self._ctx.Queue()
+        # SimpleQueue, not Queue: its put() writes in the calling thread
+        # and has released the shared write lock when it returns.  Queue's
+        # feeder thread may still hold that lock when the worker's main
+        # thread is already on its next lease — a worker that dies there
+        # (kill-worker does) would wedge every other writer for good.
+        result_q = self._ctx.SimpleQueue()
         pool: list[_Worker] = [
             self._spawn_worker(result_q)
             for _ in range(min(self.workers, len(todo)))
@@ -296,33 +342,87 @@ class Supervisor:
         inflight: dict[int, _Worker] = {}  # chunk -> worker holding lease
 
         try:
-            while len(outcomes) < len(todo):
+            now = self._clock()
+            while True:
                 if self._should_stop():
                     # Graceful drain: abandoned leases are handed back by
                     # construction — the journal has no 'done' for them,
                     # so the next run re-leases exactly these chunks.
                     self.drained = True
                     break
-                now = self._clock()
-                self._assign(pool, pending, inflight, cells, plan,
-                             kind, params, now)
+                # Collect before assigning: the worker whose report is
+                # absorbed here is idle again by the time _assign looks,
+                # so it never waits out a wake-up between two chunks.
                 self._drain_results(result_q, outcomes, inflight, pending, now)
                 self._police_leases(pool, pending, inflight, outcomes,
                                     result_q, now)
-                if len(outcomes) < len(todo):
-                    self._sleep(_POLL_S)
+                if len(outcomes) == len(todo):
+                    break
+                self._assign(pool, pending, inflight, cells, plan,
+                             kind, params, now)
+                now = self._block(result_q, pool, pending)
         finally:
+            # Busy workers hold abandoned leases (drain, or an exception
+            # out of on_chunk_done): nothing will ever be read from them,
+            # so they are killed, not waited for.  Idle ones get the
+            # shutdown sentinel and a bounded join.
             for worker in pool:
-                if worker.busy is None and worker.proc.is_alive():
+                if worker.busy is not None:
+                    self._reap(worker)
+                elif worker.proc.is_alive():
                     worker.task_q.put(None)
             deadline = time.monotonic() + 2.0
             for worker in pool:
-                worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            for worker in pool:
-                self._reap(worker)
-            result_q.cancel_join_thread()
+                if worker.busy is None:
+                    worker.proc.join(
+                        timeout=max(0.0, deadline - time.monotonic()))
+                    self._reap(worker)
             result_q.close()
         return outcomes
+
+    def _block(self, result_q, pool, pending) -> float:
+        """Block until a report is queued, a busy worker exits, or policy
+        next has something to decide; returns the clock on wake-up.
+
+        The timeout is ``min(_POLL_S, next lease deadline - now, next
+        pending.not_before - now)``.  A pending chunk that is already
+        ready imposes none: it is waiting for a worker, and a worker
+        frees up only through a report or an exit.
+        """
+        before = self._clock()
+        # objects[0] is the result pipe (SimpleQueue has no public handle
+        # on its read end; concurrent.futures.process waits on it the
+        # same way); the rest are the busy workers' sentinels.
+        reader = result_q._reader
+        busy = {
+            worker.proc.sentinel: worker
+            for worker in pool if worker.busy is not None
+        }
+        timeout = _POLL_S
+        for worker in busy.values():
+            if worker.lease_deadline - before < timeout:
+                timeout = worker.lease_deadline - before
+        for chunk in pending:
+            if before < chunk.not_before < before + timeout:
+                timeout = chunk.not_before - before
+        ready = self._wait([reader, *busy], max(0.0, timeout))
+        for obj in ready:
+            if obj is not reader:
+                # A readable sentinel means the exit is under way, not
+                # that waitpid can see it yet.  Wait the last moments out
+                # here, so that is_alive() is decisive when the leases
+                # are policed and the loop cannot spin on the sentinel.
+                busy[obj].proc.join(timeout=5.0)
+        now = self._clock()
+        counters = self.counters
+        counters.wait_s += now - before
+        if not ready:
+            counters.wakes_timeout += 1
+        elif reader in ready:
+            counters.wakes_result += 1
+        else:
+            counters.wakes_worker_exit += 1
+        return now
 
     # -- loop phases --------------------------------------------------------
 
@@ -353,12 +453,8 @@ class Supervisor:
 
     def _drain_results(self, result_q, outcomes, inflight, pending, now):
         """Absorb every queued worker report."""
-        while True:
-            try:
-                msg = result_q.get_nowait()
-            except queue_mod.Empty:
-                return
-            status, wid, chunk_id, attempt, payload = msg
+        while not result_q.empty():
+            status, wid, chunk_id, attempt, payload = result_q.get()
             worker = inflight.get(chunk_id)
             if worker is None or worker.busy != (chunk_id, attempt):
                 # Late report from a lease we already revoked (e.g. a

@@ -18,6 +18,7 @@ from repro.service import (
     SweepService,
     parse_injections,
 )
+from repro.service.supervisor import WAKE_COUNTERS
 
 SWEEP = {
     "algorithms": ["cannon", "berntsen"],
@@ -73,6 +74,34 @@ def test_report_file_written(tmp_path, clean_digest):
     on_disk = json.loads(path.read_text())
     assert on_disk["digest"] == clean_digest
     assert on_disk["quarantined_chunks"] == []
+
+
+def test_wake_counters_surface_but_never_reach_the_journal(
+    tmp_path, clean_digest
+):
+    # Observability only: the supervisor's wake accounting shows in
+    # svc.counters, the jobs payload and the report's counters block;
+    # the digest and the journal are exactly what they were without it.
+    with _service(tmp_path) as svc:
+        job_id, _ = svc.submit("sweep", SWEEP)
+        report = svc.run_pending()[0]
+        live = dict(svc.counters)
+        payload = svc.jobs()
+        state = svc.state_dir
+    assert report["digest"] == clean_digest
+    wakes = {k: live[k] for k in WAKE_COUNTERS}
+    assert wakes["wakes_result"] >= 1 and wakes["wait_s"] > 0.0
+    assert {k: payload["counters"][k] for k in wakes} == wakes
+    on_disk = json.loads((state / "results" / f"{job_id}.json").read_text())
+    assert on_disk["counters"] == {"leases": 4, "retries": 0, **wakes}
+    journal = "".join(
+        seg.read_text() for seg in sorted((state / "wal").glob("wal-*.jsonl"))
+    )
+    assert "wakes_" not in journal and "wait_s" not in journal
+    # Not journaled means not replayed: a fresh process starts at zero.
+    with _service(tmp_path, read_only=True) as cold:
+        assert cold.counters["wakes_result"] == 0
+        assert cold.counters["leases"] == 4
 
 
 def test_crash_resume_is_bit_identical_and_incremental(tmp_path, clean_digest):

@@ -9,17 +9,23 @@ test keeps a deadline that real time can never reach and advances a
 virtual clock past it only once every healthy chunk has completed, so
 a loaded CI host can be arbitrarily slow without expiring a healthy
 lease or leaving the stalled one undetected.
+
+The run loop blocks in one place, the injected ``wait`` seam (contract
+of ``multiprocessing.connection.wait``); the event-loop tests observe
+every block through it.
 """
 
 from __future__ import annotations
 
 import time
+from multiprocessing import connection
 
 import pytest
 
 from repro.analysis.parallel import plan_chunks
 from repro.service.chaos import ChaosPolicy
 from repro.service.jobs import build_cells, evaluate_chunk, make_spec
+from repro.service import supervisor as supervisor_mod
 from repro.service.supervisor import Supervisor, seeded_backoff
 
 
@@ -106,15 +112,16 @@ def test_stalled_worker_lease_expires(job):
     done: set[int] = set()
     expired = False
 
-    def nap(_poll_s: float) -> None:
-        # Real nap keeps the poll loop polite; the virtual jump fires
-        # exactly once, after every healthy chunk has reported, so the
-        # only lease it can expire is the stalled one.
+    def wait(objects, timeout):
+        # A real, short wait keeps the loop polite; the virtual jump
+        # fires exactly once, after every healthy chunk has reported, so
+        # the only lease it can expire is the stalled one.
         nonlocal expired
-        time.sleep(0.005)
+        ready = connection.wait(objects, min(timeout, 0.005))
         if not expired and len(done) == len(plan) - 1:
             clock.advance(7201.0)
             expired = True
+        return ready
 
     outcomes = _run(
         job,
@@ -125,7 +132,7 @@ def test_stalled_worker_lease_expires(job):
         chunk_deadline_s=7200.0,
         backoff_base_s=0.01,
         clock=clock,
-        sleep=nap,
+        wait=wait,
         on_chunk_done=lambda chunk, records: done.add(chunk),
     )
     assert outcomes[2].attempts == 2
@@ -206,3 +213,132 @@ def test_should_stop_drains_before_any_lease(job):
     outcomes = supervisor.run(spec.kind, spec.params, cells, plan)
     assert supervisor.drained
     assert outcomes == {}
+
+
+def test_loop_never_blocks_on_ready_work(job):
+    # Observed at every block: (1) the result pipe is waited on, and a
+    # report queued at entry is handed back at once, so the loop cannot
+    # sleep on an undrained report; (2) a ready pending chunk and an idle
+    # live worker never coexist — collect runs before assign, so the
+    # worker that just reported is re-leased before the loop blocks;
+    # (3) exactly the busy workers' sentinels are watched.
+    spec, cells, plan, reference = job
+    workers = 2
+    leased: list[int] = []
+    done: list[int] = []
+    blocks = 0
+
+    def wait(objects, timeout):
+        nonlocal blocks
+        blocks += 1
+        reader, sentinels = objects[0], objects[1:]
+        inflight = len(leased) - len(done)
+        unleased = len(plan) - len(leased)  # attempt 1: ready from t=0
+        assert inflight == len(sentinels)
+        assert not (unleased and workers - inflight), (
+            f"blocked with {unleased} ready chunk(s) and "
+            f"{workers - inflight} idle worker(s)"
+        )
+        assert 0.0 <= timeout <= supervisor_mod._POLL_S
+        queued = reader.poll()
+        ready = connection.wait(objects, timeout)
+        if queued:
+            assert reader in ready
+        return ready
+
+    supervisor = Supervisor(
+        workers=workers,
+        wait=wait,
+        on_event=lambda e: e["t"] == "lease" and leased.append(e["chunk"]),
+        on_chunk_done=lambda chunk, records: done.append(chunk),
+    )
+    outcomes = supervisor.run(spec.kind, spec.params, cells, plan)
+    assert sorted(done) == list(range(len(plan)))
+    for i in range(len(plan)):
+        assert outcomes[i].records == reference[i]
+    counters = supervisor.counters
+    assert blocks == (counters.wakes_result + counters.wakes_worker_exit
+                      + counters.wakes_timeout)
+    assert counters.wakes_result >= 1
+    assert counters.wakes_worker_exit == 0
+    assert counters.wait_s > 0.0
+
+
+@pytest.mark.parametrize("scenario", ["clean", "kill-worker", "poison-chunk"])
+def test_events_wake_the_loop_not_the_cap(job, monkeypatch, scenario):
+    # With the stop-check cap at 30 s, a run that relied on it for a
+    # single wake-up would miss the 5 s bound.  One worker, so nothing
+    # else can wake the loop on the event's behalf: a result (clean), the
+    # only worker's death (kill-worker: no report will ever come) and a
+    # backoff expiry (poison-chunk on the last chunk: the retry becomes
+    # ready with the worker idle and nothing in flight) must each wake it
+    # themselves, by event or by the computed timeout.
+    monkeypatch.setattr(supervisor_mod, "_POLL_S", 30.0)
+    spec, cells, plan, reference = job
+    chaos = {
+        "clean": None,
+        "kill-worker": ChaosPolicy(kill_at_chunks=frozenset({1})),
+        "poison-chunk": ChaosPolicy(poison_chunks=frozenset({3})),
+    }[scenario]
+    supervisor = Supervisor(
+        workers=1, chaos=chaos, max_attempts=2, backoff_base_s=0.01,
+    )
+    start = time.monotonic()
+    outcomes = supervisor.run(spec.kind, spec.params, cells, plan)
+    assert time.monotonic() - start < 5.0
+    counters = supervisor.counters
+    poisoned = {3} if scenario == "poison-chunk" else set()
+    if scenario == "clean":
+        assert counters.wakes_result == len(plan)
+        assert counters.wakes_worker_exit == counters.wakes_timeout == 0
+    elif scenario == "kill-worker":
+        assert outcomes[1].attempts == 2
+        assert counters.wakes_worker_exit == 1
+    else:
+        assert outcomes[3].quarantined
+        assert counters.wakes_timeout >= 1
+    for i in set(range(len(plan))) - poisoned:
+        assert outcomes[i].records == reference[i]
+
+
+def test_death_right_after_a_report_cannot_wedge_the_result_pipe(job):
+    # The event loop re-leases a worker microseconds after its report
+    # lands; with kill-worker on the next chunk the worker then dies that
+    # soon after writing.  A result queue with a feeder thread could die
+    # holding the shared write lock (about one run in three), after which
+    # no replacement could ever report: every later lease expired.
+    spec, cells, plan, reference = job
+    for _ in range(10):
+        supervisor = Supervisor(
+            workers=1,
+            chaos=ChaosPolicy(kill_at_chunks=frozenset({1})),
+            backoff_base_s=0.001,
+            chunk_deadline_s=2.0,
+        )
+        outcomes = supervisor.run(spec.kind, spec.params, cells, plan)
+        assert supervisor.counters.lease_expiries == 0
+        assert supervisor.counters.worker_deaths == 1
+        for i in range(len(plan)):
+            assert outcomes[i].records == reference[i]
+
+
+def test_drain_with_a_busy_worker_returns_promptly(job):
+    # Regression: teardown used to join every worker against a shared
+    # 2 s deadline although only idle ones had been sent the shutdown
+    # sentinel, so a drain with a lease in flight hung for the full 2 s.
+    spec, cells, plan, _ = job
+    done: list[int] = []
+    supervisor = Supervisor(
+        workers=2,
+        chaos=ChaosPolicy(
+            stall_at_chunks=frozenset({1}), stall_seconds=3600.0
+        ),
+        on_chunk_done=lambda chunk, records: done.append(chunk),
+        should_stop=lambda: bool(done),
+    )
+    start = time.monotonic()
+    outcomes = supervisor.run(spec.kind, spec.params, cells, plan)
+    elapsed = time.monotonic() - start
+    assert supervisor.drained
+    assert 1 not in outcomes
+    assert elapsed < 1.0
