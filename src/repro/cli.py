@@ -135,6 +135,7 @@ def _cmd_run(args) -> int:
     print(f"messages        : {run.result.total_messages()}")
     print(f"words sent      : {run.result.total_words_sent()}")
     print(f"peak words/node : {run.result.max_peak_memory_words()}")
+    print(f"engine events   : {run.result.events_processed}")
     coeffs = overhead_coefficients(args.algorithm, args.n, args.p, config.port_model)
     if coeffs is not None:
         a, b = coeffs

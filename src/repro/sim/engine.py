@@ -45,7 +45,6 @@ from repro.sim.machine import MachineConfig, RoutingMode
 from repro.sim.message import (
     CORRUPT_VERDICT,
     Message,
-    MessageTable,
     copy_payload,
     message_crc,
 )
@@ -103,7 +102,10 @@ class _Waiter:
         self.mode = mode  # "wait" | "recv" | "send"
 
     def ready(self) -> bool:
-        return all(h.done for h in self.handles)
+        for h in self.handles:
+            if not h.done:
+                return False
+        return True
 
     def resume_value(self) -> Any:
         if self.mode == "wait":
@@ -256,9 +258,9 @@ class Engine:
         self._integrity_rejects = 0
         self._events_processed = 0
         self._msg_seq = itertools.count()
-        # struct-of-arrays envelope store: one row per message, in
-        # creation order (rows mirror _msg_seq ids)
-        self._messages = MessageTable(max(1024, 4 * n))
+        # Handle ids are per engine (like message ids): the "#k" in a
+        # DeadlockError must not depend on what ran earlier in the process.
+        self._handle_seq = itertools.count()
 
         self._task_time: dict[Task, float] = {r: 0.0 for r in range(n)}
         self._gens: dict[Task, Generator] = {}
@@ -362,7 +364,7 @@ class Engine:
             phase_times=self._aggregate_phases(),
             trace=list(self.trace),
             network=NetworkStats(
-                channels_used=len(self.tracker.channel_utilization(1.0)),
+                channels_used=self.tracker.channels_used(),
                 total_channel_busy=self.tracker.total_channel_busy(),
                 max_channel_busy=self.tracker.max_channel_busy(),
                 messages_dropped=self._messages_dropped,
@@ -372,6 +374,7 @@ class Engine:
                 integrity_rejects=self._integrity_rejects,
             ),
             failed_ranks=tuple(sorted(self.failed)),
+            events_processed=self._events_processed,
         )
 
     def _drain_events(self) -> None:
@@ -556,11 +559,13 @@ class Engine:
         ``throw`` delivers a failed child's exception into the generator
         instead of a value (see :meth:`_fail_subtask`).
         """
-        if task_rank(task) in self.failed or task not in self._gens:
+        # task_rank, inlined and computed once: every send and recv this
+        # step issues is handed the same rank.
+        rank = task[0] if task.__class__ is tuple else task
+        if rank in self.failed or task not in self._gens:
             return  # fail-stopped (or halted) rank: no further progress
         self._task_time[task] = max(self._task_time.get(task, 0.0), time)
         gen = self._gens[task]
-        rank = task_rank(task)
         prev_active = self._active_task
         self._active_task = task
         try:
@@ -595,7 +600,7 @@ class Engine:
                 # `__class__ is` beats isinstance() on this hottest of loops.
                 cls = op.__class__
                 if cls is SendOp:
-                    handle = self._issue_send(task, op, now)
+                    handle = self._issue_send(task, rank, op, now)
                     if op.blocking:
                         if handle.done:
                             value = None
@@ -606,7 +611,7 @@ class Engine:
                     continue
 
                 if cls is RecvOp:
-                    handle = self._issue_recv(task, op, now)
+                    handle = self._issue_recv(task, rank, op, now)
                     if op.blocking:
                         if handle.done:
                             value = handle.value
@@ -957,14 +962,12 @@ class Engine:
 
     # -- sends -----------------------------------------------------------
 
-    def _issue_send(self, task: Task, op: SendOp, now: float) -> Handle:
-        rank = task_rank(task)
-        handle = Handle("send", task, detail=f"send dst={op.dst} tag={op.tag}")
+    def _issue_send(self, task: Task, rank: int, op: SendOp, now: float) -> Handle:
+        handle = Handle("send", task, next(self._handle_seq), op.dst, op.tag)
         data = copy_payload(op.data) if self.config.copy_on_send else op.data
         msg = Message(
-            src=rank, dst=op.dst, tag=op.tag, data=data, nwords=op.nwords,
-            send_time=now, msg_id=next(self._msg_seq), ack_tag=op.ack_tag,
-            crc=op.crc, table=self._messages,
+            rank, op.dst, op.tag, data, op.nwords, now,
+            next(self._msg_seq), op.ack_tag, op.crc,
         )
         st = self.stats[rank]
         st.messages_sent += 1
@@ -1189,13 +1192,10 @@ class Engine:
 
     # -- receives ----------------------------------------------------------
 
-    def _issue_recv(self, task: Task, op: RecvOp, now: float) -> Handle:
-        rank = task_rank(task)
-        src_s = "ANY" if op.src == -1 else op.src
-        tag_s = "ANY" if op.tag == -1 else op.tag
-        handle = Handle("recv", task, detail=f"recv src={src_s} tag={tag_s}")
-        box = self._mailbox[rank]
+    def _issue_recv(self, task: Task, rank: int, op: RecvOp, now: float) -> Handle:
         src_f, tag_f = op.src, op.tag
+        handle = Handle("recv", task, next(self._handle_seq), src_f, tag_f)
+        box = self._mailbox[rank]
         for i, (arrival, msg) in enumerate(box):
             # _matches, inlined: this runs for every queued message.
             if (src_f == ANY_SOURCE or src_f == msg.src) and (
@@ -1205,7 +1205,7 @@ class Engine:
                 self._count_receive(rank, msg)
                 handle.complete(max(now, arrival), msg.data)
                 return handle
-        self._pending_recvs[rank].append((op.src, op.tag, handle))
+        self._pending_recvs[rank].append((src_f, tag_f, handle))
         if op.timeout is not None:
             self._schedule(now + op.timeout, _RECV_TIMEOUT, (rank, handle))
         return handle
@@ -1263,7 +1263,7 @@ class Engine:
                     nack = Message(
                         src=msg.dst, dst=msg.src, tag=msg.ack_tag,
                         data=CORRUPT_VERDICT, nwords=0, send_time=time,
-                        msg_id=next(self._msg_seq), table=self._messages,
+                        msg_id=next(self._msg_seq),
                     )
                     self.stats[msg.dst].messages_sent += 1
                     nack_handle = Handle("send", msg.dst)
@@ -1280,7 +1280,6 @@ class Engine:
             ack = Message(
                 src=msg.dst, dst=msg.src, tag=msg.ack_tag, data=None,
                 nwords=0, send_time=time, msg_id=next(self._msg_seq),
-                table=self._messages,
             )
             self.stats[msg.dst].messages_sent += 1
             ack_handle = Handle("send", msg.dst)
@@ -1305,13 +1304,15 @@ class Engine:
     def _notify(self, task: Task) -> None:
         """A handle owned by ``task`` completed; resume the task if unblocked."""
         waiter = self._blocked.get(task)
-        if waiter is None or not waiter.ready():
+        if waiter is None:
             return
+        resume_at = self._task_time[task]
+        for h in waiter.handles:
+            if not h.done:
+                return
+            if h.completion_time > resume_at:
+                resume_at = h.completion_time
         del self._blocked[task]
-        resume_at = max(
-            self._task_time[task],
-            max(h.completion_time for h in waiter.handles),
-        )
         self._schedule(resume_at, _RESUME, (task, waiter.resume_value()))
 
     # -- phases --------------------------------------------------------------

@@ -466,7 +466,9 @@ class FaultState:
     shifts either stream relative to a plan with one type only.
     """
 
-    __slots__ = ("plan", "_rng", "_crng", "_epoch_edges", "_node_corr")
+    __slots__ = (
+        "plan", "_rng", "_crng", "_epoch_edges", "_node_corr", "_fail_time",
+    )
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
@@ -479,6 +481,9 @@ class FaultState:
             if plan.can_corrupt
             else None
         )
+        # Fail-stop instant per node (the plan rejects duplicates): the
+        # engine asks node_failed up to three times per hop.
+        self._fail_time = {nf.node: nf.time for nf in plan.node_failures}
         # Per-node FIFO of pending compute corruptions, soonest first.
         self._node_corr: dict[int, list[NodeCorruption]] = {}
         for nc in sorted(plan.node_corruptions, key=lambda c: c.time):
@@ -496,10 +501,13 @@ class FaultState:
             edges.add(nf.time)
         self._epoch_edges = sorted(edges)
 
-    # Pure delegations ----------------------------------------------------
+    # Pure queries of the plan --------------------------------------------
 
     def link_dead(self, u: int, v: int, time: float) -> bool:
-        return self.plan.link_dead(u, v, time)
+        plan = self.plan
+        if not plan.link_faults and not plan.node_failures:
+            return False
+        return plan.link_dead(u, v, time)
 
     def route_epoch(self, time: float) -> int:
         """Index of the piecewise-constant dead-link interval holding ``time``.
@@ -511,9 +519,12 @@ class FaultState:
         return bisect.bisect_right(self._epoch_edges, time)
 
     def node_failed(self, node: int, time: float) -> bool:
-        return self.plan.node_failed(node, time)
+        t = self._fail_time.get(node)
+        return t is not None and time >= t
 
     def degradation(self, u: int, v: int, time: float) -> float:
+        if not self.plan.degradations:
+            return 1.0
         return self.plan.degradation(u, v, time)
 
     # Stateful (stream-consuming) ----------------------------------------

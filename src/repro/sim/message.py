@@ -4,11 +4,6 @@ A *word* is one matrix element.  Payloads are numpy arrays (any shape) or
 ``None`` for timing-only messages whose size is given explicitly.  Sizes are
 what drive the ``t_s + t_w·m`` hop cost, so they are computed once at send
 time and carried with the envelope.
-
-Envelope numerics are stored struct-of-arrays: the engine owns one
-:class:`MessageTable` whose preallocated NumPy columns hold the
-src/dst/tag/nwords/enqueue-time of every message of a run, and
-:class:`Message` is a thin per-message view (payload pointer + row index).
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from repro.errors import SimulationError
 
 __all__ = [
     "Message",
-    "MessageTable",
     "payload_words",
     "copy_payload",
     "canonical_bytes",
@@ -130,56 +124,15 @@ def copy_payload(data: Any) -> Any:
     return data
 
 
-class MessageTable:
-    """Preallocated struct-of-arrays backing store for message envelopes.
-
-    Columns (``src``/``dst``/``tag``/``nwords`` int64, ``send_time``
-    float64, i.e. enqueue time) are indexed by a dense row id handed out in
-    message-creation order; capacity doubles on demand and rows never move,
-    so :class:`Message` views stay valid across growth.
-    """
-
-    __slots__ = ("src", "dst", "tag", "nwords", "send_time", "count")
-
-    def __init__(self, capacity: int = 1024):
-        cap = max(1, capacity)
-        self.src = np.empty(cap, dtype=np.int64)
-        self.dst = np.empty(cap, dtype=np.int64)
-        self.tag = np.empty(cap, dtype=np.int64)
-        self.nwords = np.empty(cap, dtype=np.int64)
-        self.send_time = np.empty(cap, dtype=np.float64)
-        self.count = 0
-
-    def append(
-        self, src: int, dst: int, tag: int, nwords: int, send_time: float
-    ) -> int:
-        """Store one envelope; returns its row id."""
-        row = self.count
-        if row == len(self.src):
-            for col in ("src", "dst", "tag", "nwords", "send_time"):
-                old = getattr(self, col)
-                new = np.empty(2 * len(old), dtype=old.dtype)
-                new[:len(old)] = old
-                setattr(self, col, new)
-        self.src[row] = src
-        self.dst[row] = dst
-        self.tag[row] = tag
-        self.nwords[row] = nwords
-        self.send_time[row] = send_time
-        self.count = row + 1
-        return row
-
-
 class Message:
-    """An in-flight message: a thin view over one :class:`MessageTable` row.
+    """An in-flight message: a plain record of envelope, payload pointer
+    and integrity fields.  ``nwords`` drives the ``t_s + t_w·m`` hop cost;
+    ``send_time`` is the virtual time it was enqueued at the source."""
 
-    The payload pointer, id, and integrity fields ride on the view; the
-    numeric envelope lives in the table's columns.  Constructed without a
-    ``table`` (tests, ad-hoc messages) it allocates a private one-row
-    store so the API is identical either way.
-    """
-
-    __slots__ = ("_tab", "_row", "msg_id", "data", "ack_tag", "crc")
+    __slots__ = (
+        "src", "dst", "tag", "data", "nwords", "send_time",
+        "msg_id", "ack_tag", "crc",
+    )
 
     def __init__(
         self,
@@ -192,46 +145,20 @@ class Message:
         msg_id: int | None = None,
         ack_tag: int | None = None,
         crc: int | None = None,
-        *,
-        table: MessageTable | None = None,
     ):
-        if table is None:
-            table = MessageTable(1)
-        self._tab = table
-        self._row = table.append(src, dst, tag, nwords, send_time)
-        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.src = src
+        self.dst = dst
+        self.tag = tag
         self.data = data
+        self.nwords = nwords
+        self.send_time = send_time
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
         #: when set, the destination node acks delivery on this tag
         self.ack_tag = ack_tag
         #: when set, the destination node verifies this CRC32 of the
         #: canonical header+payload bytes at delivery; a mismatch is NACK'd
         #: (see :func:`message_crc` and the engine's ``_deliver``)
         self.crc = crc
-
-    @property
-    def src(self) -> int:
-        """Source rank."""
-        return int(self._tab.src[self._row])
-
-    @property
-    def dst(self) -> int:
-        """Destination rank."""
-        return int(self._tab.dst[self._row])
-
-    @property
-    def tag(self) -> int:
-        """Match tag."""
-        return int(self._tab.tag[self._row])
-
-    @property
-    def nwords(self) -> int:
-        """Payload size in words (drives the ``t_s + t_w·m`` hop cost)."""
-        return int(self._tab.nwords[self._row])
-
-    @property
-    def send_time(self) -> float:
-        """Virtual time the message was enqueued at the source."""
-        return float(self._tab.send_time[self._row])
 
     def __repr__(self) -> str:
         return (

@@ -8,8 +8,7 @@ understands.  Every communication call in a program is ultimately a
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "SHIFT_FALLBACK",
     "COLLECTIVE_FALLBACK",
 ]
-
-_handle_ids = itertools.count()
 
 
 class _TimedOut:
@@ -53,7 +50,6 @@ class _TimedOut:
 TIMED_OUT = _TimedOut()
 
 
-@dataclass
 class Handle:
     """Completion handle for a non-blocking operation.
 
@@ -61,22 +57,49 @@ class Handle:
     ``completion_time`` is the virtual time at which the operation finished.
     ``task`` identifies the issuing coroutine: the plain rank number for a
     rank's main program, or a ``(rank, k)`` tuple for a sub-task spawned via
-    ``ctx.parallel``.
+    ``ctx.parallel``; ``rank`` is the owning rank either way.
+    ``handle_id`` is handed out per :class:`~repro.sim.engine.Engine`, so
+    diagnostics naming it do not depend on what ran earlier in the process.
+    ``peer``/``tag`` are the operation's destination (sends) or source
+    filter (receives) and match tag; ``peer is None`` marks an engine
+    internal handle (a node's ack) that no program ever waits on.
     """
 
-    kind: str
-    task: Any
-    handle_id: int = field(default_factory=lambda: next(_handle_ids))
-    done: bool = False
-    completion_time: float = 0.0
-    value: Any = None
-    #: human-readable operation summary, e.g. "recv src=3 tag=7" — carried
-    #: into DeadlockError so a hang names the actual stuck operation
-    detail: str = ""
+    __slots__ = (
+        "kind", "task", "rank", "handle_id", "peer", "tag",
+        "done", "completion_time", "value",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        task: Any,
+        handle_id: int = 0,
+        peer: int | None = None,
+        tag: int | None = None,
+    ):
+        self.kind = kind
+        self.task = task
+        self.rank = task[0] if task.__class__ is tuple else task
+        self.handle_id = handle_id
+        self.peer = peer
+        self.tag = tag
+        self.done = False
+        self.completion_time = 0.0
+        self.value = None
 
     @property
-    def rank(self) -> int:
-        return self.task[0] if isinstance(self.task, tuple) else self.task
+    def detail(self) -> str:
+        """Human-readable operation summary, e.g. "recv src=3 tag=7" —
+        rendered only when a DeadlockError/LivelockError names the stuck
+        operation ("" for engine-internal handles)."""
+        if self.peer is None:
+            return ""
+        if self.kind == "send":
+            return f"send dst={self.peer} tag={self.tag}"
+        src = "ANY" if self.peer == -1 else self.peer
+        tag = "ANY" if self.tag == -1 else self.tag
+        return f"recv src={src} tag={tag}"
 
     def complete(self, time: float, value: Any = None) -> None:
         self.done = True
@@ -90,11 +113,12 @@ class Handle:
 
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
-        extra = f" {self.detail}" if self.detail else ""
+        detail = self.detail
+        extra = f" {detail}" if detail else ""
         return f"Handle(#{self.handle_id} {self.kind} task={self.task}{extra} {state})"
 
 
-@dataclass
+@dataclass(slots=True)
 class SendOp:
     """Send ``data`` (``nwords`` words) to ``dst`` with ``tag``.
 
@@ -116,7 +140,7 @@ class SendOp:
     crc: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvOp:
     """Receive a message from ``src`` (or ANY_SOURCE) with ``tag``.
 
@@ -131,14 +155,14 @@ class RecvOp:
     timeout: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class WaitOp:
     """Block until every handle in ``handles`` has completed."""
 
     handles: list[Handle]
 
 
-@dataclass
+@dataclass(slots=True)
 class ElapseOp:
     """Advance this rank's clock by ``duration`` (local computation)."""
 

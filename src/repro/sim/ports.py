@@ -313,6 +313,10 @@ class ContentionTracker:
 
     # -- statistics ----------------------------------------------------
 
+    def channels_used(self) -> int:
+        """Number of directional channels any hop ever reserved."""
+        return len(self._channel_ids)
+
     def channel_utilization(self, horizon: float) -> dict[tuple[int, int], float]:
         """Fraction of ``[0, horizon]`` each used directional channel was busy."""
         if horizon <= 0:

@@ -54,18 +54,15 @@ ANY_TAG = -1
 class ProcessContext:
     """Handle through which a rank's program talks to the engine."""
 
-    __slots__ = ("rank", "engine", "config")
+    __slots__ = ("rank", "engine", "config", "num_ranks")
 
     def __init__(self, rank: int, engine: "Engine"):
         self.rank = rank
         self.engine = engine
         self.config = engine.config
+        self.num_ranks = engine.config.num_nodes
 
     # -- introspection ---------------------------------------------------
-
-    @property
-    def num_ranks(self) -> int:
-        return self.config.num_nodes
 
     @property
     def now(self) -> float:
@@ -76,11 +73,14 @@ class ProcessContext:
     def stats(self):
         return self.engine.stats[self.rank]
 
-    def _check_peer(self, peer: int) -> None:
+    def _check_peer(self, peer: int) -> int:
+        """Range-check a peer rank and return it as a Python ``int``, so a
+        numpy integer never reaches route-cache keys or trace records."""
         if not 0 <= peer < self.num_ranks:
             raise SimulationError(
                 f"rank {peer} out of range on a {self.num_ranks}-node machine"
             )
+        return peer if peer.__class__ is int else int(peer)
 
     # -- point to point ----------------------------------------------------
 
@@ -101,9 +101,10 @@ class ProcessContext:
         additionally asks it to verify the payload's canonical checksum
         at delivery and NACK a corrupted copy.
         """
-        self._check_peer(dst)
         yield SendOp(
-            dst, data, tag, payload_words(data, nwords),
+            self._check_peer(dst), data,
+            tag if tag.__class__ is int else int(tag),
+            payload_words(data, nwords),
             blocking=True, ack_tag=ack_tag, crc=crc,
         )
 
@@ -118,9 +119,10 @@ class ProcessContext:
         crc: int | None = None,
     ):
         """Non-blocking send; returns a :class:`Handle`."""
-        self._check_peer(dst)
         handle = yield SendOp(
-            dst, data, tag, payload_words(data, nwords),
+            self._check_peer(dst), data,
+            tag if tag.__class__ is int else int(tag),
+            payload_words(data, nwords),
             blocking=False, ack_tag=ack_tag, crc=crc,
         )
         return handle
@@ -139,7 +141,7 @@ class ProcessContext:
         whole-run :class:`~repro.errors.DeadlockError`.
         """
         if src != ANY_SOURCE:
-            self._check_peer(src)
+            src = self._check_peer(src)
         if timeout is not None and timeout <= 0:
             raise SimulationError(f"recv timeout must be positive, got {timeout}")
         data = yield RecvOp(src, tag, blocking=True, timeout=timeout)
@@ -160,7 +162,7 @@ class ProcessContext:
         the window expires first.
         """
         if src != ANY_SOURCE:
-            self._check_peer(src)
+            src = self._check_peer(src)
         if timeout is not None and timeout <= 0:
             raise SimulationError(f"recv timeout must be positive, got {timeout}")
         handle = yield RecvOp(src, tag, blocking=False, timeout=timeout)
@@ -169,12 +171,15 @@ class ProcessContext:
     def waitall(self, handles: Iterable[Handle]):
         """Wait for every handle; returns their values in order."""
         handles = list(handles)
+        rank = self.rank
         for h in handles:
-            if not isinstance(h, Handle):
+            # Handle is final (never subclassed): exact-class test, and
+            # ``rank`` is a stored slot — no call per handle.
+            if h.__class__ is not Handle:
                 raise SimulationError(f"waitall expects Handles, got {type(h).__name__}")
-            if h.rank != self.rank:
+            if h.rank != rank:
                 raise SimulationError(
-                    f"rank {self.rank} cannot wait on rank {h.rank}'s handle"
+                    f"rank {rank} cannot wait on rank {h.rank}'s handle"
                 )
         values = yield WaitOp(handles)
         return values

@@ -109,6 +109,12 @@ class RunResult:
         Ranks halted by a fail-stop fault during the run (empty on a
         healthy machine).  Their ``finish_time`` is their failure time and
         they contribute no entry to ``results``.
+    events_processed:
+        Engine events the run consumed (resumes, hop starts/ends, timeouts,
+        fail-stops) — the count the ``max_events`` watchdog caps.  A
+        diagnostic of host work, not of the simulated machine: it differs
+        between the event path and the closed forms, so it never enters
+        :meth:`trace_lines` or any digest.
     """
 
     total_time: float
@@ -120,6 +126,7 @@ class RunResult:
         default_factory=lambda: NetworkStats(0, 0.0, 0.0)
     )
     failed_ranks: tuple[int, ...] = ()
+    events_processed: int = 0
 
     @property
     def num_ranks(self) -> int:

@@ -68,6 +68,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "verified" in out
         assert "Table 2 model" in out
+        assert "engine events   : 96" in out
 
     def test_run_multi_port(self, capsys):
         assert main(["run", "cannon", "-n", "16", "-p", "16",

@@ -1,5 +1,8 @@
 """Tests for the discrete-event SPMD engine: semantics and timing."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,31 @@ class TestPointToPoint:
 
         with pytest.raises(SimulationError):
             run_spmd(CFG, prog)
+
+    def test_numpy_integer_peers_stay_python_ints(self):
+        """Peers computed with numpy (``np.int64``) are normalized where
+        the op is built: same route-cache keys, same trace digest as the
+        ``int`` program, and a JSON-serializable trace."""
+
+        def make(cast):
+            def prog(ctx):
+                peer = cast(ctx.rank ^ 5)  # two hops away
+                got = yield from ctx.exchange(peer, np.ones(3), tag=cast(4))
+                if ctx.rank == 0:
+                    yield from ctx.send(cast(7), np.ones(2), tag=cast(9))
+                elif ctx.rank == 7:
+                    yield from ctx.recv(cast(0), tag=cast(9))
+                return float(got.sum())
+
+            return prog
+
+        plain = run_spmd(CFG, make(int), trace=True)
+        numpy_ = run_spmd(CFG, make(np.int64), trace=True)
+        assert numpy_.trace_digest() == plain.trace_digest()
+        for rec in numpy_.trace:
+            assert type(rec.rank) is int
+            json.dumps(rec.info)
+        assert numpy_.results == plain.results
 
     def test_fifo_between_same_pair_same_tag(self):
         def prog(ctx):
@@ -383,6 +411,22 @@ class TestStats:
         assert res.phase_times["alpha"] == (0.0, 10.0)
         assert res.phase_times["beta"] == (10.0, 15.0)
         assert res.phase_duration("beta") == 5.0
+
+    def test_events_processed_is_surfaced_outside_the_digest(self):
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.send(3, np.ones(5))
+            elif ctx.rank == 3:
+                yield from ctx.recv(0)
+            return None
+
+        res = run_spmd(CFG, prog)
+        # 8 initial resumes, 2 hops x (ready + done), 2 wake-ups
+        assert res.events_processed == 14
+        # a diagnostic of host work: no digest moves with it
+        assert replace(res, events_processed=0).trace_digest() == res.trace_digest()
+        # it is the count the max_events watchdog caps (inclusive)
+        assert Engine(CFG, max_events=14).run(prog).events_processed == 14
 
     def test_trace_records_hops(self):
         def prog(ctx):

@@ -1,4 +1,4 @@
-"""Tests for payload word accounting."""
+"""Tests for payload word accounting and the message record."""
 
 import numpy as np
 import pytest
@@ -58,3 +58,22 @@ class TestMessage:
         msg = Message(2, 5, 7, None, 9, 0.0)
         assert "2->5" in repr(msg)
         assert "tag=7" in repr(msg)
+
+    def test_is_a_plain_record(self):
+        """No backing table: every field is an ordinary slot."""
+        msg = Message(2, 5, 7, None, 9, 1.5, ack_tag=11, crc=123)
+        assert not hasattr(msg, "_tab") and not hasattr(msg, "_row")
+        assert not hasattr(msg, "__dict__")
+        assert (msg.src, msg.dst, msg.tag, msg.nwords) == (2, 5, 7, 9)
+        assert (msg.send_time, msg.ack_tag, msg.crc) == (1.5, 11, 123)
+
+    def test_fields_are_settable(self):
+        """The engine's link corruption swaps in a private perturbed copy
+        of the payload (``_maybe_corrupt``)."""
+        msg = Message(0, 1, 0, np.zeros(3), 3, 0.0)
+        flipped = np.ones(3)
+        msg.data = flipped
+        assert msg.data is flipped
+
+    def test_explicit_id_wins(self):
+        assert Message(0, 1, 0, None, 0, 0.0, msg_id=41).msg_id == 41

@@ -59,6 +59,7 @@ class TestTracker:
         tracker.reserve_hop(0, 1, 0.0, 10.0)
         util = tracker.channel_utilization(20.0)
         assert util[(0, 1)] == pytest.approx(0.5)
+        assert tracker.channels_used() == len(util) == 1
         assert tracker.max_channel_busy() == 10.0
         assert tracker.total_channel_busy() == 10.0
 
@@ -106,6 +107,7 @@ class TestAggregationEdgeCases:
         assert tracker.total_channel_busy() == 0.0
         assert tracker.max_channel_busy() == 0.0
         assert tracker.channel_utilization(0.0) == {}
+        assert tracker.channels_used() == 0
         tracker.reserve_hop(0, 1, 0.0, 1.0)
         assert tracker.channel_utilization(0.0) == {(0, 1): 0.0}
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import DeadlockError, LivelockError
 from repro.sim import FaultPlan, MachineConfig, run_spmd
+from repro.sim.ops import Handle
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
 
@@ -48,6 +49,90 @@ class TestLivelock:
 
         res = run_spmd(CFG, prog, max_events=100_000, max_virtual_time=1e9)
         assert res.results[0] == 0
+
+
+class TestOperationText:
+    """The operation summary a stuck handle renders (lazily, from its
+    ``kind``/``peer``/``tag``) and the ``#id`` that disambiguates it."""
+
+    def test_handle_detail_forms(self):
+        assert Handle("send", 0, 4, 3, 7).detail == "send dst=3 tag=7"
+        assert Handle("recv", 0, 4, 1, 7).detail == "recv src=1 tag=7"
+        assert Handle("recv", (0, 2), 4, -1, -1).detail == "recv src=ANY tag=ANY"
+        assert Handle("recv", 0, 4, 2, -1).detail == "recv src=2 tag=ANY"
+        # a node's own ack send: no program ever waits on it
+        assert Handle("send", 5).detail == ""
+        assert "recv src=1 tag=7" in repr(Handle("recv", 0, 4, 1, 7))
+
+    def test_deadlock_pins_recv_text(self):
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.recv(1, tag=7)
+            elif ctx.rank == 2:
+                yield from ctx.recv()
+            elif ctx.rank == 3:
+                h = yield from ctx.irecv(2)
+                yield from ctx.wait(h)
+            return None
+
+        with pytest.raises(DeadlockError) as exc:
+            run_spmd(CFG, prog)
+        assert exc.value.blocked == {
+            0: "task 0: waiting on recv src=1 tag=7#0",
+            2: "task 2: waiting on recv src=ANY tag=ANY#1",
+            3: "task 3: waiting on recv src=2 tag=ANY#2",
+        }
+
+    def test_deadlock_pins_subtask_text(self):
+        def stuck(ctx, src, tag):
+            yield from ctx.recv(src, tag=tag)
+
+        def prog(ctx):
+            if ctx.rank == 1:
+                yield from ctx.parallel(stuck(ctx, 0, 5), stuck(ctx, -1, 6))
+            return None
+
+        with pytest.raises(DeadlockError) as exc:
+            run_spmd(CFG, prog)
+        assert exc.value.blocked_tasks[1] == [
+            "task (1, 1): waiting on recv src=0 tag=5#0",
+            "task (1, 2): waiting on recv src=ANY tag=6#1",
+            "task 1: waiting on sub-tasks ['(1, 1)', '(1, 2)']",
+        ]
+
+    def test_livelock_snapshot_pins_send_text(self):
+        """A blocking send is pending only while its first hop is in
+        flight, so a watchdog snapshot is where its text shows."""
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.send(3, np.ones(8), tag=5)
+            return None
+
+        with pytest.raises(LivelockError) as exc:
+            run_spmd(CFG, prog, max_events=5)
+        assert exc.value.progress == {
+            0: "t=0, task 0: waiting on send dst=3 tag=5#0"
+        }
+
+    def test_error_text_does_not_depend_on_process_history(self):
+        """Handle ids come from the engine, not from a module global: the
+        same hanging program raises byte-identical text every time (a
+        chaos ``hang`` violation's detail must not vary with trial order
+        or worker sharding)."""
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.recv(1, tag=7)  # nobody sends
+            return None
+
+        texts = []
+        for _ in range(2):
+            with pytest.raises(DeadlockError) as exc:
+                run_spmd(MachineConfig.create(2, t_s=10.0, t_w=1.0), prog)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
+        assert texts[0].endswith("waiting on recv src=1 tag=7#0")
 
 
 class TestDeadlockDiagnostics:
