@@ -71,15 +71,17 @@ CACHE_SCHEMA_VERSION = 1
 #: environment override for the cache directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: source files whose behaviour the cached artefacts depend on; hashed
-#: into the engine fingerprint alongside the golden-trace fixtures
-_FINGERPRINT_SOURCES = (
-    "sim/engine.py",
-    "sim/faults.py",
-    "sim/scenario.py",
-    "models/table2.py",
-    "models/table2_vec.py",
-)
+_PKG_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _fingerprint_sources() -> list[str]:
+    """Every module of the packages cached artefacts depend on — the
+    simulator and the analytic models — as sorted package-relative paths."""
+    return sorted(
+        path.relative_to(_PKG_ROOT).as_posix()
+        for package in ("models", "sim")
+        for path in (_PKG_ROOT / package).rglob("*.py")
+    )
 
 
 def _canon(obj: Any) -> Any:
@@ -130,19 +132,17 @@ def engine_fingerprint() -> str:
     Hashes the golden-trace fixture (``tests/golden/golden_traces.json``,
     when the source tree is present — it is the committed bit-exact
     summary of the engine's behaviour) together with the source bytes of
-    the simulator core and the Table 2 scalar/vector models.  Cache keys
-    embed this digest, so any change to those files orphans every
-    existing entry rather than risking a stale hit.
+    every module of the simulator (``sim/``) and of the analytic models
+    (``models/``).  Cache keys embed this digest, so any change to those
+    files orphans every existing entry rather than risking a stale hit.
     """
     global _FINGERPRINT
     if _FINGERPRINT is None:
         h = hashlib.sha256()
-        pkg_root = pathlib.Path(__file__).resolve().parents[1]
-        for rel in _FINGERPRINT_SOURCES:
-            path = pkg_root / rel
+        for rel in _fingerprint_sources():
             h.update(rel.encode())
-            h.update(path.read_bytes())
-        golden = pkg_root.parents[1] / "tests" / "golden" / "golden_traces.json"
+            h.update((_PKG_ROOT / rel).read_bytes())
+        golden = _PKG_ROOT.parents[1] / "tests" / "golden" / "golden_traces.json"
         if golden.is_file():
             h.update(b"golden_traces.json")
             h.update(golden.read_bytes())
@@ -467,7 +467,7 @@ def _lattice_descriptor(
     log2_n_min: int = 1,
     log2_p_min: int = 2,
     algorithms: tuple[str, ...] | None = None,
-    backend: str = "vector",
+    backend: str = "model",
 ) -> dict:
     from repro.analysis.regions import candidates
 
@@ -540,7 +540,6 @@ def cached_sweep(cache, algorithms, variable, values, **kwargs):
 
     if cache is None:
         return sweep(algorithms, variable, values, **kwargs)
-    jobs = kwargs.pop("jobs", 1)
     port = kwargs.get("port", PortModel.ONE_PORT)
     descriptor = {
         "algorithms": list(algorithms),
@@ -551,12 +550,11 @@ def cached_sweep(cache, algorithms, variable, values, **kwargs):
         "port": port,
         "t_s": float(kwargs.get("t_s", 150.0)),
         "t_w": float(kwargs.get("t_w", 3.0)),
-        "backend": kwargs.get("backend", "vector"),
     }
     return cache.fetch(
         "sweep",
         descriptor,
-        lambda: sweep(algorithms, variable, values, jobs=jobs, **kwargs),
+        lambda: sweep(algorithms, variable, values, **kwargs),
     )
 
 

@@ -12,10 +12,8 @@ machines only — Table 2 has no one-port entry for it), Berntsen, 3DD and
 All_Trans because 3DD / 3D All dominate them everywhere (we verify that
 domination in the claims benchmark rather than assuming it).
 
-The whole lattice is evaluated in one shot by the vectorized backend
-(:mod:`repro.models.table2_vec`); ``backend="scalar"`` forces the original
-per-point loop, which stays in place as the reference oracle the
-equivalence tests compare against.
+The whole lattice is evaluated in one shot
+(:func:`repro.models.table2.winner_grids`, ``backend="model"``).
 
 ``backend="sim"`` replaces the Table 2 closed forms with the discrete-event
 simulator itself: every candidate is *run* (``timing_only``, ``t_c = 0`` so
@@ -36,8 +34,7 @@ import numpy as np
 
 from repro.analysis.parallel import run_grid
 from repro.errors import ModelError
-from repro.models.table2 import communication_overhead, resolve_overhead
-from repro.models.table2_vec import winner_grids
+from repro.models.table2 import communication_overhead, winner_grids
 from repro.sim.machine import PortModel
 
 __all__ = [
@@ -69,7 +66,7 @@ def best_algorithm(
     """The least-communication-overhead algorithm at ``(n, p)``.
 
     Returns ``(key, modelled_time)`` or ``None`` if no candidate is
-    applicable (e.g. ``p > n³``).  This is the scalar per-point query;
+    applicable (e.g. ``p > n³``).  This is the per-point query;
     whole-lattice maps go through :func:`region_map`.
     """
     algos = algorithms if algorithms is not None else candidates(port)
@@ -170,40 +167,6 @@ class RegionMap:
         return won / total
 
 
-def _map_row(
-    task: tuple[PortModel, float, float, float, tuple[float, ...], tuple[str, ...]],
-) -> tuple[list[str | None], list[float]]:
-    """One lattice row of a region map — the scalar reference oracle.
-
-    Kept as the ``backend="scalar"`` path (and ``run_grid`` worker): the
-    vectorized backend is required to reproduce this loop bit for bit.
-    """
-    port, t_s, t_w, ln, log2_p, algos = task
-    evaluators = [
-        (key, fn)
-        for key, fn in ((k, resolve_overhead(k, port)) for k in algos)
-        if fn is not None
-    ]
-    n = 2.0 ** ln
-    nan = float("nan")
-    row_w: list[str | None] = []
-    row_t: list[float] = []
-    for lp in log2_p:
-        p = 2.0 ** lp
-        best_key: str | None = None
-        best_t = nan
-        for key, fn in evaluators:
-            coeffs = fn(n, p)
-            if coeffs is None:
-                continue
-            t = coeffs[0] * t_s + coeffs[1] * t_w
-            if best_key is None or t < best_t:
-                best_key, best_t = key, t
-        row_w.append(best_key)
-        row_t.append(best_t)
-    return row_w, row_t
-
-
 #: algorithms whose phases the superstep closed form batches (uniform
 #: shift rounds); everything else simulates round by round on the event
 #: path.  Only a chunk-costing hint — never affects results.
@@ -223,11 +186,11 @@ def _sim_row(
 ) -> tuple[list[str | None], list[float]]:
     """One lattice row of a simulation-backed region map.
 
-    Same task/result shape as :func:`_map_row`, but each candidate is
-    timed by the engine (``timing_only=True``, ``t_c = 0`` so the
-    makespan is pure communication, matching what Table 2 models) instead
-    of evaluated in closed form.  Inapplicable candidates are skipped;
-    points where nothing applies stay holes.
+    Returns the row's winning keys and times (``None`` / ``NaN`` at
+    holes).  Each candidate is timed by the engine (``timing_only=True``,
+    ``t_c = 0`` so the makespan is pure communication, matching what
+    Table 2 models) instead of evaluated in closed form.  Inapplicable
+    candidates are skipped; points where nothing applies stay holes.
     """
     from repro.algorithms import get_algorithm
     from repro.sim.machine import MachineConfig
@@ -309,7 +272,7 @@ def region_map(
     log2_p_min: int = 2,
     algorithms: tuple[str, ...] | None = None,
     jobs: int = 1,
-    backend: str = "vector",
+    backend: str = "model",
 ) -> RegionMap:
     """Compute the best-algorithm map on an integer log₂ lattice.
 
@@ -317,28 +280,27 @@ def region_map(
     (the paper's figures use similar log-log axes; points with ``p > n³``
     have no applicable algorithm and map to ``None``).
 
-    ``backend="vector"`` (default) evaluates the whole lattice in one shot
-    through :func:`repro.models.table2_vec.winner_grids`;
-    ``backend="scalar"`` runs the original per-point loop, sharding rows
-    over ``jobs`` worker processes (:func:`run_grid`).  Both backends —
-    and every ``jobs`` value — produce bit-identical maps (``jobs`` is
-    accepted but irrelevant for the vectorized backend, which outruns any
-    process pool on these lattice sizes).
+    ``backend="model"`` (default) evaluates the Table 2 closed forms over
+    the whole lattice in one shot (:func:`repro.models.table2
+    .winner_grids`); ``jobs`` is irrelevant there.
 
     ``backend="sim"`` times each candidate in the discrete-event engine
-    instead of the Table 2 closed forms (see :func:`_sim_row`); rows are
-    sharded with cost weights (:func:`_sim_row_weight`) because simulated
-    rows get heavier with ``p``.  Pass a *restricted* lattice — the
-    default figure lattice is model-sized, not simulation-sized.
+    instead (see :func:`_sim_row`); rows are sharded over ``jobs`` worker
+    processes with cost weights (:func:`_sim_row_weight`) because
+    simulated rows get heavier with ``p``, and every ``jobs`` value
+    produces the same map.  Pass a *restricted* lattice — the default
+    figure lattice is model-sized, not simulation-sized.
     """
     if log2_n_min > log2_n_max or log2_p_min > log2_p_max:
         raise ModelError("empty lattice for region map")
-    if backend not in ("vector", "scalar", "sim"):
+    if backend not in ("model", "sim"):
         raise ModelError(f"unknown region-map backend {backend!r}")
     log2_n = [float(v) for v in range(log2_n_min, log2_n_max + 1)]
     log2_p = [float(v) for v in range(log2_p_min, log2_p_max + 1)]
     algos = tuple(algorithms if algorithms is not None else candidates(port))
-    if backend == "vector":
+    if not algos:
+        raise ModelError("empty candidate set for region map")
+    if backend == "model":
         n_values = [2.0 ** ln for ln in log2_n]
         p_values = [2.0 ** lp for lp in log2_p]
         winner_idx, times = winner_grids(
@@ -346,18 +308,13 @@ def region_map(
         )
     else:
         tasks = [(port, t_s, t_w, ln, tuple(log2_p), algos) for ln in log2_n]
-        worker = _map_row
-        weights = None
-        if backend == "sim":
-            worker = _sim_row
-            weights = [
-                _sim_row_weight(ln, tuple(log2_p), algos, port)
-                for ln in log2_n
-            ]
+        weights = [
+            _sim_row_weight(ln, tuple(log2_p), algos, port) for ln in log2_n
+        ]
         index = {key: k for k, key in enumerate(algos)}
         rows_w: list[list[int]] = []
         rows_t: list[list[float]] = []
-        for row_w, row_t in run_grid(worker, tasks, jobs=jobs, weights=weights):
+        for row_w, row_t in run_grid(_sim_row, tasks, jobs=jobs, weights=weights):
             rows_w.append([-1 if w is None else index[w] for w in row_w])
             rows_t.append(row_t)
         winner_idx = np.array(rows_w, dtype=np.int16)

@@ -5,44 +5,30 @@ paper answers with its region figures: 1-D sweeps along ``n``, ``p`` or
 ``t_s``/``t_w`` with bisection for the crossover location.
 
 Sweeps along ``n`` or ``p`` evaluate the whole value axis in one shot
-through the vectorized backend (:mod:`repro.models.table2_vec`); sweeps
-along ``t_s``/``t_w`` resolve the Table 2 coefficients once per algorithm
-(they do not vary along those axes) and expand the linear form per value.
-Both produce results bit-identical to the original per-point loop, which
-remains available as ``backend="scalar"`` for the equivalence tests.
+(:func:`repro.models.table2.overhead_grid`); sweeps along ``t_s``/``t_w``
+evaluate the Table 2 coefficients once per algorithm (they do not vary
+along those axes) and expand the linear form per value.  Either way each
+sample is bit-identical to :func:`~repro.models.table2
+.communication_overhead` at that point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ModelError
 from repro.models.params import check_np
-from repro.models.table2 import communication_overhead, resolve_overhead
-from repro.models.table2_vec import overhead_grid
+from repro.models.table2 import (
+    LatticeAxes,
+    communication_overhead,
+    overhead_coefficients,
+    overhead_grid,
+)
 from repro.sim.machine import PortModel
 
 __all__ = ["sweep", "crossover", "SweepPoint"]
 
 _VARIABLES = ("n", "p", "t_s", "t_w")
-
-
-def _with_variable(
-    variable: str, value: float, n: float, p: float, t_s: float, t_w: float
-) -> tuple[float, float, float, float]:
-    """The ``(n, p, t_s, t_w)`` tuple with ``variable`` overridden.
-
-    The single source of truth for "sweep one axis, pin the rest" —
-    :func:`sweep` and :func:`crossover` both build their model calls
-    through it.
-    """
-    if variable not in _VARIABLES:
-        raise ModelError(f"unknown sweep variable {variable!r}")
-    params = {"n": n, "p": p, "t_s": t_s, "t_w": t_w}
-    params[variable] = value
-    return params["n"], params["p"], params["t_s"], params["t_w"]
 
 
 @dataclass(frozen=True)
@@ -60,51 +46,6 @@ class SweepPoint:
         return min(valid, key=valid.get)
 
 
-def _axis_times(
-    algorithms: tuple[str, ...],
-    variable: str,
-    values: list[float],
-    n: float,
-    p: float,
-    port: PortModel,
-    t_s: float,
-    t_w: float,
-) -> dict[str, list[float | None]]:
-    """Per-algorithm time columns along the swept axis (vectorized)."""
-    out: dict[str, list[float | None]] = {}
-    if variable in ("n", "p"):
-        n_values = values if variable == "n" else [n]
-        p_values = values if variable == "p" else [p]
-        for vn in n_values:
-            for vp in p_values:
-                check_np(vn, vp)
-        for key in algorithms:
-            grid = overhead_grid(key, n_values, p_values, port, t_s, t_w)
-            if grid is None:
-                out[key] = [None] * len(values)
-                continue
-            column = grid[:, 0] if variable == "n" else grid[0, :]
-            out[key] = [
-                None if np.isnan(t) else float(t) for t in column
-            ]
-    else:
-        # t_s / t_w axes: the (a, b) pair is constant along the sweep, so
-        # resolve it once and expand the linear form a·t_s + b·t_w.
-        check_np(n, p)
-        for key in algorithms:
-            fn = resolve_overhead(key, port)
-            coeffs = fn(n, p) if fn is not None else None
-            if coeffs is None:
-                out[key] = [None] * len(values)
-                continue
-            a, b = coeffs
-            if variable == "t_s":
-                out[key] = [a * v + b * t_w for v in values]
-            else:
-                out[key] = [a * t_s + b * v for v in values]
-    return out
-
-
 def sweep(
     algorithms: tuple[str, ...],
     variable: str,
@@ -115,35 +56,43 @@ def sweep(
     port: PortModel = PortModel.ONE_PORT,
     t_s: float = 150.0,
     t_w: float = 3.0,
-    jobs: int = 1,
-    backend: str = "vector",
 ) -> list[SweepPoint]:
     """Evaluate the Table 2 overheads along one axis.
 
     ``variable`` is ``"n"``, ``"p"``, ``"t_s"`` or ``"t_w"``; the other
-    parameters stay fixed at the keyword values.  The default backend
-    evaluates the whole axis through the vectorized grid evaluators;
-    ``backend="scalar"`` runs the original per-point loop.  Both are
-    bit-identical, as is the result for every ``jobs`` value (the
-    parameter is kept for interface stability; these 1-D sweeps are far
-    cheaper than any process-pool dispatch).
+    parameters stay fixed at the keyword values.
     """
     if variable not in _VARIABLES:
         raise ModelError(f"unknown sweep variable {variable!r}")
-    if backend not in ("vector", "scalar"):
-        raise ModelError(f"unknown sweep backend {backend!r}")
     algorithms = tuple(algorithms)
-    if backend == "scalar":
-        points = []
-        for value in values:
-            vn, vp, vt_s, vt_w = _with_variable(variable, value, n, p, t_s, t_w)
-            times = {
-                key: communication_overhead(key, vn, vp, port, vt_s, vt_w)
-                for key in algorithms
-            }
-            points.append(SweepPoint(value=value, times=times))
-        return points
-    columns = _axis_times(algorithms, variable, values, n, p, port, t_s, t_w)
+    holes = [None] * len(values)
+    columns: dict[str, list[float | None]] = {}
+    if variable in ("n", "p"):
+        n_values = values if variable == "n" else [n]
+        p_values = values if variable == "p" else [p]
+        for vn in n_values:
+            for vp in p_values:
+                check_np(vn, vp)
+        axes = LatticeAxes(n_values, p_values)
+        for key in algorithms:
+            grid = overhead_grid(
+                key, n_values, p_values, port, t_s, t_w, axes=axes
+            )
+            columns[key] = holes if grid is None else [
+                None if t != t else t for t in grid.ravel().tolist()
+            ]
+    else:
+        # t_s / t_w axes: the (a, b) pair is constant along the sweep, so
+        # evaluate it once and expand the linear form a·t_s + b·t_w.
+        check_np(n, p)
+        for key in algorithms:
+            coeffs = overhead_coefficients(key, n, p, port)
+            if coeffs is None:
+                columns[key] = holes
+            elif variable == "t_s":
+                columns[key] = [coeffs[0] * v + coeffs[1] * t_w for v in values]
+            else:
+                columns[key] = [coeffs[0] * t_s + coeffs[1] * v for v in values]
     return [
         SweepPoint(
             value=value,
@@ -173,23 +122,20 @@ def crossover(
     ``time_A - time_B`` does not change over the interval (no crossover)
     or either model is inapplicable at an endpoint.  Each point is
     evaluated exactly once: the endpoint differences are computed up
-    front, the surviving endpoint's value is reused as the bracket
-    shrinks, and the Table 2 dispatch for both algorithms is resolved
-    once for the whole bisection rather than per midpoint.
+    front and the surviving endpoint's value is reused as the bracket
+    shrinks.
     """
     if variable not in _VARIABLES:
         raise ModelError(f"unknown sweep variable {variable!r}")
-    fn_a = resolve_overhead(key_a, port)
-    fn_b = resolve_overhead(key_b, port)
 
     def diff(value: float) -> float | None:
-        vn, vp, vt_s, vt_w = _with_variable(variable, value, n, p, t_s, t_w)
-        check_np(vn, vp)
-        ca = fn_a(vn, vp) if fn_a is not None else None
-        cb = fn_b(vn, vp) if fn_b is not None else None
-        if ca is None or cb is None:
+        at = {"n": n, "p": p, "t_s": t_s, "t_w": t_w, variable: value}
+        point = (at["n"], at["p"], port, at["t_s"], at["t_w"])
+        time_a = communication_overhead(key_a, *point)
+        time_b = communication_overhead(key_b, *point)
+        if time_a is None or time_b is None:
             return None
-        return (ca[0] * vt_s + ca[1] * vt_w) - (cb[0] * vt_s + cb[1] * vt_w)
+        return time_a - time_b
 
     d_lo, d_hi = diff(lo), diff(hi)
     if d_lo is None or d_hi is None or d_lo * d_hi > 0:

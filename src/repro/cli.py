@@ -201,15 +201,12 @@ def _warn_if_event_path(port, t_s, t_w) -> None:
 def _cmd_figure(args) -> int:
     port = PortModel.ONE_PORT if args.figure == 13 else PortModel.MULTI_PORT
     t_s, t_w = PANELS[args.panel]
-    extra = {}
-    if args.backend is not None:
-        extra["backend"] = args.backend
     if args.backend == "sim":
         _warn_if_event_path(port, t_s, t_w)
     rm = cached_region_map(
         _cache(args), port, t_s, t_w,
         log2_n_max=args.log2n, log2_p_max=args.log2p, jobs=args.jobs,
-        **extra,
+        backend=args.backend,
     )
     title = (
         f"Figure {args.figure}({args.panel}): {port.value}, "
@@ -224,7 +221,7 @@ def _cmd_sweep(args) -> int:
     points = cached_sweep(
         _cache(args), keys, args.variable, args.values,
         n=args.n, p=args.p, port=_port(args.port),
-        t_s=args.ts, t_w=args.tw, jobs=args.jobs,
+        t_s=args.ts, t_w=args.tw,
     )
     fixed = {"n": args.n, "p": args.p, "t_s": args.ts, "t_w": args.tw}
     fixed.pop(args.variable)
@@ -876,11 +873,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--log2p", type=int, default=20)
     p_fig.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the lattice sweep (same map for any value)",
+        help="worker processes for --backend sim rows (same map for any value)",
     )
     p_fig.add_argument(
-        "--backend", choices=["scalar", "sim"], default=None,
-        help="scalar = Table 2 closed forms per point; sim = time each "
+        "--backend", choices=["model", "sim"], default="model",
+        help="model = Table 2 closed forms (default); sim = time each "
              "candidate in the engine (keep --log2p modest)",
     )
     _add_cache_args(p_fig)
@@ -894,10 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("-n", type=float, default=256)
     p_sw.add_argument("-p", type=float, default=64)
     p_sw.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    p_sw.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep (same table for any value)",
-    )
     _add_machine_args(p_sw)
     _add_cache_args(p_sw)
     p_sw.set_defaults(func=_cmd_sweep)
@@ -1178,8 +1171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--tw", type=float, default=None)
     p_k.add_argument("--port", choices=["one", "multi"], default=None)
     p_k.add_argument(
-        "--backend", choices=["scalar", "sim"], default=None,
-        help="scalar = Table 2 closed forms (default); "
+        "--backend", choices=["model", "sim"], default=None,
+        help="model = Table 2 closed forms (default); "
              "sim = time each candidate in the event engine",
     )
     p_k.set_defaults(_param_map=[

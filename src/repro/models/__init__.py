@@ -5,23 +5,19 @@ from repro.models.extensions import (
     dns_cannon_one_port,
     fox_one_port,
 )
-from repro.models.params import evaluate
 from repro.models.table2 import (
     OVERHEAD_MODELS,
+    LatticeAxes,
     OverheadModel,
+    coefficient_grids,
     communication_overhead,
     overhead_coefficients,
-)
-from repro.models.table2_vec import (
-    LatticeAxes,
-    coefficient_grids,
     overhead_grid,
     winner_grids,
 )
 from repro.models.table3 import SPACE_MODELS, SpaceModel, overall_space, processor_limit
 
 __all__ = [
-    "evaluate",
     "diag3d_cannon_one_port",
     "dns_cannon_one_port",
     "fox_one_port",

@@ -6,7 +6,7 @@ import math
 
 from repro.errors import ModelError
 
-__all__ = ["lg", "evaluate", "check_np"]
+__all__ = ["lg", "check_np"]
 
 
 def lg(x: float) -> float:
@@ -20,9 +20,3 @@ def check_np(n: float, p: float) -> None:
     """Validate the model domain (n, p >= 1)."""
     if n < 1 or p < 1:
         raise ModelError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-
-
-def evaluate(coeffs: tuple[float, float], t_s: float, t_w: float) -> float:
-    """Total communication time ``a·t_s + b·t_w`` from an ``(a, b)`` pair."""
-    a, b = coeffs
-    return a * t_s + b * t_w

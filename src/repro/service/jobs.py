@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.cache import canonical_json, engine_fingerprint, task_digest
-from repro.errors import ServiceError
+from repro.errors import AlgorithmError, ServiceError
 from repro.sim.machine import PortModel
 
 __all__ = ["JobSpec", "KINDS", "build_cells", "evaluate_chunk", "finalize"]
@@ -67,12 +67,27 @@ class JobSpec:
 
 
 def make_spec(kind: str, params: dict) -> JobSpec:
-    """Validate ``kind``, normalize ``params``, and build the spec."""
+    """Validate ``kind``, normalize ``params``, and build the spec.
+
+    Submissions cross this boundary (``repro submit``, or a spooled
+    request file anyone can write): whatever is wrong with one surfaces
+    as :class:`~repro.errors.ServiceError` and nothing else.
+    """
+    from repro.algorithms.registry import get_algorithm
+
     if kind not in KINDS:
         raise ServiceError(
             f"unknown job kind {kind!r} (expected one of {', '.join(KINDS)})"
         )
-    return JobSpec(kind=kind, params=_NORMALIZE[kind](dict(params)))
+    try:
+        normalized = _NORMALIZE[kind](dict(params))
+        for key in normalized.get("algorithms") or ():
+            get_algorithm(key)  # a typo would seal an all-None report
+    except (ValueError, TypeError, KeyError, AlgorithmError) as exc:
+        raise ServiceError(
+            f"malformed {kind} job params: {type(exc).__name__}: {exc}"
+        ) from exc
+    return JobSpec(kind=kind, params=normalized)
 
 
 def _port_value(params: dict, default: str = "one-port") -> str:
@@ -116,12 +131,10 @@ def _normalize_region_map(p: dict) -> dict:
     lo_p, hi_p = int(p.get("log2_p_min", 2)), int(p.get("log2_p_max", 20))
     if lo_n > hi_n or lo_p > hi_p:
         raise ServiceError("region_map job has an empty lattice")
-    # Service rows always go through the scalar/sim per-row workers (the
-    # supervisor leases rows), so "vector" is not a job backend.
-    backend = p.get("backend", "scalar")
-    if backend not in ("scalar", "sim"):
+    backend = p.get("backend", "model")
+    if backend not in ("model", "sim"):
         raise ServiceError(
-            f"region_map backend must be 'scalar' or 'sim', got {backend!r}"
+            f"region_map backend must be 'model' or 'sim', got {backend!r}"
         )
     algorithms = p.get("algorithms")
     return {
@@ -287,21 +300,26 @@ def evaluate_chunk(kind: str, params: dict, cells: list) -> list:
         return [{"value": pt.value, "times": pt.times, "best": pt.best()}
                 for pt in points]
     if kind == "region_map":
-        from repro.analysis.regions import _map_row, _sim_row
+        from repro.analysis.regions import region_map
 
-        row_fn = _sim_row if params.get("backend") == "sim" else _map_row
+        # Any journaled value other than "sim" is the model (journals
+        # written before the backends were renamed say "scalar").
+        backend = "sim" if params.get("backend") == "sim" else "model"
         out = []
-        for cell in cells:
-            port_value, t_s, t_w, ln, log2_p, algos = cell
-            row_w, row_t = row_fn(
-                (PortModel(port_value), t_s, t_w, ln, log2_p, algos)
+        for port_value, t_s, t_w, ln, log2_p, algos in cells:
+            # one leased row is a one-row lattice of the whole-map call
+            row = region_map(
+                PortModel(port_value), t_s, t_w,
+                log2_n_min=int(ln), log2_n_max=int(ln),
+                log2_p_min=int(log2_p[0]), log2_p_max=int(log2_p[-1]),
+                algorithms=tuple(algos), backend=backend,
             )
             out.append({
                 "log2_n": ln,
-                "winners": row_w,
+                "winners": row.winners[0],
                 # NaN marks "no applicable algorithm"; make it JSON-safe
                 # (and canonical_json-safe for the digest) as None.
-                "times": [None if t != t else t for t in row_t],
+                "times": [None if t != t else t for t in row.times[0].tolist()],
             })
         return out
     if kind == "degrade":

@@ -486,9 +486,11 @@ class SweepService:
 
         Each ``spool/req-<nonce>.json`` goes through the normal
         admission/coalescing path; the outcome is published as
-        ``spool/ack-<nonce>.json`` (job id, or shed with ``retry_after``)
-        for the submitting process to pick up.  Returns the number of
-        requests processed.
+        ``spool/ack-<nonce>.json`` (job id, shed with ``retry_after``, or
+        ``error``) for the submitting process to pick up.  Anyone can
+        write to the spool, so a malformed request is acked and removed
+        like any other: it must not stop the daemon or survive to its
+        next start.  Returns the number of requests processed.
         """
         spool = self.state_dir / "spool"
         if not spool.is_dir():
@@ -499,12 +501,17 @@ class SweepService:
                 req = json.loads(req_path.read_text(encoding="utf-8"))
             except (OSError, ValueError):
                 continue  # mid-rename; next tick
-            nonce = str(req.get("nonce") or req_path.stem[len("req-"):])
-            ack: dict[str, Any] = {"nonce": nonce}
+            nonce = req_path.stem[len("req-"):]
+            ack: dict[str, Any] = {}
             try:
+                if not isinstance(req, dict):
+                    raise ServiceError("spool request is not a JSON object")
+                nonce = str(req.get("nonce") or nonce)
+                tenant = req.get("tenant", "default")
+                if not isinstance(tenant, str):
+                    raise ServiceError(f"tenant must be a string, got {tenant!r}")
                 job_id, coalesced = self.submit(
-                    req["kind"], req.get("params", {}),
-                    tenant=req.get("tenant", "default"),
+                    req.get("kind"), req.get("params", {}), tenant=tenant
                 )
                 ack.update(job=job_id, coalesced=coalesced)
             except ServiceOverloadError as exc:
@@ -514,6 +521,7 @@ class SweepService:
                 )
             except ServiceError as exc:
                 ack.update(error=str(exc))
+            ack["nonce"] = nonce
             tmp = spool / f".ack-{nonce}.tmp.{os.getpid()}"
             tmp.write_text(json.dumps(ack), encoding="utf-8")
             os.replace(tmp, spool / f"ack-{nonce}.json")

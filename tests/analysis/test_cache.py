@@ -63,6 +63,30 @@ class TestEngineFingerprint:
         assert len(fp) == 64
         assert engine_fingerprint() == fp
 
+    def test_sources_are_every_model_and_sim_module(self):
+        """Derived, not listed: the closed-form path and the helpers the
+        models import cannot be edited without orphaning cached maps."""
+        from repro.analysis import cache as cache_mod
+
+        sources = cache_mod._fingerprint_sources()
+        assert sources == sorted(sources)
+        assert {"sim/superstep.py", "sim/ports.py", "sim/engine.py",
+                "models/params.py", "models/table2.py"} <= set(sources)
+
+    def test_computed_once_per_process(self, monkeypatch):
+        """It sits in every benchmark run's ``setup_s``."""
+        from repro.analysis import cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "_FINGERPRINT", None)
+        calls = []
+        real = cache_mod._fingerprint_sources
+        monkeypatch.setattr(
+            cache_mod, "_fingerprint_sources",
+            lambda: calls.append(1) or real(),
+        )
+        assert engine_fingerprint() == engine_fingerprint()
+        assert len(calls) == 1
+
 
 class TestResultCache:
     def test_round_trip_is_bit_exact(self, tmp_path):

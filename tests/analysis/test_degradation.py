@@ -10,7 +10,7 @@ lattices must never collide on one cache key).
 import pytest
 
 from repro.analysis.cache import (
-    _FINGERPRINT_SOURCES,
+    _fingerprint_sources,
     ResultCache,
     task_digest,
 )
@@ -136,7 +136,7 @@ class TestScenarioCacheKeys:
     """Satellite: scenarios are part of the content address."""
 
     def test_engine_fingerprint_covers_scenario_source(self):
-        assert "sim/scenario.py" in _FINGERPRINT_SOURCES
+        assert "sim/scenario.py" in _fingerprint_sources()
 
     def test_equal_lattices_distinct_scenarios_distinct_keys(self):
         """Two machines with identical (p, t_s, t_w) lattices but

@@ -156,9 +156,14 @@ class TestRegionMap:
                     assert rm.times[i][j] == pytest.approx(t)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ModelError, match="backend"):
-            region_map(ONE, 150, 3, log2_n_max=4, log2_p_max=4,
-                       backend="quantum")
+        for backend in ("quantum", "scalar", "vector"):
+            with pytest.raises(ModelError, match="backend"):
+                region_map(ONE, 150, 3, log2_n_max=4, log2_p_max=4,
+                           backend=backend)
+
+    def test_empty_candidate_set_rejected(self):
+        with pytest.raises(ModelError, match="empty candidate set"):
+            region_map(ONE, 150, 3, log2_n_max=4, log2_p_max=4, algorithms=())
 
 
 class TestSimBackend:

@@ -1,20 +1,75 @@
 """Tests for the Table 2 closed-form overhead models."""
 
-import math
+import hashlib
+import struct
 
+import numpy as np
 import pytest
 
+from repro.analysis.regions import candidates
 from repro.errors import ModelError
 from repro.models.table2 import (
     OVERHEAD_MODELS,
     communication_overhead,
     overhead_coefficients,
     structurally_applicable,
+    winner_grids,
 )
 from repro.sim.machine import PortModel
 
 ONE = PortModel.ONE_PORT
 MULTI = PortModel.MULTI_PORT
+
+# the default figure lattice (n = 2^1..2^13, p = 2^2..2^20) plus values off
+# it; p = 1 and 6 sit below every min_p
+GOLDEN_N = [2.0 ** e for e in range(1, 14)] + [3.0, 48.0, 100.0, 1000.0]
+GOLDEN_P = [2.0 ** e for e in range(2, 21)] + [1.0, 6.0, 27.0, 100.0]
+
+#: first 16 hex digits of SHA-256 over ``struct.pack("<dd", a, b)``
+#: (``b"N"`` where not applicable) for n in GOLDEN_N, p in GOLDEN_P
+GOLDEN = {
+    ("3d_all", ONE): "3103bf58b58135fa",
+    ("3d_all", MULTI): "a7f8354898b386f5",
+    ("3d_all_trans", ONE): "ea4d1a65c57e1d9e",
+    ("3d_all_trans", MULTI): "54a584affed6c908",
+    ("3dd", ONE): "ed74c792be366639",
+    ("3dd", MULTI): "e70b84ed94e7d06c",
+    ("berntsen", ONE): "8d418b40850aedde",
+    ("berntsen", MULTI): "f7f2cc9a7dc93dae",
+    ("cannon", ONE): "e0b57067647113d7",
+    ("cannon", MULTI): "c31b83a8e08b2c77",
+    ("dns", ONE): "b5fe2a0780f15893",
+    ("dns", MULTI): "0d69d362d5525450",
+    ("hje", ONE): "ee5d1f6b25e3ad73",
+    ("hje", MULTI): "2109f0395f528582",
+    ("simple", ONE): "2e2ac5b15c389176",
+    ("simple", MULTI): "4aff34527c184da5",
+}
+
+
+@pytest.mark.parametrize(
+    "key,port", sorted(GOLDEN, key=lambda kp: (kp[0], kp[1].value)),
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_golden_coefficient_digest(key, port):
+    """Every ``(a, b)`` bit and every hole is what commit f7e3b5e computed.
+
+    The digests were recorded from that commit's per-point
+    ``overhead_coefficients`` — a separate transcription of Table 2 that
+    was deleted in favour of this one — before any formula here was
+    edited.  A mismatch names the pair whose formula, condition or
+    fallback wiring moved; 3 190 of the 16 × 391 cells are applicable.
+    """
+    h = hashlib.sha256()
+    for n in GOLDEN_N:
+        for p in GOLDEN_P:
+            coeffs = overhead_coefficients(key, n, p, port)
+            h.update(b"N" if coeffs is None else struct.pack("<dd", *coeffs))
+    assert h.hexdigest()[:16] == GOLDEN[key, port], (key, port)
+
+
+def test_golden_covers_every_table2_row():
+    assert {key for key, _ in GOLDEN} == set(OVERHEAD_MODELS)
 
 
 class TestSpotValues:
@@ -106,10 +161,15 @@ class Test3DAllMultiPortVariants:
         assert b == pytest.approx(partial)
 
     def test_partial_worse_than_full(self):
-        from repro.models.table2 import _3d_all_multi_full, _3d_all_multi_partial
+        from repro.models.table2 import (
+            _3d_all_multi_full,
+            _3d_all_multi_partial,
+            _PointAxes,
+        )
 
         for n, p in [(64, 64), (256, 512)]:
-            assert _3d_all_multi_partial(n, p)[1] > _3d_all_multi_full(n, p)[1]
+            ax = _PointAxes(n, p)
+            assert _3d_all_multi_partial(ax)[1] > _3d_all_multi_full(ax)[1]
 
 
 class TestTotalTime:
@@ -144,3 +204,15 @@ class TestAsymptotics:
                 c = overhead_coefficients(key, 256, 64, port)
                 if c is not None:
                     assert c[0] > 0 and c[1] > 0
+
+
+@pytest.mark.parametrize("port", [ONE, MULTI], ids=lambda port: port.value)
+def test_one_row_lattice_equals_whole_lattice_row(port):
+    """Service jobs evaluate a region map one leased row at a time."""
+    algos = candidates(port)
+    n_values, p_values = GOLDEN_N[:13], GOLDEN_P[:19]
+    idx, times = winner_grids(algos, n_values, p_values, port, 150.0, 3.0)
+    for i, n in enumerate(n_values):
+        row_idx, row_times = winner_grids(algos, [n], p_values, port, 150.0, 3.0)
+        assert np.array_equal(row_idx[0], idx[i])
+        assert np.array_equal(row_times[0], times[i], equal_nan=True)

@@ -1,11 +1,13 @@
-"""Bit-identity of the vectorized Table 2 backend against the scalar oracle.
+"""Lattice evaluation of Table 2 against point evaluation, bit for bit.
 
-The vectorized evaluators (:mod:`repro.models.table2_vec`) promise results
-**bit-identical** (``==``, not ``allclose``) to the scalar
-:func:`repro.models.table2.resolve_overhead` path.  These property-style
-tests enumerate every ``(algorithm, port)`` pair over the default figure
-lattice — including the ``NaN``/``None`` hole pattern and the multi-port
-fallback-chain boundaries — and compare cell by cell.
+:mod:`repro.models.table2` spells each formula once and evaluates it on
+two input shapes: :func:`~repro.models.table2.overhead_coefficients` at a
+point and :func:`~repro.models.table2.coefficient_grids` over a lattice.
+The two promise results **bit-identical** (``==``, not ``allclose``).
+These property-style tests enumerate every ``(algorithm, port)`` pair over
+the default figure lattice plus off-lattice values — including the
+``NaN``/``None`` hole pattern and the multi-port fallback-chain
+boundaries — and compare cell by cell.
 """
 
 import math
@@ -13,11 +15,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.regions import best_algorithm, candidates, region_map
-from repro.models.table2 import OVERHEAD_MODELS, resolve_overhead
-from repro.models.table2_vec import (
+from repro.analysis.regions import best_algorithm, candidates
+from repro.models.table2 import (
+    OVERHEAD_MODELS,
     LatticeAxes,
     coefficient_grids,
+    communication_overhead,
+    overhead_coefficients,
     overhead_grid,
     winner_grids,
 )
@@ -29,6 +33,9 @@ MULTI = PortModel.MULTI_PORT
 # the default figure lattice: n = 2^1..2^13, p = 2^2..2^20
 N_VALUES = [2.0 ** e for e in range(1, 14)]
 P_VALUES = [2.0 ** e for e in range(2, 21)]
+# values off the power-of-two lattice (p = 1, 6 sit below every min_p)
+N_OFF = [3.0, 48.0, 100.0, 1000.0]
+P_OFF = [1.0, 6.0, 27.0, 100.0]
 
 ALL_PAIRS = [
     (key, port)
@@ -41,18 +48,20 @@ ALL_PAIRS = [
     "key,port", ALL_PAIRS, ids=[f"{k}-{p.value}" for k, p in ALL_PAIRS]
 )
 def test_coefficient_grids_bit_identical(key, port):
-    """Every cell equals the scalar evaluator exactly — holes included."""
-    grids = coefficient_grids(key, N_VALUES, P_VALUES, port)
-    fn = resolve_overhead(key, port)
-    if fn is None:
-        assert grids is None
+    """Every cell equals the point evaluation exactly — holes included."""
+    n_values, p_values = N_VALUES + N_OFF, P_VALUES + P_OFF
+    grids = coefficient_grids(key, n_values, p_values, port)
+    if grids is None:  # no Table 2 entry: no point yields coefficients
+        assert all(
+            overhead_coefficients(key, n, p, port) is None
+            for n in n_values for p in p_values
+        )
         return
-    assert grids is not None
     a, b = grids
-    assert a.shape == b.shape == (len(N_VALUES), len(P_VALUES))
-    for i, n in enumerate(N_VALUES):
-        for j, p in enumerate(P_VALUES):
-            coeffs = fn(n, p)
+    assert a.shape == b.shape == (len(n_values), len(p_values))
+    for i, n in enumerate(n_values):
+        for j, p in enumerate(p_values):
+            coeffs = overhead_coefficients(key, n, p, port)
             if coeffs is None:
                 assert math.isnan(a[i, j]), (key, port, n, p)
                 assert math.isnan(b[i, j]), (key, port, n, p)
@@ -73,35 +82,29 @@ def test_default_lattice_exercises_fallback_boundaries():
     condition ``n² ≥ p·lg∛p`` cannot fail under ``p ≤ n^1.5``, so there is
     nothing to straddle there.)
     """
-    reachable_both_sides = ("simple", "hje", "dns", "3dd", "3d_all")
-    for key in reachable_both_sides:
+    ax = LatticeAxes(N_VALUES, P_VALUES)
+
+    def window(model):
+        return (ax.p >= model.min_p) & (ax.p <= ax.n_pow(model.p_limit_exponent))
+
+    for key in ("simple", "hje", "dns", "3dd", "3d_all"):
         model = OVERHEAD_MODELS[key]
-        cond_true = cond_false = 0
-        for n in N_VALUES:
-            for p in P_VALUES:
-                if not (model.min_p <= p <= n ** model.p_limit_exponent):
-                    continue
-                if model.multi_port_condition(n, p):
-                    cond_true += 1
-                else:
-                    cond_false += 1
-        assert cond_true and cond_false, (key, cond_true, cond_false)
+        met = model.multi_port_condition(ax)
+        assert (met & window(model)).any(), key
+        assert (~met & window(model)).any(), key
     # the 3d_all chain additionally selects its degraded partial row
     model = OVERHEAD_MODELS["3d_all"]
-    partial = sum(
-        1
-        for n in N_VALUES
-        for p in P_VALUES
-        if model.min_p <= p <= n ** model.p_limit_exponent
-        and not model.multi_port_condition(n, p)
-        and model.fallback_condition(n, p)
+    partial = (
+        window(model)
+        & ~model.multi_port_condition(ax)
+        & model.fallback_condition(ax)
     )
-    assert partial > 0
+    assert partial.any()
 
 
 def test_hje_one_port_has_no_grid():
-    """HJE has no one-port Table 2 row: grid is None, like the scalar path."""
-    assert resolve_overhead("hje", ONE) is None
+    """HJE has no one-port Table 2 row: grid is None, like the point path."""
+    assert overhead_coefficients("hje", 16, 16, ONE) is None
     assert coefficient_grids("hje", N_VALUES, P_VALUES, ONE) is None
     assert overhead_grid("hje", N_VALUES, P_VALUES, ONE, 150.0, 3.0) is None
 
@@ -112,27 +115,23 @@ def test_unknown_key_yields_none():
 
 @pytest.mark.parametrize("port", [ONE, MULTI], ids=str)
 def test_overhead_grid_matches_scalar(port):
-    """a·t_s + b·t_w per cell, bit-identical to the scalar combination."""
+    """a·t_s + b·t_w per cell, bit-identical to the point combination."""
     t_s, t_w = 150.0, 3.0
     for key in sorted(OVERHEAD_MODELS):
-        fn = resolve_overhead(key, port)
         grid = overhead_grid(key, N_VALUES, P_VALUES, port, t_s, t_w)
-        if fn is None:
-            assert grid is None
-            continue
         for i, n in enumerate(N_VALUES):
             for j, p in enumerate(P_VALUES):
-                coeffs = fn(n, p)
-                if coeffs is None:
-                    assert math.isnan(grid[i, j])
+                t = communication_overhead(key, n, p, port, t_s, t_w)
+                if grid is None or math.isnan(grid[i, j]):
+                    assert t is None
                 else:
-                    assert grid[i, j] == coeffs[0] * t_s + coeffs[1] * t_w
+                    assert grid[i, j] == t
 
 
 @pytest.mark.parametrize("port", [ONE, MULTI], ids=str)
 @pytest.mark.parametrize("t_s,t_w", [(150.0, 3.0), (0.5, 3.0), (5000.0, 0.5)])
 def test_winner_grids_match_best_algorithm(port, t_s, t_w):
-    """Masked argmin reproduces the scalar first-wins tie-break exactly."""
+    """Masked argmin reproduces the strict-< first-wins scan exactly."""
     algos = candidates(port)
     winner_idx, times = winner_grids(algos, N_VALUES, P_VALUES, port, t_s, t_w)
     for i, n in enumerate(N_VALUES):
@@ -144,18 +143,6 @@ def test_winner_grids_match_best_algorithm(port, t_s, t_w):
             else:
                 assert algos[winner_idx[i, j]] == best[0]
                 assert times[i, j] == best[1]
-
-
-@pytest.mark.parametrize("port", [ONE, MULTI], ids=str)
-def test_region_map_backends_bit_identical(port):
-    """vector and scalar backends agree array-for-array, all jobs values."""
-    reference = region_map(port, 150.0, 3.0, backend="scalar", jobs=1)
-    for backend, jobs in (("vector", 1), ("scalar", 2), ("scalar", 3)):
-        rm = region_map(port, 150.0, 3.0, backend=backend, jobs=jobs)
-        assert np.array_equal(rm.winner_idx, reference.winner_idx)
-        # NaN-aware exact equality on the times grid
-        assert np.array_equal(rm.times, reference.times, equal_nan=True)
-        assert rm.winners == reference.winners
 
 
 def test_lattice_axes_shared_across_algorithms():

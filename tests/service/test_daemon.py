@@ -109,6 +109,45 @@ def test_spool_coalesces_duplicate_submission(tmp_path):
     assert ack["coalesced"] is True
 
 
+MALFORMED_REQUESTS = {
+    "sweep-values": {"kind": "sweep", "params": {"values": "abc"}},
+    "sweep-n": {"kind": "sweep", "params": {"values": [64], "n": "x"}},
+    "region-bound": {"kind": "region_map", "params": {"log2_n_max": "big"}},
+    "degrade-key": {"kind": "degrade", "params": {"algorithms": ["cannonn"]}},
+    "no-kind": {"params": _small([64])},
+    "params-list": {"kind": "sweep", "params": [64]},
+    "tenant": {"kind": "sweep", "params": _small([64]), "tenant": ["t0"]},
+    "not-an-object": [1, 2, 3],
+}
+
+
+def test_malformed_spool_requests_are_acked_and_removed(tmp_path):
+    """One bad request file must neither stop the daemon nor survive to
+    wedge its next start; requests after it in the tick are admitted."""
+    with _service(tmp_path) as svc:
+        spool = svc.state_dir / "spool"
+        spool.mkdir()
+        for name, req in MALFORMED_REQUESTS.items():
+            (spool / f"req-a-{name}.json").write_text(json.dumps(req))
+        (spool / "req-z-valid.json").write_text(json.dumps({
+            "nonce": "z-valid", "kind": "sweep", "params": _small([64, 128]),
+        }))
+        summary = svc.serve_follow(sleep=lambda _s: svc.request_stop())
+        acks = {
+            name: json.loads((spool / f"ack-a-{name}.json").read_text())
+            for name in MALFORMED_REQUESTS
+        }
+        valid = json.loads((spool / "ack-z-valid.json").read_text())
+    assert summary["completed"] == 1 and summary["failed"] == 0
+    assert not list(spool.glob("req-*.json"))
+    for name, ack in acks.items():
+        assert ack.get("error") and "job" not in ack, name
+        assert ack["nonce"] == f"a-{name}"
+    assert "cannonn" in acks["degrade-key"]["error"]
+    assert "sweep" in acks["sweep-values"]["error"]
+    assert valid["job"] and "error" not in valid
+
+
 # -- graceful drain ---------------------------------------------------------
 
 
