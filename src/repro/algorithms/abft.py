@@ -312,9 +312,6 @@ class ABFTMatmul:
         In ``"abft"`` mode, whether an undecodable loss pattern (or an
         ambiguous corruption pattern) falls back to checkpoint/restart
         (default) or raises.
-    detector_opts:
-        Extra keyword arguments for each rank's
-        :class:`~repro.mpi.detector.FailureDetectorContext`.
     correct_errors:
         In ``"abft"`` mode, run :func:`abft_correct_errors` on the
         decoded product to locate and repair silently corrupted blocks
@@ -339,7 +336,6 @@ class ABFTMatmul:
         mode: str = "abft",
         *,
         checkpoint_fallback: bool = True,
-        detector_opts: dict | None = None,
         max_epochs: int | None = None,
         correct_errors: bool = True,
         residual_tol: float | None = None,
@@ -352,7 +348,6 @@ class ABFTMatmul:
         self.algorithm = algorithm
         self.mode = mode
         self.checkpoint_fallback = checkpoint_fallback
-        self.detector_opts = dict(detector_opts or {})
         self.max_epochs = max_epochs
         self.correct_errors = correct_errors
         self.residual_tol = residual_tol
@@ -380,7 +375,6 @@ class ABFTMatmul:
             return CheckpointedMatmul(
                 self.algorithm,
                 max_epochs=self.max_epochs,
-                detector_opts=self.detector_opts,
                 context_factory=self.context_factory,
             ).run(
                 A, B, config, trace=trace,
@@ -401,13 +395,11 @@ class ABFTMatmul:
         algo = self.algorithm
         algo.check_applicable(n, config.num_nodes)
         initial = algo.distribute_inputs(A, B, config.cube)
-        opts = dict(self.detector_opts)
-        opts["on_dead"] = "raise"
         factory = self.context_factory
 
         def spmd(ctx):
             base = ctx if factory is None else factory(ctx)
-            det = FailureDetectorContext(base, **opts)
+            det = FailureDetectorContext(base, on_dead="raise")
             return algo.program(det, n, initial.get(ctx.rank, {}))
 
         result = run_spmd(config, spmd, **run_kwargs)
@@ -425,13 +417,11 @@ class ABFTMatmul:
         algo.check_applicable(m, p)
         Ap, Bp = abft_encode(A, B, g, e)
         initial = algo.distribute_inputs(Ap, Bp, config.cube)
-        opts = dict(self.detector_opts)
-        opts.setdefault("on_dead", "substitute")
         factory = self.context_factory
 
         def spmd(ctx):
             base = ctx if factory is None else factory(ctx)
-            det = FailureDetectorContext(base, **opts)
+            det = FailureDetectorContext(base, on_dead="substitute")
             try:
                 return (yield from algo.program(det, m, initial.get(ctx.rank, {})))
             except (RankFailedError, CommTimeoutError, CorruptionError):
@@ -498,9 +488,6 @@ class ABFTMatmul:
             config = config.with_faults(replace(plan, node_corruptions=()))
         ckpt = CheckpointedMatmul(
             algo, max_epochs=self.max_epochs,
-            detector_opts={
-                k: v for k, v in self.detector_opts.items() if k != "on_dead"
-            },
             context_factory=self.context_factory,
         ).run(A, B, config, **run_kwargs)
         ckpt.mode = "abft+checkpoint"

@@ -8,11 +8,13 @@ from repro.mpi.detector import (
     lost_like,
 )
 from repro.mpi.integrity import IntegrityContext
+from repro.mpi.proxy import ContextProxy
 from repro.mpi.recovery import AGREE_TAG, RecoveryContext, agree, shrink
 from repro.mpi.reliable import ACK_BASE, DATA_BASE, ReliableContext
 
 __all__ = [
     "Comm",
+    "ContextProxy",
     "ReliableContext",
     "IntegrityContext",
     "DATA_BASE",

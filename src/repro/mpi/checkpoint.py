@@ -102,9 +102,6 @@ class CheckpointedMatmul:
     max_epochs:
         Restart attempts before giving up; default covers one epoch per
         planned node failure plus slack.
-    detector_opts:
-        Extra keyword arguments for each rank's
-        :class:`~repro.mpi.detector.FailureDetectorContext`.
     context_factory:
         Optional wrapper applied to each rank's raw context *under* the
         failure detector (e.g.
@@ -117,13 +114,10 @@ class CheckpointedMatmul:
         algorithm: MatmulAlgorithm,
         *,
         max_epochs: int | None = None,
-        detector_opts: dict | None = None,
         context_factory=None,
     ):
         self.algorithm = algorithm
         self.max_epochs = max_epochs
-        self.detector_opts = dict(detector_opts or {})
-        self.detector_opts.setdefault("on_dead", "raise")
         self.context_factory = context_factory
 
     # -- machine planning (pure, identical on every survivor) -------------
@@ -169,7 +163,6 @@ class CheckpointedMatmul:
             self.max_epochs if self.max_epochs is not None
             else planned_deaths + 2
         )
-        det_opts = self.detector_opts
         params = config.params
 
         # The consistent cut is the initial distribution on the full machine;
@@ -180,7 +173,8 @@ class CheckpointedMatmul:
 
         def spmd(ctx):
             base = ctx if factory is None else factory(ctx)
-            det = FailureDetectorContext(base, **det_opts)
+            # abort-and-restart, not degrade: a dead peer raises
+            det = FailureDetectorContext(base, on_dead="raise")
             me = ctx.rank
             dead_used: frozenset = frozenset()
             last_exc: Exception | None = None

@@ -29,7 +29,7 @@ words — protocol integers ride in the envelope's header fields, which is
 the simulated analogue of link-level CRCs already protecting headers on
 real interconnects.
 
-Like its base class, :class:`IntegrityContext` duck-types the
+Like its base class, :class:`IntegrityContext` presents the
 :class:`~repro.sim.process.ProcessContext` surface and fast-paths to
 plain delivery when the machine's fault plan can neither lose nor corrupt
 messages, so fault-free runs cost exactly 1.0x baseline::
@@ -39,17 +39,9 @@ messages, so fault-free runs cost exactly 1.0x baseline::
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.errors import CommTimeoutError, CommunicatorError, CorruptionError
-from repro.mpi.reliable import (
-    ACK_BASE,
-    DATA_BASE,
-    ReliableContext,
-    _nothing_to_wait_for,
-    _ReliableHandle,
-)
-from repro.sim.message import CORRUPT_VERDICT, message_crc, payload_words
+from repro.errors import CommunicatorError
+from repro.mpi.reliable import ReliableContext
+from repro.sim.message import message_crc
 from repro.sim.process import ProcessContext
 
 __all__ = ["IntegrityContext"]
@@ -64,9 +56,11 @@ class IntegrityContext(ReliableContext):
     plus ``max_nacks``: the number of integrity-rejected retransmissions
     tolerated per message before the send raises
     :class:`~repro.errors.CorruptionError`.
-    """
 
-    __slots__ = ("max_nacks",)
+    The protocol itself is the base class's: this layer only attaches a
+    checksum to every copy (:meth:`_checksum`), which is what makes the
+    destination node verify it and the inherited ack tail see NACKs.
+    """
 
     def __init__(
         self,
@@ -81,6 +75,7 @@ class IntegrityContext(ReliableContext):
     ):
         if max_nacks < 1:
             raise CommunicatorError(f"max_nacks must be >= 1, got {max_nacks}")
+        self.max_nacks = max_nacks
         super().__init__(
             ctx,
             ack_timeout=ack_timeout,
@@ -89,115 +84,17 @@ class IntegrityContext(ReliableContext):
             slack=slack,
             force_protocol=force_protocol,
         )
-        self.max_nacks = max_nacks
-        plan = getattr(ctx.config, "faults", None)
+
+    @staticmethod
+    def _harmless(plan) -> bool:
         # The base class fast-paths whenever the plan cannot *lose*
         # messages; integrity must also stay engaged when it can corrupt.
-        self._passthrough = not force_protocol and (
-            plan is None or (plan.lossless and not plan.can_corrupt)
-        )
+        return plan.lossless and not plan.can_corrupt
 
-    # -- checksummed sends -------------------------------------------------
-
-    def send(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
-        """Integrity-protected blocking send (generator).
-
-        Resends on NACK (corrupted delivery) or ack timeout (lost
-        delivery); raises :class:`~repro.errors.CorruptionError` after
-        ``max_nacks`` integrity rejections,
-        :class:`~repro.errors.CommTimeoutError` after ``max_retries``
-        silent losses.
-        """
-        if self._passthrough:
-            yield from self._ctx.send(dst, data, tag, nwords)
-            return
-        self._check_tag(tag)
-        words = payload_words(data, nwords)
-        seq = self._next_seq.get(dst, 0)
-        self._next_seq[dst] = seq + 1
-        envelope = ("D", seq, self.rank, tag, data)
-        if dst == self.rank:
-            # Self-sends bypass the network: nothing can corrupt them.
-            yield from self._ctx.send(dst, envelope, DATA_BASE + tag, nwords=words)
-            return
-        crc = message_crc(self.rank, dst, DATA_BASE + tag, words, envelope)
-        yield from self._ctx.send(
-            dst, envelope, DATA_BASE + tag, nwords=words,
-            ack_tag=ACK_BASE + seq, crc=crc,
-        )
-        yield from self._await_verdict(dst, tag, words, seq, envelope, crc)
-
-    def isend(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
-        """Nonblocking integrity-protected send; complete with ``waitall``."""
-        if self._passthrough:
-            return (yield from self._ctx.isend(dst, data, tag, nwords))
-        self._check_tag(tag)
-        words = payload_words(data, nwords)
-        seq = self._next_seq.get(dst, 0)
-        self._next_seq[dst] = seq + 1
-        envelope = ("D", seq, self.rank, tag, data)
-        if dst == self.rank:
-            yield from self._ctx.isend(dst, envelope, DATA_BASE + tag, nwords=words)
-            return _ReliableHandle("send", _nothing_to_wait_for())
-        crc = message_crc(self.rank, dst, DATA_BASE + tag, words, envelope)
-        yield from self._ctx.isend(
-            dst, envelope, DATA_BASE + tag, nwords=words,
-            ack_tag=ACK_BASE + seq, crc=crc,
-        )
-        return _ReliableHandle(
-            "send", self._await_verdict(dst, tag, words, seq, envelope, crc)
-        )
-
-    def _await_verdict(
-        self, dst: int, tag: int, words: int, seq: int, envelope, crc: int
-    ):
-        """Protocol tail: wait for the destination node's verdict.
-
-        ``None`` on the ack channel is a plain delivery ack (done);
-        :data:`~repro.sim.message.CORRUPT_VERDICT` is a NACK (the copy
-        was rejected — resend at once); silence is a loss (resend after
-        the backed-off timeout, exactly as in the base protocol).
-        """
-        timeout = self._rtt_estimate(words)
-        attempt = 0
-        nacks = 0
-        while True:
-            try:
-                verdict = yield from self._ctx.recv(
-                    dst, ACK_BASE + seq, timeout=timeout
-                )
-            except CommTimeoutError:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise CommTimeoutError(
-                        self.rank, dst, tag, timeout,
-                        detail=f"no verdict for seq {seq} after {attempt} attempts",
-                    ) from None
-                self._ctx.note_retransmission()
-                timeout *= self.backoff
-                yield from self._ctx.send(
-                    dst, envelope, DATA_BASE + tag, nwords=words,
-                    ack_tag=ACK_BASE + seq, crc=crc,
-                )
-                continue
-            if verdict is None:
-                return  # clean delivery acknowledged
-            if verdict == CORRUPT_VERDICT:
-                nacks += 1
-                if nacks >= self.max_nacks:
-                    raise CorruptionError(
-                        self.rank, dst, tag, attempts=nacks,
-                        detail=f"seq {seq} rejected by every integrity check",
-                    )
-                self._ctx.note_retransmission()
-                yield from self._ctx.send(
-                    dst, envelope, DATA_BASE + tag, nwords=words,
-                    ack_tag=ACK_BASE + seq, crc=crc,
-                )
-                continue
-            raise CommunicatorError(
-                f"unexpected verdict payload {verdict!r} on ack tag {ACK_BASE + seq}"
-            )
+    def _checksum(self, dst: int, wire_tag: int, words: int, envelope) -> int:
+        """CRC32 of the canonical header+payload bytes, computed at send
+        time over the uncorrupted buffer."""
+        return message_crc(self._ctx.rank, dst, wire_tag, words, envelope)
 
     def __repr__(self) -> str:
         return (

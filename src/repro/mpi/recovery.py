@@ -36,6 +36,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import CommunicatorError
 from repro.mpi.detector import LOST_PAYLOAD, FailureDetectorContext
+from repro.mpi.proxy import ContextProxy
 from repro.sim.process import ANY_SOURCE, ANY_TAG
 from repro.topology.embedding import largest_live_subcube
 from repro.topology.hypercube import Hypercube, Subcube
@@ -87,9 +88,8 @@ def agree(
         for peer in order:
             if peer == me or peer in dead:
                 continue
-            got = yield from det.exchange(
-                peer, frozenset(dead), tag,
-                nwords=len(order),
+            got = yield from det.sendrecv(
+                peer, frozenset(dead), peer, tag, tag, nwords=len(order),
                 on_dead="substitute", max_leases=max_leases,
             )
             if got is LOST_PAYLOAD:
@@ -120,7 +120,7 @@ def shrink(
     return largest_live_subcube(cube, alive, require=require)
 
 
-class RecoveryContext:
+class RecoveryContext(ContextProxy):
     """Present a surviving subcube as a fresh, smaller hypercube machine.
 
     Wraps any context (normally a
@@ -143,12 +143,15 @@ class RecoveryContext:
     sibling raised); shifting by a per-epoch stride keeps a rerun from
     ever consuming a first-attempt message.  User tags must stay below
     :data:`~repro.mpi.reliable.DATA_BASE` after shifting.
+
+    Local operations are inherited untranslated.  That includes the
+    *physical* barrier: the engine barrier excludes finished and
+    fail-stopped ranks from its quorum, so it is safe on a shrunken
+    machine.
     """
 
-    __slots__ = ("_inner", "subcube", "tag_shift", "_vconfig", "_vrank")
-
     def __init__(self, inner, subcube: Subcube, *, tag_shift: int = 0):
-        self._inner = inner
+        super().__init__(inner)
         self.subcube = subcube
         self.tag_shift = tag_shift
         phys = inner.rank
@@ -162,7 +165,7 @@ class RecoveryContext:
             inner.config, cube=Hypercube(subcube.dimension)
         )
 
-    # -- identity ----------------------------------------------------------
+    # -- identity of the virtual machine -----------------------------------
 
     @property
     def rank(self) -> int:
@@ -171,7 +174,7 @@ class RecoveryContext:
 
     @property
     def physical_rank(self) -> int:
-        return self._inner.rank
+        return self._ctx.rank
 
     @property
     def config(self):
@@ -179,24 +182,8 @@ class RecoveryContext:
         return self._vconfig
 
     @property
-    def inner(self):
-        return self._inner
-
-    @property
-    def engine(self):
-        return self._inner.engine
-
-    @property
     def num_ranks(self) -> int:
         return self.subcube.num_nodes
-
-    @property
-    def now(self) -> float:
-        return self._inner.now
-
-    @property
-    def stats(self):
-        return self._inner.stats
 
     def _phys(self, virtual: int) -> int:
         if virtual < 0:  # ANY_SOURCE passes through
@@ -208,45 +195,13 @@ class RecoveryContext:
             return tag
         return tag + self.tag_shift
 
-    # -- local ops delegate ------------------------------------------------
-
-    def elapse(self, duration: float):
-        yield from self._inner.elapse(duration)
-
-    def compute(self, flops: float):
-        yield from self._inner.compute(flops)
-
-    def local_matmul(self, A, B, C=None):
-        return (yield from self._inner.local_matmul(A, B, C))
-
-    def parallel(self, *generators):
-        return (yield from self._inner.parallel(*generators))
-
-    def barrier(self):
-        # The engine barrier excludes finished and fail-stopped ranks from
-        # its quorum, so the physical barrier is safe on a shrunken machine.
-        yield from self._inner.barrier()
-
-    def phase(self, name: str) -> None:
-        self._inner.phase(name)
-
-    def note_memory(self, resident_words: int) -> None:
-        self._inner.note_memory(resident_words)
-
-    def note_retransmission(self) -> None:
-        self._inner.note_retransmission()
-
     # -- point to point, address-translated --------------------------------
 
     def send(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
-        yield from self._inner.send(self._phys(dst), data, self._tag(tag), nwords)
+        return self._ctx.send(self._phys(dst), data, self._tag(tag), nwords)
 
     def isend(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
-        return (
-            yield from self._inner.isend(
-                self._phys(dst), data, self._tag(tag), nwords
-            )
-        )
+        return self._ctx.isend(self._phys(dst), data, self._tag(tag), nwords)
 
     def recv(
         self,
@@ -254,11 +209,7 @@ class RecoveryContext:
         tag: int = ANY_TAG,
         timeout: float | None = None,
     ):
-        return (
-            yield from self._inner.recv(
-                self._phys(src), self._tag(tag), timeout=timeout
-            )
-        )
+        return self._ctx.recv(self._phys(src), self._tag(tag), timeout=timeout)
 
     def irecv(
         self,
@@ -266,17 +217,7 @@ class RecoveryContext:
         tag: int = ANY_TAG,
         timeout: float | None = None,
     ):
-        return (
-            yield from self._inner.irecv(
-                self._phys(src), self._tag(tag), timeout=timeout
-            )
-        )
-
-    def waitall(self, handles):
-        return (yield from self._inner.waitall(handles))
-
-    def wait(self, handle):
-        return (yield from self._inner.wait(handle))
+        return self._ctx.irecv(self._phys(src), self._tag(tag), timeout=timeout)
 
     def sendrecv(
         self,
@@ -287,19 +228,13 @@ class RecoveryContext:
         recv_tag: int = ANY_TAG,
         nwords: int | None = None,
     ):
-        return (
-            yield from self._inner.sendrecv(
-                self._phys(dst), data, self._phys(src),
-                self._tag(send_tag), self._tag(recv_tag), nwords,
-            )
+        return self._ctx.sendrecv(
+            self._phys(dst), data, self._phys(src),
+            self._tag(send_tag), self._tag(recv_tag), nwords,
         )
 
     def exchange(self, peer: int, data: Any, tag: int = 0, nwords: int | None = None):
-        return (
-            yield from self._inner.exchange(
-                self._phys(peer), data, self._tag(tag), nwords
-            )
-        )
+        return self._ctx.exchange(self._phys(peer), data, self._tag(tag), nwords)
 
     def __repr__(self) -> str:
         return (

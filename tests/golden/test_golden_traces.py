@@ -3,7 +3,8 @@
 Every registered algorithm is executed (traced) on small one-port and
 multi-port machines at ``p ∈ {8, 64}`` plus a handful of extra cases
 (cut-through routing, a rerouted link fault, heterogeneous-machine
-scenarios, and one sweep-service report digest), and the resulting
+scenarios, one traced timeline per resilience layer of ``repro.mpi``, and
+one sweep-service report digest), and the resulting
 :meth:`~repro.sim.tracing.RunResult.trace_digest` is compared against the
 committed fixture ``tests/golden/golden_traces.json``.
 
@@ -22,6 +23,7 @@ Intentional behaviour changes regenerate the fixtures with::
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 
@@ -29,6 +31,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHMS, get_algorithm
+from repro.algorithms.abft import ABFTMatmul
+from repro.mpi import CheckpointedMatmul, IntegrityContext, ReliableContext
 from repro.sim import FaultPlan, MachineConfig, PortModel, RoutingMode
 from repro.sim.scenario import hotspot, random_heterogeneous
 
@@ -193,6 +197,111 @@ def test_golden_trace_heterogeneous(case_id, key, n, p, scenario,
                                     regen_golden):
     run = _run_scenario_case(key, n, p, scenario)
     _check_or_regen(case_id, _record(run), regen_golden)
+
+
+# -- resilience stack --------------------------------------------------------
+# The protocol layers under ``repro.mpi`` (reliable, integrity, detector,
+# recovery) each pin one traced timeline, so a refactor of the stack that
+# moves an ack, a retransmission, a probe or a restart epoch by one event
+# fails here — ``test_replay_determinism.py`` only compares two runs of
+# one process.
+
+
+def _int_operands(n: int):
+    """Small-integer operands: a recovered product is exact, not close."""
+    rng = np.random.default_rng(0)
+    A = rng.integers(-4, 5, (n, n)).astype(float)
+    B = rng.integers(-4, 5, (n, n)).astype(float)
+    return A, B
+
+
+def _resilient_cannon(n: int, plan: FaultPlan | None, factory):
+    A, B = _int_operands(n)
+    config = MachineConfig.create(16, faults=plan, **_PARAMS)
+    return get_algorithm("cannon").run(
+        A, B, config, verify=True, trace=True, context_factory=factory
+    )
+
+
+def _run_reliable_drops():
+    plan = FaultPlan(seed=7).with_drop_rate(0.05)
+    run = _resilient_cannon(8, plan, ReliableContext)
+    assert run.result.network.retransmissions > 0
+    return run
+
+
+def _run_integrity_corruption():
+    plan = (FaultPlan(seed=4)
+            .with_link_corruption(0, 1, 0.4)
+            .with_drop_rate(0.03))
+    run = _resilient_cannon(8, plan, IntegrityContext)
+    net = run.result.network
+    assert net.integrity_rejects > 0 and net.messages_dropped > 0
+    return run
+
+
+def _run_integrity_forced():
+    run = _resilient_cannon(
+        8, None, functools.partial(IntegrityContext, force_protocol=True)
+    )
+    assert run.result.network.retransmissions == 0
+    return run
+
+
+def _killed_config(n: int, runner, fraction: float):
+    """A 16-node machine whose node 6 fail-stops ``fraction`` of the way
+    through ``runner``'s own fault-free run."""
+    A, B = _int_operands(n)
+    clean = MachineConfig.create(16, **_PARAMS)
+    base = runner.run(A, B, clean)
+    plan = FaultPlan(seed=1).with_node_failure(6, at=base.total_time * fraction)
+    return A, B, clean.with_faults(plan)
+
+
+def _run_abft_kill():
+    runner = ABFTMatmul(get_algorithm("cannon"), mode="abft")
+    A, B, config = _killed_config(12, runner, 0.3)
+    run = runner.run(A, B, config, trace=True)
+    assert run.mode == "abft" and run.dead == (6,) and run.recovered
+    assert np.array_equal(run.C, A @ B)
+    return run
+
+
+def _run_checkpoint_kill():
+    runner = CheckpointedMatmul(get_algorithm("cannon"))
+    A, B, config = _killed_config(8, runner, 0.4)
+    run = runner.run(A, B, config, trace=True)
+    assert run.machine == "sub" and run.epochs >= 1 and run.dead == (6,)
+    assert np.array_equal(run.C, A @ B)
+    return run
+
+
+#: (case_id, runner) — one traced timeline per protocol layer
+RESILIENCE_CASES = [
+    ("reliable-cannon-n8-p16-drop5", _run_reliable_drops),
+    ("integrity-cannon-n8-p16-corrupt-drop", _run_integrity_corruption),
+    ("integrity-forced-cannon-n8-p16-clean", _run_integrity_forced),
+    ("abft-cannon-n12-p16-kill6-substitute", _run_abft_kill),
+    ("checkpoint-cannon-n8-p16-kill6-subcube", _run_checkpoint_kill),
+]
+
+
+def _resilience_record(run) -> dict:
+    net = run.result.network
+    return {
+        **_record(run),
+        "retransmissions": net.retransmissions,
+        "drops": net.messages_dropped,
+        "integrity_rejects": net.integrity_rejects,
+        "epochs": getattr(run, "epochs", 0),
+    }
+
+
+@pytest.mark.parametrize(
+    "case_id,runner", RESILIENCE_CASES, ids=[c[0] for c in RESILIENCE_CASES]
+)
+def test_golden_trace_resilience(case_id, runner, regen_golden):
+    _check_or_regen(case_id, _resilience_record(runner()), regen_golden)
 
 
 SERVICE_CASE_ID = "service-sweep-n-cannon-berntsen"

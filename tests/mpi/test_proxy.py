@@ -1,0 +1,89 @@
+"""ContextProxy: the forwarding surface is written once, a layer overrides
+only its concern, and an idle layer stands down in its constructor."""
+
+import inspect
+
+import numpy as np
+
+from repro.algorithms import ABFTMatmul, get_algorithm
+from repro.mpi import (
+    CheckpointedMatmul,
+    ContextProxy,
+    FailureDetectorContext,
+    IntegrityContext,
+    RecoveryContext,
+    ReliableContext,
+)
+from repro.sim import MachineConfig, run_spmd
+
+CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
+
+FORWARDED_ONCE = (
+    "rank", "engine", "config", "num_ranks", "now", "stats",
+    "elapse", "compute", "local_matmul", "parallel", "barrier",
+    "phase", "note_memory", "note_retransmission", "wait",
+)
+
+
+def test_forwarding_surface_has_one_definition():
+    """No layer re-spells a local operation; only the recovery layer, whose
+    concern *is* identity, overrides identity properties."""
+    for layer in (ReliableContext, IntegrityContext, FailureDetectorContext):
+        assert not set(FORWARDED_ONCE) & set(vars(layer)), layer.__name__
+    assert set(FORWARDED_ONCE) & set(vars(RecoveryContext)) == {
+        "rank", "config", "num_ranks"
+    }
+    # the reliable protocol is written in reliable.py only
+    assert not {"send", "isend", "_await_ack"} & set(vars(IntegrityContext))
+
+
+def test_a_layer_overrides_only_its_concern():
+    class CountingSends(ContextProxy):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.sent = 0
+
+        def isend(self, dst, data, tag=0, nwords=None):
+            self.sent += 1
+            return super().isend(dst, data, tag, nwords)
+
+    layers = {}
+
+    def factory(ctx):
+        layers[ctx.rank] = CountingSends(ctx)
+        return layers[ctx.rank]
+
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+    cfg = MachineConfig.create(16, t_s=10.0, t_w=1.0)
+    algo = get_algorithm("cannon")
+    bare = algo.run(A, B, cfg, verify=True)
+    run = algo.run(A, B, cfg, verify=True, context_factory=factory)
+    assert run.total_time == bare.total_time
+    assert sum(layer.sent for layer in layers.values()) == (
+        run.result.total_messages()
+    )
+
+
+def test_stand_down_shadows_the_protocol_on_one_instance_only():
+    def prog(ctx):
+        idle = ReliableContext(ctx)
+        armed = ReliableContext(ctx, force_protocol=True)
+        assert idle.passthrough and not armed.passthrough
+        assert idle.send.__func__ is ContextProxy.send
+        assert armed.send.__func__ is ReliableContext.send
+        return None
+        yield  # pragma: no cover
+
+    run_spmd(CFG, prog)
+
+
+def test_options_of_the_stack():
+    def names(fn):
+        return list(inspect.signature(fn).parameters)[1:]
+
+    assert names(FailureDetectorContext.__init__) == [
+        "ctx", "on_dead", "max_leases"
+    ]
+    assert "detector_opts" not in names(ABFTMatmul.__init__)
+    assert "detector_opts" not in names(CheckpointedMatmul.__init__)

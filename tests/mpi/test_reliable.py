@@ -84,6 +84,11 @@ class TestCleanMachine:
             ReliableContext(_Fake(), backoff=0.5)
         with pytest.raises(CommunicatorError):
             ReliableContext(_Fake(), ack_timeout=0.0)
+        # a non-positive slack used to be accepted and then die mid-run
+        # as "recv timeout must be positive" from rank 0's ack wait
+        for slack in (0, -1.0):
+            with pytest.raises(CommunicatorError, match="slack"):
+                ReliableContext(_Fake(), slack=slack)
 
 
 class TestRetransmission:
@@ -130,6 +135,28 @@ class TestRetransmission:
         assert "no ack for seq 0 after 3 attempts" in res.results[0]
         assert res.results[1] == "nothing"
         assert res.network.retransmissions == 2
+
+    def test_stray_payload_on_ack_tag_is_a_protocol_error(self):
+        """The ack channel carries only verdicts (``None`` ack or a NACK):
+        anything else on ``ACK_BASE + seq`` is a program bug, not an ack."""
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                rel = ReliableContext(ctx, force_protocol=True)
+                try:
+                    yield from rel.send(1, np.ones(4), tag=0)
+                except CommunicatorError as exc:
+                    return str(exc)
+                return "acked"
+            if ctx.rank == 1:
+                # a zero-word stray beats the node's own ack back to rank 0
+                yield from ctx.send(0, "junk", ACK_BASE + 0, nwords=0)
+            return None
+
+        res = run_spmd(CFG, prog)
+        assert res.results[0] == (
+            f"unexpected verdict payload 'junk' on ack tag {ACK_BASE}"
+        )
 
     def test_duplicates_are_suppressed(self):
         """Dropping only the ack direction forces duplicate deliveries of

@@ -16,6 +16,7 @@ more work per message, and say so.
 """
 
 import cProfile
+import gc
 
 import numpy as np
 import pytest
@@ -44,12 +45,18 @@ def _lossy_reliable():
 
 
 def _calls(fn):
+    # A cyclic collection inside the profiled run would add the calls of
+    # every registered ``gc.callbacks`` hook (hypothesis installs one), and
+    # when it fires depends on what earlier tests left behind.
+    gc.collect()
+    gc.disable()
     prof = cProfile.Profile()
     prof.enable()
     try:
         run = fn()
     finally:
         prof.disable()
+        gc.enable()
     return sum(entry.callcount for entry in prof.getstats()), run
 
 
