@@ -75,6 +75,18 @@ _COLLECTIVE_HEAVY: tuple[str, ...] = (
     "3dd_cannon", "dns_cannon",
 )
 
+#: the registered callers of ``cannon_kernel``: a contended multi-hop skew
+#: followed by a shift phase.  From p = 64 up the skew leaves the ranks
+#: rounds apart, which is what exercises the engine-run shift rounds and
+#: the shift closed form's staggered frontier (smaller machines batch from
+#: a level one).
+_SHIFT_HEAVY: tuple[str, ...] = ("cannon", "berntsen", "dns_cannon", "3dd_cannon")
+
+#: passes over the collective-heavy family before the sampler starts
+#: alternating it with the shift-heavy one (cases keep their index, and
+#: with it their identity, when ``count`` grows)
+_COLLECTIVE_PASSES = 5
+
 
 @dataclass(frozen=True)
 class Case:
@@ -114,24 +126,35 @@ def sample_cases(
 
     The first two passes cycle through the algorithm list, so
     ``count >= 2 * len(algorithms)`` guarantees full registry coverage
-    with both healthy and faulty flavors; every case after that
-    oversamples the collective-heavy 3D family (largest applicable
-    machines, alternating fault-free with chaos flavors) where the
-    closed-form collective path has the most surface.  Pure function of
-    ``(seed, count, algorithms)``.
+    with both healthy and faulty flavors; the next
+    ``_COLLECTIVE_PASSES`` passes oversample the collective-heavy 3D
+    family (largest applicable machines, alternating fault-free with
+    chaos flavors) where the closed-form collective path has the most
+    surface; from there on every other case is a fault-free run of a
+    ``cannon_kernel`` caller at p >= 64, where the skew staggers the shift
+    phase's frontier.  Pure function of ``(seed, count, algorithms)``,
+    and case ``i`` does not depend on ``count``.
     """
     algos = tuple(algorithms if algorithms is not None else sorted(ALGORITHMS))
     heavy = tuple(k for k in _COLLECTIVE_HEAVY if k in algos) or algos
+    shifty = tuple(k for k in _SHIFT_HEAVY if k in algos) or heavy
     machines = {key: _applicable_machines(key) for key in algos}
     base = 2 * len(algos)
+    alternating = _COLLECTIVE_PASSES * len(heavy)
     cases: list[Case] = []
     for i in range(count):
+        j = i - base
         if i < base:
             key = algos[i % len(algos)]
             flavor = (i // len(algos)) % 4  # healthy, faulty, degraded, both
             pool = machines[key][:2] or machines[key]
+        elif j >= alternating and (j - alternating) % 2 == 0:
+            key = shifty[(j - alternating) // 2 % len(shifty)]
+            flavor = 0
+            pool = [m for m in machines[key] if m[1] >= 64] or machines[key]
         else:
-            j = i - base
+            if j >= alternating:
+                j = alternating + (j - alternating) // 2
             key = heavy[j % len(heavy)]
             # Every other oversampled case stays fault-free, so the
             # collective closed form itself (not just its fallback) is

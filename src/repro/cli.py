@@ -136,6 +136,8 @@ def _cmd_run(args) -> int:
     print(f"words sent      : {run.result.total_words_sent()}")
     print(f"peak words/node : {run.result.max_peak_memory_words()}")
     print(f"engine events   : {run.result.events_processed}")
+    print(f"shift rounds    : {run.result.shift_rounds_event} by events, "
+          f"{run.result.shift_rounds_closed_form} in closed form")
     coeffs = overhead_coefficients(args.algorithm, args.n, args.p, config.port_model)
     if coeffs is not None:
         a, b = coeffs

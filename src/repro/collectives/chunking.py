@@ -13,7 +13,25 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["split_chunks", "join_chunks", "chunk_header", "rebuild_from_header"]
+__all__ = [
+    "chunk_sizes",
+    "split_chunks",
+    "join_chunks",
+    "chunk_header",
+    "rebuild_from_header",
+]
+
+
+def chunk_sizes(total: int, nchunks: int) -> list[int]:
+    """Element counts of the ``nchunks`` chunks of a ``total``-element
+    array: nearly equal, the larger ones first (``np.array_split``'s rule).
+
+    The one statement of the rule: :func:`split_chunks` slices by it and
+    the closed-form collectives (:mod:`repro.sim.superstep`) size their
+    messages by it.
+    """
+    base, extra = divmod(total, nchunks)
+    return [base + 1] * extra + [base] * (nchunks - extra)
 
 
 def split_chunks(arr: np.ndarray, nchunks: int) -> list[np.ndarray]:
@@ -22,10 +40,17 @@ def split_chunks(arr: np.ndarray, nchunks: int) -> list[np.ndarray]:
     Chunk sizes differ by at most one element; chunks may be empty when the
     array is smaller than ``nchunks`` (each still costs a ``t_s`` start-up
     in flight, mirroring the paper's ``M >= log N`` applicability caveat).
+    The chunks are views of one contiguous flat buffer.
     """
     if nchunks < 1:
         raise SimulationError(f"nchunks must be >= 1, got {nchunks}")
-    return np.array_split(np.ascontiguousarray(arr).ravel(), nchunks)
+    flat = np.ascontiguousarray(arr).ravel()
+    chunks = []
+    start = 0
+    for size in chunk_sizes(flat.size, nchunks):
+        chunks.append(flat[start:start + size])
+        start += size
+    return chunks
 
 
 def join_chunks(chunks: list[np.ndarray], shape: tuple[int, ...], dtype=None) -> np.ndarray:

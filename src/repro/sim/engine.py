@@ -86,6 +86,13 @@ _HOP_READY = 1
 _HOP_DONE = 2
 _RECV_TIMEOUT = 3
 _NODE_FAIL = 4
+# The three steps of a resident shift phase's engine-run round, one event
+# each exactly where the generator loop would be resumed: multiply, exchange
+# (once the multiply's compute time has elapsed), park again (once the four
+# handles are done).
+_SHIFT_MULTIPLY = 5
+_SHIFT_EXCHANGE = 6
+_SHIFT_REPARK = 7
 
 
 def task_rank(task: Task) -> int:
@@ -95,11 +102,16 @@ def task_rank(task: Task) -> int:
 class _Waiter:
     """A blocked task: which handles it needs and how to build the resume value."""
 
-    __slots__ = ("handles", "mode")
+    __slots__ = ("handles", "mode", "op")
 
-    def __init__(self, handles: list[Handle], mode: str):
+    def __init__(
+        self, handles: list[Handle], mode: str, op: ShiftPhaseOp | None = None
+    ):
         self.handles = handles
-        self.mode = mode  # "wait" | "recv" | "send"
+        self.mode = mode  # "wait" | "recv" | "send" | "shift"
+        #: "shift" only: the resident phase whose engine-run round these
+        #: handles ([send A, recv A, send B, recv B]) belong to
+        self.op = op
 
     def ready(self) -> bool:
         for h in self.handles:
@@ -226,12 +238,14 @@ class Engine:
         self.max_virtual_time = max_virtual_time
         self.superstep_enabled = superstep
         self.timing_only = timing_only
-        # Parked shift-phase tasks: task -> (ShiftPhaseOp, park time).
-        # Resolved in closed form (or released with SHIFT_FALLBACK) once
-        # the event queues drain; see _resolve_superstep.  The hazard maps
-        # name the resources a parked phase will reserve, with the virtual
-        # time of the phase's own first reservation (park time + first
-        # multiply): a foreign hop reserving one of them *after* that
+        # Resident shift phases parked at a round boundary: task ->
+        # (ShiftPhaseOp, park time).  (A phase in the middle of an
+        # engine-run round sits in _blocked instead, as a "shift" waiter.)
+        # Resolved in closed form (or released for one engine-run round)
+        # once the event queues drain; see _resolve_superstep.  The hazard
+        # maps name the resources a parked phase will reserve, with the
+        # virtual time of the phase's own first reservation (park time +
+        # first multiply): a foreign hop reserving one of them *after* that
         # threshold would invert the event path's FIFO reservation order,
         # so _start_hop releases the parked set (at their earlier park
         # times) before reserving.  Foreign reservations at or before the
@@ -257,6 +271,10 @@ class Engine:
         self._corruption_events = 0
         self._integrity_rejects = 0
         self._events_processed = 0
+        # Rank-rounds of shift phases by the path that ran them (see
+        # RunResult): diagnostics like _events_processed, in no digest.
+        self._shift_rounds_event = 0
+        self._shift_rounds_closed_form = 0
         self._msg_seq = itertools.count()
         # Handle ids are per engine (like message ids): the "#k" in a
         # DeadlockError must not depend on what ran earlier in the process.
@@ -321,7 +339,7 @@ class Engine:
             if self._parked:
                 # Every pending event is consumed and one or more ranks
                 # sit parked on a ShiftPhaseOp: advance the phase in
-                # closed form, or release everyone onto the event path.
+                # closed form, or run one more round through the events.
                 self._resolve_superstep()
                 continue
             if self._parked_coll:
@@ -375,6 +393,8 @@ class Engine:
             ),
             failed_ranks=tuple(sorted(self.failed)),
             events_processed=self._events_processed,
+            shift_rounds_event=self._shift_rounds_event,
+            shift_rounds_closed_form=self._shift_rounds_closed_form,
         )
 
     def _drain_events(self) -> None:
@@ -415,6 +435,15 @@ class Engine:
             elif kind == _HOP_DONE:
                 (transfer, hop_index, handle) = payload
                 self._finish_hop(transfer, hop_index, handle, time)
+            elif kind == _SHIFT_MULTIPLY:
+                (task, op) = payload
+                self._shift_multiply(task, op, time)
+            elif kind == _SHIFT_EXCHANGE:
+                (task, op) = payload
+                self._shift_exchange(task, op, time)
+            elif kind == _SHIFT_REPARK:
+                (task, waiter) = payload
+                self._shift_repark(task, waiter, time)
             elif kind == _RECV_TIMEOUT:
                 (rank, handle) = payload
                 self._expire_recv(rank, handle, time)
@@ -425,57 +454,32 @@ class Engine:
                 raise SimulationError(f"unknown event kind {kind!r}")
 
     def _resolve_superstep(self) -> None:
-        """Advance the parked shift phase in closed form, or release it.
+        """Advance the resident shift phases in closed form, or run a round.
 
-        Called only with drained event queues.  On success each parked
-        task is resumed (by an ordinary _RESUME event) at its phase-exit
-        time with its final ``(A, B, C)`` blocks; on any incompatibility
-        every task re-enters the event path via SHIFT_FALLBACK at the
-        time it parked — the phase then runs message by message, exactly
-        as if the fast path did not exist.
+        Called only with drained event queues.  On success every rank of
+        the phase — parked at whatever round boundary, or waiting mid-round
+        for an inbound block — is resumed (by an ordinary _RESUME event) at
+        its phase-exit time with its final ``(A, B, C)`` blocks.  A refusal
+        is structural (tags, shapes or shifts the recurrence does not
+        cover, or other tasks still blocked), so every parked rank runs its
+        next round through the event machinery instead.
         """
         outcome = try_advance_superstep(self, self._parked)
-        if outcome is not None:
-            self._parked = {}
-            self._resume_advanced(outcome)
+        if outcome is None:
+            self._release_parked()
             return
-        parked = self._parked
-        if parked:
-            # Structural laggards: ranks with more rounds remaining than
-            # the parked frontier, or with deliveries waiting in their
-            # mailbox.  Releasing only them (one catch-up round through
-            # the event path each) lets the frontier stay parked: a
-            # frontier rank only completed its round because every
-            # laggard neighbour had already sent to it, so catch-up
-            # traffic cannot touch a frontier rank's resources — and any
-            # exception still trips the hazard maps or the mailbox check
-            # at the next resolve.  Blocked mid-round ranks unblock from
-            # the laggards' sends and park alongside the frontier.
-            min_steps = min(op.steps for (op, _at) in parked.values())
-            sel = [
-                task for task, (op, _at) in parked.items()
-                if op.steps > min_steps or self._mailbox[task_rank(task)]
-            ]
-            if sel and len(sel) < len(parked):
-                for task in sel:
-                    op, at = parked.pop(task)
-                    rank = task_rank(task)
-                    self._hazard_channels.pop((rank, op.a_to), None)
-                    self._hazard_channels.pop((rank, op.b_to), None)
-                    self._hazard_nodes.pop(rank, None)
-                    self._schedule(at, _RESUME, (task, SHIFT_FALLBACK))
-                return
-        self._release_parked()
+        self._parked = {}
+        self._resume_advanced(outcome)
 
     def _release_parked(self) -> None:
-        """Release every parked task onto the event path, each resumed
-        with SHIFT_FALLBACK at the virtual time it parked."""
+        """Start one engine-run round for every parked shift phase, each
+        at the virtual time it parked."""
         parked = self._parked
         self._parked = {}
         self._hazard_nodes.clear()
         self._hazard_channels.clear()
-        for task, (_op, at) in parked.items():
-            self._schedule(at, _RESUME, (task, SHIFT_FALLBACK))
+        for task, (op, at) in parked.items():
+            self._schedule(at, _SHIFT_MULTIPLY, (task, op))
 
     def _resolve_collective(self) -> None:
         """Advance the parked collective phase(s) in closed form, or release.
@@ -502,8 +506,9 @@ class Engine:
             self._schedule(finish, _RESUME, (task, value))
 
     def _release_all_parked(self) -> None:
-        """Release both parked sets (shift and collective) onto the event
-        path at their park times."""
+        """Release both parked sets onto the event path at their park
+        times: shift phases for one engine-run round, collectives with
+        COLLECTIVE_FALLBACK."""
         parked_coll = self._parked_coll
         self._parked_coll = {}
         self._release_parked()
@@ -600,7 +605,10 @@ class Engine:
                 # `__class__ is` beats isinstance() on this hottest of loops.
                 cls = op.__class__
                 if cls is SendOp:
-                    handle = self._issue_send(task, rank, op, now)
+                    handle = self._issue_send(
+                        task, rank, op.dst, op.data, op.tag, op.nwords, now,
+                        op.ack_tag, op.crc,
+                    )
                     if op.blocking:
                         if handle.done:
                             value = None
@@ -611,7 +619,9 @@ class Engine:
                     continue
 
                 if cls is RecvOp:
-                    handle = self._issue_recv(task, rank, op, now)
+                    handle = self._issue_recv(
+                        task, rank, op.src, op.tag, now, op.timeout
+                    )
                     if op.blocking:
                         if handle.done:
                             value = handle.value
@@ -666,27 +676,18 @@ class Engine:
                     return
 
                 if cls is ShiftPhaseOp:
-                    if not self._superstep_ok:
+                    if not self._superstep_ok or task.__class__ is tuple:
                         # This run needs per-hop events (faults, scenario,
-                        # tracing, watchdog, or superstep=False): answer
-                        # immediately so the program runs the equivalent
-                        # loop inline — zero extra events, identical trace.
+                        # tracing, watchdog, or superstep=False), or a
+                        # ctx.parallel sub-task shares its node's ports
+                        # with siblings the recurrence does not model:
+                        # answer once, and the program runs every round of
+                        # the equivalent loop inline — zero extra events,
+                        # identical trace.
+                        self._shift_rounds_event += op.steps
                         value = SHIFT_FALLBACK
                         continue
-                    self._parked[task] = (op, now)
-                    if op.steps > 1:
-                        # Resources this phase will reserve, with the time
-                        # of its first reservation (after the step-0
-                        # multiply); a foreign hop reserving one later
-                        # than that forces release (see _start_hop).
-                        ar, ac = op.a_block.shape
-                        thr = now + self.config.params.flops_time(
-                            2.0 * ar * ac * op.b_block.shape[1]
-                        )
-                        self._hazard_channels[(rank, op.a_to)] = thr
-                        self._hazard_channels[(rank, op.b_to)] = thr
-                        if self._one_port:
-                            self._hazard_nodes[rank] = thr
+                    self._park_shift(task, op, now)
                     return
 
                 if cls is CollectivePhaseOp:
@@ -814,6 +815,90 @@ class Engine:
         self._pending_recvs[rank] = [
             entry for entry in self._pending_recvs[rank] if entry[2].task != task
         ]
+
+    # -- resident shift phases ---------------------------------------------
+    #
+    # The engine's own definition of a shift round.  It issues the same
+    # sends and receives at the same virtual times, and schedules one event
+    # wherever the generator loop in ProcessContext.shift_phase is resumed,
+    # so the two interleave identically with any foreign traffic; what it
+    # saves is the generator frames, context wrappers and op objects.  Only
+    # main programs hold resident phases, so ``task`` is the rank throughout.
+
+    def _park_shift(self, task: Task, op: ShiftPhaseOp, now: float) -> None:
+        """Park ``task`` at a round boundary of its resident phase."""
+        self._parked[task] = (op, now)
+        if op.steps > 1:
+            # Resources this phase will reserve, with the time of its first
+            # reservation (after this round's multiply); a foreign hop
+            # reserving one later than that forces release (see _start_hop).
+            ar, ac = op.a_block.shape
+            thr = now + self.config.params.flops_time(
+                2.0 * ar * ac * op.b_block.shape[1]
+            )
+            self._hazard_channels[(task, op.a_to)] = thr
+            self._hazard_channels[(task, op.b_to)] = thr
+            if self._one_port:
+                self._hazard_nodes[task] = thr
+
+    def _shift_multiply(self, task: Task, op: ShiftPhaseOp, time: float) -> None:
+        """Round step 1: ``C (+)= A @ B``, then the exchange once the
+        multiply's compute time has elapsed."""
+        a, b, c = op.a_block, op.b_block, op.c_block
+        m, k = a.shape
+        n = b.shape[1]
+        if k != b.shape[0] or (c is not None and c.shape != (m, n)):
+            # Blocks of different shapes met on this rank: hand the phase
+            # back, so local_matmul reports it exactly as the loop would.
+            self._step(task, time, SHIFT_FALLBACK)
+            return
+        self._task_time[task] = time
+        self._shift_rounds_event += 1
+        flops = 2.0 * m * k * n
+        duration = self.config.params.flops_time(flops)
+        if not self.timing_only:
+            if c is None:
+                op.c_block = a @ b
+            else:
+                c += a @ b
+        elif c is None:
+            op.c_block = np.broadcast_to(0.0, (m, n))
+        st = self.stats[task]
+        st.flops += flops
+        st.compute_time += duration
+        if duration > 0:
+            self._schedule(time + duration, _SHIFT_EXCHANGE, (task, op))
+        else:
+            self._shift_exchange(task, op, time)
+
+    def _shift_exchange(self, task: Task, op: ShiftPhaseOp, time: float) -> None:
+        """Round step 2: inject A then B and post both receives — or, after
+        the last multiply, resume the program with the final blocks."""
+        if op.steps == 1:
+            self._step(task, time, (op.a_block, op.b_block, op.c_block))
+            return
+        self._task_time[task] = time
+        a, b = op.a_block, op.b_block
+        handles = [
+            self._issue_send(task, task, op.a_to, a, op.tag_a, a.size, time),
+            self._issue_recv(task, task, op.a_from, op.tag_a, time),
+            self._issue_send(task, task, op.b_to, b, op.tag_b, b.size, time),
+            self._issue_recv(task, task, op.b_from, op.tag_b, time),
+        ]
+        waiter = _Waiter(handles, "shift", op)
+        if waiter.ready():  # self-shifts complete on the spot
+            self._shift_repark(task, waiter, time)
+        else:
+            self._blocked[task] = waiter
+
+    def _shift_repark(self, task: Task, waiter: _Waiter, time: float) -> None:
+        """Round step 3: take the received blocks and park at the next
+        round boundary."""
+        self._task_time[task] = time
+        op, handles = waiter.op, waiter.handles
+        op.a_block, op.b_block = handles[1].value, handles[3].value
+        op.steps -= 1
+        self._park_shift(task, op, time)
 
     # -- faults ----------------------------------------------------------
 
@@ -962,18 +1047,23 @@ class Engine:
 
     # -- sends -----------------------------------------------------------
 
-    def _issue_send(self, task: Task, rank: int, op: SendOp, now: float) -> Handle:
-        handle = Handle("send", task, next(self._handle_seq), op.dst, op.tag)
-        data = copy_payload(op.data) if self.config.copy_on_send else op.data
+    def _issue_send(
+        self, task: Task, rank: int, dst: int, data: Any, tag: int,
+        nwords: int, now: float, ack_tag: int | None = None,
+        crc: int | None = None,
+    ) -> Handle:
+        handle = Handle("send", task, next(self._handle_seq), dst, tag)
+        if self.config.copy_on_send:
+            data = copy_payload(data)
         msg = Message(
-            rank, op.dst, op.tag, data, op.nwords, now,
-            next(self._msg_seq), op.ack_tag, op.crc,
+            rank, dst, tag, data, nwords, now,
+            next(self._msg_seq), ack_tag, crc,
         )
         st = self.stats[rank]
         st.messages_sent += 1
-        st.words_sent += op.nwords
+        st.words_sent += nwords
 
-        if op.dst == rank:
+        if dst == rank:
             handle.complete(now)
             self._deliver(msg, now)
             return handle
@@ -1174,9 +1264,8 @@ class Engine:
             # clock.  Same remedy as the reservation hazards in
             # _start_hop: release every parked rank onto the event path
             # first (their resumes sort before this time), then redo the
-            # delivery.  Shift parks are exempt: _resolve_superstep
-            # handles their mailbox traffic with selective laggard
-            # catch-up rounds.
+            # delivery.  Shift parks are exempt: blocks queued at a parked
+            # rank are part of the frontier the shift closed form advances.
             self._release_all_parked()
             self._schedule(time, _HOP_DONE, (transfer, hop_index, handle))
             return
@@ -1192,8 +1281,10 @@ class Engine:
 
     # -- receives ----------------------------------------------------------
 
-    def _issue_recv(self, task: Task, rank: int, op: RecvOp, now: float) -> Handle:
-        src_f, tag_f = op.src, op.tag
+    def _issue_recv(
+        self, task: Task, rank: int, src_f: int, tag_f: int, now: float,
+        timeout: float | None = None,
+    ) -> Handle:
         handle = Handle("recv", task, next(self._handle_seq), src_f, tag_f)
         box = self._mailbox[rank]
         for i, (arrival, msg) in enumerate(box):
@@ -1206,8 +1297,8 @@ class Engine:
                 handle.complete(max(now, arrival), msg.data)
                 return handle
         self._pending_recvs[rank].append((src_f, tag_f, handle))
-        if op.timeout is not None:
-            self._schedule(now + op.timeout, _RECV_TIMEOUT, (rank, handle))
+        if timeout is not None:
+            self._schedule(now + timeout, _RECV_TIMEOUT, (rank, handle))
         return handle
 
     def _expire_recv(self, rank: int, handle: Handle, time: float) -> None:
@@ -1313,7 +1404,10 @@ class Engine:
             if h.completion_time > resume_at:
                 resume_at = h.completion_time
         del self._blocked[task]
-        self._schedule(resume_at, _RESUME, (task, waiter.resume_value()))
+        if waiter.mode == "shift":
+            self._schedule(resume_at, _SHIFT_REPARK, (task, waiter))
+        else:
+            self._schedule(resume_at, _RESUME, (task, waiter.resume_value()))
 
     # -- phases --------------------------------------------------------------
 

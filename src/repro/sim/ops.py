@@ -180,9 +180,9 @@ class BarrierOp:
 
 
 class _ShiftFallback:
-    """Sentinel the engine feeds back into a ``yield ShiftPhaseOp`` when the
-    phase cannot be advanced in closed form: the program must run the
-    equivalent per-message loop instead (see ``ProcessContext.shift_phase``).
+    """Sentinel the engine feeds back into a ``yield ShiftPhaseOp`` when it
+    will not run the phase itself: the program must run the op's remaining
+    rounds as the per-message loop (see ``ProcessContext.shift_phase``).
     """
 
     _instance = None
@@ -199,29 +199,31 @@ class _ShiftFallback:
 SHIFT_FALLBACK = _ShiftFallback()
 
 
-@dataclass
+@dataclass(slots=True)
 class ShiftPhaseOp:
-    """Declare a uniform shift-multiply superstep (Cannon-style inner loop).
+    """A uniform shift-multiply superstep (Cannon-style inner loop).
 
     Semantically identical to::
 
-        for step in range(steps):
+        for left in range(steps, 0, -1):
             C = local_matmul(A, B, C)
-            if step == steps - 1: break
+            if left == 1: break
             waitall([isend(a_to, A, tag_a), irecv(a_from, tag_a),
                      isend(b_to, B, tag_b), irecv(b_from, tag_b)])
             A, B = received
 
-    Yielding this op instead of the loop lets the engine *try* to advance
-    every rank's remaining rounds at once in closed form (see
-    :mod:`repro.sim.superstep`).  The engine answers either with the final
-    ``(A, B, C)`` triple — the phase is done, the rank's clock already
-    advanced — or with :data:`SHIFT_FALLBACK`, in which case the program
-    runs *one* round of the loop above through the ordinary event path and
-    yields a fresh op for the remainder.  ``c_block`` carries the partial
-    accumulator across those round boundaries (``None`` before the first
-    multiply).  Both answers produce bit-identical simulated times; the
-    fast path merely skips the per-hop events.
+    The op is *resident*: a program yields it once and the engine owns the
+    phase from then on.  ``steps`` counts the rounds still to run and
+    ``a_block`` / ``b_block`` / ``c_block`` are the rank's blocks at that
+    round boundary (``c_block`` is ``None`` before the first multiply); the
+    engine updates them as it completes rounds — one at a time through the
+    event machinery while foreign traffic is still in flight, the rest in
+    closed form from the first quiet frontier (:mod:`repro.sim.superstep`) —
+    and resumes the generator exactly once, with the final ``(A, B, C)``.
+    Runs that need every hop as an event (and ``ctx.parallel`` sub-tasks)
+    are answered :data:`SHIFT_FALLBACK` straight away, and the program runs
+    the loop above from the op's state.  Either way the simulated times,
+    statistics and blocks are bit-identical.
     """
 
     steps: int

@@ -279,30 +279,49 @@ class ProcessContext:
         / from ``a_from`` and ``B`` to ``b_to`` / from ``b_from``.
         Returns the final ``(a_block, b_block, c_block)``.
 
-        Declaring the phase at each round boundary (a fresh
-        :class:`~repro.sim.ops.ShiftPhaseOp` carrying the remaining round
-        count and the partial accumulator) lets the engine advance every
-        rank's remaining rounds in closed form the moment the whole
-        machine sits at a compatible boundary with a quiet network — see
-        :mod:`repro.sim.superstep`.  When it cannot (faults, scenarios,
-        tracing, residual foreign traffic, anything irregular), the engine
-        answers :data:`~repro.sim.ops.SHIFT_FALLBACK` and exactly one
-        round runs through the ordinary event machinery before the next
-        attempt; both routes produce bit-identical times, stats and
-        results.
+        The phase is declared once, as a resident
+        :class:`~repro.sim.ops.ShiftPhaseOp`: the engine runs its rounds
+        itself — through the event machinery while foreign traffic is in
+        flight, in closed form from the first quiet frontier (see
+        :mod:`repro.sim.superstep`) — and resumes this generator once,
+        with the final blocks.  A run that needs every hop as an event
+        (faults, scenarios, tracing, a watchdog, ``superstep=False``, a
+        ``ctx.parallel`` sub-task) is answered
+        :data:`~repro.sim.ops.SHIFT_FALLBACK` instead, and the loop below
+        runs the op's rounds message by message.  That loop is the
+        definition of a shift round: the engine's own rounds and the closed
+        form are held bit-identical to it by ``tests/conformance``.
         """
         if steps < 1:
             raise SimulationError(f"shift_phase needs steps >= 1, got {steps}")
-        c_block = None
-        for step in range(steps):
-            verdict = yield ShiftPhaseOp(
-                steps - step, a_to, a_from, b_to, b_from,
-                a_block, b_block, tag_a, tag_b, c_block,
+        # Checked once, before the first yield, so a malformed phase fails
+        # the same way whichever path would have run it.
+        if not (isinstance(a_block, np.ndarray) and isinstance(b_block, np.ndarray)):
+            raise SimulationError(
+                "shift_phase blocks must be numpy arrays, got "
+                f"{type(a_block).__name__} and {type(b_block).__name__}"
             )
-            if verdict is not SHIFT_FALLBACK:
-                return verdict
+        if (
+            a_block.ndim != 2
+            or b_block.ndim != 2
+            or a_block.shape[1] != b_block.shape[0]
+        ):
+            raise SimulationError(
+                f"local_matmul shape mismatch: {a_block.shape} @ {b_block.shape}"
+            )
+        op = ShiftPhaseOp(
+            steps,
+            self._check_peer(a_to), self._check_peer(a_from),
+            self._check_peer(b_to), self._check_peer(b_from),
+            a_block, b_block, int(tag_a), int(tag_b),
+        )
+        verdict = yield op
+        if verdict is not SHIFT_FALLBACK:
+            return verdict
+        a_block, b_block, c_block = op.a_block, op.b_block, op.c_block
+        for left in range(op.steps, 0, -1):
             c_block = yield from self.local_matmul(a_block, b_block, c_block)
-            if step == steps - 1:
+            if left == 1:
                 break
             handles = [
                 (yield from self.isend(a_to, a_block, tag_a)),

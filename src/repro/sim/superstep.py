@@ -3,25 +3,42 @@
 The event engine normally drains one heap event per hop: a Cannon-style
 inner loop of ``K`` multiply steps on ``p`` ranks costs ``O(K·p)`` events
 (four handles, two single-hop transfers and a resume per rank per step).
-Programs instead park a :class:`~repro.sim.ops.ShiftPhaseOp` at every
-round boundary; the moment every active rank is parked at a compatible
-boundary with drained event queues, this module advances all remaining
-rounds at once with a handful of numpy recurrences — *bit-identically* to
-what the event path would have produced.  Until then (residual foreign
-traffic, ranks at different boundaries), the engine releases laggards one
-event-path round at a time (see ``Engine._resolve_superstep`` and the
-hazard maps in ``Engine._start_hop``), so irregular prefixes such as
-Cannon's contended multi-hop skew stay exact and only the synchronized
-tail is batched.
+Programs instead yield one resident :class:`~repro.sim.ops.ShiftPhaseOp`
+per phase, and the engine parks it.  The first time the event queues
+drain with every active rank inside the phase, this module advances all
+remaining rounds of every rank at once with a handful of numpy
+recurrences — *bit-identically* to what the event path would have
+produced.  Until then — a foreign hop about to reserve a parked rank's
+channel or port, see the hazard maps in ``Engine._start_hop`` — the engine
+runs the parked ranks' next round itself, through the ordinary hop events
+(``Engine._shift_multiply`` and the steps after it), so irregular prefixes
+such as Cannon's contended multi-hop skew stay exact and everything from
+the first quiet point on is batched.
+
+The frontier need not be level
+------------------------------
+A contended prefix leaves ranks rounds apart.  At a quiet point a rank is
+either *parked* at a round boundary — any boundary, with the blocks its
+neighbours have already sent queued in its mailbox, FIFO per ``(src,
+tag)`` — or *mid-round*: its own two hops are done and it waits for an
+inbound block whose sender has not reached that round.  Rounds are indexed
+by rounds left, ``k``.  The recurrence iterates ``k`` downwards from the
+rank furthest behind; in iteration ``k`` the ranks parked with ``k`` rounds
+left send, they and the mid-round ranks of round ``k`` receive, and
+everyone else waits.  A block's arrival time is the sender's ``endA`` /
+``endB`` of the same iteration, or — when the sender ran that round
+earlier, on the event path — the queued delivery's (or completed
+handle's) time.
 
 Why the closed form is exact
 ----------------------------
-Within a uniform shift superstep every directional channel ``r -> a_to[r]``
-(and ``r -> b_to[r]``) is reserved by exactly one rank, and each rank
-reserves its A-hop strictly before its B-hop (they are issued by the same
-generator step; the one-port send engagement additionally serializes them).
-Inter-rank event interleaving therefore cannot change any reservation's
-start time, so the per-rank recurrence
+With the network quiet and every active rank in the phase, every
+directional channel ``r -> a_to[r]`` (and ``r -> b_to[r]``) is reserved by
+exactly one rank, and each rank reserves its A-hop strictly before its
+B-hop (they are issued in that order at one virtual time; the one-port
+send engagement additionally serializes them).  Inter-rank event
+interleaving therefore cannot change any reservation's start time, so the
+per-rank recurrence
 
 * ``startA = max(T, chanA_free, port_free)``, ``endA = startA + dA``
 * ``startB = max(T, chanB_free, endA)``, ``endB = startB + dB``  (one-port)
@@ -35,14 +52,20 @@ operations in the same per-rank order the event path folds them in.
 
 Eligibility
 -----------
-The fast path refuses (and the engine releases every parked rank with
-:data:`~repro.sim.ops.SHIFT_FALLBACK`) whenever any per-hop behaviour
-could differ from the closed form: active fault plans or heterogeneous
-scenarios, per-hop trace records, in-flight messages or posted receives,
-sub-tasks/barriers in progress, non-uniform step counts, block shapes or
-tags, shifts that are not neighbour permutations, or self/overlapping
-channels.  Fallback is always safe: the program runs the identical
-per-message loop through the ordinary event machinery.
+Runs whose per-hop behaviour could differ from the recurrence never park
+at all: with an active fault plan or heterogeneous scenario, per-hop trace
+records, a ``max_virtual_time`` watchdog or ``superstep=False``
+(:func:`superstep_ineligibility_reason`), and for ``ctx.parallel``
+sub-tasks, the engine answers the op :data:`~repro.sim.ops.SHIFT_FALLBACK`
+once and the program runs the whole per-message loop.  A parked phase is
+refused — and every parked rank runs one more round through the events —
+when anything but the phase is in flight (other blocked tasks, sub-tasks,
+barriers, mailbox entries or posted receives that are not the phase's
+own), when block shapes or tags differ between ranks or ``tag_a ==
+tag_b``, when the shifts are not neighbour permutations whose receivers
+expect exactly their senders, or when queued blocks do not pair up with
+the rounds their receivers have left.  Refusing is always safe: the
+engine-run round schedules the events the per-message loop would.
 
 Per-channel busy times are bitwise identical between the two paths even
 though the fast path may *create* a phase's channels in rank order rather
@@ -111,44 +134,69 @@ def _all_parked_and_quiet(engine: "Engine", parked: dict) -> bool:
     )
 
 
-def _compatible(engine: "Engine", parked: dict) -> dict | None:
-    """Validate the parked phase; returns the vector spec or ``None``.
+def _frontier(engine: "Engine", parked: dict) -> dict | None:
+    """Validate a quiet frontier of resident shift phases; returns the
+    vector spec or ``None``.
 
-    ``parked`` maps task -> (op, park_time).  All checks are conservative:
-    any doubt means event-path fallback, never a wrong fast answer.
+    ``parked`` maps task -> (op, park time); the mid-round ranks are the
+    ``"shift"`` waiters in ``engine._blocked``.  Nothing is mutated, and
+    all checks are conservative: any doubt means another round through the
+    event machinery, never a wrong fast answer.
     """
-    if not _all_parked_and_quiet(engine, parked):
+    if engine._parallel or engine._barrier_waiting:
         return None
-
-    ranks = sorted(parked)
-    first_op: ShiftPhaseOp = parked[ranks[0]][0]
-    steps = first_op.steps
-    tag_a, tag_b = first_op.tag_a, first_op.tag_b
-    a_shape = np.shape(first_op.a_block)
-    b_shape = np.shape(first_op.b_block)
-    if steps < 1:
+    waiting = engine._blocked
+    active = engine.config.num_nodes - len(engine.done) - len(engine.failed)
+    if len(parked) + len(waiting) != active:
         return None
+    # Sub-tasks never park (the engine answers them SHIFT_FALLBACK), so
+    # every key below is a rank.
+    ops = {task: op for task, (op, _at) in parked.items()}
+    for task, waiter in waiting.items():
+        if waiter.mode != "shift":
+            return None
+        ops[task] = waiter.op
+    ranks = sorted(ops)
+    n_ranks = len(ranks)
+    first: ShiftPhaseOp = ops[ranks[0]]
+    tag_a, tag_b = first.tag_a, first.tag_b
+    a_shape, b_shape = first.a_block.shape, first.b_block.shape
+    if a_shape[1] != b_shape[0]:
+        return None
+    c_shape = (a_shape[0], b_shape[1])
     for r in ranks:
-        op = parked[r][0]
+        op = ops[r]
         if (
-            op.steps != steps
-            or op.tag_a != tag_a
+            op.tag_a != tag_a
             or op.tag_b != tag_b
-            or np.shape(op.a_block) != a_shape
-            or np.shape(op.b_block) != b_shape
+            or op.a_block.shape != a_shape
+            or op.b_block.shape != b_shape
+            or not (op.c_block is None or op.c_block.shape == c_shape)
         ):
             return None
-    if steps > 1:
+    left = [ops[r].steps for r in ranks]
+    # Per rank: has it already sent the round it is in (mid-round), the
+    # time that round cannot complete before, and the inbound blocks that
+    # have already arrived, oldest first, as (arrival, block) — at the
+    # front the one a mid-round rank's receive handle has already matched
+    # (and counted): ``taken_*``.
+    sent = [False] * n_ranks
+    at = [0.0] * n_ranks
+    taken_a = [False] * n_ranks
+    taken_b = [False] * n_ranks
+    queue_a: list[list] = [[] for _ in ranks]
+    queue_b: list[list] = [[] for _ in ranks]
+    a_from_idx = b_from_idx = None
+    if max(left) > 1:
         if tag_a == tag_b:
             return None
         cube = engine.config.cube
         index = {r: i for i, r in enumerate(ranks)}
-        a_to = [parked[r][0].a_to for r in ranks]
-        b_to = [parked[r][0].b_to for r in ranks]
         seen_a: set[int] = set()
         seen_b: set[int] = set()
-        for i, r in enumerate(ranks):
-            ta, tb = a_to[i], b_to[i]
+        for r in ranks:
+            op = ops[r]
+            ta, tb = op.a_to, op.b_to
             if ta == r or tb == r or ta == tb:
                 return None
             if ta not in index or tb not in index:
@@ -156,50 +204,132 @@ def _compatible(engine: "Engine", parked: dict) -> dict | None:
             if not cube.are_neighbors(r, ta) or not cube.are_neighbors(r, tb):
                 return None
             # The receiver must expect exactly this sender on this tag.
-            if parked[ta][0].a_from != r or parked[tb][0].b_from != r:
+            if ops[ta].a_from != r or ops[tb].b_from != r:
                 return None
             seen_a.add(ta)
             seen_b.add(tb)
-        if len(seen_a) != len(ranks) or len(seen_b) != len(ranks):
+        if len(seen_a) != n_ranks or len(seen_b) != n_ranks:
             return None  # not a permutation
-        a_from_idx = np.array(
-            [index[parked[r][0].a_from] for r in ranks], dtype=np.intp
-        )
-        b_from_idx = np.array(
-            [index[parked[r][0].b_from] for r in ranks], dtype=np.intp
-        )
-    else:
-        a_from_idx = b_from_idx = None
+        a_from_idx = [index[ops[r].a_from] for r in ranks]
+        b_from_idx = [index[ops[r].b_from] for r in ranks]
+    for i, r in enumerate(ranks):
+        op = ops[r]
+        qa, qb = queue_a[i], queue_b[i]
+        pending = []
+        if r in parked:
+            at[i] = parked[r][1]
+        else:
+            send_a, recv_a, send_b, recv_b = waiting[r].handles
+            if not (send_a.done and send_b.done):
+                return None
+            at[i] = max(
+                engine._task_time[r],
+                send_a.completion_time, send_b.completion_time,
+            )
+            sent[i] = True
+            taken_a[i], taken_b[i] = recv_a.done, recv_b.done
+            for h, queue in ((recv_a, qa), (recv_b, qb)):
+                if h.done:
+                    queue.append((h.completion_time, h.value))
+                else:
+                    pending.append(h)
+        posted = engine._pending_recvs[r]
+        if len(posted) != len(pending) or any(
+            entry[2] is not h for entry, h in zip(posted, pending)
+        ):
+            return None
+        for arrival, msg in engine._mailbox[r]:
+            if msg.src == op.a_from and msg.tag == tag_a:
+                qa.append((arrival, msg.data))
+            elif msg.src == op.b_from and msg.tag == tag_b:
+                qb.append((arrival, msg.data))
+            else:
+                return None
+        for queue, shape in ((qa, a_shape), (qb, b_shape)):
+            for _arrival, block in queue:
+                if np.shape(block) != shape:
+                    return None
+    if a_from_idx is not None:
+        # Every block a rank still has to receive is either queued at it
+        # or still to be sent by its neighbour, FIFO per (src, tag): the
+        # pairing by rounds-left that the recurrence relies on.
+        for i in range(n_ranks):
+            for queue, frm in ((queue_a, a_from_idx), (queue_b, b_from_idx)):
+                j = frm[i]
+                if left[i] - len(queue[i]) != left[j] - sent[j]:
+                    return None
     return {
-        "ranks": ranks,
-        "steps": steps,
-        "a_shape": a_shape,
-        "b_shape": b_shape,
-        "a_from_idx": a_from_idx,
-        "b_from_idx": b_from_idx,
+        "ranks": ranks, "ops": [ops[r] for r in ranks],
+        "left": left, "sent": sent, "at": at,
+        "taken_a": taken_a, "taken_b": taken_b,
+        "queue_a": queue_a, "queue_b": queue_b,
+        "a_from_idx": a_from_idx, "b_from_idx": b_from_idx,
+        "a_shape": a_shape, "b_shape": b_shape,
     }
 
 
-def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
-    """Advance a fully-parked shift phase in closed form.
+def _rotate_blocks(spec: dict) -> tuple[list, list, list]:
+    """The data plane of :func:`try_advance_superstep`: rotate the blocks
+    and accumulate the same products in the same per-rank order the event
+    path would have, so ``C`` comes out bitwise equal."""
+    ops = spec["ops"]
+    n_ranks = len(ops)
+    left, sent = list(spec["left"]), list(spec["sent"])
+    queue_a = [[block for _, block in q] for q in spec["queue_a"]]
+    queue_b = [[block for _, block in q] for q in spec["queue_b"]]
+    a_from_idx, b_from_idx = spec["a_from_idx"], spec["b_from_idx"]
+    a_blocks = [op.a_block for op in ops]
+    b_blocks = [op.b_block for op in ops]
+    # Each rank keeps adding into the accumulator its event-path rounds
+    # left it, so the float accumulation order is bitwise unchanged.
+    c_blocks = [op.c_block for op in ops]
 
-    Returns ``{task: (finish_time, (a, b, c))}`` on success or ``None``
-    when the phase is not eligible (caller then releases every task with
-    :data:`~repro.sim.ops.SHIFT_FALLBACK`).
+    for k in range(max(left), 0, -1):
+        # Round k: the ranks with k rounds left that have not sent yet
+        # multiply (at k = 1 that is everyone, and the phase is over) ...
+        send = [left[i] == k and not sent[i] for i in range(n_ranks)]
+        for i in range(n_ranks):
+            if send[i]:
+                if c_blocks[i] is None:
+                    c_blocks[i] = a_blocks[i] @ b_blocks[i]
+                else:
+                    c_blocks[i] += a_blocks[i] @ b_blocks[i]
+        if k == 1:
+            break
+        # ... and every rank in round k takes its next blocks: the ones
+        # its neighbours hold now, or the oldest queued ones if a
+        # neighbour is ahead.
+        nxt_a, nxt_b = list(a_blocks), list(b_blocks)
+        for i in range(n_ranks):
+            if left[i] == k:
+                ja, jb = a_from_idx[i], b_from_idx[i]
+                nxt_a[i] = a_blocks[ja] if send[ja] else queue_a[i].pop(0)
+                nxt_b[i] = b_blocks[jb] if send[jb] else queue_b[i].pop(0)
+                left[i] = k - 1
+                sent[i] = False
+        a_blocks, b_blocks = nxt_a, nxt_b
+    return a_blocks, b_blocks, c_blocks
+
+
+def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
+    """Advance the resident shift phases from a quiet frontier, in closed form.
+
+    ``parked`` is ``engine._parked``.  Returns ``{task: (finish_time,
+    (a, b, c))}`` for every rank of the phase on success — and then the
+    engine's mailboxes, posted receives and mid-round waiters of the phase
+    are consumed — or ``None``, with nothing touched, when the frontier is
+    not eligible (the caller then runs one more round through the events).
     """
-    spec = _compatible(engine, parked)
+    spec = _frontier(engine, parked)
     if spec is None:
         return None
     ranks: list[int] = spec["ranks"]
-    steps: int = spec["steps"]
     n_ranks = len(ranks)
     params = engine.config.params
     one_port = engine.config.port_model is PortModel.ONE_PORT
 
     a_rows, a_cols = spec["a_shape"]
     b_rows, b_cols = spec["b_shape"]
-    if a_cols != b_rows:
-        return None
     m_a = a_rows * a_cols
     m_b = b_rows * b_cols
     flops = 2.0 * a_rows * a_cols * b_cols
@@ -208,7 +338,13 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
     d_a = engine._t_s + engine._t_w * m_a
     d_b = engine._t_s + engine._t_w * m_b
 
-    T = np.array([parked[r][1] for r in ranks], dtype=np.float64)
+    left = np.array(spec["left"], dtype=np.int64)
+    sent = np.array(spec["sent"], dtype=bool)
+    # Multiplies and shift rounds each rank runs here (a mid-round rank has
+    # already done its current round's multiply and sends).
+    multiplies = left - sent
+    shifts = multiplies - 1
+    T = np.array(spec["at"], dtype=np.float64)
     stats = engine.stats
     # Per-step stat folds replicate the event path's float accumulation
     # order: each rank adds the same scalar once per multiply step.
@@ -216,116 +352,137 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
     compute_acc = np.array(
         [stats[r].compute_time for r in ranks], dtype=np.float64
     )
-    for _ in range(steps):
-        flops_acc += flops
-        compute_acc += d_c
+    for k in range(int(multiplies.max()), 0, -1):
+        todo = multiplies >= k
+        np.add(flops_acc, flops, out=flops_acc, where=todo)
+        np.add(compute_acc, d_c, out=compute_acc, where=todo)
 
-    shifts = steps - 1
-    if shifts > 0:
-        a_from_idx = spec["a_from_idx"]
-        b_from_idx = spec["b_from_idx"]
+    top = int(left.max())
+    if top > 1:
+        a_from_idx = np.array(spec["a_from_idx"], dtype=np.intp)
+        b_from_idx = np.array(spec["b_from_idx"], dtype=np.intp)
+        arrivals_a = [[arrival for arrival, _ in q] for q in spec["queue_a"]]
+        arrivals_b = [[arrival for arrival, _ in q] for q in spec["queue_b"]]
+        queued = sum(map(len, arrivals_a)) + sum(map(len, arrivals_b))
         tracker = engine.tracker
-        chan_a = [
-            tracker._channel_resource(r, parked[r][0].a_to) for r in ranks
-        ]
-        chan_b = [
-            tracker._channel_resource(r, parked[r][0].b_to) for r in ranks
-        ]
-        chan_a_free = np.array([c.next_free for c in chan_a])
-        chan_b_free = np.array([c.next_free for c in chan_b])
-        chan_a_busy = np.array([c.busy_time for c in chan_a])
-        chan_b_busy = np.array([c.busy_time for c in chan_b])
+        # Planning creates no channel: one a rank has yet to use seeds as
+        # idle (id -1) and gets its slot when the plan is written back.
+        ids = tracker._channel_ids
+        a_to = [op.a_to for op in spec["ops"]]
+        b_to = [op.b_to for op in spec["ops"]]
+        cid_a = np.array(
+            [ids.get(hop, -1) for hop in zip(ranks, a_to)], dtype=np.intp
+        )
+        cid_b = np.array(
+            [ids.get(hop, -1) for hop in zip(ranks, b_to)], dtype=np.intp
+        )
+        chan_a_free = np.where(cid_a >= 0, tracker._free[cid_a], 0.0)
+        chan_b_free = np.where(cid_b >= 0, tracker._free[cid_b], 0.0)
+        chan_a_busy = np.where(cid_a >= 0, tracker._busy[cid_a], 0.0)
+        chan_b_busy = np.where(cid_b >= 0, tracker._busy[cid_b], 0.0)
         if one_port:
-            ports = [tracker._send_port[r] for r in ranks]
-            port_free = np.array([p.next_free for p in ports])
-            port_busy = np.array([p.busy_time for p in ports])
-        T = T + d_c  # step-0 multiply before the first shift
-        for _ in range(shifts):
-            if one_port:
-                sA = np.maximum(T, np.maximum(chan_a_free, port_free))
-                eA = sA + d_a
-                sB = np.maximum(T, np.maximum(chan_b_free, eA))
-                eB = sB + d_b
-                port_free = eB
-                port_busy += d_a
-                port_busy += d_b
-            else:
-                sA = np.maximum(T, chan_a_free)
-                eA = sA + d_a
-                sB = np.maximum(T, chan_b_free)
-                eB = sB + d_b
-            chan_a_free = eA
-            chan_b_free = eB
-            chan_a_busy += d_a
-            chan_b_busy += d_b
-            # Resume when the sends' first (only) hops and both inbound
-            # deliveries are done, then charge the next multiply.
-            T = np.maximum(
-                np.maximum(eA, eB),
-                np.maximum(eA[a_from_idx], eB[b_from_idx]),
+            pid = np.array(
+                [tracker._send_port[r]._i for r in ranks], dtype=np.intp
             )
-            T = T + d_c
-        for i in range(n_ranks):
-            ra, rb = chan_a[i], chan_b[i]
-            ra.next_free = float(chan_a_free[i])
-            ra.busy_time = float(chan_a_busy[i])
-            ra.reservations += shifts
-            rb.next_free = float(chan_b_free[i])
-            rb.busy_time = float(chan_b_busy[i])
-            rb.reservations += shifts
+            port_free, port_busy = tracker._free[pid], tracker._busy[pid]
+        # Round k is the one a rank runs with k rounds left.  Ranks behind
+        # the frontier run it while the others wait; a block whose sender
+        # is ahead is already queued at its receiver.
+        for k in range(top, 1, -1):
+            recv = left == k
+            send = recv & ~sent
+            ready = T + d_c  # this round's multiply, then both injections
             if one_port:
-                pr = ports[i]
-                pr.next_free = float(port_free[i])
-                pr.busy_time = float(port_busy[i])
-                pr.reservations += 2 * shifts
-    else:
-        T = T + d_c
+                eA = np.maximum(ready, np.maximum(chan_a_free, port_free)) + d_a
+                eB = np.maximum(ready, np.maximum(chan_b_free, eA)) + d_b
+                port_free = np.where(send, eB, port_free)
+                np.add(port_busy, d_a, out=port_busy, where=send)
+                np.add(port_busy, d_b, out=port_busy, where=send)
+            else:
+                eA = np.maximum(ready, chan_a_free) + d_a
+                eB = np.maximum(ready, chan_b_free) + d_b
+            chan_a_free = np.where(send, eA, chan_a_free)
+            chan_b_free = np.where(send, eB, chan_b_free)
+            np.add(chan_a_busy, d_a, out=chan_a_busy, where=send)
+            np.add(chan_b_busy, d_b, out=chan_b_busy, where=send)
+            # The round completes when the rank's own first (only) hops and
+            # both inbound deliveries are done.
+            arr_a, arr_b = eA[a_from_idx], eB[b_from_idx]
+            if queued:
+                for i in np.nonzero(recv & ~send[a_from_idx])[0].tolist():
+                    arr_a[i] = arrivals_a[i].pop(0)
+                    queued -= 1
+                for i in np.nonzero(recv & ~send[b_from_idx])[0].tolist():
+                    arr_b[i] = arrivals_b[i].pop(0)
+                    queued -= 1
+            done = np.maximum(
+                np.where(send, np.maximum(eA, eB), T),
+                np.maximum(arr_a, arr_b),
+            )
+            T = np.where(recv, done, T)
+            left = np.where(recv, k - 1, left)
+            sent &= ~recv
+    T = T + d_c  # the last multiply
 
-    for i, r in enumerate(ranks):
-        st = stats[r]
-        st.flops = float(flops_acc[i])
-        st.compute_time = float(compute_acc[i])
-        st.messages_sent += 2 * shifts
-        st.words_sent += (m_a + m_b) * shifts
-        st.messages_received += 2 * shifts
-        st.words_received += (m_a + m_b) * shifts
-
-    # -- data plane: rotate blocks and accumulate the same products in the
-    # same per-rank order the event path would have (bitwise equal C).
-    a_blocks = [parked[r][0].a_block for r in ranks]
-    b_blocks = [parked[r][0].b_block for r in ranks]
-    # Continue each rank's partial accumulator from earlier event-path
-    # rounds (same array object the event path would have kept adding
-    # into, so the float accumulation order is bitwise unchanged).
-    c_blocks: list = [parked[r][0].c_block for r in ranks]
+    # -- data plane
     if not engine.timing_only:
-        a_from_list = (
-            list(spec["a_from_idx"]) if shifts > 0 else None
-        )
-        b_from_list = (
-            list(spec["b_from_idx"]) if shifts > 0 else None
-        )
-        for step in range(steps):
-            for i in range(n_ranks):
-                if c_blocks[i] is None:
-                    c_blocks[i] = a_blocks[i] @ b_blocks[i]
-                else:
-                    c_blocks[i] += a_blocks[i] @ b_blocks[i]
-            if step < shifts:
-                a_blocks = [a_blocks[j] for j in a_from_list]
-                b_blocks = [b_blocks[j] for j in b_from_list]
+        a_blocks, b_blocks, c_blocks = _rotate_blocks(spec)
     else:
         # Timing-only runs never read block *values* and shapes are
         # uniform, so the rotation is a no-op: keep the entry references.
         # C becomes a zero-cost broadcast view with the product's shape,
         # mirroring what ctx.local_matmul returns in timing-only mode, so
         # downstream communication phases still see correctly-sized blocks.
-        c_view = np.broadcast_to(0.0, (a_rows, b_cols))
-        c_blocks = [c_view] * n_ranks
+        a_blocks = [op.a_block for op in spec["ops"]]
+        b_blocks = [op.b_block for op in spec["ops"]]
+        c_blocks = [np.broadcast_to(0.0, (a_rows, b_cols))] * n_ranks
+
+    # -- write back: tracker, statistics, and the phase's engine state
+    if top > 1:
+        senders = np.nonzero(shifts)[0]
+        for cid, to in ((cid_a, a_to), (cid_b, b_to)):
+            for i in senders[cid[senders] < 0].tolist():
+                cid[i] = tracker._channel_slot(ranks[i], to[i])
+        rows_a, rows_b = cid_a[senders], cid_b[senders]
+        tracker._free[rows_a] = chan_a_free[senders]
+        tracker._busy[rows_a] = chan_a_busy[senders]
+        tracker._nres[rows_a] += shifts[senders]
+        tracker._free[rows_b] = chan_b_free[senders]
+        tracker._busy[rows_b] = chan_b_busy[senders]
+        tracker._nres[rows_b] += shifts[senders]
+        if one_port:
+            tracker._free[pid] = port_free
+            tracker._busy[pid] = port_busy
+            tracker._nres[pid] += 2 * shifts
+    # A receive is counted when it is matched: every block still queued or
+    # yet to be sent, but not one a mid-round handle already took.
+    for r, fl, ct, sends, rounds, got_a, got_b in zip(
+        ranks, flops_acc.tolist(), compute_acc.tolist(), shifts.tolist(),
+        spec["left"], spec["taken_a"], spec["taken_b"],
+    ):
+        st = stats[r]
+        st.flops = fl
+        st.compute_time = ct
+        st.messages_sent += 2 * sends
+        st.words_sent += (m_a + m_b) * sends
+        st.messages_received += 2 * (rounds - 1) - got_a - got_b
+        st.words_received += m_a * (rounds - 1 - got_a) + m_b * (rounds - 1 - got_b)
+    # The phase's queued blocks, posted receives and mid-round waiters are
+    # all consumed (the frontier check saw nothing else in them).
+    for r in ranks:
+        if engine._mailbox[r]:
+            engine._mailbox[r].clear()
+    waiting = engine._blocked
+    for r in waiting:
+        engine._pending_recvs[r].clear()
+    waiting.clear()
+    engine._shift_rounds_closed_form += int(multiplies.sum())
 
     return {
-        ranks[i]: (float(T[i]), (a_blocks[i], b_blocks[i], c_blocks[i]))
-        for i in range(n_ranks)
+        r: (finish, blocks)
+        for r, finish, blocks in zip(
+            ranks, T.tolist(), zip(a_blocks, b_blocks, c_blocks)
+        )
     }
 
 
@@ -575,12 +732,6 @@ def _rooted_senders(g: _CollGroup, orders: tuple, combine: bool) -> list:
 # -- pieces: how a block splits over the trees and comes back together -------
 
 
-def _chunk_sizes(total: int, trees: int) -> list[int]:
-    """Element counts ``np.array_split`` gives each of ``trees`` flat chunks."""
-    base, extra = divmod(total, trees)
-    return [base + 1 if j < extra else base for j in range(trees)]
-
-
 def _piece_words(blocks, trees: int, chunked: bool) -> list:
     """``[block][tree]`` word counts of blocks that travel inside a container.
 
@@ -588,7 +739,8 @@ def _piece_words(blocks, trees: int, chunked: bool) -> list:
     accounting; chunked blocks must already be arrays.
     """
     if chunked:
-        return [_chunk_sizes(int(b.size), trees) for b in blocks]
+        chunk_sizes = _trees()[1].chunk_sizes
+        return [chunk_sizes(int(b.size), trees) for b in blocks]
     return [[payload_words({0: b})] for b in blocks]
 
 
@@ -599,7 +751,7 @@ def _received(blocks, mine: int, chunked: bool) -> list:
     stays the object it passed in.  Chunked blocks (arrays) — the rank's
     own too — are split into flat chunks and reassembled by the receiver,
     which reproduces the block exactly: a plain copy is bit-identical and
-    skips the ``array_split`` round trip.
+    skips the split-and-rebuild round trip.
     """
     if chunked:
         return [b.copy() for b in blocks]
@@ -716,7 +868,7 @@ def _broadcast_steps(g: _CollGroup, orders, chunked, timing_only):
     data = g.payloads[g.root]
     if chunked:
         arr = np.asarray(data)
-        sizes = _chunk_sizes(int(arr.size), len(orders))
+        sizes = _trees()[1].chunk_sizes(int(arr.size), len(orders))
     else:
         sizes = [payload_words(data)]
     steps = [
@@ -747,7 +899,7 @@ def _reduce_steps(g: _CollGroup, orders, chunked, timing_only):
         # all-zero array of fixed size, so word counts follow from shapes
         # and the root's value is plain zeros — skipping the per-rank fold
         # replay that dominates at region-map scale.
-        sizes = _chunk_sizes(int(arrs[0].size), trees)
+        sizes = _trees()[1].chunk_sizes(int(arrs[0].size), trees)
         values[g.root] = np.zeros(shape, dtype=arrs[0].dtype)
         return [
             [(si, sizes[j]) for j, si in enumerate(row)] for row in senders

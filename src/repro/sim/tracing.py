@@ -115,6 +115,12 @@ class RunResult:
         diagnostic of host work, not of the simulated machine: it differs
         between the event path and the closed forms, so it never enters
         :meth:`trace_lines` or any digest.
+    shift_rounds_event, shift_rounds_closed_form:
+        Rank-rounds of ``ctx.shift_phase`` (one per rank per multiply)
+        that ran message by message through the event machinery, and that
+        :mod:`repro.sim.superstep` advanced in closed form; together they
+        are every rank's ``steps``.  Diagnostics like ``events_processed``,
+        and outside :meth:`trace_lines` and every digest the same way.
     """
 
     total_time: float
@@ -127,6 +133,8 @@ class RunResult:
     )
     failed_ranks: tuple[int, ...] = ()
     events_processed: int = 0
+    shift_rounds_event: int = 0
+    shift_rounds_closed_form: int = 0
 
     @property
     def num_ranks(self) -> int:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.collectives.chunking import (
     chunk_header,
+    chunk_sizes,
     join_chunks,
     rebuild_from_header,
     split_chunks,
@@ -51,6 +52,23 @@ class TestSplitJoin:
         assert len(chunks) == nchunks
         assert sum(c.size for c in chunks) == size
         assert np.array_equal(join_chunks(chunks, (size,)), arr)
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_splits_exactly_like_array_split(self, r, c, nchunks):
+        """``np.array_split`` over the flat array is the reference: same
+        sizes, same values, and views of one buffer (no copies)."""
+        arr = np.arange(float(r * c)).reshape(r, c)
+        chunks = split_chunks(arr, nchunks)
+        reference = np.array_split(arr.ravel(), nchunks)
+        assert chunk_sizes(arr.size, nchunks) == [ref.size for ref in reference]
+        assert len(chunks) == len(reference)
+        for chunk, ref in zip(chunks, reference):
+            assert np.array_equal(chunk, ref)
+            assert chunk.base is not None and np.shares_memory(chunk, arr) == bool(chunk.size)
 
     @given(
         st.integers(min_value=1, max_value=8),

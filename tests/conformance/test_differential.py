@@ -25,7 +25,7 @@ from repro.analysis.conformance import (
 )
 
 SEED = 2026
-COUNT = 60
+COUNT = 77
 
 CASES = sample_cases(SEED, COUNT)
 
@@ -49,6 +49,20 @@ class TestSampler:
         assert any(
             not c.atoms and c.p >= 64 for c in heavy
         )  # fault-free large-machine cases exercise the closed form itself
+
+    def test_oversamples_cannon_kernel_callers_on_staggering_machines(self):
+        """Past the collective passes, every other case is a fault-free
+        run of a ``cannon_kernel`` caller at p >= 64, where the contended
+        skew leaves the shift phase's frontier rounds apart — and growing
+        the sample renames no earlier case."""
+        from repro.analysis.conformance import _SHIFT_HEAVY
+
+        tail = [c for c in CASES[61:] if c.algorithm in _SHIFT_HEAVY and not c.atoms]
+        assert {c.algorithm for c in tail} == set(_SHIFT_HEAVY)
+        assert len(tail) >= 2 * len(_SHIFT_HEAVY)
+        assert all(c.p >= 64 for c in tail)
+        assert {c.port for c in tail} == {"one-port", "multi-port"}
+        assert sample_cases(SEED, 60) == CASES[:60]
 
     def test_sampler_is_deterministic(self):
         assert sample_cases(SEED, COUNT) == CASES

@@ -73,7 +73,9 @@ class TestCLI:
     def test_run_multi_port(self, capsys):
         assert main(["run", "cannon", "-n", "16", "-p", "16",
                      "--port", "multi"]) == 0
-        assert "multi-port" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "multi-port" in out
+        assert "shift rounds    : 0 by events, 64 in closed form" in out
 
     def test_compare(self, capsys):
         assert main(["compare", "-n", "16", "-p", "16",

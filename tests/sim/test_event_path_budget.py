@@ -4,9 +4,11 @@ Wall-clock on a shared host swings far more than any per-message saving,
 but the number of Python + C function calls ``cProfile`` sees for a fixed
 run is exact: it repeats from run to run, so a ceiling a few percent
 above today's value turns "a message got more expensive" into a
-deterministic tier-1 failure (ROADMAP item 1).  Both runs are forced onto
+deterministic tier-1 failure (ROADMAP item 1).  Two runs are forced onto
 the per-message event path the way real runs are — one by ``trace=True``,
-one by a fault plan under :class:`~repro.mpi.ReliableContext`.
+one by a fault plan under :class:`~repro.mpi.ReliableContext`.  The third
+keeps every knob at its default, and pins how few of its messages reach
+the event path at all.
 
 The ceilings are calls ÷ ``total_messages()`` of the whole
 ``Algorithm.run`` (distribute + simulate + collect) on CPython 3.11,
@@ -57,7 +59,8 @@ def _calls(fn):
     finally:
         prof.disable()
         gc.enable()
-    return sum(entry.callcount for entry in prof.getstats()), run
+    stats = prof.getstats()
+    return sum(entry.callcount for entry in stats), run, stats
 
 
 @pytest.mark.parametrize(
@@ -72,8 +75,8 @@ def _calls(fn):
 )
 def test_calls_per_message_is_exact_and_bounded(fn, messages, ceiling):
     fn()  # fill lru_caches and lazy imports: they are paid once per process
-    first, run = _calls(fn)
-    second, _ = _calls(fn)
+    first, run, _ = _calls(fn)
+    second, _, _ = _calls(fn)
     assert first == second, "the call count of a fixed run must repeat exactly"
     assert run.result.total_messages() == messages
     assert run.result.events_processed > messages  # every hop was an event
@@ -81,3 +84,35 @@ def test_calls_per_message_is_exact_and_bounded(fn, messages, ceiling):
     assert per_message <= ceiling, (
         f"{per_message:.2f} calls per simulated message, ceiling {ceiling}"
     )
+
+
+
+def _default_knobs():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+    cfg = MachineConfig.create(256, t_s=150.0, t_w=3.0)
+    return get_algorithm("cannon").run(a, b, cfg, verify=True)
+
+
+def test_default_knob_cannon_leaves_the_event_path_at_the_first_quiet_point():
+    """Cannon, n = 64 on p = 256, nothing forced: of 8192 messages only the
+    512 of the contended skew and the 470 of the shift rounds that hazard
+    releases ran before the network first fell quiet are ever issued as
+    events; the closed form takes the other 7210 from there, and the engine
+    runs those 470 itself (no generator frames).  The ceiling is 143 524
+    calls plus ~5 % (before the resident op: 250 546 calls, 2 048 messages
+    issued as events)."""
+    _default_knobs()
+    first, run, stats = _calls(_default_knobs)
+    second, _, _ = _calls(_default_knobs)
+    assert first == second, "the call count of a fixed run must repeat exactly"
+    result = run.result
+    assert result.total_messages() == 8192
+    issued = sum(
+        entry.callcount for entry in stats
+        if getattr(entry.code, "co_name", None) == "_issue_send"
+    )
+    assert issued == 512 + 470
+    assert result.shift_rounds_event == 235  # two messages each
+    assert result.shift_rounds_event + result.shift_rounds_closed_form == 256 * 16
+    assert first <= 150_700, f"{first} calls, ceiling 150 700"

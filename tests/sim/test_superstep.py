@@ -3,8 +3,10 @@
 The heavyweight guarantee (bit-identical times/digests on every
 registered algorithm across seeded configurations) lives in
 ``tests/conformance/``; these tests pin the mechanics — eligibility
-gating, per-round fallback, hazard release, selective laggard release,
-timing-only mode — on machines small enough to read.
+gating, engine-run rounds after a hazard release, the closed form from a
+staggered frontier, timing-only mode — on machines small enough to read.
+Which path ran a round is read off ``RunResult.shift_rounds_event`` and
+``shift_rounds_closed_form``.
 """
 
 from __future__ import annotations
@@ -19,21 +21,44 @@ from repro.sim import FaultPlan, MachineConfig, PortModel, run_spmd
 from repro.sim.engine import Engine
 from repro.sim.scenario import hotspot
 from repro.sim.superstep import superstep_ineligibility_reason
+from repro.topology.embedding import Grid2DEmbedding
 
 PARAMS = {"t_s": 7.0, "t_w": 3.0, "t_c": 0.5}
 
 
-def _shift_program(steps: int, *, tag_b: int = 2, delay_rank: int | None = None):
+def _foreign_then_phase(ctx, foreign):
+    """``foreign = (src, dst, count, gap)``: before either enters the shift
+    phase, ``src`` sends ``dst`` ``count`` one-word messages ``gap`` apart.
+    Each is forwarded by ranks already parked in the phase, later than
+    their first reservation would be — a hazard release, so every parked
+    rank runs one round through the events while ``src`` and ``dst`` (and
+    whoever waits for their blocks) fall behind."""
+    src, dst, count, gap = foreign
+    if ctx.rank == src:
+        for _ in range(count):
+            yield from ctx.elapse(gap)
+            yield from ctx.send(dst, np.zeros(1), tag=99)
+    elif ctx.rank == dst:
+        for _ in range(count):
+            yield from ctx.recv(src, tag=99)
+
+
+def _shift_program(
+    steps: int, *, tag_b: int = 2, delay_rank: int | None = None, foreign=None
+):
     """A uniform shift phase on p=4: A partners via XOR 1, B via XOR 2.
 
     Both masks are self-inverse cube-neighbor permutations, so the phase
     is closed-form eligible by construction.  ``delay_rank`` staggers one
-    rank's park time to prove mixed park times still batch exactly.
+    rank's park time to prove mixed park times still batch exactly;
+    ``foreign`` staggers the ranks' *rounds* (see ``_foreign_then_phase``).
     """
 
     def prog(ctx):
         if delay_rank is not None and ctx.rank == delay_rank:
             yield from ctx.elapse(11.0)
+        if foreign is not None:
+            yield from _foreign_then_phase(ctx, foreign)
         a = np.full((2, 2), float(ctx.rank + 1))
         b = np.full((2, 2), float(10 * ctx.rank + 1))
         return (
@@ -46,25 +71,6 @@ def _shift_program(steps: int, *, tag_b: int = 2, delay_rank: int | None = None)
         )
 
     return prog
-
-
-class _PathCounter:
-    """Counts closed-form successes/refusals seen by the engine."""
-
-    def __init__(self, monkeypatch):
-        self.ok = 0
-        self.refused = 0
-        real = engine_mod.try_advance_superstep
-
-        def counted(engine, parked):
-            out = real(engine, parked)
-            if out is None:
-                self.refused += 1
-            else:
-                self.ok += 1
-            return out
-
-        monkeypatch.setattr(engine_mod, "try_advance_superstep", counted)
 
 
 def _both_paths(prog, p=4, *, trace=False, **cfg_kw):
@@ -88,41 +94,43 @@ def _assert_identical(fast, slow):
         assert np.array_equal(fc, c)
 
 
+def _rounds(result):
+    return result.shift_rounds_event, result.shift_rounds_closed_form
+
+
 class TestClosedForm:
-    def test_uniform_phase_is_batched_and_bitwise_identical(self, monkeypatch):
-        counter = _PathCounter(monkeypatch)
+    def test_uniform_phase_is_batched_and_bitwise_identical(self):
         fast, slow = _both_paths(_shift_program(5))
         _assert_identical(fast, slow)
-        assert counter.ok == 1 and counter.refused == 0
+        assert _rounds(fast) == (0, 4 * 5)
+        assert _rounds(slow) == (4 * 5, 0)
 
-    def test_staggered_park_times_still_batch(self, monkeypatch):
-        counter = _PathCounter(monkeypatch)
+    def test_staggered_park_times_still_batch(self):
         fast, slow = _both_paths(_shift_program(4, delay_rank=2))
         _assert_identical(fast, slow)
-        assert counter.ok == 1
+        assert _rounds(fast) == (0, 4 * 4)
 
-    def test_multiport_phase_batches(self, monkeypatch):
-        counter = _PathCounter(monkeypatch)
+    def test_multiport_phase_batches(self):
         fast, slow = _both_paths(
             _shift_program(3), port_model=PortModel.MULTI_PORT
         )
         _assert_identical(fast, slow)
-        assert counter.ok == 1
+        assert _rounds(fast) == (0, 4 * 3)
 
     def test_single_step_phase(self):
         fast, slow = _both_paths(_shift_program(1))
         _assert_identical(fast, slow)
 
-    def test_tag_collision_falls_back(self, monkeypatch):
+    def test_tag_collision_falls_back(self):
         """tag_a == tag_b would cross-match receives; the closed form must
         refuse every shifting round (the final steps=1 boundary is a pure
-        multiply, tag-safe by construction) and the event-path rounds
+        multiply, tag-safe by construction) and the engine-run rounds
         still agree bitwise."""
-        counter = _PathCounter(monkeypatch)
         fast, slow = _both_paths(_shift_program(3, tag_b=1))
         _assert_identical(fast, slow)
-        assert counter.refused == 2  # boundaries with 3 and 2 rounds left
-        assert counter.ok == 1       # the shift-free final round
+        # boundaries with 3 and 2 rounds left refused; the shift-free
+        # final round batched
+        assert _rounds(fast) == (4 * 2, 4 * 1)
 
     def test_steps_below_one_rejected(self):
         with pytest.raises(SimulationError, match="steps"):
@@ -130,11 +138,186 @@ class TestClosedForm:
                 MachineConfig.create(4, **PARAMS), _shift_program(0)
             )
 
+    @pytest.mark.parametrize("superstep", [True, False])
+    @pytest.mark.parametrize(
+        "a_block, message",
+        [
+            (np.ones(4), r"local_matmul shape mismatch: \(4,\) @ \(4, 4\)"),
+            (np.ones((4, 3)), r"local_matmul shape mismatch: \(4, 3\) @ \(4, 4\)"),
+            ([[1.0] * 4] * 4, "blocks must be numpy arrays, got list"),
+        ],
+        ids=["rank-1", "inner-dimension", "not-an-array"],
+    )
+    def test_malformed_blocks_fail_alike_on_both_paths(
+        self, superstep, a_block, message
+    ):
+        """Once a bare ValueError / AttributeError out of the engine's
+        hazard-threshold code on the default path only."""
+
+        def prog(ctx):
+            yield from ctx.shift_phase(
+                steps=2, a_to=ctx.rank ^ 1, a_from=ctx.rank ^ 1,
+                b_to=ctx.rank ^ 2, b_from=ctx.rank ^ 2,
+                a_block=a_block, b_block=np.ones((4, 4)), tag_a=1, tag_b=2,
+            )
+
+        with pytest.raises(SimulationError, match=message) as err:
+            run_spmd(MachineConfig.create(4, **PARAMS), prog, superstep=superstep)
+        assert "[rank 0, task 0, t=0]" in str(err.value)
+
+    def test_blocks_of_different_shapes_meeting_fail_alike(self):
+        """Each rank's own pair multiplies, but a shifted-in block does not
+        fit: the engine's round hands the phase back to the program's loop,
+        whose local_matmul reports it as on the event path."""
+
+        def prog(ctx):
+            k = 2 if ctx.rank & 1 else 3
+            yield from ctx.shift_phase(
+                steps=2, a_to=ctx.rank ^ 1, a_from=ctx.rank ^ 1,
+                b_to=ctx.rank ^ 2, b_from=ctx.rank ^ 2,
+                a_block=np.ones((2, k)), b_block=np.ones((k, 2)),
+                tag_a=1, tag_b=2,
+            )
+
+        errors = []
+        for superstep in (True, False):
+            with pytest.raises(SimulationError, match="shape mismatch") as err:
+                run_spmd(
+                    MachineConfig.create(4, **PARAMS), prog, superstep=superstep
+                )
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+
+def _torus_program(steps, foreign):
+    """Cannon's shift phase, without its skew, on the Gray-embedded 4 x 4
+    torus: A moves left along the row ring, B up along the column ring, so
+    a rank's senders do not depend on it and can run rounds ahead."""
+
+    def prog(ctx):
+        yield from _foreign_then_phase(ctx, foreign)
+        grid = Grid2DEmbedding.square(ctx.config.cube)
+        row, col = grid.coords_of(ctx.rank)
+        rng = np.random.default_rng(ctx.rank)
+        return (
+            yield from ctx.shift_phase(
+                steps=steps,
+                a_to=grid.node_at(row, col - 1), a_from=grid.node_at(row, col + 1),
+                b_to=grid.node_at(row - 1, col), b_from=grid.node_at(row + 1, col),
+                a_block=rng.standard_normal((2, 3)),
+                b_block=rng.standard_normal((3, 2)),
+                tag_a=1, tag_b=2,
+            )
+        )
+
+    return prog
+
+
+def _engines(prog, p, *, timing_only=False, **cfg_kw):
+    """Both paths, keeping the engines: (engine, result) fast and slow."""
+    out = []
+    for superstep in (True, False):
+        eng = Engine(
+            MachineConfig.create(p, **{**PARAMS, **cfg_kw}),
+            superstep=superstep, timing_only=timing_only,
+        )
+        out.append((eng, eng.run(prog)))
+    return out
+
+
+def _resources(engine):
+    """Every channel's and send port's (next free, busy, reservations)."""
+    tracker = engine.tracker
+    views = dict(tracker._channel.items())
+    views.update({("port", r): res for r, res in tracker._send_port.items()})
+    return {
+        key: (res.next_free, res.busy_time, res.reservations)
+        for key, res in views.items()
+    }
+
+
+def _assert_same_machine(fast, slow, *, blocks=True):
+    """``_assert_identical`` plus every channel and port, resource by
+    resource; ``blocks=False`` for timing-only runs, whose blocks are
+    placeholders on both paths."""
+    (fast_eng, fast), (slow_eng, slow) = fast, slow
+    assert fast.total_time == slow.total_time
+    assert fast.trace_digest() == slow.trace_digest()
+    assert fast.stats == slow.stats
+    assert fast.network == slow.network
+    assert _resources(fast_eng) == _resources(slow_eng)
+    if blocks:
+        _assert_identical(fast, slow)
+
+
+class TestStaggeredFrontier:
+    """The closed form from a frontier that is not level.
+
+    Each program staggers the ranks with hazard releases (see
+    ``_foreign_then_phase``); the shapes named below were read off the
+    frontier the closed form was handed.  ``shift_rounds_event`` is pinned
+    to the rounds run *before* that first quiet point: were the closed
+    form to refuse, or to level the frontier through the events first as
+    it once did, the count would be higher.
+    """
+
+    # Three releases on the torus.  Ranks end up with 1 to 4 rounds left;
+    # the two late ranks hold three queued blocks per (src, tag), seven
+    # ranks are mid-round waiting for one block and three for both.
+    @pytest.mark.parametrize("timing_only", [False, True], ids=["data", "timing"])
+    @pytest.mark.parametrize("t_c", [0.5, 0.0])
+    @pytest.mark.parametrize(
+        "port, event_rounds",
+        [(PortModel.ONE_PORT, 33), (PortModel.MULTI_PORT, 32)],
+        ids=["one-port", "multi-port"],
+    )
+    def test_leads_of_several_rounds_with_queued_blocks(
+        self, port, event_rounds, t_c, timing_only
+    ):
+        grid = Grid2DEmbedding.square(MachineConfig.create(16).cube)
+        prog = _torus_program(
+            4, foreign=(grid.node_at(2, 1), grid.node_at(1, 2), 3, 40.0)
+        )
+        fast, slow = _engines(
+            prog, 16, port_model=port, t_c=t_c, timing_only=timing_only
+        )
+        _assert_same_machine(fast, slow, blocks=not timing_only)
+        assert _rounds(fast[1]) == (event_rounds, 16 * 4 - event_rounds)
+        assert fast[1].events_processed < slow[1].events_processed
+
+    def test_lead_of_one_round(self):
+        """One release: every rank is at most one round from its
+        neighbours, one block queued where a sender is ahead."""
+        grid = Grid2DEmbedding.square(MachineConfig.create(16).cube)
+        prog = _torus_program(
+            4, foreign=(grid.node_at(2, 1), grid.node_at(1, 2), 1, 40.0)
+        )
+        fast, slow = _engines(prog, 16)
+        _assert_same_machine(fast, slow)
+        assert _rounds(fast[1]) == (15, 16 * 4 - 15)
+
+    def test_single_rank_ahead_of_everyone(self):
+        """p = 4, message 3 -> 0: the release catches rank 3 freshly parked,
+        so it alone completes a round (its partners 1 and 2 had sent);
+        1 and 2 wait mid-round for rank 0's blocks, rank 0 parks last."""
+        fast, slow = _engines(_shift_program(3, foreign=(3, 0, 1, 30.0)), 4)
+        _assert_same_machine(fast, slow)
+        assert _rounds(fast[1]) == (3, 4 * 3 - 3)
+
+    def test_mid_round_ranks_waiting_on_both_blocks(self):
+        """p = 4, two messages 3 -> 0: ranks 1 and 2 send their first round
+        and wait for both partners (0 and 3), which park only afterwards,
+        each with two blocks queued."""
+        fast, slow = _engines(_shift_program(3, foreign=(3, 0, 2, 30.0)), 4)
+        _assert_same_machine(fast, slow)
+        assert _rounds(fast[1]) == (2, 4 * 3 - 2)
+
 
 class TestCannonPaths:
     """Cannon's skewed alignment drives every engine mechanism at once:
-    hazard releases during the contended skew, selective laggard release
-    through the ±1-round staircase, then one closed-form batch."""
+    hazard releases during the contended skew, engine-run rounds that
+    stagger the frontier, then one closed-form batch from wherever the
+    ranks stand when the network falls quiet."""
 
     def _runs(self, n, p, **kw):
         rng = np.random.default_rng(3)
@@ -148,28 +331,39 @@ class TestCannonPaths:
         )
         return fast, slow
 
-    def test_contended_run_exercises_release_then_batches(self, monkeypatch):
-        counter = _PathCounter(monkeypatch)
-        releases = []
-        real_release = Engine._release_parked
-        monkeypatch.setattr(
-            Engine, "_release_parked",
-            lambda self: (releases.append(1), real_release(self))[1],
-        )
+    def test_contended_run_exercises_release_then_batches(self):
         fast, slow = self._runs(16, 64)
-        assert counter.ok >= 1      # the synchronized tail batched
-        assert counter.refused >= 1  # the skew staircase refused at least once
-        assert len(releases) >= 1    # and forced an event-path round
+        event, closed = _rounds(fast.result)
+        assert event >= 1            # the skew forced engine-run rounds
+        assert closed > event        # and the rest batched
+        assert event + closed == 64 * 8
         assert fast.total_time == slow.total_time
         assert fast.result.trace_digest() == slow.result.trace_digest()
         assert np.array_equal(fast.C, slow.C)
 
-    def test_uncontended_run_batches_immediately(self, monkeypatch):
-        counter = _PathCounter(monkeypatch)
+    def test_uncontended_run_batches_immediately(self):
         fast, slow = self._runs(8, 16)
-        assert counter.ok == 1 and counter.refused == 0
+        assert _rounds(fast.result) == (0, 16 * 4)
         assert fast.total_time == slow.total_time
         assert np.array_equal(fast.C, slow.C)
+
+    @pytest.mark.parametrize(
+        "port", [PortModel.ONE_PORT, PortModel.MULTI_PORT],
+        ids=["one-port", "multi-port"],
+    )
+    def test_default_knob_run_never_returns_to_the_event_path(self, port):
+        """n = 64 on p = 256 (the benchmark's Cannon unit): the event-path
+        rounds are the ones before the first quiet point, 235 rank-rounds
+        one-port — 470 of the run's 8192 messages."""
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((64, 64))
+        B = rng.standard_normal((64, 64))
+        run = get_algorithm("cannon").run(
+            A, B, MachineConfig.create(256, port_model=port), verify=True
+        )
+        event, closed = _rounds(run.result)
+        assert event == {PortModel.ONE_PORT: 235, PortModel.MULTI_PORT: 151}[port]
+        assert event + closed == 256 * 16
 
 
 class TestEligibilityGates:
