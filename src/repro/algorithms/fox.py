@@ -78,8 +78,8 @@ class FoxAlgorithm(MatmulAlgorithm):
             c_block = yield from ctx.local_matmul(roaming, b_block, c_block)
             # 3. roll B up one position along the column.
             if k < q - 1:
-                b_block = yield from ctx.sendrecv(
-                    up, b_block, src=down, send_tag=TAG_B, recv_tag=TAG_B
+                (b_block,) = yield from ctx.neighbor_exchange(
+                    [(up, b_block, TAG_B)], [(down, TAG_B)]
                 )
         return c_block
 

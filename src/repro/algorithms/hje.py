@@ -136,29 +136,22 @@ class HJEAlgorithm(MatmulAlgorithm):
             if t == q - 1:
                 break
             g_t = ilog2(gray_code(t) ^ gray_code(t + 1))
-            handles = []
-            a_handles = []
-            b_handles = []
+            # One neighbour-exchange round: group l of A crosses column
+            # dimension (g_t + l) mod d and group l of B the same row
+            # dimension, all 2d exchanges at once (A^0, B^0, A^1, B^1, ...
+            # is the order a one-port node injects them in).
+            sends = []
+            recvs = []
             for l in range(d):
                 dim = (g_t + l) % d
                 col_peer = node(x_code, y_code ^ (1 << dim))
                 row_peer = node(x_code ^ (1 << dim), y_code)
-                handles.append(
-                    (yield from ctx.isend(col_peer, a_groups[l], TAG_A + 16 + l))
-                )
-                ha = yield from ctx.irecv(col_peer, TAG_A + 16 + l)
-                handles.append(ha)
-                a_handles.append(ha)
-                handles.append(
-                    (yield from ctx.isend(row_peer, b_groups[l], TAG_B + 32 + l))
-                )
-                hb = yield from ctx.irecv(row_peer, TAG_B + 32 + l)
-                handles.append(hb)
-                b_handles.append(hb)
-            yield from ctx.waitall(handles)
-            for l in range(d):
-                a_groups[l] = a_handles[l].value
-                b_groups[l] = b_handles[l].value
+                sends.append((col_peer, a_groups[l], TAG_A + 16 + l))
+                sends.append((row_peer, b_groups[l], TAG_B + 32 + l))
+                recvs.append((col_peer, TAG_A + 16 + l))
+                recvs.append((row_peer, TAG_B + 32 + l))
+            got = yield from ctx.neighbor_exchange(sends, recvs)
+            a_groups, b_groups = got[0::2], got[1::2]
         return c_block
 
     def collect_output(self, n: int, cube: Hypercube, results):

@@ -46,6 +46,8 @@ __all__ = [
     "shrink_case",
     "reproducer",
     "run_suite",
+    "closed_form_reach",
+    "SUITE_COUNT",
 ]
 
 #: machine parameter sets; deliberately includes non-dyadic values (the
@@ -86,6 +88,23 @@ _SHIFT_HEAVY: tuple[str, ...] = ("cannon", "berntsen", "dns_cannon", "3dd_cannon
 #: alternating it with the shift-heavy one (cases keep their index, and
 #: with it their identity, when ``count`` grows)
 _COLLECTIVE_PASSES = 5
+
+#: algorithms whose communication is all single-hop phases with a closed
+#: form: neighbour-exchange rounds (``hje``, ``fox``) and, on a one-port
+#: machine, fused allgather pairs planned through one port column
+#: (``simple``, ``3d_all``, ``3d_all_rect``)
+_SINGLE_HOP: tuple[str, ...] = ("hje", "fox", "simple", "3d_all", "3d_all_rect")
+
+#: alternating cases drawn before the single-hop pass (which then takes one
+#: case per algorithm x port model x routing mode), so that the pass starts
+#: at index 77 of the full registry's sample and renames no earlier case
+_ALTERNATING_BEFORE_SINGLE_HOP = 16
+
+_PORTS = ("one-port", "multi-port")
+_ROUTINGS = ("store-and-forward", "cut-through")
+
+#: size of the sample ``tests/conformance`` and the CI reach report run
+SUITE_COUNT = 97
 
 
 @dataclass(frozen=True)
@@ -132,22 +151,38 @@ def sample_cases(
     chaos flavors) where the closed-form collective path has the most
     surface; from there on every other case is a fault-free run of a
     ``cannon_kernel`` caller at p >= 64, where the skew staggers the shift
-    phase's frontier.  Pure function of ``(seed, count, algorithms)``,
-    and case ``i`` does not depend on ``count``.
+    phase's frontier — interrupted, sixteen cases in, by one pass over the
+    single-hop family (:data:`_SINGLE_HOP`) fault-free at p >= 64, one
+    case per algorithm, port model and routing mode.  Pure function of
+    ``(seed, count, algorithms)``, and case ``i`` does not depend on
+    ``count``.
     """
     algos = tuple(algorithms if algorithms is not None else sorted(ALGORITHMS))
     heavy = tuple(k for k in _COLLECTIVE_HEAVY if k in algos) or algos
     shifty = tuple(k for k in _SHIFT_HEAVY if k in algos) or heavy
+    single = tuple(k for k in _SINGLE_HOP if k in algos)
     machines = {key: _applicable_machines(key) for key in algos}
     base = 2 * len(algos)
     alternating = _COLLECTIVE_PASSES * len(heavy)
+    single_start = base + alternating + _ALTERNATING_BEFORE_SINGLE_HOP
+    single_cases = len(single) * len(_PORTS) * len(_ROUTINGS)
     cases: list[Case] = []
     for i in range(count):
+        port = routing = None
         j = i - base
+        if i >= single_start + single_cases:
+            j -= single_cases  # the alternation resumes where it stopped
         if i < base:
             key = algos[i % len(algos)]
             flavor = (i // len(algos)) % 4  # healthy, faulty, degraded, both
             pool = machines[key][:2] or machines[key]
+        elif single_start <= i < single_start + single_cases:
+            m = i - single_start
+            key = single[m % len(single)]
+            port = _PORTS[m // len(single) % len(_PORTS)]
+            routing = _ROUTINGS[m // (len(single) * len(_PORTS))]
+            flavor = 0
+            pool = [mach for mach in machines[key] if mach[1] >= 64] or machines[key]
         elif j >= alternating and (j - alternating) % 2 == 0:
             key = shifty[(j - alternating) // 2 % len(shifty)]
             flavor = 0
@@ -176,12 +211,13 @@ def sample_cases(
                 "severity": round(0.5 + 1.5 * float(rng.random()), 3),
                 "seed": int(rng.integers(1 << 16)),
             })
-        cases.append(Case(
-            algorithm=key, n=n, p=p,
-            port="multi-port" if rng.random() < 0.5 else "one-port",
-            routing=(
+        if port is None:
+            port = "multi-port" if rng.random() < 0.5 else "one-port"
+            routing = (
                 "cut-through" if rng.random() < 0.3 else "store-and-forward"
-            ),
+            )
+        cases.append(Case(
+            algorithm=key, n=n, p=p, port=port, routing=routing,
             t_s=t_s, t_w=t_w, t_c=t_c,
             atoms=tuple(atoms), data_seed=i,
         ))
@@ -242,16 +278,64 @@ def _outcome(case: Case, *, superstep: bool) -> dict:
         "network": res.network,
         "C": run.C,
         "events": res.events_processed,
+        # Which path ran the collective phases, and why (diagnostics: they
+        # legitimately differ between the two paths).
+        "phases_closed_form": res.collective_phases_closed_form,
+        "phases_event": res.collective_phases_event,
+        "refusals": res.closed_form_refusals,
     }
 
 
 def diff_case(case: Case) -> str | None:
     """Run both paths; ``None`` on bitwise agreement, else a label."""
-    return _compare(
-        _outcome(case, superstep=True),
-        _outcome(case, superstep=False),
-        "fast-vs-event",
+    fast = _outcome(case, superstep=True)
+    return _planner_exceptions(fast) or _compare(
+        fast, _outcome(case, superstep=False), "fast-vs-event",
     )
+
+
+def _planner_exceptions(fast: dict) -> str | None:
+    """A run that completed although a closed-form planner raised: the
+    fallback hid a planner bug (a program error would have failed the run
+    on the event path too)."""
+    raised = sorted(
+        reason for reason in fast.get("refusals", ())
+        if reason.startswith("planner exception")
+    )
+    return f"fast path: {', '.join(raised)}" if raised else None
+
+
+def closed_form_reach(cases: list[Case]) -> dict:
+    """How far the collective closed forms reach over ``cases``.
+
+    Runs the default path of every case whose machine lets phases park
+    (no fault or scenario atoms) and returns ``{"eligible", "declared",
+    "batched", "refusals", "planner_exceptions"}``: how many such cases
+    there are, how many of them declare a collective phase at all, how many
+    of those answered *every* declared phase in closed form, the refusal
+    reasons of the rest (reason -> declared phases, summed over cases), and
+    the ``(case, reason)`` pairs whose reason is a planner exception.
+    """
+    eligible = declared = batched = 0
+    refusals: dict[str, int] = {}
+    planner_exceptions = []
+    for case in cases:
+        if case.atoms:
+            continue
+        eligible += 1
+        fast = _outcome(case, superstep=True)
+        if "error" in fast or not (fast["phases_closed_form"] or fast["phases_event"]):
+            continue
+        declared += 1
+        batched += not fast["phases_event"]
+        for reason, count in fast["refusals"].items():
+            refusals[reason] = refusals.get(reason, 0) + count
+            if reason.startswith("planner exception"):
+                planner_exceptions.append((case, reason))
+    return {
+        "eligible": eligible, "declared": declared, "batched": batched,
+        "refusals": refusals, "planner_exceptions": planner_exceptions,
+    }
 
 
 def _compare(a: dict, b: dict, where: str) -> str | None:
@@ -377,3 +461,23 @@ def run_suite(
             {"case": case, "shrunk": minimal, "label": label}
         )
     return {"cases": len(cases), "mismatches": mismatches}
+
+
+def main() -> int:
+    """Print the closed-form reach of the suite's sample; 1 if any planner
+    raised (the ``conformance`` CI job runs this after the suite)."""
+    reach = closed_form_reach(sample_cases(count=SUITE_COUNT))
+    print(
+        f"{reach['batched']} of {reach['declared']} fault-free cases that "
+        f"declare collective phases batched every one of them "
+        f"({reach['eligible']} fault-free cases sampled)"
+    )
+    for reason, count in sorted(reach["refusals"].items()):
+        print(f"  refused {count:7d} declared phases: {reason}")
+    for case, reason in reach["planner_exceptions"]:
+        print(f"{reason}\n  reproduce: {reproducer(case)}")
+    return 1 if reach["planner_exceptions"] else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -138,6 +138,10 @@ def _cmd_run(args) -> int:
     print(f"engine events   : {run.result.events_processed}")
     print(f"shift rounds    : {run.result.shift_rounds_event} by events, "
           f"{run.result.shift_rounds_closed_form} in closed form")
+    print(f"coll. phases    : {run.result.collective_phases_event} by events, "
+          f"{run.result.collective_phases_closed_form} in closed form")
+    for reason, count in sorted(run.result.closed_form_refusals.items()):
+        print(f"  refused {count:6d} : {reason}")
     coeffs = overhead_coefficients(args.algorithm, args.n, args.p, config.port_model)
     if coeffs is not None:
         a, b = coeffs

@@ -14,7 +14,9 @@ The 3D algorithm family additionally fuses its "two collectives in
 parallel" phases through :func:`parallel_pair`, giving the engine a
 single two-spec op to advance — on a multi-port machine the two subcube
 collectives use disjoint channels and each admits its standalone closed
-form.
+form; on a one-port machine a pair of dimension exchanges (the allgather
+pairs of Simple and 3D All) is planned through one port column per node,
+and a rooted pair is answered ``COLLECTIVE_FALLBACK`` on the spot.
 """
 
 from __future__ import annotations
@@ -115,7 +117,10 @@ def parallel_pair(ctx: ProcessContext, call_a: CollectiveCall, call_b: Collectiv
     Semantically identical to ``ctx.parallel(call_a.gen(), call_b.gen())``;
     the fused declaration lets the engine advance both subcube collectives
     in closed form when their dimension sets are disjoint (the paper's
-    "the two broadcasts can occur in parallel on a multi-port hypercube").
+    "the two broadcasts can occur in parallel on a multi-port hypercube";
+    a one-port node serializes the two schedules' sends through its port,
+    ``call_a``'s first — see "Fused pairs on a one-port machine" in
+    :mod:`repro.sim.superstep`).
     Returns the two collectives' results in slot order.
     """
     if call_a.spec is not None and call_b.spec is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.sim.process import ANY_SOURCE, ANY_TAG
+from repro.sim.process import ANY_SOURCE, ANY_TAG, exchange_round
 
 __all__ = ["ContextProxy"]
 
@@ -147,6 +147,13 @@ class ContextProxy:
             self.send(dst, data, send_tag, nwords),
             self.recv(src, recv_tag, timeout=timeout),
         )
+
+    def neighbor_exchange(self, sends, recvs):
+        """One round of single-hop exchanges over this layer's own
+        primitives (:func:`~repro.sim.process.exchange_round`).  Only the
+        bare context declares the round to the engine — a layer's protocol
+        traffic has no closed form."""
+        return exchange_round(self, sends, recvs)
 
     def _paired(self, send_gen, recv_gen):
         """Run a send and a receive conversation as parallel sub-tasks, so

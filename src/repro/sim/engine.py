@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Callable, Generator
 
 import numpy as np
@@ -64,6 +64,7 @@ from repro.sim.ops import (
 )
 from repro.sim.ports import ContentionTracker
 from repro.sim.superstep import (
+    EXCHANGE_KINDS,
     superstep_ineligibility_reason,
     try_advance_collective,
     try_advance_superstep,
@@ -258,7 +259,8 @@ class Engine:
         self._hazard_nodes: dict[int, float] = {}
         self._hazard_channels: dict[tuple[int, int], float] = {}
         self._one_port = config.port_model.name == "ONE_PORT"
-        self._superstep_ok = superstep_ineligibility_reason(self) is None
+        #: why no phase of this run may park (None: phases park)
+        self._ineligible = superstep_ineligibility_reason(self)
 
         n = config.num_nodes
         self.stats: dict[int, RankStats] = {r: RankStats(r) for r in range(n)}
@@ -275,6 +277,14 @@ class Engine:
         # RunResult): diagnostics like _events_processed, in no digest.
         self._shift_rounds_event = 0
         self._shift_rounds_closed_form = 0
+        # Declared collective phases (one per rank per CollectivePhaseOp)
+        # by how they were answered, and why the refused ones were.
+        self._coll_closed_form = 0
+        self._coll_event = 0
+        self._refusals: defaultdict[str, int] = defaultdict(int)
+        # (members, free_dims) -> index maps of that subcube, built by the
+        # collective planner the first time a phase runs over it.
+        self._coll_tables: dict[tuple, tuple] = {}
         self._msg_seq = itertools.count()
         # Handle ids are per engine (like message ids): the "#k" in a
         # DeadlockError must not depend on what ran earlier in the process.
@@ -334,7 +344,7 @@ class Engine:
                 # Transitional mixed parking (shift and collective phases
                 # co-resident): no combined closed form — release everyone
                 # onto the event path.
-                self._release_all_parked()
+                self._release_all_parked("shift phase parked beside a collective")
                 continue
             if self._parked:
                 # Every pending event is consumed and one or more ranks
@@ -395,6 +405,9 @@ class Engine:
             events_processed=self._events_processed,
             shift_rounds_event=self._shift_rounds_event,
             shift_rounds_closed_form=self._shift_rounds_closed_form,
+            collective_phases_closed_form=self._coll_closed_form,
+            collective_phases_event=self._coll_event,
+            closed_form_refusals=dict(self._refusals),
         )
 
     def _drain_events(self) -> None:
@@ -492,6 +505,7 @@ class Engine:
         """
         outcome = try_advance_collective(self, self._parked_coll)
         if outcome is not None:
+            self._coll_closed_form += len(outcome)
             self._parked_coll = {}
             self._resume_advanced(outcome)
             return
@@ -505,12 +519,16 @@ class Engine:
         for task, (finish, value) in outcome.items():
             self._schedule(finish, _RESUME, (task, value))
 
-    def _release_all_parked(self) -> None:
+    def _release_all_parked(self, reason: str | None = None) -> None:
         """Release both parked sets onto the event path at their park
         times: shift phases for one engine-run round, collectives with
-        COLLECTIVE_FALLBACK."""
+        COLLECTIVE_FALLBACK — counted under ``reason`` (``None``: the
+        planner refused and has already counted why)."""
         parked_coll = self._parked_coll
         self._parked_coll = {}
+        self._coll_event += len(parked_coll)
+        if reason is not None and parked_coll:
+            self._refusals[reason] += len(parked_coll)
         self._release_parked()
         for task, (_op, at) in parked_coll.items():
             self._schedule(at, _RESUME, (task, COLLECTIVE_FALLBACK))
@@ -676,7 +694,7 @@ class Engine:
                     return
 
                 if cls is ShiftPhaseOp:
-                    if not self._superstep_ok or task.__class__ is tuple:
+                    if self._ineligible is not None or task.__class__ is tuple:
                         # This run needs per-hop events (faults, scenario,
                         # tracing, watchdog, or superstep=False), or a
                         # ctx.parallel sub-task shares its node's ports
@@ -691,19 +709,33 @@ class Engine:
                     return
 
                 if cls is CollectivePhaseOp:
-                    if (
-                        not self._superstep_ok
-                        or isinstance(task, tuple)
-                        or (self._one_port and len(op.specs) > 1)
-                    ):
-                        # Ineligible runs, ctx.parallel sub-tasks (whose
-                        # fused parent already declared the pair), and
-                        # fused pairs on one-port machines (the two
-                        # schedules interleave through a single port
-                        # engagement, which only the event path models):
-                        # answer immediately — the schedule runs its
+                    refused = self._ineligible
+                    if refused is None:
+                        specs = op.specs
+                        if task.__class__ is tuple:
+                            # (its fused parent already declared the pair)
+                            refused = "ctx.parallel sub-task"
+                        elif (
+                            self._one_port
+                            and len(specs) > 1
+                            and not (
+                                specs[0].kind in EXCHANGE_KINDS
+                                and specs[1].kind in EXCHANGE_KINDS
+                            )
+                        ):
+                            # A fused pair shares its node's one port.
+                            # Two dimension exchanges park and are planned
+                            # through one port column; a rooted pair (3DD,
+                            # DNS) runs while multi-hop lifts still cross
+                            # its ports, so parking would only be released
+                            # again.
+                            refused = "one-port rooted pair"
+                    if refused is not None:
+                        # Answer immediately — the schedule runs its
                         # ordinary rounds; zero extra events, identical
                         # trace.
+                        self._coll_event += 1
+                        self._refusals[refused] += 1
                         value = COLLECTIVE_FALLBACK
                         continue
                     self._parked_coll[task] = (op, now)
@@ -716,18 +748,15 @@ class Engine:
                     # order against the phase's would otherwise be
                     # ambiguous.
                     thr = math.nextafter(now, -math.inf)
+                    # (A rank parks once until the hazard maps are cleared,
+                    # and every key starts with the rank: no entry exists.)
                     hz_ch = self._hazard_channels
                     for spec in op.specs:
                         node = spec.members[spec.rank]
                         for dim in spec.free_dims:
-                            key = (node, node ^ (1 << dim))
-                            cur = hz_ch.get(key)
-                            hz_ch[key] = thr if cur is None else min(cur, thr)
+                            hz_ch[(node, node ^ (1 << dim))] = thr
                     if self._one_port:
-                        cur = self._hazard_nodes.get(rank)
-                        self._hazard_nodes[rank] = (
-                            thr if cur is None else min(cur, thr)
-                        )
+                        self._hazard_nodes[rank] = thr
                     return
 
                 if cls is BarrierOp:
@@ -1151,7 +1180,7 @@ class Engine:
                 # parked ranks onto the event path at their park times,
                 # then retry this hop after their reservations have gone
                 # in first.
-                self._release_all_parked()
+                self._release_all_parked("foreign hop at a parked rank's resources")
                 self._schedule(time, _HOP_READY, (transfer, hop_index, handle))
                 return
         fs = self.faults
@@ -1266,7 +1295,7 @@ class Engine:
             # first (their resumes sort before this time), then redo the
             # delivery.  Shift parks are exempt: blocks queued at a parked
             # rank are part of the frontier the shift closed form advances.
-            self._release_all_parked()
+            self._release_all_parked("delivery to a parked rank")
             self._schedule(time, _HOP_DONE, (transfer, hop_index, handle))
             return
         if hop_index == 0 and not handle.done:

@@ -271,9 +271,16 @@ class CollectiveSpec:
     that schedule's hop pattern.  ``payload`` is the object the rank
     contributes (a single block, or the per-destination block list for
     alltoall/reduce-scatter); the engine only reads it, never mutates it.
+
+    A ``"neighbor_exchange"`` round (``ProcessContext.neighbor_exchange``)
+    is declared by a rank that knows only itself: ``members`` is
+    ``(node,)``, ``free_dims`` are the dimensions its sends cross,
+    ``payload`` is ``(sends, recvs)`` and ``sched`` is unused.
     """
 
-    kind: str  # "allgather" | "alltoall" | "reduce_scatter" | "broadcast" | "reduce"
+    # "allgather" | "alltoall" | "reduce_scatter" | "broadcast" | "reduce"
+    # | "neighbor_exchange"
+    kind: str
     sched: str  # "sbt" | "rotated"
     members: tuple
     rank: int
@@ -289,9 +296,11 @@ class CollectivePhaseOp:
     """Declare a dimension-exchange collective phase (or a fused pair).
 
     Yielded by the dispatch functions in :mod:`repro.collectives` before
-    they fall into their per-message rounds, and by the 3D family's fused
+    they fall into their per-message rounds, by the 3D family's fused
     "two collectives in parallel" phases (``specs`` then holds two entries,
-    one per sub-collective, in ``ctx.parallel`` slot order).  The engine
+    one per sub-collective, in ``ctx.parallel`` slot order), and by
+    ``ProcessContext.neighbor_exchange`` for one round of single-hop
+    exchanges.  The engine
     answers either with the collective's return value(s) — the phase is
     done and the rank's clock already advanced, bit-identically to the
     event path — or with :data:`COLLECTIVE_FALLBACK`, in which case the

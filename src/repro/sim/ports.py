@@ -229,16 +229,19 @@ class ContentionTracker:
         # the _channel facade (stats, superstep seeding by object).
         self._channel_ids: dict[tuple[int, int], int] = {}
         self._channel = _ChannelViews(self)
-        # hop -> resource-view list, validated once then reused for every
-        # message crossing the same directional link; _hop_ids carries the
-        # same hops as raw column ids for the reserve_hop fast path.
-        self._hop_cache: dict[tuple[int, int], list[Resource]] = {}
+        # hop -> column ids of the resources it holds (channel, then the
+        # sender's port on one-port), validated once and reused for every
+        # message crossing the same directional link.
         self._hop_ids: dict[tuple[int, int], tuple[int, ...]] = {}
         if one_port:
             for node in config.cube.nodes():
                 self._send_port[node] = Resource(
                     f"send_port[{node}]", _store=self, _index=self._alloc()
                 )
+        #: column id of every node's send port, by node (empty: multi-port)
+        self._port_ids = np.array(
+            [port._i for port in self._send_port.values()], dtype=np.intp
+        )
 
     def _alloc(self) -> int:
         """Claim one zeroed column slot; returns its id."""
@@ -267,18 +270,23 @@ class ContentionTracker:
     def _channel_resource(self, u: int, v: int) -> Resource:
         return self._channel._view((u, v), self._channel_slot(u, v))
 
+    def _hop_slots(self, u: int, v: int) -> tuple[int, ...]:
+        """Validate the hop ``u -> v`` on first touch and cache its ids."""
+        if not self.config.cube.are_neighbors(u, v):
+            raise SimulationError(f"hop {u}->{v} is not a hypercube link")
+        ids: tuple[int, ...] = (self._channel_slot(u, v),)
+        if self._send_port:
+            ids += (self._send_port[u]._i,)
+        self._hop_ids[(u, v)] = ids
+        return ids
+
     def hop_resources(self, u: int, v: int) -> list[Resource]:
-        """Resources a hop ``u -> v`` must hold for its duration (cached)."""
-        key = (u, v)
-        resources = self._hop_cache.get(key)
-        if resources is None:
-            if not self.config.cube.are_neighbors(u, v):
-                raise SimulationError(f"hop {u}->{v} is not a hypercube link")
-            resources = [self._channel_resource(u, v)]
-            if self.config.port_model is PortModel.ONE_PORT:
-                resources.append(self._send_port[u])
-            self._hop_cache[key] = resources
-            self._hop_ids[key] = tuple(r._i for r in resources)
+        """Resources a hop ``u -> v`` must hold for its duration, as views
+        (built on demand: the engine reserves through the ids alone)."""
+        ids = self._hop_ids.get((u, v)) or self._hop_slots(u, v)
+        resources = [self._channel._view((u, v), ids[0])]
+        if len(ids) > 1:
+            resources.append(self._send_port[u])
         return resources
 
     def reserve_hop(self, u: int, v: int, ready: float, duration: float) -> float:
@@ -291,8 +299,7 @@ class ContentionTracker:
         """
         ids = self._hop_ids.get((u, v))
         if ids is None:
-            self.hop_resources(u, v)
-            ids = self._hop_ids[(u, v)]
+            ids = self._hop_slots(u, v)
         if duration < 0:
             raise SimulationError(f"negative hold duration on hop {u}->{v}")
         free = self._free

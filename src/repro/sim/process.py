@@ -30,9 +30,12 @@ import numpy as np
 from repro.errors import CommTimeoutError, SimulationError
 from repro.sim.message import payload_words
 from repro.sim.ops import (
+    COLLECTIVE_FALLBACK,
     SHIFT_FALLBACK,
     TIMED_OUT,
     BarrierOp,
+    CollectivePhaseOp,
+    CollectiveSpec,
     ElapseOp,
     Handle,
     ParallelOp,
@@ -42,13 +45,32 @@ from repro.sim.ops import (
     WaitOp,
 )
 
+from repro.util.bits import set_bits
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
-__all__ = ["ProcessContext", "ANY_SOURCE", "ANY_TAG"]
+__all__ = ["ProcessContext", "ANY_SOURCE", "ANY_TAG", "exchange_round"]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
+
+
+def exchange_round(ctx, sends, recvs):
+    """A neighbour-exchange round, message by message, over ``ctx``'s own
+    ``isend`` / ``irecv`` / ``waitall``: post ``sends`` (``(dst, data,
+    tag)``, in order), post ``recvs`` (``(src, tag)``), wait for all;
+    returns the received payloads in ``recvs`` order.  This loop is the
+    definition of the round (``ProcessContext.neighbor_exchange``), and the
+    whole of it for a wrapped context (``repro.mpi.ContextProxy``)."""
+    handles = []
+    for dst, data, tag in sends:
+        handles.append((yield from ctx.isend(dst, data, tag)))
+    posted = len(handles)
+    for src, tag in recvs:
+        handles.append((yield from ctx.irecv(src, tag)))
+    values = yield from ctx.waitall(handles)
+    return values[posted:]
 
 
 class ProcessContext:
@@ -209,6 +231,46 @@ class ProcessContext:
         return (
             yield from self.sendrecv(peer, data, src=peer, send_tag=tag, recv_tag=tag, nwords=nwords)
         )
+
+    def neighbor_exchange(self, sends, recvs):
+        """One round of single-hop exchanges (generator).
+
+        ``sends`` lists ``(dst, data, tag)`` in program order — the order
+        the injections reserve this node's port on a one-port machine —
+        and ``recvs`` lists ``(src, tag)``; every peer should be a
+        hypercube neighbour.  Posts every send, posts every receive, waits
+        for all of them, and returns the received payloads in ``recvs``
+        order.
+
+        The round is declared to the engine first, as a one-spec
+        :class:`~repro.sim.ops.CollectivePhaseOp` of kind
+        ``"neighbor_exchange"``: when every rank parks on such a round with
+        the network quiet, :mod:`repro.sim.superstep` times all of them at
+        once and answers with the received payloads.  Otherwise (an
+        ineligible run, a ``ctx.parallel`` sub-task, a round the planner
+        refuses — a multi-hop or self send, a receive no send matches) the
+        answer is :data:`~repro.sim.ops.COLLECTIVE_FALLBACK` and
+        :func:`exchange_round`, which defines the round, runs it message by
+        message.
+        """
+        rank = self.rank
+        sends = [
+            (self._check_peer(dst), data, tag if tag.__class__ is int else int(tag))
+            for dst, data, tag in sends
+        ]
+        recvs = [(int(src), int(tag)) for src, tag in recvs]
+        if not (sends or recvs):
+            return []
+        crossed = 0
+        for dst, _data, _tag in sends:
+            crossed |= dst ^ rank
+        verdict = yield CollectivePhaseOp((CollectiveSpec(
+            "neighbor_exchange", "", (rank,), 0, set_bits(crossed), 0,
+            (sends, recvs),
+        ),))
+        if verdict is not COLLECTIVE_FALLBACK:
+            return verdict
+        return (yield from exchange_round(self, sends, recvs))
 
     # -- computation -------------------------------------------------------
 

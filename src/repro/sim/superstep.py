@@ -89,6 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 __all__ = [
+    "EXCHANGE_KINDS",
     "superstep_ineligibility_reason",
     "try_advance_superstep",
     "try_advance_collective",
@@ -491,20 +492,24 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 # ---------------------------------------------------------------------------
 #
 # The collectives in ``repro.collectives`` declare themselves to the engine
-# before running their wire schedule (see ``repro.collectives.phase``).  When
-# every active rank is parked on a CollectivePhaseOp with quiet queues, the
-# phase decomposes into independent *groups* — one per (kind, schedule,
-# member-tuple, tag, root, op) — whose channels are provably disjoint.
+# before running their wire schedule (see ``repro.collectives.phase``), and
+# ``ProcessContext.neighbor_exchange`` declares a round of single-hop
+# exchanges the same way.  When every active rank is parked on a
+# CollectivePhaseOp with quiet queues, the phase decomposes into *groups* —
+# one per (kind, schedule, member-tuple, tag, root, op); a neighbour
+# exchange is one machine-wide group — whose channels are provably disjoint.
 #
-# Every group runs the same schedule (the paper's Table 1): ``d = log N``
-# rounds of spanning binomial trees, one tree per dimension order in
-# ``orders``.  A one-port machine runs the single identity-order tree and
-# serializes its sends through the node's port; a multi-port machine splits
-# every block into ``d`` chunks and runs the ``d`` rotated trees at once,
-# tree ``j`` crossing dimension ``orders[j][t]`` in round ``t``.  What tells
-# the kinds apart is their *step table* — who sends how many words at each
-# (round, tree) — and ``_reserve`` folds any step table through one
-# recurrence, per send across dimension ``k``:
+# A collective group runs the paper's Table 1 schedule: ``d = log N`` rounds
+# of spanning binomial trees, one tree per dimension order in ``orders``.  A
+# one-port machine runs the single identity-order tree and serializes its
+# sends through the node's port; a multi-port machine splits every block
+# into ``d`` chunks and runs the ``d`` rotated trees at once, tree ``j``
+# crossing dimension ``orders[j][t]`` in round ``t``.  What tells the kinds
+# apart is their *step table* — per round, a list of rows ``(senders, dim,
+# words)``: who sends how many words across which subcube dimension — and
+# ``_reserve_rounds`` folds any step table (all of a phase's, merged: see
+# "the recurrence" below) through one recurrence, per send across
+# dimension ``k``:
 #
 #     s  = max(T, chan_free[k], port_free)        (port column: one-port only)
 #     e  = s + (t_s + t_w·w)
@@ -512,33 +517,103 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 #
 # A send across ``k`` arrives at the sender's ``k``-partner, and ``T'``
 # takes effect when the round ends (the schedules ``waitall`` once per
-# round; a rank with nothing to do in a round keeps its clock).  These are
-# the IEEE operations the event path performs, in the same per-rank order,
-# so makespans, per-channel busy times and message/word counters come out
-# bit-identical; returned values do too, because each step-table builder
-# replays its schedule's data movement with the same helpers and the same
-# fold order.
+# round; a rank with nothing to do in a round keeps its clock).  The rows of
+# one round are all ready at the round's ``T`` and are folded in order, so a
+# rank that appears in several rows (a neighbour exchange lists each rank's
+# sends in program order, row ``r`` holding everyone's ``r``-th) reserves
+# its port — and a channel it uses twice — in exactly the order its
+# injection events fire.  These are the IEEE operations the event path
+# performs, in the same per-rank order, so makespans, per-channel busy times
+# and message/word counters come out bit-identical; returned values do too,
+# because each step-table builder replays its schedule's data movement with
+# the same helpers and the same fold order.
+#
+# Why per-rank order is all that matters: every message is a single hop,
+# channel ``u -> v`` and (one-port) the send port of ``u`` are reserved only
+# by sends of ``u``'s own program, and nothing else is in flight — so the
+# order in which *different* ranks' events interleave cannot change any
+# reservation's start time.
+#
+# Fused pairs on a one-port machine.  ``parallel_pair`` runs two collectives
+# as sub-tasks of one node, so both schedules' sends share that node's port.
+# The plan folds the rounds in the order a₀ b₀ a₁ b₁ … (then the longer
+# schedule's tail), the two sub-tasks keeping separate clocks, and *checks*
+# that along this order each rank's ready times (the ``T`` its send is
+# issued at) strictly increase after the initial a₀/b₀ tie, refusing the
+# phase otherwise.  That check makes the assumed order the event path's
+# order: take the earliest event time ``τ`` at which the event path could
+# deviate from the plan.  Every reservation made before ``τ`` matches, and a
+# send's ready time is a maximum over completions of earlier reservations
+# (durations are positive), so the sends becoming ready at ``τ`` are the
+# planned ones; per rank that is at most one send (strictness), or the
+# a₀/b₀ pair, whose injection events fire in ``ctx.parallel`` slot order.
+# It finds its port and channel exactly as the plan left them, because both
+# are reserved only by this rank's own sends and the earlier ones are the
+# sends with smaller ready times — so it starts when planned, and nothing
+# deviates at ``τ`` either.
 #
 # Adding a collective: write ``_<kind>_steps(g, orders, chunked,
-# timing_only)`` returning ``(steps, values)`` — ``steps[t][j]`` is
-# ``(senders, words)``, comm ranks and the word count of each one's message
-# (one int when all are equal); ``values[i]`` is what comm rank ``i``'s call
-# returns.  Register it in ``_STEP_TABLES`` and in ``_EXCHANGE_KINDS`` or
-# ``_ROOTED_KINDS``, have the dispatch function declare ``make_spec(kind,
-# ...)``, and add the kind to ``tests/collectives/test_closed_form.py``.
+# timing_only)`` returning ``(steps, values)`` — ``steps[t]`` is round
+# ``t``'s list of rows ``(senders, dim, words)``: comm ranks, the subcube
+# dimension index each one's message crosses and its word count (``dim`` and
+# ``words`` are one int when all senders agree, else arrays aligned with
+# ``senders``; a sender appears at most once per row and no two senders of
+# a row share a receiver, which is free when the row crosses one dimension)
+# — and ``values[i]`` is what comm rank ``i``'s call returns.  Register it in ``_STEP_TABLES`` and
+# in ``EXCHANGE_KINDS`` or ``_ROOTED_KINDS``, have the dispatch function
+# declare ``make_spec(kind, ...)``, and add the kind to
+# ``tests/collectives/test_closed_form.py``.
 #
 # Any doubt — schedule mismatch with the port model, malformed groups,
-# foreign traffic, or any exception while planning (which the event path
-# would reproduce verbatim) — refuses, and the engine releases every parked
-# rank with ``COLLECTIVE_FALLBACK``.  Planning mutates nothing: tracker
-# resources and stats are written only after every group has planned.
+# foreign traffic, a pair whose port order cannot be proven, or any
+# exception while planning (which the event path would reproduce verbatim)
+# — refuses under a named reason (``RunResult.closed_form_refusals``), and
+# the engine releases every parked rank with ``COLLECTIVE_FALLBACK``.
+# Planning mutates nothing: tracker resources and stats are written only
+# after the whole phase has planned.
 
-_EXCHANGE_KINDS = frozenset({"allgather", "alltoall", "reduce_scatter"})
+#: dimension-exchange kinds: every rank sends in every round.  A fused pair
+#: of these also parks on a one-port machine (``Engine._step``).
+EXCHANGE_KINDS = frozenset({"allgather", "alltoall", "reduce_scatter"})
 _ROOTED_KINDS = frozenset({"broadcast", "reduce"})
+_NEIGHBOR = "neighbor_exchange"
 
 
 class _Refuse(Exception):
-    """Internal: abandon the closed form, fall back to the event path."""
+    """Internal: abandon the closed form, fall back to the event path.
+    ``args[0]`` names the reason for ``RunResult.closed_form_refusals``."""
+
+
+def _subcube_tables(nodes, free_dims) -> tuple | None:
+    """The subcube-index maps Comm guarantees, recomputed from the member
+    list: ``(sub, cr_of_sub, partners, everyone, node_ids)`` (read-only,
+    shared by every phase of a run over the same members), or ``None`` if
+    the members are not the subcube spanning ``free_dims``."""
+    n, d = len(nodes), len(free_dims)
+    base = nodes[0]
+    mask = 0
+    for dim in free_dims:
+        mask |= 1 << dim
+    sub = []
+    for node in nodes:
+        if (node ^ base) & ~mask:
+            return None
+        s_val = 0
+        for k, dim in enumerate(free_dims):
+            if (node >> dim) & 1:
+                s_val |= 1 << k
+        sub.append(s_val)
+    cr_of_sub = [-1] * n
+    for cr, s_val in enumerate(sub):
+        if cr_of_sub[s_val] != -1:
+            return None
+        cr_of_sub[s_val] = cr
+    sub = np.asarray(sub, dtype=np.intp)
+    cr_of_sub = np.asarray(cr_of_sub, dtype=np.intp)
+    # partners[k, i]: comm rank of member i's neighbour across subcube
+    # dimension k.
+    partners = np.array([cr_of_sub[sub ^ (1 << k)] for k in range(d)])
+    return sub, cr_of_sub, partners, np.arange(n), np.asarray(nodes, dtype=np.intp)
 
 
 class _CollGroup:
@@ -546,125 +621,129 @@ class _CollGroup:
 
     __slots__ = (
         "kind", "sched", "nodes", "free_dims", "tag", "root", "op",
-        "n", "d", "sub", "cr_of_sub", "partners", "everyone",
-        "at", "payloads", "slots",
+        "n", "d", "sub", "cr_of_sub", "partners", "everyone", "node_ids",
+        "dim_ids", "at", "payloads", "filled", "slot", "steps", "values",
     )
 
-    def __init__(self, kind, sched, nodes, free_dims, tag, root, op):
+    def __init__(self, kind, sched, nodes, free_dims, tag, root, op, slot, tables):
         self.kind = kind
         self.sched = sched
-        self.nodes = list(nodes)
-        self.free_dims = list(free_dims)
+        self.nodes = nodes
+        self.free_dims = free_dims
         self.tag = tag
         self.root = root
         self.op = op
         self.n = len(nodes)
         self.d = len(free_dims)
-        self.sub = None
-        self.cr_of_sub = None
-        self.partners = None
-        self.everyone = None
+        (
+            self.sub, self.cr_of_sub, self.partners, self.everyone,
+            self.node_ids,
+        ) = tables
+        #: free_dims as an array, for rows whose senders cross different ones
+        self.dim_ids = np.asarray(free_dims, dtype=np.intp)
         self.at = [0.0] * self.n
         self.payloads = [None] * self.n
-        self.slots = [0] * self.n
-
-    def build_tables(self) -> bool:
-        """Recompute the subcube-index maps Comm guarantees; False if broken."""
-        base = self.nodes[0]
-        mask = 0
-        for dim in self.free_dims:
-            mask |= 1 << dim
-        sub = []
-        for node in self.nodes:
-            if (node ^ base) & ~mask:
-                return False
-            s_val = 0
-            for k, dim in enumerate(self.free_dims):
-                if (node >> dim) & 1:
-                    s_val |= 1 << k
-            sub.append(s_val)
-        cr_of_sub = [-1] * self.n
-        for cr, s_val in enumerate(sub):
-            if cr_of_sub[s_val] != -1:
-                return False
-            cr_of_sub[s_val] = cr
-        self.sub = np.asarray(sub, dtype=np.intp)
-        self.cr_of_sub = np.asarray(cr_of_sub, dtype=np.intp)
-        # Comm rank of every member's neighbour across each subcube dim.
-        self.partners = [
-            self.cr_of_sub[self.sub ^ (1 << k)] for k in range(self.d)
-        ]
-        self.everyone = np.arange(self.n)
-        return True
+        self.filled = 0  # bit cr: member cr has declared
+        #: which entry of its members' ops this group is (fused pairs: 0 or 1)
+        self.slot = slot
+        self.steps = None
+        self.values = None
 
 
-def _collective_groups(engine: "Engine", parked: dict) -> list | None:
-    """Partition the parked ops into validated groups, or ``None``."""
+def _collective_groups(engine: "Engine", parked: dict) -> list:
+    """Partition the parked ops into validated groups, slot-0 groups first;
+    raises :class:`_Refuse`."""
     if not _all_parked_and_quiet(engine, parked):
-        return None
+        raise _Refuse("ranks outside the phase, or traffic in flight")
     one_port = engine.config.port_model is PortModel.ONE_PORT
+    sched = "sbt" if one_port else "rotated"
 
     groups: dict[tuple, _CollGroup] = {}
-    filled: dict[tuple, int] = {}
     for task, (op, at) in parked.items():
         specs = op.specs
-        if not 1 <= len(specs) <= 2:
-            return None
-        if len(specs) == 2:
-            # Fused pairs overlap only on multi-port machines (a one-port
-            # node interleaves the two schedules through its single
-            # engagement — keep that contention on the event path), and
-            # only when the two subcubes use disjoint physical dimensions.
-            if one_port:
-                return None
-            if set(specs[0].free_dims) & set(specs[1].free_dims):
-                return None
+        fused = len(specs) - 1  # 0: one collective, 1: a fused pair
+        if fused not in (0, 1):
+            raise _Refuse("malformed phase")
+        if fused and set(specs[0].free_dims) & set(specs[1].free_dims):
+            # The two subcubes of a fused pair must use disjoint physical
+            # dimensions: each channel then belongs to one schedule.
+            raise _Refuse("fused pair shares a dimension")
         for slot, spec in enumerate(specs):
             kind = spec.kind
-            if kind in _EXCHANGE_KINDS:
-                if spec.root is not None:
-                    return None
-            elif kind in _ROOTED_KINDS:
-                if not isinstance(spec.root, int):
-                    return None
+            if kind == _NEIGHBOR:
+                # One machine-wide group; comm rank == node address.
+                key = kind
+                cr = task
             else:
-                return None
-            if spec.sched != ("sbt" if one_port else "rotated"):
-                return None
-            n = len(spec.members)
-            if n < 2 or n != (1 << len(spec.free_dims)):
-                return None
-            if not 0 <= spec.rank < n or spec.members[spec.rank] != task:
-                return None
-            key = (
-                kind, spec.sched, spec.members, spec.free_dims,
-                spec.tag, spec.root, spec.op,
-            )
-            g = groups.get(key)
-            if g is None:
-                g = _CollGroup(
+                key = (
                     kind, spec.sched, spec.members, spec.free_dims,
                     spec.tag, spec.root, spec.op,
                 )
-                if not g.build_tables():
-                    return None
-                groups[key] = g
-                filled[key] = 0
-            cr = spec.rank
-            if (filled[key] >> cr) & 1:
-                return None
-            filled[key] |= 1 << cr
+                cr = spec.rank
+            g = groups.get(key)
+            if g is None:
+                g = groups[key] = _new_group(engine, spec, slot, sched)
+            if (
+                not 0 <= cr < g.n
+                or g.nodes[cr] != task
+                or (g.filled >> cr) & 1
+                or g.slot != slot
+            ):
+                raise _Refuse("malformed phase")
+            g.filled |= 1 << cr
             g.at[cr] = at
             g.payloads[cr] = spec.payload
-            g.slots[cr] = slot
-    out = []
-    for key, g in groups.items():
-        if filled[key] != (1 << g.n) - 1:
-            return None
-        if g.kind in _ROOTED_KINDS and not 0 <= g.root < g.n:
-            return None
-        out.append(g)
-    return out
+    if _NEIGHBOR in groups and len(groups) > 1:
+        raise _Refuse("neighbor exchange beside a collective")
+    for g in groups.values():
+        if g.filled != (1 << g.n) - 1:
+            raise _Refuse(
+                "neighbor exchange without every rank" if g.kind == _NEIGHBOR
+                else "malformed phase"
+            )
+    return [g for g in groups.values() if g.slot == 0] + [
+        g for g in groups.values() if g.slot == 1
+    ]
+
+
+def _new_group(engine: "Engine", spec, slot: int, sched: str) -> _CollGroup:
+    """Validate what all members of one group share and build the group."""
+    kind = spec.kind
+    if kind == _NEIGHBOR:
+        # Comm rank == node address: the index maps are the identity and
+        # a partner is one XOR away (no table).
+        n, d = engine.config.num_nodes, engine.config.dimension
+        if n != 1 << d:
+            raise _Refuse("malformed phase")
+        everyone = np.arange(n)
+        return _CollGroup(
+            kind, "", range(n), range(d), None, None, None, slot,
+            (everyone, everyone, None, everyone, everyone),
+        )
+    n = len(spec.members)
+    if kind in EXCHANGE_KINDS:
+        if spec.root is not None:
+            raise _Refuse("malformed phase")
+    elif kind in _ROOTED_KINDS:
+        if not (isinstance(spec.root, int) and 0 <= spec.root < n):
+            raise _Refuse("malformed phase")
+    else:
+        raise _Refuse(f"no step table for kind {kind!r}")
+    if spec.sched != sched:
+        raise _Refuse("schedule does not match the port model")
+    if n < 2 or n != (1 << len(spec.free_dims)):
+        raise _Refuse("malformed phase")
+    shape = (spec.members, spec.free_dims)
+    tables = engine._coll_tables.get(shape)
+    if tables is None:
+        tables = _subcube_tables(*shape)
+        if tables is None:
+            raise _Refuse("malformed phase")
+        engine._coll_tables[shape] = tables
+    return _CollGroup(
+        kind, spec.sched, spec.members, spec.free_dims,
+        spec.tag, spec.root, spec.op, slot, tables,
+    )
 
 
 # -- trees --------------------------------------------------------------------
@@ -783,7 +862,7 @@ def _allgather_steps(g: _CollGroup, orders, chunked, timing_only):
         row = []
         for j, order in enumerate(orders):
             w = held[j]
-            row.append((g.everyone, w))
+            row.append((g.everyone, order[t], w))
             held[j] = w + w[g.partners[order[t]]]
         steps.append(row)
     return steps, [_received(blocks, i, chunked) for i in range(g.n)]
@@ -812,7 +891,7 @@ def _alltoall_steps(g: _CollGroup, orders, chunked, timing_only):
             k = order[t]
             side = bit[:, k]
             moving = np.where(side[:, None] != side[None, :], held[j], 0)
-            row.append((g.everyone, moving.sum(axis=1)))
+            row.append((g.everyone, k, moving.sum(axis=1)))
             held[j] = held[j] - moving + moving[g.partners[k]]
         steps.append(row)
     return steps, [
@@ -849,7 +928,7 @@ def _reduce_scatter_steps(g: _CollGroup, orders, chunked, timing_only):
                     dst: mine.pop(dst)
                     for dst in list(mine) if bit[dst][k] != my_bit
                 })
-            row.append((g.everyone, np.array(
+            row.append((g.everyone, k, np.array(
                 [payload_words(m) for m in moving], dtype=np.int64
             )))
             for i, peer in enumerate(g.partners[k].tolist()):
@@ -872,8 +951,8 @@ def _broadcast_steps(g: _CollGroup, orders, chunked, timing_only):
     else:
         sizes = [payload_words(data)]
     steps = [
-        [(senders, sizes[j]) for j, senders in enumerate(row)]
-        for row in _rooted_senders(g, orders, combine=False)
+        [(senders, orders[j][t], sizes[j]) for j, senders in enumerate(row)]
+        for t, row in enumerate(_rooted_senders(g, orders, combine=False))
     ]
     # Non-roots rebuild the array from its chunks (an exact copy, see
     # _received) or receive the engine's payload copy.
@@ -902,7 +981,8 @@ def _reduce_steps(g: _CollGroup, orders, chunked, timing_only):
         sizes = _trees()[1].chunk_sizes(int(arrs[0].size), trees)
         values[g.root] = np.zeros(shape, dtype=arrs[0].dtype)
         return [
-            [(si, sizes[j]) for j, si in enumerate(row)] for row in senders
+            [(si, orders[j][t], sizes[j]) for j, si in enumerate(row)]
+            for t, row in enumerate(senders)
         ], values
     split = _trees()[1].split_chunks
     # acc[i][j]: rank i's accumulated tree-j piece
@@ -915,7 +995,7 @@ def _reduce_steps(g: _CollGroup, orders, chunked, timing_only):
         out = []
         for j, si in enumerate(row):
             sent = [acc[i][j] for i in si.tolist()]
-            out.append((si, np.array(
+            out.append((si, orders[j][t], np.array(
                 [payload_words(c) for c in sent], dtype=np.int64
             )))
             parents = g.partners[orders[j][t]][si]
@@ -926,110 +1006,271 @@ def _reduce_steps(g: _CollGroup, orders, chunked, timing_only):
     return steps, values
 
 
+def _neighbor_exchange_steps(g: _CollGroup, orders, chunked, timing_only):
+    """One round of single-hop sends: row ``r`` holds every rank's ``r``-th
+    send, so a rank's injections are folded in its program order."""
+    ndarray = np.ndarray
+    dim_of = {1 << k: k for k in range(g.d)}
+    inbound: list[dict] = [{} for _ in range(g.n)]  # receiver -> (src, tag) -> data
+    rows: list[list] = []  # rows[r]: (sender, dimension, words) per send
+    try:
+        for i, (sends, _recvs) in enumerate(g.payloads):
+            if len(sends) > len(rows):
+                rows.extend([] for _ in range(len(sends) - len(rows)))
+            for row, (dst, data, tag) in zip(rows, sends):
+                box = inbound[dst]
+                key = (i, tag)
+                if key in box:
+                    raise _Refuse("neighbor exchange: repeated (source, tag)")
+                box[key] = data
+                row.append((
+                    i, dim_of[dst ^ i],
+                    data.size if data.__class__ is ndarray else payload_words(data),
+                ))
+    except KeyError:
+        raise _Refuse("neighbor exchange: non-neighbour or self send") from None
+    values = []
+    for box, (_sends, recvs) in zip(inbound, g.payloads):
+        # Every queued message is received and every receive names its own
+        # (source, tag): the pairing cannot depend on arrival order.
+        if len(recvs) != len(box) or set(recvs) != box.keys():
+            raise _Refuse("neighbor exchange: unmatched receive or tag")
+        values.append([
+            data.copy() if data.__class__ is ndarray else copy_payload(data)
+            for data in map(box.__getitem__, recvs)
+        ])
+    steps = []
+    for row in rows:
+        si, dims, words = np.array(row, dtype=np.int64).T
+        steps.append((si, dims, words))
+    return [steps], values
+
+
 _STEP_TABLES = {
     "allgather": _allgather_steps,
     "alltoall": _alltoall_steps,
     "reduce_scatter": _reduce_scatter_steps,
     "broadcast": _broadcast_steps,
     "reduce": _reduce_steps,
+    _NEIGHBOR: _neighbor_exchange_steps,
 }
 
 
 # -- the recurrence -------------------------------------------------------------
+#
+# The groups of a phase are folded together, in machine-wide indices: a
+# comm rank becomes its node address, subcube dimension ``k`` the physical
+# dimension ``free_dims[k]`` (so the ``k``-partner is ``node ^ (1 << dim)``),
+# and row ``r`` of round ``t`` of every group in one slot is one row.  Groups
+# share no rank, so which of them a row's senders come from changes nothing
+# — and a phase of 64 eight-node groups costs the numpy calls of one.
+
+_DIM_BITS = 6  # a channel's code is (sender << _DIM_BITS) | dimension
 
 
-def _reserve(engine: "Engine", g: _CollGroup, orders, steps, one_port) -> dict:
-    """Fold a step table through the reservation recurrence (see above).
+def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
+    """Merge the groups' step tables and seed the phase's reservation state
+    from the live tracker.
 
-    Reads the live tracker, writes nothing: the returned plan is applied by
-    :func:`_commit` once every group of the phase has planned.
+    Reads only; :func:`_reserve_rounds` folds the rounds through the
+    returned plan and :func:`_commit` applies it.  ``plan["rounds"][t]`` is
+    ``(slot, rows)`` pairs, slot 0 first; a row is ``(src, dst, chan,
+    words)``: node addresses, indices into the plan's channel columns, word
+    counts.
     """
-    n, d = g.n, g.d
-    tracker = engine.tracker
-    t_s, t_w = engine._t_s, engine._t_w
-    # Channels are created lazily and ``channels_used`` counts every created
-    # one, so planning must not instantiate a channel a refused attempt
-    # would not have touched: unknown channels seed as idle, id -1.
-    ids = tracker._channel_ids
-    keys = [(u, u ^ (1 << dim)) for u in g.nodes for dim in g.free_dims]
-    cid = np.array(
-        [ids[key] if key in ids else -1 for key in keys], dtype=np.intp
-    ).reshape(n, d)
-    chan_free = np.where(cid >= 0, tracker._free[cid], 0.0)
-    chan_busy = np.where(cid >= 0, tracker._busy[cid], 0.0)
-    chan_used = np.zeros((n, d), dtype=np.int64)
-    pid = port_free = port_busy = None
-    if one_port:
-        pid = np.array(
-            [tracker._send_port[u]._i for u in g.nodes], dtype=np.intp
+    ndarray = np.ndarray
+    buckets: dict[tuple[int, int, int], tuple[list, list, list]] = {}
+    for g in groups:
+        ids, dims, slot, everyone = g.node_ids, g.free_dims, g.slot, g.everyone
+        for t, rows in enumerate(g.steps):
+            for r, (si, k, w) in enumerate(rows):
+                bucket = buckets.get((t, slot, r))
+                if bucket is None:
+                    bucket = buckets[(t, slot, r)] = ([], [], [])
+                src = ids if si is everyone else ids[si]
+                bucket[0].append(src)
+                bucket[1].append(
+                    g.dim_ids[k] if k.__class__ is ndarray
+                    else np.full(len(src), dims[k])
+                )
+                bucket[2].append(
+                    w if w.__class__ is ndarray else np.full(len(src), w)
+                )
+    merged = [
+        (t, slot) + tuple(
+            parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for parts in columns
         )
-        port_free, port_busy = tracker._free[pid], tracker._busy[pid]
-    msgs_out, words_out, msgs_in, words_in = np.zeros((4, n), dtype=np.int64)
-    T = np.array(g.at, dtype=np.float64)
-    for t in range(d):
-        Tn = T.copy()
-        for order, (si, w) in zip(orders, steps[t]):
-            k = order[t]
-            ri = g.partners[k][si]
-            s = np.maximum(T[si], chan_free[si, k])
-            if one_port:
-                s = np.maximum(s, port_free[si])
-            dur = t_s + t_w * w
-            e = s + dur
-            chan_free[si, k] = e
-            chan_busy[si, k] += dur
-            chan_used[si, k] += 1
-            if one_port:
-                port_free[si] = e
-                port_busy[si] += dur
-            Tn[si] = np.maximum(Tn[si], e)
-            Tn[ri] = np.maximum(Tn[ri], e)
-            msgs_out[si] += 1
-            words_out[si] += w
-            msgs_in[ri] += 1
-            words_in[ri] += w
-        T = Tn
-    return {
-        "finish": T.tolist(),
-        "cid": cid, "chan_free": chan_free, "chan_busy": chan_busy,
-        "chan_used": chan_used,
-        "pid": pid, "port_free": port_free, "port_busy": port_busy,
-        "stats": (msgs_out, words_out, msgs_in, words_in),
+        for (t, slot, _r), columns in sorted(buckets.items())
+    ]
+    # One column slot per channel the phase uses.  Channels are created
+    # lazily and ``channels_used`` counts every created one, so planning
+    # must not instantiate a channel a refused attempt would not have
+    # touched: unknown channels seed as idle, id -1.
+    used, chan = np.unique(
+        np.concatenate([(src << _DIM_BITS) | dim for _t, _s, src, dim, _w in merged]),
+        return_inverse=True,
+    )
+    rounds: list[list] = []
+    offset = 0
+    for t, slot, src, dim, w in merged:
+        if t == len(rounds):
+            rounds.append([])
+        if not rounds[t] or rounds[t][-1][0] != slot:
+            rounds[t].append((slot, []))
+        rounds[t][-1][1].append(
+            (src, src ^ (1 << dim), chan[offset:offset + len(src)], w)
+        )
+        offset += len(src)
+    tracker = engine.tracker
+    ids = tracker._channel_ids
+    keys = [
+        (u, u ^ (1 << k))
+        for u, k in zip(
+            (used >> _DIM_BITS).tolist(),
+            (used & ((1 << _DIM_BITS) - 1)).tolist(),
+        )
+    ]
+    cid = np.array([ids[key] if key in ids else -1 for key in keys], dtype=np.intp)
+    n = len(at)
+    plan = {
+        "rounds": rounds,
+        # One clock per slot: a fused pair's sub-tasks run on their own.
+        "T": [at, at.copy()] if groups[-1].slot else [at],
+        "keys": keys, "cid": cid,
+        "chan_free": np.where(cid >= 0, tracker._free[cid], 0.0),
+        "chan_busy": np.where(cid >= 0, tracker._busy[cid], 0.0),
+        "chan_used": np.bincount(chan, minlength=len(used)),
+        # messages out, words out, messages in, words in — per node
+        "stats": np.zeros((4, n), dtype=np.int64),
+        "ports": None,
     }
+    if engine.config.port_model is PortModel.ONE_PORT:
+        pid = tracker._port_ids
+        plan["ports"] = {
+            "free": tracker._free[pid],
+            "busy": tracker._busy[pid],
+            "sends": np.zeros(n, dtype=np.int64),
+            # fused pairs only: the ready time of each node's latest send,
+            # to check that the assumed port order is the event path's
+            "ready": np.full(n, -np.inf) if groups[-1].slot else None,
+        }
+    return plan
 
 
-def _commit(engine: "Engine", g: _CollGroup, plan: dict) -> None:
-    """Write one group's planned reservations and counters to the engine."""
+def _reserve_rounds(engine: "Engine", plan: dict, distinct: bool) -> None:
+    """Fold the phase's rounds through the recurrence (see the section
+    comment): every row of a round is ready at the round's ``T``; a fused
+    pair's rounds alternate, slot 0 first.  ``distinct`` says no node
+    receives twice within a row."""
+    t_s, t_w = engine._t_s, engine._t_w
+    chan_free, chan_busy = plan["chan_free"], plan["chan_busy"]
+    msgs_out, words_out, msgs_in, words_in = plan["stats"]
+    clocks, ports = plan["T"], plan["ports"]
+    last = port_free = None
+    if ports is not None:
+        last, port_free = ports["ready"], ports["free"]
+    for t, slot_rows in enumerate(plan["rounds"]):
+        for slot, rows in slot_rows:
+            T = clocks[slot]
+            Tn = T.copy()
+            for src, dst, chan, w in rows:
+                ready = T[src]
+                s = np.maximum(ready, chan_free[chan])
+                dur = t_s + t_w * w
+                if ports is not None:
+                    if last is not None:
+                        # Fused pair: this row's place in each node's port
+                        # order (a0 b0 a1 b1 ...) is an assumption unless
+                        # the ready times strictly increase along it; b0
+                        # ties with a0 and follows it in ctx.parallel slot
+                        # order.
+                        before = last[src]
+                        tie_ok = t == 0 and slot == 1
+                        if not (ready >= before if tie_ok else ready > before).all():
+                            raise _Refuse("one-port pair: port order not provable")
+                        if dur.min() <= 0:
+                            raise _Refuse("one-port pair: zero-length hop")
+                        last[src] = ready
+                    s = np.maximum(s, port_free[src])
+                e = s + dur
+                chan_free[chan] = e
+                chan_busy[chan] += dur
+                if ports is not None:
+                    port_free[src] = e
+                    ports["busy"][src] += dur
+                    ports["sends"][src] += 1
+                Tn[src] = np.maximum(Tn[src], e)
+                msgs_out[src] += 1
+                words_out[src] += w
+                if distinct:
+                    Tn[dst] = np.maximum(Tn[dst], e)
+                    msgs_in[dst] += 1
+                    words_in[dst] += w
+                else:
+                    np.maximum.at(Tn, dst, e)
+                    np.add.at(msgs_in, dst, 1)
+                    np.add.at(words_in, dst, w)
+            clocks[slot] = Tn
+
+
+def _commit(engine: "Engine", plan: dict, nodes) -> None:
+    """Write the phase's planned reservations and counters to the engine."""
     tracker = engine.tracker
     cid = plan["cid"]
-    ii, kk = np.nonzero(plan["chan_used"])
     # Create the channels first used here (allocation may grow the columns
     # and rebind the arrays, so resolve every slot before writing), then
     # scatter the phase's channel state in three vectorized writes.
-    new = cid[ii, kk] < 0
-    for i, k in zip(ii[new].tolist(), kk[new].tolist()):
-        u = g.nodes[i]
-        cid[i, k] = tracker._channel_slot(u, u ^ (1 << g.free_dims[k]))
-    rows = cid[ii, kk]
-    tracker._free[rows] = plan["chan_free"][ii, kk]
-    tracker._busy[rows] = plan["chan_busy"][ii, kk]
-    tracker._nres[rows] += plan["chan_used"][ii, kk]
-    msgs_out, words_out, msgs_in, words_in = plan["stats"]
-    pid = plan["pid"]
-    if pid is not None:  # idle ports get their seeds back, unchanged
-        tracker._free[pid] = plan["port_free"]
-        tracker._busy[pid] = plan["port_busy"]
-        tracker._nres[pid] += msgs_out
+    for i in np.nonzero(cid < 0)[0].tolist():
+        cid[i] = tracker._channel_slot(*plan["keys"][i])
+    tracker._free[cid] = plan["chan_free"]
+    tracker._busy[cid] = plan["chan_busy"]
+    tracker._nres[cid] += plan["chan_used"]
+    ports = plan["ports"]
+    if ports is not None:  # idle ports get their seeds back, unchanged
+        pid = tracker._port_ids
+        tracker._free[pid] = ports["free"]
+        tracker._busy[pid] = ports["busy"]
+        tracker._nres[pid] += ports["sends"]
     stats = engine.stats
-    for u, ms, ws, mr, wr in zip(
-        g.nodes, msgs_out.tolist(), words_out.tolist(),
-        msgs_in.tolist(), words_in.tolist(),
-    ):
+    for u, ms, ws, mr, wr in zip(nodes, *plan["stats"][:, nodes].tolist()):
         st = stats[u]
         st.messages_sent += ms
         st.words_sent += ws
         st.messages_received += mr
         st.words_received += wr
+
+
+def _plan_phase(engine: "Engine", parked: dict):
+    """Plan a fully-parked phase; returns ``(outcome, plan)`` with nothing
+    written, or raises (:class:`_Refuse` for a named refusal)."""
+    groups = _collective_groups(engine, parked)
+    one_port = engine.config.port_model is PortModel.ONE_PORT
+    at = np.zeros(engine.config.num_nodes)
+    for g in groups:
+        g.steps, g.values = _STEP_TABLES[g.kind](
+            g, _orders(g.d, one_port), not one_port, engine.timing_only
+        )
+        at[g.node_ids] = g.at
+    plan = _reserve(engine, groups, at)
+    _reserve_rounds(engine, plan, distinct=groups[0].kind != _NEIGHBOR)
+    # A fused pair resumes with [value_a, value_b] at the later finish,
+    # like ctx.parallel (slot-0 groups come first, so a pair's second half
+    # finds the first).
+    clocks = plan["T"]
+    finish = (clocks[0] if len(clocks) == 1 else np.maximum(*clocks)).tolist()
+    outcome: dict = {}
+    for g in groups:
+        if g.slot:
+            for node, value in zip(g.nodes, g.values):
+                outcome[node][1].append(value)
+        elif len(clocks) == 1:
+            for node, value in zip(g.nodes, g.values):
+                outcome[node] = (finish[node], value)
+        else:
+            for node, value in zip(g.nodes, g.values):
+                outcome[node] = (finish[node], [value])
+    return outcome, plan
 
 
 def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
@@ -1038,43 +1279,21 @@ def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
     ``parked`` maps task -> (CollectivePhaseOp, park_time).  Returns
     ``{task: (finish_time, value)}`` (fused pairs get ``[value_a, value_b]``
     at the later finish, like ``ctx.parallel``) or ``None`` when the phase
-    must fall back to the event path.  Nothing — tracker state, statistics —
-    is mutated unless every group plans successfully, so a refusal leaves
-    the engine exactly where the event path would start.
+    must fall back to the event path — and then the reason is counted, once
+    per parked rank, in ``engine._refusals``.  Nothing — tracker state,
+    statistics — is mutated unless the whole phase plans successfully, so a
+    refusal leaves the engine exactly where the event path would start.
     """
-    groups = _collective_groups(engine, parked)
-    if groups is None:
-        return None
-    one_port = engine.config.port_model is PortModel.ONE_PORT
     try:
-        plans = []
-        by_task: dict = {}
-        for g in groups:
-            orders = _orders(g.d, one_port)
-            steps, values = _STEP_TABLES[g.kind](
-                g, orders, not one_port, engine.timing_only
-            )
-            plan = _reserve(engine, g, orders, steps, one_port)
-            plans.append(plan)
-            # Assemble outcomes before committing anything: a malformed
-            # group surfaced here still refuses cleanly.
-            for i in range(g.n):
-                by_task.setdefault(g.nodes[i], {})[g.slots[i]] = (
-                    plan["finish"][i], values[i]
-                )
-        outcome = {}
-        for task, (op, _at) in parked.items():
-            per = by_task[task]
-            if len(per) != len(op.specs):
-                return None
-            if len(op.specs) == 1:
-                outcome[task] = per[0]
-            else:
-                fin = max(per[0][0], per[1][0])
-                outcome[task] = (fin, [per[0][1], per[1][1]])
-    except Exception:
+        outcome, plan = _plan_phase(engine, parked)
+    except _Refuse as refusal:
+        engine._refusals[refusal.args[0]] += len(parked)
         return None
-
-    for g, plan in zip(groups, plans):
-        _commit(engine, g, plan)
+    except Exception as exc:  # noqa: BLE001 — the event path raises it properly
+        # A program error the generator loop will reproduce with the rank
+        # attached — or a planner bug, which must not hide as "slow but
+        # correct": either way it is counted under the exception's name.
+        engine._refusals[f"planner exception: {type(exc).__name__}"] += len(parked)
+        return None
+    _commit(engine, plan, list(parked))
     return outcome

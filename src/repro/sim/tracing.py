@@ -121,6 +121,17 @@ class RunResult:
         :mod:`repro.sim.superstep` advanced in closed form; together they
         are every rank's ``steps``.  Diagnostics like ``events_processed``,
         and outside :meth:`trace_lines` and every digest the same way.
+    collective_phases_closed_form, collective_phases_event, closed_form_refusals:
+        Declared collective phases — one per rank per ``CollectivePhaseOp``
+        (a collective call, a fused pair, a ``ctx.neighbor_exchange`` round)
+        — that :mod:`repro.sim.superstep` answered in closed form, and
+        that ran message by message; ``closed_form_refusals`` maps the
+        reason to how many of the latter it sent there (an ineligible run's
+        feature, ``"ctx.parallel sub-task"`` — a refused pair's two
+        collectives are declared again by its sub-tasks and counted again —
+        a hazard release, the planner's validation, or ``"planner
+        exception: <Type>"``), and sums to ``collective_phases_event``.
+        Diagnostics too, outside every digest.
     """
 
     total_time: float
@@ -135,6 +146,9 @@ class RunResult:
     events_processed: int = 0
     shift_rounds_event: int = 0
     shift_rounds_closed_form: int = 0
+    collective_phases_closed_form: int = 0
+    collective_phases_event: int = 0
+    closed_form_refusals: dict[str, int] = field(default_factory=dict)
 
     @property
     def num_ranks(self) -> int:

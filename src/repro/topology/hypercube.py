@@ -90,9 +90,13 @@ class Hypercube:
 
     def are_neighbors(self, a: int, b: int) -> bool:
         """True iff ``a`` and ``b`` share a hypercube link."""
-        self._check_node(a)
-        self._check_node(b)
-        return hamming_distance(a, b) == 1
+        n = 1 << self._dimension
+        if not (0 <= a < n and 0 <= b < n):
+            self._check_node(a)
+            self._check_node(b)
+        diff = a ^ b
+        # exactly one differing address bit
+        return diff != 0 and diff & (diff - 1) == 0
 
     def distance(self, a: int, b: int) -> int:
         """Shortest-path (Hamming) distance between two nodes."""
@@ -112,11 +116,21 @@ class Hypercube:
         Part of the duck-typed topology surface the simulator engine uses
         (shared with :class:`repro.topology.torus.Torus2D`).
         """
-        self._check_node(src)
-        self._check_node(dst)
-        from repro.topology.routing import ecube_hops
-
-        return ecube_hops(src, dst)
+        n = 1 << self._dimension
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_node(src)
+            self._check_node(dst)
+        # :func:`repro.topology.routing.ecube_hops`, inlined: a cold route
+        # cache pays this once per (src, dst), and at large p most pairs
+        # are routed exactly once.
+        hops = []
+        diff = src ^ dst
+        while diff:
+            lowest = diff & -diff
+            hops.append((src, src ^ lowest))
+            src ^= lowest
+            diff ^= lowest
+        return hops
 
     def subcube(self, free_dims: tuple[int, ...] | list[int], anchor: int) -> "Subcube":
         """The subcube spanned by ``free_dims`` through node ``anchor``."""

@@ -2,11 +2,16 @@
 
 Conformance runs whole algorithms through ``superstep=True`` and
 ``superstep=False`` and compares digests — but the resolver answers any
-exception while planning with the event-path fallback, so a broken
-planner still passes there.  This matrix closes that hole: every
-(kind, port model, subcube dimension, root) runs on inputs chosen to
-break a recurrence that is only almost right, and a spy asserts that
-``try_advance_collective`` *succeeded* every time it was asked.
+refusal or exception while planning with the event-path fallback, so a
+broken planner still passes there.  This matrix closes that hole: every
+(kind, port model, subcube dimension, root), the neighbour-exchange round
+and the one-port fused pairs run on inputs chosen to break a recurrence
+that is only almost right, and the engine's own counters
+(``RunResult.collective_phases_*``, ``closed_form_refusals``) assert that
+the closed form *answered* every phase — or, in the refusal cases at the
+end, that it refused under the expected name and the fallback still
+equals the event path.  Both paths are compared down to every channel's
+and every send port's free time, busy time and reservation count.
 
 The inputs, per case:
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.sim.engine as engine_mod
+import repro.sim.superstep as superstep_mod
 from repro.collectives import (
     allgather,
     alltoall,
@@ -36,8 +41,16 @@ from repro.collectives import (
     reduce,
     reduce_scatter,
 )
+from repro.collectives.phase import (
+    CollectiveCall,
+    allgather_call,
+    make_spec,
+    parallel_pair,
+)
 from repro.mpi import Comm
-from repro.sim import MachineConfig, PortModel, run_spmd
+from repro.sim import MachineConfig, PortModel
+from repro.sim.engine import Engine
+from repro.sim.process import ANY_SOURCE
 
 PARAMS = {"t_s": 7.3, "t_w": 1.9, "t_c": 0.37}
 WARM_WORDS = 12
@@ -103,21 +116,6 @@ def _program(kind: str, d: int, root: int):
     return prog
 
 
-class _Spy:
-    """Records what ``try_advance_collective`` answered the engine."""
-
-    def __init__(self, monkeypatch):
-        self.answers: list[bool] = []
-        real = engine_mod.try_advance_collective
-
-        def spied(engine, parked):
-            out = real(engine, parked)
-            self.answers.append(out is not None)
-            return out
-
-        monkeypatch.setattr(engine_mod, "try_advance_collective", spied)
-
-
 def _same(a, b) -> bool:
     """Bitwise equality of nested list/tuple/array/None results."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -137,20 +135,50 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _assert_paths_agree(monkeypatch, prog, p, port, **run_kw):
-    cfg = dict(port_model=port, **PARAMS)
-    spy = _Spy(monkeypatch)
-    fast = run_spmd(MachineConfig.create(p, **cfg), prog, superstep=True, **run_kw)
-    assert spy.answers and all(spy.answers), (
-        f"closed form refused or was never asked: {spy.answers}"
+def _run(prog, p, port, superstep, **run_kw):
+    """One path's observables, tracker columns included."""
+    engine = Engine(
+        MachineConfig.create(p, port_model=port, **PARAMS),
+        superstep=superstep, **run_kw,
     )
-    asked = len(spy.answers)
-    slow = run_spmd(MachineConfig.create(p, **cfg), prog, superstep=False, **run_kw)
-    assert len(spy.answers) == asked  # the reference run never parks
+    result = engine.run(prog)
+    tracker = engine.tracker
+    resources = {
+        key: (float(tracker._free[i]), float(tracker._busy[i]), int(tracker._nres[i]))
+        for key, i in tracker._channel_ids.items()
+    }
+    for node, port_view in tracker._send_port.items():
+        resources[node] = (
+            port_view.next_free, port_view.busy_time, port_view.reservations
+        )
+    return result, resources
+
+
+def _assert_paths_agree(prog, p, port, refused=None, **run_kw):
+    """Both paths agree bit for bit; the default one answered every
+    declared phase in closed form — or, with ``refused`` set, refused under
+    exactly that reason (plus the sub-task declarations a released fused
+    pair repeats)."""
+    fast, fast_resources = _run(prog, p, port, True, **run_kw)
+    if refused is None:
+        assert fast.collective_phases_closed_form > 0
+        assert fast.collective_phases_event == 0, fast.closed_form_refusals
+        assert fast.closed_form_refusals == {}
+    else:
+        assert set(fast.closed_form_refusals) - {"ctx.parallel sub-task"} == {
+            refused
+        }
+    assert fast.collective_phases_event == sum(
+        fast.closed_form_refusals.values()
+    )
+    slow, slow_resources = _run(prog, p, port, False, **run_kw)
+    assert slow.collective_phases_closed_form == 0  # the reference never parks
+    assert set(slow.closed_form_refusals) == {"superstep disabled"}
     assert fast.total_time == slow.total_time
     assert fast.stats == slow.stats
     assert fast.network == slow.network
     assert fast.trace_digest() == slow.trace_digest()
+    assert fast_resources == slow_resources
     for rank in range(p):
         assert _same(fast.results[rank], slow.results[rank]), rank
     return fast
@@ -170,17 +198,15 @@ CASES = [(kind, d, None) for kind in EXCHANGE for d in (1, 2, 3, 4)] + [
     "kind,d,root", CASES,
     ids=[f"{k}-d{d}" + ("" if r is None else f"-root{r}") for k, d, r in CASES],
 )
-def test_closed_form_equals_event_path(monkeypatch, port_model, kind, d, root):
-    fast = _assert_paths_agree(
-        monkeypatch, _program(kind, d, root), 1 << (d + 1), port_model
-    )
+def test_closed_form_equals_event_path(port_model, kind, d, root):
+    fast = _assert_paths_agree(_program(kind, d, root), 1 << (d + 1), port_model)
     # The collective did communicate (the matrix is not comparing no-ops).
     assert all(fast.stats[r].messages_sent + fast.stats[r].messages_received
                for r in range(1 << (d + 1)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_timing_only_zero_reduce(monkeypatch, port_model, d):
+def test_timing_only_zero_reduce(port_model, d):
     """Timing-only runs reduce all-zero views; the multi-port closed form
     sizes those chunks from shapes alone and must still agree."""
 
@@ -191,4 +217,288 @@ def test_timing_only_zero_reduce(monkeypatch, port_model, d):
         value = yield from reduce(comm, view, root=1)
         return value, ctx.now
 
-    _assert_paths_agree(monkeypatch, prog, 1 << d, port_model, timing_only=True)
+    _assert_paths_agree(prog, 1 << d, port_model, timing_only=True)
+
+
+# -- neighbour-exchange rounds ---------------------------------------------------
+
+
+def _warm_up(ctx):
+    """A two-hop unicast first, so channels and (one-port) send ports carry
+    busy time into the phase, then a compute of rank-dependent length:
+    staggered park times, the forwarder (rank 2) entering while its channel
+    and port are still held, the destination as soon as the message lands."""
+    if ctx.rank == 0:
+        yield from ctx.send(0b110, np.ones(WARM_WORDS), tag=99)
+    elif ctx.rank == 0b110:
+        yield from ctx.recv(0, tag=99)
+        return
+    yield from ctx.compute(1.5 * WARM_HOP / PARAMS["t_c"] + 11.0 * (ctx.rank % 3))
+
+
+def _exchange_round(ctx, dims: int, salt: int):
+    """Every rank sends across every dimension, starting at a rank-dependent
+    one (rows of the step table mix dimensions, receivers repeat within a
+    row); even ranks send a second message over dimension 0 (one channel
+    twice in a round); sizes differ per message."""
+    me = ctx.rank
+    sends, recvs = [], []
+    for i in range(dims):
+        k = (me + i) % dims
+        sends.append((me ^ (1 << k), _vec(3 + (me + k + salt) % 5, me + salt), 10 + k))
+        recvs.append((me ^ (1 << k), 10 + k))
+    if me % 2 == 0:
+        sends.append((me ^ 1, _vec(7, me + salt).reshape(1, 7), 20))
+    else:
+        recvs.insert(1, (me ^ 1, 20))
+    return ctx.neighbor_exchange(sends, recvs)
+
+
+@pytest.mark.parametrize("timing_only", [False, True], ids=["data", "timing_only"])
+def test_neighbor_exchange_equals_event_path(port_model, timing_only):
+    def prog(ctx):
+        yield from _warm_up(ctx)
+        first = yield from _exchange_round(ctx, 4, salt=0)
+        yield from ctx.elapse(0.9 * (ctx.rank % 5))
+        second = yield from _exchange_round(ctx, 4, salt=3)
+        nothing = yield from ctx.neighbor_exchange([], [])
+        return first, second, nothing, ctx.now
+
+    fast = _assert_paths_agree(prog, 16, port_model, timing_only=timing_only)
+    assert fast.collective_phases_closed_form == 2 * 16
+    assert fast.results[1][2] == []
+    assert len(fast.results[1][0]) == 5 and len(fast.results[0][0]) == 4
+
+
+def test_neighbor_exchange_runs_message_by_message_in_a_sub_task(port_model):
+    """``ctx.parallel`` sub-tasks share their node's port with siblings: the
+    round is answered inline and its loop runs."""
+
+    def prog(ctx):
+        def half(tag):
+            return ctx.neighbor_exchange(
+                [(ctx.rank ^ 1, _vec(4, ctx.rank + tag), tag)], [(ctx.rank ^ 1, tag)]
+            )
+
+        values = yield from ctx.parallel(half(1), half(2))
+        return values, ctx.now
+
+    fast, _ = _run(prog, 4, port_model, True)
+    slow, _ = _run(prog, 4, port_model, False)
+    assert fast.closed_form_refusals == {"ctx.parallel sub-task": 8}
+    assert fast.total_time == slow.total_time and fast.stats == slow.stats
+
+
+# -- one-port fused pairs ----------------------------------------------------------
+
+
+def _pair_comms(ctx, dims_a, dims_b):
+    """The two subcubes through this rank spanning ``dims_a`` / ``dims_b``."""
+    def members(dims):
+        base = ctx.rank
+        for k in dims:
+            base &= ~(1 << k)
+        out = []
+        for s in range(1 << len(dims)):
+            node = base
+            for i, k in enumerate(dims):
+                node |= ((s >> i) & 1) << k
+            out.append(node)
+        return out
+
+    return Comm(ctx, members(dims_a)), Comm(ctx, members(dims_b))
+
+
+def _pair_calls(kinds, comm_a, comm_b):
+    calls = []
+    for kind, comm, tag in zip(kinds, (comm_a, comm_b), (4, 5)):
+        me, n = comm.rank, comm.size
+        if kind == "allgather":
+            calls.append(allgather_call(comm, _vec(12 + me % 3, me + tag), tag=tag))
+            continue
+        blocks = [_vec(8 + (me + dst) % 4, me * n + dst) for dst in range(n)]
+        if kind == "reduce_scatter":
+            blocks = [_vec(9 + dst, me * n + dst) for dst in range(n)]
+        fn = alltoall if kind == "alltoall" else reduce_scatter
+        op = {"op": np.add} if kind == "reduce_scatter" else {}
+        calls.append(CollectiveCall(
+            make_spec(kind, comm, blocks, tag, None, **op),
+            lambda fn=fn, comm=comm, blocks=blocks, tag=tag: fn(comm, blocks, tag=tag),
+        ))
+    return calls
+
+
+PAIRS = [
+    (("allgather", "allgather"), (0, 1), (2, 3, 4)),
+    (("allgather", "allgather"), (1, 3, 4), (0,)),
+    (("alltoall", "reduce_scatter"), (2, 4), (0, 1, 3)),
+]
+
+
+def _pair_program(kinds, dims_a, dims_b, late_rank=None):
+    def prog(ctx):
+        yield from _warm_up(ctx)
+        if ctx.rank == late_rank:
+            yield from ctx.elapse(40.0 * WARM_HOP)
+        comm_a, comm_b = _pair_comms(ctx, dims_a, dims_b)
+        values = yield from parallel_pair(ctx, *_pair_calls(kinds, comm_a, comm_b))
+        return values, ctx.now
+
+    return prog
+
+
+@pytest.mark.parametrize("timing_only", [False, True], ids=["data", "timing_only"])
+@pytest.mark.parametrize(
+    "kinds,dims_a,dims_b", PAIRS,
+    ids=[f"{a}+{b}-d{len(da)}d{len(db)}" for (a, b), da, db in PAIRS],
+)
+def test_fused_pair_equals_event_path(port_model, kinds, dims_a, dims_b, timing_only):
+    """Unequal round counts, staggered park times, pre-busied ports: on a
+    one-port machine both schedules go through one port column."""
+    fast = _assert_paths_agree(
+        _pair_program(kinds, dims_a, dims_b), 32, port_model,
+        timing_only=timing_only,
+    )
+    assert fast.collective_phases_closed_form == 32
+
+
+# -- refusals: named, and the fallback still equals the event path ---------------
+
+
+def test_pair_whose_port_order_cannot_be_proven_is_refused():
+    """One rank enters the pair long after the others: its partners' second
+    rounds become ready b-first, the alternation a0 b0 a1 b1 does not hold,
+    and the phase runs message by message."""
+    prog = _pair_program(("allgather", "allgather"), (0, 1), (2, 3, 4), late_rank=5)
+    fast = _assert_paths_agree(
+        prog, 32, PortModel.ONE_PORT,
+        refused="one-port pair: port order not provable",
+    )
+    assert fast.closed_form_refusals["ctx.parallel sub-task"] == 64
+
+
+def test_rooted_pair_on_one_port_is_refused_inline():
+    def prog(ctx):
+        comm_a, comm_b = _pair_comms(ctx, (0,), (1, 2))
+        calls = []
+        for comm, tag in ((comm_a, 4), (comm_b, 5)):
+            data = _vec(6, ctx.rank) if comm.rank == 0 else None
+            calls.append(CollectiveCall(
+                make_spec("broadcast", comm, data, tag, None, root=0),
+                lambda comm=comm, data=data, tag=tag: broadcast(comm, data, 0, tag),
+            ))
+        values = yield from parallel_pair(ctx, *calls)
+        return values, ctx.now
+
+    _assert_paths_agree(prog, 8, PortModel.ONE_PORT, refused="one-port rooted pair")
+
+
+def _refused_exchange(port_model, sends_recvs, refused, p=8, after=None):
+    def prog(ctx):
+        yield from ctx.compute(5.0 * (ctx.rank % 3))
+        sends, recvs = sends_recvs(ctx.rank)
+        got = yield from ctx.neighbor_exchange(sends, recvs)
+        if after is not None:
+            got = [got, (yield from after(ctx))]
+        return got, ctx.now
+
+    return _assert_paths_agree(prog, p, port_model, refused=refused)
+
+
+def test_exchange_beside_a_collective_is_refused(port_model):
+    def prog(ctx):
+        if ctx.rank & 1:
+            comm = Comm(ctx, [1, 3, 5, 7])
+            value = yield from allgather(comm, _vec(4, ctx.rank))
+        else:
+            peer = ctx.rank ^ 0b10
+            value = yield from ctx.neighbor_exchange(
+                [(peer, _vec(5, ctx.rank), 3)], [(peer, 3)]
+            )
+        return value, ctx.now
+
+    _assert_paths_agree(
+        prog, 8, port_model, refused="neighbor exchange beside a collective"
+    )
+
+
+@pytest.mark.parametrize("hops", [0, 2], ids=["self", "two-hop"])
+def test_exchange_with_a_non_neighbour_or_self_send_is_refused(port_model, hops):
+    span = 0b011 if hops else 0
+
+    def plan(rank):
+        return [(rank ^ span, _vec(4, rank), 2)], [(rank ^ span, 2)]
+
+    _refused_exchange(
+        port_model, plan, "neighbor exchange: non-neighbour or self send"
+    )
+
+
+def test_exchange_with_an_unmatched_tag_is_refused(port_model):
+    """Rank 1 waits for a tag its neighbour only sends after the round."""
+
+    def plan(rank):
+        return [(rank ^ 1, _vec(4, rank), 5)], [(rank ^ 1, 6 if rank == 1 else 5)]
+
+    def after(ctx):
+        if ctx.rank == 0:
+            yield from ctx.send(1, _vec(3, 9), tag=6)
+        elif ctx.rank == 1:
+            return (yield from ctx.recv(0, tag=5))
+
+    _refused_exchange(
+        port_model, plan, "neighbor exchange: unmatched receive or tag", after=after
+    )
+
+
+def test_exchange_with_a_wildcard_or_missing_receive_is_refused(port_model):
+    def wildcard(rank):
+        return [(rank ^ 1, _vec(4, rank), 5)], [(ANY_SOURCE, 5)]
+
+    _refused_exchange(
+        port_model, wildcard, "neighbor exchange: unmatched receive or tag"
+    )
+
+    def missing(rank):
+        # Odd ranks leave the message queued and pick it up afterwards.
+        return [(rank ^ 1, _vec(4, rank), 5)], [] if rank & 1 else [(rank ^ 1, 5)]
+
+    def after(ctx):
+        if ctx.rank & 1:
+            return (yield from ctx.recv(ctx.rank ^ 1, tag=5))
+        yield from ()
+
+    _refused_exchange(
+        port_model, missing, "neighbor exchange: unmatched receive or tag",
+        after=after,
+    )
+
+
+def test_exchange_without_every_rank_is_refused(port_model):
+    """Ranks that have already finished leave the round without its
+    machine-wide group."""
+
+    def prog(ctx):
+        if ctx.rank >= 4:
+            return None, ctx.now
+        peer = ctx.rank ^ 1
+        got = yield from ctx.neighbor_exchange([(peer, _vec(4, ctx.rank), 1)], [(peer, 1)])
+        return got, ctx.now
+
+    _assert_paths_agree(
+        prog, 8, port_model, refused="neighbor exchange without every rank"
+    )
+
+
+def test_planner_exception_is_counted_not_hidden(monkeypatch, port_model):
+    """A planner that raises must not pass as "slow but correct": the run
+    falls back, and says so under the exception's name."""
+
+    def boom(*_args):
+        raise RuntimeError("planner bug")
+
+    monkeypatch.setitem(superstep_mod._STEP_TABLES, "allgather", boom)
+    _assert_paths_agree(
+        _program("allgather", 2, None), 8, port_model,
+        refused="planner exception: RuntimeError",
+    )

@@ -17,7 +17,9 @@ import pytest
 
 from repro.algorithms import ALGORITHMS
 from repro.analysis.conformance import (
+    SUITE_COUNT,
     Case,
+    closed_form_reach,
     diff_case,
     reproducer,
     sample_cases,
@@ -25,7 +27,7 @@ from repro.analysis.conformance import (
 )
 
 SEED = 2026
-COUNT = 77
+COUNT = SUITE_COUNT
 
 CASES = sample_cases(SEED, COUNT)
 
@@ -63,6 +65,31 @@ class TestSampler:
         assert all(c.p >= 64 for c in tail)
         assert {c.port for c in tail} == {"one-port", "multi-port"}
         assert sample_cases(SEED, 60) == CASES[:60]
+
+    def test_oversamples_single_hop_family_on_every_port_and_routing(self):
+        """Cases 77..96 are the single-hop family (neighbour-exchange rounds
+        and one-port fused allgather pairs) fault-free at p >= 64, one per
+        algorithm x port model x routing mode — and they rename none of the
+        first 77."""
+        from repro.analysis.conformance import _SINGLE_HOP
+
+        assert sample_cases(SEED, 77) == CASES[:77]
+        single = CASES[77:97]
+        assert {(c.algorithm, c.port, c.routing) for c in single} == {
+            (key, port, routing)
+            for key in _SINGLE_HOP
+            for port in ("one-port", "multi-port")
+            for routing in ("store-and-forward", "cut-through")
+        }
+        assert all(not c.atoms and c.p >= 64 for c in single)
+
+    def test_single_hop_family_batches_every_collective_phase(self):
+        """The engine's own counters (``RunResult.closed_form_refusals``)
+        say the closed forms answered every phase those cases declare: a
+        planner that silently refused would still pass the digests."""
+        reach = closed_form_reach(CASES[77:97])
+        assert reach["eligible"] == reach["declared"] == reach["batched"] == 20
+        assert reach["refusals"] == {}
 
     def test_sampler_is_deterministic(self):
         assert sample_cases(SEED, COUNT) == CASES

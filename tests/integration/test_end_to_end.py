@@ -68,7 +68,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "verified" in out
         assert "Table 2 model" in out
-        assert "engine events   : 96" in out
+        # one resume per rank per phase: the one-port allgather pair parks
+        # and batches too (96 events while it ran message by message)
+        assert "engine events   : 32" in out
+        assert "coll. phases    : 0 by events, 24 in closed form" in out
 
     def test_run_multi_port(self, capsys):
         assert main(["run", "cannon", "-n", "16", "-p", "16",

@@ -87,3 +87,38 @@ def test_options_of_the_stack():
     ]
     assert "detector_opts" not in names(ABFTMatmul.__init__)
     assert "detector_opts" not in names(CheckpointedMatmul.__init__)
+
+
+def test_neighbor_exchange_runs_over_the_layers_own_primitives():
+    """Only the bare context declares a neighbour-exchange round to the
+    engine; through a layer every message of the round is the layer's own
+    ``isend`` — and an armed protocol still delivers it on a lossy link."""
+    from repro.sim import FaultPlan
+
+    class CountingSends(ContextProxy):
+        sent = 0
+
+        def isend(self, dst, data, tag=0, nwords=None):
+            CountingSends.sent += 1
+            return super().isend(dst, data, tag, nwords)
+
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+    cfg = MachineConfig.create(16, t_s=10.0, t_w=1.0)
+    for key in ("hje", "fox"):
+        algo = get_algorithm(key)
+        bare = algo.run(A, B, cfg, verify=True)
+        assert bare.result.collective_phases_event == 0
+        CountingSends.sent = 0
+        run = algo.run(A, B, cfg, verify=True, context_factory=CountingSends)
+        assert run.total_time == bare.total_time
+        assert run.result.network == bare.result.network
+        # hje: the alignment and every round; fox: its 3 rolls per rank
+        # (the row broadcasts go through the communicator)
+        assert CountingSends.sent >= 16 * 3
+        if key == "hje":
+            assert CountingSends.sent == bare.result.total_messages()
+        lossy = MachineConfig.create(
+            16, t_s=10.0, t_w=1.0, faults=FaultPlan(seed=3).with_drop_rate(0.05)
+        )
+        algo.run(A, B, lossy, verify=True, context_factory=ReliableContext)

@@ -6,8 +6,8 @@ run is exact: it repeats from run to run, so a ceiling a few percent
 above today's value turns "a message got more expensive" into a
 deterministic tier-1 failure (ROADMAP item 1).  Two runs are forced onto
 the per-message event path the way real runs are — one by ``trace=True``,
-one by a fault plan under :class:`~repro.mpi.ReliableContext`.  The third
-keeps every knob at its default, and pins how few of its messages reach
+one by a fault plan under :class:`~repro.mpi.ReliableContext`.  The others
+keep every knob at its default, and pin how few of their messages reach
 the event path at all.
 
 The ceilings are calls ÷ ``total_messages()`` of the whole
@@ -25,7 +25,7 @@ import pytest
 
 from repro import MachineConfig, get_algorithm
 from repro.mpi import ReliableContext
-from repro.sim import FaultPlan
+from repro.sim import FaultPlan, PortModel
 
 N = P = 16
 _rng = np.random.default_rng(0)
@@ -99,8 +99,9 @@ def test_default_knob_cannon_leaves_the_event_path_at_the_first_quiet_point():
     512 of the contended skew and the 470 of the shift rounds that hazard
     releases ran before the network first fell quiet are ever issued as
     events; the closed form takes the other 7210 from there, and the engine
-    runs those 470 itself (no generator frames).  The ceiling is 143 524
-    calls plus ~5 % (before the resident op: 250 546 calls, 2 048 messages
+    runs those 470 itself (no generator frames).  The ceiling is 109 219
+    calls plus ~5 % (143 524 before a first-touched link or route cost a
+    handful of calls; before the resident op: 250 546 calls, 2 048 messages
     issued as events)."""
     _default_knobs()
     first, run, stats = _calls(_default_knobs)
@@ -115,4 +116,78 @@ def test_default_knob_cannon_leaves_the_event_path_at_the_first_quiet_point():
     assert issued == 512 + 470
     assert result.shift_rounds_event == 235  # two messages each
     assert result.shift_rounds_event + result.shift_rounds_closed_form == 256 * 16
-    assert first <= 150_700, f"{first} calls, ceiling 150 700"
+    assert first <= 114_700, f"{first} calls, ceiling 114 700"
+
+
+def _default_run(key, p, **machine):
+    def run():
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+        cfg = MachineConfig.create(p, t_s=150.0, t_w=3.0, **machine)
+        return get_algorithm(key).run(a, b, cfg, verify=True)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "run, messages, issued_as_events, ceiling",
+    [
+        # One-port fused allgather pair, planned through one port column:
+        # 129 581 calls (before: 439 733, all 2 048 messages as events; the
+        # multi-port twin, 113 500, is the floor).
+        (_default_run("simple", 256), 2048, 0, 136_000),
+        # Row broadcasts were already closed forms; the B-roll is now a
+        # neighbour-exchange round: 338 515 calls (before: 554 248, 3 840
+        # of 7 680 messages as events).
+        (_default_run("fox", 256), 7680, 0, 355_400),
+        # Multi-port HJE: the 2·log√p exchanges of every multiply step are
+        # one round; only the conditional XOR alignment (192 messages) is
+        # still evented: 67 486 calls (before: 205 227, all 2 880).
+        (_default_run("hje", 64, port_model=PortModel.MULTI_PORT), 2880, 192, 70_800),
+        # One-port 3DD: its rooted pair is still refused inline and its
+        # lifts stay evented, so this run must cost no more than it did:
+        # 229 469 calls (before: 263 504; the difference is the cheaper
+        # first touch of links and routes, not a closed form).
+        (_default_run("3dd", 512), 1408, 960, 240_900),
+    ],
+    ids=["simple_p256", "fox_p256", "hje_p64_multi", "3dd_p512"],
+)
+def test_default_knob_single_hop_phases_leave_the_event_path(
+    run, messages, issued_as_events, ceiling
+):
+    """n = 64, ``t_s=150, t_w=3``, nothing forced: how many messages are
+    still issued as events, and the run's call total with a ceiling ~5 %
+    above it (before-numbers: the parent commit under this harness)."""
+    run()
+    first, result, stats = _calls(run)
+    second, _, _ = _calls(run)
+    assert first == second, "the call count of a fixed run must repeat exactly"
+    assert result.result.total_messages() == messages
+    issued = sum(
+        entry.callcount for entry in stats
+        if getattr(entry.code, "co_name", None) == "_issue_send"
+    )
+    assert issued == issued_as_events
+    assert first <= ceiling, f"{first} calls, ceiling {ceiling}"
+
+
+def test_first_touch_of_a_link_or_route_costs_a_handful_of_calls():
+    """At large p most links and routes are touched once per run, so the
+    cold path of ``reserve_hop`` and ``RouteCache.healthy`` is paid per
+    message: 6 calls more than a warm one for a link, 2 for a neighbour's
+    route and 11 for a ten-hop one (were 24, 11 and 29 through
+    ``hop_resources`` — a ``Resource`` view nobody read included — and
+    ``ecube_path``)."""
+    from repro.sim.ports import ContentionTracker
+    from repro.topology.routing import RouteCache
+
+    cfg = MachineConfig.create(1024, t_s=150.0, t_w=3.0)
+    tracker = ContentionTracker(cfg)
+    routes = RouteCache(cfg.cube)
+
+    def cold_minus_warm(fn):
+        return _calls(fn)[0] - _calls(fn)[0]
+
+    assert cold_minus_warm(lambda: tracker.reserve_hop(5, 7, 0.0, 1.0)) <= 6
+    assert cold_minus_warm(lambda: routes.healthy(5, 7)) <= 2
+    assert cold_minus_warm(lambda: routes.healthy(3, 1020)) <= 11

@@ -46,6 +46,23 @@ class TestTracker:
         with pytest.raises(SimulationError):
             tracker.hop_resources(0, 3)
 
+    def test_first_touch_validates_and_views_stay_lazy(self):
+        """``reserve_hop`` resolves a cold hop to column ids without building
+        a view; a non-link is rejected before any slot is allocated, and
+        ``hop_resources`` hands out views over the very slots reserved."""
+        tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
+        with pytest.raises(SimulationError, match="not a hypercube link"):
+            tracker.reserve_hop(0, 3, 0.0, 1.0)
+        with pytest.raises(SimulationError, match="not a hypercube link"):
+            tracker.reserve_hop(2, 2, 0.0, 1.0)
+        assert tracker.channels_used() == 0
+        assert tracker.reserve_hop(0, 1, 2.0, 5.0) == 2.0
+        assert not tracker._channel._views  # nobody asked for an object yet
+        channel, port = tracker.hop_resources(0, 1)
+        assert (channel.next_free, channel.busy_time, channel.reservations) == (7.0, 5.0, 1)
+        assert port is tracker._send_port[0] and port.next_free == 7.0
+        assert tracker.hop_resources(0, 1)[0] is channel
+
     def test_one_port_has_send_engagement(self):
         tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
         assert len(tracker.hop_resources(0, 1)) == 2  # channel + send port

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.sim.engine as engine_mod
 from repro.algorithms import get_algorithm
 from repro.errors import AlgorithmError, SimulationError
 from repro.sim import FaultPlan, MachineConfig, PortModel, run_spmd
@@ -400,31 +399,10 @@ class TestEligibilityGates:
         assert traced.stats == plain.stats
 
 
-class _CollectiveCounter:
-    """Counts collective closed-form successes/refusals and records the
-    spec tuples of every op the resolver was shown."""
-
-    def __init__(self, monkeypatch):
-        self.ok = 0
-        self.refused = 0
-        self.specs_seen: list[tuple] = []
-        real = engine_mod.try_advance_collective
-
-        def counted(engine, parked):
-            self.specs_seen.extend(op.specs for op, _ in parked.values())
-            out = real(engine, parked)
-            if out is None:
-                self.refused += 1
-            else:
-                self.ok += 1
-            return out
-
-        monkeypatch.setattr(engine_mod, "try_advance_collective", counted)
-
-
 class TestCollectivePhases:
     """The collective closed form: engagement, fused-pair gating, and the
-    delivery-into-parked-rank release."""
+    delivery-into-parked-rank release — read off the engine's own counters
+    (``RunResult.collective_phases_*`` / ``closed_form_refusals``)."""
 
     def _runs(self, key, n, p, port):
         rng = np.random.default_rng(5)
@@ -434,49 +412,65 @@ class TestCollectivePhases:
         algo = get_algorithm(key)
         fast = algo.run(A, B, cfg)
         slow = algo.run(A, B, cfg, superstep=False)
+        assert slow.result.collective_phases_closed_form == 0
+        assert set(slow.result.closed_form_refusals) <= {
+            "superstep disabled"
+        }
         return fast, slow
 
-    def test_multiport_3d_all_advances_in_closed_form(self, monkeypatch):
-        counter = _CollectiveCounter(monkeypatch)
+    def test_multiport_3d_all_advances_in_closed_form(self):
         fast, slow = self._runs("3d_all", 16, 64, PortModel.MULTI_PORT)
-        assert counter.ok >= 1 and counter.refused == 0
+        assert fast.result.collective_phases_closed_form >= 64
+        assert fast.result.collective_phases_event == 0
+        assert fast.result.closed_form_refusals == {}
         assert fast.total_time == slow.total_time
         assert fast.result.trace_digest() == slow.result.trace_digest()
         assert fast.result.stats == slow.result.stats
         assert np.array_equal(fast.C, slow.C)
 
-    def test_one_port_fused_pairs_refuse_inline(self, monkeypatch):
+    def test_one_port_rooted_pairs_refuse_inline(self):
         """On a one-port machine the two halves of a fused pair contend for
-        the same send port, so 2-spec ops must be refused inline — the
-        resolver only ever sees single-spec phases."""
-        counter = _CollectiveCounter(monkeypatch)
-        fast, slow = self._runs("3d_all", 8, 8, PortModel.ONE_PORT)
-        assert all(len(specs) == 1 for specs in counter.specs_seen)
+        the same send port.  A pair of broadcasts (3DD) runs while the
+        phase-1 lifts still cross its ports, so it is refused inline — once
+        per rank, and its two sub-tasks declare their halves again."""
+        fast, slow = self._runs("3dd", 8, 8, PortModel.ONE_PORT)
+        refusals = fast.result.closed_form_refusals
+        assert refusals == {
+            "one-port rooted pair": 8, "ctx.parallel sub-task": 16,
+        }
+        assert fast.result.collective_phases_event == 24
         assert fast.total_time == slow.total_time
         assert np.array_equal(fast.C, slow.C)
 
-    def test_multiport_fused_pair_reaches_resolver(self, monkeypatch):
-        counter = _CollectiveCounter(monkeypatch)
+    @pytest.mark.parametrize("key", ["simple", "3d_all", "3d_all_rect"])
+    def test_one_port_allgather_pairs_park_and_batch(self, key):
+        """A fused pair of dimension exchanges parks on a one-port machine
+        too: both schedules are planned through one port column."""
+        n, p = (16, 16) if key == "simple" else (8, 8)
+        fast, slow = self._runs(key, n, p, PortModel.ONE_PORT)
+        assert fast.result.collective_phases_closed_form >= p
+        assert fast.result.collective_phases_event == 0
+        assert fast.total_time == slow.total_time
+        assert fast.result.stats == slow.result.stats
+        assert fast.result.network == slow.result.network
+        assert np.array_equal(fast.C, slow.C)
+
+    def test_multiport_fused_pair_reaches_resolver(self):
         fast, slow = self._runs("3d_all", 8, 8, PortModel.MULTI_PORT)
-        assert any(len(specs) == 2 for specs in counter.specs_seen)
-        assert counter.ok >= 1
+        # Every declared phase batched — the fused pair included: a refused
+        # pair would have been counted under collective_phases_event.
+        assert fast.result.collective_phases_closed_form >= 8
+        assert fast.result.collective_phases_event == 0
         assert fast.total_time == slow.total_time
         assert np.array_equal(fast.C, slow.C)
 
-    def test_delivery_into_parked_rank_releases_phase(self, monkeypatch):
+    def test_delivery_into_parked_rank_releases_phase(self):
         """A unicast completing its final hop into a collective-parked rank
         must release the whole phase to the event path and redo the
         delivery — resolving a phase around a queued delivery is exactly
         the hazard the conformance suite once caught on DNS."""
         from repro.collectives.allgather import allgather
         from repro.mpi import Comm
-
-        releases = []
-        real = Engine._release_all_parked
-        monkeypatch.setattr(
-            Engine, "_release_all_parked",
-            lambda self: (releases.append(1), real(self))[1],
-        )
 
         def prog(ctx):
             if ctx.rank < 4:
@@ -490,7 +484,8 @@ class TestCollectivePhases:
             return ctx.now
 
         fast, slow = _both_paths(prog, p=8)
-        assert len(releases) >= 1
+        assert fast.closed_form_refusals == {"delivery to a parked rank": 4}
+        assert fast.collective_phases_event == 4
         assert fast.total_time == slow.total_time
         assert fast.stats == slow.stats
         assert fast.results == slow.results

@@ -73,6 +73,25 @@ class TestNeighbors:
         b = data.draw(st.integers(min_value=0, max_value=cube.num_nodes - 1))
         assert cube.distance(a, b) == bin(a ^ b).count("1")
 
+    def test_inlined_link_check_and_route_keep_their_answers_and_errors(self):
+        """``are_neighbors`` and ``route_hops`` are written as bit loops
+        (they are the cold path of every first-touched link and route):
+        same answers as the reference helpers, same errors out of range."""
+        from repro.topology.routing import ecube_hops
+        from repro.util.bits import hamming_distance
+
+        cube = Hypercube(4)
+        for a in cube.nodes():
+            for b in cube.nodes():
+                assert cube.are_neighbors(a, b) == (hamming_distance(a, b) == 1)
+                assert cube.route_hops(a, b) == ecube_hops(a, b)
+        for bad in (-1, 16):
+            for call in (cube.are_neighbors, cube.route_hops):
+                with pytest.raises(TopologyError, match="outside 16-node"):
+                    call(bad, 3)
+                with pytest.raises(TopologyError, match="outside 16-node"):
+                    call(3, bad)
+
     def test_link_dimension(self):
         cube = Hypercube(4)
         assert cube.link_dimension(0b0000, 0b0100) == 2
