@@ -142,6 +142,9 @@ def _cmd_run(args) -> int:
           f"{run.result.collective_phases_closed_form} in closed form")
     for reason, count in sorted(run.result.closed_form_refusals.items()):
         print(f"  refused {count:6d} : {reason}")
+    print(f"route searches  : {run.result.route_searches} "
+          f"({run.result.route_nodes_settled} nodes settled), "
+          f"{run.result.adaptive_detours} adaptive detours")
     coeffs = overhead_coefficients(args.algorithm, args.n, args.p, config.port_model)
     if coeffs is not None:
         a, b = coeffs

@@ -229,6 +229,10 @@ class Engine:
         self._adaptive = (
             self.scenario is not None and self.scenario.adaptive_routing
         )
+        # One-word hop cost of a nominal link, and per scenario epoch the
+        # tables of the links that are not nominal (see _link_costs).
+        self._nominal_hop = self._t_s + self._t_w
+        self._cost_tables: dict[int, tuple[int, dict, dict]] = {}
         if max_events is not None and max_events <= 0:
             raise SimulationError(f"max_events must be positive, got {max_events}")
         if max_virtual_time is not None and max_virtual_time <= 0:
@@ -408,6 +412,9 @@ class Engine:
             collective_phases_closed_form=self._coll_closed_form,
             collective_phases_event=self._coll_event,
             closed_form_refusals=dict(self._refusals),
+            route_searches=self.routes.searches,
+            route_nodes_settled=self.routes.nodes_settled,
+            adaptive_detours=self.routes.detours,
         )
 
     def _drain_events(self) -> None:
@@ -1057,22 +1064,28 @@ class Engine:
 
     # -- scenario costing --------------------------------------------------
 
-    def _link_weight(self, time: float):
-        """Per-link routing weight at ``time``: the degraded one-word hop
-        cost ``ts_factor·t_s + tw_factor·t_w`` under the active scenario.
+    def _link_costs(self, time: float) -> tuple[int, dict, dict]:
+        """``(epoch, weights, factors)`` of the scenario epoch holding ``time``.
 
-        Constant within one scenario epoch, which is what lets
-        :meth:`~repro.topology.routing.RouteCache.cheapest` memoize the
-        resulting routes per epoch key.
+        ``factors`` maps every channel the scenario degrades in that epoch
+        to its ``(ts_factor, tw_factor)`` and ``weights`` to its one-word
+        hop cost ``ts_factor·t_s + tw_factor·t_w``; a channel in neither
+        is nominal (``_nominal_hop``).  Built once per epoch and kept for
+        the run: hop costing and cost-aware routing both read these, and
+        :meth:`~repro.topology.routing.RouteCache.cheapest` memoizes its
+        routes under the same epoch.
         """
-        scen = self.scenario
-        t_s, t_w = self._t_s, self._t_w
-
-        def weight(a: int, b: int) -> float:
-            ts_f, tw_f = scen.factors(a, b, time)
-            return ts_f * t_s + tw_f * t_w
-
-        return weight
+        epoch = self.scenario.epoch(time)
+        tables = self._cost_tables.get(epoch)
+        if tables is None:
+            t_s, t_w = self._t_s, self._t_w
+            factors = self.scenario.channel_factors(epoch)
+            weights = {
+                channel: ts_f * t_s + tw_f * t_w
+                for channel, (ts_f, tw_f) in factors.items()
+            }
+            tables = self._cost_tables[epoch] = (epoch, weights, factors)
+        return tables
 
     # -- sends -----------------------------------------------------------
 
@@ -1106,11 +1119,11 @@ class Engine:
         if fs is None:
             if self._adaptive:
                 # Heterogeneous costs: route around expensive links.  The
-                # weight function is constant within a scenario epoch, so
-                # the cheapest route is memoized per (src, dst, epoch).
+                # cost table is constant within a scenario epoch, so the
+                # cheapest route is memoized per (src, dst, epoch).
+                epoch, weights, _ = self._link_costs(now)
                 hops: list | tuple = self.routes.cheapest(
-                    msg.src, msg.dst, self._link_weight(now),
-                    self.scenario.epoch(now),
+                    msg.src, msg.dst, weights, self._nominal_hop, epoch,
                 )
             else:
                 # Healthy machine: routes never change, so every transfer
@@ -1133,9 +1146,10 @@ class Engine:
                 # The route depends on both piecewise-constant layers, so
                 # the cache key pairs their epochs — either kind of window
                 # edge invalidates it.
+                epoch, weights, _ = self._link_costs(now)
                 cached = self.routes.cheapest(
-                    msg.src, msg.dst, self._link_weight(now),
-                    (fs.route_epoch(now), self.scenario.epoch(now)), alive,
+                    msg.src, msg.dst, weights, self._nominal_hop,
+                    (fs.route_epoch(now), epoch), alive,
                 )
             else:
                 cached = self.routes.healthy(msg.src, msg.dst)
@@ -1207,9 +1221,10 @@ class Engine:
                 # one).  Raises UnreachableError when the surviving graph
                 # disconnects.
                 if self._adaptive:
+                    epoch, weights, _ = self._link_costs(time)
                     tail = self.routes.cheapest(
-                        u, msg.dst, self._link_weight(time),
-                        (fs.route_epoch(time), self.scenario.epoch(time)),
+                        u, msg.dst, weights, self._nominal_hop,
+                        (fs.route_epoch(time), epoch),
                         lambda a, b: not fs.link_dead(a, b, time),
                     )
                 else:
@@ -1231,8 +1246,7 @@ class Engine:
                         )
                     )
             tw_factor = fs.degradation(u, v, time)
-        scen = self.scenario
-        if scen is None:
+        if self.scenario is None:
             header_ts = self._t_s
             if tw_factor == 1.0:
                 duration = self._t_s + self._t_w * msg.nwords
@@ -1242,7 +1256,8 @@ class Engine:
         else:
             # Scenario factors compose multiplicatively with the fault
             # plan's degradation: independent slowdown sources stack.
-            ts_f, tw_f = scen.factors(u, v, time)
+            _, _, factors = self._link_costs(time)
+            ts_f, tw_f = factors.get((u, v), (1.0, 1.0))
             header_ts = ts_f * self._t_s
             duration = header_ts + self._t_w * tw_f * tw_factor * msg.nwords
         start = self.tracker.reserve_hop(u, v, time, duration)

@@ -143,6 +143,16 @@ class LinkCost:
         )
 
 
+def _compose(entries, time: float) -> tuple[float, float]:
+    """Product of the factors of the ``entries`` whose window holds ``time``."""
+    ts_f = tw_f = 1.0
+    for lc in entries:
+        if lc.start <= time < lc.end:
+            ts_f *= lc.ts_factor
+            tw_f *= lc.tw_factor
+    return (ts_f, tw_f)
+
+
 @dataclass(frozen=True)
 class NetworkScenario:
     """An immutable per-link ``(t_s, t_w)`` cost map for one machine.
@@ -237,12 +247,27 @@ class NetworkScenario:
         entries = self._by_channel.get((u, v))
         if not entries:
             return (1.0, 1.0)
-        ts_f = tw_f = 1.0
-        for lc in entries:
-            if lc.start <= time < lc.end:
-                ts_f *= lc.ts_factor
-                tw_f *= lc.tw_factor
-        return (ts_f, tw_f)
+        return _compose(entries, time)
+
+    def channel_factors(
+        self, epoch: int
+    ) -> dict[tuple[int, int], tuple[float, float]]:
+        """Every channel whose :meth:`factors` differ from ``(1, 1)``
+        during ``epoch`` (see :meth:`epoch`), with those factors.
+
+        The whole cost map of one piecewise-constant interval in one walk:
+        the engine builds its per-epoch link-cost table from this once and
+        never asks :meth:`factors` per hop or per routing edge.
+        """
+        # Any time of the interval gives the same answer; its left end is
+        # the one that is always inside it.
+        time = self._edges[epoch - 1] if epoch else 0.0
+        table = {}
+        for channel, entries in self._by_channel.items():
+            both = _compose(entries, time)
+            if both != (1.0, 1.0):
+                table[channel] = both
+        return table
 
     def epoch(self, time: float) -> int:
         """Index of the piecewise-constant cost interval holding ``time``.

@@ -132,6 +132,14 @@ class RunResult:
         a hazard release, the planner's validation, or ``"planner
         exception: <Type>"``), and sums to ``collective_phases_event``.
         Diagnostics too, outside every digest.
+    route_searches, route_nodes_settled, adaptive_detours:
+        What cost-aware routing under a non-uniform scenario cost and
+        found: cheapest-path searches run (one per ``(src, dst, epoch)``
+        the route cache had not seen), the nodes they expanded, and how
+        many of the routes found leave the topology's native route —
+        through another dimension order or a longer detour.  (``network.
+        hops_rerouted`` counts only detours around *dead* links.)
+        Diagnostics too, outside every digest.
     """
 
     total_time: float
@@ -149,6 +157,9 @@ class RunResult:
     collective_phases_closed_form: int = 0
     collective_phases_event: int = 0
     closed_form_refusals: dict[str, int] = field(default_factory=dict)
+    route_searches: int = 0
+    route_nodes_settled: int = 0
+    adaptive_detours: int = 0
 
     @property
     def num_ranks(self) -> int:

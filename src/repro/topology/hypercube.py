@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import TopologyError
-from repro.util.bits import hamming_distance, ilog2, is_power_of_two
+from repro.util.bits import ilog2, is_power_of_two
 
 __all__ = ["Hypercube", "Subcube"]
 
@@ -76,7 +76,8 @@ class Hypercube:
 
     def neighbor(self, node: int, dim: int) -> int:
         """The neighbour of ``node`` across dimension ``dim``."""
-        self._check_node(node)
+        if not 0 <= node < 1 << self._dimension:
+            self._check_node(node)
         if not 0 <= dim < self._dimension:
             raise TopologyError(
                 f"dimension {dim} out of range for a {self._dimension}-cube"
@@ -84,8 +85,12 @@ class Hypercube:
         return node ^ (1 << dim)
 
     def neighbors(self, node: int) -> list[int]:
-        """All ``dimension`` neighbours of ``node``."""
-        self._check_node(node)
+        """All ``dimension`` neighbours of ``node``, ascending dimension."""
+        # The range check is inline (as in are_neighbors / route_hops):
+        # every expansion of the BFS detour and the cheapest-path search
+        # starts here.
+        if not 0 <= node < 1 << self._dimension:
+            self._check_node(node)
         return [node ^ (1 << d) for d in range(self._dimension)]
 
     def are_neighbors(self, a: int, b: int) -> bool:
@@ -100,9 +105,11 @@ class Hypercube:
 
     def distance(self, a: int, b: int) -> int:
         """Shortest-path (Hamming) distance between two nodes."""
-        self._check_node(a)
-        self._check_node(b)
-        return hamming_distance(a, b)
+        n = 1 << self._dimension
+        if not (0 <= a < n and 0 <= b < n):
+            self._check_node(a)
+            self._check_node(b)
+        return (a ^ b).bit_count()
 
     def link_dimension(self, a: int, b: int) -> int:
         """The dimension of the link joining neighbours ``a`` and ``b``."""

@@ -28,8 +28,9 @@ disconnects source from destination.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.errors import TopologyError, UnreachableError
 from repro.util.bits import set_bits
@@ -47,7 +48,8 @@ __all__ = [
 ]
 
 LinkPredicate = Callable[[int, int], bool]
-LinkWeight = Callable[[int, int], float]
+#: one-word hop cost of every channel that differs from the nominal one
+LinkCosts = Mapping[tuple[int, int], float]
 
 
 def ecube_next_hop(current: int, dest: int) -> int:
@@ -180,32 +182,66 @@ def fault_tolerant_hops(
 # ---------------------------------------------------------------------------
 # Cost-aware routing (heterogeneous / degraded networks)
 # ---------------------------------------------------------------------------
+#
+# The cheapest route is the parent chain of ``dest`` in a Dijkstra search
+# whose every tie is broken deterministically (see ``cheapest_path``).  The
+# search is *bounded*, and the bound never changes that chain:
+#
+# * Link costs are a table ``costs`` of the channels that differ from the
+#   ``nominal`` one-word hop cost ``t_s + t_w``; every entry is
+#   ``>= nominal`` because :class:`~repro.sim.scenario.LinkCost` rejects
+#   factors below 1.  So ``h(x) = distance(x, dest) * nominal`` is a lower
+#   bound on what is left to pay from ``x``, and a *consistent* one: one
+#   hop changes the distance by at most 1 and costs at least ``nominal``.
+# * The native route is one candidate, so its cost under the table — summed
+#   left to right from 0.0, exactly as the search would sum it — is an
+#   upper bound ``U`` on the optimum (``inf``, i.e. no pruning at all, when
+#   ``alive`` kills one of its hops).
+# * A relaxation ``(nd, x)`` with ``nd + h(x) > U`` is not pushed.  Whatever
+#   is reached through such an entry stays over ``U`` (consistency), so it
+#   can be neither ``dest``'s final distance nor an optimal predecessor of
+#   a node that is within ``U``: every optimal predecessor of an unpruned
+#   node is itself unpruned.  Unpruned nodes keep their distances, so they
+#   leave the ``(distance, node)`` heap in the same order, relax their
+#   neighbours in the same ascending order and win or lose the same strict
+#   comparisons: the chain of ``dest`` is unchanged, ties included.
+# * Floats: a path's cost is a left-to-right sum of up to ``diameter``
+#   terms, each addition (and the one product in ``h``) rounding by at most
+#   2^-53 relative, and non-dyadic ``t_s``/``t_w`` do round.  The nodes
+#   that can matter — those within ``U`` in exact arithmetic — therefore
+#   evaluate to at most ``U * (1 + ~1e-14)``.  Pruning only above
+#   ``U * (1 + 1e-9)`` keeps all of them and their optimal predecessors;
+#   an entry that survives in the gap is a node a full search would also
+#   hold, at a distance that cannot tie with anything within ``U``.
+
+#: relative slack on the pruning bound (far above rounding, far below any
+#: difference between two routes' costs that a scenario can express)
+_BOUND_SLACK = 1e-9
 
 
-def cheapest_path(
+def _cheapest_search(
     topology,
     src: int,
     dest: int,
-    weight: LinkWeight,
-    alive: LinkPredicate | None = None,
-) -> list[int]:
-    """Deterministic minimum-cost route ``src -> dest`` under ``weight``.
+    native,
+    costs: LinkCosts,
+    nominal: float,
+    alive: LinkPredicate | None,
+) -> tuple[list[int], int]:
+    """The bounded Dijkstra: ``(route nodes, nodes expanded)``.
 
-    Dijkstra over the (optionally ``alive``-filtered) topology with fully
-    deterministic tie-breaking: heap entries order by ``(distance, node)``
-    so equal-cost frontiers expand lowest-node-first, neighbours are
-    visited in the topology's order (ascending dimension on hypercubes),
-    and a node's parent only changes on a *strict* cost improvement — the
-    same inputs always yield the same path, which the simulator requires.
-
-    ``weight(u, v)`` must return the cost of traversing the directional
-    channel ``u -> v`` (the scenario layer passes the degraded cost of a
-    one-word hop, ``ts_factor·t_s + tw_factor·t_w``).  Raises
-    :class:`~repro.errors.UnreachableError` when ``alive`` disconnects the
-    pair.
+    ``native`` is ``topology.route_hops(src, dest)`` (the caller may hold
+    it cached).
     """
-    if src == dest:
-        return [src]
+    cost_of = costs.get
+    limit = 0.0
+    for hop in native:
+        if alive is not None and not alive(*hop):
+            limit = math.inf
+            break
+        limit += cost_of(hop, nominal)
+    limit *= 1.0 + _BOUND_SLACK
+    distance = topology.distance
     dist: dict[int, float] = {src: 0.0}
     parent: dict[int, int] = {src: src}
     settled: set[int] = set()
@@ -220,31 +256,67 @@ def cheapest_path(
         for nxt in topology.neighbors(node):
             if nxt in settled:
                 continue
+            nd = d + cost_of((node, nxt), nominal)
+            # Cheapest test first; all four are pure, so their order is free.
+            if nd > limit or (nxt in dist and nd >= dist[nxt]):
+                continue
+            if nd + distance(nxt, dest) * nominal > limit:
+                continue
             if alive is not None and not alive(node, nxt):
                 continue
-            nd = d + weight(node, nxt)
-            if nxt not in dist or nd < dist[nxt]:
-                dist[nxt] = nd
-                parent[nxt] = node
-                heapq.heappush(heap, (nd, nxt))
+            dist[nxt] = nd
+            parent[nxt] = node
+            heapq.heappush(heap, (nd, nxt))
     if dest not in parent:
         raise UnreachableError(src, dest)
     path = [dest]
     while path[-1] != src:
         path.append(parent[path[-1]])
     path.reverse()
-    return path
+    return path, len(settled)
+
+
+def cheapest_path(
+    topology,
+    src: int,
+    dest: int,
+    costs: LinkCosts,
+    nominal: float,
+    alive: LinkPredicate | None = None,
+) -> list[int]:
+    """Deterministic minimum-cost route ``src -> dest`` under a cost table.
+
+    Channel ``u -> v`` costs ``costs.get((u, v), nominal)``; every entry of
+    ``costs`` must be ``>= nominal`` (the scenario layer passes the degraded
+    one-word hop costs ``ts_factor·t_s + tw_factor·t_w`` of one epoch and
+    ``nominal = t_s + t_w``; its factors are ``>= 1`` by construction).
+
+    Dijkstra over the (optionally ``alive``-filtered) topology with fully
+    deterministic tie-breaking: heap entries order by ``(distance, node)``
+    so equal-cost frontiers expand lowest-node-first, neighbours are
+    visited in the topology's order (ascending dimension on hypercubes),
+    and a node's parent only changes on a *strict* cost improvement — the
+    same inputs always yield the same path, which the simulator requires.
+    Nodes that provably cannot lie on a route as cheap as the native one
+    are never expanded (the section comment above argues that this leaves
+    the answer untouched), so a neighbour whose link is not worth a detour
+    costs one expansion.  Raises :class:`~repro.errors.UnreachableError`
+    when ``alive`` disconnects the pair.
+    """
+    native = topology.route_hops(src, dest)
+    return _cheapest_search(topology, src, dest, native, costs, nominal, alive)[0]
 
 
 def cheapest_hops(
     topology,
     src: int,
     dest: int,
-    weight: LinkWeight,
+    costs: LinkCosts,
+    nominal: float,
     alive: LinkPredicate | None = None,
 ) -> list[tuple[int, int]]:
     """The (from, to) hop pairs of :func:`cheapest_path`."""
-    nodes = cheapest_path(topology, src, dest, weight, alive)
+    nodes = cheapest_path(topology, src, dest, costs, nominal, alive)
     return list(zip(nodes[:-1], nodes[1:]))
 
 
@@ -278,13 +350,18 @@ class RouteCache:
     at fixed edges — see :meth:`repro.sim.scenario.NetworkScenario.epoch`),
     so :meth:`cheapest` memoizes cost-aware routes per
     ``(src, dst, epoch-key)`` where the caller's epoch key combines every
-    epoch counter the weight/alive functions depend on — the scenario
+    epoch counter the cost table / alive function depend on — the scenario
     epoch alone on a healthy machine, the ``(fault-epoch, scenario-epoch)``
     pair when a fault plan is active too, so either kind of window edge
-    invalidates the cached route.
+    invalidates the cached route.  ``searches``, ``nodes_settled`` and
+    ``detours`` count what that cost: cache misses, the nodes their
+    searches expanded, and the routes found that leave the native one.
     """
 
-    __slots__ = ("topology", "_healthy", "_detours", "_cheapest")
+    __slots__ = (
+        "topology", "_healthy", "_detours", "_cheapest",
+        "searches", "nodes_settled", "detours",
+    )
 
     def __init__(self, topology):
         self.topology = topology
@@ -293,6 +370,9 @@ class RouteCache:
             tuple[int, int, int], tuple[tuple[int, int], ...]
         ] = {}
         self._cheapest: dict[tuple, tuple[tuple[int, int], ...]] = {}
+        self.searches = 0
+        self.nodes_settled = 0
+        self.detours = 0
 
     def healthy(self, src: int, dst: int) -> tuple[tuple[int, int], ...]:
         """The topology's native route ``src -> dst`` (cached, immutable)."""
@@ -324,22 +404,31 @@ class RouteCache:
         self,
         src: int,
         dst: int,
-        weight: LinkWeight,
+        costs: LinkCosts,
+        nominal: float,
         epoch,
         alive: LinkPredicate | None = None,
     ) -> tuple[tuple[int, int], ...]:
         """The minimum-cost route ``src -> dst``, cached per epoch key.
 
-        ``weight`` (and ``alive``, when given) must be constant for the
-        lifetime of ``epoch`` — the caller derives the key from the same
-        scenario/fault plan that backs the functions, combining both epoch
-        counters when both layers are active.  Raises
-        :class:`~repro.errors.UnreachableError`, uncached, when ``alive``
-        disconnects the pair.
+        ``costs`` / ``nominal`` (see :func:`cheapest_path`) and ``alive``,
+        when given, must be constant for the lifetime of ``epoch`` — the
+        caller derives the key from the same scenario/fault plan that backs
+        them, combining both epoch counters when both layers are active.
+        Raises :class:`~repro.errors.UnreachableError`, uncached, when
+        ``alive`` disconnects the pair.
         """
         key = (src, dst, epoch)
         hops = self._cheapest.get(key)
         if hops is None:
-            hops = tuple(cheapest_hops(self.topology, src, dst, weight, alive))
+            native = self.healthy(src, dst)
+            nodes, expanded = _cheapest_search(
+                self.topology, src, dst, native, costs, nominal, alive
+            )
+            hops = tuple(zip(nodes[:-1], nodes[1:]))
+            self.searches += 1
+            self.nodes_settled += expanded
+            if hops != native:
+                self.detours += 1
             self._cheapest[key] = hops
         return hops

@@ -34,7 +34,11 @@ from repro.algorithms import ALGORITHMS, get_algorithm
 from repro.algorithms.abft import ABFTMatmul
 from repro.mpi import CheckpointedMatmul, IntegrityContext, ReliableContext
 from repro.sim import FaultPlan, MachineConfig, PortModel, RoutingMode
-from repro.sim.scenario import hotspot, random_heterogeneous
+from repro.sim.scenario import (
+    congested_dimension,
+    hotspot,
+    random_heterogeneous,
+)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_traces.json"
 
@@ -106,12 +110,12 @@ def _run_fault_case():
 FAULT_CASE_ID = "cannon-n8-p16-one-port-sf-linkfault"
 
 
-def _run_scenario_case(key: str, n: int, p: int, scenario):
+def _run_scenario_case(key: str, n: int, p: int, scenario, **machine):
     """A degraded-machine run: pins the scenario-scaled link timings."""
     rng = np.random.default_rng(0)
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
-    config = MachineConfig.create(p, scenario=scenario, **_PARAMS)
+    config = MachineConfig.create(p, scenario=scenario, **machine, **_PARAMS)
     return get_algorithm(key).run(A, B, config, verify=True, trace=True)
 
 
@@ -197,6 +201,35 @@ def test_golden_trace_heterogeneous(case_id, key, n, p, scenario,
                                     regen_golden):
     run = _run_scenario_case(key, n, p, scenario)
     _check_or_regen(case_id, _record(run), regen_golden)
+
+
+# Cost-aware routes where equal-cost ties decide them (p = 64: a whole
+# congested dimension leaves many minimal orders of equal cost), recorded
+# at the commit before the bounded cheapest-path search.
+
+TIE_CT_CASE_ID = "3dd-n16-p64-one-port-ct-congested-dim1"
+TIE_FAULT_CASE_ID = "cannon-n16-p64-one-port-sf-hetero-linkfault"
+
+
+def test_golden_trace_congested_dimension_cut_through(regen_golden):
+    run = _run_scenario_case(
+        "3dd", 16, 64, congested_dimension(64, 1, 4.0),
+        routing=RoutingMode.CUT_THROUGH,
+    )
+    _check_or_regen(TIE_CT_CASE_ID, _record(run), regen_golden)
+
+
+def test_golden_trace_heterogeneous_rerouted_fault(regen_golden):
+    """Both piecewise-constant layers at once: the link dies at t = 10
+    under messages routed at t = 0 (the mid-flight splice re-routes them
+    by cost) and heals at t = 310 (the ``(fault epoch, scenario epoch)``
+    cache key must not serve the detour afterwards)."""
+    plan = FaultPlan(seed=5).with_link_fault(16, 18, start=10.0, end=310.0)
+    run = _run_scenario_case(
+        "cannon", 16, 64, random_heterogeneous(64, 2.0, seed=1), faults=plan,
+    )
+    assert run.result.network.hops_rerouted == 4  # the splice fired
+    _check_or_regen(TIE_FAULT_CASE_ID, _record(run), regen_golden)
 
 
 # -- resilience stack --------------------------------------------------------

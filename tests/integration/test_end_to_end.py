@@ -72,6 +72,8 @@ class TestCLI:
         # and batches too (96 events while it ran message by message)
         assert "engine events   : 32" in out
         assert "coll. phases    : 0 by events, 24 in closed form" in out
+        # a uniform machine routes natively: nothing was searched for
+        assert "route searches  : 0 (0 nodes settled), 0 adaptive detours" in out
 
     def test_run_multi_port(self, capsys):
         assert main(["run", "cannon", "-n", "16", "-p", "16",

@@ -26,6 +26,7 @@ import pytest
 from repro import MachineConfig, get_algorithm
 from repro.mpi import ReliableContext
 from repro.sim import FaultPlan, PortModel
+from repro.sim.scenario import random_heterogeneous
 
 N = P = 16
 _rng = np.random.default_rng(0)
@@ -169,6 +170,31 @@ def test_default_knob_single_hop_phases_leave_the_event_path(
     )
     assert issued == issued_as_events
     assert first <= ceiling, f"{first} calls, ceiling {ceiling}"
+
+
+def test_default_knob_scenario_run_pays_for_its_routes_not_for_searching():
+    """One-port 3DD, n = 64 on p = 512 with a fifth of the links slowed:
+    every message is an event and is routed by cost.  1 400 of the 1 408
+    are routed for the first time (1 368 to a neighbour), and 158 routes
+    leave the native one; a search whose direct link is not worth a detour
+    expands its source and stops, so together they settle 3 298 nodes
+    where the unbounded search settled 21 956.  381 820 calls plus
+    ~5 % (parent: 1 004 835 under this harness — 994 268 as the
+    ``3dd_p512_hetero`` unit of ``benchmarks/perf`` — of which ~650 000
+    were the searches, one ``factors`` call per relaxed edge)."""
+    run = _default_run(
+        "3dd", 512, scenario=random_heterogeneous(512, 2.0, seed=0)
+    )
+    run()
+    first, result, _ = _calls(run)
+    second, _, _ = _calls(run)
+    assert first == second, "the call count of a fixed run must repeat exactly"
+    res = result.result
+    assert res.total_messages() == 1408
+    assert res.route_searches == 1400
+    assert res.adaptive_detours == 158
+    assert res.route_nodes_settled <= 3_500
+    assert first <= 400_900, f"{first} calls, ceiling 400 900"
 
 
 def test_first_touch_of_a_link_or_route_costs_a_handful_of_calls():

@@ -100,6 +100,27 @@ class TestNetworkScenario:
         assert sc.epoch(20.0) == 3
         assert sc.time_varying
 
+    def test_channel_factors_is_the_epochs_whole_cost_map(self):
+        sc = (
+            NetworkScenario(name="t")
+            .with_link_cost(0, 1, tw_factor=2.0, start=10.0, end=20.0)
+            .with_link_cost(0, 1, ts_factor=3.0, start=15.0, directed=True)
+            .with_link_cost(2, 3, tw_factor=1.0)  # identity: never listed
+        )
+        assert sc.channel_factors(0) == {}
+        assert sc.channel_factors(1) == {(0, 1): (1.0, 2.0), (1, 0): (1.0, 2.0)}
+        assert sc.channel_factors(2) == {(0, 1): (3.0, 2.0), (1, 0): (1.0, 2.0)}
+        assert sc.channel_factors(3) == {(0, 1): (3.0, 1.0)}
+        # ... which is what the point query says anywhere inside the epoch
+        bg = background_traffic(16, jobs=3, seed=7)
+        edges = sorted({t for lc in bg.links for t in (lc.start, lc.end)})
+        for time in [0.0] + edges + [(a + b) / 2 for a, b in zip(edges, edges[1:])]:
+            table = bg.channel_factors(bg.epoch(time))
+            for u in range(16):
+                for d in range(4):
+                    v = u ^ (1 << d)
+                    assert table.get((u, v), (1.0, 1.0)) == bg.factors(u, v, time)
+
     def test_uniform_detection(self):
         assert uniform().is_uniform
         assert NetworkScenario(links=(LinkCost(0, 1),)).is_uniform
@@ -318,14 +339,13 @@ class TestAdaptiveRouting:
             0, 2, ts_factor=5.0, tw_factor=5.0
         )
         plan = FaultPlan(seed=0).with_link_fault(0, 1, start=0.0)
-        # E-cube 0-1-3 is dead at the first hop, the cheap detour 0-2-3 is
-        # degraded: the cost-aware router picks 0-4-5-7-3?  No — distance
-        # matters: 0-2 (5x) then 2-3 costs 5·10+10 = 60 vs a 3-hop healthy
-        # path at 30.  The router weighs both and takes the cheapest.
+        # E-cube 0-1-3 is dead at its first hop and the other minimal route
+        # 0-2-3 pays the degraded link: 5·10 + 10 = 60 in one-word hop
+        # costs.  Four healthy hops cost 40 and four such routes tie
+        # (0-4-5-1-3, 0-4-5-7-3, 0-4-6-7-3, 0-4-6-2-3): of 3's equal-cost
+        # predecessors 1, 2 and 7, node 1 settles first and stays its parent.
         hops = _route_of(8, sc, 0, 3, faults=plan)
-        assert (0, 1) not in hops
-        dst_reached = hops[-1][1] == 3
-        assert dst_reached
+        assert hops == [(0, 4), (4, 5), (5, 1), (1, 3)]
 
     def test_adaptive_route_prefers_cheap_longer_path_when_worth_it(self):
         # One-word hop costs: degraded 0-2 = 5·(7+3) = 50 per hop entry;
