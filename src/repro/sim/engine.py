@@ -27,7 +27,6 @@ buffered: a message may arrive before its receive is posted.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import defaultdict, deque
 from typing import Any, Callable, Generator
@@ -289,17 +288,19 @@ class Engine:
         # (members, free_dims) -> index maps of that subcube, built by the
         # collective planner the first time a phase runs over it.
         self._coll_tables: dict[tuple, tuple] = {}
-        self._msg_seq = itertools.count()
+        # Ids and the event sequence number (_seq) are plain integers bumped
+        # in place: the next value can be read without being consumed.
+        self._msg_seq = 0
         # Handle ids are per engine (like message ids): the "#k" in a
         # DeadlockError must not depend on what ran earlier in the process.
-        self._handle_seq = itertools.count()
+        self._handle_seq = 0
 
         self._task_time: dict[Task, float] = {r: 0.0 for r in range(n)}
         self._gens: dict[Task, Generator] = {}
         self._blocked: dict[Task, _Waiter] = {}
         self._parallel: dict[Task, _ParallelWait] = {}
         self._parent_of: dict[Task, tuple[Task, int]] = {}  # child -> (parent, slot)
-        self._child_seq = itertools.count(1)
+        self._child_seq = 1
         self._active_task: Task | None = None
 
         self._mailbox: dict[int, list[tuple[float, Message]]] = {r: [] for r in range(n)}
@@ -314,7 +315,7 @@ class Engine:
         # time bypass the heap (see _schedule for the ordering argument).
         self._ready: deque[tuple[float, int, int, tuple]] = deque()
         self._now = 0.0
-        self._seq = itertools.count()
+        self._seq = 0
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -576,10 +577,12 @@ class Engine:
         can schedule into the past of the *event* clock).
         """
         ready = self._ready
+        seq = self._seq
+        self._seq = seq + 1
         if time == self._now and (not ready or ready[0][0] == time):
-            ready.append((time, next(self._seq), kind, payload))
+            ready.append((time, seq, kind, payload))
         else:
-            heapq.heappush(self._events, (time, next(self._seq), kind, payload))
+            heapq.heappush(self._events, (time, seq, kind, payload))
 
     def _step(
         self, task: Task, time: float, value: Any, throw: BaseException | None = None
@@ -687,7 +690,8 @@ class Engine:
                                 "ctx.parallel expects generators (call the "
                                 "generator functions when passing them)"
                             )
-                        child: Task = (rank, next(self._child_seq))
+                        child: Task = (rank, self._child_seq)
+                        self._child_seq += 1
                         self._gens[child] = sub
                         self._task_time[child] = now
                         self._parent_of[child] = (task, slot)
@@ -1094,13 +1098,14 @@ class Engine:
         nwords: int, now: float, ack_tag: int | None = None,
         crc: int | None = None,
     ) -> Handle:
-        handle = Handle("send", task, next(self._handle_seq), dst, tag)
+        handle = Handle("send", task, self._handle_seq, dst, tag)
+        self._handle_seq += 1
         if self.config.copy_on_send:
-            data = copy_payload(data)
+            data = data.copy() if data.__class__ is np.ndarray else copy_payload(data)
         msg = Message(
-            rank, dst, tag, data, nwords, now,
-            next(self._msg_seq), ack_tag, crc,
+            rank, dst, tag, data, nwords, now, self._msg_seq, ack_tag, crc,
         )
+        self._msg_seq += 1
         st = self.stats[rank]
         st.messages_sent += 1
         st.words_sent += nwords
@@ -1130,17 +1135,19 @@ class Engine:
                 # on the same (src, dst) pair shares one immutable cached
                 # hop tuple.
                 hops = self.routes.healthy(msg.src, msg.dst)
-        elif fs.node_failed(msg.dst, now):
-            # Destination already fail-stopped: the message is lost in the
-            # void but the send itself costs the sender nothing extra.
-            if not handle.done:
-                handle.complete(now)
-            self._lose_message(_Transfer(msg, []), msg.src, now, now, "dest-failed")
-            return
         else:
-            def alive(a: int, b: int) -> bool:
-                return not fs.link_dead(a, b, now)
-
+            win = fs.window
+            if not win.lo <= now < win.hi:
+                win = fs.window_at(now)
+            if msg.dst in win.dead_nodes:
+                # Destination already fail-stopped: the message is lost in
+                # the void but the send itself costs the sender nothing extra.
+                if not handle.done:
+                    handle.complete(now)
+                self._lose_message(
+                    _Transfer(msg, []), msg.src, now, now, "dest-failed"
+                )
+                return
             if self._adaptive and fs.plan.reroute:
                 # Degraded-aware detouring: prefer cheap healthy links.
                 # The route depends on both piecewise-constant layers, so
@@ -1149,15 +1156,18 @@ class Engine:
                 epoch, weights, _ = self._link_costs(now)
                 cached = self.routes.cheapest(
                     msg.src, msg.dst, weights, self._nominal_hop,
-                    (fs.route_epoch(now), epoch), alive,
+                    (fs.route_epoch(now), epoch), win.alive,
                 )
             else:
                 cached = self.routes.healthy(msg.src, msg.dst)
                 # Strict mode keeps the native route; _start_hop raises
                 # LinkFailedError when the message reaches the dead link.
-                if fs.plan.reroute and not all(alive(u, v) for u, v in cached):
+                # A window that kills nothing has nothing to check.
+                if win.dead and fs.plan.reroute and not all(
+                    win.alive(u, v) for u, v in cached
+                ):
                     cached = self.routes.detour(
-                        msg.src, msg.dst, alive, fs.route_epoch(now)
+                        msg.src, msg.dst, win.alive, fs.route_epoch(now)
                     )
                     self._hops_rerouted += 1
                     if self.trace_enabled:
@@ -1200,52 +1210,53 @@ class Engine:
         fs = self.faults
         tw_factor = 1.0
         if fs is not None:
-            if fs.node_failed(u, time):
-                # The node holding the message died: the message dies too.
-                self._lose_message(transfer, u, time, time, "node-failed")
-                if hop_index == 0 and not handle.done:
-                    handle.complete(time)
-                    self._notify(handle.task)
-                return
-            if fs.node_failed(msg.dst, time):
-                self._lose_message(transfer, u, time, time, "dest-failed")
-                if hop_index == 0 and not handle.done:
-                    handle.complete(time)
-                    self._notify(handle.task)
-                return
-            if fs.link_dead(u, v, time):
-                if not fs.plan.reroute:
-                    raise LinkFailedError(u, v, time)
-                # Detour: recompute the surviving route from here (cached
-                # per fault epoch — the dead-link set is constant within
-                # one).  Raises UnreachableError when the surviving graph
-                # disconnects.
-                if self._adaptive:
-                    epoch, weights, _ = self._link_costs(time)
-                    tail = self.routes.cheapest(
-                        u, msg.dst, weights, self._nominal_hop,
-                        (fs.route_epoch(time), epoch),
-                        lambda a, b: not fs.link_dead(a, b, time),
+            win = fs.window
+            if not win.lo <= time < win.hi:
+                win = fs.window_at(time)
+            if win.dead:
+                dead_nodes = win.dead_nodes
+                if u in dead_nodes or msg.dst in dead_nodes:
+                    # The node holding the message died (the message dies
+                    # too), or nobody is left to receive it.
+                    self._lose_message(
+                        transfer, u, time, time,
+                        "node-failed" if u in dead_nodes else "dest-failed",
                     )
-                else:
-                    tail = self.routes.detour(
-                        u, msg.dst,
-                        lambda a, b: not fs.link_dead(a, b, time),
-                        fs.route_epoch(time),
-                    )
-                dead = (u, v)
-                hops[hop_index:] = tail
-                u, v = hops[hop_index]
-                self._hops_rerouted += 1
-                if self.trace_enabled:
-                    self.trace.append(
-                        TraceRecord(
-                            "reroute", time, time, dead[0],
-                            {"msg": msg.msg_id, "dead": dead, "via": v,
-                             "src": msg.src, "dst": msg.dst},
+                    if hop_index == 0 and not handle.done:
+                        handle.complete(time)
+                        self._notify(handle.task)
+                    return
+                if (u, v) in win.dead_channels or v in dead_nodes:
+                    if not fs.plan.reroute:
+                        raise LinkFailedError(u, v, time)
+                    # Detour: recompute the surviving route from here
+                    # (cached per fault epoch — the dead-link set is
+                    # constant within one).  Raises UnreachableError when
+                    # the surviving graph disconnects.
+                    if self._adaptive:
+                        epoch, weights, _ = self._link_costs(time)
+                        tail = self.routes.cheapest(
+                            u, msg.dst, weights, self._nominal_hop,
+                            (fs.route_epoch(time), epoch), win.alive,
                         )
-                    )
-            tw_factor = fs.degradation(u, v, time)
+                    else:
+                        tail = self.routes.detour(
+                            u, msg.dst, win.alive, fs.route_epoch(time)
+                        )
+                    dead = (u, v)
+                    hops[hop_index:] = tail
+                    u, v = hops[hop_index]
+                    self._hops_rerouted += 1
+                    if self.trace_enabled:
+                        self.trace.append(
+                            TraceRecord(
+                                "reroute", time, time, dead[0],
+                                {"msg": msg.msg_id, "dead": dead, "via": v,
+                                 "src": msg.src, "dst": msg.dst},
+                            )
+                        )
+            if win.tw_factor:
+                tw_factor = win.tw_factor.get((u, v), 1.0)
         if self.scenario is None:
             header_ts = self._t_s
             if tw_factor == 1.0:
@@ -1271,10 +1282,15 @@ class Engine:
             self.trace.append(
                 TraceRecord("hop", start, start + duration, u, info)
             )
-        if fs is not None and fs.roll_drop(u, v, start):
-            self._lose_message(transfer, v, start, start + duration, "drop")
-        elif fs is not None and fs.plan.corruptions:
-            self._maybe_corrupt(transfer, u, v, start, start + duration)
+        if fs is not None:
+            # The hop may have queued past a window edge: losses are rolled
+            # where it transmits (start), not where it became ready (time).
+            if not win.lo <= start < win.hi:
+                win = fs.window_at(start)
+            if (win.drop_p or win.base_drop_p) and fs.roll_drop(u, v, start):
+                self._lose_message(transfer, v, start, start + duration, "drop")
+            elif win.corruptions:
+                self._maybe_corrupt(transfer, u, v, start, start + duration)
         if (
             self._cut_through
             and hop_index < len(hops) - 1
@@ -1329,7 +1345,8 @@ class Engine:
         self, task: Task, rank: int, src_f: int, tag_f: int, now: float,
         timeout: float | None = None,
     ) -> Handle:
-        handle = Handle("recv", task, next(self._handle_seq), src_f, tag_f)
+        handle = Handle("recv", task, self._handle_seq, src_f, tag_f)
+        self._handle_seq += 1
         box = self._mailbox[rank]
         for i, (arrival, msg) in enumerate(box):
             # _matches, inlined: this runs for every queued message.
@@ -1369,9 +1386,13 @@ class Engine:
 
     def _deliver(self, msg: Message, time: float) -> None:
         fs = self.faults
-        if msg.dst in self.failed or (
-            fs is not None and fs.node_failed(msg.dst, time)
-        ):
+        gone = msg.dst in self.failed
+        if fs is not None and not gone:
+            win = fs.window
+            if not win.lo <= time < win.hi:
+                win = fs.window_at(time)
+            gone = msg.dst in win.dead_nodes
+        if gone:
             # The destination fail-stopped while the message was on its
             # final hop: nobody is home to consume or acknowledge it.  The
             # sender's timeout/retransmission path observes the silence.
@@ -1398,8 +1419,9 @@ class Engine:
                     nack = Message(
                         src=msg.dst, dst=msg.src, tag=msg.ack_tag,
                         data=CORRUPT_VERDICT, nwords=0, send_time=time,
-                        msg_id=next(self._msg_seq),
+                        msg_id=self._msg_seq,
                     )
+                    self._msg_seq += 1
                     self.stats[msg.dst].messages_sent += 1
                     nack_handle = Handle("send", msg.dst)
                     nack_handle.complete(time)
@@ -1414,8 +1436,9 @@ class Engine:
             # then the sender's retransmission tries again.
             ack = Message(
                 src=msg.dst, dst=msg.src, tag=msg.ack_tag, data=None,
-                nwords=0, send_time=time, msg_id=next(self._msg_seq),
+                nwords=0, send_time=time, msg_id=self._msg_seq,
             )
+            self._msg_seq += 1
             self.stats[msg.dst].messages_sent += 1
             ack_handle = Handle("send", msg.dst)
             ack_handle.complete(time)  # no task waits on the NIC's send

@@ -55,6 +55,7 @@ __all__ = [
     "NodeCorruption",
     "FLIP_MODELS",
     "FaultPlan",
+    "FaultWindow",
     "FaultState",
 ]
 
@@ -71,8 +72,20 @@ def _check_window(start: float, end: float) -> None:
         )
 
 
+class _LinkRecord:
+    """The directional channels a windowed link record names, and when."""
+
+    def channels(self) -> tuple[tuple[int, int], ...]:
+        if self.directed or self.u == self.v:
+            return ((self.u, self.v),)
+        return ((self.u, self.v), (self.v, self.u))
+
+    def covers(self, a: int, b: int, time: float) -> bool:
+        return self.start <= time < self.end and (a, b) in self.channels()
+
+
 @dataclass(frozen=True)
-class LinkFault:
+class LinkFault(_LinkRecord):
     """A link dead during ``[start, end)``.
 
     ``directed=False`` (default) kills both directional channels of the
@@ -88,16 +101,9 @@ class LinkFault:
     def __post_init__(self):
         _check_window(self.start, self.end)
 
-    def covers(self, a: int, b: int, time: float) -> bool:
-        if not self.start <= time < self.end:
-            return False
-        if (a, b) == (self.u, self.v):
-            return True
-        return not self.directed and (a, b) == (self.v, self.u)
-
 
 @dataclass(frozen=True)
-class LinkDrop:
+class LinkDrop(_LinkRecord):
     """Per-hop message-drop probability on a link during ``[start, end)``."""
 
     u: int
@@ -112,16 +118,9 @@ class LinkDrop:
         if not 0.0 <= self.rate <= 1.0:
             raise SimulationError(f"drop rate must be in [0, 1], got {self.rate}")
 
-    def covers(self, a: int, b: int, time: float) -> bool:
-        if not self.start <= time < self.end:
-            return False
-        if (a, b) == (self.u, self.v):
-            return True
-        return not self.directed and (a, b) == (self.v, self.u)
-
 
 @dataclass(frozen=True)
-class LinkDegradation:
+class LinkDegradation(_LinkRecord):
     """A ``t_w`` slowdown multiplier on a link during ``[start, end)``."""
 
     u: int
@@ -137,13 +136,6 @@ class LinkDegradation:
             raise SimulationError(
                 f"degradation factor must be >= 1 (a slowdown), got {self.factor}"
             )
-
-    def covers(self, a: int, b: int, time: float) -> bool:
-        if not self.start <= time < self.end:
-            return False
-        if (a, b) == (self.u, self.v):
-            return True
-        return not self.directed and (a, b) == (self.v, self.u)
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,7 @@ def _check_flip(model: str, flips: int) -> None:
 
 
 @dataclass(frozen=True)
-class LinkCorruption:
+class LinkCorruption(_LinkRecord):
     """Per-hop payload corruption on a link during ``[start, end)``.
 
     Each hop over the link is perturbed with probability ``rate``: ``flips``
@@ -194,13 +186,6 @@ class LinkCorruption:
                 f"corruption rate must be in [0, 1], got {self.rate}"
             )
         _check_flip(self.model, self.flips)
-
-    def covers(self, a: int, b: int, time: float) -> bool:
-        if not self.start <= time < self.end:
-            return False
-        if (a, b) == (self.u, self.v):
-            return True
-        return not self.directed and (a, b) == (self.v, self.u)
 
 
 @dataclass(frozen=True)
@@ -453,6 +438,63 @@ def _flip_bit(value: float, model: str, rng: np.random.Generator) -> float:
     return float((bits ^ np.uint64(1 << bit)).view(np.float64))
 
 
+class FaultWindow:
+    """Every point query of a :class:`FaultPlan`, tabulated for one window.
+
+    Between two consecutive edges of a plan (every ``start`` / finite
+    ``end`` of a link record, every fail-stop instant) its point queries
+    are constant, so for ``lo <= t < hi``: ``node_failed(n, t)`` is ``n in
+    dead_nodes``, ``link_dead(u, v, t)`` is ``not alive(u, v)``, and
+    ``degradation``, ``drop_probability`` and the covering corruptions are
+    ``tw_factor.get((u, v), 1.0)``, ``drop_p.get((u, v), base_drop_p)`` and
+    ``corruptions.get((u, v), ())``.  Products are accumulated in plan
+    order from the plan methods' own starting values, so every float is
+    ``==`` theirs.  ``dead``: the window kills something.
+    """
+
+    __slots__ = (
+        "lo", "hi", "dead_nodes", "dead_channels", "dead", "tw_factor",
+        "drop_p", "base_drop_p", "corruptions",
+    )
+
+    def __init__(self, plan: FaultPlan, lo: float, hi: float):
+        def covering(records):
+            return [
+                (rec, channel)
+                for rec in records if rec.start <= lo < rec.end
+                for channel in rec.channels()
+            ]
+
+        self.lo, self.hi = lo, hi
+        self.dead_nodes = {nf.node for nf in plan.node_failures if nf.time <= lo}
+        self.dead_channels = {ch for _, ch in covering(plan.link_faults)}
+        self.dead = bool(self.dead_nodes or self.dead_channels)
+        tw = self.tw_factor = {}
+        for deg, ch in covering(plan.degradations):
+            tw[ch] = tw.get(ch, 1.0) * deg.factor
+        survive = {}
+        for drop, ch in covering(plan.drops):
+            survive[ch] = survive.get(ch, 1.0 - plan.drop_rate) * (1.0 - drop.rate)
+        self.drop_p = {ch: 1.0 - s for ch, s in survive.items()}
+        self.base_drop_p = 1.0 - (1.0 - plan.drop_rate)
+        corr = self.corruptions = {}
+        for lc, ch in covering(plan.corruptions):
+            corr[ch] = corr.get(ch, ()) + (lc,)
+
+    def alive(self, u: int, v: int) -> bool:
+        """The routing layer's link predicate (``not link_dead``)."""
+        dead_nodes = self.dead_nodes
+        return not ((u, v) in self.dead_channels or u in dead_nodes or v in dead_nodes)
+
+
+def _window_edges(*record_lists) -> set[float]:
+    return {
+        edge
+        for records in record_lists for rec in records
+        for edge in (rec.start, rec.end) if math.isfinite(edge)
+    }
+
+
 class FaultState:
     """Per-run mutable view of a :class:`FaultPlan`.
 
@@ -464,10 +506,16 @@ class FaultState:
     as before corruption faults existed); corruption rolls and bit-flip
     draws consume the independent ``_crng`` — so mixing fault types never
     shifts either stream relative to a plan with one type only.
+
+    The plan's point queries are answered from one :class:`FaultWindow`
+    per piecewise-constant interval, built when a query first lands in it.
+    ``window`` is the last one hit: the engine reads it inline and calls
+    :meth:`window_at` only when ``win.lo <= t < win.hi`` fails.
     """
 
     __slots__ = (
-        "plan", "_rng", "_crng", "_epoch_edges", "_node_corr", "_fail_time",
+        "plan", "_rng", "_crng", "_epoch_edges", "_node_corr",
+        "_edges", "_windows", "window",
     )
 
     def __init__(self, plan: FaultPlan):
@@ -481,9 +529,6 @@ class FaultState:
             if plan.can_corrupt
             else None
         )
-        # Fail-stop instant per node (the plan rejects duplicates): the
-        # engine asks node_failed up to three times per hop.
-        self._fail_time = {nf.node: nf.time for nf in plan.node_failures}
         # Per-node FIFO of pending compute corruptions, soonest first.
         self._node_corr: dict[int, list[NodeCorruption]] = {}
         for nc in sorted(plan.node_corruptions, key=lambda c: c.time):
@@ -491,23 +536,29 @@ class FaultState:
         # Times at which the dead-link set can change: link-fault window
         # edges and node fail-stop instants.  Between consecutive edges the
         # set is constant, which is what lets the engine cache detour
-        # routes per (src, dst, epoch) — see route_epoch.
-        edges = set()
-        for lf in plan.link_faults:
-            edges.add(lf.start)
-            if math.isfinite(lf.end):
-                edges.add(lf.end)
-        for nf in plan.node_failures:
-            edges.add(nf.time)
-        self._epoch_edges = sorted(edges)
+        # routes per (src, dst, epoch) — see route_epoch.  The window table
+        # cuts at these and at every other record's edges too.
+        fail_stops = {nf.time for nf in plan.node_failures}
+        self._epoch_edges = sorted(fail_stops | _window_edges(plan.link_faults))
+        self._edges = sorted(fail_stops | _window_edges(
+            plan.link_faults, plan.drops, plan.degradations, plan.corruptions
+        ))
+        self._windows: dict[int, FaultWindow] = {}
+        self.window = self.window_at(0.0)
 
-    # Pure queries of the plan --------------------------------------------
-
-    def link_dead(self, u: int, v: int, time: float) -> bool:
-        plan = self.plan
-        if not plan.link_faults and not plan.node_failures:
-            return False
-        return plan.link_dead(u, v, time)
+    def window_at(self, time: float) -> FaultWindow:
+        """The window holding ``time`` (and from now on ``self.window``)."""
+        edges = self._edges
+        i = bisect.bisect_right(edges, time)
+        win = self._windows.get(i)
+        if win is None:
+            win = self._windows[i] = FaultWindow(
+                self.plan,
+                edges[i - 1] if i else -math.inf,
+                edges[i] if i < len(edges) else math.inf,
+            )
+        self.window = win
+        return win
 
     def route_epoch(self, time: float) -> int:
         """Index of the piecewise-constant dead-link interval holding ``time``.
@@ -515,17 +566,10 @@ class FaultState:
         ``link_dead(u, v, t)`` is the same function of ``(u, v)`` for every
         ``t`` with the same epoch, so fault-tolerant routes may be memoized
         per ``(src, dst, epoch)`` (:class:`repro.topology.routing.RouteCache`).
+        Deliberately coarser than the window table: a drop or degradation
+        edge changes no route, so it must not cost a route search.
         """
         return bisect.bisect_right(self._epoch_edges, time)
-
-    def node_failed(self, node: int, time: float) -> bool:
-        t = self._fail_time.get(node)
-        return t is not None and time >= t
-
-    def degradation(self, u: int, v: int, time: float) -> float:
-        if not self.plan.degradations:
-            return 1.0
-        return self.plan.degradation(u, v, time)
 
     # Stateful (stream-consuming) ----------------------------------------
 
@@ -535,7 +579,10 @@ class FaultState:
         Draws from the run's stream only when the effective probability is
         positive, so fault-free links never perturb the stream.
         """
-        p = self.plan.drop_probability(u, v, time)
+        win = self.window
+        if not win.lo <= time < win.hi:
+            win = self.window_at(time)
+        p = win.drop_p.get((u, v), win.base_drop_p)
         if p <= 0.0:
             return False
         if p >= 1.0:
@@ -550,9 +597,12 @@ class FaultState:
         outcome is genuinely random (0 < rate < 1) — certain outcomes
         never consume it, and the drop stream is never touched.
         """
+        win = self.window
+        if not win.lo <= time < win.hi:
+            win = self.window_at(time)
         out = []
-        for lc in self.plan.corruptions:
-            if not lc.covers(u, v, time) or lc.rate <= 0.0:
+        for lc in win.corruptions.get((u, v), ()):
+            if lc.rate <= 0.0:
                 continue
             if lc.rate >= 1.0 or self._crng.random() < lc.rate:
                 out.append(lc)

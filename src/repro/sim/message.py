@@ -31,6 +31,10 @@ _message_ids = itertools.count()
 #: when a message's attached CRC fails verification at delivery (a NACK)
 CORRUPT_VERDICT = "__corrupt__"
 
+#: exact classes of the leaves that are their own copy and whose canonical
+#: form is their ``repr`` (``None`` spells "N;")
+_ATOMS = frozenset((int, float, str, bool, type(None)))
+
 
 def _canon(data: Any, out: list[bytes]) -> None:
     if data is None:
@@ -67,9 +71,35 @@ def message_crc(src: int, dst: int, tag: int, nwords: int, data: Any) -> int:
     This is what :class:`~repro.mpi.integrity.IntegrityContext` attaches
     at send time and what the engine's delivery path re-computes at the
     destination: a mismatch means the payload was perturbed in flight.
+
+    Equal to ``crc32(canonical_bytes(data), crc32(header))``, which stays
+    the specification: the running CRC of a concatenation is the CRC of
+    the whole, so the bytes are fed piece by piece (text joined up to the
+    next array, array buffers as they lie) in one loop over exact classes.
+    ``nodes`` grows as it is walked — a container is its header, then its
+    items; anything unusual goes through :func:`canonical_bytes` itself.
     """
-    header = f"{src}>{dst}/{tag}#{nwords}|".encode()
-    return zlib.crc32(canonical_bytes(data), zlib.crc32(header))
+    text = f"{src}>{dst}/{tag}#{nwords}|"
+    crc = 0
+    nodes = [data]
+    for at, node in enumerate(nodes, 1):
+        cls = node.__class__
+        if cls is np.ndarray:
+            crc = zlib.crc32(f"{text}A{node.dtype.str}{node.shape};".encode(), crc)
+            if not node.flags.c_contiguous:
+                node = np.ascontiguousarray(node)
+            crc, text = zlib.crc32(node, crc), ""
+        elif node is None:
+            text += "N;"
+        elif cls in _ATOMS:
+            text += f"{node!r}"
+        elif cls is tuple or cls is list:
+            text += f"L{len(node)};"
+            nodes[at:at] = node
+        else:
+            crc = zlib.crc32(canonical_bytes(node), zlib.crc32(text.encode(), crc))
+            text = ""
+    return zlib.crc32(text.encode(), crc)
 
 
 def payload_words(data: Any, nwords: int | None = None) -> int:
@@ -85,11 +115,11 @@ def payload_words(data: Any, nwords: int | None = None) -> int:
     if nwords is not None:
         if nwords < 0:
             raise SimulationError(f"explicit nwords must be >= 0, got {nwords}")
-        return int(nwords)
+        return nwords if nwords.__class__ is int else int(nwords)
     if data is None:
         raise SimulationError("timing-only message needs an explicit nwords")
     if isinstance(data, np.ndarray):
-        return int(data.size)
+        return data.size
     if isinstance(data, (list, tuple, dict)):
         return _container_words(data)
     if np.isscalar(data):
@@ -113,6 +143,22 @@ def _container_words(data: Any) -> int:
 
 def copy_payload(data: Any) -> Any:
     """Deep-copy array payloads so senders can reuse their buffers."""
+    cls = data.__class__
+    if cls is np.ndarray:
+        return data.copy()
+    if cls in _ATOMS:
+        return data
+    if cls is tuple or cls is list:
+        # One pass over exact classes; only a nested container, a subclass
+        # or a dict recurses (and ends in the isinstance chain below).
+        items = list(data)
+        for i, item in enumerate(items):
+            item_cls = item.__class__
+            if item_cls is np.ndarray:
+                items[i] = item.copy()
+            elif item_cls not in _ATOMS:
+                items[i] = copy_payload(item)
+        return items if cls is list else tuple(items)
     if isinstance(data, np.ndarray):
         return data.copy()
     if isinstance(data, list):

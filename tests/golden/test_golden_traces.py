@@ -337,6 +337,46 @@ def test_golden_trace_resilience(case_id, runner, regen_golden):
     _check_or_regen(case_id, _resilience_record(runner()), regen_golden)
 
 
+WINDOW_EDGE_CASE_ID = "reliable-cannon-n8-p16-window-edges-between-time-and-start"
+
+
+def test_golden_trace_window_edge_between_hop_time_and_start(regen_golden):
+    """Four second sends of the one-port skew are ready at ``time`` 0 and
+    queue behind the first until their reservation ``start`` 19; a fault
+    window edge falls between the two.  Link health and degradation are
+    read at ``time``, the drop roll at ``start``.  Recorded at the commit
+    before the per-window fault table."""
+    plan = (
+        FaultPlan(seed=11)
+        # dies at 10 under a queued hop: the hop still crosses at 19
+        .with_link_fault(5, 1, start=10.0, end=60.0, directed=True)
+        # opens at 10: the hop that was ready at 0 is dropped at 19
+        .with_link_drop(6, 14, 1.0, start=10.0, end=30.0, directed=True)
+        # closed at 15: the hop that was ready inside it survives at 19
+        .with_link_drop(10, 2, 1.0, start=0.0, end=15.0, directed=True)
+        # opens at 10: the hop that was ready at 0 is not slowed at 19
+        .with_degraded_link(7, 3, 2.0, start=10.0, end=40.0, directed=True)
+    )
+    run = _resilient_cannon(8, plan, ReliableContext)
+    trace = run.result.trace
+    queued = {
+        (rec.rank, rec.info["to"]): rec
+        for rec in trace if rec.kind == "hop" and rec.start == 19.0
+    }
+    for channel in ((5, 1), (6, 14), (10, 2), (7, 3)):
+        assert queued[channel].end == 38.0  # 7 + 3·4 words, undegraded
+    assert "degraded" not in queued[(7, 3)].info
+    drops = [rec for rec in trace if rec.kind == "drop"]
+    assert [(d.start, d.info["msg"]) for d in drops] == [
+        (19.0, queued[(6, 14)].info["msg"])
+    ]
+    reroutes = [rec for rec in trace if rec.kind == "reroute"]
+    assert [(r.start, r.info["src"], r.info["dst"]) for r in reroutes] == [
+        (53.0, 5, 1)  # ready inside the window: this one does detour
+    ]
+    _check_or_regen(WINDOW_EDGE_CASE_ID, _resilience_record(run), regen_golden)
+
+
 SERVICE_CASE_ID = "service-sweep-n-cannon-berntsen"
 
 

@@ -4,11 +4,14 @@ Wall-clock on a shared host swings far more than any per-message saving,
 but the number of Python + C function calls ``cProfile`` sees for a fixed
 run is exact: it repeats from run to run, so a ceiling a few percent
 above today's value turns "a message got more expensive" into a
-deterministic tier-1 failure (ROADMAP item 1).  Two runs are forced onto
+deterministic tier-1 failure (ROADMAP item 1).  Four runs are forced onto
 the per-message event path the way real runs are — one by ``trace=True``,
-one by a fault plan under :class:`~repro.mpi.ReliableContext`.  The others
-keep every knob at its default, and pin how few of their messages reach
-the event path at all.
+three by a protocol layer of ``repro.mpi``: a lossy plan under
+:class:`~repro.mpi.ReliableContext`, a forced
+:class:`~repro.mpi.IntegrityContext` (a checksum at send and at delivery),
+and a plan with every kind of window, where the per-window fault table is
+actually consulted.  The others keep every knob at its default, and pin
+how few of their messages reach the event path at all.
 
 The ceilings are calls ÷ ``total_messages()`` of the whole
 ``Algorithm.run`` (distribute + simulate + collect) on CPython 3.11,
@@ -24,7 +27,9 @@ import numpy as np
 import pytest
 
 from repro import MachineConfig, get_algorithm
-from repro.mpi import ReliableContext
+import functools
+
+from repro.mpi import IntegrityContext, ReliableContext
 from repro.sim import FaultPlan, PortModel
 from repro.sim.scenario import random_heterogeneous
 
@@ -41,6 +46,32 @@ def _traced():
 
 def _lossy_reliable():
     plan = FaultPlan(seed=3).with_drop_rate(0.05)
+    cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0, faults=plan)
+    return get_algorithm("cannon").run(
+        A, B, cfg, verify=True, context_factory=ReliableContext
+    )
+
+
+def _forced_integrity():
+    cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0)
+    return get_algorithm("cannon").run(
+        A, B, cfg, verify=True,
+        context_factory=functools.partial(IntegrityContext, force_protocol=True),
+    )
+
+
+def _windowed_reliable():
+    """Every kind of window the fault table tabulates, open while the run
+    is busy: a link fault, two overlapping degradations on one link, a
+    drop window and a late fail-stop of a rank that has finished."""
+    plan = (
+        FaultPlan(seed=3)
+        .with_link_fault(5, 1, start=10.0, end=400.0)
+        .with_degraded_link(6, 14, 2.0, start=0.0, end=300.0)
+        .with_degraded_link(14, 6, 1.5, start=100.0, end=600.0)
+        .with_link_drop(10, 2, 0.5, start=50.0, end=500.0)
+        .with_node_failure(12, at=450.0)
+    )
     cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0, faults=plan)
     return get_algorithm("cannon").run(
         A, B, cfg, verify=True, context_factory=ReliableContext
@@ -67,12 +98,21 @@ def _calls(fn):
 @pytest.mark.parametrize(
     "fn, messages, ceiling",
     [
-        # this PR: 100.98 calls/message (parent 151.69)
-        (_traced, 128, 106.0),
-        # this PR: 143.21 calls/message (parent 194.35); 8 retransmissions
-        (_lossy_reliable, 260, 150.0),
+        # PR 22: 82.07 calls/message (parent 89.69; integer sequence numbers)
+        (_traced, 128, 86.2),
+        # PR 22: 94.72 (parent 136.24); 8 retransmissions
+        (_lossy_reliable, 260, 99.5),
+        # PR 22: 101.09 (parent 166.24): the envelope is copied once and
+        # checksummed twice per message, each in one pass
+        (_forced_integrity, 248, 106.2),
+        # PR 22: 102.80 (parent 148.35); 2 drops, 4 reroutes, and from
+        # t = 450 every window has a dead node to check hops against
+        (_windowed_reliable, 251, 108.0),
     ],
-    ids=["cannon_traced", "cannon_reliable_5pct_drops"],
+    ids=[
+        "cannon_traced", "cannon_reliable_5pct_drops",
+        "cannon_forced_integrity", "cannon_reliable_windowed_plan",
+    ],
 )
 def test_calls_per_message_is_exact_and_bounded(fn, messages, ceiling):
     fn()  # fill lru_caches and lazy imports: they are paid once per process
@@ -87,7 +127,6 @@ def test_calls_per_message_is_exact_and_bounded(fn, messages, ceiling):
     )
 
 
-
 def _default_knobs():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
@@ -100,10 +139,11 @@ def test_default_knob_cannon_leaves_the_event_path_at_the_first_quiet_point():
     512 of the contended skew and the 470 of the shift rounds that hazard
     releases ran before the network first fell quiet are ever issued as
     events; the closed form takes the other 7210 from there, and the engine
-    runs those 470 itself (no generator frames).  The ceiling is 109 219
-    calls plus ~5 % (143 524 before a first-touched link or route cost a
-    handful of calls; before the resident op: 250 546 calls, 2 048 messages
-    issued as events)."""
+    runs those 470 itself (no generator frames).  The ceiling is 100 145
+    calls plus ~5 % (109 219 while sequence numbers were ``itertools.count``
+    objects; 143 524 before a first-touched link or route cost a handful of
+    calls; before the resident op: 250 546 calls, 2 048 messages issued as
+    events)."""
     _default_knobs()
     first, run, stats = _calls(_default_knobs)
     second, _, _ = _calls(_default_knobs)
@@ -117,7 +157,7 @@ def test_default_knob_cannon_leaves_the_event_path_at_the_first_quiet_point():
     assert issued == 512 + 470
     assert result.shift_rounds_event == 235  # two messages each
     assert result.shift_rounds_event + result.shift_rounds_closed_form == 256 * 16
-    assert first <= 114_700, f"{first} calls, ceiling 114 700"
+    assert first <= 105_200, f"{first} calls, ceiling 105 200"
 
 
 def _default_run(key, p, **machine):
@@ -134,22 +174,22 @@ def _default_run(key, p, **machine):
     "run, messages, issued_as_events, ceiling",
     [
         # One-port fused allgather pair, planned through one port column:
-        # 129 581 calls (before: 439 733, all 2 048 messages as events; the
-        # multi-port twin, 113 500, is the floor).
-        (_default_run("simple", 256), 2048, 0, 136_000),
+        # 121 389 calls (before the step tables: 439 733, all 2 048
+        # messages as events).
+        (_default_run("simple", 256), 2048, 0, 127_500),
         # Row broadcasts were already closed forms; the B-roll is now a
-        # neighbour-exchange round: 338 515 calls (before: 554 248, 3 840
+        # neighbour-exchange round: 326 483 calls (before: 554 248, 3 840
         # of 7 680 messages as events).
-        (_default_run("fox", 256), 7680, 0, 355_400),
+        (_default_run("fox", 256), 7680, 0, 342_800),
         # Multi-port HJE: the 2·log√p exchanges of every multiply step are
         # one round; only the conditional XOR alignment (192 messages) is
-        # still evented: 67 486 calls (before: 205 227, all 2 880).
-        (_default_run("hje", 64, port_model=PortModel.MULTI_PORT), 2880, 192, 70_800),
+        # still evented: 65 486 calls (before: 205 227, all 2 880).
+        (_default_run("hje", 64, port_model=PortModel.MULTI_PORT), 2880, 192, 68_800),
         # One-port 3DD: its rooted pair is still refused inline and its
         # lifts stay evented, so this run must cost no more than it did:
-        # 229 469 calls (before: 263 504; the difference is the cheaper
+        # 217 221 calls (before: 263 504; the difference is the cheaper
         # first touch of links and routes, not a closed form).
-        (_default_run("3dd", 512), 1408, 960, 240_900),
+        (_default_run("3dd", 512), 1408, 960, 228_100),
     ],
     ids=["simple_p256", "fox_p256", "hje_p64_multi", "3dd_p512"],
 )
@@ -178,10 +218,11 @@ def test_default_knob_scenario_run_pays_for_its_routes_not_for_searching():
     are routed for the first time (1 368 to a neighbour), and 158 routes
     leave the native one; a search whose direct link is not worth a detour
     expands its source and stops, so together they settle 3 298 nodes
-    where the unbounded search settled 21 956.  381 820 calls plus
-    ~5 % (parent: 1 004 835 under this harness — 994 268 as the
-    ``3dd_p512_hetero`` unit of ``benchmarks/perf`` — of which ~650 000
-    were the searches, one ``factors`` call per relaxed edge)."""
+    where the unbounded search settled 21 956.  365 633 calls plus
+    ~5 % (before the bounded search: 1 004 835 under this harness —
+    994 268 as the ``3dd_p512_hetero`` unit of ``benchmarks/perf`` — of
+    which ~650 000 were the searches, one ``factors`` call per relaxed
+    edge)."""
     run = _default_run(
         "3dd", 512, scenario=random_heterogeneous(512, 2.0, seed=0)
     )
@@ -194,7 +235,7 @@ def test_default_knob_scenario_run_pays_for_its_routes_not_for_searching():
     assert res.route_searches == 1400
     assert res.adaptive_detours == 158
     assert res.route_nodes_settled <= 3_500
-    assert first <= 400_900, f"{first} calls, ceiling 400 900"
+    assert first <= 383_900, f"{first} calls, ceiling 383 900"
 
 
 def test_first_touch_of_a_link_or_route_costs_a_handful_of_calls():

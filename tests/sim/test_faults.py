@@ -401,3 +401,108 @@ class TestConfigIntegration:
         plan = FaultPlan().with_link_fault(0, 1)
         assert plan.link_faults[0].end == math.inf
         assert plan.link_dead(0, 1, 1e18)
+
+
+def _random_plan(seed: int) -> FaultPlan:
+    """A seeded plan on the 4-cube built to collide: windows that share
+    an edge, stacked degradations and drops on one link, directed and
+    undirected records, open-ended windows, several fail-stops."""
+    rng = np.random.default_rng(seed)
+    times = [0.0, 5.0, 10.0, 12.5, 20.0, 40.0]  # few values: edges coincide
+
+    def window():
+        start = float(rng.choice(times))
+        end = math.inf if rng.random() < 0.3 else start + float(rng.choice(times[1:]))
+        return {"start": start, "end": end, "directed": bool(rng.random() < 0.5)}
+
+    def link():
+        u = int(rng.integers(16))
+        return u, u ^ (1 << int(rng.integers(4)))
+
+    plan = FaultPlan(seed=seed).with_drop_rate((0.0, 0.05, 1.0)[seed % 3])
+    hot = link()  # every kind of record also lands on this one link, twice
+    for _ in range(int(rng.integers(1, 4))):
+        plan = plan.with_link_fault(*link(), **window())
+    for u, v in (hot, hot[::-1], link(), link()):
+        plan = plan.with_degraded_link(u, v, float(rng.choice([1.0, 1.7, 3.0])), **window())
+        plan = plan.with_link_drop(u, v, float(rng.choice([0.0, 0.1, 0.3, 1.0])), **window())
+        plan = plan.with_link_corruption(u, v, float(rng.choice([0.0, 0.5, 1.0])), **window())
+    for node in rng.choice(16, size=int(rng.integers(0, 4)), replace=False):
+        plan = plan.with_node_failure(int(node), at=float(rng.choice(times)))
+    return plan
+
+
+CHANNELS_4CUBE = [(u, u ^ (1 << d)) for u in range(16) for d in range(4)]
+
+
+class TestWindowTable:
+    """``FaultWindow`` is ``FaultPlan``'s point queries, tabulated: the plan's
+    methods are the definition, the table has to agree with them
+    everywhere — floats bitwise, corruptions in plan order."""
+
+    @pytest.mark.parametrize("seed", range(54))
+    def test_table_equals_plan_at_every_window_and_edge(self, seed):
+        plan = _random_plan(seed)
+        state = FaultState(plan)
+        edges = sorted({
+            t for records in (plan.link_faults, plan.drops, plan.degradations,
+                              plan.corruptions)
+            for rec in records for t in (rec.start, rec.end) if math.isfinite(t)
+        } | {nf.time for nf in plan.node_failures})
+        assert len(edges) >= 3
+        probes = {0.0, edges[-1] + 1.0, 1e18}
+        for lo, hi in zip(edges, edges[1:]):
+            probes.add((lo + hi) / 2)
+        for edge in edges:
+            probes.update((edge, math.nextafter(edge, math.inf)))
+            if edge > 0.0:
+                probes.add(math.nextafter(edge, -math.inf))
+        # Out of order on purpose: the last-hit window must be re-checked.
+        for t in sorted(probes, key=lambda t: (t * 7919.0) % 13.0):
+            win = state.window_at(t)
+            assert win is state.window and win.lo <= t < win.hi
+            for node in range(16):
+                assert (node in win.dead_nodes) == plan.node_failed(node, t)
+            for u, v in CHANNELS_4CUBE:
+                dead = plan.link_dead(u, v, t)
+                assert win.alive(u, v) == (not dead)
+                assert win.dead or not dead
+                assert win.tw_factor.get((u, v), 1.0) == plan.degradation(u, v, t)
+                assert (
+                    win.drop_p.get((u, v), win.base_drop_p)
+                    == plan.drop_probability(u, v, t)
+                )
+                assert list(win.corruptions.get((u, v), ())) == [
+                    lc for lc in plan.corruptions if lc.covers(u, v, t)
+                ]
+
+    def test_windows_are_built_once_and_only_where_asked(self):
+        plan = (FaultPlan().with_link_fault(0, 1, start=10.0, end=20.0)
+                .with_link_drop(2, 3, 0.5, start=15.0))
+        state = FaultState(plan)
+        first = state.window_at(12.0)
+        assert (first.lo, first.hi) == (10.0, 15.0)
+        assert state.window_at(14.0) is first
+        assert state.window_at(17.0) is not first
+        assert state.window_at(10.0) is first
+        assert len(state._windows) == 3  # t = 0 (built with the state), 12, 17
+
+    def test_route_epoch_ignores_edges_that_change_no_route(self):
+        plan = (FaultPlan().with_link_fault(0, 1, start=10.0, end=20.0)
+                .with_link_drop(2, 3, 0.5, start=15.0)
+                .with_degraded_link(4, 5, 2.0, start=12.0, end=18.0))
+        state = FaultState(plan)
+        assert [state.route_epoch(t) for t in (0, 10, 12, 15, 18, 19.9, 20)] == [
+            0, 1, 1, 1, 1, 1, 2
+        ]
+
+    def test_rolls_read_the_window_of_their_own_time(self):
+        plan = (FaultPlan().with_link_drop(0, 1, 1.0, start=10.0, end=20.0)
+                .with_link_corruption(0, 1, 1.0, start=20.0))
+        state = FaultState(plan)
+        assert [state.roll_drop(0, 1, t) for t in (25.0, 15.0, 5.0, 19.9)] == [
+            False, True, False, True
+        ]
+        assert [len(state.roll_corruptions(1, 0, t)) for t in (25.0, 15.0, 20.0)] == [
+            1, 0, 1
+        ]
