@@ -52,8 +52,8 @@ PARAMS = {
 
 LEDGER_PATH = pathlib.Path(__file__).parent / "BENCH_service.json"
 REPEATS = 3
-#: loose wall gate of --smoke: one poll period of the sleep-polling
-#: supervisor this replaced, several times the overhead measured since
+#: loose wall gate of --smoke: several times the per-chunk overhead the
+#: event-driven supervisor loop measures (its stop-check cap, not a poll)
 MAX_CHUNK_OVERHEAD_S = 0.020
 LEDGER_META = {
     "description": (

@@ -9,8 +9,9 @@ All_Trans's gather:
 1. **All-to-all personalized along y**: ``p_{i,j,k}`` sends ``B^l`` (the
    ``l``-th row group of its ``B`` block, ``n²/(p·∛p)`` words) to
    ``p_{i,l,k}``.  The received set ``B^j_{k,f(i,*)}`` *is* the Fig. 9
-   block ``B_{f(k,j),i}`` (the paper's proof of correctness, reproduced in
-   the implementation below).
+   block ``B_{f(k,j),i}`` (the paper's proof of correctness: row group
+   ``j`` of ``A``'s row-block ``k`` spans Fig. 9 row ``f(k,j)``; column
+   groups ``f(i,0..q-1)`` span column ``i``).
 2. **Two all-to-all broadcasts**: the re-shuffled ``B`` blocks along the
    z-direction and the ``A`` blocks along the x-direction, overlapped on
    multi-port nodes.  Afterwards ``p_{i,j,k}`` holds ``A_{k,f(*,j)}`` and
@@ -23,39 +24,34 @@ log p/(6∛p)))`` — the least communication overhead of all eight algorithms
 whenever ``p ≤ n^{3/2}`` and ``p ≥ 8``.  Multi-port: ``(log p,
 (n²/p^{2/3})(6/log p·(1-1/∛p) + 1/(2∛p)))`` when the phase-1 messages are
 big enough for full bandwidth (``n² ≥ p^{4/3}·log ∛p``).
+
+The program itself is the ``q2 = q1`` member of the ``q1 × q2 × q1``
+family in :mod:`repro.algorithms.all3d_rect`: with equal sides its column
+index ``i·q2 + j`` is the Fig. 8 ``f(i, j)``, its ``g(k, j)`` the Fig. 9
+row, and the messages, times and product are the same bit for bit.  This
+module keeps what the paper states for the cubic grid only: the key, the
+applicability conditions and the ``∛p`` grid.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
-from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import (
-    GridView3D,
-    TAG_A,
-    TAG_B,
-    TAG_C,
-    TAG_D,
-    require,
-    require_cubic_grid,
-)
-from repro.blocks.partition import PartitionFig8, f_index
-from repro.collectives import alltoall, reduce_scatter
-from repro.collectives.phase import allgather_call, parallel_pair
+from repro.algorithms.all3d_rect import All3DRectAlgorithm
+from repro.algorithms.common import require, require_cubic_grid
 from repro.topology.embedding import Grid3DEmbedding
 from repro.topology.hypercube import Hypercube
 
 __all__ = ["All3DAlgorithm"]
 
 
-class All3DAlgorithm(MatmulAlgorithm):
+class All3DAlgorithm(All3DRectAlgorithm):
     """The paper's headline 3D All algorithm (see module doc)."""
 
     key = "3d_all"
     name = "3D All"
     paper_section = "4.2.2"
+
+    def __init__(self):
+        super().__init__()  # no y_side: the cube has one shape
 
     def check_applicable(self, n: int, p: int) -> None:
         q = require_cubic_grid(n, p, self.name)
@@ -69,74 +65,5 @@ class All3DAlgorithm(MatmulAlgorithm):
             f"{self.name}: requires p <= n^(3/2) (p={p}, n={n})",
         )
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
-        grid = Grid3DEmbedding(cube)
-        q = grid.side
-        n = A.shape[0]
-        fig8 = PartitionFig8(n, q)
-        out = {}
-        for i in range(q):
-            for j in range(q):
-                c = f_index(i, j, q)
-                for k in range(q):
-                    out[grid.node_at(i, j, k)] = {
-                        "A": fig8.extract(A, k, c),
-                        "B": fig8.extract(B, k, c),
-                    }
-        return out
-
-    def program(self, ctx, n: int, local: dict[str, Any]):
-        view = GridView3D.create(ctx)
-        q = view.q
-        i, j, k = view.x, view.y, view.z
-
-        a_block = local["A"]  # A_{k, f(i,j)}: (n/q, n/q^2)
-        b_block = local["B"]  # B_{k, f(i,j)}: (n/q, n/q^2)
-
-        # -- phase 1: all-to-all personalized along y --------------------------
-        # Row group l of my B block goes to p_{i,l,k}.
-        ctx.phase("alltoall-B")
-        row_groups = [
-            np.ascontiguousarray(g) for g in np.array_split(b_block, q, axis=0)
-        ]
-        received = yield from alltoall(view.y_comm, row_groups, tag=TAG_B)
-        # received[l] = B^j_{k, f(i,l)}; concatenated over l this is the
-        # Fig. 9 block B_{f(k,j), i} (row group j of A's row-block k spans
-        # Fig. 9 row f(k,j); column groups f(i,0..q-1) span column i).
-        b_fig9 = np.hstack(received)  # (n/q^2, n/q)
-
-        # -- phase 2: all-to-all broadcasts along z (B) and x (A) --------------
-        ctx.phase("broadcasts")
-        a_list, b_list = yield from parallel_pair(
-            ctx,
-            allgather_call(view.x_comm, a_block, tag=TAG_C),
-            allgather_call(view.z_comm, b_fig9, tag=TAG_D),
-        )
-        # a_list[l] = A_{k, f(l,j)};  b_list[m] = B_{f(m,j), i}.
-        ctx.note_memory(q * a_block.size + q * b_fig9.size + (n // q) ** 2)
-
-        # -- compute I_{k,i} ----------------------------------------------------
-        ctx.phase("compute")
-        partial = None
-        for l in range(q):
-            partial = yield from ctx.local_matmul(a_list[l], b_list[l], partial)
-
-        # -- phase 3: all-to-all reduction along y -----------------------------
-        ctx.phase("reduce")
-        pieces = [
-            np.ascontiguousarray(piece)
-            for piece in np.array_split(partial, q, axis=1)
-        ]
-        c_block = yield from reduce_scatter(view.y_comm, pieces, tag=TAG_A)
-        return c_block
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid3DEmbedding(cube)
-        q = grid.side
-        fig8 = PartitionFig8(n, q)
-        blocks = {}
-        for i in range(q):
-            for j in range(q):
-                for k in range(q):
-                    blocks[(k, f_index(i, j, q))] = results[grid.node_at(i, j, k)]
-        return fig8.assemble(blocks)
+    def _grid(self, cube: Hypercube) -> Grid3DEmbedding:
+        return Grid3DEmbedding(cube)

@@ -16,7 +16,9 @@ outer products to agree — re-deriving the §4.2.2 proof with grid sides
   ``B`` along z — both over ``q1`` processors, overlapped on multi-port.
 * Phase 3: all-to-all reduction along y.
 
-``q2 = q1`` recovers the paper's cubic 3D All exactly.  Larger ``q2``
+``q2 = q1`` recovers the paper's cubic 3D All exactly — which is how
+:mod:`repro.algorithms.all3d` is written: a subclass that fixes the grid
+and states the paper's applicability conditions.  Larger ``q2``
 (e.g. the paper's ``∜p × √p × ∜p``) uses processor counts that are *not*
 powers of eight — p = 16, 256, 1024, … become reachable — at the price of
 more phase-1/3 start-ups; smaller ``q2`` cuts the y-phases short.  The
@@ -33,11 +35,10 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import TAG_A, TAG_B, TAG_C, TAG_D, require
+from repro.algorithms.common import GridView3D, TAG_A, TAG_B, TAG_C, TAG_D, require
 from repro.collectives import alltoall, reduce_scatter
 from repro.collectives.phase import allgather_call, parallel_pair
 from repro.errors import NotApplicableError
-from repro.mpi.communicator import Comm
 from repro.topology.embedding import Grid3DRectEmbedding
 from repro.topology.hypercube import Hypercube
 from repro.util.bits import ilog2, is_power_of_two
@@ -120,8 +121,8 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         )
 
     def distribute_inputs(self, A, B, cube: Hypercube):
-        q1, q2 = self._sides_for(cube.num_nodes)
         grid = self._grid(cube)
+        q1, q2 = grid.sx, grid.sy
         n = A.shape[0]
         out = {}
         for i in range(q1):
@@ -135,13 +136,8 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         return out
 
     def program(self, ctx, n: int, local: dict[str, Any]):
-        q1, q2 = self._sides_for(ctx.config.num_nodes)
-        grid = self._grid(ctx.config.cube)
-        i, j, k = grid.coords_of(ctx.rank)
-
-        x_comm = Comm(ctx, grid.line_members("x", i, j, k))
-        y_comm = Comm(ctx, grid.line_members("y", i, j, k))
-        z_comm = Comm(ctx, grid.line_members("z", i, j, k))
+        view = GridView3D.create(ctx, self._grid(ctx.config.cube))
+        q1, q2 = view.grid.sx, view.grid.sy
 
         a_block = local["A"]  # (n/q1, n/(q1*q2))
         b_block = local["B"]
@@ -151,7 +147,7 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         row_groups = [
             np.ascontiguousarray(g) for g in np.array_split(b_block, q2, axis=0)
         ]
-        received = yield from alltoall(y_comm, row_groups, tag=TAG_B)
+        received = yield from alltoall(view.y_comm, row_groups, tag=TAG_B)
         # hstack over the y-line: the (q1*q2)x(q1) - partition block
         # B_{g(k,j), i} with g(k,j) = k*q2 + j.
         b_wide = np.hstack(received)  # (n/(q1*q2), n/q1)
@@ -160,8 +156,8 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         ctx.phase("broadcasts")
         a_list, b_list = yield from parallel_pair(
             ctx,
-            allgather_call(x_comm, a_block, tag=TAG_C),
-            allgather_call(z_comm, b_wide, tag=TAG_D),
+            allgather_call(view.x_comm, a_block, tag=TAG_C),
+            allgather_call(view.z_comm, b_wide, tag=TAG_D),
         )
         ctx.note_memory(q1 * a_block.size + q1 * b_wide.size + (n // q1) ** 2)
 
@@ -177,12 +173,12 @@ class All3DRectAlgorithm(MatmulAlgorithm):
             np.ascontiguousarray(piece)
             for piece in np.array_split(partial, q2, axis=1)
         ]
-        c_block = yield from reduce_scatter(y_comm, pieces, tag=TAG_A)
+        c_block = yield from reduce_scatter(view.y_comm, pieces, tag=TAG_A)
         return c_block
 
     def collect_output(self, n: int, cube: Hypercube, results):
-        q1, q2 = self._sides_for(cube.num_nodes)
         grid = self._grid(cube)
+        q1, q2 = grid.sx, grid.sy
         rb = n // q1
         cb = n // (q1 * q2)
         C = np.zeros((n, n))

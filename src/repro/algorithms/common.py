@@ -14,7 +14,9 @@ import numpy as np
 from repro.errors import NotApplicableError
 from repro.mpi.communicator import Comm
 from repro.sim.process import ProcessContext
-from repro.topology.embedding import Grid2DEmbedding, Grid3DEmbedding
+from repro.topology.embedding import (
+    Grid2DEmbedding, Grid3DEmbedding, Grid3DRectEmbedding,
+)
 from repro.util.bits import ilog2, is_power_of_eight, is_power_of_two
 
 __all__ = [
@@ -108,14 +110,15 @@ class GridView2D:
 
 @dataclass
 class GridView3D:
-    """A rank's view of the ∛p³ grid, with the paper's ``p_{i,j,k}`` names.
+    """A rank's view of a 3-D grid (the ∛p³ one unless told otherwise),
+    with the paper's ``p_{i,j,k}`` names.
 
     ``x_comm`` spans ``p_{*,j,k}`` ordered by ``x``; ``y_comm`` spans
     ``p_{i,*,k}`` ordered by ``y``; ``z_comm`` spans ``p_{i,j,*}`` ordered
     by ``z``.
     """
 
-    grid: Grid3DEmbedding
+    grid: Grid3DRectEmbedding
     x: int
     y: int
     z: int
@@ -124,8 +127,11 @@ class GridView3D:
     z_comm: Comm
 
     @classmethod
-    def create(cls, ctx: ProcessContext) -> "GridView3D":
-        grid = Grid3DEmbedding(ctx.config.cube)
+    def create(
+        cls, ctx: ProcessContext, grid: Grid3DRectEmbedding | None = None
+    ) -> "GridView3D":
+        if grid is None:
+            grid = Grid3DEmbedding(ctx.config.cube)
         x, y, z = grid.coords_of(ctx.rank)
         return cls(
             grid=grid,

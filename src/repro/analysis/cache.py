@@ -52,6 +52,7 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import ModelError
 from repro.sim.machine import PortModel
+from repro.util import atomic_write
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -232,17 +233,13 @@ class ResultCache:
         if not self.enabled:
             return None
         path = self._path(task_digest(self._envelope(kind, descriptor)))
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "kind": kind,
             "descriptor": descriptor,
             "payload": payload,
             "created": time.time(),
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        atomic_write(path, pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
         return path
 
     def fetch(

@@ -45,6 +45,7 @@ from repro.errors import NotApplicableError, ReproError
 from repro.models.table2 import overhead_coefficients
 from repro.sim import RoutingMode
 from repro.sim.gantt import render_gantt
+from repro.util import atomic_write
 
 __all__ = ["main"]
 
@@ -603,14 +604,11 @@ def _submit_via_spool(args, kind: str, params: dict) -> dict:
     import uuid
 
     spool = pathlib.Path(args.state_dir) / "spool"
-    spool.mkdir(parents=True, exist_ok=True)
     nonce = uuid.uuid4().hex[:12]
-    tmp = spool / f".req-{nonce}.tmp.{os.getpid()}"
-    tmp.write_text(_json.dumps({
+    atomic_write(spool / f"req-{nonce}.json", _json.dumps({
         "nonce": nonce, "kind": kind, "params": params,
         "tenant": args.tenant, "ts": time.time(),
-    }), encoding="utf-8")
-    os.replace(tmp, spool / f"req-{nonce}.json")
+    }), tmp_stem=f".req-{nonce}")
     ack_path = spool / f"ack-{nonce}.json"
     deadline = time.monotonic() + args.wait
     while time.monotonic() < deadline:

@@ -13,10 +13,11 @@ from repro.service.chaos import (
 from repro.service.hostpool import HostAgent, HostPool, host_status
 from repro.service.jobs import JobSpec, build_cells, finalize, make_spec
 from repro.service.journal import Journal
+from repro.service.lease import ChunkOutcome, seeded_backoff
 from repro.service.scheduler import DeficitScheduler
 from repro.service.service import JobState, SweepService
 from repro.service.streaming import StreamWriter, is_byte_prefix, read_stream
-from repro.service.supervisor import ChunkOutcome, Supervisor, seeded_backoff
+from repro.service.supervisor import Supervisor
 
 __all__ = [
     "AdmissionController",

@@ -39,11 +39,11 @@ Per-host :class:`~repro.service.admission.TokenBucket` instances pace
 grants so one fast host cannot monopolize the backlog while a slow
 host's lease is still maturing.
 
-Fault model mirrors the supervisor: a revoked host's chunks re-enter the
-pending list with the same seeded exponential backoff
-(:func:`~repro.service.supervisor.seeded_backoff` — shared, so retry
-schedules are identical whichever tier retries) and the same
-``max_attempts`` -> quarantine ladder.  When **no** live host exists and
+Fault model: the supervisor's.  A failed or revoked lease goes to the
+same :class:`~repro.service.lease.LeaseLadder`, so retry schedules and
+the ``max_attempts`` -> quarantine rung are identical whichever tier
+retries; a revoked host's chunks keep their attempt number but still
+back off.  When **no** live host exists and
 nothing is in flight, the pool falls back to evaluating one chunk
 inline per poll — a daemon with zero agents degrades to a slow
 single-process run instead of deadlocking.
@@ -67,8 +67,9 @@ from typing import Any, Callable
 from repro.errors import ServiceError
 from repro.service.admission import TokenBucket
 from repro.service.jobs import evaluate_chunk
-from repro.service.supervisor import ChunkOutcome, seeded_backoff
+from repro.service.lease import ChunkExecutor, ChunkOutcome, LeaseLadder
 from repro.analysis.parallel import contiguous_spans
+from repro.util import atomic_write
 
 __all__ = ["HostPool", "HostAgent", "HostPoolCounters", "host_status"]
 
@@ -77,13 +78,10 @@ _POLL_S = 0.05
 
 
 def _write_json(path: pathlib.Path, body: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(
-        json.dumps(body, sort_keys=True, separators=(",", ":")),
-        encoding="utf-8",
+    atomic_write(
+        path, json.dumps(body, sort_keys=True, separators=(",", ":")),
+        tmp_stem=path.name,
     )
-    os.replace(tmp, path)
 
 
 def _read_json(path: pathlib.Path) -> dict | None:
@@ -133,25 +131,8 @@ class HostPoolCounters:
     stale_hosts: int = 0
     stale_results: int = 0
     quarantined: int = 0
+    backoff_s: float = 0.0
     local_fallback: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "grants": self.grants,
-            "retries": self.retries,
-            "revocations": self.revocations,
-            "stale_hosts": self.stale_hosts,
-            "stale_results": self.stale_results,
-            "quarantined": self.quarantined,
-            "local_fallback": self.local_fallback,
-        }
-
-
-@dataclass
-class _Pending:
-    chunk: int
-    attempt: int
-    not_before: float = 0.0
 
 
 @dataclass
@@ -168,14 +149,12 @@ class _HostState:
         rate=None))
 
 
-class HostPool:
+class HostPool(ChunkExecutor):
     """Daemon-side scheduler: lease chunk spans to live hosts.
 
-    Implements the same ``run()`` contract as
-    :class:`~repro.service.supervisor.Supervisor` (skip set, initial
-    attempts, outcome map, ``on_event``/``on_chunk_done`` callbacks,
-    drain via ``should_stop``) so the service can swap tiers without
-    caring which executes a job.
+    The :class:`~repro.service.lease.ChunkExecutor` whose transport is
+    the mailbox protocol above; ``run()`` has the contract of
+    :meth:`~repro.service.supervisor.Supervisor.run`.
     """
 
     def __init__(
@@ -196,31 +175,27 @@ class HostPool:
         should_stop: Callable[[], bool] | None = None,
         local_fallback: bool = True,
     ):
-        if max_attempts < 1:
-            raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
+        super().__init__(
+            HostPoolCounters(), max_attempts=max_attempts,
+            backoff_base_s=backoff_base_s, backoff_seed=backoff_seed,
+            on_event=on_event, on_chunk_done=on_chunk_done,
+            should_stop=should_stop,
+        )
         if span < 1:
             raise ServiceError(f"lease span must be >= 1, got {span}")
         self.hosts_root = pathlib.Path(hosts_root)
         self.stale_after_s = float(stale_after_s)
-        self.max_attempts = int(max_attempts)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_seed = int(backoff_seed)
         self.span = int(span)
         self.host_rate = host_rate
         self.host_burst = float(host_burst)
-        self.on_event = on_event or (lambda record: None)
-        self.on_chunk_done = on_chunk_done or (lambda chunk, records: None)
         # Wall clock, not monotonic: heartbeats cross process (and
         # potentially machine) boundaries, so timestamps must share an
         # epoch.  Tests inject both sides.
         self._clock = clock or time.time
         self._sleep = sleep or time.sleep
-        self._should_stop = should_stop or (lambda: False)
         self.local_fallback = local_fallback
-        self.counters = HostPoolCounters()
         self._hosts: dict[str, _HostState] = {}
         self._task_counter = 0
-        self.drained = False
 
     # -- host bookkeeping ----------------------------------------------------
 
@@ -280,58 +255,43 @@ class HostPool:
     ) -> dict[int, ChunkOutcome]:
         """Execute every chunk of ``plan`` not in ``skip_chunks`` across
         live hosts; same contract as ``Supervisor.run``."""
-        todo = [
-            i for i in range(len(plan))
-            if not skip_chunks or i not in skip_chunks
-        ]
-        outcomes: dict[int, ChunkOutcome] = {}
         self.drained = False
-        if not todo:
-            return outcomes
-        initial_attempts = initial_attempts or {}
-        pending = [
-            _Pending(chunk=i, attempt=initial_attempts.get(i, 1))
-            for i in todo
-        ]
+        ladder = LeaseLadder(self, len(plan), skip_chunks, initial_attempts)
         inflight: dict[int, _Lease] = {}
 
-        while len(outcomes) < len(todo):
+        while not ladder.finished:
             if self._should_stop():
                 self.drained = True
                 break
             now = self._clock()
-            self._collect(outcomes, inflight, pending, now)
-            self._police(inflight, pending, now)
+            self._collect(ladder, inflight, now)
+            self._police(ladder, inflight, now)
             live = self._live_hosts(now)
-            granted = self._grant(live, pending, inflight, kind, params,
+            granted = self._grant(live, ladder, inflight, kind, params,
                                   cells, plan, now)
             # Anti-deadlock fallback: with nothing in flight and nothing
             # grantable (no live hosts, or every bucket dry), the daemon
             # does the work itself rather than waiting forever.
             if (not granted and not inflight and self.local_fallback
-                    and len(outcomes) < len(todo)):
-                self._run_one_locally(
-                    pending, outcomes, kind, params, cells, plan, now
-                )
-            if len(outcomes) < len(todo):
+                    and not ladder.finished):
+                self._run_one_locally(ladder, kind, params, cells, plan, now)
+            if not ladder.finished:
                 self._sleep(_POLL_S)
-        return outcomes
+        return ladder.outcomes
 
     # -- loop phases ---------------------------------------------------------
 
-    def _grant(self, live, pending, inflight, kind, params, cells, plan,
+    def _grant(self, live, ladder, inflight, kind, params, cells, plan,
                now) -> int:
         """Lease contiguous spans of ready chunks to live hosts; returns
         the number of chunks granted this round."""
-        if not live or not pending:
+        if not live or not ladder.pending:
             return 0
         granted_total = 0
         for host in live:
             state = self._host(host)
-            ready = sorted(
-                (c for c in pending if c.not_before <= now),
-                key=lambda c: c.chunk,
-            )
+            # Lowest chunk first, so a grant is a contiguous span.
+            ready = ladder.ready(now, key=lambda c: c.chunk)
             if not ready:
                 break
             if state.bucket.try_take(now) > 0.0:
@@ -345,7 +305,7 @@ class HostPool:
                 {"host": host, "epoch": state.epoch},
             )
             for item in grant:
-                pending.remove(item)
+                ladder.pending.remove(item)
                 inflight[item.chunk] = _Lease(
                     host=host, attempt=item.attempt, epoch=state.epoch
                 )
@@ -371,7 +331,7 @@ class HostPool:
             })
         return granted_total
 
-    def _collect(self, outcomes, inflight, pending, now):
+    def _collect(self, ladder, inflight, now):
         """Absorb agent results, discarding stale-epoch echoes."""
         if not self.hosts_root.is_dir():
             return
@@ -399,19 +359,14 @@ class HostPool:
                     continue
                 del inflight[chunk]
                 if res.get("status") == "done":
-                    records = _unpack(res["records"])
-                    outcomes[chunk] = ChunkOutcome(
-                        chunk=chunk, records=records, attempts=lease.attempt,
-                    )
-                    self.on_chunk_done(chunk, records)
+                    ladder.done(chunk, lease.attempt, _unpack(res["records"]))
                 else:
-                    self._retry_or_quarantine(
-                        pending, outcomes, chunk, lease.attempt,
-                        reason="host-error",
+                    ladder.failed(
+                        chunk, lease.attempt, reason="host-error",
                         detail=str(res.get("detail", "unknown")), now=now,
                     )
 
-    def _police(self, inflight, pending, now):
+    def _police(self, ladder, inflight, now):
         """Revoke leases held by hosts whose heartbeat went stale."""
         if not inflight:
             return
@@ -433,25 +388,20 @@ class HostPool:
             })
             for chunk in chunks:
                 lease = inflight.pop(chunk)
-                self._retry_or_quarantine(
-                    pending, None, chunk, lease.attempt,
-                    reason="host-died",
+                ladder.failed(
+                    chunk, lease.attempt, reason="host-died",
                     detail=f"host {host} missed heartbeat "
                            f"(> {self.stale_after_s:g}s)",
                     now=now, consume_attempt=False,
                 )
 
-    def _run_one_locally(self, pending, outcomes, kind, params, cells,
-                         plan, now):
+    def _run_one_locally(self, ladder, kind, params, cells, plan, now):
         """Zero live hosts: evaluate one ready chunk inline (no deadlock)."""
-        ready = sorted(
-            (c for c in pending if c.not_before <= now),
-            key=lambda c: c.chunk,
-        )
+        ready = ladder.ready(now, key=lambda c: c.chunk)
         if not ready:
             return
         item = ready[0]
-        pending.remove(item)
+        ladder.pending.remove(item)
         start, stop = plan[item.chunk]
         self.counters.local_fallback += 1
         self.on_event({
@@ -460,47 +410,12 @@ class HostPool:
         try:
             records = evaluate_chunk(kind, params, cells[start:stop])
         except Exception as exc:  # noqa: BLE001 — same ladder as remote
-            self._retry_or_quarantine(
-                pending, outcomes, item.chunk, item.attempt,
-                reason="error", detail=f"{type(exc).__name__}: {exc}",
-                now=now,
+            ladder.failed(
+                item.chunk, item.attempt, reason="error",
+                detail=f"{type(exc).__name__}: {exc}", now=now,
             )
             return
-        outcomes[item.chunk] = ChunkOutcome(
-            chunk=item.chunk, records=records, attempts=item.attempt,
-        )
-        self.on_chunk_done(item.chunk, records)
-
-    def _retry_or_quarantine(self, pending, outcomes, chunk, attempt, *,
-                             reason, detail, now, consume_attempt=True):
-        if consume_attempt and attempt >= self.max_attempts:
-            self.counters.quarantined += 1
-            outcomes[chunk] = ChunkOutcome(
-                chunk=chunk, records=None, attempts=attempt,
-                quarantined=True, last_error=f"{reason}: {detail}",
-            )
-            self.on_event({
-                "t": "quarantine", "chunk": chunk, "attempts": attempt,
-                "reason": reason, "detail": detail,
-            })
-            return
-        # A host death never consumes the chunk's attempt budget the way
-        # a poisoned evaluation does (the chunk is innocent) — but it
-        # still backs off, so a flapping host can't hot-loop a chunk.
-        next_attempt = attempt + 1 if consume_attempt else attempt
-        delay = seeded_backoff(
-            self.backoff_seed, chunk, max(next_attempt, 1),
-            self.backoff_base_s,
-        )
-        self.counters.retries += 1
-        self.on_event({
-            "t": "retry", "chunk": chunk, "attempt": next_attempt,
-            "reason": reason, "detail": detail,
-            "backoff_s": round(delay, 4),
-        })
-        pending.append(_Pending(
-            chunk=chunk, attempt=next_attempt, not_before=now + delay,
-        ))
+        ladder.done(item.chunk, item.attempt, records)
 
 
 class HostAgent:

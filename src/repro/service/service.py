@@ -56,6 +56,7 @@ from repro.service.journal import Journal
 from repro.service.scheduler import DeficitScheduler
 from repro.service.streaming import StreamWriter
 from repro.service.supervisor import WAKE_COUNTERS, Supervisor
+from repro.util import atomic_write
 
 __all__ = ["SweepService", "JobState"]
 
@@ -308,21 +309,6 @@ class SweepService:
                 job.planned_workers = rec.get("workers")
                 job.cells = rec.get("cells")
                 job.status = "running"
-            elif t == "lease":
-                job.leases += 1
-                self.counters["leases"] += 1
-            elif t == "hlease":
-                self.counters["host_leases"] += 1
-            elif t == "hrevoke":
-                self.counters["host_revocations"] += 1
-            elif t == "retry":
-                job.retries += 1
-                self.counters["retries"] += 1
-                job.attempts[int(rec["chunk"])] = int(rec["attempt"])
-                if rec.get("reason") == "worker-died":
-                    self.counters["worker_deaths"] += 1
-                elif rec.get("reason") == "lease-expired":
-                    self.counters["lease_expiries"] += 1
             elif t == "done":
                 job.done_chunks.add(int(rec["chunk"]))
                 job.attempts.pop(int(rec["chunk"]), None)
@@ -336,6 +322,30 @@ class SweepService:
             elif t == "job_failed":
                 job.status = "failed"
                 job.error = rec.get("error")
+            else:
+                self._note_lease_event(job, rec)
+
+    def _note_lease_event(self, job: JobState, rec: dict) -> None:
+        """The one reader of ``lease`` / ``hlease`` / ``hrevoke`` /
+        ``retry`` records: replay feeds it the journal, a live run feeds
+        it each event as it is journaled, so both end in the same
+        ``counters`` and :class:`JobState`.  Other record types pass."""
+        t = rec.get("t")
+        if t == "lease":
+            job.leases += 1
+            self.counters["leases"] += 1
+        elif t == "hlease":
+            self.counters["host_leases"] += 1
+        elif t == "hrevoke":
+            self.counters["host_revocations"] += 1
+        elif t == "retry":
+            job.retries += 1
+            self.counters["retries"] += 1
+            job.attempts[int(rec["chunk"])] = int(rec["attempt"])
+            if rec.get("reason") == "worker-died":
+                self.counters["worker_deaths"] += 1
+            elif rec.get("reason") == "lease-expired":
+                self.counters["lease_expiries"] += 1
 
     # -- submission ---------------------------------------------------------
 
@@ -522,9 +532,10 @@ class SweepService:
             except ServiceError as exc:
                 ack.update(error=str(exc))
             ack["nonce"] = nonce
-            tmp = spool / f".ack-{nonce}.tmp.{os.getpid()}"
-            tmp.write_text(json.dumps(ack), encoding="utf-8")
-            os.replace(tmp, spool / f"ack-{nonce}.json")
+            atomic_write(
+                spool / f"ack-{nonce}.json", json.dumps(ack),
+                tmp_stem=f".ack-{nonce}",
+            )
             req_path.unlink(missing_ok=True)
             processed += 1
         return processed
@@ -583,28 +594,27 @@ class SweepService:
     def _executor(self, on_event, on_chunk_done):
         """The chunk executor for one job: host pool or worker pool,
         same ``run()`` contract either way."""
+        shared = dict(
+            max_attempts=self.max_attempts,
+            backoff_base_s=self.backoff_base_s,
+            on_event=on_event,
+            on_chunk_done=on_chunk_done,
+            should_stop=lambda: self._stop,
+        )
         if self.hosts_enabled():
             return HostPool(
                 self.state_dir / "hosts",
                 stale_after_s=self.stale_after_s,
-                max_attempts=self.max_attempts,
-                backoff_base_s=self.backoff_base_s,
                 span=self.host_span,
                 host_rate=self.host_rate,
                 host_burst=self.host_burst,
-                on_event=on_event,
-                on_chunk_done=on_chunk_done,
-                should_stop=lambda: self._stop,
+                **shared,
             )
         return Supervisor(
             workers=resolve_jobs(self.workers),
             chunk_deadline_s=self.chunk_deadline_s,
-            max_attempts=self.max_attempts,
-            backoff_base_s=self.backoff_base_s,
             chaos=self.inject,
-            on_event=on_event,
-            on_chunk_done=on_chunk_done,
-            should_stop=lambda: self._stop,
+            **shared,
         )
 
     def _chunk_descriptor(self, job: JobState, chunk: int) -> dict:
@@ -708,21 +718,7 @@ class SweepService:
             body = dict(event)
             body["job"] = job.id
             self.journal.append(body)
-            if event["t"] == "lease":
-                job.leases += 1
-                self.counters["leases"] += 1
-            elif event["t"] == "hlease":
-                self.counters["host_leases"] += 1
-            elif event["t"] == "hrevoke":
-                self.counters["host_revocations"] += 1
-            elif event["t"] == "retry":
-                job.retries += 1
-                self.counters["retries"] += 1
-                job.attempts[int(event["chunk"])] = int(event["attempt"])
-                if event.get("reason") == "worker-died":
-                    self.counters["worker_deaths"] += 1
-                elif event.get("reason") == "lease-expired":
-                    self.counters["lease_expiries"] += 1
+            self._note_lease_event(job, event)
 
         wakes = dict.fromkeys(WAKE_COUNTERS, 0)
         todo = set(range(len(plan))) - set(records_by_chunk)
@@ -793,15 +789,12 @@ class SweepService:
         return report
 
     def _write_report(self, job: JobState, report: dict) -> None:
-        results = self.state_dir / "results"
-        results.mkdir(parents=True, exist_ok=True)
-        path = results / f"{job.id}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         # dumps + one write, not dump: the indented encoder is the pure-
         # Python one and would call fh.write once per token.
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(report, indent=2, default=repr))
-        os.replace(tmp, path)
+        atomic_write(
+            self.state_dir / "results" / f"{job.id}.json",
+            json.dumps(report, indent=2, default=repr),
+        )
 
     # -- inspection ---------------------------------------------------------
 

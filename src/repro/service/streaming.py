@@ -36,6 +36,8 @@ import os
 import pathlib
 from typing import Any
 
+from repro.util import atomic_write
+
 __all__ = ["StreamWriter", "read_stream", "is_byte_prefix"]
 
 #: bump on any incompatible change to the line framing
@@ -116,7 +118,7 @@ class StreamWriter:
         write happened (publishing an unchanged snapshot is skipped)."""
         if not self._dirty:
             return False
-        self._write(self.path)
+        atomic_write(self.path, self.snapshot_bytes())
         self._dirty = False
         return True
 
@@ -131,20 +133,13 @@ class StreamWriter:
             "chunks": self._next_chunk,
             "quarantined": sorted(quarantined),
         }))
-        self._write(self.stream_path)
+        atomic_write(self.stream_path, self.snapshot_bytes())
         self.path.unlink(missing_ok=True)
         self._finished = True
         return self.stream_path
 
-    def _write(self, path: pathlib.Path) -> None:
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self._lines) + "\n")
-        os.replace(tmp, path)
-
     def snapshot_bytes(self) -> bytes:
-        """The bytes :meth:`refresh` would publish (for tests/audits)."""
+        """The bytes :meth:`refresh` publishes."""
         return ("\n".join(self._lines) + "\n").encode("utf-8")
 
 

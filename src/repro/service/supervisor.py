@@ -1,4 +1,4 @@
-"""Supervised worker pool: chunk leases, deadlines, retries, quarantine.
+"""Supervised worker pool: the chunk-lease ladder over processes and pipes.
 
 The supervisor turns *"a pool of processes that dies with its weakest
 member"* into *"a pool that outlives any of them"*.  It owns real
@@ -9,14 +9,12 @@ worker processes and leases grid chunks to them one at a time:
   and replaced — the discrete-event engine's timeout discipline applied
   to the host;
 * a worker that **dies** mid-lease (crash, OOM kill, injected
-  ``kill-worker``) is detected by process liveness, its chunk is
-  re-leased, and a fresh worker replaces it;
-* re-leases happen after a **seeded exponential backoff** (deterministic
-  per ``(backoff_seed, chunk, attempt)`` — replayable, like every other
-  randomized policy in this repo);
-* a chunk that keeps failing is **quarantined** after ``max_attempts``
-  and surfaces as a ``None`` record — a poisoned cell degrades the
-  report, it never hangs the sweep.
+  ``kill-worker``) is detected by process liveness and a fresh worker
+  replaces it;
+* what happens to the chunk then — **seeded exponential backoff** and a
+  re-lease, or **quarantine** after ``max_attempts`` — is the
+  :class:`~repro.service.lease.LeaseLadder`'s decision, the same one the
+  multi-host tier gets.
 
 Determinism: chunk payloads are pure functions of ``(kind, params,
 cells)``, and the supervisor merges them by chunk index, so the result
@@ -25,10 +23,10 @@ undisturbed or survived any number of kills and stalls.  Only the
 *counters* (retries, expiries) differ, and they are deliberately kept
 out of every digest.
 
-The supervisor is deliberately journal-agnostic: it reports lease /
-retry / quarantine events and chunk completions through callbacks, and
-the service layer decides what to persist.  That keeps this module
-testable with plain lists and keeps WAL policy in one place.
+The supervisor is deliberately journal-agnostic: it and its ladder
+report lease / retry / quarantine events and chunk completions through
+callbacks, and the service layer decides what to persist.  That keeps
+this module testable with plain lists and keeps WAL policy in one place.
 
 The run loop is event-driven.  Each iteration collects queued reports,
 polices leases, assigns ready chunks to idle workers — in that order,
@@ -44,9 +42,7 @@ has something to decide.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
-import random
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -55,11 +51,9 @@ from typing import Any, Callable
 from repro.errors import ServiceError
 from repro.service.chaos import ChaosPolicy, worker_chaos_hook
 from repro.service.jobs import evaluate_chunk
+from repro.service.lease import ChunkExecutor, ChunkOutcome, LeaseLadder
 
-__all__ = [
-    "Supervisor", "ChunkOutcome", "SupervisorCounters", "seeded_backoff",
-    "WAKE_COUNTERS",
-]
+__all__ = ["Supervisor", "SupervisorCounters", "WAKE_COUNTERS"]
 
 #: the run loop's wake accounting in :class:`SupervisorCounters`
 WAKE_COUNTERS = ("wakes_result", "wakes_worker_exit", "wakes_timeout", "wait_s")
@@ -69,20 +63,6 @@ WAKE_COUNTERS = ("wakes_result", "wakes_worker_exit", "wakes_timeout", "wait_s")
 #: on their own; only ``should_stop`` and the death of an *idle* worker
 #: have no file descriptor or deadline, so they are noticed this late.
 _POLL_S = 0.02
-
-
-def seeded_backoff(seed: int, chunk: int, attempt: int, base_s: float) -> float:
-    """Re-lease delay: ``base * 2**(attempt-1) * u``, ``u`` uniform in
-    [0.5, 1.5) from a generator seeded by ``(seed, chunk, attempt)``.
-
-    A pure function of its arguments — the whole retry schedule is
-    replayable from the journal, so a daemon that crashes mid-backoff
-    resumes the *same* schedule (pinned by
-    ``tests/service/test_supervisor.py``).  Shared by the in-process
-    supervisor and the multi-host pool so both tiers retry identically.
-    """
-    rng = random.Random(seed * 1_000_003 + chunk * 8191 + attempt)
-    return base_s * (2 ** (attempt - 1)) * (0.5 + rng.random())
 
 
 def _worker_main(worker_id, task_q, result_q, chaos):
@@ -108,17 +88,6 @@ def _worker_main(worker_id, task_q, result_q, chaos):
 
 
 @dataclass
-class ChunkOutcome:
-    """Terminal state of one chunk: its records, or quarantine."""
-
-    chunk: int
-    records: list | None
-    attempts: int
-    quarantined: bool = False
-    last_error: str | None = None
-
-
-@dataclass
 class SupervisorCounters:
     """Robustness and wake bookkeeping for one supervisor (never part of
     any digest, never journaled).
@@ -141,18 +110,11 @@ class SupervisorCounters:
     wait_s: float = 0.0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "leases": self.leases,
-            "retries": self.retries,
-            "worker_deaths": self.worker_deaths,
-            "lease_expiries": self.lease_expiries,
-            "quarantined": self.quarantined,
-            "backoff_s": round(self.backoff_s, 4),
-            "wakes_result": self.wakes_result,
-            "wakes_worker_exit": self.wakes_worker_exit,
-            "wakes_timeout": self.wakes_timeout,
-            "wait_s": round(self.wait_s, 4),
-        }
+        """Every field by name, the two sums of seconds rounded."""
+        out = dict(vars(self))
+        for name in ("backoff_s", "wait_s"):
+            out[name] = round(out[name], 4)
+        return out
 
 
 @dataclass
@@ -163,14 +125,6 @@ class _Worker:
     lease_deadline: float = 0.0
 
 
-@dataclass
-class _PendingChunk:
-    chunk: int
-    attempt: int
-    not_before: float = 0.0
-    last_error: str | None = None
-
-
 def _mp_context():
     """Fork where available (fast, Linux CI), spawn elsewhere."""
     try:
@@ -179,7 +133,7 @@ def _mp_context():
         return mp.get_context()
 
 
-class Supervisor:
+class Supervisor(ChunkExecutor):
     """Run one job's chunks to completion over a supervised worker pool.
 
     Parameters
@@ -193,10 +147,8 @@ class Supervisor:
     max_attempts:
         Per-chunk attempt budget before quarantine.
     backoff_base_s / backoff_seed:
-        Re-lease delay: ``base * 2**(attempt-1) * u`` with ``u`` drawn
-        uniformly from [0.5, 1.5) by a generator seeded from
-        ``(backoff_seed, chunk, attempt)`` — jittered so retry storms
-        decorrelate, seeded so runs replay.
+        Base and seed of :func:`~repro.service.lease.seeded_backoff`,
+        the re-lease delay.
     chaos:
         Optional :class:`~repro.service.chaos.ChaosPolicy` handed to
         every worker (and consulted nowhere else — the supervisor must
@@ -235,32 +187,25 @@ class Supervisor:
     ):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        if max_attempts < 1:
-            raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
+        super().__init__(
+            SupervisorCounters(), max_attempts=max_attempts,
+            backoff_base_s=backoff_base_s, backoff_seed=backoff_seed,
+            on_event=on_event, on_chunk_done=on_chunk_done,
+            should_stop=should_stop,
+        )
         if chunk_deadline_s <= 0:
             raise ServiceError(
                 f"chunk_deadline_s must be > 0, got {chunk_deadline_s}"
             )
         self.workers = int(workers)
         self.chunk_deadline_s = float(chunk_deadline_s)
-        self.max_attempts = int(max_attempts)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_seed = int(backoff_seed)
         self.chaos = chaos
-        self.on_event = on_event or (lambda record: None)
-        self.on_chunk_done = on_chunk_done or (lambda chunk, records: None)
         # Lease time is injected (same discipline as admission.py): tests
         # drive deadlines and backoffs from a virtual clock instead of
         # racing the wall clock.  Worker liveness and pool teardown stay
         # on real time — they guard host resources, not lease policy.
         self._clock = clock or time.monotonic
         self._wait = wait or connection.wait
-        # Drain hook: when it turns true the run loop stops leasing,
-        # abandons in-flight work (idempotent — it just re-runs later),
-        # and returns the outcomes gathered so far.
-        self._should_stop = should_stop or (lambda: False)
-        self.drained = False
-        self.counters = SupervisorCounters()
         self._ctx = _mp_context()
         self._next_worker_id = 0
 
@@ -288,11 +233,6 @@ class Supervisor:
         worker.task_q.cancel_join_thread()
         worker.task_q.close()
 
-    def _backoff(self, chunk: int, attempt: int) -> float:
-        return seeded_backoff(
-            self.backoff_seed, chunk, attempt, self.backoff_base_s
-        )
-
     # -- main loop ----------------------------------------------------------
 
     def run(
@@ -315,16 +255,11 @@ class Supervisor:
         here), so the seeded backoff schedule continues across a daemon
         restart instead of starting over at attempt 1.
         """
-        todo = [
-            i for i in range(len(plan))
-            if not skip_chunks or i not in skip_chunks
-        ]
-        outcomes: dict[int, ChunkOutcome] = {}
         self.drained = False
-        if not todo:
-            return outcomes
+        ladder = LeaseLadder(self, len(plan), skip_chunks, initial_attempts)
+        if ladder.finished:
+            return ladder.outcomes
 
-        initial_attempts = initial_attempts or {}
         # SimpleQueue, not Queue: its put() writes in the calling thread
         # and has released the shared write lock when it returns.  Queue's
         # feeder thread may still hold that lock when the worker's main
@@ -333,11 +268,7 @@ class Supervisor:
         result_q = self._ctx.SimpleQueue()
         pool: list[_Worker] = [
             self._spawn_worker(result_q)
-            for _ in range(min(self.workers, len(todo)))
-        ]
-        pending: list[_PendingChunk] = [
-            _PendingChunk(chunk=i, attempt=initial_attempts.get(i, 1))
-            for i in todo
+            for _ in range(min(self.workers, len(ladder.pending)))
         ]
         inflight: dict[int, _Worker] = {}  # chunk -> worker holding lease
 
@@ -353,14 +284,13 @@ class Supervisor:
                 # Collect before assigning: the worker whose report is
                 # absorbed here is idle again by the time _assign looks,
                 # so it never waits out a wake-up between two chunks.
-                self._drain_results(result_q, outcomes, inflight, pending, now)
-                self._police_leases(pool, pending, inflight, outcomes,
-                                    result_q, now)
-                if len(outcomes) == len(todo):
+                self._drain_results(result_q, ladder, inflight, now)
+                self._police_leases(pool, ladder, inflight, result_q, now)
+                if ladder.finished:
                     break
-                self._assign(pool, pending, inflight, cells, plan,
+                self._assign(pool, ladder, inflight, cells, plan,
                              kind, params, now)
-                now = self._block(result_q, pool, pending)
+                now = self._block(result_q, pool, ladder.pending)
         finally:
             # Busy workers hold abandoned leases (drain, or an exception
             # out of on_chunk_done): nothing will ever be read from them,
@@ -378,7 +308,7 @@ class Supervisor:
                         timeout=max(0.0, deadline - time.monotonic()))
                     self._reap(worker)
             result_q.close()
-        return outcomes
+        return ladder.outcomes
 
     def _block(self, result_q, pool, pending) -> float:
         """Block until a report is queued, a busy worker exits, or policy
@@ -426,18 +356,16 @@ class Supervisor:
 
     # -- loop phases --------------------------------------------------------
 
-    def _assign(self, pool, pending, inflight, cells, plan, kind, params, now):
+    def _assign(self, pool, ladder, inflight, cells, plan, kind, params, now):
         """Lease ready pending chunks to idle workers (deterministic order)."""
-        if not pending:
+        if not ladder.pending:
             return
-        pending.sort(key=lambda c: (c.not_before, c.chunk))
-        for worker in pool:
-            if worker.busy is not None or not worker.proc.is_alive():
-                continue
-            ready = next((c for c in pending if c.not_before <= now), None)
-            if ready is None:
-                return
-            pending.remove(ready)
+        idle = [w for w in pool if w.busy is None and w.proc.is_alive()]
+        if not idle:
+            return
+        queue = ladder.ready(now, key=lambda c: (c.not_before, c.chunk))
+        for worker, ready in zip(idle, queue):
+            ladder.pending.remove(ready)
             start, stop = plan[ready.chunk]
             worker.busy = (ready.chunk, ready.attempt)
             worker.lease_deadline = now + self.chunk_deadline_s
@@ -451,7 +379,7 @@ class Supervisor:
                 (ready.chunk, ready.attempt, kind, params, cells[start:stop])
             )
 
-    def _drain_results(self, result_q, outcomes, inflight, pending, now):
+    def _drain_results(self, result_q, ladder, inflight, now):
         """Absorb every queued worker report."""
         while not result_q.empty():
             status, wid, chunk_id, attempt, payload = result_q.get()
@@ -464,23 +392,17 @@ class Supervisor:
             worker.busy = None
             del inflight[chunk_id]
             if status == "done":
-                outcomes[chunk_id] = ChunkOutcome(
-                    chunk=chunk_id,
-                    records=pickle.loads(payload),
-                    attempts=attempt,
-                )
-                self.on_chunk_done(chunk_id, outcomes[chunk_id].records)
+                ladder.done(chunk_id, attempt, pickle.loads(payload))
             else:  # evaluation raised inside the worker
-                self._retry_or_quarantine(
-                    pending, outcomes, chunk_id, attempt,
-                    reason="error", detail=payload, now=now,
+                ladder.failed(
+                    chunk_id, attempt, reason="error", detail=payload, now=now,
                 )
 
-    def _police_leases(self, pool, pending, inflight, outcomes, result_q, now):
-        """Detect dead and hung workers; re-lease or quarantine their chunks."""
+    def _police_leases(self, pool, ladder, inflight, result_q, now):
+        """Detect dead and hung workers; hand their chunks to the ladder."""
         for idx, worker in enumerate(pool):
             if worker.busy is None:
-                if not worker.proc.is_alive() and (pending or inflight):
+                if not worker.proc.is_alive() and (ladder.pending or inflight):
                     # An idle worker died (shouldn't happen, but a pool
                     # that shrinks silently is a pool that deadlocks).
                     self._reap(worker)
@@ -505,34 +427,6 @@ class Supervisor:
             self._reap(worker)
             del inflight[chunk_id]
             pool[idx] = self._spawn_worker(result_q)
-            self._retry_or_quarantine(
-                pending, outcomes, chunk_id, attempt,
-                reason=reason, detail=detail, now=now,
+            ladder.failed(
+                chunk_id, attempt, reason=reason, detail=detail, now=now,
             )
-
-    def _retry_or_quarantine(
-        self, pending, outcomes, chunk_id, attempt, *, reason, detail, now
-    ):
-        if attempt >= self.max_attempts:
-            self.counters.quarantined += 1
-            outcomes[chunk_id] = ChunkOutcome(
-                chunk=chunk_id, records=None, attempts=attempt,
-                quarantined=True, last_error=f"{reason}: {detail}",
-            )
-            self.on_event({
-                "t": "quarantine", "chunk": chunk_id,
-                "attempts": attempt, "reason": reason, "detail": detail,
-            })
-            return
-        delay = self._backoff(chunk_id, attempt)
-        self.counters.retries += 1
-        self.counters.backoff_s += delay
-        self.on_event({
-            "t": "retry", "chunk": chunk_id, "attempt": attempt + 1,
-            "reason": reason, "detail": detail,
-            "backoff_s": round(delay, 4),
-        })
-        pending.append(_PendingChunk(
-            chunk=chunk_id, attempt=attempt + 1,
-            not_before=now + delay, last_error=detail,
-        ))

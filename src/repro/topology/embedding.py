@@ -183,10 +183,11 @@ class Grid2DEmbedding:
 class Grid3DRectEmbedding:
     """A rectangular ``sx × sy × sz`` grid on a hypercube, Gray-coded per axis.
 
-    Generalizes :class:`Grid3DEmbedding` to unequal power-of-two sides —
-    needed by the rectangular 3D All variant sketched at the end of §4.2.2,
-    which trades the cubic ``∛p³`` grid for ``∜p × √p × ∜p`` to reach more
-    processors.  Axis order matches the paper's ``p_{i,j,k}``: ``(x, y, z)``.
+    Power-of-two sides that need not be equal (:class:`Grid3DEmbedding` is
+    the member whose are) — needed by the rectangular 3D All variant
+    sketched at the end of §4.2.2, which trades the cubic ``∛p³`` grid for
+    ``∜p × √p × ∜p`` to reach more processors.  Axis order matches the
+    paper's ``p_{i,j,k}``: ``(x, y, z)``.
     """
 
     __slots__ = ("cube", "sx", "sy", "sz", "_kx", "_ky", "_kz")
@@ -224,6 +225,7 @@ class Grid3DRectEmbedding:
         )
 
     def line_members(self, axis: str, x: int = 0, y: int = 0, z: int = 0) -> list[int]:
+        """Cube nodes along ``axis``, ordered by that grid coordinate."""
         sig = ("rect", self.cube.dimension, self._kx, self._ky, self._kz)
         if axis == "x":
             key = sig + ("x", y % self.sy, z % self.sz)
@@ -284,48 +286,31 @@ class SubcubeGrid2D:
         return [self.node_at(r, col) for r in range(self.side)]
 
 
-class Grid3DEmbedding:
+class Grid3DEmbedding(Grid3DRectEmbedding):
     """A ``q × q × q`` grid on a ``3k``-cube (``q = 2**k``), Gray-coded per axis.
 
-    Coordinates follow the paper's ``p_{i,j,k}`` convention: the first
-    coordinate is ``x`` (= ``i``), the second ``y`` (= ``j``), the third
-    ``z`` (= ``k``).  Lines along each axis are subcubes.
+    The equal-sides member of :class:`Grid3DRectEmbedding` (``node_at``,
+    ``coords_of`` and ``line_members`` are its).  Coordinates follow the
+    paper's ``p_{i,j,k}`` convention: the first coordinate is ``x``
+    (= ``i``), the second ``y`` (= ``j``), the third ``z`` (= ``k``).
+    Lines along each axis are subcubes.
     """
 
-    __slots__ = ("cube", "side", "_k")
+    __slots__ = ("side",)
 
     def __init__(self, cube: Hypercube):
+        # Not super().__init__: one divisibility test replaces its three
+        # side checks, and every rank of every 3-D algorithm builds one.
         if cube.dimension % 3:
             raise TopologyError(
                 f"3-D grid needs a cube dimension divisible by 3, got {cube.dimension}"
             )
         self.cube = cube
-        self._k = cube.dimension // 3
-        self.side = 1 << self._k
-
-    def node_at(self, x: int, y: int, z: int) -> int:
-        q = self.side
-        x %= q
-        y %= q
-        z %= q
-        k = self._k
-        return (gray_code(x) << (2 * k)) | (gray_code(y) << k) | gray_code(z)
-
-    def coords_of(self, node: int) -> tuple[int, int, int]:
-        self.cube._check_node(node)
-        k = self._k
-        mask = (1 << k) - 1
-        z_bits = node & mask
-        y_bits = (node >> k) & mask
-        x_bits = node >> (2 * k)
-        return (
-            gray_code_inverse(x_bits),
-            gray_code_inverse(y_bits),
-            gray_code_inverse(z_bits),
-        )
+        self._kx = self._ky = self._kz = cube.dimension // 3
+        self.side = self.sx = self.sy = self.sz = 1 << self._kx
 
     def _axis_dims(self, axis: str) -> tuple[int, ...]:
-        k = self._k
+        k = self._kx
         if axis == "z":
             return tuple(range(0, k))
         if axis == "y":
@@ -338,28 +323,6 @@ class Grid3DEmbedding:
         """Subcube of the grid line along ``axis`` through ``(x, y, z)``."""
         anchor = self.node_at(x, y, z)
         return Subcube(self.cube, self._axis_dims(axis), anchor)
-
-    def line_members(self, axis: str, x: int = 0, y: int = 0, z: int = 0) -> list[int]:
-        """Cube nodes along ``axis``, ordered by that grid coordinate."""
-        q = self.side
-        if axis == "x":
-            key = ("3d", self.cube.dimension, "x", y % q, z % q)
-        elif axis == "y":
-            key = ("3d", self.cube.dimension, "y", x % q, z % q)
-        elif axis == "z":
-            key = ("3d", self.cube.dimension, "z", x % q, y % q)
-        else:
-            raise TopologyError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-        cached = _line_cache.get(key)
-        if cached is None:
-            if axis == "x":
-                cached = tuple(self.node_at(c, y, z) for c in range(q))
-            elif axis == "y":
-                cached = tuple(self.node_at(x, c, z) for c in range(q))
-            else:
-                cached = tuple(self.node_at(x, y, c) for c in range(q))
-            _line_cache[key] = cached
-        return list(cached)
 
     def plane_members(self, axis: str, value: int) -> list[int]:
         """All nodes with the ``axis`` coordinate fixed to ``value``.

@@ -1,4 +1,5 @@
-"""Low-level utilities: bit manipulation, Gray codes, validation helpers."""
+"""Low-level utilities: bit manipulation, Gray codes, validation helpers,
+atomic file publication."""
 
 from repro.util.bits import (
     bit,
@@ -15,8 +16,10 @@ from repro.util.bits import (
     popcount,
     set_bits,
 )
+from repro.util.files import atomic_write
 
 __all__ = [
+    "atomic_write",
     "bit",
     "gray_code",
     "gray_code_inverse",

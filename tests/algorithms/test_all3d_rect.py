@@ -52,15 +52,23 @@ class TestCorrectness:
         assert np.allclose(run.C, A @ B)
 
     def test_cubic_side_choice_matches_3d_all(self):
-        """With y_side = ∛p the variant *is* the cubic 3D All (same cost)."""
-        n, p = 32, 64
+        """With y_side = ∛p the variant *is* the cubic 3D All: one program,
+        so product, time and engine work agree exactly, not approximately."""
+        cubic_algo = get_algorithm("3d_all")
+        assert isinstance(cubic_algo, All3DRectAlgorithm)
         rng = np.random.default_rng(3)
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-        cfg = MachineConfig.create(p, t_s=10, t_w=1)
-        rect = All3DRectAlgorithm(y_side=4).run(A, B, cfg, verify=True)
-        cubic = get_algorithm("3d_all").run(A, B, cfg, verify=True)
-        assert rect.total_time == pytest.approx(cubic.total_time)
+        for n, p, q in [(16, 8, 2), (32, 64, 4)]:
+            A = rng.standard_normal((n, n))
+            B = rng.standard_normal((n, n))
+            for port in PortModel:
+                cfg = MachineConfig.create(p, t_s=10, t_w=1, port_model=port)
+                rect = All3DRectAlgorithm(y_side=q).run(A, B, cfg, verify=True)
+                cubic = cubic_algo.run(A, B, cfg, verify=True)
+                assert np.array_equal(rect.C, cubic.C)
+                assert rect.total_time == cubic.total_time
+                assert rect.result.network == cubic.result.network
+                assert (rect.result.events_processed
+                        == cubic.result.events_processed)
 
     def test_explicit_elongated_grid(self):
         rng = np.random.default_rng(4)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ServiceOverloadError
+from repro.service import hostpool as hostpool_mod
 from repro.service import (
     InjectedServiceCrash,
     SweepService,
@@ -25,6 +26,7 @@ from repro.service import (
     read_stream,
     seeded_backoff,
 )
+from repro.service.jobs import build_cells, evaluate_chunk, make_spec
 
 SWEEP = {
     "algorithms": ["cannon", "berntsen"],
@@ -249,24 +251,14 @@ def test_sched_interleaving_is_identical_after_crash(tmp_path):
 # -- retry backoff across a daemon restart ----------------------------------
 
 
-def test_backoff_schedule_survives_daemon_restart(tmp_path):
-    # workers=1 serializes the schedule: chunk 0 (poisoned) fails and
-    # journals retry attempt=2, then chunk 1 completes and the service
-    # crashes.  The resumed run must continue chunk 0 at attempt 2 —
-    # never reset to 1 — on the same seeded-exponential schedule.
-    base = 0.01
-    inject = parse_injections(["poison-chunk:0", "crash-service:1"])
-    with _service(
-        tmp_path, workers=1, backoff_base_s=base, inject=inject,
-    ) as svc:
+def _crash_then_resume(tmp_path, first, second):
+    """Crash the service once chunk 0 has one journaled retry, resume it,
+    and return chunk 0's retry/quarantine records and the job."""
+    with _service(tmp_path, **first) as svc:
         svc.submit("sweep", SWEEP)
         with pytest.raises(InjectedServiceCrash):
             svc.run_pending()
-
-    inject2 = parse_injections(["poison-chunk:0"])
-    with _service(
-        tmp_path, workers=1, backoff_base_s=base, inject=inject2,
-    ) as svc:
+    with _service(tmp_path, **second) as svc:
         (job,) = svc.pending_jobs()
         assert job.attempts == {0: 2}  # replayed from the journaled retry
         svc.run_pending()
@@ -276,6 +268,10 @@ def test_backoff_schedule_survives_daemon_restart(tmp_path):
             and rec.get("chunk") == 0
         ]
         (job,) = (j for j in svc.jobs_by_id.values())
+    return recs, job
+
+
+def _assert_schedule_continued(recs, job, base):
     retries = [rec for rec in recs if rec["t"] == "retry"]
     # One retry pre-crash (→2), one post-restart (→3), then quarantine
     # at the attempt cap: the counter survived the restart.
@@ -286,6 +282,50 @@ def test_backoff_schedule_survives_daemon_restart(tmp_path):
         expected = seeded_backoff(0, 0, rec["attempt"] - 1, base)
         assert rec["backoff_s"] == round(expected, 4)
     assert job.status == "degraded" and job.quarantined == {0}
+
+
+def test_backoff_schedule_survives_daemon_restart(tmp_path):
+    # workers=1 serializes the schedule: chunk 0 (poisoned) fails and
+    # journals retry attempt=2, then chunk 1 completes and the service
+    # crashes.  The resumed run must continue chunk 0 at attempt 2 —
+    # never reset to 1 — on the same seeded-exponential schedule.
+    base = 0.01
+    recs, job = _crash_then_resume(
+        tmp_path,
+        dict(workers=1, backoff_base_s=base,
+             inject=parse_injections(["poison-chunk:0", "crash-service:1"])),
+        dict(workers=1, backoff_base_s=base,
+             inject=parse_injections(["poison-chunk:0"])),
+    )
+    _assert_schedule_continued(recs, job, base)
+
+
+def test_backoff_schedule_survives_host_tier_daemon_restart(
+        tmp_path, monkeypatch):
+    # The same pin for a daemon on the host tier (no agents: the local
+    # fallback evaluates, lowest ready chunk first).  The base is large
+    # and the poll short, so chunk 0's first backoff (0.126 s) outlasts
+    # the next poll and chunk 1 completes — and crashes the service —
+    # before chunk 0 is ready again.
+    base = 0.2
+    spec = make_spec("sweep", SWEEP)
+    poisoned = build_cells(spec)[:1]
+
+    def poisoned_evaluate(kind, params, cells):
+        if cells == poisoned:
+            raise RuntimeError("poisoned cell")
+        return evaluate_chunk(kind, params, cells)
+
+    monkeypatch.setattr(hostpool_mod, "evaluate_chunk", poisoned_evaluate)
+    monkeypatch.setattr(hostpool_mod, "_POLL_S", 0.001)
+    recs, job = _crash_then_resume(
+        tmp_path,
+        dict(use_hosts=True, backoff_base_s=base,
+             inject=parse_injections(["crash-service:1"])),
+        dict(use_hosts=True, backoff_base_s=base),
+    )
+    assert {rec["reason"] for rec in recs} == {"error"}
+    _assert_schedule_continued(recs, job, base)
 
 
 # -- extended smoke: the PR's acceptance gate --------------------------------

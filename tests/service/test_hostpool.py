@@ -13,6 +13,8 @@ import json
 import pytest
 
 from repro.errors import ServiceError
+from repro.service import hostpool as hostpool_mod
+from repro.service.chaos import ChaosPolicy
 from repro.service.hostpool import (
     HostAgent,
     HostPool,
@@ -20,6 +22,8 @@ from repro.service.hostpool import (
     host_status,
 )
 from repro.service.jobs import build_cells, evaluate_chunk, make_spec
+from repro.service.lease import LeaseLadder, seeded_backoff
+from repro.service.supervisor import Supervisor
 from repro.analysis.parallel import plan_chunks
 
 SWEEP = {
@@ -160,9 +164,9 @@ def test_stale_epoch_result_rejected(tmp_path):
         "chunk": 0, "attempt": 1, "epoch": 2,  # stale epoch
         "status": "done", "records": "",
     }))
-    outcomes, pending = {}, []
-    pool._collect(outcomes, inflight, pending, clock())
-    assert outcomes == {} and pending == []
+    ladder = LeaseLadder(pool, 0)
+    pool._collect(ladder, inflight, clock())
+    assert ladder.outcomes == {} and ladder.pending == []
     assert 0 in inflight  # the real lease is still awaited
     assert pool.counters.stale_results == 1
 
@@ -216,9 +220,9 @@ def test_agent_reports_errors_and_pool_quarantines(tmp_path):
         on_event=events.append,
     )
     inflight = {0: _Lease(host="h1", attempt=1, epoch=0)}
-    outcomes, pending = {}, []
-    pool._collect(outcomes, inflight, pending, clock())
-    assert outcomes[0].quarantined
+    ladder = LeaseLadder(pool, 0)
+    pool._collect(ladder, inflight, clock())
+    assert ladder.outcomes[0].quarantined
     assert [e["t"] for e in events] == ["quarantine"]
 
 
@@ -273,3 +277,93 @@ def test_drain_returns_partial_outcomes(tmp_path):
     outcomes = pool.run(spec.kind, spec.params, cells, plan)
     assert pool.drained
     assert len(outcomes) < len(plan)
+
+
+# -- one ladder: both tiers journal the same retry schedule ------------------
+
+
+def _schedule(events):
+    """What a journal would replay of chunk 0's climb."""
+    return [
+        (e["t"], e.get("attempt", e.get("attempts")), e.get("backoff_s"))
+        for e in events
+        if e["t"] in ("retry", "quarantine") and e["chunk"] == 0
+    ]
+
+
+def test_both_tiers_journal_the_same_retry_schedule(tmp_path, monkeypatch):
+    """Chunk 0 fails on every attempt; ``max_attempts=3``.  Through the
+    worker pool (poison-chunk chaos), through an agent reporting
+    ``error`` and through the local fallback, the retry records carry the
+    same attempt numbers and the same ``backoff_s`` — each the seeded
+    backoff of the attempt that failed."""
+    spec, cells, plan = _job()
+    knobs = dict(max_attempts=3, backoff_base_s=0.01, backoff_seed=0)
+
+    worker_events = []
+    Supervisor(
+        workers=1, chaos=ChaosPolicy(poison_chunks=frozenset({0})),
+        on_event=worker_events.append, **knobs,
+    ).run(spec.kind, spec.params, cells, plan)
+
+    poisoned = cells[slice(*plan[0])]
+
+    def poisoned_evaluate(kind, params, chunk_cells):
+        if chunk_cells == poisoned:
+            raise RuntimeError("poisoned cell")
+        return evaluate_chunk(kind, params, chunk_cells)
+
+    monkeypatch.setattr(hostpool_mod, "evaluate_chunk", poisoned_evaluate)
+
+    clock = WallClock()
+    agent = HostAgent(
+        tmp_path / "a" / "hosts", "h1", clock=clock, sleep=lambda s: None,
+    )
+    agent.heartbeat()
+
+    def sleeper(_):
+        agent.step()
+        clock.advance(0.1)
+
+    agent_events = []
+    agent_pool = HostPool(
+        tmp_path / "a" / "hosts", clock=clock, sleep=sleeper,
+        on_event=agent_events.append, local_fallback=False, **knobs,
+    )
+    outcomes = agent_pool.run(spec.kind, spec.params, cells, plan)
+    assert outcomes[0].quarantined
+    assert outcomes[0].last_error == "host-error: RuntimeError: poisoned cell"
+
+    local_events = []
+    local_pool = HostPool(
+        tmp_path / "b" / "hosts", clock=clock,
+        sleep=lambda s: clock.advance(0.1),
+        on_event=local_events.append, **knobs,
+    )
+    outcomes = local_pool.run(spec.kind, spec.params, cells, plan)
+    assert outcomes[0].quarantined and local_pool.counters.grants == 0
+
+    expected = [
+        ("retry", 2, round(seeded_backoff(0, 0, 1, 0.01), 4)),
+        ("retry", 3, round(seeded_backoff(0, 0, 2, 0.01), 4)),
+        ("quarantine", 3, None),
+    ]
+    assert _schedule(worker_events) == expected
+    assert _schedule(agent_events) == expected
+    assert _schedule(local_events) == expected
+    assert agent_pool.counters.backoff_s == local_pool.counters.backoff_s > 0.0
+
+
+def test_host_death_keeps_the_attempt_and_its_backoff(tmp_path):
+    clock = WallClock()
+    events = []
+    pool = _pool(tmp_path, clock, lambda s: None, max_attempts=1,
+                 on_event=events.append)
+    (tmp_path / "hosts" / "gone").mkdir(parents=True)
+    ladder = LeaseLadder(pool, 1)
+    ladder.pending.clear()
+    pool._police(ladder, {0: _Lease(host="gone", attempt=1, epoch=0)}, clock())
+    (retry,) = [e for e in events if e["t"] == "retry"]
+    assert (retry["attempt"], retry["reason"]) == (1, "host-died")
+    assert retry["backoff_s"] == round(seeded_backoff(0, 0, 1, 0.01), 4)
+    assert ladder.pending[0].attempt == 1 and ladder.outcomes == {}

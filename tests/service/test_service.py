@@ -18,6 +18,9 @@ from repro.service import (
     SweepService,
     parse_injections,
 )
+from repro.service.hostpool import HostPoolCounters
+from repro.service.jobs import evaluate_chunk
+from repro.service.lease import ChunkExecutor, LeaseLadder
 from repro.service.supervisor import WAKE_COUNTERS
 
 SWEEP = {
@@ -320,3 +323,59 @@ def test_read_only_service_cannot_mutate(tmp_path):
             svc.submit("sweep", SWEEP)
         with pytest.raises(ServiceError, match="read-only"):
             svc.run_pending()
+
+
+def test_replay_reads_lease_records_as_the_live_run_did(tmp_path):
+    """One of each record type the two tiers emit goes through the live
+    callback of a real job (a scripted executor stands in for the
+    transport; the ladder and the journal are the real ones), the run is
+    drained with chunk 0 mid-schedule, and a fresh process replaying that
+    journal ends in the same ``counters`` and ``JobState``."""
+
+    class Scripted(ChunkExecutor):
+        def run(self, kind, params, cells, plan, *, skip_chunks=None,
+                initial_attempts=None):
+            ladder = LeaseLadder(self, len(plan), skip_chunks, initial_attempts)
+            self.on_event({"t": "lease", "chunk": 0, "attempt": 1,
+                           "cells": list(plan[0])})
+            ladder.failed(0, 1, reason="worker-died", detail="exit code 137",
+                          now=0.0)
+            ladder.failed(0, 2, reason="lease-expired", detail="late", now=0.0)
+            self.on_event({"t": "hlease", "host": "h1", "epoch": 0,
+                           "chunks": [0, 1]})
+            ladder.failed(0, 3, reason="host-error", detail="boom", now=0.0)
+            self.on_event({"t": "hrevoke", "host": "h1", "epoch": 1,
+                           "chunks": [1], "reason": "heartbeat-stale"})
+            ladder.failed(1, 1, reason="host-died", detail="h1 went stale",
+                          now=0.0, consume_attempt=False)
+            self.on_event({"t": "hlocal", "chunk": 1, "attempt": 1})
+            start, stop = plan[1]
+            ladder.done(1, 1, evaluate_chunk(kind, params, cells[start:stop]))
+            self.drained = True
+            return ladder.outcomes
+
+    with _service(tmp_path, max_attempts=5) as svc:
+        svc._executor = lambda on_event, on_chunk_done: Scripted(
+            HostPoolCounters(), max_attempts=svc.max_attempts,
+            backoff_base_s=svc.backoff_base_s, backoff_seed=0,
+            on_event=on_event, on_chunk_done=on_chunk_done, should_stop=None,
+        )
+        svc.submit("sweep", SWEEP)
+        assert svc.run_pending() == []  # drained: no report yet
+        live_counters = dict(svc.counters)
+        (live_job,) = svc.jobs_by_id.values()
+        journaled = [rec["t"] for rec in svc.journal.replay()[0]]
+
+    for t in ("lease", "hlease", "hrevoke", "hlocal", "retry", "done"):
+        assert t in journaled
+    assert live_job.attempts == {0: 4} and live_job.done_chunks == {1}
+    assert (live_job.leases, live_job.retries) == (1, 4)
+    assert live_counters["worker_deaths"] == 1
+    assert live_counters["lease_expiries"] == 1
+    assert live_counters["host_leases"] == 1
+    assert live_counters["host_revocations"] == 1
+
+    with _service(tmp_path, read_only=True) as svc:
+        (replayed_job,) = svc.jobs_by_id.values()
+        assert svc.counters == live_counters
+        assert replayed_job == live_job

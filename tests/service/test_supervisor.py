@@ -26,7 +26,8 @@ from repro.analysis.parallel import plan_chunks
 from repro.service.chaos import ChaosPolicy
 from repro.service.jobs import build_cells, evaluate_chunk, make_spec
 from repro.service import supervisor as supervisor_mod
-from repro.service.supervisor import Supervisor, seeded_backoff
+from repro.service.lease import seeded_backoff
+from repro.service.supervisor import Supervisor
 
 
 class VirtualClock:

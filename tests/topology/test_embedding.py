@@ -8,6 +8,7 @@ from repro.errors import TopologyError
 from repro.topology.embedding import (
     Grid2DEmbedding,
     Grid3DEmbedding,
+    Grid3DRectEmbedding,
     RingEmbedding,
     SubcubeGrid2D,
 )
@@ -105,6 +106,20 @@ class TestGrid3D:
     def test_requires_dimension_divisible_by_3(self):
         with pytest.raises(TopologyError):
             Grid3DEmbedding(Hypercube(4))
+
+    @pytest.mark.parametrize("dim", [3, 6, 9])
+    def test_is_the_equal_sides_rectangular_grid(self, dim):
+        cube = Hypercube(dim)
+        grid = Grid3DEmbedding(cube)
+        q = grid.side
+        rect = Grid3DRectEmbedding(cube, q, q, q)
+        assert (grid.sx, grid.sy, grid.sz) == (q, q, q) and q ** 3 == cube.num_nodes
+        for node in range(cube.num_nodes):
+            x, y, z = rect.coords_of(node)
+            assert grid.coords_of(node) == (x, y, z)
+            assert grid.node_at(x, y, z) == rect.node_at(x, y, z) == node
+        for axis in "xyz":
+            assert grid.line_members(axis, 1, 0, 1) == rect.line_members(axis, 1, 0, 1)
 
     def test_coords_roundtrip(self):
         grid = Grid3DEmbedding(Hypercube(6))
