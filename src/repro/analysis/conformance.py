@@ -19,10 +19,10 @@ a seeded, shrinkable differential suite:
   the reproducer that gets printed is locally minimal;
 * :func:`run_suite` drives the whole sweep and formats reproducers.
 
-Faulty and degraded cases run the "fast" configuration through the
-ordinary event machinery too (faults and scenarios disable the closed
-form by design) — there they pin the fallback-equivalence contract
-instead.
+Faulty cases run the "fast" configuration through the generator loops
+too, and pin the fallback-equivalence contract instead.  Degraded and
+``traced`` cases pay one event per hop on both sides: there the engine's
+own rounds are compared with those loops, hop record by hop record.
 """
 
 from __future__ import annotations
@@ -123,6 +123,7 @@ class Case:
     #: ``{"kind": "scenario", "severity": ..., "seed": ...}`` atom
     atoms: tuple = ()
     data_seed: int = 0
+    traced: bool = False  # compare the paths under trace=True too (nothing parks)
 
 
 def _applicable_machines(key: str) -> list[tuple[int, int]]:
@@ -145,7 +146,7 @@ def sample_cases(
 
     The first two passes cycle through the algorithm list, so
     ``count >= 2 * len(algorithms)`` guarantees full registry coverage
-    with both healthy and faulty flavors; the next
+    with both healthy (``traced`` as well) and faulty flavors; the next
     ``_COLLECTIVE_PASSES`` passes oversample the collective-heavy 3D
     family (largest applicable machines, alternating fault-free with
     chaos flavors) where the closed-form collective path has the most
@@ -220,6 +221,7 @@ def sample_cases(
             algorithm=key, n=n, p=p, port=port, routing=routing,
             t_s=t_s, t_w=t_w, t_c=t_c,
             atoms=tuple(atoms), data_seed=i,
+            traced=i < base and flavor in (0, 2),
         ))
     return cases
 
@@ -253,7 +255,7 @@ def _build_config(case: Case) -> MachineConfig:
     )
 
 
-def _outcome(case: Case, *, superstep: bool) -> dict:
+def _outcome(case: Case, *, superstep: bool, trace: bool = False) -> dict:
     """One path's observables — or its error, which must also agree."""
     rng = np.random.default_rng([case.data_seed, 99])
     A = rng.standard_normal((case.n, case.n))
@@ -261,7 +263,7 @@ def _outcome(case: Case, *, superstep: bool) -> dict:
     try:
         run = get_algorithm(case.algorithm).run(
             A, B, _build_config(case),
-            superstep=superstep, max_virtual_time=None,
+            superstep=superstep, max_virtual_time=None, trace=trace,
         )
     except Exception as exc:  # noqa: BLE001 — failures are outcomes too
         # Handle ids ("tag=1#573") are per-engine disambiguators, so the
@@ -289,9 +291,13 @@ def _outcome(case: Case, *, superstep: bool) -> dict:
 def diff_case(case: Case) -> str | None:
     """Run both paths; ``None`` on bitwise agreement, else a label."""
     fast = _outcome(case, superstep=True)
-    return _planner_exceptions(fast) or _compare(
+    label = _planner_exceptions(fast) or _compare(
         fast, _outcome(case, superstep=False), "fast-vs-event",
     )
+    if label is None and case.traced:
+        fast, event = (_outcome(case, superstep=s, trace=True) for s in (True, False))
+        label = _compare(fast, event, "traced fast-vs-event")
+    return label
 
 
 def _planner_exceptions(fast: dict) -> str | None:

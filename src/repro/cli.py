@@ -202,8 +202,8 @@ def _warn_if_event_path(port, t_s, t_w) -> None:
     reason = superstep_ineligibility_reason(probe)
     if reason is not None:
         print(
-            f"warning: superstep closed form unavailable ({reason}); "
-            f"the sim backend will run every phase on the event path",
+            f"warning: superstep closed form unavailable ({reason}); on the event "
+            f"path the sim backend costs 45-110 host calls per message, one event a hop",
             file=sys.stderr,
         )
 

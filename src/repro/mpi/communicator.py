@@ -177,23 +177,23 @@ class Comm:
             )
         return self.from_subindex(self.subindex_of(comm_rank) ^ (1 << k))
 
-    # -- point-to-point in comm-rank space -----------------------------------
+    # -- point-to-point in comm-rank space: ``ctx``'s own generators ---------
 
     def send(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
         """Blocking send to comm rank ``dst`` (generator)."""
-        yield from self.ctx.send(self.node_of(dst), data, tag, nwords)
+        return self.ctx.send(self.node_of(dst), data, tag, nwords)
 
     def isend(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
         """Non-blocking send to comm rank ``dst``; returns a Handle."""
-        return (yield from self.ctx.isend(self.node_of(dst), data, tag, nwords))
+        return self.ctx.isend(self.node_of(dst), data, tag, nwords)
 
     def recv(self, src: int, tag: int = -1):
         """Blocking receive from comm rank ``src``; returns the payload."""
-        return (yield from self.ctx.recv(self.node_of(src), tag))
+        return self.ctx.recv(self.node_of(src), tag)
 
     def irecv(self, src: int, tag: int = -1):
         """Non-blocking receive from comm rank ``src``; returns a Handle."""
-        return (yield from self.ctx.irecv(self.node_of(src), tag))
+        return self.ctx.irecv(self.node_of(src), tag)
 
     def sendrecv(
         self,
@@ -205,17 +205,13 @@ class Comm:
         nwords: int | None = None,
     ):
         """Concurrent send to ``dst`` + receive from ``src`` (comm ranks)."""
-        return (
-            yield from self.ctx.sendrecv(
-                self.node_of(dst), data, self.node_of(src), send_tag, recv_tag, nwords
-            )
+        return self.ctx.sendrecv(
+            self.node_of(dst), data, self.node_of(src), send_tag, recv_tag, nwords
         )
 
     def exchange(self, peer: int, data: Any, tag: int = 0, nwords: int | None = None):
         """Full-duplex pairwise exchange with comm rank ``peer``."""
-        return (
-            yield from self.ctx.exchange(self.node_of(peer), data, tag, nwords)
-        )
+        return self.ctx.exchange(self.node_of(peer), data, tag, nwords)
 
     def __repr__(self) -> str:
         return f"Comm(rank={self.rank}/{self.size}, members={self.members})"

@@ -46,6 +46,7 @@ from repro.sim.message import (
     Message,
     copy_payload,
     message_crc,
+    payload_words,
 )
 from repro.sim.ops import (
     COLLECTIVE_FALLBACK,
@@ -108,22 +109,18 @@ class _Waiter:
         self, handles: list[Handle], mode: str, op: ShiftPhaseOp | None = None
     ):
         self.handles = handles
-        self.mode = mode  # "wait" | "recv" | "send" | "shift"
+        self.mode = mode  # "wait" | "recv" | "send" | "shift" | "exchange"
         #: "shift" only: the resident phase whose engine-run round these
         #: handles ([send A, recv A, send B, recv B]) belong to
         self.op = op
-
-    def ready(self) -> bool:
-        for h in self.handles:
-            if not h.done:
-                return False
-        return True
 
     def resume_value(self) -> Any:
         if self.mode == "wait":
             return [h.value for h in self.handles]
         if self.mode == "recv":
             return self.handles[0].value
+        if self.mode == "exchange":  # the payloads, in ``recvs`` order
+            return [h.value for h in self.handles if h.kind == "recv"]
         return None  # blocking send
 
     def describe(self) -> str:
@@ -179,12 +176,12 @@ class Engine:
     max_virtual_time:
         Watchdog: abort once the event clock passes this virtual time.
     superstep:
-        Allow the closed-form superstep fast path (see
-        :mod:`repro.sim.superstep`).  On by default; it self-disables
-        whenever faults, scenarios, tracing or a ``max_virtual_time``
-        watchdog require per-hop events, and produces bit-identical
-        results when it does engage.  ``False`` forces the pure event
-        path (the conformance suite's reference runs).
+        Let the engine run declared phases itself, bit-identically (see
+        :mod:`repro.sim.superstep`).  On by default: in closed form unless
+        faults, scenarios, tracing or a ``max_virtual_time`` watchdog need
+        every hop as an event, and then (faults excepted) round by round
+        without the program's generator loop.  ``False`` forces that loop
+        for every phase (the conformance suite's reference runs).
     timing_only:
         Skip local matrix products: ``ctx.local_matmul`` charges the same
         flops/time but returns a zero-cost broadcast view instead of the
@@ -264,6 +261,8 @@ class Engine:
         self._one_port = config.port_model.name == "ONE_PORT"
         #: why no phase of this run may park (None: phases park)
         self._ineligible = superstep_ineligibility_reason(self)
+        #: whether the engine may run a main program's declared rounds itself
+        self._resident = superstep and self.faults is None
 
         n = config.num_nodes
         self.stats: dict[int, RankStats] = {r: RankStats(r) for r in range(n)}
@@ -458,7 +457,8 @@ class Engine:
                 self._finish_hop(transfer, hop_index, handle, time)
             elif kind == _SHIFT_MULTIPLY:
                 (task, op) = payload
-                self._shift_multiply(task, op, time)
+                if not self._shift_multiply(task, op, time):
+                    self._step(task, time, SHIFT_FALLBACK)
             elif kind == _SHIFT_EXCHANGE:
                 (task, op) = payload
                 self._shift_exchange(task, op, time)
@@ -660,12 +660,11 @@ class Engine:
                     continue
 
                 if cls is WaitOp:
-                    waiter = _Waiter(op.handles, "wait")
-                    if waiter.ready():
-                        value = waiter.resume_value()
-                        continue
-                    self._blocked[task] = waiter
-                    return
+                    waiter = self._await(task, op.handles, "wait")
+                    if waiter is None:
+                        return
+                    value = waiter.resume_value()
+                    continue
 
                 if cls is ElapseOp:
                     self.stats[rank].flops += op.flops
@@ -705,24 +704,28 @@ class Engine:
                     return
 
                 if cls is ShiftPhaseOp:
-                    if self._ineligible is not None or task.__class__ is tuple:
-                        # This run needs per-hop events (faults, scenario,
-                        # tracing, watchdog, or superstep=False), or a
-                        # ctx.parallel sub-task shares its node's ports
-                        # with siblings the recurrence does not model:
-                        # answer once, and the program runs every round of
-                        # the equivalent loop inline — zero extra events,
-                        # identical trace.
+                    if not self._resident or task.__class__ is tuple:
+                        # The generator loop, the definition of a round:
+                        # superstep=False asks for it, a fault plan can
+                        # corrupt a multiply or halt a rank mid-round, a
+                        # ctx.parallel sub-task shares its node's ports with
+                        # siblings.  Answered once — zero extra events.
                         self._shift_rounds_event += op.steps
                         value = SHIFT_FALLBACK
                         continue
-                    self._park_shift(task, op, now)
+                    if self._ineligible is None:
+                        self._park_shift(task, op, now)
+                    # No closed form will come (scenario, tracing, watchdog):
+                    # nothing to park for, the first round starts now.
+                    elif not self._shift_multiply(task, op, now):
+                        value = SHIFT_FALLBACK
+                        continue
                     return
 
                 if cls is CollectivePhaseOp:
                     refused = self._ineligible
+                    specs = op.specs
                     if refused is None:
-                        specs = op.specs
                         if task.__class__ is tuple:
                             # (its fused parent already declared the pair)
                             refused = "ctx.parallel sub-task"
@@ -742,11 +745,35 @@ class Engine:
                             # again.
                             refused = "one-port rooted pair"
                     if refused is not None:
+                        self._coll_event += 1
+                        self._refusals[refused] += 1
+                        if (
+                            self._resident
+                            and task.__class__ is not tuple
+                            and specs[0].kind == "neighbor_exchange"
+                        ):
+                            # exchange_round, run here: every send in
+                            # order, then every receive, one wait.
+                            sends, recvs = specs[0].payload
+                            handles = [
+                                self._issue_send(
+                                    task, rank, dst, data, tag,
+                                    payload_words(data), now,
+                                )
+                                for dst, data, tag in sends
+                            ]
+                            handles += [
+                                self._issue_recv(task, rank, src, tag, now)
+                                for src, tag in recvs
+                            ]
+                            waiter = self._await(task, handles, "exchange")
+                            if waiter is None:
+                                return
+                            value = waiter.resume_value()
+                            continue
                         # Answer immediately — the schedule runs its
                         # ordinary rounds; zero extra events, identical
                         # trace.
-                        self._coll_event += 1
-                        self._refusals[refused] += 1
                         value = COLLECTIVE_FALLBACK
                         continue
                     self._parked_coll[task] = (op, now)
@@ -881,17 +908,16 @@ class Engine:
             if self._one_port:
                 self._hazard_nodes[task] = thr
 
-    def _shift_multiply(self, task: Task, op: ShiftPhaseOp, time: float) -> None:
+    def _shift_multiply(self, task: Task, op: ShiftPhaseOp, time: float) -> bool:
         """Round step 1: ``C (+)= A @ B``, then the exchange once the
-        multiply's compute time has elapsed."""
+        multiply's compute time has elapsed.  ``False``, nothing done, when
+        blocks of different shapes met on this rank: the caller hands the
+        phase back, and local_matmul reports it exactly as the loop would."""
         a, b, c = op.a_block, op.b_block, op.c_block
         m, k = a.shape
         n = b.shape[1]
         if k != b.shape[0] or (c is not None and c.shape != (m, n)):
-            # Blocks of different shapes met on this rank: hand the phase
-            # back, so local_matmul reports it exactly as the loop would.
-            self._step(task, time, SHIFT_FALLBACK)
-            return
+            return False
         self._task_time[task] = time
         self._shift_rounds_event += 1
         flops = 2.0 * m * k * n
@@ -907,9 +933,16 @@ class Engine:
         st.flops += flops
         st.compute_time += duration
         if duration > 0:
+            if self.trace_enabled:
+                self.trace.append(
+                    TraceRecord(
+                        "compute", time, time + duration, task, {"flops": flops}
+                    )
+                )
             self._schedule(time + duration, _SHIFT_EXCHANGE, (task, op))
         else:
             self._shift_exchange(task, op, time)
+        return True
 
     def _shift_exchange(self, task: Task, op: ShiftPhaseOp, time: float) -> None:
         """Round step 2: inject A then B and post both receives — or, after
@@ -925,20 +958,33 @@ class Engine:
             self._issue_send(task, task, op.b_to, b, op.tag_b, b.size, time),
             self._issue_recv(task, task, op.b_from, op.tag_b, time),
         ]
-        waiter = _Waiter(handles, "shift", op)
-        if waiter.ready():  # self-shifts complete on the spot
+        waiter = self._await(task, handles, "shift", op)
+        if waiter is not None:  # self-shifts complete on the spot
             self._shift_repark(task, waiter, time)
-        else:
-            self._blocked[task] = waiter
 
     def _shift_repark(self, task: Task, waiter: _Waiter, time: float) -> None:
-        """Round step 3: take the received blocks and park at the next
-        round boundary."""
+        """Round step 3: take the received blocks and park at the next round
+        boundary — on a run that never parks, go on to the next multiply."""
         self._task_time[task] = time
         op, handles = waiter.op, waiter.handles
         op.a_block, op.b_block = handles[1].value, handles[3].value
         op.steps -= 1
-        self._park_shift(task, op, time)
+        if self._ineligible is None:
+            self._park_shift(task, op, time)
+        elif not self._shift_multiply(task, op, time):
+            self._step(task, time, SHIFT_FALLBACK)
+
+    def _await(
+        self, task: Task, handles: list[Handle], mode: str, op: Any = None
+    ) -> _Waiter | None:
+        """Block ``task`` until ``handles`` complete (``_notify`` resumes it
+        as ``mode`` says); returns the waiter instead when they all have."""
+        waiter = _Waiter(handles, mode, op)
+        for h in handles:
+            if not h.done:
+                self._blocked[task] = waiter
+                return None
+        return waiter
 
     # -- faults ----------------------------------------------------------
 

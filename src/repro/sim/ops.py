@@ -220,7 +220,7 @@ class ShiftPhaseOp:
     event machinery while foreign traffic is still in flight, the rest in
     closed form from the first quiet frontier (:mod:`repro.sim.superstep`) —
     and resumes the generator exactly once, with the final ``(A, B, C)``.
-    Runs that need every hop as an event (and ``ctx.parallel`` sub-tasks)
+    ``superstep=False`` runs, fault plans and ``ctx.parallel`` sub-tasks
     are answered :data:`SHIFT_FALLBACK` straight away, and the program runs
     the loop above from the op's state.  Either way the simulated times,
     statistics and blocks are bit-identical.

@@ -246,12 +246,13 @@ class ProcessContext:
         :class:`~repro.sim.ops.CollectivePhaseOp` of kind
         ``"neighbor_exchange"``: when every rank parks on such a round with
         the network quiet, :mod:`repro.sim.superstep` times all of them at
-        once and answers with the received payloads.  Otherwise (an
-        ineligible run, a ``ctx.parallel`` sub-task, a round the planner
+        once and answers with the received payloads; on a run that cannot
+        park (scenario, tracing, watchdog) the engine issues a main
+        program's round message by message and answers alike.  Otherwise
+        (``superstep=False``, a fault plan, a sub-task, a round the planner
         refuses — a multi-hop or self send, a receive no send matches) the
         answer is :data:`~repro.sim.ops.COLLECTIVE_FALLBACK` and
-        :func:`exchange_round`, which defines the round, runs it message by
-        message.
+        :func:`exchange_round`, which defines the round, runs it.
         """
         rank = self.rank
         sends = [
@@ -259,6 +260,14 @@ class ProcessContext:
             for dst, data, tag in sends
         ]
         recvs = [(int(src), int(tag)) for src, tag in recvs]
+        # Before the first yield, so that it fails alike on every path: a
+        # source out of range (not ANY_SOURCE), a payload without a word count.
+        for src, _tag in recvs:
+            if not ANY_SOURCE <= src < self.num_ranks:
+                self._check_peer(src)
+        for _dst, data, _tag in sends:
+            if data.__class__ is not np.ndarray:
+                payload_words(data)
         if not (sends or recvs):
             return []
         crossed = 0
@@ -345,14 +354,13 @@ class ProcessContext:
         :class:`~repro.sim.ops.ShiftPhaseOp`: the engine runs its rounds
         itself — through the event machinery while foreign traffic is in
         flight, in closed form from the first quiet frontier (see
-        :mod:`repro.sim.superstep`) — and resumes this generator once,
-        with the final blocks.  A run that needs every hop as an event
-        (faults, scenarios, tracing, a watchdog, ``superstep=False``, a
-        ``ctx.parallel`` sub-task) is answered
-        :data:`~repro.sim.ops.SHIFT_FALLBACK` instead, and the loop below
-        runs the op's rounds message by message.  That loop is the
-        definition of a shift round: the engine's own rounds and the closed
-        form are held bit-identical to it by ``tests/conformance``.
+        :mod:`repro.sim.superstep`; never, under a scenario, tracing or a
+        watchdog) — and resumes this generator once, with the final blocks.
+        A fault plan, ``superstep=False`` and a ``ctx.parallel`` sub-task
+        are answered :data:`~repro.sim.ops.SHIFT_FALLBACK` instead, and the
+        loop below runs the op's rounds message by message.  That loop is
+        the definition of a shift round: the engine's own rounds and the
+        closed form are held bit-identical to it by ``tests/conformance``.
         """
         if steps < 1:
             raise SimulationError(f"shift_phase needs steps >= 1, got {steps}")

@@ -52,20 +52,24 @@ operations in the same per-rank order the event path folds them in.
 
 Eligibility
 -----------
-Runs whose per-hop behaviour could differ from the recurrence never park
-at all: with an active fault plan or heterogeneous scenario, per-hop trace
-records, a ``max_virtual_time`` watchdog or ``superstep=False``
-(:func:`superstep_ineligibility_reason`), and for ``ctx.parallel``
-sub-tasks, the engine answers the op :data:`~repro.sim.ops.SHIFT_FALLBACK`
-once and the program runs the whole per-message loop.  A parked phase is
-refused — and every parked rank runs one more round through the events —
-when anything but the phase is in flight (other blocked tasks, sub-tasks,
-barriers, mailbox entries or posted receives that are not the phase's
-own), when block shapes or tags differ between ranks or ``tag_a ==
-tag_b``, when the shifts are not neighbour permutations whose receivers
-expect exactly their senders, or when queued blocks do not pair up with
-the rounds their receivers have left.  Refusing is always safe: the
-engine-run round schedules the events the per-message loop would.
+Two predicates.  *May this run's phases be advanced in closed form?* Not
+with a fault plan, a heterogeneous scenario, per-hop trace records, a
+``max_virtual_time`` watchdog or ``superstep=False``
+(:func:`superstep_ineligibility_reason`): such a run never parks.  *May the
+engine run a declared round itself?* A rank's main program, no fault plan,
+``superstep=True``: a run that passes only this one has its shift rounds
+engine-run back to back and its neighbour exchanges issued by
+``Engine._step``, and what fails it is answered ``SHIFT_FALLBACK`` /
+``COLLECTIVE_FALLBACK`` once: the program's generator loop, the definition
+of the round, runs it.  A parked phase is refused — and every parked rank
+runs one more round through the events — when anything but the phase is in
+flight (other blocked tasks, sub-tasks, barriers, mailbox entries or posted
+receives that are not the phase's own), when block shapes or tags differ
+between ranks or ``tag_a == tag_b``, when the shifts are not neighbour
+permutations whose receivers expect exactly their senders, or when queued
+blocks do not pair up with the rounds their receivers have left.  Refusing
+is always safe: the engine-run round schedules the events the per-message
+loop would.
 
 Per-channel busy times are bitwise identical between the two paths even
 though the fast path may *create* a phase's channels in rank order rather
@@ -97,7 +101,7 @@ __all__ = [
 
 
 def superstep_ineligibility_reason(engine: "Engine") -> str | None:
-    """Name the feature forcing the event path, or None when eligible.
+    """Name the feature that makes every hop an event, or None (phases park).
 
     Checked once at engine construction: fault plans, heterogeneous
     scenarios and per-hop tracing all need real events, and a

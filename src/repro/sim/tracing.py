@@ -117,7 +117,7 @@ class RunResult:
         :meth:`trace_lines` or any digest.
     shift_rounds_event, shift_rounds_closed_form:
         Rank-rounds of ``ctx.shift_phase`` (one per rank per multiply)
-        that ran message by message through the event machinery, and that
+        that ran as events (engine-run or in the program's loop), and that
         :mod:`repro.sim.superstep` advanced in closed form; together they
         are every rank's ``steps``.  Diagnostics like ``events_processed``,
         and outside :meth:`trace_lines` and every digest the same way.

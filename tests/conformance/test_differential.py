@@ -5,8 +5,11 @@ seeded sample of ≥ 50 (algorithm, machine, fault, scenario)
 configurations spanning every registered algorithm, both execution
 paths must produce bit-identical simulated times, statistics, trace
 digests, and result matrices — and identical *errors* when a fault plan
-makes the run fail.  On mismatch the failing configuration is shrunk
-with the chaos ddmin helper and a paste-ready reproducer is printed.
+makes the run fail; the registry pass's healthy cases are compared a
+second time traced, hop record by hop record, where no phase parks and
+the engine's own rounds stand against the generator loops.  On mismatch
+the failing configuration is shrunk with the chaos ddmin helper and a
+paste-ready reproducer is printed.
 """
 
 from __future__ import annotations
@@ -90,6 +93,28 @@ class TestSampler:
         reach = closed_form_reach(CASES[77:97])
         assert reach["eligible"] == reach["declared"] == reach["batched"] == 20
         assert reach["refusals"] == {}
+
+    def test_registry_pass_is_also_compared_traced(self, monkeypatch):
+        """Every algorithm's first, healthy case gets a second leg with
+        ``trace=True``: no phase parks there, so the engine's own rounds
+        are compared with the generator loops hop record by hop record."""
+        from repro.analysis import conformance
+
+        assert [c for c in CASES if c.traced] == CASES[: len(ALGORITHMS)]
+        assert not any(c.atoms for c in CASES if c.traced)
+        legs = []
+        outcome = conformance._outcome
+
+        def recording(case, **kw):
+            legs.append(kw)
+            return outcome(case, **kw)
+
+        monkeypatch.setattr(conformance, "_outcome", recording)
+        assert diff_case(CASES[6]) is None  # cannon
+        assert legs == [
+            {"superstep": True}, {"superstep": False},
+            {"superstep": True, "trace": True}, {"superstep": False, "trace": True},
+        ]
 
     def test_sampler_is_deterministic(self):
         assert sample_cases(SEED, COUNT) == CASES

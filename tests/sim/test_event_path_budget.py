@@ -10,8 +10,10 @@ three by a protocol layer of ``repro.mpi``: a lossy plan under
 :class:`~repro.mpi.ReliableContext`, a forced
 :class:`~repro.mpi.IntegrityContext` (a checksum at send and at delivery),
 and a plan with every kind of window, where the per-window fault table is
-actually consulted.  The others keep every knob at its default, and pin
-how few of their messages reach the event path at all.
+actually consulted.  Three more are kept from parking (a scenario, a
+watchdog, HJE traced) and pin that such a run's rounds stay out of the
+generator loops.  The others keep every knob at its default, and pin how
+few of their messages reach the event path at all.
 
 The ceilings are calls ÷ ``total_messages()`` of the whole
 ``Algorithm.run`` (distribute + simulate + collect) on CPython 3.11,
@@ -98,8 +100,9 @@ def _calls(fn):
 @pytest.mark.parametrize(
     "fn, messages, ceiling",
     [
-        # PR 22: 82.07 calls/message (parent 89.69; integer sequence numbers)
-        (_traced, 128, 86.2),
+        # PR 24: 61.82 calls/message, the engine running the shift rounds
+        # itself (PR 22, through ctx.shift_phase's loop: 82.07; before: 89.69)
+        (_traced, 128, 64.9),
         # PR 22: 94.72 (parent 136.24); 8 retransmissions
         (_lossy_reliable, 260, 99.5),
         # PR 22: 101.09 (parent 166.24): the envelope is copied once and
@@ -125,6 +128,76 @@ def test_calls_per_message_is_exact_and_bounded(fn, messages, ceiling):
     assert per_message <= ceiling, (
         f"{per_message:.2f} calls per simulated message, ceiling {ceiling}"
     )
+
+
+def _small(key, superstep, *, run_kw=None, **machine):
+    cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0, **machine)
+    return get_algorithm(key).run(
+        A, B, cfg, verify=True, superstep=superstep, **(run_kw or {})
+    )
+
+
+@pytest.mark.parametrize(
+    "run, messages, events, ceiling",
+    [
+        # Calls per message with the rounds engine-run (and, in brackets,
+        # through the generator loops: the parent's cost of the same run,
+        # and still superstep=False's); the ceiling is the former + 5 %.
+        # 61.82 (82.07)
+        (functools.partial(_small, "cannon", run_kw={"trace": True}), 128, 335, 64.9),
+        # 82.53 (102.78): every hop is costed from the epoch's link table
+        (
+            functools.partial(
+                _small, "cannon", scenario=random_heterogeneous(P, 2.0, seed=0)
+            ),
+            128, 363, 86.7,
+        ),
+        # 59.82 (80.07): no trace records
+        (
+            functools.partial(_small, "cannon", run_kw={"max_virtual_time": 1e9}),
+            128, 335, 62.8,
+        ),
+        # 62.97 (79.90): the 2 log sqrt(p) exchanges of a multiply step are
+        # one op, issued by Engine._step
+        (
+            functools.partial(
+                _small, "hje", run_kw={"trace": True},
+                port_model=PortModel.MULTI_PORT,
+            ),
+            224, 536, 66.1,
+        ),
+    ],
+    ids=["cannon_traced", "cannon_scenario", "cannon_watchdog", "hje_multi_traced"],
+)
+def test_a_run_that_cannot_park_keeps_its_rounds_out_of_the_generator(
+    run, messages, events, ceiling
+):
+    """n = p = 16, ``t_s=10, t_w=1``: a traced, scenario-backed or
+    watchdogged run pays one event per hop, as many as ``superstep=False``
+    pays — and no ``ctx.isend`` frame inside a phase (the 32 alignment
+    sends, two profiler entries each, are the program's own).  The
+    generator loops are the oracle, not what got faster: the same run
+    through them costs at least 15 calls per message more."""
+    fast_fn = functools.partial(run, True)
+    slow_fn = functools.partial(run, False)
+    fast_fn(), slow_fn()
+    first, fast, stats = _calls(fast_fn)
+    second, _, _ = _calls(fast_fn)
+    loop, slow, _ = _calls(slow_fn)
+    assert first == second, "the call count of a fixed run must repeat exactly"
+    assert fast.result.total_messages() == messages
+    assert fast.result.events_processed == slow.result.events_processed == events
+    assert fast.result.trace_digest() == slow.result.trace_digest()
+    isend_frames = sum(
+        entry.callcount for entry in stats
+        if getattr(entry.code, "co_name", None) == "isend"
+    )
+    assert isend_frames == 2 * 32
+    per_message = first / messages
+    assert per_message <= ceiling, (
+        f"{per_message:.2f} calls per simulated message, ceiling {ceiling}"
+    )
+    assert loop / messages >= per_message + 15
 
 
 def _default_knobs():

@@ -6,7 +6,9 @@ registered algorithm across seeded configurations) lives in
 gating, engine-run rounds after a hazard release, the closed form from a
 staggered frontier, timing-only mode — on machines small enough to read.
 Which path ran a round is read off ``RunResult.shift_rounds_event`` and
-``shift_rounds_closed_form``.
+``shift_rounds_closed_form``.  The runs the closed forms must refuse
+(traced, scenario-backed, watchdogged) keep their rounds engine-run;
+``TestResidentRounds`` holds those to the generator loops event for event.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import itertools
+
 from repro.algorithms import get_algorithm
-from repro.errors import AlgorithmError, SimulationError
+from repro.errors import AlgorithmError, LivelockError, SimulationError
 from repro.sim import FaultPlan, MachineConfig, PortModel, run_spmd
 from repro.sim.engine import Engine
-from repro.sim.scenario import hotspot
+from repro.sim.machine import RoutingMode
+from repro.sim.scenario import congested_dimension, hotspot, random_heterogeneous
 from repro.sim.superstep import superstep_ineligibility_reason
 from repro.topology.embedding import Grid2DEmbedding
 
@@ -397,6 +402,164 @@ class TestEligibilityGates:
         )
         assert traced.total_time == plain.total_time
         assert traced.stats == plain.stats
+
+
+def _exchange_with(**bad):
+    """One neighbour-exchange round on p = 4 with one thing wrong on rank 0."""
+
+    def prog(ctx):
+        peer = ctx.rank ^ 1
+        data = np.ones(2)
+        if ctx.rank == 0:
+            peer, data = bad.get("dst", peer), bad.get("data", data)
+        yield from ctx.elapse(3.0)
+        return (
+            yield from ctx.neighbor_exchange(
+                [(peer, data, 5)],
+                [(bad.get("src", ctx.rank ^ 1) if ctx.rank == 0 else ctx.rank ^ 1, 5)],
+            )
+        )
+
+    return prog
+
+
+def _shift_with(a_of_rank, b_of_rank):
+    def prog(ctx):
+        yield from ctx.shift_phase(
+            steps=2, a_to=ctx.rank ^ 1, a_from=ctx.rank ^ 1,
+            b_to=ctx.rank ^ 2, b_from=ctx.rank ^ 2,
+            a_block=a_of_rank(ctx.rank), b_block=b_of_rank(ctx.rank),
+            tag_a=1, tag_b=2,
+        )
+
+    return prog
+
+
+#: the default run and three that may not park: engine keywords, machine keywords
+_MODES = {
+    "default": ({}, {}),
+    "traced": ({"trace": True}, {}),
+    "scenario": ({}, {"scenario": hotspot(4, node=1, factor=3.0)}),
+    "watchdog": ({"max_virtual_time": 1e9}, {}),
+}
+
+
+class TestMalformedRounds:
+    """A malformed round raises the same error, text and all, whoever would
+    have run it: the closed form, the engine's own round, or — the oracle,
+    ``superstep=False`` — the generator loop.  (An out-of-range source was
+    once checked by ``ctx.irecv`` alone, which only the loop calls.)"""
+
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize(
+        "prog, message",
+        [
+            (_exchange_with(src=99), r"t=3\] rank 99 out of range on a 4-node"),
+            (_exchange_with(dst=99), r"t=3\] rank 99 out of range on a 4-node"),
+            (_exchange_with(data=object()), r"t=3\] cannot infer word count"),
+            (
+                _shift_with(
+                    lambda r: np.ones((2, 2 if r & 1 else 3)),
+                    lambda r: np.ones((2 if r & 1 else 3, 2)),
+                ),
+                "local_matmul shape mismatch",
+            ),
+            (
+                _shift_with(lambda r: [[1.0] * 4] * 4, lambda r: np.ones((4, 4))),
+                r"t=0\] shift_phase blocks must be numpy arrays, got list",
+            ),
+        ],
+        ids=["source-out-of-range", "destination-out-of-range",
+             "uncountable-payload", "block-shapes-meet", "not-an-array"],
+    )
+    def test_fails_alike_on_every_path(self, prog, message, mode):
+        run_kw, cfg_kw = _MODES[mode]
+        errors = []
+        for superstep in (True, False):
+            cfg = MachineConfig.create(4, **PARAMS, **cfg_kw)
+            with pytest.raises(SimulationError, match=message) as err:
+                run_spmd(cfg, prog, superstep=superstep, **run_kw)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+
+    def test_any_source_stays_legal(self):
+        from repro.sim.process import ANY_SOURCE
+
+        fast, slow = _both_paths(_exchange_with(src=ANY_SOURCE), trace=True)
+        assert fast.trace_lines() == slow.trace_lines()
+        assert all(np.array_equal(v, [np.ones(2)]) for v in fast.results.values())
+
+
+def _resident_cases():
+    """What keeps a run from parking x algorithm x port model x routing mode
+    x timing_only, at p = 16 (Berntsen, whose grid is 3-D: 8) and 64.  The
+    two caps are small enough to raise mid-phase; ``max_events`` alone
+    would leave the run closed-form eligible (its event count is then the
+    closed form's), so it rides on a traced run."""
+    for p in (8, 16, 64):
+        features = {
+            "traced": ({"trace": True}, {}),
+            "random": ({}, {"scenario": random_heterogeneous(p, 2.0, seed=1)}),
+            "hotspot": ({}, {"scenario": hotspot(p, node=3, factor=3.0)}),
+            "congested": ({}, {"scenario": congested_dimension(p, 1, 2.5)}),
+            "vt-cap-unreached": ({"max_virtual_time": 1e9}, {}),
+            "vt-cap": ({"max_virtual_time": 150.0}, {}),
+            "event-cap": ({"max_events": 12 * p, "trace": True}, {}),
+        }
+        keys = {8: ("berntsen",), 16: ("cannon", "hje", "fox")}.get(
+            p, ("cannon", "berntsen", "hje", "fox")
+        )
+        for (name, (run_kw, cfg_kw)), key, port, routing, timing in itertools.product(
+            features.items(), keys, PortModel, RoutingMode, (False, True),
+        ):
+            yield pytest.param(
+                key, p, port, routing, timing, run_kw, cfg_kw, name.endswith("-cap"),
+                id=f"{key}-p{p}-{port.name}-{routing.name}-"
+                   f"{'timing' if timing else 'data'}-{name}",
+            )
+
+
+class TestResidentRounds:
+    """A run that may not park keeps its shift rounds and neighbour
+    exchanges engine-run.  Same simulation as the generator loops
+    (``superstep=False``), event for event: hop records, blocks, statistics,
+    event count — or the watchdog's error, progress snapshot included."""
+
+    @staticmethod
+    def _outcome(key, p, port, routing, timing_only, run_kw, cfg_kw, superstep):
+        n = 32 if p == 64 else 16
+        rng = np.random.default_rng(3)
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        cfg = MachineConfig.create(
+            p, port_model=port, routing=routing, **PARAMS, **cfg_kw
+        )
+        try:
+            run = get_algorithm(key).run(
+                A, B, cfg, superstep=superstep, timing_only=timing_only, **run_kw
+            )
+        except LivelockError as exc:
+            return "raised", str(exc)
+        result = run.result
+        return (
+            result.trace_lines(), None if timing_only else run.C.tobytes(),
+            result.stats, result.network, result.events_processed,
+            result.shift_rounds_event,
+            # (the reason is the feature on one side, "superstep disabled"
+            # on the other; the declared phases refused are the same)
+            sorted(result.closed_form_refusals.values()),
+        )
+
+    @pytest.mark.parametrize(
+        "key, p, port, routing, timing_only, run_kw, cfg_kw, raises",
+        _resident_cases(),
+    )
+    def test_same_simulation_as_the_generator_loops(
+        self, key, p, port, routing, timing_only, run_kw, cfg_kw, raises
+    ):
+        case = (key, p, port, routing, timing_only, run_kw, cfg_kw)
+        fast = self._outcome(*case, superstep=True)
+        assert fast == self._outcome(*case, superstep=False)
+        assert (fast[0] == "raised") == raises
 
 
 class TestCollectivePhases:
