@@ -37,6 +37,7 @@ import numpy as np
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.common import GridView3D, TAG_A, TAG_B, TAG_C, TAG_D, require
 from repro.collectives import alltoall, reduce_scatter
+from repro.collectives.chunking import chunk_slices
 from repro.collectives.phase import allgather_call, parallel_pair
 from repro.errors import NotApplicableError
 from repro.topology.embedding import Grid3DRectEmbedding
@@ -145,7 +146,8 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         # -- phase 1: all-to-all personalized along y (q2 row groups) ---------
         ctx.phase("alltoall-B")
         row_groups = [
-            np.ascontiguousarray(g) for g in np.array_split(b_block, q2, axis=0)
+            np.ascontiguousarray(b_block[rows])
+            for rows in chunk_slices(b_block.shape[0], q2)
         ]
         received = yield from alltoall(view.y_comm, row_groups, tag=TAG_B)
         # hstack over the y-line: the (q1*q2)x(q1) - partition block
@@ -170,8 +172,8 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         # -- phase 3: all-to-all reduction along y -----------------------------
         ctx.phase("reduce")
         pieces = [
-            np.ascontiguousarray(piece)
-            for piece in np.array_split(partial, q2, axis=1)
+            np.ascontiguousarray(partial[:, cols])
+            for cols in chunk_slices(partial.shape[1], q2)
         ]
         c_block = yield from reduce_scatter(view.y_comm, pieces, tag=TAG_A)
         return c_block

@@ -40,6 +40,7 @@ from repro.algorithms.common import (
 )
 from repro.blocks.partition import PartitionFig8, PartitionFig9, f_index
 from repro.collectives import allgather, broadcast, gather, reduce_scatter
+from repro.collectives.chunking import chunk_slices
 from repro.topology.embedding import Grid3DEmbedding
 from repro.topology.hypercube import Hypercube
 
@@ -116,8 +117,8 @@ class AllTransAlgorithm(MatmulAlgorithm):
         # Column group l of I_{k,i} belongs to p_{i,l,k} (as C_{k,f(i,l)}).
         ctx.phase("reduce")
         pieces = [
-            np.ascontiguousarray(piece)
-            for piece in np.array_split(partial, q, axis=1)
+            np.ascontiguousarray(partial[:, cols])
+            for cols in chunk_slices(partial.shape[1], q)
         ]
         c_block = yield from reduce_scatter(view.y_comm, pieces, tag=TAG_A)
         return c_block

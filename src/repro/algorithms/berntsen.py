@@ -23,6 +23,7 @@ from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.common import TAG_C, cannon_kernel, require, require_cubic_grid
 from repro.blocks.partition import ColumnGroups, RowGroups
 from repro.collectives import reduce_scatter
+from repro.collectives.chunking import chunk_slices
 from repro.errors import AlgorithmError
 from repro.mpi.communicator import Comm
 from repro.topology.embedding import SubcubeGrid2D
@@ -109,7 +110,8 @@ class BerntsenAlgorithm(MatmulAlgorithm):
         low = ctx.rank & ((1 << (2 * k)) - 1)
         members = [(mm << (2 * k)) | low for mm in range(q)]
         cross = Comm(ctx, members)
-        pieces = np.array_split(outer, q, axis=0)  # row-slices, one per dest
+        # row-slices (views), one per destination
+        pieces = [outer[rows] for rows in chunk_slices(outer.shape[0], q)]
         c_piece = yield from reduce_scatter(cross, pieces, tag=TAG_C)
         return c_piece
 

@@ -29,6 +29,7 @@ from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.common import GridView2D, TAG_A, TAG_B, TAG_C, require, require_square_grid
 from repro.blocks.partition import ColumnGroups, RowGroups
 from repro.collectives import broadcast, reduce, scatter
+from repro.collectives.chunking import chunk_slices
 from repro.errors import AlgorithmError
 from repro.topology.embedding import Grid2DEmbedding
 from repro.topology.hypercube import Hypercube
@@ -77,9 +78,10 @@ class Diagonal2DAlgorithm(MatmulAlgorithm):
         b_pieces = None
         a_group = local.get("A")
         if on_diagonal:
+            b_block = local["B"]
             b_pieces = [
-                np.ascontiguousarray(piece)
-                for piece in np.array_split(local["B"], q, axis=1)
+                np.ascontiguousarray(b_block[:, cols])
+                for cols in chunk_slices(b_block.shape[1], q)
             ]
         my_b_piece, a_group = yield from ctx.parallel(
             scatter(view.col_comm, b_pieces, root=j, tag=TAG_B),

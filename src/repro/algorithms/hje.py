@@ -33,24 +33,13 @@ import numpy as np
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.common import TAG_A, TAG_B, require, require_square_grid
 from repro.blocks.partition import BlockPartition2D
+from repro.collectives.chunking import chunk_slices
 from repro.errors import AlgorithmError
 from repro.topology.embedding import Grid2DEmbedding
 from repro.topology.hypercube import Hypercube
 from repro.util.bits import gray_code, ilog2
 
 __all__ = ["HJEAlgorithm"]
-
-
-def _group_bounds(size: int, d: int) -> list[tuple[int, int]]:
-    """Split ``range(size)`` into ``d`` contiguous slices (array_split rule)."""
-    base, extra = divmod(size, d)
-    bounds = []
-    start = 0
-    for l in range(d):
-        width = base + (1 if l < extra else 0)
-        bounds.append((start, start + width))
-        start += width
-    return bounds
 
 
 class HJEAlgorithm(MatmulAlgorithm):
@@ -122,9 +111,9 @@ class HJEAlgorithm(MatmulAlgorithm):
         # -- multiply loop over Gray-code masks ------------------------------
         # Group l of A (columns slice) and of B (rows slice); the slices use
         # identical boundaries so each product A^l @ B^l is a full block.
-        bounds = _group_bounds(a_block.shape[1], d)
-        a_groups = [np.ascontiguousarray(a_block[:, s:e]) for s, e in bounds]
-        b_groups = [np.ascontiguousarray(b_block[s:e, :]) for s, e in bounds]
+        groups = chunk_slices(a_block.shape[1], d)
+        a_groups = [np.ascontiguousarray(a_block[:, g]) for g in groups]
+        b_groups = [np.ascontiguousarray(b_block[g, :]) for g in groups]
 
         ctx.phase("multiply")
         c_block = np.zeros((a_block.shape[0], b_block.shape[1]))

@@ -279,6 +279,7 @@ def _outcome(case: Case, *, superstep: bool, trace: bool = False) -> dict:
         "stats": res.stats,
         "network": res.network,
         "C": run.C,
+        "product_ok": run.C is not None and bool(np.allclose(run.C, A @ B)),
         "events": res.events_processed,
         # Which path ran the collective phases, and why (diagnostics: they
         # legitimately differ between the two paths).
@@ -289,15 +290,30 @@ def _outcome(case: Case, *, superstep: bool, trace: bool = False) -> dict:
 
 
 def diff_case(case: Case) -> str | None:
-    """Run both paths; ``None`` on bitwise agreement, else a label."""
+    """Run both paths; ``None`` on bitwise agreement, else a label.
+
+    Agreement alone would pass a fast path that is wrong the same way as
+    the event path, so a case without fault atoms (a scenario slows links
+    but cannot corrupt or drop data) must also return ``C ≈ A @ B``.
+    """
     fast = _outcome(case, superstep=True)
-    label = _planner_exceptions(fast) or _compare(
-        fast, _outcome(case, superstep=False), "fast-vs-event",
+    label = (
+        _planner_exceptions(fast)
+        or _wrong_product(case, fast)
+        or _compare(fast, _outcome(case, superstep=False), "fast-vs-event")
     )
     if label is None and case.traced:
         fast, event = (_outcome(case, superstep=s, trace=True) for s in (True, False))
         label = _compare(fast, event, "traced fast-vs-event")
     return label
+
+
+def _wrong_product(case: Case, fast: dict) -> str | None:
+    """The default path's product, checked where nothing can perturb it
+    (a run that raised is compared by its error instead)."""
+    if "error" in fast or any(a["kind"] != "scenario" for a in case.atoms):
+        return None
+    return None if fast["product_ok"] else "fast path: C != A @ B"
 
 
 def _planner_exceptions(fast: dict) -> str | None:

@@ -15,6 +15,7 @@ from repro.errors import SimulationError
 
 __all__ = [
     "chunk_sizes",
+    "chunk_slices",
     "split_chunks",
     "join_chunks",
     "chunk_header",
@@ -26,12 +27,23 @@ def chunk_sizes(total: int, nchunks: int) -> list[int]:
     """Element counts of the ``nchunks`` chunks of a ``total``-element
     array: nearly equal, the larger ones first (``np.array_split``'s rule).
 
-    The one statement of the rule: :func:`split_chunks` slices by it and
-    the closed-form collectives (:mod:`repro.sim.superstep`) size their
-    messages by it.
+    The one statement of the rule: :func:`split_chunks` and the programs'
+    block splits slice by it (:func:`chunk_slices`), and the closed-form
+    collectives (:mod:`repro.sim.superstep`) size their messages by it.
     """
     base, extra = divmod(total, nchunks)
     return [base + 1] * extra + [base] * (nchunks - extra)
+
+
+def chunk_slices(total: int, nchunks: int) -> list[slice]:
+    """The :func:`chunk_sizes` chunks of ``range(total)``, as slices: how
+    blocks are split along one axis (the programs' row and column groups)."""
+    slices = []
+    start = 0
+    for size in chunk_sizes(total, nchunks):
+        slices.append(slice(start, start + size))
+        start += size
+    return slices
 
 
 def split_chunks(arr: np.ndarray, nchunks: int) -> list[np.ndarray]:
@@ -45,12 +57,7 @@ def split_chunks(arr: np.ndarray, nchunks: int) -> list[np.ndarray]:
     if nchunks < 1:
         raise SimulationError(f"nchunks must be >= 1, got {nchunks}")
     flat = np.ascontiguousarray(arr).ravel()
-    chunks = []
-    start = 0
-    for size in chunk_sizes(flat.size, nchunks):
-        chunks.append(flat[start:start + size])
-        start += size
-    return chunks
+    return [flat[s] for s in chunk_slices(flat.size, nchunks)]
 
 
 def join_chunks(chunks: list[np.ndarray], shape: tuple[int, ...], dtype=None) -> np.ndarray:

@@ -284,8 +284,10 @@ class Engine:
         self._coll_closed_form = 0
         self._coll_event = 0
         self._refusals: defaultdict[str, int] = defaultdict(int)
-        # (members, free_dims) -> index maps of that subcube, built by the
-        # collective planner the first time a phase runs over it.
+        # Read-only tables the collective planner builds the first time a
+        # phase needs them: (members, free_dims) -> that subcube's index
+        # maps; (kind, subcube, ..., block layout) -> a schedule's step
+        # table and stacked-data-plane indices.
         self._coll_tables: dict[tuple, tuple] = {}
         # Ids and the event sequence number (_seq) are plain integers bumped
         # in place: the next value can be read without being consumed.
@@ -1395,7 +1397,8 @@ class Engine:
         self._handle_seq += 1
         box = self._mailbox[rank]
         for i, (arrival, msg) in enumerate(box):
-            # _matches, inlined: this runs for every queued message.
+            # A receive matches the oldest queued message whose source and
+            # tag it names (or accepts as ANY_SOURCE / ANY_TAG).
             if (src_f == ANY_SOURCE or src_f == msg.src) and (
                 tag_f == ANY_TAG or tag_f == msg.tag
             ):
@@ -1418,12 +1421,6 @@ class Engine:
                 break
         handle.complete(time, TIMED_OUT)
         self._notify(handle.task)
-
-    @staticmethod
-    def _matches(src_filter: int, tag_filter: int, msg: Message) -> bool:
-        return (src_filter == ANY_SOURCE or src_filter == msg.src) and (
-            tag_filter == ANY_TAG or tag_filter == msg.tag
-        )
 
     def _count_receive(self, rank: int, msg: Message) -> None:
         st = self.stats[rank]
@@ -1492,7 +1489,8 @@ class Engine:
         pending = self._pending_recvs[msg.dst]
         msg_src, msg_tag = msg.src, msg.tag
         for i, (src_f, tag_f, handle) in enumerate(pending):
-            # _matches, inlined: runs once per delivery over all waiters.
+            # A delivery completes the oldest posted receive whose source
+            # and tag filters accept it (ANY_SOURCE / ANY_TAG accept all).
             if (src_f == ANY_SOURCE or src_f == msg_src) and (
                 tag_f == ANY_TAG or tag_f == msg_tag
             ):

@@ -267,6 +267,16 @@ class ContentionTracker:
             self._channel_ids[key] = i
         return i
 
+    def _new_channel_slots(self, keys: list) -> np.ndarray:
+        """Claim consecutive zeroed slots for channels none of which exists
+        yet (one dict update); returns their column ids, in ``keys`` order."""
+        first = self._n
+        self._n = first + len(keys)
+        while self._n > len(self._free):
+            self._grow()
+        self._channel_ids.update(zip(keys, range(first, self._n)))
+        return np.arange(first, self._n)
+
     def _channel_resource(self, u: int, v: int) -> Resource:
         return self._channel._view((u, v), self._channel_slot(u, v))
 

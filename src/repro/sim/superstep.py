@@ -1,8 +1,7 @@
 """Closed-form advancement of uniform shift-multiply supersteps.
 
 The event engine normally drains one heap event per hop: a Cannon-style
-inner loop of ``K`` multiply steps on ``p`` ranks costs ``O(K·p)`` events
-(four handles, two single-hop transfers and a resume per rank per step).
+inner loop of ``K`` multiply steps on ``p`` ranks costs ``O(K·p)`` events.
 Programs instead yield one resident :class:`~repro.sim.ops.ShiftPhaseOp`
 per phase, and the engine parks it.  The first time the event queues
 drain with every active rank inside the phase, this module advances all
@@ -10,10 +9,10 @@ remaining rounds of every rank at once with a handful of numpy
 recurrences — *bit-identically* to what the event path would have
 produced.  Until then — a foreign hop about to reserve a parked rank's
 channel or port, see the hazard maps in ``Engine._start_hop`` — the engine
-runs the parked ranks' next round itself, through the ordinary hop events
-(``Engine._shift_multiply`` and the steps after it), so irregular prefixes
-such as Cannon's contended multi-hop skew stay exact and everything from
-the first quiet point on is batched.
+runs the parked ranks' next round itself through the ordinary hop events
+(``Engine._shift_multiply``), so irregular prefixes such as Cannon's
+contended multi-hop skew stay exact and everything from the first quiet
+point on is batched.
 
 The frontier need not be level
 ------------------------------
@@ -52,35 +51,28 @@ operations in the same per-rank order the event path folds them in.
 
 Eligibility
 -----------
-Two predicates.  *May this run's phases be advanced in closed form?* Not
-with a fault plan, a heterogeneous scenario, per-hop trace records, a
-``max_virtual_time`` watchdog or ``superstep=False``
-(:func:`superstep_ineligibility_reason`): such a run never parks.  *May the
-engine run a declared round itself?* A rank's main program, no fault plan,
-``superstep=True``: a run that passes only this one has its shift rounds
-engine-run back to back and its neighbour exchanges issued by
-``Engine._step``, and what fails it is answered ``SHIFT_FALLBACK`` /
-``COLLECTIVE_FALLBACK`` once: the program's generator loop, the definition
-of the round, runs it.  A parked phase is refused — and every parked rank
-runs one more round through the events — when anything but the phase is in
-flight (other blocked tasks, sub-tasks, barriers, mailbox entries or posted
-receives that are not the phase's own), when block shapes or tags differ
+Two predicates.  :func:`superstep_ineligibility_reason`: may a run's phases
+park at all (not with a fault plan, a heterogeneous scenario, per-hop trace
+records, a ``max_virtual_time`` watchdog or ``superstep=False``)?
+``Engine._resident``: may the engine run a declared round itself (a main
+program, no fault plan, ``superstep=True``)?  What fails the second is
+answered ``SHIFT_FALLBACK`` / ``COLLECTIVE_FALLBACK``, and the program's
+generator loop, the definition of the round, runs it.  A parked phase is
+refused — every parked rank runs one more round through the events — when
+anything but the phase is in flight, when block shapes or tags differ
 between ranks or ``tag_a == tag_b``, when the shifts are not neighbour
 permutations whose receivers expect exactly their senders, or when queued
 blocks do not pair up with the rounds their receivers have left.  Refusing
 is always safe: the engine-run round schedules the events the per-message
-loop would.
-
-Per-channel busy times are bitwise identical between the two paths even
-though the fast path may *create* a phase's channels in rank order rather
-than event order: every aggregate over them
-(``NetworkStats.total_channel_busy``) folds in sorted channel-key order,
-never creation order, so non-dyadic parameter sets are exact too.
+loop would.  Channels the fast path creates in rank order rather than event
+order fold their busy times in channel-key order all the same
+(``NetworkStats.total_channel_busy``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,12 +95,8 @@ __all__ = [
 def superstep_ineligibility_reason(engine: "Engine") -> str | None:
     """Name the feature that makes every hop an event, or None (phases park).
 
-    Checked once at engine construction: fault plans, heterogeneous
-    scenarios and per-hop tracing all need real events, and a
-    ``max_virtual_time`` watchdog must observe every intermediate event
-    time.  The name is for diagnostics: a sim-backed figure run that
-    silently takes the slow path can say why (``repro figure --backend
-    sim`` prints this).
+    Checked once at engine construction; the name is for diagnostics (a
+    sim-backed figure run that takes the slow path can say why).
     """
     if not engine.superstep_enabled:
         return "superstep disabled"
@@ -446,8 +434,8 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
     if top > 1:
         senders = np.nonzero(shifts)[0]
         for cid, to in ((cid_a, a_to), (cid_b, b_to)):
-            for i in senders[cid[senders] < 0].tolist():
-                cid[i] = tracker._channel_slot(ranks[i], to[i])
+            new = senders[cid[senders] < 0].tolist()
+            cid[new] = tracker._new_channel_slots([(ranks[i], to[i]) for i in new])
         rows_a, rows_b = cid_a[senders], cid_b[senders]
         tracker._free[rows_a] = chan_a_free[senders]
         tracker._busy[rows_a] = chan_a_busy[senders]
@@ -509,11 +497,10 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 # sends through the node's port; a multi-port machine splits every block
 # into ``d`` chunks and runs the ``d`` rotated trees at once, tree ``j``
 # crossing dimension ``orders[j][t]`` in round ``t``.  What tells the kinds
-# apart is their *step table* — per round, a list of rows ``(senders, dim,
-# words)``: who sends how many words across which subcube dimension — and
+# apart is their *step table* — per round, rows ``(senders, dim, words)``:
+# who sends how many words across which subcube dimension — and
 # ``_reserve_rounds`` folds any step table (all of a phase's, merged: see
-# "the recurrence" below) through one recurrence, per send across
-# dimension ``k``:
+# "the recurrence" below) through one recurrence, per send across ``k``:
 #
 #     s  = max(T, chan_free[k], port_free)        (port column: one-port only)
 #     e  = s + (t_s + t_w·w)
@@ -521,22 +508,32 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 #
 # A send across ``k`` arrives at the sender's ``k``-partner, and ``T'``
 # takes effect when the round ends (the schedules ``waitall`` once per
-# round; a rank with nothing to do in a round keeps its clock).  The rows of
-# one round are all ready at the round's ``T`` and are folded in order, so a
-# rank that appears in several rows (a neighbour exchange lists each rank's
-# sends in program order, row ``r`` holding everyone's ``r``-th) reserves
-# its port — and a channel it uses twice — in exactly the order its
-# injection events fire.  These are the IEEE operations the event path
-# performs, in the same per-rank order, so makespans, per-channel busy times
-# and message/word counters come out bit-identical; returned values do too,
-# because each step-table builder replays its schedule's data movement with
-# the same helpers and the same fold order.
+# round; a rank with nothing to do keeps its clock).  The rows of a round
+# are all ready at its ``T`` and are folded in order, so a rank in several
+# rows (a neighbour exchange lists each rank's sends in program order, row
+# ``r`` holding everyone's ``r``-th) reserves its port — and a channel it
+# uses twice — in exactly the order its injection events fire.  These are
+# the event path's IEEE operations in its per-rank order, so makespans,
+# per-channel busy times and counters come out bit-identical.  Per-rank
+# order is all that matters: every message is a single hop, channel
+# ``u -> v`` and (one-port) ``u``'s send port are reserved only by ``u``'s
+# own sends, and nothing else is in flight — so how *different* ranks'
+# events interleave cannot move any reservation.
 #
-# Why per-rank order is all that matters: every message is a single hop,
-# channel ``u -> v`` and (one-port) the send port of ``u`` are reserved only
-# by sends of ``u``'s own program, and nothing else is in flight — so the
-# order in which *different* ranks' events interleave cannot change any
-# reservation's start time.
+# The values move as stacked arrays: ``_classes`` buckets the groups whose
+# block layouts agree, ``_stack`` makes a bucket one ``(groups, rows,
+# length)`` array (a row: one rank's blocks back to back), and the schedule
+# becomes index arithmetic over the layout, built once per layout and engine
+# (``_tables``).  A round of folds, every tree of every group, is ``Y[:, R,
+# C] = op(Y[:, R, C], Y[:, P, C])`` at exactly the positions ``C`` the
+# schedule folds, receiver rows ``R`` first as in ``acc = op(acc,
+# arrived)``, the right-hand side read before anything is written.  An
+# elementwise ufunc applied at the schedule's positions, in the schedule's
+# operand order, *is* the schedule's fold.  A delivery is one gather per
+# rank into a buffer of its own: no returned value pins a phase buffer.
+# Refused by name: a non-ufunc ``op``, blocks that are not arrays or mix
+# dtypes (or an ``op`` that changes the dtype), and a destination's blocks
+# that differ in shape.
 #
 # Fused pairs on a one-port machine.  ``parallel_pair`` runs two collectives
 # as sub-tasks of one node, so both schedules' sends share that node's port.
@@ -556,25 +553,23 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 # sends with smaller ready times — so it starts when planned, and nothing
 # deviates at ``τ`` either.
 #
-# Adding a collective: write ``_<kind>_steps(g, orders, chunked,
-# timing_only)`` returning ``(steps, values)`` — ``steps[t]`` is round
-# ``t``'s list of rows ``(senders, dim, words)``: comm ranks, the subcube
-# dimension index each one's message crosses and its word count (``dim`` and
-# ``words`` are one int when all senders agree, else arrays aligned with
-# ``senders``; a sender appears at most once per row and no two senders of
-# a row share a receiver, which is free when the row crosses one dimension)
-# — and ``values[i]`` is what comm rank ``i``'s call returns.  Register it in ``_STEP_TABLES`` and
-# in ``EXCHANGE_KINDS`` or ``_ROOTED_KINDS``, have the dispatch function
-# declare ``make_spec(kind, ...)``, and add the kind to
+# Adding a collective: write ``_<kind>_steps(engine, groups, chunked)``
+# setting every group's ``steps`` — ``steps[t]``: round ``t``'s rows
+# ``(senders, dim, words)``, comm ranks, the subcube dimension each message
+# crosses, word counts (an int when all senders agree, else arrays; a
+# sender at most once per row, no receiver twice) — and ``values[i]``, comm
+# rank ``i``'s return value, stated as a stacked array: bucket with
+# ``_classes``, stack with ``_stack``, and write the schedule as fold rounds
+# ``(R, C, P)`` and per-rank gathers built once through ``_tables``.
+# Register it in ``_STEP_TABLES`` and ``EXCHANGE_KINDS`` / ``_ROOTED_KINDS``,
+# declare ``make_spec(kind, ...)`` in its dispatch function, and add it to
 # ``tests/collectives/test_closed_form.py``.
 #
-# Any doubt — schedule mismatch with the port model, malformed groups,
-# foreign traffic, a pair whose port order cannot be proven, or any
-# exception while planning (which the event path would reproduce verbatim)
-# — refuses under a named reason (``RunResult.closed_form_refusals``), and
-# the engine releases every parked rank with ``COLLECTIVE_FALLBACK``.
-# Planning mutates nothing: tracker resources and stats are written only
-# after the whole phase has planned.
+# Any doubt — a schedule that does not match the port model, malformed
+# groups, foreign traffic, an unprovable port order, any exception while
+# planning — refuses under a named reason (``closed_form_refusals``) and
+# releases every parked rank with ``COLLECTIVE_FALLBACK``.  Planning mutates
+# nothing: the tracker and stats are written once the whole phase planned.
 
 #: dimension-exchange kinds: every rank sends in every round.  A fused pair
 #: of these also parks on a one-port machine (``Engine._step``).
@@ -590,58 +585,43 @@ class _Refuse(Exception):
 
 def _subcube_tables(nodes, free_dims) -> tuple | None:
     """The subcube-index maps Comm guarantees, recomputed from the member
-    list: ``(sub, cr_of_sub, partners, everyone, node_ids)`` (read-only,
-    shared by every phase of a run over the same members), or ``None`` if
-    the members are not the subcube spanning ``free_dims``."""
-    n, d = len(nodes), len(free_dims)
-    base = nodes[0]
-    mask = 0
-    for dim in free_dims:
-        mask |= 1 << dim
-    sub = []
-    for node in nodes:
-        if (node ^ base) & ~mask:
-            return None
-        s_val = 0
-        for k, dim in enumerate(free_dims):
-            if (node >> dim) & 1:
-                s_val |= 1 << k
-        sub.append(s_val)
-    cr_of_sub = [-1] * n
-    for cr, s_val in enumerate(sub):
-        if cr_of_sub[s_val] != -1:
-            return None
-        cr_of_sub[s_val] = cr
-    sub = np.asarray(sub, dtype=np.intp)
-    cr_of_sub = np.asarray(cr_of_sub, dtype=np.intp)
+    list: ``(sub, cr_of_sub, partners, everyone, node_ids, sub_key)``
+    (read-only, shared by every phase of a run over the same members), or
+    ``None`` if the members are not the subcube spanning ``free_dims``."""
+    ids = np.asarray(nodes, dtype=np.intp)
+    bits = 1 << np.asarray(free_dims, dtype=np.intp)
+    everyone = np.arange(len(ids))
+    sub = ((ids[:, None] & bits) != 0) @ (1 << everyone[:len(bits)])
+    cr_of_sub = np.full(len(ids), -1, dtype=np.intp)
+    cr_of_sub[sub] = everyone
+    if ((ids ^ ids[0]) & ~bits.sum()).any() or (cr_of_sub < 0).any():
+        return None  # a node outside the subcube, or two on one subindex
     # partners[k, i]: comm rank of member i's neighbour across subcube
     # dimension k.
-    partners = np.array([cr_of_sub[sub ^ (1 << k)] for k in range(d)])
-    return sub, cr_of_sub, partners, np.arange(n), np.asarray(nodes, dtype=np.intp)
+    partners = cr_of_sub[sub ^ (1 << everyone[:len(bits), None])]
+    return sub, cr_of_sub, partners, everyone, ids, tuple(sub.tolist())
 
 
 class _CollGroup:
     """One collective operation instance: a member set running one schedule."""
 
     __slots__ = (
-        "kind", "sched", "nodes", "free_dims", "tag", "root", "op",
-        "n", "d", "sub", "cr_of_sub", "partners", "everyone", "node_ids",
-        "dim_ids", "at", "payloads", "filled", "slot", "steps", "values",
+        "kind", "nodes", "free_dims", "root", "op", "n", "d", "sub",
+        "cr_of_sub", "partners", "everyone", "node_ids", "sub_key", "dim_ids",
+        "at", "payloads", "filled", "slot", "steps", "values",
     )
 
-    def __init__(self, kind, sched, nodes, free_dims, tag, root, op, slot, tables):
+    def __init__(self, kind, nodes, free_dims, root, op, slot, tables):
         self.kind = kind
-        self.sched = sched
         self.nodes = nodes
         self.free_dims = free_dims
-        self.tag = tag
         self.root = root
         self.op = op
         self.n = len(nodes)
         self.d = len(free_dims)
         (
             self.sub, self.cr_of_sub, self.partners, self.everyone,
-            self.node_ids,
+            self.node_ids, self.sub_key,
         ) = tables
         #: free_dims as an array, for rows whose senders cross different ones
         self.dim_ids = np.asarray(free_dims, dtype=np.intp)
@@ -721,8 +701,8 @@ def _new_group(engine: "Engine", spec, slot: int, sched: str) -> _CollGroup:
             raise _Refuse("malformed phase")
         everyone = np.arange(n)
         return _CollGroup(
-            kind, "", range(n), range(d), None, None, None, slot,
-            (everyone, everyone, None, everyone, everyone),
+            kind, range(n), range(d), None, None, slot,
+            (everyone, everyone, None, everyone, everyone, None),
         )
     n = len(spec.members)
     if kind in EXCHANGE_KINDS:
@@ -738,16 +718,10 @@ def _new_group(engine: "Engine", spec, slot: int, sched: str) -> _CollGroup:
     if n < 2 or n != (1 << len(spec.free_dims)):
         raise _Refuse("malformed phase")
     shape = (spec.members, spec.free_dims)
-    tables = engine._coll_tables.get(shape)
+    tables = _tables(engine, shape, lambda: _subcube_tables(*shape))
     if tables is None:
-        tables = _subcube_tables(*shape)
-        if tables is None:
-            raise _Refuse("malformed phase")
-        engine._coll_tables[shape] = tables
-    return _CollGroup(
-        kind, spec.sched, spec.members, spec.free_dims,
-        spec.tag, spec.root, spec.op, slot, tables,
-    )
+        raise _Refuse("malformed phase")
+    return _CollGroup(kind, *shape, spec.root, spec.op, slot, tables)
 
 
 # -- trees --------------------------------------------------------------------
@@ -776,117 +750,138 @@ def _orders(d: int, one_port: bool) -> tuple:
 
 @lru_cache(maxsize=64)
 def _tree_senders(orders: tuple, combine: bool) -> tuple:
-    """Relative indices sending at each ``[round][tree]`` of rooted trees.
-
-    A distribution tree's node forwards in every round after the one it
-    received in (the root in all of them); a combining tree's node sends
-    once, in the round of its first set bit (the root never).  Either way
-    the message crosses ``orders[j][t]``, to the child or the parent.
-    The arrays are shared between callers: read-only.
-    """
+    """Relative indices sending at each ``[round][tree]`` of rooted trees
+    (read-only, shared).  A distribution tree's node forwards in every round
+    after the one it received in (the root in all of them); a combining
+    tree's node sends once, in the round of its first set bit (the root
+    never).  Either way the message crosses ``orders[j][t]``."""
     sbt, _ = _trees()
     d = len(orders[0])
     step_of = sbt.combine_send_step if combine else sbt.distribute_recv_step
-    steps = [[step_of(rel, order) for rel in range(1 << d)] for order in orders]
+    # per tree, the round each node sends (combine) or receives in; the
+    # root's None becomes NaN, which compares false
+    steps = np.array(
+        [[step_of(rel, order) for rel in range(1 << d)] for order in orders], dtype=float
+    )
     return tuple(
-        tuple(
-            np.array(
-                [
-                    rel for rel, step in enumerate(column)
-                    if (step == t if combine else (step is None or step < t))
-                ],
-                dtype=np.intp,
-            )
-            for column in steps
-        )
+        tuple(np.flatnonzero(col == t if combine else ~(col >= t)) for col in steps)
         for t in range(d)
     )
 
 
 def _rooted_senders(g: _CollGroup, orders: tuple, combine: bool) -> list:
     """:func:`_tree_senders` as comm ranks of ``g``, rooted at ``g.root``."""
-    base = int(g.sub[g.root])
-    return [
-        [g.cr_of_sub[rel ^ base] for rel in row]
-        for row in _tree_senders(orders, combine)
-    ]
+    base, senders = int(g.sub[g.root]), _tree_senders(orders, combine)
+    return [[g.cr_of_sub[rel ^ base] for rel in row] for row in senders]
 
 
-# -- pieces: how a block splits over the trees and comes back together -------
+# -- the stacked data plane -----------------------------------------------------
+
+_payloads = attrgetter("payloads")
 
 
-def _piece_words(blocks, trees: int, chunked: bool) -> list:
-    """``[block][tree]`` word counts of blocks that travel inside a container.
-
-    Whole blocks (one-port) are counted by the engine's own payload
-    accounting; chunked blocks must already be arrays.
-    """
-    if chunked:
-        chunk_sizes = _trees()[1].chunk_sizes
-        return [chunk_sizes(int(b.size), trees) for b in blocks]
-    return [[payload_words({0: b})] for b in blocks]
-
-
-def _received(blocks, mine: int, chunked: bool) -> list:
-    """What a rank ends an exchange with: ``blocks[src]`` from every source.
-
-    Whole blocks arrive as the engine's payload copies, the rank's own
-    stays the object it passed in.  Chunked blocks (arrays) — the rank's
-    own too — are split into flat chunks and reassembled by the receiver,
-    which reproduces the block exactly: a plain copy is bit-identical and
-    skips the split-and-rebuild round trip.
-    """
-    if chunked:
-        return [b.copy() for b in blocks]
-    return [b if src == mine else copy_payload(b) for src, b in enumerate(blocks)]
+def _classes(groups, blocks_of, folded: bool) -> dict:
+    """Validate the groups' blocks (``blocks_of(g)``, in layout order) and
+    bucket the groups whose layouts agree: ``{key: [(g, blocks), ...]}``
+    (``folded``: every source's blocks must repeat the first's shapes)."""
+    classes: dict = {}
+    for g in groups:
+        blocks = blocks_of(g)
+        if set(map(type, blocks)) != {np.ndarray}:
+            raise _Refuse("payload is not an array")
+        dtypes = {b.dtype for b in blocks}
+        if len(dtypes) != 1:
+            raise _Refuse("blocks of mixed dtypes")
+        shapes = tuple([b.shape for b in blocks])
+        if folded and shapes != shapes[:len(shapes) // g.n] * g.n:
+            raise _Refuse("a destination's blocks differ in shape")
+        key = (g.sub_key, g.root, g.op, shapes, *dtypes)
+        classes.setdefault(key, []).append((g, blocks))
+    return classes
 
 
-def _join(pieces: list, like, chunked: bool):
-    """Reassemble one reduced piece per tree into the value a call returns."""
-    if not chunked:
-        return pieces[0]
-    _, chunking = _trees()
-    return chunking.rebuild_from_header(
-        pieces, chunking.chunk_header(np.asarray(like))
-    )
+def _rows(g: _CollGroup) -> list:
+    """A group's ``[source][destination]`` blocks, source-major."""
+    if set(map(len, g.payloads)) != {g.n}:
+        raise _Refuse("malformed phase")
+    return [b for row in g.payloads for b in row]
 
 
-# -- step tables ----------------------------------------------------------------
+def _tables(engine: "Engine", key: tuple, build):
+    """``build()``, once per engine and layout (the tables are read-only)."""
+    tables = engine._coll_tables.get(key)
+    if tables is None:
+        tables = engine._coll_tables[key] = build()
+    return tables
 
 
-def _allgather_steps(g: _CollGroup, orders, chunked, timing_only):
-    """Recursive doubling: send all you hold, then hold your partner's too."""
-    blocks = [np.asarray(p) for p in g.payloads] if chunked else g.payloads
-    # held[j][i]: words of the tree-j pieces rank i has gathered so far
-    held = list(
-        np.array(_piece_words(blocks, len(orders), chunked), dtype=np.int64).T
-    )
-    steps = []
-    for t in range(g.d):
-        row = []
-        for j, order in enumerate(orders):
-            w = held[j]
-            row.append((g.everyone, order[t], w))
-            held[j] = w + w[g.partners[order[t]]]
-        steps.append(row)
-    return steps, [_received(blocks, i, chunked) for i in range(g.n)]
+def _stack(members: list, rows: int) -> np.ndarray:
+    """A bucket's blocks as one ``(groups, rows, length)`` array."""
+    flat = np.concatenate([b for _g, blocks in members for b in blocks], axis=None)
+    return flat.reshape(len(members), rows, flat.size // (len(members) * rows))
 
 
-def _alltoall_steps(g: _CollGroup, orders, chunked, timing_only):
-    """Dimension exchange: across ``k``, forward every piece whose
-    destination lies on the other side of ``k``."""
-    n = g.n
-    rows = [list(p) for p in g.payloads]
-    for row in rows:
-        if len(row) != n:
-            raise _Refuse
-    if chunked:
-        rows = [[np.asarray(b) for b in row] for row in rows]
-    words = np.array(
-        [_piece_words(row, len(orders), chunked) for row in rows], dtype=np.int64
-    )
-    # held[j][i, dst]: words of the tree-j pieces at rank i bound for dst
-    held = [words[:, :, j] for j in range(len(orders))]
+def _piece_sizes(sizes: list, trees: int) -> np.ndarray:
+    """``[block, tree]`` element counts: the whole block on one tree, its
+    ``chunk_sizes`` chunks on several."""
+    rule = {size: _trees()[1].chunk_sizes(size, trees) for size in set(sizes)}
+    return np.array([rule[s] for s in sizes], dtype=np.int64).reshape(-1, trees)
+
+
+def _exchange_steps(engine, groups, chunked):
+    """Allgather and alltoall: each rank gathers what it receives into a
+    buffer of its own (one port: its own block stays the object passed in)."""
+    gather = groups[0].kind == "allgather"
+    for key, members in _classes(groups, _payloads if gather else _rows, False).items():
+        g, blocks = members[0]
+        steps, delivery = _tables(
+            engine, (g.kind, g.sub_key, key[3], chunked),
+            lambda: _exchange_tables(
+                g, [b.size for b in blocks], key[3], _orders(g.d, not chunked), gather
+            ),
+        )
+        for row, (g, blocks) in zip(_stack(members, 1)[:, 0], members):
+            mine = blocks if gather else blocks[::g.n + 1]
+            g.steps, g.values = steps, []
+            for r, (index, whole, pieces) in enumerate(delivery):
+                buf = row[index]
+                got = list(buf.reshape(whole)) if pieces is None else [
+                    buf[a:b].reshape(shape) for a, b, shape in pieces]
+                if not chunked:
+                    got[r] = mine[r]
+                g.values.append(got)
+
+
+def _delivery(starts, lens, shapes: tuple) -> tuple:
+    """Where a rank's received blocks (per source) lie in its group's row,
+    and how they split: ``whole`` ``(sources, *shape)`` when equal and not
+    0-d, else ``pieces`` of ``(begin, end, shape)``."""
+    ends = np.cumsum(lens)
+    index = np.repeat(starts - ends + lens, lens) + np.arange(int(ends[-1]))
+    if shapes[0] != () and shapes.count(shapes[0]) == len(shapes):
+        return index, (len(shapes),) + shapes[0], None
+    return index, None, list(zip((ends - lens).tolist(), ends.tolist(), shapes))
+
+
+def _exchange_tables(g: _CollGroup, sizes, shapes, orders, gather: bool):
+    """Recursive doubling (allgather: send all you hold, then hold your
+    partner's too) or dimension exchange (alltoall: across ``k``, forward
+    every piece bound for the other side of ``k``)."""
+    n, trees = g.n, len(orders)
+    piece = _piece_sizes(sizes, trees)
+    lens = np.array(sizes, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    # held[j][i, b]: words of tree-j pieces at rank i from source b
+    # (allgather) or bound for destination b (alltoall)
+    if gather:
+        held = [np.diag(piece[:, j]) for j in range(trees)]
+        delivery = [_delivery(starts, lens, shapes)] * n
+    else:
+        held = list(piece.reshape(n, n, trees).transpose(2, 0, 1))
+        starts, lens = starts.reshape(n, n), lens.reshape(n, n)
+        delivery = [
+            _delivery(starts[:, r], lens[:, r], shapes[r::n]) for r in range(n)
+        ]
     bit = (g.sub[:, None] >> np.arange(g.d)) & 1
     steps = []
     for t in range(g.d):
@@ -894,125 +889,134 @@ def _alltoall_steps(g: _CollGroup, orders, chunked, timing_only):
         for j, order in enumerate(orders):
             k = order[t]
             side = bit[:, k]
-            moving = np.where(side[:, None] != side[None, :], held[j], 0)
+            moving = held[j] if gather else np.where(side[:, None] != side, held[j], 0)
             row.append((g.everyone, k, moving.sum(axis=1)))
-            held[j] = held[j] - moving + moving[g.partners[k]]
+            held[j] = held[j] - (0 if gather else moving) + moving[g.partners[k]]
         steps.append(row)
-    return steps, [
-        _received([rows[src][i] for src in range(n)], i, chunked)
-        for i in range(n)
-    ]
+    return steps, delivery
 
 
-def _reduce_scatter_steps(g: _CollGroup, orders, chunked, timing_only):
-    """Recursive halving: across ``k``, hand over the partials bound for
-    the other side and fold the ones handed to you (values matter)."""
-    n, op, trees = g.n, g.op, len(orders)
-    for blocks in g.payloads:
-        if len(blocks) != n:
-            raise _Refuse
-    split = _trees()[1].split_chunks
-    # acc[i][j][dst]: rank i's partial of the tree-j piece of block dst
-    acc = [[{} for _ in orders] for _ in range(n)]
-    for i, blocks in enumerate(g.payloads):
-        for dst, block in enumerate(blocks):
-            pieces = split(np.asarray(block), trees) if chunked else (block,)
-            for j, piece in enumerate(pieces):
-                acc[i][j][dst] = np.array(piece)
-    bit = [[(s >> k) & 1 for k in range(g.d)] for s in g.sub.tolist()]
-    steps = []
+def _folding_steps(engine, groups, chunked):
+    """Reduce-scatter and reduce: row ``i`` of ``Y`` holds rank ``i``'s
+    partials, folded in place; a rank returns its ``picks`` block."""
+    scatter = groups[0].kind == "reduce_scatter"
+    tables = _reduce_scatter_tables if scatter else _reduce_tables
+    for key, members in _classes(groups, _rows if scatter else _payloads, True).items():
+        op, shapes, dtype = key[2:]
+        if not (isinstance(op, np.ufunc) and op.nin == 2 and op.nout == 1):
+            raise _Refuse("reduction op is not a ufunc")
+        g, blocks = members[0]
+        row = blocks[:len(blocks) // g.n]  # rank 0's blocks: the layout
+        orders = _orders(g.d, not chunked)
+        steps, rounds, picks = _tables(
+            engine, (g.kind, g.sub_key, g.root, shapes[:len(row)], chunked),
+            lambda: tables(g, [b.size for b in row], shapes, orders, chunked),
+        )
+        if engine.timing_only and op is np.add and not any(
+            [b.any() for _g, blocks in members for b in blocks]
+        ):
+            # Timing-only blocks are zero views, and zeros under np.add stay
+            # zeros: no stack of p blocks at region-map scale.
+            length = sum([b.size for b in row])
+            Y = np.broadcast_to(np.zeros((), dtype), (len(members), g.n, length))
+        else:
+            Y = _stack(members, g.n)
+            for R, C, P in rounds:
+                folded = op(Y[:, R, C], Y[:, P, C])
+                if folded.dtype != Y.dtype:  # the accumulator would mix dtypes
+                    raise _Refuse("blocks of mixed dtypes")
+                Y[:, R, C] = folded
+        for rows, (g, _blocks) in zip(Y, members):
+            g.steps = steps
+            g.values = [
+                None if pick is None
+                else rows[i, pick[0]] if pick[1] is None
+                else rows[i, pick[0]].reshape(pick[1])
+                for i, pick in enumerate(picks)
+            ]
+
+
+def _pick(start: int, size: int, shape: tuple, chunked: bool) -> tuple:
+    """A reduced block's place in its row and shape (one port: a 0-d block
+    folds into the scalar ``op`` returns)."""
+    if shape == () and not chunked:
+        return start, None
+    return np.arange(start, start + size), None if shape == (size,) else shape
+
+
+def _reduce_scatter_tables(g: _CollGroup, sizes, shapes, orders, chunked):
+    """Recursive halving: across ``k``, hand over the partials bound for the
+    other side, fold the ones handed to you (a row: blocks, pieces by tree)."""
+    n, trees = g.n, len(orders)
+    piece = _piece_sizes(sizes, trees)  # [dst, tree]
+    pid = np.repeat(np.arange(n * trees), piece.ravel())  # position -> piece
+    # A folded 0-d partial is a numpy scalar: no words in a container.
+    folded = piece * (chunked or np.array([s != () for s in shapes[:n]])[:, None])
+    x = (g.sub[:, None] ^ g.sub[None, :])[:, :, None]  # [i, dst, 1]
+    crossed = np.zeros(trees, dtype=np.int64)  # per tree
+    steps, rounds = [], []
     for t in range(g.d):
-        row = []
-        for j, order in enumerate(orders):
-            k = order[t]
-            moving = []
-            for i in range(n):
-                mine, my_bit = acc[i][j], bit[i][k]
-                moving.append({
-                    dst: mine.pop(dst)
-                    for dst in list(mine) if bit[dst][k] != my_bit
-                })
-            row.append((g.everyone, k, np.array(
-                [payload_words(m) for m in moving], dtype=np.int64
-            )))
-            for i, peer in enumerate(g.partners[k].tolist()):
-                mine = acc[i][j]
-                for dst, arr in moving[peer].items():
-                    mine[dst] = op(mine[dst], arr)
-        steps.append(row)
-    return steps, [
-        _join([part[i] for part in acc[i]], g.payloads[i][i], chunked)
-        for i in range(n)
+        dims = np.array([order[t] for order in orders], dtype=np.intp)
+        # rank i sends the partials it holds whose destination lies across
+        # the tree's dimension, and folds the ones it keeps
+        sent = ((x & crossed) == 0) & ((x & (1 << dims)) != 0)
+        words = (sent * (folded if t else piece)).sum(axis=1)  # [i, tree]
+        steps.append([(g.everyone, k, words[:, j]) for j, k in enumerate(dims.tolist())])
+        crossed = crossed | (1 << dims)
+        R, C = np.nonzero(((x & crossed) == 0).reshape(n, -1)[:, pid])
+        rounds.append((R, C, g.partners[dims[pid[C] % trees], R]))
+    ends = np.cumsum(sizes).tolist()
+    return steps, rounds, [
+        _pick(end - size, size, shape, chunked)
+        for size, end, shape in zip(sizes, ends, shapes)
     ]
 
 
-def _broadcast_steps(g: _CollGroup, orders, chunked, timing_only):
-    """Distribution trees: whoever holds tree ``j``'s piece forwards it."""
-    data = g.payloads[g.root]
-    if chunked:
-        arr = np.asarray(data)
-        sizes = _trees()[1].chunk_sizes(int(arr.size), len(orders))
-    else:
-        sizes = [payload_words(data)]
-    steps = [
-        [(senders, orders[j][t], sizes[j]) for j, senders in enumerate(row)]
-        for t, row in enumerate(_rooted_senders(g, orders, combine=False))
-    ]
-    # Non-roots rebuild the array from its chunks (an exact copy, see
-    # _received) or receive the engine's payload copy.
-    return steps, [
-        data if i == g.root else (arr.copy() if chunked else copy_payload(data))
-        for i in range(g.n)
-    ]
-
-
-def _reduce_steps(g: _CollGroup, orders, chunked, timing_only):
+def _reduce_tables(g: _CollGroup, sizes, shapes, orders, chunked):
     """Combining trees: fold your children's partials, send to your parent."""
-    op, trees = g.op, len(orders)
-    senders = _rooted_senders(g, orders, combine=True)
-    arrs = [np.asarray(p) for p in g.payloads]
-    shape = arrs[0].shape
-    values = [None] * g.n
-    if (
-        timing_only
-        and op is np.add
-        and all(a.shape == shape and a.size and not a.any() for a in arrs)
-    ):
-        # Timing-only partials are zero views; np.add keeps every piece an
-        # all-zero array of fixed size, so word counts follow from shapes
-        # and the root's value is plain zeros — skipping the per-rank fold
-        # replay that dominates at region-map scale.
-        sizes = _trees()[1].chunk_sizes(int(arrs[0].size), trees)
-        values[g.root] = np.zeros(shape, dtype=arrs[0].dtype)
-        return [
-            [(si, orders[j][t], sizes[j]) for j, si in enumerate(row)]
-            for t, row in enumerate(senders)
-        ], values
-    split = _trees()[1].split_chunks
-    # acc[i][j]: rank i's accumulated tree-j piece
-    acc = [
-        [np.array(c) for c in (split(a, trees) if chunked else (a,))]
-        for a in arrs
-    ]
-    steps = []
-    for t, row in enumerate(senders):
-        out = []
-        for j, si in enumerate(row):
-            sent = [acc[i][j] for i in si.tolist()]
-            out.append((si, orders[j][t], np.array(
-                [payload_words(c) for c in sent], dtype=np.int64
-            )))
-            parents = g.partners[orders[j][t]][si]
-            for parent, c in zip(parents.tolist(), sent):
-                acc[parent][j] = op(acc[parent][j], c)
-        steps.append(out)
-    values[g.root] = _join(acc[g.root], arrs[g.root], chunked)
-    return steps, values
+    piece = _piece_sizes(sizes, len(orders))[0].tolist()
+    start = np.cumsum(piece) - piece
+    steps, rounds = [], []
+    for t, row in enumerate(_rooted_senders(g, orders, combine=True)):
+        steps.append([(si, orders[j][t], piece[j]) for j, si in enumerate(row)])
+        cols = [
+            (np.repeat(g.partners[orders[j][t]][si], piece[j]),
+             np.tile(np.arange(start[j], start[j] + piece[j]), len(si)),
+             np.repeat(si, piece[j]))
+            for j, si in enumerate(row)
+        ]
+        rounds.append(tuple(np.concatenate(c) for c in zip(*cols)))
+    picks = [None] * g.n
+    picks[g.root] = _pick(0, sizes[0], shapes[0], chunked)
+    return steps, rounds, picks
 
 
-def _neighbor_exchange_steps(g: _CollGroup, orders, chunked, timing_only):
+def _broadcast_steps(engine, groups, chunked):
+    """Distribution trees: whoever holds tree ``j``'s piece forwards it;
+    every non-root returns a copy of its own."""
+    for g in groups:
+        orders = _orders(g.d, not chunked)
+        data = g.payloads[g.root]
+        if chunked:
+            data = np.asarray(data)
+            sizes = _piece_sizes([data.size], len(orders))[0].tolist()
+        else:
+            sizes = [payload_words(data)]
+        g.steps = [
+            [(senders, orders[j][t], sizes[j]) for j, senders in enumerate(row)]
+            for t, row in enumerate(_rooted_senders(g, orders, combine=False))
+        ]
+        g.values = [
+            g.payloads[i] if i == g.root
+            else data.copy() if chunked else copy_payload(data)
+            for i in range(g.n)
+        ]
+
+
+def _neighbor_exchange_steps(engine, groups, chunked):
     """One round of single-hop sends: row ``r`` holds every rank's ``r``-th
     send, so a rank's injections are folded in its program order."""
+    g, = groups
     ndarray = np.ndarray
     dim_of = {1 << k: k for k in range(g.d)}
     inbound: list[dict] = [{} for _ in range(g.n)]  # receiver -> (src, tag) -> data
@@ -1043,19 +1047,16 @@ def _neighbor_exchange_steps(g: _CollGroup, orders, chunked, timing_only):
             data.copy() if data.__class__ is ndarray else copy_payload(data)
             for data in map(box.__getitem__, recvs)
         ])
-    steps = []
-    for row in rows:
-        si, dims, words = np.array(row, dtype=np.int64).T
-        steps.append((si, dims, words))
-    return [steps], values
+    g.steps = [[tuple(np.array(row, dtype=np.int64).T) for row in rows]]
+    g.values = values
 
 
 _STEP_TABLES = {
-    "allgather": _allgather_steps,
-    "alltoall": _alltoall_steps,
-    "reduce_scatter": _reduce_scatter_steps,
+    "allgather": _exchange_steps,
+    "alltoall": _exchange_steps,
+    "reduce_scatter": _folding_steps,
     "broadcast": _broadcast_steps,
-    "reduce": _reduce_steps,
+    "reduce": _folding_steps,
     _NEIGHBOR: _neighbor_exchange_steps,
 }
 
@@ -1222,11 +1223,13 @@ def _commit(engine: "Engine", plan: dict, nodes) -> None:
     """Write the phase's planned reservations and counters to the engine."""
     tracker = engine.tracker
     cid = plan["cid"]
-    # Create the channels first used here (allocation may grow the columns
-    # and rebind the arrays, so resolve every slot before writing), then
-    # scatter the phase's channel state in three vectorized writes.
-    for i in np.nonzero(cid < 0)[0].tolist():
-        cid[i] = tracker._channel_slot(*plan["keys"][i])
+    # Create the channels first used here in one batch (allocation may grow
+    # the columns and rebind the arrays, so resolve every slot before
+    # writing), then scatter the phase's channel state in three writes.
+    new = np.nonzero(cid < 0)[0]
+    if len(new):
+        keys = plan["keys"]
+        cid[new] = tracker._new_channel_slots([keys[i] for i in new.tolist()])
     tracker._free[cid] = plan["chan_free"]
     tracker._busy[cid] = plan["chan_busy"]
     tracker._nres[cid] += plan["chan_used"]
@@ -1249,13 +1252,14 @@ def _plan_phase(engine: "Engine", parked: dict):
     """Plan a fully-parked phase; returns ``(outcome, plan)`` with nothing
     written, or raises (:class:`_Refuse` for a named refusal)."""
     groups = _collective_groups(engine, parked)
-    one_port = engine.config.port_model is PortModel.ONE_PORT
     at = np.zeros(engine.config.num_nodes)
+    kinds: dict = {}
     for g in groups:
-        g.steps, g.values = _STEP_TABLES[g.kind](
-            g, _orders(g.d, one_port), not one_port, engine.timing_only
-        )
+        kinds.setdefault(g.kind, []).append(g)
         at[g.node_ids] = g.at
+    chunked = engine.config.port_model is not PortModel.ONE_PORT
+    for kind, of_kind in kinds.items():
+        _STEP_TABLES[kind](engine, of_kind, chunked)
     plan = _reserve(engine, groups, at)
     _reserve_rounds(engine, plan, distinct=groups[0].kind != _NEIGHBOR)
     # A fused pair resumes with [value_a, value_b] at the later finish,
@@ -1265,15 +1269,11 @@ def _plan_phase(engine: "Engine", parked: dict):
     finish = (clocks[0] if len(clocks) == 1 else np.maximum(*clocks)).tolist()
     outcome: dict = {}
     for g in groups:
-        if g.slot:
-            for node, value in zip(g.nodes, g.values):
+        for node, value in zip(g.nodes, g.values):
+            if g.slot:
                 outcome[node][1].append(value)
-        elif len(clocks) == 1:
-            for node, value in zip(g.nodes, g.values):
-                outcome[node] = (finish[node], value)
-        else:
-            for node, value in zip(g.nodes, g.values):
-                outcome[node] = (finish[node], [value])
+            else:
+                outcome[node] = (finish[node], [value] if len(clocks) > 1 else value)
     return outcome, plan
 
 

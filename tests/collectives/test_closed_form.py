@@ -41,6 +41,7 @@ from repro.collectives import (
     reduce,
     reduce_scatter,
 )
+from repro.collectives.chunking import chunk_slices
 from repro.collectives.phase import (
     CollectiveCall,
     allgather_call,
@@ -360,6 +361,154 @@ def test_fused_pair_equals_event_path(port_model, kinds, dims_a, dims_b, timing_
         timing_only=timing_only,
     )
     assert fast.collective_phases_closed_form == 32
+
+
+# -- the stacked data plane: layouts, ops, dtypes -------------------------------
+
+
+def _stacked_program(call, d: int):
+    """Two scrambled groups (the machine's lowest bit picks one) entering at
+    staggered times, then ``call(comm, low)`` with ``low`` that bit."""
+
+    def prog(ctx):
+        low = ctx.rank & 1
+        comm = Comm(ctx, _members(d, low))
+        yield from ctx.compute(11.0 * (comm.rank % 3) + 4.0 * low)
+        value = yield from call(comm, low)
+        return value, ctx.now
+
+    return prog
+
+
+def _ints(size: int, salt: int) -> np.ndarray:
+    return np.arange(size, dtype=np.int64) * (salt + 1) - 7
+
+
+def _uneven_rs(comm, low):
+    """Column groups of a 3 × (2n + 1) partial: unequal, non-contiguous."""
+    n = comm.size
+    partial = _vec(3 * (2 * n + 1), comm.rank).reshape(3, 2 * n + 1)
+    return reduce_scatter(
+        comm, [partial[:, s] for s in chunk_slices(2 * n + 1, n)]
+    )
+
+
+def _two_layouts(kind):
+    """The low-bit-1 group's blocks are 2 × 3, the other group's flat 5s."""
+
+    def block(low, salt):
+        return _vec(6, salt).reshape(2, 3) if low else _vec(5, salt)
+
+    def call(comm, low):
+        me, n = comm.rank, comm.size
+        if kind == "allgather":
+            return allgather(comm, block(low, me))
+        blocks = [block(low, me * n + dst) for dst in range(n)]
+        return (alltoall if kind == "alltoall" else reduce_scatter)(comm, blocks)
+
+    return call
+
+
+STACKED = {
+    "reduce_scatter-uneven-2d": (_uneven_rs, 2),
+    "reduce_scatter-tiny": (
+        lambda comm, low: reduce_scatter(
+            comm, [_vec(1, comm.rank * comm.size + dst) for dst in range(comm.size)]
+        ), 3,
+    ),
+    "reduce-tiny": (lambda comm, low: reduce(comm, _vec(2, comm.rank), root=5), 3),
+    "allgather-tiny": (lambda comm, low: allgather(comm, _vec(1, comm.rank)), 3),
+    "alltoall-tiny": (
+        lambda comm, low: alltoall(
+            comm, [_vec(1, comm.rank + dst) for dst in range(comm.size)]
+        ), 3,
+    ),
+    "reduce_scatter-maximum": (
+        lambda comm, low: reduce_scatter(
+            comm,
+            [np.sin(_vec(4 + dst, comm.rank * comm.size + dst)) for dst in range(comm.size)],
+            op=np.maximum,
+        ), 2,
+    ),
+    "reduce-maximum": (
+        lambda comm, low: reduce(
+            comm, np.sin(_vec(9, comm.rank)).reshape(3, 3), root=2, op=np.maximum
+        ), 2,
+    ),
+    "reduce_scatter-int": (
+        lambda comm, low: reduce_scatter(
+            comm, [_ints(3 + dst, comm.rank) for dst in range(comm.size)]
+        ), 2,
+    ),
+    "reduce-int": (lambda comm, low: reduce(comm, _ints(7, comm.rank), root=1), 3),
+    "allgather-int": (lambda comm, low: allgather(comm, _ints(4, comm.rank)), 2),
+    "reduce_scatter-0d": (
+        lambda comm, low: reduce_scatter(
+            comm, [np.array(0.1 * comm.rank + dst / 3) for dst in range(comm.size)]
+        ), 2,
+    ),
+    "reduce-0d": (lambda comm, low: reduce(comm, np.array(comm.rank / 3), root=3), 2),
+    "allgather-0d": (lambda comm, low: allgather(comm, np.array(comm.rank / 7)), 2),
+    "alltoall-0d": (
+        lambda comm, low: alltoall(
+            comm, [np.array(comm.rank + dst / 7) for dst in range(comm.size)]
+        ), 2,
+    ),
+    "reduce_scatter-two-layouts": (_two_layouts("reduce_scatter"), 2),
+    "alltoall-two-layouts": (_two_layouts("alltoall"), 2),
+    "allgather-two-layouts": (_two_layouts("allgather"), 3),
+    # parks staggered by comm rank and group, on both port models
+    "reduce-staggered": (
+        lambda comm, low: reduce(comm, _vec(10, comm.rank), root=comm.size - 1), 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED))
+def test_stacked_data_plane_equals_event_path(port_model, case):
+    call, d = STACKED[case]
+    _assert_paths_agree(_stacked_program(call, d), 1 << (d + 1), port_model)
+
+
+def _plus(a, b):
+    """``+`` as a plain function: one object every rank passes (a group's
+    members must agree on ``op``), but no ufunc."""
+    return a + b
+
+
+REFUSED = {
+    "reduction op is not a ufunc": lambda comm, low: reduce_scatter(
+        comm, [_vec(4, comm.rank + dst) for dst in range(comm.size)], op=_plus,
+    ),
+    # (3,) and (1, 3) blocks: one port broadcasts them into (1, 3) partials
+    "a destination's blocks differ in shape": lambda comm, low: reduce_scatter(
+        comm,
+        [_vec(3, dst).reshape((1, 3) if comm.rank % 2 else (3,)) for dst in range(comm.size)],
+    ),
+    "blocks of mixed dtypes": lambda comm, low: allgather(
+        comm, _vec(4, comm.rank).astype(np.float32 if comm.rank % 2 else np.float64)
+    ),
+    "payload is not an array": lambda comm, low: allgather(comm, float(comm.rank)),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(REFUSED))
+def test_stacked_data_plane_refuses_what_it_cannot_state(port_model, reason):
+    _assert_paths_agree(
+        _stacked_program(REFUSED[reason], 2), 8, port_model, refused=reason
+    )
+
+
+def test_an_op_that_changes_the_dtype_is_refused(port_model):
+    """Integer blocks under ``true_divide``: the schedule's accumulator
+    turns float after its first fold."""
+    _assert_paths_agree(
+        _stacked_program(
+            lambda comm, low: reduce(comm, _ints(5, comm.rank) + 20, op=np.true_divide),
+            2,
+        ),
+        8, port_model, refused="blocks of mixed dtypes",
+    )
 
 
 # -- refusals: named, and the fallback still equals the event path ---------------

@@ -116,6 +116,31 @@ class TestSampler:
             {"superstep": True, "trace": True}, {"superstep": False, "trace": True},
         ]
 
+    def test_a_product_wrong_on_both_paths_fails_where_data_is_safe(self, monkeypatch):
+        """Agreement is not enough: a fast path wrong the same way as the
+        event path passes the comparison, so a case without fault atoms —
+        healthy or scenario-only — must also return ``C ≈ A @ B``.  Fault
+        atoms may corrupt or drop data; those cases keep comparing paths."""
+        from repro.analysis import conformance
+
+        outcome = conformance._outcome
+
+        def wrong_on_both(case, **kw):
+            return {**outcome(case, **kw), "product_ok": False}
+
+        monkeypatch.setattr(conformance, "_outcome", wrong_on_both)
+
+        def smallest(pred):
+            return min((c for c in CASES if pred(c)), key=lambda c: (c.p, c.n))
+
+        def faulted(c):
+            return any(a["kind"] != "scenario" for a in c.atoms)
+
+        label = "fast path: C != A @ B"
+        assert diff_case(smallest(lambda c: not c.atoms)) == label
+        assert diff_case(smallest(lambda c: c.atoms and not faulted(c))) == label
+        assert diff_case(smallest(faulted)) is None
+
     def test_sampler_is_deterministic(self):
         assert sample_cases(SEED, COUNT) == CASES
         assert sample_cases(SEED + 1, COUNT) != CASES

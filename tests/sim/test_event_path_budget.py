@@ -263,8 +263,26 @@ def _default_run(key, p, **machine):
         # 217 221 calls (before: 263 504; the difference is the cheaper
         # first touch of links and routes, not a closed form).
         (_default_run("3dd", 512), 1408, 960, 228_100),
+        # Multi-port 3D All: the alltoall, the fused allgather pair and the
+        # reduce-scatter fold and deliver their values as stacked arrays:
+        # 196 786 calls (parent: 468 260, replaying every phase's values
+        # rank by rank in dicts).
+        (
+            _default_run("3d_all", 512, port_model=PortModel.MULTI_PORT),
+            18432, 0, 206_600,
+        ),
+        # Multi-port DNS: the broadcast pair and the reduce are closed forms;
+        # only phase 1's 128 multi-hop lifts are issued as events: 127 447
+        # calls (parent: 145 455).
+        (
+            _default_run("dns", 512, port_model=PortModel.MULTI_PORT),
+            4160, 128, 133_800,
+        ),
     ],
-    ids=["simple_p256", "fox_p256", "hje_p64_multi", "3dd_p512"],
+    ids=[
+        "simple_p256", "fox_p256", "hje_p64_multi", "3dd_p512",
+        "3d_all_p512_multi", "dns_p512_multi",
+    ],
 )
 def test_default_knob_single_hop_phases_leave_the_event_path(
     run, messages, issued_as_events, ceiling
