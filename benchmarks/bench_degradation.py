@@ -5,8 +5,9 @@ Two questions, one table:
 * **Passthrough** — a machine carrying the explicit ``uniform()``
   scenario must be indistinguishable from the seed engine: the engine
   normalizes identity scenarios away at construction, so the simulated
-  time and the product are **bit-identical** and the wall-clock ratio is
-  pinned at ~1.00x (<= 1.05x tolerance for timer noise).
+  time, the product, the engine's event count and the trace digest are
+  **bit-identical**.  The wall-clock ratio is printed, not gated: on a
+  shared host it is noise, and the exact checks are stronger.
 * **Degraded** — the same runs under hotspot / random-heterogeneous
   scenarios quantify the simulated-time overhead the graceful-degradation
   analysis ranks, and what the per-hop factor lookups cost in wall time.
@@ -33,8 +34,9 @@ from repro.sim.scenario import hotspot, random_heterogeneous, uniform
 #: (n, p) points swept; Cannon everywhere (applicable at each point)
 POINTS = [(8, 16), (16, 16), (16, 64)]
 
-#: wall-clock ratio ceiling for the uniform-scenario passthrough
-PASSTHROUGH_LIMIT = 1.05
+TITLE = ("Network-scenario overhead (baseline = seed engine, no scenario; "
+         "uniform passthrough pinned bit-identical: time, C, events, "
+         "trace digest)")
 
 #: best-of repeats for wall-clock ratios (min absorbs scheduler noise)
 REPEATS = 3
@@ -83,6 +85,10 @@ def run_point(n: int, p: int) -> list[dict]:
             "identical": bool(
                 run.result.total_time == base_run.result.total_time
                 and np.array_equal(run.C, base_run.C)
+                and run.result.events_processed
+                == base_run.result.events_processed
+                and run.result.trace_digest()
+                == base_run.result.trace_digest()
             ),
         })
     return rows
@@ -107,10 +113,9 @@ def test_degradation_overhead(benchmark, n, p):
     rows = benchmark(run_point, n, p)
     _record(rows)
     by_name = {r["scenario"]: r for r in rows}
-    # uniform passthrough: bit-identical simulation, pinned wall ratio
+    # uniform passthrough: bit-identical simulation
     assert by_name["uniform"]["identical"]
     assert by_name["uniform"]["sim_overhead"] == 1.0
-    assert by_name["uniform"]["wall_ratio"] <= PASSTHROUGH_LIMIT
     # degraded scenarios genuinely slow the simulated network down
     assert by_name["hotspot 4x"]["sim_overhead"] > 1.0
     assert by_name["random s=1"]["sim_overhead"] > 1.0
@@ -122,9 +127,7 @@ def test_write_degradation_report(benchmark):
             ["n", "p", "scenario", "time", "sim_overhead", "wall_ratio",
              "identical"],
             _rows,
-            title="Network-scenario overhead (baseline = seed engine, no "
-                  "scenario; uniform passthrough pinned bit-identical, "
-                  f"wall <= {PASSTHROUGH_LIMIT:.2f}x)",
+            title=TITLE,
         )
 
     assert write_report("degradation", benchmark(render)).exists()
@@ -148,13 +151,12 @@ def main(argv=None) -> int:
         ["n", "p", "scenario", "time", "sim_overhead", "wall_ratio",
          "identical"],
         _rows,
-        title="Network-scenario overhead (baseline = seed engine)",
+        title=TITLE,
     )
     print(text)
     bad = [
         r for r in all_rows
-        if r["scenario"] == "uniform"
-        and not (r["identical"] and r["wall_ratio"] <= PASSTHROUGH_LIMIT)
+        if r["scenario"] == "uniform" and not r["identical"]
     ]
     if bad:
         print(f"FAILED passthrough cells: {len(bad)}", file=sys.stderr)

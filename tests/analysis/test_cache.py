@@ -6,10 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.analysis.measure as measure_mod
 import repro.analysis.regions as regions_mod
 from repro.analysis.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
+    cached_coefficients,
     cached_figure,
     cached_region_map,
     cached_sweep,
@@ -274,12 +276,34 @@ class TestCachedWrappers:
         cold = cached_figure(cache, 13, **kwargs)
         assert cache.stats()["entries"] == 1
         warm = cached_figure(cache, 13, **kwargs)
+        direct = cached_figure(None, 13, **kwargs)
         assert cache.hits == 1
-        assert sorted(cold) == sorted(warm) == ["a", "b", "c", "d"]
-        for panel in cold:
-            assert np.array_equal(
-                cold[panel].winner_idx, warm[panel].winner_idx
-            )
+        assert sorted(cold) == sorted(warm) == sorted(direct) == [
+            "a", "b", "c", "d"
+        ]
+        for panel in direct:
+            for got in (cold[panel], warm[panel]):
+                assert np.array_equal(
+                    got.winner_idx, direct[panel].winner_idx
+                )
+                assert np.array_equal(
+                    got.times, direct[panel].times, equal_nan=True
+                )
+
+    def test_cached_coefficients_cold_warm_uncached_identical(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        cold = cached_coefficients(cache, "cannon", 16, 16, ONE)
+        direct = cached_coefficients(None, "cannon", 16, 16, ONE)
+
+        def boom(*a, **k):
+            raise AssertionError("warm hit re-simulated")
+
+        monkeypatch.setattr(measure_mod, "extract_coefficients", boom)
+        warm = cached_coefficients(cache, "cannon", 16, 16, ONE)
+        assert cache.hits == 1 and cache.misses == 1
+        assert cold == warm == direct
 
     def test_cached_figure_rejects_unknown_figure(self, tmp_path):
         with pytest.raises(ModelError):

@@ -4,7 +4,7 @@ Wall-clock on a shared host swings far more than any per-message saving,
 but the number of Python + C function calls ``cProfile`` sees for a fixed
 run is exact: it repeats from run to run, so a ceiling a few percent
 above today's value turns "a message got more expensive" into a
-deterministic tier-1 failure (ROADMAP item 1).  Four runs are forced onto
+deterministic tier-1 failure.  Four runs are forced onto
 the per-message event path the way real runs are — one by ``trace=True``,
 three by a protocol layer of ``repro.mpi``: a lossy plan under
 :class:`~repro.mpi.ReliableContext`, a forced

@@ -678,3 +678,39 @@ class TestTimingOnly:
                 A, B, MachineConfig.create(16, **PARAMS),
                 timing_only=True, verify=True,
             )
+
+
+class TestReachAtScale:
+    """The closed forms' reach at p = 4096, as exact counts.
+
+    A phase that falls back to the event path leaves the makespan alone
+    and costs a multiple in wall time; these counters are what move
+    (``superstep=False`` Cannon reads ``shift_rounds_event == 262144``).
+    ``timing_only`` keeps each run near a second, and its counters are the
+    data run's.  They may move only with a golden-trace change.
+    """
+
+    def _run(self, key, n, port):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, n))
+        cfg = MachineConfig.create(
+            4096, t_s=150, t_w=3, t_c=0.5, port_model=port
+        )
+        return get_algorithm(key).run(A, B, cfg, timing_only=True).result
+
+    def test_cannon_n128_one_port(self):
+        r = self._run("cannon", 128, PortModel.ONE_PORT)
+        assert r.total_time == 22876.0
+        assert r.events_processed == 96_964
+        assert r.total_messages() == 524_288
+        assert _rounds(r) == (5_242, 256_902)
+
+    def test_3d_all_n256_multi_port(self):
+        r = self._run("3d_all", 256, PortModel.MULTI_PORT)
+        assert r.total_time == 6352.0
+        assert r.events_processed == 81_920
+        assert r.total_messages() == 262_144
+        assert r.collective_phases_closed_form == 12_288
+        assert r.collective_phases_event == 0
+        assert r.closed_form_refusals == {}
