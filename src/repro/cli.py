@@ -65,9 +65,9 @@ def _machine(args) -> MachineConfig:
         args.p,
         t_s=args.ts,
         t_w=args.tw,
-        t_c=getattr(args, "tc", 0.0),
+        t_c=args.tc,
         port_model=_port(args.port),
-        routing=_routing(getattr(args, "routing", "sf")),
+        routing=_routing(args.routing),
     )
 
 
@@ -100,14 +100,28 @@ def _cache(args) -> ResultCache | None:
     return ResultCache(args.cache_dir)
 
 
-def _add_machine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ts", type=float, default=150.0, help="start-up cost t_s")
-    p.add_argument("--tw", type=float, default=3.0, help="per-word cost t_w")
-    p.add_argument("--tc", type=float, default=0.0, help="per-flop cost t_c")
+# Each subcommand accepts only the machine flags it reads, so a flag it
+# would ignore is an argparse error instead of a silently default run.
+
+
+def _add_port_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--port", choices=["one", "multi"], default="one",
         help="port model (one-port or multi-port nodes)",
     )
+
+
+def _add_cost_args(p: argparse.ArgumentParser) -> None:
+    """``--ts --tw --port``: what the model sweeps and fault runs read."""
+    p.add_argument("--ts", type=float, default=150.0, help="start-up cost t_s")
+    p.add_argument("--tw", type=float, default=3.0, help="per-word cost t_w")
+    _add_port_arg(p)
+
+
+def _add_machine_args(p: argparse.ArgumentParser) -> None:
+    """Every flag :func:`_machine` reads."""
+    _add_cost_args(p)
+    p.add_argument("--tc", type=float, default=0.0, help="per-flop cost t_c")
     p.add_argument(
         "--routing", choices=["sf", "ct"], default="sf",
         help="multi-hop routing: store-and-forward (sf) or cut-through (ct)",
@@ -898,14 +912,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("-n", type=float, default=256)
     p_sw.add_argument("-p", type=float, default=64)
     p_sw.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    _add_machine_args(p_sw)
+    _add_cost_args(p_sw)
     _add_cache_args(p_sw)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_t2 = sub.add_parser("table2", help="measured vs modelled coefficients")
     p_t2.add_argument("-n", type=int, default=16)
     p_t2.add_argument("-p", type=int, default=16)
-    _add_machine_args(p_t2)
+    _add_port_arg(p_t2)
     _add_cache_args(p_t2)
     p_t2.set_defaults(func=_cmd_table2)
 
@@ -925,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--tc-flops", type=float, default=1.0,
                       help="t_c per flop used for the efficiency model")
     p_sc.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    _add_machine_args(p_sc)
+    _add_cost_args(p_sc)
     p_sc.set_defaults(func=_cmd_scalability)
 
     p_fl = sub.add_parser(
@@ -944,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also inject the canonical windowed link failure",
     )
     p_fl.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    _add_machine_args(p_fl)
+    _add_cost_args(p_fl)
     _add_cache_args(p_fl)
     p_fl.set_defaults(func=_cmd_faults)
 
@@ -969,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ranks to fail-stop (default: one seeded victim per algorithm)",
     )
     p_rc.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    _add_machine_args(p_rc)
+    _add_cost_args(p_rc)
     p_rc.set_defaults(func=_cmd_recover)
 
     p_ch = sub.add_parser(
@@ -1077,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="FILE",
         help="also write the full JSON report to FILE",
     )
-    _add_machine_args(p_dg)
+    _add_cost_args(p_dg)
     _add_cache_args(p_dg)
     p_dg.set_defaults(func=_cmd_degrade)
 

@@ -21,7 +21,7 @@ from repro.collectives.chunking import chunk_header, rebuild_from_header, split_
 from repro.collectives.phase import attempt, make_spec
 from repro.mpi.communicator import Comm
 from repro.mpi.detector import LOST_PAYLOAD, lost_like
-from repro.sim.ops import COLLECTIVE_FALLBACK
+from repro.sim.ops import FALLBACK
 
 __all__ = ["allgather"]
 
@@ -39,7 +39,7 @@ def allgather(
     if comm.size == 1:
         return [block]
     verdict = yield from attempt(make_spec("allgather", comm, block, tag, schedule))
-    if verdict is not COLLECTIVE_FALLBACK:
+    if verdict is not FALLBACK:
         return verdict
     sched = resolve_schedule(comm, schedule)
     if sched is Schedule.SBT:

@@ -23,7 +23,7 @@ from repro.collectives.phase import attempt, make_spec
 from repro.errors import SimulationError
 from repro.mpi.communicator import Comm
 from repro.mpi.detector import LOST_PAYLOAD, lost_like
-from repro.sim.ops import COLLECTIVE_FALLBACK
+from repro.sim.ops import FALLBACK
 
 __all__ = ["alltoall"]
 
@@ -45,7 +45,7 @@ def alltoall(
     if comm.size == 1:
         return [blocks[0]]
     verdict = yield from attempt(make_spec("alltoall", comm, tuple(blocks), tag, schedule))
-    if verdict is not COLLECTIVE_FALLBACK:
+    if verdict is not FALLBACK:
         return verdict
     sched = resolve_schedule(comm, schedule)
     if sched is Schedule.SBT:

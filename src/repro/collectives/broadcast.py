@@ -28,7 +28,7 @@ from repro.collectives.sbt import (
 )
 from repro.collectives.phase import attempt, make_spec
 from repro.mpi.communicator import Comm
-from repro.sim.ops import COLLECTIVE_FALLBACK
+from repro.sim.ops import FALLBACK
 
 __all__ = ["broadcast"]
 
@@ -50,7 +50,7 @@ def broadcast(
     verdict = yield from attempt(
         make_spec("broadcast", comm, data, tag, schedule, root=root)
     )
-    if verdict is not COLLECTIVE_FALLBACK:
+    if verdict is not FALLBACK:
         return verdict
     sched = resolve_schedule(comm, schedule)
     if sched is Schedule.SBT:

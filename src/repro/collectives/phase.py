@@ -5,7 +5,7 @@ to run by yielding a :class:`~repro.sim.ops.CollectivePhaseOp`.  On a
 fault-free uniform machine the engine may advance the whole phase in
 closed form (see :mod:`repro.sim.superstep`) and answer with the
 collective's return value; otherwise it answers
-:data:`~repro.sim.ops.COLLECTIVE_FALLBACK` and the schedule runs its
+:data:`~repro.sim.ops.FALLBACK` and the schedule runs its
 ordinary per-message rounds through the event path.  Both answers are
 bit-identical in simulated time; the declaration itself costs nothing
 (no events, no virtual time).
@@ -16,7 +16,7 @@ single two-spec op to advance — on a multi-port machine the two subcube
 collectives use disjoint channels and each admits its standalone closed
 form; on a one-port machine a pair of dimension exchanges (the allgather
 pairs of Simple and 3D All) is planned through one port column per node,
-and a rooted pair is answered ``COLLECTIVE_FALLBACK`` on the spot.
+and a rooted pair is answered ``FALLBACK`` on the spot.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from repro.collectives.api import Schedule, resolve_schedule
 from repro.mpi.communicator import Comm
-from repro.sim.ops import COLLECTIVE_FALLBACK, CollectivePhaseOp, CollectiveSpec
+from repro.sim.ops import FALLBACK, CollectivePhaseOp, CollectiveSpec
 from repro.sim.process import ProcessContext
 
 __all__ = [
@@ -74,11 +74,11 @@ def make_spec(
 def attempt(spec: CollectiveSpec | None):
     """Yield the phase declaration; return the engine's verdict.
 
-    Returns :data:`COLLECTIVE_FALLBACK` when the caller must run the
+    Returns :data:`FALLBACK` when the caller must run the
     ordinary schedule (including when ``spec`` is None).
     """
     if spec is None:
-        return COLLECTIVE_FALLBACK
+        return FALLBACK
     return (yield CollectivePhaseOp((spec,)))
 
 
@@ -125,6 +125,6 @@ def parallel_pair(ctx: ProcessContext, call_a: CollectiveCall, call_b: Collectiv
     """
     if call_a.spec is not None and call_b.spec is not None:
         verdict = yield CollectivePhaseOp((call_a.spec, call_b.spec))
-        if verdict is not COLLECTIVE_FALLBACK:
+        if verdict is not FALLBACK:
             return verdict
     return (yield from ctx.parallel(call_a.gen(), call_b.gen()))

@@ -24,7 +24,7 @@ from repro.collectives.sbt import (
 )
 from repro.collectives.phase import attempt, make_spec
 from repro.mpi.communicator import Comm
-from repro.sim.ops import COLLECTIVE_FALLBACK
+from repro.sim.ops import FALLBACK
 
 __all__ = ["reduce"]
 
@@ -47,7 +47,7 @@ def reduce(
     verdict = yield from attempt(
         make_spec("reduce", comm, block, tag, schedule, root=root, op=op)
     )
-    if verdict is not COLLECTIVE_FALLBACK:
+    if verdict is not FALLBACK:
         return verdict
     sched = resolve_schedule(comm, schedule)
     if sched is Schedule.SBT:

@@ -25,7 +25,7 @@ from repro.collectives.phase import attempt, make_spec
 from repro.errors import SimulationError
 from repro.mpi.communicator import Comm
 from repro.mpi.detector import LOST_PAYLOAD, lost_like
-from repro.sim.ops import COLLECTIVE_FALLBACK
+from repro.sim.ops import FALLBACK
 
 __all__ = ["reduce_scatter"]
 
@@ -50,7 +50,7 @@ def reduce_scatter(
     verdict = yield from attempt(
         make_spec("reduce_scatter", comm, tuple(blocks), tag, schedule, op=op)
     )
-    if verdict is not COLLECTIVE_FALLBACK:
+    if verdict is not FALLBACK:
         return verdict
     sched = resolve_schedule(comm, schedule)
     if sched is Schedule.SBT:

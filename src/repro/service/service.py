@@ -132,10 +132,6 @@ class SweepService:
         read_only: bool = False,
         use_hosts: bool | None = None,
         stale_after_s: float = 5.0,
-        host_span: int = 4,
-        host_rate: float | None = None,
-        host_burst: float = 4.0,
-        stream: bool = True,
         clock=time.time,
     ):
         self.state_dir = pathlib.Path(state_dir)
@@ -150,10 +146,6 @@ class SweepService:
         # has any registered host), True/False force either way.
         self.use_hosts = use_hosts
         self.stale_after_s = float(stale_after_s)
-        self.host_span = int(host_span)
-        self.host_rate = host_rate
-        self.host_burst = float(host_burst)
-        self.stream = stream
         self.clock = clock
         self._lock_fd: int | None = None
         self._stop = False
@@ -605,9 +597,6 @@ class SweepService:
             return HostPool(
                 self.state_dir / "hosts",
                 stale_after_s=self.stale_after_s,
-                span=self.host_span,
-                host_rate=self.host_rate,
-                host_burst=self.host_burst,
                 **shared,
             )
         return Supervisor(
@@ -683,15 +672,13 @@ class SweepService:
         # (re)execution from the same cached records, so each published
         # snapshot — including across daemon crashes — is a byte prefix
         # of the final stream.
-        writer = None
-        if self.stream:
-            writer = StreamWriter(
-                self.state_dir / "results", job.id,
-                kind=job.kind, key=job.key, chunks_total=len(plan),
-            )
-            for chunk in sorted(records_by_chunk):
-                writer.offer(chunk, records_by_chunk[chunk])
-            writer.refresh()
+        writer = StreamWriter(
+            self.state_dir / "results", job.id,
+            kind=job.kind, key=job.key, chunks_total=len(plan),
+        )
+        for chunk in sorted(records_by_chunk):
+            writer.offer(chunk, records_by_chunk[chunk])
+        writer.refresh()
 
         def on_chunk_done(chunk: int, records: list) -> None:
             nonlocal completed_this_run
@@ -709,7 +696,7 @@ class SweepService:
             job.attempts.pop(chunk, None)
             records_by_chunk[chunk] = records
             completed_this_run += 1
-            if writer is not None and writer.offer(chunk, records):
+            if writer.offer(chunk, records):
                 writer.refresh()
             if crash_after is not None and completed_this_run >= crash_after:
                 raise InjectedServiceCrash(completed_this_run)
@@ -779,13 +766,12 @@ class SweepService:
             },
         })
         self._write_report(job, report)
-        if writer is not None:
-            # Quarantined chunks stream as explicit nulls, then the
-            # footer (report digest) seals the file as <job>.stream.jsonl
-            # and the .partial.json disappears.
-            for chunk in sorted(records_by_chunk):
-                writer.offer(chunk, records_by_chunk[chunk])
-            writer.finish(job.digest, sorted(job.quarantined))
+        # Quarantined chunks stream as explicit nulls, then the footer
+        # (report digest) seals the file as <job>.stream.jsonl and the
+        # .partial.json disappears.
+        for chunk in sorted(records_by_chunk):
+            writer.offer(chunk, records_by_chunk[chunk])
+        writer.finish(job.digest, sorted(job.quarantined))
         return report
 
     def _write_report(self, job: JobState, report: dict) -> None:

@@ -49,8 +49,7 @@ from repro.sim.message import (
     payload_words,
 )
 from repro.sim.ops import (
-    COLLECTIVE_FALLBACK,
-    SHIFT_FALLBACK,
+    FALLBACK,
     TIMED_OUT,
     BarrierOp,
     CollectivePhaseOp,
@@ -239,23 +238,20 @@ class Engine:
         self.max_virtual_time = max_virtual_time
         self.superstep_enabled = superstep
         self.timing_only = timing_only
-        # Resident shift phases parked at a round boundary: task ->
-        # (ShiftPhaseOp, park time).  (A phase in the middle of an
-        # engine-run round sits in _blocked instead, as a "shift" waiter.)
-        # Resolved in closed form (or released for one engine-run round)
-        # once the event queues drain; see _resolve_superstep.  The hazard
-        # maps name the resources a parked phase will reserve, with the
-        # virtual time of the phase's own first reservation (park time +
-        # first multiply): a foreign hop reserving one of them *after* that
-        # threshold would invert the event path's FIFO reservation order,
-        # so _start_hop releases the parked set (at their earlier park
-        # times) before reserving.  Foreign reservations at or before the
-        # threshold land ahead of every phase reservation on both paths,
-        # so they simply fold into the closed form's seeds.
-        self._parked: dict[Task, tuple[ShiftPhaseOp, float]] = {}
-        # Parked collective phases: task -> (CollectivePhaseOp, park time).
-        # Same protocol with COLLECTIVE_FALLBACK; see _resolve_collective.
-        self._parked_coll: dict[Task, tuple[CollectivePhaseOp, float]] = {}
+        # Declared phases parked for a closed form: task -> (op, park time),
+        # the op a ShiftPhaseOp at a round boundary or a CollectivePhaseOp.
+        # (A shift phase in the middle of an engine-run round sits in
+        # _blocked instead, as a "shift" waiter.)  Resolved once the event
+        # queues drain, or released onto the event path; see _resolve.
+        # The hazard maps name the resources a parked phase will reserve,
+        # with the virtual time of the phase's own first reservation: a
+        # foreign hop reserving one of them *after* that threshold would
+        # invert the event path's FIFO reservation order, so _start_hop
+        # releases the parked set (at their earlier park times) before
+        # reserving.  Foreign reservations at or before the threshold land
+        # ahead of every phase reservation on both paths, so they simply
+        # fold into the closed form's seeds.
+        self._parked: dict[Task, tuple[Any, float]] = {}
         self._hazard_nodes: dict[int, float] = {}
         self._hazard_channels: dict[tuple[int, int], float] = {}
         self._one_port = config.port_model.name == "ONE_PORT"
@@ -346,22 +342,9 @@ class Engine:
 
         while True:
             self._drain_events()
-            if self._parked and self._parked_coll:
-                # Transitional mixed parking (shift and collective phases
-                # co-resident): no combined closed form — release everyone
-                # onto the event path.
-                self._release_all_parked("shift phase parked beside a collective")
-                continue
-            if self._parked:
-                # Every pending event is consumed and one or more ranks
-                # sit parked on a ShiftPhaseOp: advance the phase in
-                # closed form, or run one more round through the events.
-                self._resolve_superstep()
-                continue
-            if self._parked_coll:
-                self._resolve_collective()
-                continue
-            break
+            if not self._parked:
+                break
+            self._resolve()
 
         unfinished = [
             r for r in range(self.config.num_nodes)
@@ -460,7 +443,7 @@ class Engine:
             elif kind == _SHIFT_MULTIPLY:
                 (task, op) = payload
                 if not self._shift_multiply(task, op, time):
-                    self._step(task, time, SHIFT_FALLBACK)
+                    self._step(task, time, FALLBACK)
             elif kind == _SHIFT_EXCHANGE:
                 (task, op) = payload
                 self._shift_exchange(task, op, time)
@@ -476,72 +459,54 @@ class Engine:
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event kind {kind!r}")
 
-    def _resolve_superstep(self) -> None:
-        """Advance the resident shift phases in closed form, or run a round.
+    def _resolve(self) -> None:
+        """Advance the parked phases in closed form, or release them.
 
-        Called only with drained event queues.  On success every rank of
-        the phase — parked at whatever round boundary, or waiting mid-round
-        for an inbound block — is resumed (by an ordinary _RESUME event) at
-        its phase-exit time with its final ``(A, B, C)`` blocks.  A refusal
-        is structural (tags, shapes or shifts the recurrence does not
-        cover, or other tasks still blocked), so every parked rank runs its
-        next round through the event machinery instead.
+        Called only with drained event queues.  On success every task of
+        the phase (a shift phase's mid-round waiters too) resumes at its
+        phase-exit time with the phase's value.  Shift and collective
+        phases parked side by side have no combined closed form: they,
+        like a refused phase, are released onto the event path.
         """
-        outcome = try_advance_superstep(self, self._parked)
-        if outcome is None:
-            self._release_parked()
-            return
-        self._parked = {}
-        self._resume_advanced(outcome)
-
-    def _release_parked(self) -> None:
-        """Start one engine-run round for every parked shift phase, each
-        at the virtual time it parked."""
         parked = self._parked
-        self._parked = {}
-        self._hazard_nodes.clear()
-        self._hazard_channels.clear()
-        for task, (op, at) in parked.items():
-            self._schedule(at, _SHIFT_MULTIPLY, (task, op))
-
-    def _resolve_collective(self) -> None:
-        """Advance the parked collective phase(s) in closed form, or release.
-
-        Called only with drained event queues and no shift-phase parks.
-        On success each parked task resumes at its phase-exit time with
-        the collective's return value(s); on any incompatibility every
-        task re-enters the event path via COLLECTIVE_FALLBACK at the time
-        it parked and the schedule runs message by message.
-        """
-        outcome = try_advance_collective(self, self._parked_coll)
-        if outcome is not None:
-            self._coll_closed_form += len(outcome)
-            self._parked_coll = {}
-            self._resume_advanced(outcome)
+        kinds = {op.__class__ for op, _at in parked.values()}
+        if len(kinds) > 1:
+            self._release("shift phase parked beside a collective")
             return
-        self._release_all_parked()
-
-    def _resume_advanced(self, outcome: dict) -> None:
-        """A closed form advanced every parked task: drop the hazards it
-        guarded and resume each task at its phase-exit time and value."""
+        if ShiftPhaseOp in kinds:
+            outcome = try_advance_superstep(self, parked)
+        else:
+            outcome = try_advance_collective(self, parked)
+        if outcome is None:
+            self._release()
+            return
+        self._parked = {}
         self._hazard_nodes.clear()
         self._hazard_channels.clear()
         for task, (finish, value) in outcome.items():
             self._schedule(finish, _RESUME, (task, value))
 
-    def _release_all_parked(self, reason: str | None = None) -> None:
-        """Release both parked sets onto the event path at their park
-        times: shift phases for one engine-run round, collectives with
-        COLLECTIVE_FALLBACK — counted under ``reason`` (``None``: the
-        planner refused and has already counted why)."""
-        parked_coll = self._parked_coll
-        self._parked_coll = {}
-        self._coll_event += len(parked_coll)
-        if reason is not None and parked_coll:
-            self._refusals[reason] += len(parked_coll)
-        self._release_parked()
-        for task, (_op, at) in parked_coll.items():
-            self._schedule(at, _RESUME, (task, COLLECTIVE_FALLBACK))
+    def _release(self, reason: str | None = None) -> None:
+        """Release every parked task onto the event path at its park time:
+        shift phases for one engine-run round, then collectives with
+        FALLBACK, each kind in park order.  A collective's refusal is
+        counted under ``reason`` (``None``: the planner refused and has
+        already counted why)."""
+        parked = self._parked
+        self._parked = {}
+        self._hazard_nodes.clear()
+        self._hazard_channels.clear()
+        collectives = []
+        for task, (op, at) in parked.items():
+            if op.__class__ is ShiftPhaseOp:
+                self._schedule(at, _SHIFT_MULTIPLY, (task, op))
+            else:
+                collectives.append((task, at))
+        self._coll_event += len(collectives)
+        if reason is not None and collectives:
+            self._refusals[reason] += len(collectives)
+        for task, at in collectives:
+            self._schedule(at, _RESUME, (task, FALLBACK))
 
     def note_retransmission(self) -> None:
         """Count one reliable-layer retransmission in the run's stats."""
@@ -713,14 +678,14 @@ class Engine:
                         # ctx.parallel sub-task shares its node's ports with
                         # siblings.  Answered once — zero extra events.
                         self._shift_rounds_event += op.steps
-                        value = SHIFT_FALLBACK
+                        value = FALLBACK
                         continue
                     if self._ineligible is None:
                         self._park_shift(task, op, now)
                     # No closed form will come (scenario, tracing, watchdog):
                     # nothing to park for, the first round starts now.
                     elif not self._shift_multiply(task, op, now):
-                        value = SHIFT_FALLBACK
+                        value = FALLBACK
                         continue
                     return
 
@@ -776,9 +741,9 @@ class Engine:
                         # Answer immediately — the schedule runs its
                         # ordinary rounds; zero extra events, identical
                         # trace.
-                        value = COLLECTIVE_FALLBACK
+                        value = FALLBACK
                         continue
-                    self._parked_coll[task] = (op, now)
+                    self._parked[task] = (op, now)
                     # Unlike a shift phase (whose first reservation comes
                     # after the step-0 multiply), a collective's first
                     # sends can start at the park time itself, so the
@@ -974,7 +939,7 @@ class Engine:
         if self._ineligible is None:
             self._park_shift(task, op, time)
         elif not self._shift_multiply(task, op, time):
-            self._step(task, time, SHIFT_FALLBACK)
+            self._step(task, time, FALLBACK)
 
     def _await(
         self, task: Task, handles: list[Handle], mode: str, op: Any = None
@@ -1239,7 +1204,7 @@ class Engine:
             return
         msg, hops = transfer.msg, transfer.hops
         u, v = hops[hop_index]
-        if self._parked or self._parked_coll:
+        if self._parked:
             thr = self._hazard_channels.get((u, v))
             if thr is None:
                 thr = self._hazard_nodes.get(u)
@@ -1252,7 +1217,7 @@ class Engine:
                 # parked ranks onto the event path at their park times,
                 # then retry this hop after their reservations have gone
                 # in first.
-                self._release_all_parked("foreign hop at a parked rank's resources")
+                self._release("foreign hop at a parked rank's resources")
                 self._schedule(time, _HOP_READY, (transfer, hop_index, handle))
                 return
         fs = self.faults
@@ -1361,7 +1326,8 @@ class Engine:
         if (
             hop_index == len(hops) - 1
             and not transfer.dropped
-            and msg.dst in self._parked_coll
+            and msg.dst in self._parked
+            and self._parked[msg.dst][0].__class__ is CollectivePhaseOp
         ):
             # A message that was already in flight when its destination
             # parked on a collective is about to land in the parked rank's
@@ -1374,7 +1340,7 @@ class Engine:
             # first (their resumes sort before this time), then redo the
             # delivery.  Shift parks are exempt: blocks queued at a parked
             # rank are part of the frontier the shift closed form advances.
-            self._release_all_parked("delivery to a parked rank")
+            self._release("delivery to a parked rank")
             self._schedule(time, _HOP_DONE, (transfer, hop_index, handle))
             return
         if hop_index == 0 and not handle.done:

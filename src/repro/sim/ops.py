@@ -23,8 +23,7 @@ __all__ = [
     "CollectiveSpec",
     "CollectivePhaseOp",
     "TIMED_OUT",
-    "SHIFT_FALLBACK",
-    "COLLECTIVE_FALLBACK",
+    "FALLBACK",
 ]
 
 
@@ -179,10 +178,12 @@ class BarrierOp:
     """
 
 
-class _ShiftFallback:
-    """Sentinel the engine feeds back into a ``yield ShiftPhaseOp`` when it
-    will not run the phase itself: the program must run the op's remaining
-    rounds as the per-message loop (see ``ProcessContext.shift_phase``).
+class _Fallback:
+    """Sentinel the engine feeds back into a ``yield`` of a
+    :class:`ShiftPhaseOp` or :class:`CollectivePhaseOp` when it will not
+    run the phase itself: the program runs the phase's definition instead,
+    message by message (``ProcessContext.shift_phase``'s loop from the op's
+    remaining rounds, a collective's ordinary schedule, ``exchange_round``).
     """
 
     _instance = None
@@ -193,10 +194,10 @@ class _ShiftFallback:
         return cls._instance
 
     def __repr__(self) -> str:
-        return "<SHIFT_FALLBACK>"
+        return "<FALLBACK>"
 
 
-SHIFT_FALLBACK = _ShiftFallback()
+FALLBACK = _Fallback()
 
 
 @dataclass(slots=True)
@@ -221,7 +222,7 @@ class ShiftPhaseOp:
     closed form from the first quiet frontier (:mod:`repro.sim.superstep`) —
     and resumes the generator exactly once, with the final ``(A, B, C)``.
     ``superstep=False`` runs, fault plans and ``ctx.parallel`` sub-tasks
-    are answered :data:`SHIFT_FALLBACK` straight away, and the program runs
+    are answered :data:`FALLBACK` straight away, and the program runs
     the loop above from the op's state.  Either way the simulated times,
     statistics and blocks are bit-identical.
     """
@@ -236,27 +237,6 @@ class ShiftPhaseOp:
     tag_a: int
     tag_b: int
     c_block: Any = None
-
-
-class _CollectiveFallback:
-    """Sentinel the engine feeds back into a ``yield CollectivePhaseOp`` when
-    the collective cannot be advanced in closed form: the calling schedule
-    must run its ordinary per-message rounds instead (see
-    :mod:`repro.collectives`).
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<COLLECTIVE_FALLBACK>"
-
-
-COLLECTIVE_FALLBACK = _CollectiveFallback()
 
 
 @dataclass(frozen=True)
@@ -303,7 +283,7 @@ class CollectivePhaseOp:
     exchanges.  The engine
     answers either with the collective's return value(s) — the phase is
     done and the rank's clock already advanced, bit-identically to the
-    event path — or with :data:`COLLECTIVE_FALLBACK`, in which case the
+    event path — or with :data:`FALLBACK`, in which case the
     caller runs the ordinary schedule through the event path.
     """
 

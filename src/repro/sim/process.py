@@ -30,8 +30,7 @@ import numpy as np
 from repro.errors import CommTimeoutError, SimulationError
 from repro.sim.message import payload_words
 from repro.sim.ops import (
-    COLLECTIVE_FALLBACK,
-    SHIFT_FALLBACK,
+    FALLBACK,
     TIMED_OUT,
     BarrierOp,
     CollectivePhaseOp,
@@ -251,7 +250,7 @@ class ProcessContext:
         program's round message by message and answers alike.  Otherwise
         (``superstep=False``, a fault plan, a sub-task, a round the planner
         refuses — a multi-hop or self send, a receive no send matches) the
-        answer is :data:`~repro.sim.ops.COLLECTIVE_FALLBACK` and
+        answer is :data:`~repro.sim.ops.FALLBACK` and
         :func:`exchange_round`, which defines the round, runs it.
         """
         rank = self.rank
@@ -277,7 +276,7 @@ class ProcessContext:
             "neighbor_exchange", "", (rank,), 0, set_bits(crossed), 0,
             (sends, recvs),
         ),))
-        if verdict is not COLLECTIVE_FALLBACK:
+        if verdict is not FALLBACK:
             return verdict
         return (yield from exchange_round(self, sends, recvs))
 
@@ -357,7 +356,7 @@ class ProcessContext:
         :mod:`repro.sim.superstep`; never, under a scenario, tracing or a
         watchdog) — and resumes this generator once, with the final blocks.
         A fault plan, ``superstep=False`` and a ``ctx.parallel`` sub-task
-        are answered :data:`~repro.sim.ops.SHIFT_FALLBACK` instead, and the
+        are answered :data:`~repro.sim.ops.FALLBACK` instead, and the
         loop below runs the op's rounds message by message.  That loop is
         the definition of a shift round: the engine's own rounds and the
         closed form are held bit-identical to it by ``tests/conformance``.
@@ -386,7 +385,7 @@ class ProcessContext:
             a_block, b_block, int(tag_a), int(tag_b),
         )
         verdict = yield op
-        if verdict is not SHIFT_FALLBACK:
+        if verdict is not FALLBACK:
             return verdict
         a_block, b_block, c_block = op.a_block, op.b_block, op.c_block
         for left in range(op.steps, 0, -1):

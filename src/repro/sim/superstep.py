@@ -1,18 +1,48 @@
-"""Closed-form advancement of uniform shift-multiply supersteps.
+"""Closed-form advancement of declared shift and collective phases.
 
 The event engine normally drains one heap event per hop: a Cannon-style
 inner loop of ``K`` multiply steps on ``p`` ranks costs ``O(K·p)`` events.
 Programs instead yield one resident :class:`~repro.sim.ops.ShiftPhaseOp`
-per phase, and the engine parks it.  The first time the event queues
-drain with every active rank inside the phase, this module advances all
-remaining rounds of every rank at once with a handful of numpy
-recurrences — *bit-identically* to what the event path would have
-produced.  Until then — a foreign hop about to reserve a parked rank's
-channel or port, see the hazard maps in ``Engine._start_hop`` — the engine
-runs the parked ranks' next round itself through the ordinary hop events
+per shift-multiply phase (and one :class:`~repro.sim.ops.CollectivePhaseOp`
+per collective, see "Collective phases" below), and the engine parks it.
+The first time the event queues drain with every active rank inside the
+phase, this module advances all remaining rounds of every rank at once —
+*bit-identically* to what the event path would have produced.  Until then
+— a foreign hop about to reserve a parked rank's channel or port, see the
+hazard maps in ``Engine._start_hop`` — the engine runs the parked ranks'
+next round itself through the ordinary hop events
 (``Engine._shift_multiply``), so irregular prefixes such as Cannon's
 contended multi-hop skew stay exact and everything from the first quiet
 point on is batched.
+
+One recurrence
+--------------
+In the paper's cost model a shift round and one step of a Table 1
+collective are the same thing: single-hop transfers of ``t_s + t_w·w``
+each.  Both closed forms fold their sends a *row* at a time — sends ready
+together, a sender at most once per row — through one recurrence
+(:func:`_fold_row`), per send ``src -> dst`` over channel ``c``:
+
+* ``s = max(ready, chan_free[c], port_free[src])``  (port column: one-port)
+* ``e = s + (t_s + t_w·w)``, the new ``chan_free[c]`` and ``port_free[src]``
+* ``T'[src] = max(T'[src], e)`` and ``T'[dst] = max(T'[dst], e)``
+
+seeded from the live :class:`~repro.sim.ports.ContentionTracker`
+(:func:`_seed`: contention left over from an event-driven stretch, e.g.
+Cannon's multi-hop skew, carries in exactly) and written back once the
+whole phase planned (:func:`_commit`).  A shift round is two rows, A then
+B, ready at ``T + t_c·flops`` (the round's multiply); a collective round
+is its step table's rows, ready at the round's ``T``.
+
+Why it is exact: with the network quiet and every active rank in the
+phase, every message is a single hop, so channel ``u -> v`` and (one-port)
+``u``'s send port are reserved by ``u``'s own sends alone.  A rank's rows
+are folded in the order its injection events fire — a shift's A-hop
+before its B-hop (issued in that order at one virtual time), a neighbour
+exchange's sends in program order — so how *different* ranks' events
+interleave cannot move any reservation.  ``max`` is exact, and each row
+repeats the event path's IEEE additions in its per-rank order: times,
+per-channel busy times and counters come out to the last bit.
 
 The frontier need not be level
 ------------------------------
@@ -24,30 +54,9 @@ inbound block whose sender has not reached that round.  Rounds are indexed
 by rounds left, ``k``.  The recurrence iterates ``k`` downwards from the
 rank furthest behind; in iteration ``k`` the ranks parked with ``k`` rounds
 left send, they and the mid-round ranks of round ``k`` receive, and
-everyone else waits.  A block's arrival time is the sender's ``endA`` /
-``endB`` of the same iteration, or — when the sender ran that round
-earlier, on the event path — the queued delivery's (or completed
-handle's) time.
-
-Why the closed form is exact
-----------------------------
-With the network quiet and every active rank in the phase, every
-directional channel ``r -> a_to[r]`` (and ``r -> b_to[r]``) is reserved by
-exactly one rank, and each rank reserves its A-hop strictly before its
-B-hop (they are issued in that order at one virtual time; the one-port
-send engagement additionally serializes them).  Inter-rank event
-interleaving therefore cannot change any reservation's start time, so the
-per-rank recurrence
-
-* ``startA = max(T, chanA_free, port_free)``, ``endA = startA + dA``
-* ``startB = max(T, chanB_free, endA)``, ``endB = startB + dB``  (one-port)
-* ``T' = max(endA, endB, endA[a_from], endB[b_from]) + t_c·flops``
-
-— seeded from the live :class:`~repro.sim.ports.ContentionTracker` state,
-so contention left over from a preceding event-driven phase (e.g. Cannon's
-multi-hop skew) carries in exactly — reproduces the event path's times to
-the last bit: ``max`` is exact, and every addition replays the same IEEE
-operations in the same per-rank order the event path folds them in.
+everyone else waits.  A block's arrival time is its sender's end of the
+same iteration, or — when the sender ran that round earlier, on the event
+path — the queued delivery's (or completed handle's) time.
 
 Eligibility
 -----------
@@ -56,17 +65,16 @@ park at all (not with a fault plan, a heterogeneous scenario, per-hop trace
 records, a ``max_virtual_time`` watchdog or ``superstep=False``)?
 ``Engine._resident``: may the engine run a declared round itself (a main
 program, no fault plan, ``superstep=True``)?  What fails the second is
-answered ``SHIFT_FALLBACK`` / ``COLLECTIVE_FALLBACK``, and the program's
-generator loop, the definition of the round, runs it.  A parked phase is
-refused — every parked rank runs one more round through the events — when
-anything but the phase is in flight, when block shapes or tags differ
-between ranks or ``tag_a == tag_b``, when the shifts are not neighbour
-permutations whose receivers expect exactly their senders, or when queued
-blocks do not pair up with the rounds their receivers have left.  Refusing
-is always safe: the engine-run round schedules the events the per-message
-loop would.  Channels the fast path creates in rank order rather than event
-order fold their busy times in channel-key order all the same
-(``NetworkStats.total_channel_busy``).
+answered ``FALLBACK``, and the program's generator loop, the definition of
+the round, runs it.  A parked shift phase is refused — every parked rank
+runs one more round through the events — when anything but the phase is in
+flight, when block shapes or tags differ between ranks or ``tag_a ==
+tag_b``, when the shifts are not neighbour permutations whose receivers
+expect exactly their senders, or when queued blocks do not pair up with the
+rounds their receivers have left.  Refusing is always safe: the engine-run
+round schedules the events the per-message loop would.  Channels a closed
+form creates in plan order rather than event order fold their busy times in
+channel-key order all the same (``NetworkStats.total_channel_busy``).
 """
 
 from __future__ import annotations
@@ -127,6 +135,109 @@ def _all_parked_and_quiet(engine: "Engine", parked: dict) -> bool:
     )
 
 
+# -- the recurrence ---------------------------------------------------------
+#
+# Both closed forms seed a plan from the tracker, fold its rows in order and
+# commit it once the whole phase planned.  A plan has channel columns and
+# node columns (clocks, send ports, message counts), indexed by position.
+
+
+def _seed(engine: "Engine", keys: list, uses: np.ndarray, nodes) -> dict:
+    """A plan for sends over the channels ``keys`` (``(u, v)``, reserved
+    ``uses`` times each) from the nodes ``nodes``, seeded from the live
+    tracker.  Reads only.
+
+    Channels are created lazily and ``channels_used`` counts every created
+    one, so planning must not create a channel a refused attempt would not
+    have touched: one not created yet seeds as idle, id -1, and gets its
+    slot in :func:`_commit`.
+    """
+    tracker = engine.tracker
+    ids = tracker._channel_ids
+    cid = np.array([ids[key] if key in ids else -1 for key in keys], dtype=np.intp)
+    plan = {
+        "hop": (engine._t_s, engine._t_w),
+        "keys": keys, "cid": cid, "uses": uses,
+        "chan_free": np.where(cid >= 0, tracker._free[cid], 0.0),
+        "chan_busy": np.where(cid >= 0, tracker._busy[cid], 0.0),
+        "nodes": nodes,
+        # messages out, words out, messages in, words in — per node column
+        "stats": np.zeros((4, len(nodes)), dtype=np.int64),
+        "ports": None,
+    }
+    if engine.config.port_model is PortModel.ONE_PORT:
+        pid = tracker._port_ids[nodes]
+        plan["ports"] = {
+            "pid": pid,
+            "free": tracker._free[pid],
+            "busy": tracker._busy[pid],
+            "sends": np.zeros(len(nodes), dtype=np.int64),
+        }
+    return plan
+
+
+def _fold_row(plan, Tn, ready, src, dst, chan, w, distinct=True) -> None:
+    """Fold one row of sends through the recurrence (module docstring):
+    node column ``src[i]`` sends ``w`` words (an int or one per send) to
+    ``dst[i]`` over channel column ``chan[i]``, ready at ``ready[i]``; the
+    clocks ``Tn`` take each send's end at both of its nodes.  ``distinct``
+    says no node receives twice in the row."""
+    t_s, t_w = plan["hop"]
+    chan_free, ports = plan["chan_free"], plan["ports"]
+    s = np.maximum(ready, chan_free[chan])
+    if ports is not None:
+        s = np.maximum(s, ports["free"][src])
+    dur = t_s + t_w * w
+    e = s + dur
+    chan_free[chan] = e
+    plan["chan_busy"][chan] += dur
+    if ports is not None:
+        ports["free"][src] = e
+        ports["busy"][src] += dur
+        ports["sends"][src] += 1
+    msgs_out, words_out, msgs_in, words_in = plan["stats"]
+    Tn[src] = np.maximum(Tn[src], e)
+    msgs_out[src] += 1
+    words_out[src] += w
+    if distinct:
+        Tn[dst] = np.maximum(Tn[dst], e)
+        msgs_in[dst] += 1
+        words_in[dst] += w
+    else:
+        np.maximum.at(Tn, dst, e)
+        np.add.at(msgs_in, dst, 1)
+        np.add.at(words_in, dst, w)
+
+
+def _commit(engine: "Engine", plan: dict) -> None:
+    """Write a planned phase's reservations and counters to the engine."""
+    tracker = engine.tracker
+    cid = plan["cid"]
+    # Create the channels first used here in one batch (allocation may grow
+    # the columns and rebind the arrays, so resolve every slot before
+    # writing), then scatter the phase's channel state in three writes.
+    new = np.nonzero(cid < 0)[0]
+    if len(new):
+        keys = plan["keys"]
+        cid[new] = tracker._new_channel_slots([keys[i] for i in new.tolist()])
+    tracker._free[cid] = plan["chan_free"]
+    tracker._busy[cid] = plan["chan_busy"]
+    tracker._nres[cid] += plan["uses"]
+    ports = plan["ports"]
+    if ports is not None:  # idle ports get their seeds back, unchanged
+        pid = ports["pid"]
+        tracker._free[pid] = ports["free"]
+        tracker._busy[pid] = ports["busy"]
+        tracker._nres[pid] += ports["sends"]
+    stats = engine.stats
+    for u, ms, ws, mr, wr in zip(plan["nodes"], *plan["stats"].tolist()):
+        st = stats[u]
+        st.messages_sent += ms
+        st.words_sent += ws
+        st.messages_received += mr
+        st.words_received += wr
+
+
 def _frontier(engine: "Engine", parked: dict) -> dict | None:
     """Validate a quiet frontier of resident shift phases; returns the
     vector spec or ``None``.
@@ -142,7 +253,7 @@ def _frontier(engine: "Engine", parked: dict) -> dict | None:
     active = engine.config.num_nodes - len(engine.done) - len(engine.failed)
     if len(parked) + len(waiting) != active:
         return None
-    # Sub-tasks never park (the engine answers them SHIFT_FALLBACK), so
+    # Sub-tasks never park (the engine answers them FALLBACK), so
     # every key below is a rank.
     ops = {task: op for task, (op, _at) in parked.items()}
     for task, waiter in waiting.items():
@@ -318,18 +429,12 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
         return None
     ranks: list[int] = spec["ranks"]
     n_ranks = len(ranks)
-    params = engine.config.params
-    one_port = engine.config.port_model is PortModel.ONE_PORT
-
     a_rows, a_cols = spec["a_shape"]
     b_rows, b_cols = spec["b_shape"]
     m_a = a_rows * a_cols
     m_b = b_rows * b_cols
     flops = 2.0 * a_rows * a_cols * b_cols
-    d_c = params.flops_time(flops)
-    # Exactly the engine's healthy single-hop cost (t_s + t_w·nwords).
-    d_a = engine._t_s + engine._t_w * m_a
-    d_b = engine._t_s + engine._t_w * m_b
+    d_c = engine.config.params.flops_time(flops)
 
     left = np.array(spec["left"], dtype=np.int64)
     sent = np.array(spec["sent"], dtype=bool)
@@ -342,79 +447,57 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
     # Per-step stat folds replicate the event path's float accumulation
     # order: each rank adds the same scalar once per multiply step.
     flops_acc = np.array([stats[r].flops for r in ranks], dtype=np.float64)
-    compute_acc = np.array(
-        [stats[r].compute_time for r in ranks], dtype=np.float64
-    )
+    compute_acc = np.array([stats[r].compute_time for r in ranks], dtype=np.float64)
     for k in range(int(multiplies.max()), 0, -1):
         todo = multiplies >= k
         np.add(flops_acc, flops, out=flops_acc, where=todo)
         np.add(compute_acc, d_c, out=compute_acc, where=todo)
 
     top = int(left.max())
+    plan = None
     if top > 1:
+        # Plan columns: the A then the B channels of the ranks that send at
+        # least once (so channels_used matches the event path).
+        senders, ops = np.flatnonzero(shifts), spec["ops"]
+        keys = [(ranks[i], ops[i].a_to) for i in senders.tolist()]
+        keys += [(ranks[i], ops[i].b_to) for i in senders.tolist()]
+        plan = _seed(engine, keys, np.concatenate([shifts[senders]] * 2), ranks)
+        col_a = np.zeros(n_ranks, dtype=np.intp)
+        col_a[senders] = np.arange(len(senders))
+        col_b = col_a + len(senders)
         a_from_idx = np.array(spec["a_from_idx"], dtype=np.intp)
         b_from_idx = np.array(spec["b_from_idx"], dtype=np.intp)
-        arrivals_a = [[arrival for arrival, _ in q] for q in spec["queue_a"]]
-        arrivals_b = [[arrival for arrival, _ in q] for q in spec["queue_b"]]
-        queued = sum(map(len, arrivals_a)) + sum(map(len, arrivals_b))
-        tracker = engine.tracker
-        # Planning creates no channel: one a rank has yet to use seeds as
-        # idle (id -1) and gets its slot when the plan is written back.
-        ids = tracker._channel_ids
-        a_to = [op.a_to for op in spec["ops"]]
-        b_to = [op.b_to for op in spec["ops"]]
-        cid_a = np.array(
-            [ids.get(hop, -1) for hop in zip(ranks, a_to)], dtype=np.intp
-        )
-        cid_b = np.array(
-            [ids.get(hop, -1) for hop in zip(ranks, b_to)], dtype=np.intp
-        )
-        chan_a_free = np.where(cid_a >= 0, tracker._free[cid_a], 0.0)
-        chan_b_free = np.where(cid_b >= 0, tracker._free[cid_b], 0.0)
-        chan_a_busy = np.where(cid_a >= 0, tracker._busy[cid_a], 0.0)
-        chan_b_busy = np.where(cid_b >= 0, tracker._busy[cid_b], 0.0)
-        if one_port:
-            pid = np.array(
-                [tracker._send_port[r]._i for r in ranks], dtype=np.intp
-            )
-            port_free, port_busy = tracker._free[pid], tracker._busy[pid]
-        # Round k is the one a rank runs with k rounds left.  Ranks behind
-        # the frontier run it while the others wait; a block whose sender
-        # is ahead is already queued at its receiver.
+        # the shifts are permutations: inverting "from" gives "to"
+        a_to_idx, b_to_idx = np.argsort(a_from_idx), np.argsort(b_from_idx)
+        queues = [
+            (frm, [[arrival for arrival, _ in q] for q in spec[key]])
+            for frm, key in ((a_from_idx, "queue_a"), (b_from_idx, "queue_b"))
+        ]
+        # Round k is the one a rank runs with k rounds left: it sends unless
+        # it has fewer left, or is mid-round in it.  Ranks behind the
+        # frontier run it while the others wait.
         for k in range(top, 1, -1):
-            recv = left == k
-            send = recv & ~sent
-            ready = T + d_c  # this round's multiply, then both injections
-            if one_port:
-                eA = np.maximum(ready, np.maximum(chan_a_free, port_free)) + d_a
-                eB = np.maximum(ready, np.maximum(chan_b_free, eA)) + d_b
-                port_free = np.where(send, eB, port_free)
-                np.add(port_busy, d_a, out=port_busy, where=send)
-                np.add(port_busy, d_b, out=port_busy, where=send)
-            else:
-                eA = np.maximum(ready, chan_a_free) + d_a
-                eB = np.maximum(ready, chan_b_free) + d_b
-            chan_a_free = np.where(send, eA, chan_a_free)
-            chan_b_free = np.where(send, eB, chan_b_free)
-            np.add(chan_a_busy, d_a, out=chan_a_busy, where=send)
-            np.add(chan_b_busy, d_b, out=chan_b_busy, where=send)
-            # The round completes when the rank's own first (only) hops and
-            # both inbound deliveries are done.
-            arr_a, arr_b = eA[a_from_idx], eB[b_from_idx]
-            if queued:
-                for i in np.nonzero(recv & ~send[a_from_idx])[0].tolist():
-                    arr_a[i] = arrivals_a[i].pop(0)
-                    queued -= 1
-                for i in np.nonzero(recv & ~send[b_from_idx])[0].tolist():
-                    arr_b[i] = arrivals_b[i].pop(0)
-                    queued -= 1
-            done = np.maximum(
-                np.where(send, np.maximum(eA, eB), T),
-                np.maximum(arr_a, arr_b),
-            )
-            T = np.where(recv, done, T)
-            left = np.where(recv, k - 1, left)
-            sent &= ~recv
+            send = multiplies >= k
+            src = np.flatnonzero(send)
+            ready = T[src] + d_c  # this round's multiply, then both injections
+            Tn = T.copy()
+            _fold_row(plan, Tn, ready, src, a_to_idx[src], col_a[src], m_a)
+            _fold_row(plan, Tn, ready, src, b_to_idx[src], col_b[src], m_b)
+            # a block whose sender ran this round earlier is queued already
+            for frm, arrivals in queues:
+                for i in np.flatnonzero((left >= k) & ~send[frm]).tolist():
+                    Tn[i] = max(Tn[i], arrivals[i].pop(0))
+            T = Tn
+        # A receive is counted when it is matched: here the blocks queued at
+        # a rank, but not one a mid-round handle already took.
+        msgs_in, words_in = plan["stats"][2:]
+        for queue, taken, m in (
+            (spec["queue_a"], spec["taken_a"], m_a),
+            (spec["queue_b"], spec["taken_b"], m_b),
+        ):
+            unmatched = np.array(list(map(len, queue))) - taken
+            msgs_in += unmatched
+            words_in += m * unmatched
     T = T + d_c  # the last multiply
 
     # -- data plane
@@ -431,35 +514,12 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
         c_blocks = [np.broadcast_to(0.0, (a_rows, b_cols))] * n_ranks
 
     # -- write back: tracker, statistics, and the phase's engine state
-    if top > 1:
-        senders = np.nonzero(shifts)[0]
-        for cid, to in ((cid_a, a_to), (cid_b, b_to)):
-            new = senders[cid[senders] < 0].tolist()
-            cid[new] = tracker._new_channel_slots([(ranks[i], to[i]) for i in new])
-        rows_a, rows_b = cid_a[senders], cid_b[senders]
-        tracker._free[rows_a] = chan_a_free[senders]
-        tracker._busy[rows_a] = chan_a_busy[senders]
-        tracker._nres[rows_a] += shifts[senders]
-        tracker._free[rows_b] = chan_b_free[senders]
-        tracker._busy[rows_b] = chan_b_busy[senders]
-        tracker._nres[rows_b] += shifts[senders]
-        if one_port:
-            tracker._free[pid] = port_free
-            tracker._busy[pid] = port_busy
-            tracker._nres[pid] += 2 * shifts
-    # A receive is counted when it is matched: every block still queued or
-    # yet to be sent, but not one a mid-round handle already took.
-    for r, fl, ct, sends, rounds, got_a, got_b in zip(
-        ranks, flops_acc.tolist(), compute_acc.tolist(), shifts.tolist(),
-        spec["left"], spec["taken_a"], spec["taken_b"],
-    ):
+    if plan is not None:
+        _commit(engine, plan)
+    for r, fl, ct in zip(ranks, flops_acc.tolist(), compute_acc.tolist()):
         st = stats[r]
         st.flops = fl
         st.compute_time = ct
-        st.messages_sent += 2 * sends
-        st.words_sent += (m_a + m_b) * sends
-        st.messages_received += 2 * (rounds - 1) - got_a - got_b
-        st.words_received += m_a * (rounds - 1 - got_a) + m_b * (rounds - 1 - got_b)
     # The phase's queued blocks, posted receives and mid-round waiters are
     # all consumed (the frontier check saw nothing else in them).
     for r in ranks:
@@ -500,25 +560,13 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 # apart is their *step table* — per round, rows ``(senders, dim, words)``:
 # who sends how many words across which subcube dimension — and
 # ``_reserve_rounds`` folds any step table (all of a phase's, merged: see
-# "the recurrence" below) through one recurrence, per send across ``k``:
-#
-#     s  = max(T, chan_free[k], port_free)        (port column: one-port only)
-#     e  = s + (t_s + t_w·w)
-#     T' = max(T, e of my sends, e of the sends arriving at me)
-#
-# A send across ``k`` arrives at the sender's ``k``-partner, and ``T'``
-# takes effect when the round ends (the schedules ``waitall`` once per
-# round; a rank with nothing to do keeps its clock).  The rows of a round
-# are all ready at its ``T`` and are folded in order, so a rank in several
-# rows (a neighbour exchange lists each rank's sends in program order, row
-# ``r`` holding everyone's ``r``-th) reserves its port — and a channel it
-# uses twice — in exactly the order its injection events fire.  These are
-# the event path's IEEE operations in its per-rank order, so makespans,
-# per-channel busy times and counters come out bit-identical.  Per-rank
-# order is all that matters: every message is a single hop, channel
-# ``u -> v`` and (one-port) ``u``'s send port are reserved only by ``u``'s
-# own sends, and nothing else is in flight — so how *different* ranks'
-# events interleave cannot move any reservation.
+# "merging" below) through the module's one recurrence, row by row.  A send
+# across ``k`` arrives at the sender's ``k``-partner, and the new clocks
+# take effect when the round ends (the schedules ``waitall`` once per
+# round; a rank with nothing to do keeps its clock).  A neighbour exchange
+# lists each rank's sends in program order, row ``r`` holding everyone's
+# ``r``-th, so a rank in several rows reserves its port — and a channel it
+# uses twice — in the order its injection events fire.
 #
 # The values move as stacked arrays: ``_classes`` buckets the groups whose
 # block layouts agree, ``_stack`` makes a bucket one ``(groups, rows,
@@ -568,7 +616,7 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
 # Any doubt — a schedule that does not match the port model, malformed
 # groups, foreign traffic, an unprovable port order, any exception while
 # planning — refuses under a named reason (``closed_form_refusals``) and
-# releases every parked rank with ``COLLECTIVE_FALLBACK``.  Planning mutates
+# releases every parked rank with ``FALLBACK``.  Planning mutates
 # nothing: the tracker and stats are written once the whole phase planned.
 
 #: dimension-exchange kinds: every rank sends in every round.  A fused pair
@@ -1061,7 +1109,7 @@ _STEP_TABLES = {
 }
 
 
-# -- the recurrence -------------------------------------------------------------
+# -- merging ------------------------------------------------------------------
 #
 # The groups of a phase are folded together, in machine-wide indices: a
 # comm rank becomes its node address, subcube dimension ``k`` the physical
@@ -1074,8 +1122,7 @@ _DIM_BITS = 6  # a channel's code is (sender << _DIM_BITS) | dimension
 
 
 def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
-    """Merge the groups' step tables and seed the phase's reservation state
-    from the live tracker.
+    """Merge the groups' step tables into a plan :func:`_seed`-ed for them.
 
     Reads only; :func:`_reserve_rounds` folds the rounds through the
     returned plan and :func:`_commit` applies it.  ``plan["rounds"][t]`` is
@@ -1108,10 +1155,7 @@ def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
         )
         for (t, slot, _r), columns in sorted(buckets.items())
     ]
-    # One column slot per channel the phase uses.  Channels are created
-    # lazily and ``channels_used`` counts every created one, so planning
-    # must not instantiate a channel a refused attempt would not have
-    # touched: unknown channels seed as idle, id -1.
+    # One column per channel the phase uses, in channel-code order.
     used, chan = np.unique(
         np.concatenate([(src << _DIM_BITS) | dim for _t, _s, src, dim, _w in merged]),
         return_inverse=True,
@@ -1127,8 +1171,6 @@ def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
             (src, src ^ (1 << dim), chan[offset:offset + len(src)], w)
         )
         offset += len(src)
-    tracker = engine.tracker
-    ids = tracker._channel_ids
     keys = [
         (u, u ^ (1 << k))
         for u, k in zip(
@@ -1136,116 +1178,47 @@ def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
             (used & ((1 << _DIM_BITS) - 1)).tolist(),
         )
     ]
-    cid = np.array([ids[key] if key in ids else -1 for key in keys], dtype=np.intp)
     n = len(at)
-    plan = {
-        "rounds": rounds,
-        # One clock per slot: a fused pair's sub-tasks run on their own.
-        "T": [at, at.copy()] if groups[-1].slot else [at],
-        "keys": keys, "cid": cid,
-        "chan_free": np.where(cid >= 0, tracker._free[cid], 0.0),
-        "chan_busy": np.where(cid >= 0, tracker._busy[cid], 0.0),
-        "chan_used": np.bincount(chan, minlength=len(used)),
-        # messages out, words out, messages in, words in — per node
-        "stats": np.zeros((4, n), dtype=np.int64),
-        "ports": None,
-    }
-    if engine.config.port_model is PortModel.ONE_PORT:
-        pid = tracker._port_ids
-        plan["ports"] = {
-            "free": tracker._free[pid],
-            "busy": tracker._busy[pid],
-            "sends": np.zeros(n, dtype=np.int64),
-            # fused pairs only: the ready time of each node's latest send,
-            # to check that the assumed port order is the event path's
-            "ready": np.full(n, -np.inf) if groups[-1].slot else None,
-        }
+    plan = _seed(
+        engine, keys, np.bincount(chan, minlength=len(used)), range(n)
+    )
+    plan["rounds"] = rounds
+    # One clock per slot: a fused pair's sub-tasks run on their own.
+    plan["T"] = [at, at.copy()] if groups[-1].slot else [at]
+    if plan["ports"] is not None and groups[-1].slot:
+        # fused pairs only: the ready time of each node's latest send, to
+        # check that the assumed port order is the event path's
+        plan["ports"]["ready"] = np.full(n, -np.inf)
     return plan
 
 
-def _reserve_rounds(engine: "Engine", plan: dict, distinct: bool) -> None:
-    """Fold the phase's rounds through the recurrence (see the section
-    comment): every row of a round is ready at the round's ``T``; a fused
-    pair's rounds alternate, slot 0 first.  ``distinct`` says no node
-    receives twice within a row."""
-    t_s, t_w = engine._t_s, engine._t_w
-    chan_free, chan_busy = plan["chan_free"], plan["chan_busy"]
-    msgs_out, words_out, msgs_in, words_in = plan["stats"]
+def _reserve_rounds(plan: dict, distinct: bool) -> None:
+    """Fold the phase's rounds through :func:`_fold_row`: every row of a
+    round is ready at the round's ``T``; a fused pair's rounds alternate,
+    slot 0 first.  ``distinct`` says no node receives twice within a row."""
+    t_s, t_w = plan["hop"]
     clocks, ports = plan["T"], plan["ports"]
-    last = port_free = None
-    if ports is not None:
-        last, port_free = ports["ready"], ports["free"]
+    last = None if ports is None else ports.get("ready")
     for t, slot_rows in enumerate(plan["rounds"]):
         for slot, rows in slot_rows:
             T = clocks[slot]
             Tn = T.copy()
             for src, dst, chan, w in rows:
                 ready = T[src]
-                s = np.maximum(ready, chan_free[chan])
-                dur = t_s + t_w * w
-                if ports is not None:
-                    if last is not None:
-                        # Fused pair: this row's place in each node's port
-                        # order (a0 b0 a1 b1 ...) is an assumption unless
-                        # the ready times strictly increase along it; b0
-                        # ties with a0 and follows it in ctx.parallel slot
-                        # order.
-                        before = last[src]
-                        tie_ok = t == 0 and slot == 1
-                        if not (ready >= before if tie_ok else ready > before).all():
-                            raise _Refuse("one-port pair: port order not provable")
-                        if dur.min() <= 0:
-                            raise _Refuse("one-port pair: zero-length hop")
-                        last[src] = ready
-                    s = np.maximum(s, port_free[src])
-                e = s + dur
-                chan_free[chan] = e
-                chan_busy[chan] += dur
-                if ports is not None:
-                    port_free[src] = e
-                    ports["busy"][src] += dur
-                    ports["sends"][src] += 1
-                Tn[src] = np.maximum(Tn[src], e)
-                msgs_out[src] += 1
-                words_out[src] += w
-                if distinct:
-                    Tn[dst] = np.maximum(Tn[dst], e)
-                    msgs_in[dst] += 1
-                    words_in[dst] += w
-                else:
-                    np.maximum.at(Tn, dst, e)
-                    np.add.at(msgs_in, dst, 1)
-                    np.add.at(words_in, dst, w)
+                if last is not None:
+                    # Fused pair: this row's place in each node's port
+                    # order (a0 b0 a1 b1 ...) is an assumption unless the
+                    # ready times strictly increase along it; b0 ties with
+                    # a0 and follows it in ctx.parallel slot order.
+                    before = last[src]
+                    tie_ok = t == 0 and slot == 1
+                    if not (ready >= before if tie_ok else ready > before).all():
+                        raise _Refuse("one-port pair: port order not provable")
+                    if (t_s + t_w * w).min() <= 0:
+                        raise _Refuse("one-port pair: zero-length hop")
+                    last[src] = ready
+                _fold_row(plan, Tn, ready, src, dst, chan, w, distinct)
             clocks[slot] = Tn
-
-
-def _commit(engine: "Engine", plan: dict, nodes) -> None:
-    """Write the phase's planned reservations and counters to the engine."""
-    tracker = engine.tracker
-    cid = plan["cid"]
-    # Create the channels first used here in one batch (allocation may grow
-    # the columns and rebind the arrays, so resolve every slot before
-    # writing), then scatter the phase's channel state in three writes.
-    new = np.nonzero(cid < 0)[0]
-    if len(new):
-        keys = plan["keys"]
-        cid[new] = tracker._new_channel_slots([keys[i] for i in new.tolist()])
-    tracker._free[cid] = plan["chan_free"]
-    tracker._busy[cid] = plan["chan_busy"]
-    tracker._nres[cid] += plan["chan_used"]
-    ports = plan["ports"]
-    if ports is not None:  # idle ports get their seeds back, unchanged
-        pid = tracker._port_ids
-        tracker._free[pid] = ports["free"]
-        tracker._busy[pid] = ports["busy"]
-        tracker._nres[pid] += ports["sends"]
-    stats = engine.stats
-    for u, ms, ws, mr, wr in zip(nodes, *plan["stats"][:, nodes].tolist()):
-        st = stats[u]
-        st.messages_sent += ms
-        st.words_sent += ws
-        st.messages_received += mr
-        st.words_received += wr
 
 
 def _plan_phase(engine: "Engine", parked: dict):
@@ -1261,7 +1234,7 @@ def _plan_phase(engine: "Engine", parked: dict):
     for kind, of_kind in kinds.items():
         _STEP_TABLES[kind](engine, of_kind, chunked)
     plan = _reserve(engine, groups, at)
-    _reserve_rounds(engine, plan, distinct=groups[0].kind != _NEIGHBOR)
+    _reserve_rounds(plan, distinct=groups[0].kind != _NEIGHBOR)
     # A fused pair resumes with [value_a, value_b] at the later finish,
     # like ctx.parallel (slot-0 groups come first, so a pair's second half
     # finds the first).
@@ -1299,5 +1272,6 @@ def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
         # correct": either way it is counted under the exception's name.
         engine._refusals[f"planner exception: {type(exc).__name__}"] += len(parked)
         return None
-    _commit(engine, plan, list(parked))
+    _commit(engine, plan)
+    engine._coll_closed_form += len(outcome)
     return outcome

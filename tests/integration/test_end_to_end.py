@@ -171,6 +171,29 @@ class TestCLI:
                      "--drop-rates", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--ts", "7"],
+            ["table2", "--tw", "1"],
+            ["table2", "--tc", "1"],
+            ["table2", "--routing", "ct"],
+            ["sweep", "n", "64", "--tc", "1"],
+            ["scalability", "--routing", "ct"],
+            ["faults", "--tc", "1"],
+            ["recover", "--routing", "ct"],
+            ["degrade", "--tc", "1"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    def test_flags_a_subcommand_ignores_are_rejected(self, argv, capsys):
+        """A machine flag the subcommand never reads is an argparse error
+        (exit 2), not a run that silently uses the default."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExamplesRun:
     """The shipped examples execute cleanly (smoke; they print a lot)."""

@@ -653,6 +653,49 @@ class TestCollectivePhases:
         assert fast.stats == slow.stats
         assert fast.results == slow.results
 
+    @pytest.mark.parametrize(
+        "port", [PortModel.ONE_PORT, PortModel.MULTI_PORT],
+        ids=["one-port", "multi-port"],
+    )
+    def test_shift_phase_parked_beside_a_collective_releases_both(self, port):
+        """Ranks 0-1 park on a shift phase while ranks 2-3 park on a
+        neighbour exchange: no closed form covers the mix, so both kinds
+        are released onto the event path in one step.  The shift phase
+        then runs one more engine-run round (its A and B shifts share a
+        channel, which the closed form refuses) and batches its last."""
+
+        def prog(ctx):
+            r = ctx.rank
+            if r < 2:
+                return (
+                    yield from ctx.shift_phase(
+                        steps=3, a_to=r ^ 1, a_from=r ^ 1, b_to=r ^ 1,
+                        b_from=r ^ 1, a_block=np.full((2, 2), float(r + 1)),
+                        b_block=np.full((2, 2), float(r + 3)), tag_a=1, tag_b=2,
+                    )
+                )
+            return (
+                yield from ctx.neighbor_exchange(
+                    [(r ^ 1, np.full(2, float(r)), 5)], [(r ^ 1, 5)]
+                )
+            )
+
+        fast, slow = _both_paths(prog, port_model=port)
+        assert fast.total_time == slow.total_time == 100.0
+        assert fast.trace_digest() == slow.trace_digest()
+        assert fast.stats == slow.stats
+        assert fast.network == slow.network
+        for rank, value in slow.results.items():
+            for got, want in zip(fast.results[rank], value):
+                assert np.array_equal(got, want)
+        assert fast.closed_form_refusals == {
+            "shift phase parked beside a collective": 2
+        }
+        assert _rounds(fast) == (4, 2)
+        assert (
+            fast.collective_phases_event, fast.collective_phases_closed_form
+        ) == (2, 0)
+
 
 class TestTimingOnly:
     def test_timing_only_matches_full_run_time(self):
