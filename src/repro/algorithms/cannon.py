@@ -10,7 +10,9 @@ The initial alignment sends each block up to ``log √p`` hops through the
 cube (e-cube routed, store-and-forward), which is the ``2·log√p·(t_s +
 t_w·n²/p)`` term of §3.2; simultaneous skew messages can contend for links,
 so the simulated alignment can exceed the paper's contention-free bound —
-see EXPERIMENTS.md.
+see EXPERIMENTS.md.  The alignment is declared with the shift phase
+(``cannon_kernel``): a default-knob run plans the contended skew in a hop
+table and the rounds in closed form, with no hop on the event queue.
 """
 
 from __future__ import annotations

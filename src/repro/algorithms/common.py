@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.errors import NotApplicableError
 from repro.mpi.communicator import Comm
-from repro.sim.process import ProcessContext
+from repro.sim.ops import ShiftPhaseOp
+from repro.sim.process import ProcessContext, shift_loop
 from repro.topology.embedding import (
     Grid2DEmbedding, Grid3DEmbedding, Grid3DRectEmbedding,
 )
@@ -173,49 +174,37 @@ def cannon_kernel(
     symmetry).  Both matrices move concurrently: a one-port machine
     serializes the transfers (the paper's ``2(t_s + t_w m)`` per step),
     a multi-port machine overlaps them (halving the time, as in §3.2).
+
+    On a plain :class:`ProcessContext` the alignment and the steps are one
+    declared ``ctx.shift_phase``: with the network quiet the engine plans
+    the contended skew and the rounds it overlaps in a hop table and the
+    rest in closed form (:mod:`repro.sim.superstep`).  A wrapped context
+    runs both message by message through its own protocol.
     """
-    me = ctx.rank
-
-    # -- alignment: A left by `row`, B up by `col` --------------------------
-    a_dst = node_at(row, col - row)
-    a_src = node_at(row, col + row)
-    b_dst = node_at(row - col, col)
-    b_src = node_at(row + col, col)
-    handles = [
-        (yield from ctx.isend(a_dst, a_block, tag_a)),
-        (yield from ctx.irecv(a_src, tag_a)),
-        (yield from ctx.isend(b_dst, b_block, tag_b)),
-        (yield from ctx.irecv(b_src, tag_b)),
-    ]
-    values = yield from ctx.waitall(handles)
-    a_block, b_block = values[1], values[3]
-
-    # -- q steps of multiply-accumulate + unit shift -------------------------
+    # The alignment sends A left by `row` and B up by `col`; then q steps
+    # of multiply-accumulate + unit shift.
+    align = (
+        node_at(row, col - row), node_at(row, col + row),
+        node_at(row - col, col), node_at(row + col, col),
+    )
     left, right = node_at(row, col - 1), node_at(row, col + 1)
     up, down = node_at(row - 1, col), node_at(row + 1, col)
     if type(ctx) is ProcessContext:
-        # Plain simulator context: declare the loop as one superstep so
-        # the engine can advance it in closed form (or fall back to the
-        # identical per-message loop) — see ProcessContext.shift_phase.
+        # Plain simulator context: declare alignment and loop as one
+        # superstep so the engine can advance it in closed form (or fall
+        # back to the identical per-message loop) — see
+        # ProcessContext.shift_phase.
         _a, _b, c_block = yield from ctx.shift_phase(
             steps=q, a_to=left, a_from=right, b_to=up, b_from=down,
             a_block=a_block, b_block=b_block, tag_a=tag_a, tag_b=tag_b,
+            align=align,
         )
-        return c_block
-    # Wrapped contexts (reliable/integrity/detector layers) override the
-    # point-to-point calls with their own protocols; keep the explicit
-    # loop so every message goes through them.
-    c_block = None
-    for step in range(q):
-        c_block = yield from ctx.local_matmul(a_block, b_block, c_block)
-        if step == q - 1:
-            break
-        handles = [
-            (yield from ctx.isend(left, a_block, tag_a)),
-            (yield from ctx.irecv(right, tag_a)),
-            (yield from ctx.isend(up, b_block, tag_b)),
-            (yield from ctx.irecv(down, tag_b)),
-        ]
-        values = yield from ctx.waitall(handles)
-        a_block, b_block = values[1], values[3]
+    else:
+        # Wrapped contexts (reliable/integrity/detector layers) override
+        # the point-to-point calls with their own protocols: the phase's
+        # definition runs through them, message by message.
+        _a, _b, c_block = yield from shift_loop(ctx, ShiftPhaseOp(
+            q, left, right, up, down, a_block, b_block, tag_a, tag_b,
+            align=align,
+        ))
     return c_block

@@ -78,9 +78,9 @@ _COLLECTIVE_HEAVY: tuple[str, ...] = (
 )
 
 #: the registered callers of ``cannon_kernel``: a contended multi-hop skew
-#: followed by a shift phase.  From p = 64 up the skew leaves the ranks
-#: rounds apart, which is what exercises the engine-run shift rounds and
-#: the shift closed form's staggered frontier (smaller machines batch from
+#: declared with its shift phase.  From p = 64 up the skew leaves the ranks
+#: rounds apart, which is what exercises the hop table's overlapped rounds
+#: and the frontier it hands the shift closed form (smaller machines reach
 #: a level one).
 _SHIFT_HEAVY: tuple[str, ...] = ("cannon", "berntsen", "dns_cannon", "3dd_cannon")
 

@@ -206,6 +206,10 @@ class ShiftPhaseOp:
 
     Semantically identical to::
 
+        if align is not None:  # (a_dst, a_src, b_dst, b_src)
+            waitall([isend(a_dst, A, tag_a), irecv(a_src, tag_a),
+                     isend(b_dst, B, tag_b), irecv(b_src, tag_b)])
+            A, B = received
         for left in range(steps, 0, -1):
             C = local_matmul(A, B, C)
             if left == 1: break
@@ -216,11 +220,13 @@ class ShiftPhaseOp:
     The op is *resident*: a program yields it once and the engine owns the
     phase from then on.  ``steps`` counts the rounds still to run and
     ``a_block`` / ``b_block`` / ``c_block`` are the rank's blocks at that
-    round boundary (``c_block`` is ``None`` before the first multiply); the
-    engine updates them as it completes rounds — one at a time through the
-    event machinery while foreign traffic is still in flight, the rest in
-    closed form from the first quiet frontier (:mod:`repro.sim.superstep`) —
-    and resumes the generator exactly once, with the final ``(A, B, C)``.
+    round boundary (``c_block`` is ``None`` before the first multiply);
+    ``align`` is the initial alignment still to run (``None`` once it has).
+    The engine updates them as it completes rounds — one at a time through
+    the event machinery while foreign traffic is still in flight, the rest in
+    closed form from the first quiet frontier (:mod:`repro.sim.superstep`;
+    an alignment with the rounds it overlaps through a hop table) — and
+    resumes the generator exactly once, with the final ``(A, B, C)``.
     ``superstep=False`` runs, fault plans and ``ctx.parallel`` sub-tasks
     are answered :data:`FALLBACK` straight away, and the program runs
     the loop above from the op's state.  Either way the simulated times,
@@ -237,6 +243,7 @@ class ShiftPhaseOp:
     tag_a: int
     tag_b: int
     c_block: Any = None
+    align: tuple | None = None
 
 
 @dataclass(frozen=True)
