@@ -29,7 +29,7 @@ from repro.algorithms.common import TAG_A, TAG_B, TAG_C, TAG_D, cannon_kernel, r
 from repro.algorithms.supernode import SupernodeLayout, decompose
 from repro.blocks.partition import BlockPartition2D
 from repro.collectives import reduce
-from repro.collectives.phase import broadcast_call, parallel_pair
+from repro.collectives.phase import Lift, broadcast_call, parallel_pair
 from repro.errors import NotApplicableError
 from repro.mpi.communicator import Comm
 from repro.topology.hypercube import Hypercube
@@ -88,22 +88,23 @@ class Diag3DCannonAlgorithm(MatmulAlgorithm):
         I, J, K, u, v = layout.coords(ctx.rank)
 
         # -- phase 1: move B within the diagonal plane (processor-wise) -------
+        # (the lift of phase 2's pair)
         ctx.phase("point-to-point")
-        if I == J:
-            yield from ctx.send(layout.node(I, K, K, u, v), local["B"], TAG_B)
-        b_root = None
-        if J == K:
-            b_root = yield from ctx.recv(layout.node(I, I, J, u, v), TAG_B)
+        lift = Lift(
+            sends=((layout.node(I, K, K, u, v), local["B"], TAG_B),) if I == J else (),
+            recvs=((layout.node(I, I, J, u, v), TAG_B, 1),) if J == K else (),
+            phase="broadcasts",
+        )
 
         # -- phase 2: supernode broadcasts, A along x and B along z -----------
         x_comm = Comm(ctx, layout.x_line(J, K, u, v))
         z_comm = Comm(ctx, layout.z_line(I, J, u, v))
         a_src = local.get("A") if I == J else None
-        ctx.phase("broadcasts")
         a_block, b_block = yield from parallel_pair(
             ctx,
             broadcast_call(x_comm, a_src, root=J, tag=TAG_C),
-            broadcast_call(z_comm, b_root, root=J, tag=TAG_D),
+            broadcast_call(z_comm, None, root=J, tag=TAG_D),
+            lift=lift,
         )
         ctx.note_memory(3 * a_block.size)
 

@@ -39,7 +39,7 @@ from repro.algorithms.common import (
 )
 from repro.blocks.partition import BlockPartition2D
 from repro.collectives import reduce
-from repro.collectives.phase import broadcast_call, parallel_pair
+from repro.collectives.phase import Lift, broadcast_call, parallel_pair
 from repro.errors import AlgorithmError
 from repro.topology.embedding import Grid3DEmbedding
 from repro.topology.hypercube import Hypercube
@@ -78,23 +78,25 @@ class Diagonal3DAlgorithm(MatmulAlgorithm):
         block_words = (n // q) ** 2
 
         # -- phase 1: move B within the diagonal plane ------------------------
+        # (declared with phase 2 as the pair's lift: p_{i,j,j} receives the
+        # B_{j,i} it then broadcasts)
         ctx.phase("point-to-point")
-        if i == j:
-            yield from ctx.send(grid.node_at(i, k, k), local["B"], TAG_B)
-        b_root = None
-        if j == k:
-            b_root = yield from ctx.recv(grid.node_at(i, i, j), TAG_B)
+        lift = Lift(
+            sends=((grid.node_at(i, k, k), local["B"], TAG_B),) if i == j else (),
+            recvs=((grid.node_at(i, i, j), TAG_B, 1),) if j == k else (),
+            phase="broadcasts",
+        )
 
         # -- phase 2: broadcast A along x, B along z (overlapped) -------------
         # My x-line {p_{*,j,k}} root is the diagonal member x = j (p_{j,j,k},
         # holding A_{k,j}); my z-line {p_{i,j,*}} root is z = j (p_{i,j,j},
         # holding B_{j,i} from phase 1).
-        ctx.phase("broadcasts")
         a_src = local.get("A") if i == j else None
         a_block, b_block = yield from parallel_pair(
             ctx,
             broadcast_call(view.x_comm, a_src, root=j, tag=TAG_C),
-            broadcast_call(view.z_comm, b_root, root=j, tag=TAG_D),
+            broadcast_call(view.z_comm, None, root=j, tag=TAG_D),
+            lift=lift,
         )
         ctx.note_memory(3 * block_words)  # A, B, and the partial-C block
 

@@ -34,7 +34,7 @@ from repro.algorithms.common import (
 )
 from repro.blocks.partition import BlockPartition2D
 from repro.collectives import reduce
-from repro.collectives.phase import broadcast_call, parallel_pair
+from repro.collectives.phase import Lift, broadcast_call, parallel_pair
 from repro.topology.embedding import Grid3DEmbedding
 from repro.topology.hypercube import Hypercube
 
@@ -72,26 +72,28 @@ class DNSAlgorithm(MatmulAlgorithm):
         block_words = (n // q) ** 2
 
         # -- phase 1: lift A and B off the z=0 plane -------------------------
+        # Sequential sends along z (same direction, cannot overlap), declared
+        # with phase 2 as the pair's lift: p_{i,j,j} receives the A_{ij} and
+        # p_{i,j,i} the B_{ij} they then broadcast.
         ctx.phase("lift")
-        if k == 0:
-            # Sequential sends along z (same direction, cannot overlap).
-            yield from ctx.send(grid.node_at(i, j, j), local["A"], TAG_A)
-            yield from ctx.send(grid.node_at(i, j, i), local["B"], TAG_B)
-        a_root = None
-        b_root = None
-        if k == j:
-            a_root = yield from ctx.recv(grid.node_at(i, j, 0), TAG_A)
-        if k == i:
-            b_root = yield from ctx.recv(grid.node_at(i, j, 0), TAG_B)
+        origin = grid.node_at(i, j, 0)
+        lift = Lift(
+            sends=(
+                (grid.node_at(i, j, j), local["A"], TAG_A),
+                (grid.node_at(i, j, i), local["B"], TAG_B),
+            ) if k == 0 else (),
+            recvs=((origin, TAG_A, 0),) * (k == j) + ((origin, TAG_B, 1),) * (k == i),
+            phase="broadcasts",
+        )
 
         # -- phase 2: broadcasts along y (A) and x (B), overlapped -----------
         # p_{i,j,k} gets A_{ik} from p_{i,k,k} (root y=k of its y-line) and
         # B_{kj} from p_{k,j,k} (root x=k of its x-line).
-        ctx.phase("broadcasts")
         a_block, b_block = yield from parallel_pair(
             ctx,
-            broadcast_call(view.y_comm, a_root, root=k, tag=TAG_C),
-            broadcast_call(view.x_comm, b_root, root=k, tag=TAG_D),
+            broadcast_call(view.y_comm, None, root=k, tag=TAG_C),
+            broadcast_call(view.x_comm, None, root=k, tag=TAG_D),
+            lift=lift,
         )
         ctx.note_memory(3 * block_words)  # A, B, and the partial-C block
 

@@ -35,7 +35,7 @@ from repro.algorithms.common import (
 )
 from repro.blocks.partition import BlockPartition2D
 from repro.collectives import reduce
-from repro.collectives.phase import broadcast_call, parallel_pair
+from repro.collectives.phase import Lift, broadcast_call, parallel_pair
 from repro.algorithms.supernode import SupernodeLayout, decompose
 from repro.errors import NotApplicableError
 from repro.mpi.communicator import Comm
@@ -98,24 +98,26 @@ class DNSCannonAlgorithm(MatmulAlgorithm):
         I, J, K, u, v = layout.coords(ctx.rank)
 
         # -- phase 1: lift supernode blocks off the K=0 plane (processor-wise)
+        # (the lift of phase 2's pair)
         ctx.phase("lift")
-        if K == 0:
-            yield from ctx.send(layout.node(I, J, J, u, v), local["A"], TAG_A)
-            yield from ctx.send(layout.node(I, J, I, u, v), local["B"], TAG_B)
-        a_root = b_root = None
-        if K == J:
-            a_root = yield from ctx.recv(layout.node(I, J, 0, u, v), TAG_A)
-        if K == I:
-            b_root = yield from ctx.recv(layout.node(I, J, 0, u, v), TAG_B)
+        origin = layout.node(I, J, 0, u, v)
+        lift = Lift(
+            sends=(
+                (layout.node(I, J, J, u, v), local["A"], TAG_A),
+                (layout.node(I, J, I, u, v), local["B"], TAG_B),
+            ) if K == 0 else (),
+            recvs=((origin, TAG_A, 0),) * (K == J) + ((origin, TAG_B, 1),) * (K == I),
+            phase="broadcasts",
+        )
 
         # -- phase 2: supernode broadcasts along y (A) and x (B) --------------
         y_comm = Comm(ctx, [layout.node(I, y, K, u, v) for y in range(sigma)])
         x_comm = Comm(ctx, [layout.node(x, J, K, u, v) for x in range(sigma)])
-        ctx.phase("broadcasts")
         a_block, b_block = yield from parallel_pair(
             ctx,
-            broadcast_call(y_comm, a_root, root=K, tag=TAG_C),
-            broadcast_call(x_comm, b_root, root=K, tag=TAG_D),
+            broadcast_call(y_comm, None, root=K, tag=TAG_C),
+            broadcast_call(x_comm, None, root=K, tag=TAG_D),
+            lift=lift,
         )
         ctx.note_memory(3 * a_block.size)
 

@@ -332,15 +332,16 @@ def closed_form_reach(cases: list[Case]) -> dict:
 
     Runs the default path of every case whose machine lets phases park
     (no fault or scenario atoms) and returns ``{"eligible", "declared",
-    "batched", "refusals", "planner_exceptions"}``: how many such cases
-    there are, how many of them declare a collective phase at all, how many
-    of those answered *every* declared phase in closed form, the refusal
-    reasons of the rest (reason -> declared phases, summed over cases), and
-    the ``(case, reason)`` pairs whose reason is a planner exception.
+    "batched", "refusals", "unbatched", "planner_exceptions"}``: how many
+    such cases there are, how many of them declare a collective phase at
+    all, how many of those answered *every* declared phase in closed form,
+    the refusal reasons of the rest (reason -> declared phases, summed over
+    cases), the ``(case, refusals)`` pairs of the cases not batched, and the
+    ``(case, reason)`` pairs whose reason is a planner exception.
     """
     eligible = declared = batched = 0
     refusals: dict[str, int] = {}
-    planner_exceptions = []
+    unbatched, planner_exceptions = [], []
     for case in cases:
         if case.atoms:
             continue
@@ -350,13 +351,16 @@ def closed_form_reach(cases: list[Case]) -> dict:
             continue
         declared += 1
         batched += not fast["phases_event"]
+        if fast["phases_event"]:
+            unbatched.append((case, fast["refusals"]))
         for reason, count in fast["refusals"].items():
             refusals[reason] = refusals.get(reason, 0) + count
             if reason.startswith("planner exception"):
                 planner_exceptions.append((case, reason))
     return {
         "eligible": eligible, "declared": declared, "batched": batched,
-        "refusals": refusals, "planner_exceptions": planner_exceptions,
+        "refusals": refusals, "unbatched": unbatched,
+        "planner_exceptions": planner_exceptions,
     }
 
 
@@ -496,6 +500,13 @@ def main() -> int:
     )
     for reason, count in sorted(reach["refusals"].items()):
         print(f"  refused {count:7d} declared phases: {reason}")
+    print("cases not batched:")
+    for case, refused in reach["unbatched"]:
+        reasons = ", ".join(f"{reason} x{count}" for reason, count in sorted(refused.items()))
+        print(
+            f"  {case.algorithm} n={case.n} p={case.p} {case.port} {case.routing} "
+            f"(t_s, t_w, t_c)={(case.t_s, case.t_w, case.t_c)}: {reasons}"
+        )
     for case, reason in reach["planner_exceptions"]:
         print(f"{reason}\n  reproduce: {reproducer(case)}")
     return 1 if reach["planner_exceptions"] else 0

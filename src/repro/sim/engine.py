@@ -63,7 +63,6 @@ from repro.sim.ops import (
 )
 from repro.sim.ports import ContentionTracker
 from repro.sim.superstep import (
-    EXCHANGE_KINDS,
     superstep_ineligibility_reason,
     try_advance_collective,
     try_advance_superstep,
@@ -253,6 +252,8 @@ class Engine:
         # or before it folds into the closed form's seeds.
         self._parked: dict[Task, tuple[Any, float]] = {}
         self._hazards: dict = {}
+        #: a parked lift was released: later lifts run on the event path
+        self._lifts_released = False
         self._one_port = config.port_model.name == "ONE_PORT"
         #: why no phase of this run may park (None: phases park)
         self._ineligible = superstep_ineligibility_reason(self)
@@ -497,6 +498,8 @@ class Engine:
         for task, (op, at) in parked.items():
             if op.__class__ is not ShiftPhaseOp:
                 collectives.append((task, at))
+                if op.lift is not None and not op.lift.ran:
+                    self._lifts_released = True
             elif op.align is None:
                 self._schedule(at, _SHIFT_MULTIPLY, (task, op))
             else:  # issued now, at the park time (the hazards held)
@@ -699,25 +702,36 @@ class Engine:
                 if cls is CollectivePhaseOp:
                     refused = self._ineligible
                     specs = op.specs
-                    if refused is None:
-                        if task.__class__ is tuple:
-                            # (its fused parent already declared the pair)
-                            refused = "ctx.parallel sub-task"
-                        elif (
-                            self._one_port
-                            and len(specs) > 1
-                            and not (
-                                specs[0].kind in EXCHANGE_KINDS
-                                and specs[1].kind in EXCHANGE_KINDS
-                            )
+                    if refused is None and task.__class__ is tuple:
+                        # (its fused parent already declared the pair)
+                        refused = "ctx.parallel sub-task"
+                    lift = op.lift
+                    if lift is not None and not lift.ran:
+                        if (
+                            refused is not None
+                            or self._cut_through
+                            or self._lifts_released
                         ):
-                            # A fused pair shares its node's one port.
-                            # Two dimension exchanges park and are planned
-                            # through one port column; a rooted pair (3DD,
-                            # DNS) runs while multi-hop lifts still cross
-                            # its ports, so parking would only be released
-                            # again.
-                            refused = "one-port rooted pair"
+                            # The program runs its lift (lift_loop) and
+                            # declares the pair again, the lift done: that
+                            # is the phase.  No hop table plans cut-through
+                            # hops (one port: the second declaration is
+                            # refused under this name); once a parked lift
+                            # was released, ranks of its phase run on the
+                            # event path, and a late one parked now could
+                            # be released into their past.
+                            if refused is None and self._cut_through and not self._one_port:
+                                self._refusals["lifted pair: cut-through routing"] += 1
+                            value = FALLBACK
+                            continue
+                    elif lift is not None and refused is None and self._one_port:
+                        # A pair whose lift ran on the event path: the
+                        # lift's forwarders may still hold its ports.
+                        refused = (
+                            "lifted pair: cut-through routing"
+                            if self._cut_through
+                            else "lifted pair: lift run by events"
+                        )
                     if refused is not None:
                         self._coll_event += 1
                         self._refusals[refused] += 1
@@ -767,6 +781,10 @@ class Engine:
                             hazards[(node, node ^ (1 << dim))] = thr
                     if self._one_port:
                         hazards[rank] = thr
+                    for dst, _data, _tag in () if lift is None else lift.sends:
+                        # the lift's hops: from the park time on, anywhere
+                        for hop in () if dst == rank else self.routes.healthy(rank, dst):
+                            hazards[hop[0] if self._one_port else hop] = thr
                     return
 
                 if cls is BarrierOp:

@@ -21,6 +21,7 @@ __all__ = [
     "ParallelOp",
     "ShiftPhaseOp",
     "CollectiveSpec",
+    "Lift",
     "CollectivePhaseOp",
     "TIMED_OUT",
     "FALLBACK",
@@ -278,6 +279,28 @@ class CollectiveSpec:
     op: Any = None
 
 
+@dataclass(frozen=True)
+class Lift:
+    """A fused pair's phase 1: the blocking point-to-point moves a rank makes
+    before the pair starts (3DD's and DNS's lifts off the input plane).
+
+    ``sends`` lists ``(dst, data, tag)`` in program order and ``recvs``
+    ``(src, tag, slot)``: each received block becomes the payload of the
+    pair's collective in ``slot``.  ``phase`` names the phase the pair
+    runs in, marked when the lift is done.  ``ran``: the lift has run on
+    the event path (the pair's second declaration).  Semantically::
+
+        for dst, data, tag in sends: send(dst, data, tag)
+        for src, tag, slot in recvs: payload[slot] = recv(src, tag)
+        phase(phase)
+    """
+
+    sends: tuple = ()
+    recvs: tuple = ()
+    phase: str | None = None
+    ran: bool = False
+
+
 @dataclass
 class CollectivePhaseOp:
     """Declare a dimension-exchange collective phase (or a fused pair).
@@ -287,14 +310,16 @@ class CollectivePhaseOp:
     "two collectives in parallel" phases (``specs`` then holds two entries,
     one per sub-collective, in ``ctx.parallel`` slot order), and by
     ``ProcessContext.neighbor_exchange`` for one round of single-hop
-    exchanges.  The engine
-    answers either with the collective's return value(s) — the phase is
-    done and the rank's clock already advanced, bit-identically to the
-    event path — or with :data:`FALLBACK`, in which case the
-    caller runs the ordinary schedule through the event path.
+    exchanges.  A fused pair may carry its :class:`Lift`, which then runs
+    first.  The engine answers either with the collective's return value(s)
+    — the phase is done and the rank's clock already advanced,
+    bit-identically to the event path — or with :data:`FALLBACK`, in which
+    case the caller runs the lift (if any) and the ordinary schedule
+    through the event path.
     """
 
     specs: tuple
+    lift: Lift | None = None
 
 
 @dataclass

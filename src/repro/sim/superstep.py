@@ -11,9 +11,11 @@ phase, this module advances all remaining rounds of every rank at once —
 — a foreign hop about to reserve a parked rank's channel or port, see the
 hazard map in ``Engine._start_hop`` — the engine runs the parked ranks'
 next round itself through the ordinary hop events
-(``Engine._shift_multiply``).  A phase declared with its alignment
-(Cannon's contended multi-hop skew) parks before it, and a *hop table*
-plans the skew and the rounds it overlaps (see "the hop table" below).
+(``Engine._shift_multiply``).  A phase declared with multi-hop moves
+first parks before them — Cannon's contended skew with its shift rounds,
+3DD's and DNS's lift with the broadcast pair it feeds — and one *hop
+table* replays those moves and what they overlap in the event path's
+order (see "the hop table" and "lifted pairs" below).
 
 One recurrence
 --------------
@@ -80,6 +82,7 @@ channel-key order all the same (``NetworkStats.total_channel_busy``).
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -88,7 +91,7 @@ import numpy as np
 
 from repro.sim.machine import PortModel
 from repro.sim.message import copy_payload, payload_words
-from repro.sim.ops import ShiftPhaseOp
+from repro.sim.ops import CollectivePhaseOp, ShiftPhaseOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -182,10 +185,12 @@ def _seed(engine: "Engine", keys: list, uses: np.ndarray, nodes) -> dict:
     return plan
 
 
-def _hold(plan, ready, src, chan, w) -> np.ndarray:
-    """The recurrence's reservations: node column ``src[i]`` sends ``w``
-    words (an int or one per send) over channel column ``chan[i]``, ready at
-    ``ready[i]``; returns the ends.  No channel or port twice in one call."""
+def _fold_row(plan, Tn, ready, src, dst, chan, w, distinct=True) -> None:
+    """Fold one row of sends through the recurrence (module docstring):
+    node column ``src[i]`` sends ``w`` words (an int or one per send) over
+    channel column ``chan[i]`` to ``dst[i]``, ready at ``ready[i]``, and the
+    clocks ``Tn`` take each send's end at both of its nodes.  No channel or
+    port twice in one row (``distinct``: no node receives twice either)."""
     t_s, t_w = plan["hop"]
     chan_free, ports = plan["chan_free"], plan["ports"]
     s = np.maximum(ready, chan_free[chan])
@@ -199,14 +204,6 @@ def _hold(plan, ready, src, chan, w) -> np.ndarray:
         ports["free"][src] = e
         ports["busy"][src] += dur
         ports["sends"][src] += 1
-    return e
-
-
-def _fold_row(plan, Tn, ready, src, dst, chan, w, distinct=True) -> None:
-    """Fold one row of sends through the recurrence (module docstring):
-    :func:`_hold`, then the clocks ``Tn`` take each send's end at both of
-    its nodes, ``dst[i]`` (``distinct``: none receives twice in the row)."""
-    e = _hold(plan, ready, src, chan, w)
     msgs_out, words_out, msgs_in, words_in = plan["stats"]
     Tn[src] = np.maximum(Tn[src], e)
     msgs_out[src] += 1
@@ -403,25 +400,190 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
 
 # -- the hop table ------------------------------------------------------------
 #
-# A phase parked before its alignment (Cannon's skew) is a permutation of
-# multi-hop messages whose hops contend for channels (and, one-port, their
-# forwarding nodes' ports) in the event path's (time, seq) order.  Sequence
-# numbers grow in scheduling order, so an event's key is (time, processing
-# index of the event that scheduled it, order within that event).  The
-# table takes one time level at a time, in waves — the level's events by
-# key, then those they schedule at the same time — and reserves each wave's
-# ready hops in key order, in disjoint-resource batches, through :func:`_hold`
-# (nothing a hop schedules is ready in its own level).  The parks come
-# first, in park order (their resumes were scheduled first): each issues
-# send A, receive A, send B, receive B; a hop's end completes the send's
-# handle (hop 0), then delivers or readies the next hop; whichever event
-# completes a rank's last handle schedules its multiply, its exchange
-# ``t_c·flops`` later.  Once the last alignment hop is reserved, every later
+# A phase whose first moves are multi-hop — Cannon's skew parked before its
+# shift rounds, a lift parked before the broadcast pair it feeds — contends
+# for channels (and, one-port, the forwarding nodes' ports) in the event
+# path's (time, seq) order.  Sequence numbers grow in scheduling order, so
+# the table keeps one FIFO list per time, appends each event it schedules to
+# its time's list (the time being processed included) and processes the
+# earliest list front to back: that *is* (time, seq) order, and every hop is
+# reserved, through the recurrence's ``max``, where the event path reserves
+# it.  The parks come first, in park order (their resumes were scheduled
+# first).
+#
+# A task runs a *script*, ops issued inline until it blocks, as the generator
+# it stands for yields them: ``_SEND`` injects a message (hop 0 ready at
+# once; a self-send is delivered on the spot), ``_RECV`` takes a queued
+# message or posts the receive, ``_WAIT`` blocks until every handle is done,
+# ``_ELAPSE`` computes, ``_FORK`` starts ``ctx.parallel``'s sub-tasks and
+# ``_END`` finishes (the last sub-task to finish resumes its parent).  A
+# hop's end completes its send's handle (hop 0), then readies the next hop
+# or delivers.  A task whose last handle completes resumes at that event's
+# time (every completion it waited on is at or before it: ``_notify``'s
+# time).  Receives match by key, and a phase refuses unless ``(source,
+# destination, tag)`` names one message: FIFO matching then pairs them alike.
+# Cannon's shift rounds loop (``_LOOP``): ``_RSEND`` / ``_RRECV`` name the
+# round by the multiplies the rank has done, and the table stops at the end
+# of the time that reserved the last alignment hop — every later
 # reservation is a rank's own single-hop round send, which :func:`_advance`
-# folds exactly from any frontier: the table hands it one, and its plan
-# (values never move times: the blocks come from the aligned level frontier).
+# folds exactly from any frontier.
 
-_INJECT, _READY, _DONE, _CONT, _EXCH = range(5)
+_RESUME, _READY, _DONE = range(3)
+_SEND, _RECV, _WAIT, _ELAPSE, _FORK, _END, _LOOP, _RSEND, _RRECV = range(9)
+
+
+def _messages(route: list, last: list, dur: list, key: list, sender: list) -> dict:
+    """A message table, one column per field: per message its route
+    (``(channel column, sending node)`` per hop), its last hop's index (-1:
+    a self-send), hop cost, match key and sending task; the table fills in
+    the ends of its first and last hops and its issue time."""
+    m = [0.0] * len(route)
+    return {"route": route, "last": last, "dur": dur, "key": key,
+            "sender": sender, "end0": m, "arrive": list(m), "issue": list(m)}
+
+
+def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
+            kids: list, stop: tuple = (0, -1), rounds=None) -> dict:
+    """Run the table over ``plan`` (its channel and port columns, reserved
+    in place); returns ``{"forked", "finished"}``: task -> time, the
+    finished main tasks in finishing order.  ``parks``: ``(task, time)`` in
+    park order; ``stop``: ``(m, hops)``, the table stops at the end of the
+    time that reserves the last of the ``hops`` hops of messages ``0 .. m -
+    1`` (``(0, -1)``: it runs to the end); ``rounds``: Cannon's ``(steps,
+    ((column, from, cost) per rank) for A then B)``."""
+    route, dur, key, sender, last = (msgs[k] for k in ("route", "dur", "key", "sender", "last"))
+    end0, arrive, issue = msgs["end0"], msgs["arrive"], msgs["issue"]
+    chan_free, chan_busy = plan["chan_free"].tolist(), plan["chan_busy"].tolist()
+    uses = [0] * len(chan_free)
+    ports = plan["ports"]
+    if ports is not None:
+        port_free, port_busy = ports["free"].tolist(), ports["busy"].tolist()
+        port_sends = [0] * len(port_free)
+    n_tasks, n_msgs = len(scripts), len(route)
+    pc, handles, blocked, done = [0] * n_tasks, [0] * n_tasks, [False] * n_tasks, [0] * n_tasks
+    steps, per_rank = rounds if rounds is not None else (0, None)
+    stop, todo = stop
+    forked, finished, box, posted = {}, {}, {}, {}
+    pending: defaultdict = defaultdict(list)
+    for task, at in parks:
+        pending[at] += ((_RESUME, task, 0),)
+    while pending and todo:
+        t = min(pending)
+        level = pending.pop(t)
+        for kind, a, h in level:
+            if kind == _READY:
+                c, u = route[a][h]
+                s, d = t, dur[a]
+                if chan_free[c] > s:
+                    s = chan_free[c]
+                if ports is not None and port_free[u] > s:
+                    s = port_free[u]
+                e = s + d
+                chan_free[c] = e
+                chan_busy[c] += d
+                uses[c] += 1
+                if ports is not None:
+                    port_free[u] = e
+                    port_busy[u] += d
+                    port_sends[u] += 1
+                if h == 0:
+                    end0[a] = e
+                arrive[a] = e
+                if a < stop:
+                    todo -= 1
+                if e == t:
+                    level += ((_DONE, a, h),)
+                else:
+                    pending[e] += ((_DONE, a, h),)
+                continue
+            if kind == _DONE:
+                if h == 0:  # the send's handle
+                    task = sender[a]
+                    handles[task] -= 1
+                    if blocked[task] and not handles[task]:
+                        blocked[task] = False
+                        level += ((_RESUME, task, 0),)
+                if h < last[a]:
+                    level += ((_READY, a, h + 1),)
+                    continue
+                k = key[a]  # delivered: to a posted receive, or queued
+                if k in posted:
+                    task = posted[k]
+                    del posted[k]
+                    handles[task] -= 1
+                    if blocked[task] and not handles[task]:
+                        blocked[task] = False
+                        level += ((_RESUME, task, 0),)
+                else:
+                    box[k] = t
+                continue
+            task, script, j = a, scripts[a], pc[a]
+            while True:
+                op, arg = script[j]
+                j += 1
+                if op == _SEND or op == _RSEND:
+                    if op == _RSEND:  # a round block: a new single-hop message
+                        col, _frm, cost = per_rank[arg][task]
+                        route += (((col, task),),)
+                        dur += (cost,)
+                        key += ((task, done[task], arg),)
+                        sender += (task,)
+                        last += (0,)
+                        end0 += (t,)
+                        arrive += (t,)
+                        issue += (t,)
+                        arg = n_msgs
+                        n_msgs += 1
+                    issue[arg] = t
+                    if last[arg] >= 0:
+                        handles[task] += 1
+                        level += ((_READY, arg, 0),)
+                        continue
+                    # a self-send: queued now (a script receives its own
+                    # messages after sending them, so none is posted yet)
+                    end0[arg] = arrive[arg] = box[key[arg]] = t
+                elif op == _RECV or op == _RRECV:
+                    k = arg if op == _RECV else (per_rank[arg][task][1], done[task], arg)
+                    if k in box:
+                        del box[k]
+                    else:
+                        posted[k] = task
+                        handles[task] += 1
+                elif op == _WAIT:
+                    if handles[task]:
+                        blocked[task] = True
+                        break
+                elif op == _ELAPSE:
+                    if arg > 0:
+                        pending[t + arg] += ((_RESUME, task, 0),)
+                        break
+                elif op == _LOOP:  # a multiply done: the next round, or the end
+                    done[task] += 1
+                    if done[task] == steps:
+                        break
+                    j = arg
+                elif op == _FORK:
+                    forked[task] = t
+                    for child in arg:
+                        level += ((_RESUME, child, 0),)
+                    break
+                else:  # _END
+                    up = parent[task]
+                    if up < 0:
+                        finished[task] = t
+                    else:
+                        kids[up] -= 1
+                        if not kids[up]:
+                            level += ((_RESUME, up, 0),)
+                    break
+            pc[task] = j
+    plan["chan_free"] = np.array(chan_free)
+    plan["chan_busy"] = np.array(chan_busy)
+    plan["uses"] = plan["uses"] + np.array(uses, dtype=np.int64)
+    if ports is not None:
+        ports["free"], ports["busy"] = np.array(port_free), np.array(port_busy)
+        ports["sends"] = ports["sends"] + port_sends
+    return {"forked": forked, "finished": finished}
 
 
 def _hop_table(engine: "Engine", parked: dict) -> tuple:
@@ -444,133 +606,54 @@ def _hop_table(engine: "Engine", parked: dict) -> tuple:
     ):
         raise _Refuse("aligned shift: shifts are not matched permutations on two tags")
     m_a, m_b = first.a_block.size, first.b_block.size
-    if engine._t_s + engine._t_w * min(m_a, m_b) <= 0:
+    t_s, t_w = engine._t_s, engine._t_w
+    if t_s + t_w * min(m_a, m_b) <= 0:
         raise _Refuse("aligned shift: zero-length hop")
     d_c = engine.config.params.flops_time(2.0 * a_shape[0] * a_shape[1] * b_shape[1])
 
-    # The rows: message 2r is rank r's alignment A, 2r + 1 its B, 2n + 2r
-    # and 2n + 2r + 1 its round sends; a route lists a message's hops as
-    # (channel column, sending node).  Channel columns: the ranks' round A
-    # channels, their round B channels, then the alignment routes' others.
-    src = [m >> 1 for m in range(2 * n)] * 2
-    dst = [x for a, _, b, _ in align for x in (a, b)]
+    # Message 2r is rank r's alignment A, 2r + 1 its B (keyed by id); round
+    # blocks are added as they are sent.  Channel columns: the ranks' round
+    # A channels, their round B channels, then the alignment routes' others.
+    cost = (t_s + t_w * m_a, t_s + t_w * m_b)
     rounds = [(r, op.a_to) for r, op in enumerate(ops)]
     rounds += [(r, op.b_to) for r, op in enumerate(ops)]
     col = {key: c for c, key in enumerate(rounds if steps > 1 else ())}
-    route: list = []
-    for m, to in enumerate(dst):
-        hops: list = []
-        for key in () if to == m >> 1 else engine.routes.healthy(m >> 1, to):
-            if key not in col:
-                col[key] = len(col)
-            hops += ((col[key], key[0]),)
+    route, last, todo = [], [], 0
+    for m in range(2 * n):
+        hops, r, to = (), m >> 1, align[m >> 1][2 * (m & 1)]
+        for hop in () if to == r else engine.routes.healthy(r, to):
+            if hop not in col:
+                col[hop] = len(col)
+            hops += ((col[hop], hop[0]),)
+            todo += 1
         route += (hops,)
-    keys = list(col)
-    todo = sum(map(len, route))  # alignment hops still to reserve
-    route += [[(r + n * k, r)] for r in ranks for k in (0, 1)]
-    last = [len(hops) - 1 for hops in route]
-    dst += [to for op in ops for to in (op.a_to, op.b_to)]
-    words = [m_a, m_b] * (2 * n)
-    # an alignment message's hop-0 end and arrival (a self-send's: its park
-    # time), whether it came before its receive was posted, or is awaited
-    end0 = [at[r] for r in src[:2 * n]]
-    arrive, delivered, posted = list(end0), [not h for h in route[:2 * n]], [False] * 2 * n
-    plan = _seed(engine, keys, np.zeros(len(keys), dtype=np.int64), range(n))
-    one_port = plan["ports"] is not None
-    # per rank: handles to go, multiplies to go, rounds reserved and the
-    # last one's issue time and A, B ends
-    wait, left, sent, issue = [0] * n, [0] * n, [0] * n, [0.0] * n
-    end = ([0.0] * n, [0.0] * n)
-    got, asked = ([0] * n, [0] * n), ([0] * n, [0] * n)  # round blocks, receives
-    inbound = ([[] for _ in ranks], [[] for _ in ranks])  # reserved round arrivals
-    pending: defaultdict = defaultdict(list)  # time -> events
-    for k, task in enumerate(parked):  # the parks, before anything scheduled
-        pending[at[task]] += ((k - n, 0, _INJECT, task, 0),)
-    proc = 0  # the next event's processing index
-    while todo:
-        wave = pending.pop(t := min(pending))
-        while wave and todo:
-            wave.sort()
-            # the next wave (scheduled at t); (processing index, message, hop)
-            nxt, ready = [], []
-            for p, (_pk, sub, kind, a, h) in enumerate(wave, proc):
-                if kind == _READY:
-                    ready += ((p, a, h),)
-                    continue
-                if kind == _DONE:
-                    if h == 0:  # the send's handle
-                        r = src[a]
-                        wait[r] -= 1
-                        if not wait[r]:
-                            nxt += ((p, 0, _CONT, r, 0),)
-                    if h < last[a]:
-                        nxt += ((p, 1, _READY, a, h + 1),)
-                        continue
-                    r, k = dst[a], a & 1  # delivered: to a receive, or queued
-                    if a < 2 * n:
-                        match, delivered[a] = posted[a], True
-                    else:
-                        got[k][r] += 1
-                        match = got[k][r] <= asked[k][r]
-                    if match:
-                        wait[r] -= 1
-                        if not wait[r]:
-                            nxt += ((p, 1, _CONT, r, 0),)
-                    continue
-                if kind == _INJECT:  # send A, receive A, send B, receive B
-                    for m in (2 * a, 2 * a + 1):
-                        if route[m]:
-                            nxt += ((p, m & 1, _READY, m, 0),)
-                            wait[a] += 1
-                        frm = 2 * align[a][1 + 2 * (m & 1)] + (m & 1)
-                        if not delivered[frm]:
-                            posted[frm] = True
-                            wait[a] += 1
-                    if wait[a]:
-                        continue
-                    sub = 2  # only self-sends: the program goes on
-                if kind != _EXCH:  # a continuation: multiply, then exchange
-                    left[a] = left[a] - 1 if left[a] else steps
-                    if d_c > 0:
-                        pending[t + d_c] += ((p, sub, _EXCH, a, 0),)
-                        continue
-                if left[a] > 1:
-                    m = 2 * n + 2 * a
-                    nxt += ((p, sub, _READY, m, 0), (p, sub + 1, _READY, m + 1, 0))
-                    for k in (0, 1):
-                        asked[k][a] += 1
-                        wait[a] += 1 + (got[k][a] < asked[k][a])
-            proc += len(wave)
-            if ready:  # batches of disjoint channels and ports, in key order
-                batch, by_chan, by_port = [0] * len(ready), {}, {}
-                for i, (_p, m, h) in enumerate(ready):
-                    c, u = route[m][h]
-                    b = by_chan[c] + 1 if c in by_chan else 0
-                    if one_port and u in by_port and by_port[u] >= b:
-                        b = by_port[u] + 1
-                    by_chan[c] = by_port[u] = batch[i] = b
-                cols = np.array([route[m][h] for _p, m, h in ready], dtype=np.intp)
-                w = np.array([words[m] for _p, m, _h in ready], dtype=np.int64)
-                order, ends, lo = np.argsort(batch, kind="stable"), np.empty(len(ready)), 0
-                for hi in np.cumsum(np.bincount(batch)).tolist():
-                    sel = order[lo:hi]
-                    ends[sel] = _hold(plan, t, cols[sel, 1], cols[sel, 0], w[sel])
-                    plan["uses"][cols[sel, 0]] += 1
-                    lo = hi
-                for (p, m, h), e in zip(ready, ends.tolist()):
-                    pending[e] += ((p, 0, _DONE, m, h),)
-                    if m < 2 * n:
-                        todo -= 1
-                        end0[m] = e if h == 0 else end0[m]
-                        arrive[m] = e if h == last[m] else arrive[m]
-                        continue
-                    r = src[m]
-                    inbound[m & 1][dst[m]] += (e,)
-                    end[m & 1][r] = e
-                    if not m & 1:
-                        sent[r], issue[r] = sent[r] + 1, t
-            wave = nxt
+        last += (len(hops) - 1,)
+    msgs = _messages(route, last, [cost[0], cost[1]] * n, list(range(2 * n)),
+                     [m >> 1 for m in range(2 * n)])
+    wait = (_WAIT, 0)
+    body = [(_RSEND, 0), (_RRECV, 0), (_RSEND, 1), (_RRECV, 1), wait, (_ELAPSE, d_c), (_LOOP, 7)]
+    scripts = [
+        [(_SEND, 2 * r), (_RECV, 2 * a), (_SEND, 2 * r + 1), (_RECV, 2 * b + 1), wait,
+         (_ELAPSE, d_c), (_LOOP, 7)] + body
+        for r, (_, a, _, b) in enumerate(align)
+    ]
+    froms = ([op.a_from for op in ops], [op.b_from for op in ops])
+    per_rank = tuple([(ab * n + r, froms[ab][r], cost[ab]) for r in ranks] for ab in (0, 1))
+    plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
+    _replay(plan, msgs, scripts, [(task, at[task]) for task in parked], [-1] * n,
+            [0] * n, stop=(2 * n, todo), rounds=(steps, per_rank))
 
+    # per rank: rounds sent, the last one's issue time and A, B ends, and
+    # the round blocks reserved to it, oldest first
+    end0, arrive = msgs["end0"], msgs["arrive"]
+    sent, issue, end = [0] * n, [0.0] * n, ([0.0] * n, [0.0] * n)
+    inbound = ([[] for _ in ranks], [[] for _ in ranks])
+    to = ([op.a_to for op in ops], [op.b_to for op in ops])
+    for m in range(2 * n, len(msgs["key"])):
+        r, k, ab = msgs["key"][m]
+        inbound[ab][to[ab][r]] += (arrive[m],)
+        sent[r], issue[r] = k, msgs["issue"][m]
+        end[ab][r] = arrive[m]
     # Every message counted at both ends, the queued ones too ...
     sends = 1 + np.array(sent)
     got_a, got_b = (np.array([len(q) for q in box]) for box in inbound)
@@ -824,6 +907,9 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
 #
 # Fused pairs on a one-port machine.  ``parallel_pair`` runs two collectives
 # as sub-tasks of one node, so both schedules' sends share that node's port.
+# (A pair that declares a lift is the hop table's: "lifted pairs" below;
+# its second declaration, once the lift ran on the event path, is refused on
+# one port, since the lift's forwarders may still hold the pair's ports.)
 # The plan folds the rounds in the order a₀ b₀ a₁ b₁ … (then the longer
 # schedule's tail), the two sub-tasks keeping separate clocks, and *checks*
 # that along this order each rank's ready times (the ``T`` its send is
@@ -858,8 +944,7 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
 # releases every parked rank with ``FALLBACK``.  Planning mutates
 # nothing: the tracker and stats are written once the whole phase planned.
 
-#: dimension-exchange kinds: every rank sends in every round.  A fused pair
-#: of these also parks on a one-port machine (``Engine._step``).
+#: dimension-exchange kinds: every rank sends in every round
 EXCHANGE_KINDS = frozenset({"allgather", "alltoall", "reduce_scatter"})
 _ROOTED_KINDS = frozenset({"broadcast", "reduce"})
 _NEIGHBOR = "neighbor_exchange"
@@ -890,7 +975,7 @@ class _CollGroup:
     __slots__ = (
         "kind", "nodes", "free_dims", "root", "op", "n", "d", "sub",
         "cr_of_sub", "partners", "everyone", "node_ids", "sub_key", "dim_ids",
-        "at", "payloads", "filled", "slot", "steps", "values",
+        "at", "payloads", "filled", "slot", "steps", "values", "tag",
     )
 
     def __init__(self, kind, nodes, free_dims, root, op, slot, tables):
@@ -914,6 +999,7 @@ class _CollGroup:
         self.slot = slot
         self.steps = None
         self.values = None
+        self.tag = None
 
 
 def _collective_groups(engine: "Engine", parked: dict) -> list:
@@ -927,6 +1013,8 @@ def _collective_groups(engine: "Engine", parked: dict) -> list:
     groups: dict[tuple, _CollGroup] = {}
     for task, (op, at) in parked.items():
         specs = op.specs
+        if op.lift is not None:
+            raise _Refuse("lifted pair beside another phase")
         fused = len(specs) - 1  # 0: one collective, 1: a fused pair
         if fused not in (0, 1):
             raise _Refuse("malformed phase")
@@ -1003,7 +1091,9 @@ def _new_group(engine: "Engine", spec, slot: int, sched: str) -> _CollGroup:
     tables = _tables(engine, shape, lambda: _subcube_tables(*shape))
     if tables is None:
         raise _Refuse("malformed phase")
-    return _CollGroup(kind, *shape, spec.root, spec.op, slot, tables)
+    g = _CollGroup(kind, *shape, spec.root, spec.op, slot, tables)
+    g.tag = spec.tag
+    return g
 
 
 # -- trees --------------------------------------------------------------------
@@ -1455,9 +1545,153 @@ def _reserve_rounds(plan: dict, distinct: bool) -> None:
             clocks[slot] = Tn
 
 
+# -- lifted pairs -------------------------------------------------------------
+#
+# 3DD's and DNS's phase 1 moves blocks several hops (a *lift*) to the roots
+# of the broadcast pair that follows.  A pair that declares its lift
+# (``parallel_pair(..., lift=...)``) parks before it, and the hop table
+# replays each rank's lift: its blocking sends in program order, then its
+# receives, whose blocks become the payloads of the slots they name.  On a
+# multi-port machine whose lift channels are none of the pair's, nothing
+# the lift reserves is the pair's, so the pair folds through
+# :func:`_reserve_rounds` from the frontier the lift leaves, each rank
+# starting when its lift is done (a staggered park).  Otherwise — one port:
+# the lift's forwarders still hold ports while the broadcasts start — the
+# table replays the pair too, to its end: ``ctx.parallel``'s two sub-tasks
+# running the schedules round by round, a one-port tree's blocking send or
+# receive, a multi-port round's sends and receives in tree order and one
+# ``waitall``.
+
+
+def _lift_table(engine: "Engine", parked: dict) -> tuple:
+    """Plan parked lifts and the broadcast pairs they feed (reads only);
+    returns ``(outcome, plans)`` as :func:`_plan_phase`, or refuses."""
+    if not _all_parked_and_quiet(engine, parked):
+        raise _Refuse("ranks outside the phase, or traffic in flight")
+    n = engine.config.num_nodes
+    chunked = engine.config.port_model is not PortModel.ONE_PORT
+    t_s, t_w = engine._t_s, engine._t_w
+    copy = engine.config.copy_on_send
+    route, last, dur, key, sender, col = [], [], [], [], [], {}
+    ends, nm, received = [], 0, 0  # ends: per message (source, destination, words, tag)
+    scripts: list = [None] * (3 * n)  # the ranks, then their sub-tasks (below)
+    lifted: dict = {}  # (source, destination, tag) -> the block it carries
+    fed, marks = {}, []
+    for task, (op, _at) in parked.items():  # the lift's messages first ...
+        if op.lift is None:
+            raise _Refuse("lifted pair beside another phase")
+        script = scripts[task] = []
+        for dst, data, tag in op.lift.sends:
+            hops, h = (), -1
+            for hop in () if dst == task else engine.routes.healthy(task, dst):
+                if hop not in col:
+                    col[hop] = len(col)
+                hops += ((col[hop], hop[0]),)
+                h += 1
+            w = payload_words(data)
+            script += ((_SEND, nm), (_WAIT, 0))
+            nm += 1
+            route += (hops,)
+            last += (h,)
+            dur += (t_s + t_w * w,)
+            key += ((task, dst, tag),)
+            sender += (task,)
+            ends += ((task, dst, w, tag),)
+            lifted[(task, dst, tag)] = data if not copy else (
+                data.copy() if data.__class__ is np.ndarray else copy_payload(data))
+    for task, (op, at) in parked.items():  # ... then who receives them
+        specs = list(op.specs)
+        for src, tag, slot in op.lift.recvs:
+            if (src, task, tag) not in lifted:
+                raise _Refuse("lifted pair: a lift receive no lift send matches")
+            scripts[task] += ((_RECV, (src, task, tag)), (_WAIT, 0))
+            received += 1
+            specs[slot] = replace(specs[slot], payload=lifted[(src, task, tag)])
+        fed[task] = (CollectivePhaseOp(tuple(specs)), at)
+        if op.lift.phase is not None:
+            marks += ((task, op.lift.phase),)
+    if not len(lifted) == received == nm:
+        raise _Refuse("lifted pair: a lift send no receive matches, or a repeated one")
+    groups = _collective_groups(engine, fed)
+    if {g.kind for g in groups} != {"broadcast"} or groups[-1].slot != 1:
+        raise _Refuse("lifted pair: not a broadcast pair")
+    _broadcast_steps(engine, groups, chunked)
+    parks = [(task, at) for task, (_op, at) in parked.items()]
+    dims = {task: op.specs[0].free_dims + op.specs[1].free_dims for task, (op, _) in parked.items()}
+    apart = chunked and not any((u ^ v).bit_length() - 1 in dims[u] for u, v in col if u in dims)
+    if apart:  # the lift alone, then the pair from the frontier it leaves
+        for task, _at in parks:
+            scripts[task] += ((_END, 0),)
+        plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
+        state = _replay(plan, _messages(route, last, dur, key, sender), scripts[:n],
+                        parks, [-1] * n, [0] * n)
+        at = np.zeros(n)
+        at[list(state["finished"])] = list(state["finished"].values())
+        outcome, plans = _fold_groups(engine, groups, at)
+    else:  # the lift and the pair: sub-task n + 2r + slot runs rank r's slot
+        for task, _at in parks:
+            scripts[task] += ((_FORK, (n + 2 * task, n + 2 * task + 1)), (_END, 0))
+        for child in range(n, 3 * n):
+            scripts[child] = []
+        nc = len(col)
+        for g in groups:
+            ids, partners, first = g.node_ids.tolist(), g.partners.tolist(), n + g.slot
+            for t, row in enumerate(g.steps):
+                touched = {}
+                for j, (senders, k, w) in enumerate(row):
+                    # (collectives.api.subtag: a tree's tag on multi-port, a round's on one)
+                    tag = (g.tag << 6) | (j if chunked else t)
+                    hop_cost = t_s + t_w * w
+                    for i in senders.tolist():
+                        src, dst = ids[i], ids[partners[k][i]]
+                        if (src, dst) not in col:
+                            col[(src, dst)] = nc
+                            nc += 1
+                        a, b = first + 2 * src, first + 2 * dst
+                        scripts[a] += ((_SEND, nm),)
+                        nm += 1
+                        scripts[b] += ((_RECV, (src, dst, tag)),)
+                        route += (((col[(src, dst)], src),),)
+                        last += (0,)
+                        dur += (hop_cost,)
+                        key += ((src, dst, tag),)
+                        sender += (a,)
+                        ends += ((src, dst, w, tag),)
+                        touched[a] = touched[b] = True
+                for task in touched:
+                    scripts[task] += ((_WAIT, 0),)
+        for child in range(n, 3 * n):
+            scripts[child] += ((_END, 0),)
+        plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
+        parent = [-1] * n + [r for r in range(n) for _ in (0, 1)]
+        state = _replay(plan, _messages(route, last, dur, key, sender), scripts, parks,
+                        parent, [2] * n + [0] * (2 * n))
+        values: dict = {task: [None, None] for task in parked}
+        for g in groups:
+            for node, value in zip(g.nodes, g.values):
+                values[node][g.slot] = value
+        outcome = {task: (t, values[task]) for task, t in state["finished"].items()}
+        plans = []
+    if len(state["finished"]) != len(parked):
+        raise _Refuse("lifted pair: a rank never finished")
+    if len({(src, dst, tag) for src, dst, _w, tag in ends}) != len(ends):
+        raise _Refuse("lifted pair: a repeated (source, destination, tag)")
+    if ends:
+        src, dst, words = (np.array(c, dtype=np.int64) for c in list(zip(*ends))[:3])
+        plan["stats"] += [
+            np.bincount(src, minlength=n), np.bincount(src, words, n).astype(np.int64),
+            np.bincount(dst, minlength=n), np.bincount(dst, words, n).astype(np.int64),
+        ]
+    done = state["finished" if apart else "forked"]  # (when the pair starts)
+    plan["marks"] = [(task, phase, done[task]) for task, phase in marks]
+    return outcome, [plan] + plans
+
+
 def _plan_phase(engine: "Engine", parked: dict):
-    """Plan a fully-parked phase; returns ``(outcome, plan)`` with nothing
+    """Plan a fully-parked phase; returns ``(outcome, plans)`` with nothing
     written, or raises (:class:`_Refuse` for a named refusal)."""
+    if next(iter(parked.values()))[0].lift is not None:
+        return _lift_table(engine, parked)
     groups = _collective_groups(engine, parked)
     at = np.zeros(engine.config.num_nodes)
     kinds: dict = {}
@@ -1467,6 +1701,11 @@ def _plan_phase(engine: "Engine", parked: dict):
     chunked = engine.config.port_model is not PortModel.ONE_PORT
     for kind, of_kind in kinds.items():
         _STEP_TABLES[kind](engine, of_kind, chunked)
+    return _fold_groups(engine, groups, at)
+
+
+def _fold_groups(engine: "Engine", groups: list, at: np.ndarray):
+    """Fold stepped groups, entering at ``at``; returns ``(outcome, [plan])``."""
     plan = _reserve(engine, groups, at)
     _reserve_rounds(plan, distinct=groups[0].kind != _NEIGHBOR)
     # A fused pair resumes with [value_a, value_b] at the later finish,
@@ -1481,7 +1720,7 @@ def _plan_phase(engine: "Engine", parked: dict):
                 outcome[node][1].append(value)
             else:
                 outcome[node] = (finish[node], [value] if len(clocks) > 1 else value)
-    return outcome, plan
+    return outcome, [plan]
 
 
 def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
@@ -1496,7 +1735,7 @@ def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
     refusal leaves the engine exactly where the event path would start.
     """
     try:
-        outcome, plan = _plan_phase(engine, parked)
+        outcome, plans = _plan_phase(engine, parked)
     except _Refuse as refusal:
         engine._refusals[refusal.args[0]] += len(parked)
         return None
@@ -1506,6 +1745,9 @@ def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
         # correct": either way it is counted under the exception's name.
         engine._refusals[f"planner exception: {type(exc).__name__}"] += len(parked)
         return None
-    _commit(engine, plan)
+    for plan in plans:  # (a lift's and its pair's use disjoint channels)
+        _commit(engine, plan)
+        for task, phase, at in plan.get("marks", ()):
+            engine._phase_marks[task].append((phase, at))
     engine._coll_closed_form += len(outcome)
     return outcome

@@ -526,7 +526,11 @@ def test_pair_whose_port_order_cannot_be_proven_is_refused():
     assert fast.closed_form_refusals["ctx.parallel sub-task"] == 64
 
 
-def test_rooted_pair_on_one_port_is_refused_inline():
+def test_rooted_pair_on_one_port_parks_and_batches():
+    """A broadcast pair on one port is planned through one port column,
+    like an exchange pair (a lifted pair's second declaration, whose lift
+    may still be in flight, is refused instead: ``TestLiftedPairs``)."""
+
     def prog(ctx):
         comm_a, comm_b = _pair_comms(ctx, (0,), (1, 2))
         calls = []
@@ -539,7 +543,7 @@ def test_rooted_pair_on_one_port_is_refused_inline():
         values = yield from parallel_pair(ctx, *calls)
         return values, ctx.now
 
-    _assert_paths_agree(prog, 8, PortModel.ONE_PORT, refused="one-port rooted pair")
+    _assert_paths_agree(prog, 8, PortModel.ONE_PORT)
 
 
 def _refused_exchange(port_model, sends_recvs, refused, p=8, after=None):

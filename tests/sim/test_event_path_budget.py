@@ -214,7 +214,8 @@ def test_default_knob_cannon_leaves_the_event_path_at_the_first_quiet_point():
     """Cannon, n = 64 on p = 256, nothing forced: none of the 8192 messages
     is issued as an event.  The hop table plans the 512 of the contended
     skew and the round sends it overlaps, the closed form the rest from
-    there.  The ceiling is 43 084 calls plus ~5 % (100 138 while the skew
+    there.  The ceiling is 43 084 calls plus ~5 % (42 338 since the hop
+    table also plans lifts; 100 138 while the skew
     and the 470 messages of the shift rounds that hazard releases ran
     before the network first fell quiet were events; 109 219 while sequence
     numbers were ``itertools.count`` objects; 143 524 before a
@@ -262,11 +263,11 @@ def _default_run(key, p, **machine):
         # one round; only the conditional XOR alignment (192 messages) is
         # still evented: 65 486 calls (before: 205 227, all 2 880).
         (_default_run("hje", 64, port_model=PortModel.MULTI_PORT), 2880, 192, 68_800),
-        # One-port 3DD: its rooted pair is still refused inline and its
-        # lifts stay evented, so this run must cost no more than it did:
-        # 217 221 calls (before: 263 504; the difference is the cheaper
-        # first touch of links and routes, not a closed form).
-        (_default_run("3dd", 512), 1408, 960, 228_100),
+        # One-port 3DD: the multi-hop lift is declared with the broadcast
+        # pair it feeds, and the hop table plans both: 96 344 calls (parent:
+        # 212 635, the pair refused inline and 960 messages, the lift's
+        # and the pair's, issued as events).
+        (_default_run("3dd", 512), 1408, 0, 101_200),
         # Multi-port 3D All: the alltoall, the fused allgather pair and the
         # reduce-scatter fold and deliver their values as stacked arrays:
         # 196 786 calls (parent: 468 260, replaying every phase's values
@@ -275,12 +276,13 @@ def _default_run(key, p, **machine):
             _default_run("3d_all", 512, port_model=PortModel.MULTI_PORT),
             18432, 0, 206_600,
         ),
-        # Multi-port DNS: the broadcast pair and the reduce are closed forms;
-        # only phase 1's 128 multi-hop lifts are issued as events: 127 447
-        # calls (parent: 145 455).
+        # Multi-port DNS: the lift (replayed by the hop table), the broadcast
+        # pair (folded from the frontier the lift leaves) and the reduce are
+        # closed forms: 121 249 calls (parent: 127 314, phase 1's 128
+        # multi-hop lifts issued as events).
         (
             _default_run("dns", 512, port_model=PortModel.MULTI_PORT),
-            4160, 128, 133_800,
+            4160, 0, 127_400,
         ),
     ],
     ids=[

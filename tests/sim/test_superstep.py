@@ -23,7 +23,9 @@ from repro.algorithms import get_algorithm
 from repro.algorithms.common import cannon_kernel
 from repro.algorithms.torus_cannon import torus_machine_like
 from repro.blocks.partition import BlockPartition2D
+from repro.collectives.phase import Lift, allgather_call, broadcast_call, parallel_pair
 from repro.errors import AlgorithmError, LivelockError, SimulationError
+from repro.mpi import Comm
 from repro.sim import FaultPlan, MachineConfig, PortModel, run_spmd
 from repro.sim.engine import Engine
 from repro.sim.machine import RoutingMode
@@ -246,10 +248,11 @@ def _resources(engine):
 
 def _assert_same_machine(fast, slow, *, blocks=True):
     """``_assert_identical`` plus every channel and port, resource by
-    resource; ``blocks=False`` for timing-only runs, whose blocks are
-    placeholders on both paths."""
+    resource, and the phase marks; ``blocks=False`` for timing-only runs,
+    whose blocks are placeholders on both paths."""
     (fast_eng, fast), (slow_eng, slow) = fast, slow
     assert fast.total_time == slow.total_time
+    assert fast.phase_times == slow.phase_times
     assert fast.trace_digest() == slow.trace_digest()
     assert fast.stats == slow.stats
     assert fast.network == slow.network
@@ -646,18 +649,19 @@ class TestCollectivePhases:
         assert fast.result.stats == slow.result.stats
         assert np.array_equal(fast.C, slow.C)
 
-    def test_one_port_rooted_pairs_refuse_inline(self):
+    def test_one_port_lifted_pairs_park_and_batch(self):
         """On a one-port machine the two halves of a fused pair contend for
-        the same send port.  A pair of broadcasts (3DD) runs while the
-        phase-1 lifts still cross its ports, so it is refused inline — once
-        per rank, and its two sub-tasks declare their halves again."""
+        the same send port, and 3DD's phase-1 lift still crosses its ports
+        when the broadcasts start.  The pair declares its lift, every rank
+        parks before it, and the hop table plans both: the pair and the
+        reduce are closed forms on every rank, and no phase is evented."""
         fast, slow = self._runs("3dd", 8, 8, PortModel.ONE_PORT)
-        refusals = fast.result.closed_form_refusals
-        assert refusals == {
-            "one-port rooted pair": 8, "ctx.parallel sub-task": 16,
-        }
-        assert fast.result.collective_phases_event == 24
+        assert fast.result.closed_form_refusals == {}
+        assert fast.result.collective_phases_event == 0
+        assert fast.result.collective_phases_closed_form == 16
         assert fast.total_time == slow.total_time
+        assert fast.result.phase_times == slow.result.phase_times
+        assert fast.result.stats == slow.result.stats
         assert np.array_equal(fast.C, slow.C)
 
     @pytest.mark.parametrize("key", ["simple", "3d_all", "3d_all_rect"])
@@ -807,6 +811,29 @@ class TestReachAtScale:
         assert r.total_messages() == 524_288
         assert _rounds(r) == (0, 262_144)
 
+    def test_3dd_n128_one_port(self):
+        """The lift and the broadcast pair plan in one hop table (parent:
+        56 736 events, the pair refused inline and its 12 288 sub-task
+        phases evented)."""
+        r = self._run("3dd", 128, PortModel.ONE_PORT)
+        assert r.total_time == 4616.0
+        assert r.events_processed == 16_384
+        assert r.total_messages() == 11_776
+        assert r.collective_phases_closed_form == 8_192
+        assert r.collective_phases_event == 0
+        assert r.closed_form_refusals == {}
+
+    def test_dns_n128_one_port(self):
+        """As 3DD's, with two lift sends per z = 0 rank (parent: 58 274
+        events)."""
+        r = self._run("dns", 128, PortModel.ONE_PORT)
+        assert r.total_time == 6326.0
+        assert r.events_processed == 16_384
+        assert r.total_messages() == 12_032
+        assert r.collective_phases_closed_form == 8_192
+        assert r.collective_phases_event == 0
+        assert r.closed_form_refusals == {}
+
     def test_3d_all_n256_multi_port(self):
         r = self._run("3d_all", 256, PortModel.MULTI_PORT)
         assert r.total_time == 6352.0
@@ -817,10 +844,11 @@ class TestReachAtScale:
         assert r.closed_form_refusals == {}
 
 
-def _kernel_engines(key, p, port, routing, t_c, timing_only=False):
-    """Both paths of one ``cannon_kernel`` caller, keeping the engines, and
-    the product each assembles (``None`` timing-only)."""
-    n = {8: 16, 16: 16, 32: 16, 64: 16}.get(p, 2 * int(round(p ** 0.5)))
+def _kernel_engines(key, p, port, routing, t_c, timing_only=False, n=None, foreign=None):
+    """Both paths of one ``cannon_kernel`` caller (or any algorithm: ``n``
+    sets its size), keeping the engines, and the product each assembles
+    (``None`` timing-only); ``foreign`` runs ``_foreign_then_phase`` first."""
+    n = n or {8: 16, 16: 16, 32: 16, 64: 16}.get(p, 2 * int(round(p ** 0.5)))
     rng = np.random.default_rng(7)
     A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     cfg = MachineConfig.create(
@@ -848,7 +876,9 @@ def _kernel_engines(key, p, port, routing, t_c, timing_only=False):
         initial = algo.distribute_inputs(A, B, cfg.cube)
 
         def prog(ctx):
-            return algo.program(ctx, n, initial.get(ctx.rank, {}))
+            if foreign is not None:
+                yield from _foreign_then_phase(ctx, foreign)
+            return (yield from algo.program(ctx, n, initial.get(ctx.rank, {})))
 
         def collect(results):
             return algo.collect_output(n, cfg.cube, results)
@@ -886,15 +916,14 @@ class TestAlignedPhase:
         assert np.array_equal(*products)
         refusals = fast[1].closed_form_refusals
         if routing is RoutingMode.CUT_THROUGH:
-            # the alignment is issued at once; its rounds still park
+            # the alignment is issued at once; its rounds still park (and
+            # a hybrid's lift: see TestLiftedPairs)
             assert refusals["aligned shift: cut-through routing"] == p
+            if key in ("dns_cannon", "3dd_cannon"):
+                assert refusals["lifted pair: cut-through routing"] == p
         else:
-            # (DNS-Cannon's and 3DD-Cannon's broadcast pairs are refused
-            # inline on one port)
-            assert not [r for r in refusals if r.startswith("aligned")]
+            assert refusals == {}
             assert fast[1].shift_rounds_event == 0
-            if key not in ("dns_cannon", "3dd_cannon"):
-                assert refusals == {}
             if key in ("cannon", "torus_cannon"):  # a start, a resume
                 assert fast[1].events_processed == 2 * p
 
@@ -966,6 +995,121 @@ class TestAlignedPhase:
         assert fast[1].closed_form_refusals[reason] == 4
 
 
+def _lifted_matrix():
+    for key, p, port, routing, t_c in itertools.product(
+        ("3dd", "dns"), (8, 64, 512), PortModel, RoutingMode, (0.0, 0.5)
+    ):
+        yield pytest.param(
+            key, p, port, routing, t_c,
+            id=f"{key}-p{p}-{port.name}-{routing.name}-tc{t_c}",
+        )
+
+
+class TestLiftedPairs:
+    """The hop table's lifted pairs (3DD's and DNS's phase-1 lift with the
+    broadcast pair it feeds) against the generator loops, n = 16, resource
+    by resource, phase marks and bitwise ``C``.  3DD-Cannon and DNS-Cannon
+    run in ``TestAlignedPhase``'s matrix, whose store-and-forward runs
+    refuse nothing either."""
+
+    @pytest.mark.parametrize("key, p, port, routing, t_c", _lifted_matrix())
+    def test_same_machine_as_the_generator_loops(self, key, p, port, routing, t_c):
+        (fast, slow), products = _kernel_engines(key, p, port, routing, t_c, n=16)
+        _assert_same_machine(fast, slow, blocks=False)
+        assert np.array_equal(*products)
+        result = fast[1]
+        if routing is RoutingMode.STORE_AND_FORWARD:
+            assert result.closed_form_refusals == {}
+            assert result.collective_phases_event == 0
+            assert result.collective_phases_closed_form == 2 * p  # pair, reduce
+        else:
+            # No table plans cut-through hops: the lift runs on the event
+            # path and the pair is declared again — on one port refused
+            # too (the lift's forwarders may still hold its ports).
+            expected = {"lifted pair: cut-through routing": p}
+            if port is PortModel.ONE_PORT:
+                expected["ctx.parallel sub-task"] = 2 * p
+            assert result.closed_form_refusals == expected
+
+    def test_a_foreign_hop_releases_the_lift(self):
+        """Ranks 2 -> 5 exchange a message while the others park before
+        their lifts: its hop crosses a parked rank's port, the parked lifts
+        are released at their park times, and each released pair's second
+        declaration is refused by name (its lift ran on the event path)."""
+        (fast, slow), products = _kernel_engines(
+            "dns", 8, PortModel.ONE_PORT, RoutingMode.STORE_AND_FORWARD, 0.5,
+            n=8, foreign=(2, 5, 1, 3.0),
+        )
+        _assert_same_machine(fast, slow, blocks=False)
+        assert np.array_equal(*products)
+        refusals = fast[1].closed_form_refusals
+        assert refusals["foreign hop at a parked rank's resources"] > 0
+        assert refusals["lifted pair: lift run by events"] == 8
+
+    @staticmethod
+    def _pair(kind="broadcast", sends=None, recvs=None, lifted=lambda r: True):
+        """A lifted pair on p = 8, slot 0 over dimension 0 and slot 1 over
+        dimensions 1 and 2, its lift ``sends(r)`` / ``recvs(r)``."""
+
+        def prog(ctx):
+            r = ctx.rank
+            comms = Comm(ctx, [r & ~1, r | 1]), Comm(ctx, [(r & 1) | k << 1 for k in range(4)])
+            block = np.full(3, float(r))
+            calls = [
+                broadcast_call(comm, block, root=0, tag=tag) if kind == "broadcast"
+                else allgather_call(comm, block, tag=tag)
+                for comm, tag in zip(comms, (3, 4))
+            ]
+            lift = Lift(tuple(sends(r)) if sends else (), tuple(recvs(r)) if recvs else ())
+            values = yield from parallel_pair(ctx, *calls, lift=lift if lifted(r) else None)
+            return [np.hstack(v) for v in values], ctx.now
+
+        return prog
+
+    @pytest.mark.parametrize(
+        "port", list(PortModel), ids=[m.name for m in PortModel]
+    )
+    def test_a_lift_on_the_pairs_channels_is_replayed_with_it(self, port):
+        """Rank 0 lifts a block to rank 1, across the dimension its slot-0
+        broadcast crosses too, and rank 1 broadcasts it in slot 1: the
+        table replays lift and pair together on both port models (3DD's
+        and DNS's multi-port lifts use no channel of their pair, whose
+        rounds then fold from the frontier the lift leaves)."""
+        prog = self._pair(sends=lambda r: [(1, np.ones(3), 9)] * (r == 0),
+                          recvs=lambda r: [(0, 9, 1)] * (r == 1))
+        fast, slow = _engines(prog, 8, port_model=port)
+        _assert_same_machine(fast, slow, blocks=False)
+        for rank, (values, now) in slow[1].results.items():
+            got, at = fast[1].results[rank]
+            assert at == now and all(map(np.array_equal, got, values))
+        assert fast[1].closed_form_refusals == {}
+        assert fast[1].collective_phases_closed_form == 8
+
+    @pytest.mark.parametrize("prog, reason", [
+        (_pair("allgather", lambda r: [(7, np.ones(2), 9)] * (r == 0),
+               lambda r: [(0, 9, 0)] * (r == 7)), "lifted pair: not a broadcast pair"),
+        (_pair(sends=lambda r: [(7, np.ones(2), 9)] * (r == 0)),
+         "lifted pair: a lift send no receive matches, or a repeated one"),
+        (_pair(sends=lambda r: [(7, np.ones(2), 9)] * 2 * (r == 0),
+               recvs=lambda r: [(0, 9, 1)] * 2 * (r == 7)),
+         "lifted pair: a lift send no receive matches, or a repeated one"),
+        (_pair(sends=lambda r: [(1, np.ones(2), (3 << 6) | 0)] * (r == 0),
+               recvs=lambda r: [(0, (3 << 6) | 0, 1)] * (r == 1)),
+         "lifted pair: a repeated (source, destination, tag)"),
+        (_pair(lifted=lambda r: r % 2 == 0), "lifted pair beside another phase"),
+    ], ids=["allgather-pair", "unreceived-send", "repeated-send", "lift-tag-of-the-pair",
+            "beside-a-plain-pair"])
+    def test_refusals_are_named_and_exact(self, prog, reason):
+        """A lift the table cannot state is refused by name, every parked
+        rank is released, and the event path runs it: the same machine."""
+        fast, slow = _engines(prog, 8, port_model=PortModel.ONE_PORT)
+        _assert_same_machine(fast, slow, blocks=False)
+        for rank, (values, now) in slow[1].results.items():
+            got, at = fast[1].results[rank]
+            assert at == now and all(map(np.array_equal, got, values))
+        assert fast[1].closed_form_refusals[reason] == 8
+
+
 #: Fuzz cases that hit ROADMAP item 1's (time, seq) tie, all four also
 #: wrong before the alignment joined the shift phase.  A hazard release at
 #: time t puts the parked ranks back on the event path at their earlier
@@ -1009,9 +1153,39 @@ def _fuzz_cases():
         )
 
 
+def _lifted_fuzz_cases():
+    """Seeded programs: the same foreign message stream before a 3DD or DNS
+    (n = 16) on p = 8 or 64, on both port models — 100 lifted pairs parked
+    beside foreign traffic."""
+    rng = random.Random(30)
+    for _ in range(100):
+        key = rng.choice(("3dd", "dns"))
+        p = rng.choice((8, 64))
+        src = rng.randrange(p)
+        dst = rng.randrange(p - 1)
+        dst += dst >= src
+        foreign = (src, dst, rng.randint(1, 4), float(rng.randint(3, 40)))
+        t_c = rng.choice((0.0, 0.25, 0.5, 1.0))
+        port = rng.choice(list(PortModel))
+        case_id = f"{key}-p{p}-{foreign}-tc{t_c}-{port.name}"
+        yield pytest.param(
+            key, p, foreign, t_c, port, id=case_id,
+            marks=[pytest.mark.xfail(strict=True, reason=_TIED[case_id])]
+            if case_id in _TIED else [],
+        )
+
+
 class TestFuzz:
     """Both closed forms against the generator loops on staggered
     frontiers, resource by resource."""
+
+    @pytest.mark.parametrize("key, p, foreign, t_c, port", _lifted_fuzz_cases())
+    def test_lifted_same_machine(self, key, p, foreign, t_c, port):
+        (fast, slow), products = _kernel_engines(
+            key, p, port, RoutingMode.STORE_AND_FORWARD, t_c, n=16, foreign=foreign
+        )
+        _assert_same_machine(fast, slow, blocks=False)
+        assert np.array_equal(*products)
 
     @pytest.mark.parametrize("torus, p, foreign, t_c, port", _fuzz_cases())
     def test_same_machine(self, torus, p, foreign, t_c, port):
