@@ -204,7 +204,7 @@ def cannon_kernel(
         # the point-to-point calls with their own protocols: the phase's
         # definition runs through them, message by message.
         _a, _b, c_block = yield from shift_loop(ctx, ShiftPhaseOp(
-            q, left, right, up, down, a_block, b_block, tag_a, tag_b,
+            q, a_block, b_block, tag_a, tag_b, left, right, up, down,
             align=align,
         ))
     return c_block

@@ -22,24 +22,48 @@ Applicable when ``n/√p ≥ log √p`` (enough columns to split); on one-port
 machines the extra start-ups make it strictly worse than Cannon, which is
 why Table 2 lists it for multi-port only (we still allow running it
 one-port for ablation).
+
+Alignment and multiply steps are declared once, as a grouped
+``ctx.shift_phase``: with the network quiet the engine folds every
+exchange of the phase in closed form, and its definition loop
+(:func:`~repro.sim.process.shift_loop`) runs wherever it cannot.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
-
-import numpy as np
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.common import TAG_A, TAG_B, require, require_square_grid
 from repro.blocks.partition import BlockPartition2D
-from repro.collectives.chunking import chunk_slices
 from repro.errors import AlgorithmError
+from repro.sim.ops import ShiftPhaseOp
+from repro.sim.process import ProcessContext, shift_loop
 from repro.topology.embedding import Grid2DEmbedding
 from repro.topology.hypercube import Hypercube
 from repro.util.bits import gray_code, ilog2
 
 __all__ = ["HJEAlgorithm"]
+
+
+@lru_cache(maxsize=None)
+def _gray_rounds(d: int) -> tuple:
+    """Per multiply step but the last, the cube dimensions its block groups
+    cross, in send order ``A⁰, B⁰, A¹, B¹, …``: group ``l`` crosses column
+    dimension ``(g_t + l) mod d`` and the same row dimension, ``g_t`` the bit
+    where Gray codes ``t`` and ``t + 1`` differ.  One shared tuple per ``d``."""
+    masks = (ilog2(gray_code(t) ^ gray_code(t + 1)) for t in range((1 << d) - 1))
+    return tuple(
+        tuple(k for l in range(d) for k in ((g_t + l) % d, d + (g_t + l) % d))
+        for g_t in masks
+    )
+
+
+@lru_cache(maxsize=None)
+def _round_tags(d: int) -> tuple:
+    """Group ``l``'s round tags, ``A⁰, B⁰, A¹, B¹, …``."""
+    return tuple(tag for l in range(d) for tag in (TAG_A + 16 + l, TAG_B + 32 + l))
 
 
 class HJEAlgorithm(MatmulAlgorithm):
@@ -71,76 +95,33 @@ class HJEAlgorithm(MatmulAlgorithm):
         }
 
     def program(self, ctx, n: int, local: dict[str, Any]):
-        grid = Grid2DEmbedding.square(ctx.config.cube)
-        q = grid.rows
-        d = ilog2(q)
-        kc = d  # low bits hold the column code
+        d = ctx.config.dimension // 2
+        # Low bits hold the column code y, high bits the row code x: a
+        # column neighbour is one XOR across dimension k < d, a row
+        # neighbour across d + k.
         me = ctx.rank
-        y_code = me & ((1 << kc) - 1)
-        x_code = me >> kc
-
-        def node(x: int, y: int) -> int:
-            return (x << kc) | y
-
+        x_code, y_code = me >> d, me & ((1 << d) - 1)
         a_block, b_block = local["A"], local["B"]
         ctx.note_memory(3 * a_block.size)
-
-        # -- XOR alignment: A to (x, y^x), B to (x^y, y) --------------------
-        # One pairwise exchange per set bit; both matrices move concurrently.
         ctx.phase("align")
-        for bit in range(d):
-            handles = []
-            a_pending = b_pending = None
-            if (x_code >> bit) & 1:  # A moves across column dimension `bit`
-                peer = node(x_code, y_code ^ (1 << bit))
-                handles.append((yield from ctx.isend(peer, a_block, TAG_A)))
-                a_pending = (yield from ctx.irecv(peer, TAG_A))
-                handles.append(a_pending)
-            if (y_code >> bit) & 1:  # B moves across row dimension `bit`
-                peer = node(x_code ^ (1 << bit), y_code)
-                handles.append((yield from ctx.isend(peer, b_block, TAG_B)))
-                b_pending = (yield from ctx.irecv(peer, TAG_B))
-                handles.append(b_pending)
-            if handles:
-                yield from ctx.waitall(handles)
-            if a_pending is not None:
-                a_block = a_pending.value
-            if b_pending is not None:
-                b_block = b_pending.value
-
-        # -- multiply loop over Gray-code masks ------------------------------
-        # Group l of A (columns slice) and of B (rows slice); the slices use
-        # identical boundaries so each product A^l @ B^l is a full block.
-        groups = chunk_slices(a_block.shape[1], d)
-        a_groups = [np.ascontiguousarray(a_block[:, g]) for g in groups]
-        b_groups = [np.ascontiguousarray(b_block[g, :]) for g in groups]
-
-        ctx.phase("multiply")
-        c_block = np.zeros((a_block.shape[0], b_block.shape[1]))
-        for t in range(q):
-            for l in range(d):
-                c_block = yield from ctx.local_matmul(
-                    a_groups[l], b_groups[l], c_block
-                )
-            if t == q - 1:
-                break
-            g_t = ilog2(gray_code(t) ^ gray_code(t + 1))
-            # One neighbour-exchange round: group l of A crosses column
-            # dimension (g_t + l) mod d and group l of B the same row
-            # dimension, all 2d exchanges at once (A^0, B^0, A^1, B^1, ...
-            # is the order a one-port node injects them in).
-            sends = []
-            recvs = []
-            for l in range(d):
-                dim = (g_t + l) % d
-                col_peer = node(x_code, y_code ^ (1 << dim))
-                row_peer = node(x_code ^ (1 << dim), y_code)
-                sends.append((col_peer, a_groups[l], TAG_A + 16 + l))
-                sends.append((row_peer, b_groups[l], TAG_B + 32 + l))
-                recvs.append((col_peer, TAG_A + 16 + l))
-                recvs.append((row_peer, TAG_B + 32 + l))
-            got = yield from ctx.neighbor_exchange(sends, recvs)
-            a_groups, b_groups = got[0::2], got[1::2]
+        # XOR alignment, A to (x, y^x) and B to (x^y, y): per bit one
+        # pairwise exchange, A's across column dimension `bit` if x has it,
+        # B's across row dimension `bit` if y has it, both concurrently.
+        swaps = tuple(
+            (bit if x_code >> bit & 1 else None, d + bit if y_code >> bit & 1 else None)
+            for bit in range(d)
+        )
+        phase = dict(
+            steps=1 << d, a_block=a_block, b_block=b_block, tag_a=TAG_A,
+            tag_b=TAG_B, dims=_gray_rounds(d), tags=_round_tags(d),
+            swaps=swaps, phase="multiply",
+        )
+        # Declared on a plain context (see cannon_kernel); a wrapped one
+        # runs the phase's definition through its own protocols.
+        if type(ctx) is ProcessContext:
+            _a, _b, c_block = yield from ctx.shift_phase(**phase)
+        else:
+            _a, _b, c_block = yield from shift_loop(ctx, ShiftPhaseOp(**phase))
         return c_block
 
     def collect_output(self, n: int, cube: Hypercube, results):

@@ -273,6 +273,11 @@ def _outcome(case: Case, *, superstep: bool, trace: bool = False) -> dict:
         msg = re.sub(r"#\d+", "#*", str(exc))
         return {"error": f"{type(exc).__name__}: {msg}"}
     res = run.result
+    evented = res.shift_rounds_event + res.collective_phases_event
+    assert sum(res.closed_form_refusals.values()) == evented, (
+        f"refusals {res.closed_form_refusals} do not sum to the "
+        f"{evented} shift rank-rounds and collective phases run by events"
+    )
     return {
         "total_time": res.total_time,
         "digest": res.trace_digest(),
@@ -281,8 +286,10 @@ def _outcome(case: Case, *, superstep: bool, trace: bool = False) -> dict:
         "C": run.C,
         "product_ok": run.C is not None and bool(np.allclose(run.C, A @ B)),
         "events": res.events_processed,
-        # Which path ran the collective phases, and why (diagnostics: they
-        # legitimately differ between the two paths).
+        # Which path ran the shift rounds and collective phases, and why
+        # (diagnostics: they legitimately differ between the two paths).
+        "rounds_closed_form": res.shift_rounds_closed_form,
+        "rounds_event": res.shift_rounds_event,
         "phases_closed_form": res.collective_phases_closed_form,
         "phases_event": res.collective_phases_event,
         "refusals": res.closed_form_refusals,
@@ -328,16 +335,17 @@ def _planner_exceptions(fast: dict) -> str | None:
 
 
 def closed_form_reach(cases: list[Case]) -> dict:
-    """How far the collective closed forms reach over ``cases``.
+    """How far the closed forms reach over ``cases``.
 
     Runs the default path of every case whose machine lets phases park
     (no fault or scenario atoms) and returns ``{"eligible", "declared",
     "batched", "refusals", "unbatched", "planner_exceptions"}``: how many
-    such cases there are, how many of them declare a collective phase at
-    all, how many of those answered *every* declared phase in closed form,
-    the refusal reasons of the rest (reason -> declared phases, summed over
-    cases), the ``(case, refusals)`` pairs of the cases not batched, and the
-    ``(case, reason)`` pairs whose reason is a planner exception.
+    such cases there are, how many of them declare a shift or collective
+    phase at all, how many of those ran *none* of it by events (no shift
+    rank-round, no collective phase), the refusal reasons of the rest
+    (reason -> rank-rounds and phases, summed over cases), the ``(case,
+    refusals)`` pairs of the cases not batched, and the ``(case, reason)``
+    pairs whose reason is a planner exception.
     """
     eligible = declared = batched = 0
     refusals: dict[str, int] = {}
@@ -347,12 +355,16 @@ def closed_form_reach(cases: list[Case]) -> dict:
             continue
         eligible += 1
         fast = _outcome(case, superstep=True)
-        if "error" in fast or not (fast["phases_closed_form"] or fast["phases_event"]):
+        if "error" in fast or not any(
+            fast[k] for k in ("rounds_closed_form", "rounds_event",
+                              "phases_closed_form", "phases_event")
+        ):
             continue
         declared += 1
-        batched += not fast["phases_event"]
-        if fast["phases_event"]:
+        if fast["rounds_event"] or fast["phases_event"]:
             unbatched.append((case, fast["refusals"]))
+        else:
+            batched += 1
         for reason, count in fast["refusals"].items():
             refusals[reason] = refusals.get(reason, 0) + count
             if reason.startswith("planner exception"):
@@ -495,11 +507,11 @@ def main() -> int:
     reach = closed_form_reach(sample_cases(count=SUITE_COUNT))
     print(
         f"{reach['batched']} of {reach['declared']} fault-free cases that "
-        f"declare collective phases batched every one of them "
+        f"declare shift or collective phases batched every one of them "
         f"({reach['eligible']} fault-free cases sampled)"
     )
     for reason, count in sorted(reach["refusals"].items()):
-        print(f"  refused {count:7d} declared phases: {reason}")
+        print(f"  refused {count:7d} rank-rounds and phases: {reason}")
     print("cases not batched:")
     for case, refused in reach["unbatched"]:
         reasons = ", ".join(f"{reason} x{count}" for reason, count in sorted(refused.items()))

@@ -168,9 +168,10 @@ class RegionMap:
 
 
 #: algorithms whose phases the superstep closed form batches (uniform
-#: shift rounds); everything else simulates round by round on the event
-#: path.  Only a chunk-costing hint — never affects results.
-_SUPERSTEP_BATCHED = frozenset({"cannon", "dns_cannon", "3dd_cannon"})
+#: shift rounds, HJE's grouped phase); everything else simulates round by
+#: round on the event path.  Only a chunk-costing hint — never affects
+#: results.
+_SUPERSTEP_BATCHED = frozenset({"cannon", "dns_cannon", "3dd_cannon", "hje"})
 
 #: 3D-family algorithms whose collective phases (allgather, all-to-all,
 #: reduce-scatter, broadcast, reduce) advance in closed form on fault-free

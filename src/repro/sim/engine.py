@@ -178,8 +178,9 @@ class Engine:
         :mod:`repro.sim.superstep`).  On by default: in closed form unless
         faults, scenarios, tracing or a ``max_virtual_time`` watchdog need
         every hop as an event, and then (faults excepted) round by round
-        without the program's generator loop.  ``False`` forces that loop
-        for every phase (the conformance suite's reference runs).
+        without the program's generator loop (a grouped shift phase: with
+        it).  ``False`` forces that loop for every phase (the conformance
+        suite's reference runs).
     timing_only:
         Skip local matrix products: ``ctx.local_matmul`` charges the same
         flops/time but returns a zero-cost broadcast view instead of the
@@ -477,37 +478,45 @@ class Engine:
             outcome = try_advance_superstep(self, parked)
         else:
             outcome = try_advance_collective(self, parked)
-        if outcome is None:
-            self._release()
+        if outcome.__class__ is str:  # the planner's refusal
+            self._release(outcome)
             return
         self._parked = {}
         self._hazards.clear()
         for task, (finish, value) in outcome.items():
             self._schedule(finish, _RESUME, (task, value))
 
-    def _release(self, reason: str | None = None) -> None:
+    def _release(self, reason: str) -> None:
         """Release every parked task onto the event path at its park time:
-        shift phases for one engine-run round, then collectives with
-        FALLBACK, each kind in park order.  A collective's refusal is
-        counted under ``reason`` (``None``: the planner refused and has
-        already counted why)."""
+        shift phases for one engine-run round (a grouped one with FALLBACK,
+        for all of its rounds), then collectives with FALLBACK, each kind in
+        park order; what that sends to the event path is counted under
+        ``reason``."""
         parked = self._parked
         self._parked = {}
         self._hazards.clear()
-        collectives = []
+        fallback = []
+        refused = 0  # collective phases and shift rank-rounds
         for task, (op, at) in parked.items():
             if op.__class__ is not ShiftPhaseOp:
-                collectives.append((task, at))
+                fallback.append((task, at))
+                self._coll_event += 1
+                refused += 1
                 if op.lift is not None and not op.lift.ran:
                     self._lifts_released = True
-            elif op.align is None:
-                self._schedule(at, _SHIFT_MULTIPLY, (task, op))
-            else:  # issued now, at the park time (the hazards held)
-                self._shift_exchange(task, op, at)
-        self._coll_event += len(collectives)
-        if reason is not None and collectives:
-            self._refusals[reason] += len(collectives)
-        for task, at in collectives:
+            elif op.dims is not None:
+                fallback.append((task, at))
+                self._shift_rounds_event += op.steps
+                refused += op.steps
+            else:
+                refused += 1
+                if op.align is None:
+                    self._schedule(at, _SHIFT_MULTIPLY, (task, op))
+                else:  # issued now, at the park time (the hazards held)
+                    self._shift_rounds_event += 1
+                    self._shift_exchange(task, op, at)
+        self._refusals[reason] += refused
+        for task, at in fallback:
             self._schedule(at, _RESUME, (task, FALLBACK))
 
     def note_retransmission(self) -> None:
@@ -673,24 +682,36 @@ class Engine:
                     return
 
                 if cls is ShiftPhaseOp:
-                    if not self._resident or task.__class__ is tuple:
-                        # The generator loop, the definition of a round:
-                        # superstep=False asks for it, a fault plan can
-                        # corrupt a multiply or halt a rank mid-round, a
-                        # ctx.parallel sub-task shares its node's ports with
-                        # siblings.  Answered once — zero extra events.
-                        self._shift_rounds_event += op.steps
-                        value = FALLBACK
-                        continue
+                    refused = self._ineligible
+                    if refused is None and task.__class__ is tuple:
+                        refused = "ctx.parallel sub-task"
+                    if refused is not None:
+                        # every round of the phase runs as events
+                        self._refusals[refused] += op.steps
+                        if (
+                            not self._resident or task.__class__ is tuple
+                            or op.dims is not None
+                        ):
+                            # The generator loop, the definition of a round:
+                            # superstep=False asks for it, a fault plan can
+                            # corrupt a multiply or halt a rank mid-round, a
+                            # ctx.parallel sub-task shares its node's ports
+                            # with siblings, and no engine-run round moves
+                            # groups.  Answered once — zero extra events.
+                            self._shift_rounds_event += op.steps
+                            value = FALLBACK
+                            continue
                     if op.align is not None and (
-                        self._cut_through or self._ineligible is not None
+                        self._cut_through or refused is not None
                     ):
                         # No hop table will plan this alignment (it plans
-                        # store-and-forward hops only): it starts now.
-                        if self._ineligible is None:
+                        # store-and-forward hops only): it starts now, and
+                        # counts as a rank-round run by events.
+                        if refused is None:
+                            self._shift_rounds_event += 1
                             self._refusals["aligned shift: cut-through routing"] += 1
                         self._shift_exchange(task, op, now)
-                    elif self._ineligible is None:
+                    elif refused is None:
                         self._park_shift(task, op, now)
                     # No closed form will come (scenario, tracing, watchdog):
                     # nothing to park for, the first round starts now.
@@ -721,6 +742,7 @@ class Engine:
                             # event path, and a late one parked now could
                             # be released into their past.
                             if refused is None and self._cut_through and not self._one_port:
+                                self._coll_event += 1
                                 self._refusals["lifted pair: cut-through routing"] += 1
                             value = FALLBACK
                             continue
@@ -886,7 +908,14 @@ class Engine:
         """Park ``task`` at a round boundary or before its alignment, with
         hazards (see _start_hop) on the resources it will reserve."""
         self._parked[task] = (op, now)
-        if op.align is not None:
+        if op.dims is not None:
+            # Grouped: any of its channels (one-port: its port) from the
+            # park time on, as a collective's.
+            thr = math.nextafter(now, -math.inf)
+            self._hazard(
+                ((task, task ^ (1 << k)), thr) for k in range(self.config.dimension)
+            )
+        elif op.align is not None:
             # Any resource of the two routes from the park time on, and this
             # rank's round channels a multiply later: thresholds just below
             # those, as a collective's.
@@ -1400,7 +1429,7 @@ class Engine:
             and not transfer.dropped
             and msg.dst in self._parked
             and ((op := self._parked[msg.dst][0]).__class__ is CollectivePhaseOp
-                 or op.align is not None)
+                 or op.align is not None or op.dims is not None)
         ):
             # A message that was already in flight when its destination
             # parked on a collective is about to land in the parked rank's
@@ -1411,9 +1440,10 @@ class Engine:
             # clock.  Same remedy as the reservation hazards in
             # _start_hop: release every parked rank onto the event path
             # first (their resumes sort before this time), then redo the
-            # delivery.  An alignment yet to be issued is held alike; round
-            # boundaries are exempt: blocks queued at a parked rank are
-            # part of the frontier the shift closed form advances.
+            # delivery.  An alignment yet to be issued and a grouped shift
+            # phase are held alike; round boundaries are exempt: blocks
+            # queued at a parked rank are part of the frontier the shift
+            # closed form advances.
             self._release("delivery to a parked rank")
             self._schedule(time, _HOP_DONE, (transfer, hop_index, handle))
             return

@@ -218,6 +218,21 @@ class ShiftPhaseOp:
                      isend(b_to, B, tag_b), irecv(b_from, tag_b)])
             A, B = received
 
+    A *grouped* phase (``dims`` set; Ho-Johnsson-Edelman's) moves ``g``
+    block pairs ``(Aˡ, Bˡ)`` by single-hop exchanges instead, and the
+    peers and tags above are unused::
+
+        for a_dim, b_dim in swaps:  # each None, or a cube dimension
+            exchange A across a_dim on tag_a and B across b_dim on tag_b
+        phase(phase)  # if set
+        split A into g column groups and B into g row groups (chunk_slices)
+        C = zeros
+        for t in range(steps):
+            for l in range(g): C = local_matmul(Aˡ, Bˡ, C)
+            if t == steps - 1: break
+            neighbor_exchange: block k of (A⁰, B⁰, A¹, B¹, ...) to and from
+                rank ^ (1 << dims[t][k]) on tags[k]
+
     The op is *resident*: a program yields it once and the engine owns the
     phase from then on.  ``steps`` counts the rounds still to run and
     ``a_block`` / ``b_block`` / ``c_block`` are the rank's blocks at that
@@ -230,21 +245,27 @@ class ShiftPhaseOp:
     resumes the generator exactly once, with the final ``(A, B, C)``.
     ``superstep=False`` runs, fault plans and ``ctx.parallel`` sub-tasks
     are answered :data:`FALLBACK` straight away, and the program runs
-    the loop above from the op's state.  Either way the simulated times,
-    statistics and blocks are bit-identical.
+    the loop above from the op's state; so is a grouped phase wherever no
+    closed form will come, or a foreign hop releases it.  Either way the
+    simulated times, statistics and blocks are bit-identical.
     """
 
     steps: int
-    a_to: int
-    a_from: int
-    b_to: int
-    b_from: int
     a_block: Any
     b_block: Any
     tag_a: int
     tag_b: int
+    a_to: int | None = None
+    a_from: int | None = None
+    b_to: int | None = None
+    b_from: int | None = None
     c_block: Any = None
     align: tuple | None = None
+    # a grouped phase's (the second loop above)
+    dims: tuple | None = None
+    tags: tuple = ()
+    swaps: tuple = ()
+    phase: str | None = None
 
 
 @dataclass(frozen=True)

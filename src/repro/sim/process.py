@@ -75,7 +75,10 @@ def exchange_round(ctx, sends, recvs):
 def shift_loop(ctx, op: ShiftPhaseOp):
     """The definition of a shift phase, run from ``op``'s state through
     ``ctx``'s own point-to-point calls: the alignment if pending, then each
-    round's multiply and (but the last) exchange; returns ``(A, B, C)``."""
+    round's multiply and (but the last) exchange; returns ``(A, B, C)``
+    (a grouped phase's ``A`` and ``B``: its lists of groups)."""
+    if op.dims is not None:
+        return (yield from _grouped_loop(ctx, op))
     a_block, b_block, c_block = op.a_block, op.b_block, op.c_block
     peers = op.align
     for _left in range(op.steps):
@@ -91,6 +94,49 @@ def shift_loop(ctx, op: ShiftPhaseOp):
         c_block = yield from ctx.local_matmul(a_block, b_block, c_block)
         peers = (op.a_to, op.a_from, op.b_to, op.b_from)
     return a_block, b_block, c_block
+
+
+def _grouped_loop(ctx, op: ShiftPhaseOp):
+    """:func:`shift_loop` for a grouped phase (see :class:`ShiftPhaseOp`)."""
+    # (repro.collectives imports the engine: a module-level import is circular)
+    from repro.collectives.chunking import chunk_slices
+
+    rank = ctx.rank
+    a_block, b_block = op.a_block, op.b_block
+    for a_dim, b_dim in op.swaps:
+        handles = []
+        if a_dim is not None:
+            peer = rank ^ (1 << a_dim)
+            handles.append((yield from ctx.isend(peer, a_block, op.tag_a)))
+            handles.append((yield from ctx.irecv(peer, op.tag_a)))
+        if b_dim is not None:
+            peer = rank ^ (1 << b_dim)
+            handles.append((yield from ctx.isend(peer, b_block, op.tag_b)))
+            handles.append((yield from ctx.irecv(peer, op.tag_b)))
+        if handles:
+            values = yield from ctx.waitall(handles)
+            if a_dim is not None:
+                a_block = values[1]
+            if b_dim is not None:
+                b_block = values[-1]
+    if op.phase is not None:
+        ctx.phase(op.phase)
+    # Identical boundaries for A's columns and B's rows: each Aˡ·Bˡ is a
+    # full-size partial product.
+    blocks = []
+    for g in chunk_slices(a_block.shape[1], len(op.tags) // 2):
+        blocks += [np.ascontiguousarray(a_block[:, g]), np.ascontiguousarray(b_block[g, :])]
+    c_block = np.zeros((a_block.shape[0], b_block.shape[1]))
+    for t in range(op.steps):
+        for l in range(0, len(blocks), 2):
+            c_block = yield from ctx.local_matmul(blocks[l], blocks[l + 1], c_block)
+        if t == op.steps - 1:
+            break
+        peers = [rank ^ (1 << dim) for dim in op.dims[t]]
+        blocks = yield from ctx.neighbor_exchange(
+            list(zip(peers, blocks, op.tags)), list(zip(peers, op.tags))
+        )
+    return blocks[0::2], blocks[1::2], c_block
 
 
 class ProcessContext:
@@ -354,15 +400,19 @@ class ProcessContext:
         self,
         *,
         steps: int,
-        a_to: int,
-        a_from: int,
-        b_to: int,
-        b_from: int,
         a_block: np.ndarray,
         b_block: np.ndarray,
         tag_a: int,
         tag_b: int,
+        a_to: int | None = None,
+        a_from: int | None = None,
+        b_to: int | None = None,
+        b_from: int | None = None,
         align: tuple | None = None,
+        dims: tuple | None = None,
+        tags: tuple = (),
+        swaps: tuple = (),
+        phase: str | None = None,
     ):
         """Run a uniform shift-multiply superstep (generator).
 
@@ -373,6 +423,11 @@ class ProcessContext:
         distance first (Cannon's skew).
         Returns the final ``(a_block, b_block, c_block)``.
 
+        A *grouped* phase (Ho-Johnsson-Edelman's) gives ``dims``, ``tags``,
+        ``swaps`` and ``phase`` instead of the four peers (see
+        :class:`~repro.sim.ops.ShiftPhaseOp`) and returns the final group
+        lists and ``C``.
+
         The phase is declared once, as a resident
         :class:`~repro.sim.ops.ShiftPhaseOp`: the engine runs its rounds
         itself — through the event machinery while foreign traffic is in
@@ -380,10 +435,11 @@ class ProcessContext:
         :mod:`repro.sim.superstep`; never, under a scenario, tracing or a
         watchdog) — and resumes this generator once, with the final blocks.
         A fault plan, ``superstep=False`` and a ``ctx.parallel`` sub-task
-        are answered :data:`~repro.sim.ops.FALLBACK` instead, and
-        :func:`shift_loop`, which defines the phase, runs what is left of
-        it message by message: the engine's own rounds, the hop table and
-        the closed form are held bit-identical to it by ``tests/conformance``.
+        are answered :data:`~repro.sim.ops.FALLBACK` instead (a grouped
+        phase also wherever no closed form comes), and :func:`shift_loop`,
+        which defines the phase, runs what is left of it message by
+        message: the engine's own rounds, the hop table and the closed
+        form are held bit-identical to it by ``tests/conformance``.
         """
         if steps < 1:
             raise SimulationError(f"shift_phase needs steps >= 1, got {steps}")
@@ -402,12 +458,17 @@ class ProcessContext:
             raise SimulationError(
                 f"local_matmul shape mismatch: {a_block.shape} @ {b_block.shape}"
             )
+        peers = (a_to, a_from, b_to, b_from)
+        if dims is None:
+            peers = tuple(map(self._check_peer, peers))
+        elif not tags or len(tags) % 2 or len(dims) != steps - 1 or align is not None:
+            raise SimulationError(
+                "a grouped shift_phase needs 2g tags, steps - 1 rounds of dims and no align"
+            )
         align = None if align is None else tuple(map(self._check_peer, align))
         op = ShiftPhaseOp(
-            steps,
-            self._check_peer(a_to), self._check_peer(a_from),
-            self._check_peer(b_to), self._check_peer(b_from),
-            a_block, b_block, int(tag_a), int(tag_b), align=align,
+            steps, a_block, b_block, int(tag_a), int(tag_b), *peers,
+            align=align, dims=dims, tags=tags, swaps=swaps, phase=phase,
         )
         verdict = yield op
         if verdict is not FALLBACK:

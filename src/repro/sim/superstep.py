@@ -15,7 +15,10 @@ next round itself through the ordinary hop events
 first parks before them — Cannon's contended skew with its shift rounds,
 3DD's and DNS's lift with the broadcast pair it feeds — and one *hop
 table* replays those moves and what they overlap in the event path's
-order (see "the hop table" and "lifted pairs" below).
+order (see "the hop table" and "lifted pairs" below).  A *grouped* phase
+(Ho-Johnsson-Edelman's) moves single hops only: :func:`_grouped` states its
+alignment and rounds as rows of the recurrence below, and anything else
+hands the whole phase back to the program's loop.
 
 One recurrence
 --------------
@@ -74,7 +77,9 @@ flight, when block shapes or tags differ between ranks or ``tag_a ==
 tag_b``, when the shifts are not neighbour permutations whose receivers
 expect exactly their senders, or when queued blocks do not pair up with the
 rounds their receivers have left.  Refusing is always safe: the engine-run
-round schedules the events the per-message loop would.  Channels a closed
+round schedules the events the per-message loop would.  Each refusal is
+counted per rank-round (a grouped phase's: all of its rounds) it sends to
+the event path.  Channels a closed
 form creates in plan order rather than event order fold their busy times in
 channel-key order all the same (``NetworkStats.total_channel_busy``).
 """
@@ -247,6 +252,11 @@ def _commit(engine: "Engine", plan: dict) -> None:
         st.words_received += wr
 
 
+_OUTSIDE = "shift phase: ranks outside the phase, or traffic in flight"
+_DIFFER = "shift phase: ranks differ in tags or blocks"
+_NOT_PERMUTATIONS = "shift phase: shifts are not matched permutations on two tags"
+
+
 def _shift_peers(engine: "Engine", ranks: list, ops) -> tuple | None:
     """The round shifts' senders as indices into ``ranks``, or ``None``
     unless both are neighbour permutations on two tags."""
@@ -271,27 +281,25 @@ def _shift_peers(engine: "Engine", ranks: list, ops) -> tuple | None:
     return [index[ops[r].a_from] for r in ranks], [index[ops[r].b_from] for r in ranks]
 
 
-def _frontier(engine: "Engine", parked: dict) -> tuple | None:
+def _frontier(engine: "Engine", parked: dict) -> tuple:
     """Validate a quiet frontier of resident shift phases; returns the
-    ``(spec, plan)`` :func:`_advance` finishes, or ``None``.
+    ``(spec, plan)`` :func:`_advance` finishes, or refuses.
 
     ``parked`` maps task -> (op, park time); the mid-round ranks are the
     ``"shift"`` waiters in ``engine._blocked``.  Nothing is mutated, and
     all checks are conservative: any doubt means another round through the
     event machinery, never a wrong fast answer.
     """
-    if engine._parallel or engine._barrier_waiting:
-        return None
     waiting = engine._blocked
     active = engine.config.num_nodes - len(engine.done) - len(engine.failed)
-    if len(parked) + len(waiting) != active:
-        return None
+    if engine._parallel or engine._barrier_waiting or len(parked) + len(waiting) != active:
+        raise _Refuse(_OUTSIDE)
     # Sub-tasks never park (the engine answers them FALLBACK), so
     # every key below is a rank.
     ops = {task: op for task, (op, _at) in parked.items()}
     for task, waiter in waiting.items():
         if waiter.mode != "shift" or waiter.op.align is not None:
-            return None
+            raise _Refuse(_OUTSIDE)
         ops[task] = waiter.op
     ranks = sorted(ops)
     n_ranks = len(ranks)
@@ -299,7 +307,7 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
     tag_a, tag_b = first.tag_a, first.tag_b
     a_shape, b_shape = first.a_block.shape, first.b_block.shape
     if a_shape[1] != b_shape[0]:
-        return None
+        raise _Refuse(_DIFFER)
     c_shape = (a_shape[0], b_shape[1])
     for r in ranks:
         op = ops[r]
@@ -310,7 +318,7 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
             or op.b_block.shape != b_shape
             or not (op.c_block is None or op.c_block.shape == c_shape)
         ):
-            return None
+            raise _Refuse(_DIFFER)
     left = [ops[r].steps for r in ranks]
     # Per rank: has it already sent the round it is in (mid-round), the
     # time that round cannot complete before, and the inbound blocks that
@@ -327,7 +335,7 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
     if max(left) > 1:
         peers = _shift_peers(engine, ranks, ops)
         if peers is None:
-            return None
+            raise _Refuse(_NOT_PERMUTATIONS)
         a_from_idx, b_from_idx = peers
     for i, r in enumerate(ranks):
         op = ops[r]
@@ -338,7 +346,7 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
         else:
             send_a, recv_a, send_b, recv_b = waiting[r].handles
             if not (send_a.done and send_b.done):
-                return None
+                raise _Refuse(_OUTSIDE)
             at[i] = max(
                 engine._task_time[r],
                 send_a.completion_time, send_b.completion_time,
@@ -354,18 +362,18 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
         if len(posted) != len(pending) or any(
             entry[2] is not h for entry, h in zip(posted, pending)
         ):
-            return None
+            raise _Refuse(_OUTSIDE)
         for arrival, msg in engine._mailbox[r]:
             if msg.src == op.a_from and msg.tag == tag_a:
                 qa.append((arrival, msg.data))
             elif msg.src == op.b_from and msg.tag == tag_b:
                 qb.append((arrival, msg.data))
             else:
-                return None
+                raise _Refuse(_OUTSIDE)
         for queue, shape in ((qa, a_shape), (qb, b_shape)):
             for _arrival, block in queue:
                 if np.shape(block) != shape:
-                    return None
+                    raise _Refuse(_DIFFER)
     if a_from_idx is not None:
         # Every block a rank still has to receive is either queued at it
         # or still to be sent by its neighbour, FIFO per (src, tag): the
@@ -374,7 +382,7 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
             for queue, frm in ((queue_a, a_from_idx), (queue_b, b_from_idx)):
                 j = frm[i]
                 if left[i] - len(queue[i]) != left[j] - sent[j]:
-                    return None
+                    raise _Refuse("shift phase: queued blocks do not pair with the rounds left")
     ops = [ops[r] for r in ranks]
     # Plan columns: the A then the B channels of the ranks that send at
     # least once (so channels_used matches the event path).
@@ -396,6 +404,84 @@ def _frontier(engine: "Engine", parked: dict) -> tuple | None:
                        for k in ("a_block", "b_block", "c_block")],
         },
     }, _seed(engine, keys, np.zeros(len(keys), dtype=np.int64), ranks)
+
+
+def _grouped(engine: "Engine", parked: dict) -> tuple:
+    """Validate a parked grouped phase (every rank in it, the network quiet)
+    and state its rows; returns the ``(spec, plan)`` :func:`_advance` folds,
+    or refuses.  Every move is one hop to a cube neighbour that moves the
+    other way at the same point: an alignment step's, the same step of its
+    partner's; a round's, the same round's on the same tag (every rank has
+    the same ``dims``)."""
+    n, dim = engine.config.num_nodes, engine.config.dimension
+    if len(parked) != n or not _all_parked_and_quiet(engine, parked):
+        raise _Refuse("grouped shift: ranks outside the phase, or traffic in flight")
+    ops = [parked[r][0] for r in range(n)]
+    first = ops[0]
+    form = attrgetter("steps", "tag_a", "tag_b", "tags", "phase", "a_block.shape", "b_block.shape")
+    key, rounds, n_swaps = form(first), first.dims, len(first.swaps)
+    if any(
+        (op.dims is not rounds and op.dims != rounds) or form(op) != key
+        or len(op.swaps) != n_swaps for op in ops
+    ):
+        raise _Refuse("grouped shift: ranks differ in steps, rounds, tags or blocks")
+    tags = first.tags
+    if first.tag_a == first.tag_b or len(set(tags)) != len(tags) or any(
+        len(ks) != len(tags) or not all(0 <= k < dim for k in ks) for ks in rounds
+    ):
+        raise _Refuse("grouped shift: rounds are not exchanges on distinct tags")
+    # Per alignment step, the dimensions each rank's A and B cross (-1: none).
+    moves = np.array(
+        [[-1 if k is None else k for step in op.swaps for k in step] for op in ops],
+        dtype=np.intp,
+    ).reshape(n, 2 * n_swaps)
+    if ((moves < -1) | (moves >= dim)).any():
+        raise _Refuse("grouped shift: an alignment move is not an exchange")
+    movers = []  # per step, A's then B's: (ranks moving, their partners, dims)
+    for c, m in enumerate(moves.T):
+        src = np.flatnonzero(m >= 0)
+        dst = src ^ (1 << m[src])
+        if (moves[dst, c] != m[src]).any():
+            raise _Refuse("grouped shift: an alignment move is not an exchange")
+        movers.append((src, dst, m[src]))
+    # Channel columns, rank-major, for every round's dimensions and every
+    # alignment move, each reserved that many times.
+    uses = np.zeros((n, dim), dtype=np.int64)
+    uses += np.bincount([k for ks in rounds for k in ks], minlength=dim)
+    for src, _dst, k in movers:
+        uses[src, k] += 1
+    used = np.flatnonzero(uses)
+    col = np.full(n * dim, -1, dtype=np.intp)
+    col[used] = np.arange(len(used))
+    col = col.reshape(n, dim)
+    nodes, dims = np.divmod(used, dim)
+    plan = _seed(
+        engine, list(zip(nodes.tolist(), (nodes ^ (1 << dims)).tolist())),
+        uses.ravel()[used], range(n),
+    )
+
+    steps, a_shape, b_shape = first.steps, key[5], key[6]
+    widths = _trees()[1].chunk_sizes(a_shape[1], len(tags) // 2)
+    words = [w for width in widths for w in (a_shape[0] * width, width * b_shape[1])]
+    peer = [np.arange(n) ^ (1 << k) for k in range(dim)]
+    cols = [np.ascontiguousarray(col[:, k]) for k in range(dim)]
+    whole = (a_shape[0] * a_shape[1], b_shape[0] * b_shape[1])
+    return {
+        "ranks": list(range(n)), "left": [steps] * n, "sent": [False] * n,
+        "rounds": [steps] * n, "at": [parked[r][1] for r in range(n)],
+        "a_shape": a_shape, "b_shape": b_shape, "widths": widths,
+        "rows": [  # per round, every rank sending
+            [(peer[k], cols[k], w) for k, w in zip(ks, words)] for ks in rounds
+        ],
+        "swaps": [  # per step, A's row then B's
+            [(src, dst, col[src, k], w) for (src, dst, k), w in zip(pair, whole)]
+            for pair in zip(movers[0::2], movers[1::2])
+        ],
+        "phase": first.phase,
+        "data": {"rounds": rounds, "blocks": (
+            [op.a_block for op in ops], [op.b_block for op in ops], [None] * n,
+        )},
+    }, plan
 
 
 # -- the hop table ------------------------------------------------------------
@@ -693,6 +779,8 @@ def _rotate_blocks(spec: dict) -> tuple[list, list, list]:
     """The data plane of :func:`_advance`: rotate the blocks and accumulate
     the same products in the same per-rank order the event path would
     have, so ``C`` comes out bitwise equal."""
+    if "swaps" in spec:
+        return _rotate_groups(spec)
     data, a_from_idx, b_from_idx = spec["data"], spec["a_from_idx"], spec["b_from_idx"]
     left, sent = list(data["left"]), list(data["sent"])
     queue_a = [list(q) for q in data["queue_a"]]
@@ -729,39 +817,84 @@ def _rotate_blocks(spec: dict) -> tuple[list, list, list]:
     return a_blocks, b_blocks, c_blocks
 
 
-def try_advance_superstep(engine: "Engine", parked: dict) -> dict | None:
+def _rotate_groups(spec: dict) -> tuple[list, list, list]:
+    """:func:`_rotate_blocks` for a grouped phase: the alignment's
+    exchanges, the split, then per round every rank's ``C += Aˡ·Bˡ`` in
+    group order and every group's exchange."""
+    data = spec["data"]
+    a_blocks, b_blocks, _c = map(list, data["blocks"])
+    for step in spec["swaps"]:
+        for blocks, (src, dst, _col, _w) in zip((a_blocks, b_blocks), step):
+            moved = [blocks[j] for j in dst.tolist()]
+            for i, block in zip(src.tolist(), moved):
+                blocks[i] = block
+    groups = []  # per block of (A⁰, B⁰, A¹, ...), every rank's
+    for cut in _trees()[1].chunk_slices(spec["a_shape"][1], len(spec["widths"])):
+        groups.append([np.ascontiguousarray(a[:, cut]) for a in a_blocks])
+        groups.append([np.ascontiguousarray(b[cut, :]) for b in b_blocks])
+    c_blocks = [np.zeros((a.shape[0], b.shape[1])) for a, b in zip(a_blocks, b_blocks)]
+    n_ranks, rounds = len(c_blocks), data["rounds"]
+    for t in range(len(rounds) + 1):
+        for i, c in enumerate(c_blocks):
+            for a, b in zip(groups[0::2], groups[1::2]):
+                c += a[i] @ b[i]
+        if t < len(rounds):
+            groups = [
+                [blocks[i ^ (1 << k)] for i in range(n_ranks)]
+                for blocks, k in zip(groups, rounds[t])
+            ]
+    return (
+        [list(x) for x in zip(*groups[0::2])],
+        [list(x) for x in zip(*groups[1::2])],
+        c_blocks,
+    )
+
+
+def try_advance_superstep(engine: "Engine", parked: dict) -> dict | str:
     """Advance the resident shift phases from a quiet frontier, in closed form.
 
     ``parked`` is ``engine._parked``.  Returns ``{task: (finish_time,
     (a, b, c))}`` for every rank of the phase on success — and then the
     engine's mailboxes, posted receives and mid-round waiters of the phase
-    are consumed — or ``None``, with nothing touched, when the frontier is
-    not eligible (the caller then runs one more round through the events,
-    or issues the alignment; the hop table counts why it refused).
+    are consumed — or, with nothing touched, the reason the frontier is not
+    eligible (the caller then runs one more round through the events,
+    issues the alignment, or hands a grouped phase back to its loop).
     """
+    plan_from = _frontier
     for op, _at in parked.values():
+        if op.dims is not None:
+            plan_from = _grouped
+            break
         if op.align is not None:
-            try:
-                return _advance(engine, *_hop_table(engine, parked))
-            except _Refuse as refusal:
-                engine._refusals[refusal.args[0]] += len(parked)
-                return None
-    frontier = _frontier(engine, parked)
-    return None if frontier is None else _advance(engine, *frontier)
+            plan_from = _hop_table
+    try:
+        spec, plan = plan_from(engine, parked)
+    except _Refuse as refusal:
+        return refusal.args[0]
+    return _advance(engine, spec, plan)
 
 
 def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
-    """Fold the rounds left from the frontier ``spec`` through ``plan``,
-    whose first columns are the round channels of ``spec["senders"]``, A
-    then B, and commit the phase."""
+    """Fold the rounds left from the frontier ``spec`` through ``plan`` and
+    commit the phase.  One block pair on fixed peers: ``plan``'s first
+    columns are the round channels of ``spec["senders"]``, A then B.  A
+    grouped phase (:func:`_grouped`) states its rows itself: its alignment
+    steps' (``swaps``) and each round's (``rows``)."""
     ranks: list[int] = spec["ranks"]
     n_ranks = len(ranks)
     a_rows, a_cols = spec["a_shape"]
     b_rows, b_cols = spec["b_shape"]
     m_a = a_rows * a_cols
     m_b = b_rows * b_cols
-    flops = 2.0 * a_rows * a_cols * b_cols
-    d_c = engine.config.params.flops_time(flops)
+    # A multiply per block group, in group order (one pair: one group).
+    grouped = "swaps" in spec
+    flops_time = engine.config.params.flops_time
+    if grouped:
+        flops = [2.0 * a_rows * w * b_cols for w in spec["widths"]]
+        d_c = [flops_time(f) for f in flops]
+    else:
+        flops = (2.0 * a_rows * a_cols * b_cols,)
+        d_c = (flops_time(flops[0]),)
 
     left = np.array(spec["left"], dtype=np.int64)
     sent = np.array(spec["sent"], dtype=bool)
@@ -774,55 +907,78 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
     T = np.array(spec["at"], dtype=np.float64)
     stats = engine.stats
     # Per-step stat folds replicate the event path's float accumulation
-    # order: each rank adds the same scalar once per multiply step.
+    # order: each rank adds the same scalars once per multiply step.
     flops_acc = np.array([stats[r].flops for r in ranks], dtype=np.float64)
     compute_acc = np.array([stats[r].compute_time for r in ranks], dtype=np.float64)
     for k in range(int(charged.max()), 0, -1):
         todo = charged >= k
-        np.add(flops_acc, flops, out=flops_acc, where=todo)
-        np.add(compute_acc, d_c, out=compute_acc, where=todo)
+        for f, d in zip(flops, d_c):
+            np.add(flops_acc, f, out=flops_acc, where=todo)
+            np.add(compute_acc, d, out=compute_acc, where=todo)
+
+    marks = ()
+    if grouped:
+        # A grouped phase's alignment: per step A's exchanges, then B's; its
+        # phase is marked where each rank's ends.
+        for step in spec["swaps"]:
+            Tn = T.copy()
+            for src, dst, col, w in step:
+                _fold_row(plan, Tn, T[src], src, dst, col, w)
+            T = Tn
+        if spec["phase"] is not None:
+            marks = [(r, spec["phase"], at) for r, at in zip(ranks, T.tolist())]
 
     top = int(left.max())
     if top > 1:
-        senders = spec["senders"]
-        col_a = np.zeros(n_ranks, dtype=np.intp)
-        col_a[senders] = np.arange(len(senders))
-        col_b = col_a + len(senders)
-        plan["uses"][:2 * len(senders)] += np.concatenate([shifts[senders]] * 2)
-        a_from_idx = np.array(spec["a_from_idx"], dtype=np.intp)
-        b_from_idx = np.array(spec["b_from_idx"], dtype=np.intp)
-        # the shifts are permutations: inverting "from" gives "to"
-        a_to_idx, b_to_idx = np.argsort(a_from_idx), np.argsort(b_from_idx)
-        queues = [
-            (a_from_idx, [list(q) for q in spec["arrive_a"]]),
-            (b_from_idx, [list(q) for q in spec["arrive_b"]]),
-        ]
+        rows, queues = (spec["rows"], ()) if grouped else (None, None)
+        if not grouped:
+            senders = spec["senders"]
+            col_a = np.zeros(n_ranks, dtype=np.intp)
+            col_a[senders] = np.arange(len(senders))
+            col_b = col_a + len(senders)
+            plan["uses"][:2 * len(senders)] += np.concatenate([shifts[senders]] * 2)
+            a_from_idx = np.array(spec["a_from_idx"], dtype=np.intp)
+            b_from_idx = np.array(spec["b_from_idx"], dtype=np.intp)
+            # the shifts are permutations: inverting "from" gives "to"
+            a_to_idx, b_to_idx = np.argsort(a_from_idx), np.argsort(b_from_idx)
+            queues = [
+                (a_from_idx, [list(q) for q in spec["arrive_a"]]),
+                (b_from_idx, [list(q) for q in spec["arrive_b"]]),
+            ]
         # Round k is the one a rank runs with k rounds left: it sends unless
         # it has fewer left, or is mid-round in it.  Ranks behind the
         # frontier run it while the others wait.
         for k in range(top, 1, -1):
             send = multiplies >= k
             src = np.flatnonzero(send)
-            ready = T[src] + d_c  # this round's multiply, then both injections
+            ready = T[src]
+            for d in d_c:  # this round's multiplies, then its injections
+                ready = ready + d
             Tn = T.copy()
-            _fold_row(plan, Tn, ready, src, a_to_idx[src], col_a[src], m_a)
-            _fold_row(plan, Tn, ready, src, b_to_idx[src], col_b[src], m_b)
+            if rows is None:
+                _fold_row(plan, Tn, ready, src, a_to_idx[src], col_a[src], m_a)
+                _fold_row(plan, Tn, ready, src, b_to_idx[src], col_b[src], m_b)
+            else:  # (every rank of a grouped phase is in every round)
+                for dst, col, w in rows[top - k]:
+                    _fold_row(plan, Tn, ready, src, dst, col, w)
             # a block whose sender ran this round earlier is queued already
             for frm, arrivals in queues:
                 for i in np.flatnonzero((left >= k) & ~send[frm]).tolist():
                     Tn[i] = max(Tn[i], arrivals[i].pop(0))
             T = Tn
-        # A receive is counted when it is matched: here the blocks queued at
-        # a rank, but not those already counted (``taken``).
-        msgs_in, words_in = plan["stats"][2:]
-        for queue, taken, m in (
-            (spec["arrive_a"], spec["taken_a"], m_a),
-            (spec["arrive_b"], spec["taken_b"], m_b),
-        ):
-            unmatched = np.array(list(map(len, queue))) - taken
-            msgs_in += unmatched
-            words_in += m * unmatched
-    T = T + d_c  # the last multiply
+        if queues:
+            # A receive is counted when it is matched: here the blocks
+            # queued at a rank, but not those already counted (``taken``).
+            msgs_in, words_in = plan["stats"][2:]
+            for queue, taken, m in (
+                (spec["arrive_a"], spec["taken_a"], m_a),
+                (spec["arrive_b"], spec["taken_b"], m_b),
+            ):
+                unmatched = np.array(list(map(len, queue))) - taken
+                msgs_in += unmatched
+                words_in += m * unmatched
+    for d in d_c:  # the last multiplies
+        T = T + d
 
     # -- data plane
     if not engine.timing_only:
@@ -838,6 +994,8 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
 
     # -- write back: tracker, statistics, and the phase's engine state
     _commit(engine, plan)
+    for r, phase, at in marks:
+        engine._phase_marks[r].append((phase, at))
     for r, fl, ct in zip(ranks, flops_acc.tolist(), compute_acc.tolist()):
         st = stats[r]
         st.flops = fl
@@ -1723,28 +1881,26 @@ def _fold_groups(engine: "Engine", groups: list, at: np.ndarray):
     return outcome, [plan]
 
 
-def try_advance_collective(engine: "Engine", parked: dict) -> dict | None:
+def try_advance_collective(engine: "Engine", parked: dict) -> dict | str:
     """Advance fully-parked collective phases in closed form.
 
     ``parked`` maps task -> (CollectivePhaseOp, park_time).  Returns
     ``{task: (finish_time, value)}`` (fused pairs get ``[value_a, value_b]``
-    at the later finish, like ``ctx.parallel``) or ``None`` when the phase
-    must fall back to the event path — and then the reason is counted, once
-    per parked rank, in ``engine._refusals``.  Nothing — tracker state,
-    statistics — is mutated unless the whole phase plans successfully, so a
-    refusal leaves the engine exactly where the event path would start.
+    at the later finish, like ``ctx.parallel``) or, when the phase must
+    fall back to the event path, the reason (the engine counts it once per
+    parked rank).  Nothing — tracker state, statistics — is mutated unless
+    the whole phase plans successfully, so a refusal leaves the engine
+    exactly where the event path would start.
     """
     try:
         outcome, plans = _plan_phase(engine, parked)
     except _Refuse as refusal:
-        engine._refusals[refusal.args[0]] += len(parked)
-        return None
+        return refusal.args[0]
     except Exception as exc:  # noqa: BLE001 — the event path raises it properly
         # A program error the generator loop will reproduce with the rank
         # attached — or a planner bug, which must not hide as "slow but
         # correct": either way it is counted under the exception's name.
-        engine._refusals[f"planner exception: {type(exc).__name__}"] += len(parked)
-        return None
+        return f"planner exception: {type(exc).__name__}"
     for plan in plans:  # (a lift's and its pair's use disjoint channels)
         _commit(engine, plan)
         for task, phase, at in plan.get("marks", ()):

@@ -119,19 +119,22 @@ class RunResult:
         Rank-rounds of ``ctx.shift_phase`` (one per rank per multiply)
         that ran as events (engine-run or in the program's loop), and that
         :mod:`repro.sim.superstep` advanced in closed form; together they
-        are every rank's ``steps``.  Diagnostics like ``events_processed``,
-        and outside :meth:`trace_lines` and every digest the same way.
+        are every rank's ``steps``, plus one for each alignment the engine
+        ran as events ahead of rounds it could still batch.  Diagnostics
+        like ``events_processed``, and outside :meth:`trace_lines` and
+        every digest the same way.
     collective_phases_closed_form, collective_phases_event, closed_form_refusals:
         Declared collective phases — one per rank per ``CollectivePhaseOp``
         (a collective call, a fused pair, a ``ctx.neighbor_exchange`` round)
         — that :mod:`repro.sim.superstep` answered in closed form, and
         that ran message by message; ``closed_form_refusals`` maps the
-        reason to how many of the latter it sent there (an ineligible run's
-        feature, ``"ctx.parallel sub-task"`` — a refused pair's two
-        collectives are declared again by its sub-tasks and counted again —
-        a hazard release, the planner's validation, or ``"planner
-        exception: <Type>"``), and sums to ``collective_phases_event``.
-        Diagnostics too, outside every digest.
+        reason to how many shift rank-rounds and collective phases it sent
+        to the event path (an ineligible run's feature, ``"ctx.parallel
+        sub-task"`` — a refused pair's two collectives are declared again by
+        its sub-tasks and counted again — a hazard release, the planner's
+        validation, or ``"planner exception: <Type>"``), and sums to
+        ``shift_rounds_event + collective_phases_event``.  Diagnostics too,
+        outside every digest.
     route_searches, route_nodes_settled, adaptive_detours:
         What cost-aware routing under a non-uniform scenario cost and
         found: cheapest-path searches run (one per ``(src, dst, epoch)``

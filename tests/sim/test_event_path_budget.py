@@ -159,8 +159,10 @@ def _small(key, superstep, *, run_kw=None, **machine):
             functools.partial(_small, "cannon", run_kw={"max_virtual_time": 1e9}),
             128, 335, 0, 58.0,
         ),
-        # 62.97 (79.90): the 2 log sqrt(p) exchanges of a multiply step are
-        # one op, issued by Engine._step
+        # 63.15 (85.87): the 2 log sqrt(p) exchanges of a multiply step are
+        # one op, issued by Engine._step; the declared grouped phase is
+        # answered FALLBACK, and shift_loop runs it (62.97 and 79.90 while
+        # the program ran its own loop, one frame shallower)
         (
             functools.partial(
                 _small, "hje", run_kw={"trace": True},
@@ -176,9 +178,10 @@ def test_a_run_that_cannot_park_keeps_its_rounds_out_of_the_generator(
 ):
     """n = p = 16, ``t_s=10, t_w=1``: a traced, scenario-backed or
     watchdogged run pays one event per hop, as many as ``superstep=False``
-    pays — and no ``ctx.isend`` frame inside a phase (HJE's 32 alignment
-    sends, two profiler entries each, are the program's own; Cannon's
-    alignment is part of its declared phase).  The generator loops are the
+    pays — and no ``ctx.isend`` frame inside a phase but HJE's 32
+    alignment sends, two profiler entries each (a grouped phase has no
+    engine-run round: its loop runs it; Cannon's alignment is part of its
+    engine-run phase).  The generator loops are the
     oracle, not what got faster: the same run through them costs at least
     15 calls per message more."""
     fast_fn = functools.partial(run, True)
@@ -259,10 +262,11 @@ def _default_run(key, p, **machine):
         # neighbour-exchange round: 326 483 calls (before: 554 248, 3 840
         # of 7 680 messages as events).
         (_default_run("fox", 256), 7680, 0, 342_800),
-        # Multi-port HJE: the 2·log√p exchanges of every multiply step are
-        # one round; only the conditional XOR alignment (192 messages) is
-        # still evented: 65 486 calls (before: 205 227, all 2 880).
-        (_default_run("hje", 64, port_model=PortModel.MULTI_PORT), 2880, 192, 68_800),
+        # Multi-port HJE: the XOR alignment and every multiply step are one
+        # declared grouped shift phase, folded in closed form: 7 348 calls
+        # (parent: 65 122, the alignment's 192 messages evented and each
+        # step a neighbour-exchange round; before those: 205 227, all 2 880).
+        (_default_run("hje", 64, port_model=PortModel.MULTI_PORT), 2880, 0, 7_720),
         # One-port 3DD: the multi-hop lift is declared with the broadcast
         # pair it feeds, and the hop table plans both: 96 344 calls (parent:
         # 212 635, the pair refused inline and 960 messages, the lift's
