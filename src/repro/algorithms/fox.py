@@ -5,7 +5,7 @@ I" among the prior distributed matmul algorithms but does not carry it
 into Table 2 (Cannon dominates it on hypercubes).  Implemented here as a
 baseline: broadcast-multiply-roll on the ``√p × √p`` grid.
 
-At step ``k`` (``k = 0 … √p-1``):
+At stage ``k`` (``k = 0 … √p-1``):
 
 1. in every row ``i``, the processor holding ``A_{i, i+k}`` (column
    ``(i + k) mod √p``) broadcasts it across the row,
@@ -13,10 +13,18 @@ At step ``k`` (``k = 0 … √p-1``):
    block and accumulates,
 3. ``B`` blocks roll up one position along the columns.
 
-Per step this costs a one-to-all broadcast (``log √p`` start-ups) plus a
+Per stage this costs a one-to-all broadcast (``log √p`` start-ups) plus a
 unit shift, so Fox pays ``O(√p·log √p)`` start-ups against Cannon's
 ``O(√p)`` — the reason the paper's lineup skips it; the relation is pinned
 in ``tests/algorithms/test_fox.py``.
+
+The program declares all ``√p`` stages once, as a *broadcast*
+:class:`~repro.sim.ops.ShiftPhaseOp`: the row communicator, each stage's
+root and ``B``'s peers.  On a default-knob run every rank parks once and
+:mod:`repro.sim.superstep` folds the stages from the park times; wherever
+no closed form comes, :func:`~repro.sim.process.shift_loop` runs the
+stages above message by message (each broadcast and roll then declared as
+the collective phase it is).
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from typing import Any
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.common import GridView2D, TAG_A, TAG_B, require_square_grid
 from repro.blocks.partition import BlockPartition2D
-from repro.collectives import broadcast
+from repro.sim.ops import ShiftPhaseOp
+from repro.sim.process import ProcessContext, shift_loop
 from repro.topology.embedding import Grid2DEmbedding
 from repro.topology.hypercube import Hypercube
 
@@ -59,28 +68,22 @@ class FoxAlgorithm(MatmulAlgorithm):
         view = GridView2D.create(ctx)
         q = view.q
         i, j = view.row, view.col
-        a_block, b_block = local["A"], local["B"]
+        a_block = local["A"]
         ctx.note_memory(4 * a_block.size)  # A, roaming A, B, C
-
-        up = view.grid.node_at(i - 1, j)
-        down = view.grid.node_at(i + 1, j)
-
         ctx.phase("fox")
-        c_block = None
-        for k in range(q):
-            # 1. broadcast A_{i, i+k} across row i from its holder.
-            root = (i + k) % q  # row_comm is ordered by column coordinate
-            roaming = a_block if j == root else None
-            roaming = yield from broadcast(
-                view.row_comm, roaming, root=root, tag=TAG_A
-            )
-            # 2. multiply-accumulate with the resident B block.
-            c_block = yield from ctx.local_matmul(roaming, b_block, c_block)
-            # 3. roll B up one position along the column.
-            if k < q - 1:
-                (b_block,) = yield from ctx.neighbor_exchange(
-                    [(up, b_block, TAG_B)], [(down, TAG_B)]
-                )
+        # Stage k broadcasts A_{i, i+k} from column (i + k) mod q (row_comm
+        # is ordered by column coordinate) and rolls B up one row.
+        phase = dict(
+            steps=q, a_block=a_block, b_block=local["B"], tag_a=TAG_A, tag_b=TAG_B,
+            b_to=view.grid.node_at(i - 1, j), b_from=view.grid.node_at(i + 1, j),
+            row=view.row_comm, roots=tuple(range(i, q)) + tuple(range(i)),
+        )
+        # Declared on a plain context (see cannon_kernel); a wrapped one
+        # runs the phase's definition through its own protocols.
+        if type(ctx) is ProcessContext:
+            _a, _b, c_block = yield from ctx.shift_phase(**phase)
+        else:
+            _a, _b, c_block = yield from shift_loop(ctx, ShiftPhaseOp(**phase))
         return c_block
 
     def collect_output(self, n: int, cube: Hypercube, results):

@@ -90,9 +90,9 @@ _SHIFT_HEAVY: tuple[str, ...] = ("cannon", "berntsen", "dns_cannon", "3dd_cannon
 _COLLECTIVE_PASSES = 5
 
 #: algorithms whose communication is all single-hop phases with a closed
-#: form: neighbour-exchange rounds (``hje``, ``fox``) and, on a one-port
-#: machine, fused allgather pairs planned through one port column
-#: (``simple``, ``3d_all``, ``3d_all_rect``)
+#: form: one declared shift phase (``hje`` grouped, ``fox`` broadcast)
+#: and, on a one-port machine, fused allgather pairs planned through one
+#: port column (``simple``, ``3d_all``, ``3d_all_rect``)
 _SINGLE_HOP: tuple[str, ...] = ("hje", "fox", "simple", "3d_all", "3d_all_rect")
 
 #: alternating cases drawn before the single-hop pass (which then takes one

@@ -178,9 +178,9 @@ class Engine:
         :mod:`repro.sim.superstep`).  On by default: in closed form unless
         faults, scenarios, tracing or a ``max_virtual_time`` watchdog need
         every hop as an event, and then (faults excepted) round by round
-        without the program's generator loop (a grouped shift phase: with
-        it).  ``False`` forces that loop for every phase (the conformance
-        suite's reference runs).
+        without the program's generator loop (a grouped or broadcast shift
+        phase: with it).  ``False`` forces that loop for every phase (the
+        conformance suite's reference runs).
     timing_only:
         Skip local matrix products: ``ctx.local_matmul`` charges the same
         flops/time but returns a zero-cost broadcast view instead of the
@@ -488,10 +488,10 @@ class Engine:
 
     def _release(self, reason: str) -> None:
         """Release every parked task onto the event path at its park time:
-        shift phases for one engine-run round (a grouped one with FALLBACK,
-        for all of its rounds), then collectives with FALLBACK, each kind in
-        park order; what that sends to the event path is counted under
-        ``reason``."""
+        shift phases for one engine-run round (a grouped or broadcast one
+        with FALLBACK, for all of its rounds), then collectives with
+        FALLBACK, each kind in park order; what that sends to the event path
+        is counted under ``reason``."""
         parked = self._parked
         self._parked = {}
         self._hazards.clear()
@@ -504,7 +504,7 @@ class Engine:
                 refused += 1
                 if op.lift is not None and not op.lift.ran:
                     self._lifts_released = True
-            elif op.dims is not None:
+            elif op.dims is not None or op.row is not None:
                 fallback.append((task, at))
                 self._shift_rounds_event += op.steps
                 refused += op.steps
@@ -690,14 +690,15 @@ class Engine:
                         self._refusals[refused] += op.steps
                         if (
                             not self._resident or task.__class__ is tuple
-                            or op.dims is not None
+                            or op.dims is not None or op.row is not None
                         ):
                             # The generator loop, the definition of a round:
                             # superstep=False asks for it, a fault plan can
                             # corrupt a multiply or halt a rank mid-round, a
                             # ctx.parallel sub-task shares its node's ports
                             # with siblings, and no engine-run round moves
-                            # groups.  Answered once — zero extra events.
+                            # groups or broadcasts.  Answered once — zero
+                            # extra events.
                             self._shift_rounds_event += op.steps
                             value = FALLBACK
                             continue
@@ -908,12 +909,12 @@ class Engine:
         """Park ``task`` at a round boundary or before its alignment, with
         hazards (see _start_hop) on the resources it will reserve."""
         self._parked[task] = (op, now)
-        if op.dims is not None:
-            # Grouped: any of its channels (one-port: its port) from the
-            # park time on, as a collective's.
+        if op.dims is not None or op.row is not None:
+            # Grouped or broadcast: any of its channels (one-port: its port)
+            # from the park time on, as a collective's.
             thr = math.nextafter(now, -math.inf)
             self._hazard(
-                ((task, task ^ (1 << k)), thr) for k in range(self.config.dimension)
+                [((task, task ^ (1 << k)), thr) for k in range(self.config.dimension)]
             )
         elif op.align is not None:
             # Any resource of the two routes from the park time on, and this
@@ -1429,7 +1430,8 @@ class Engine:
             and not transfer.dropped
             and msg.dst in self._parked
             and ((op := self._parked[msg.dst][0]).__class__ is CollectivePhaseOp
-                 or op.align is not None or op.dims is not None)
+                 or op.align is not None or op.dims is not None
+                 or op.row is not None)
         ):
             # A message that was already in flight when its destination
             # parked on a collective is about to land in the parked rank's
@@ -1440,10 +1442,10 @@ class Engine:
             # clock.  Same remedy as the reservation hazards in
             # _start_hop: release every parked rank onto the event path
             # first (their resumes sort before this time), then redo the
-            # delivery.  An alignment yet to be issued and a grouped shift
-            # phase are held alike; round boundaries are exempt: blocks
-            # queued at a parked rank are part of the frontier the shift
-            # closed form advances.
+            # delivery.  An alignment yet to be issued and a grouped or
+            # broadcast shift phase are held alike; round boundaries are
+            # exempt: blocks queued at a parked rank are part of the
+            # frontier the shift closed form advances.
             self._release("delivery to a parked rank")
             self._schedule(time, _HOP_DONE, (transfer, hop_index, handle))
             return

@@ -233,6 +233,16 @@ class ShiftPhaseOp:
             neighbor_exchange: block k of (A⁰, B⁰, A¹, B¹, ...) to and from
                 rank ^ (1 << dims[t][k]) on tags[k]
 
+    A *broadcast* phase (``row`` set: a ``repro.mpi.Comm``; Fox-Otto-Hey's)
+    reaches each rank's A by a row broadcast instead of a shift, and rolls
+    B on ``b_to`` / ``b_from``; ``a_to``, ``a_from``, ``align`` are unused::
+
+        for k, root in enumerate(roots):  # one root per step
+            A' = broadcast(row, A if row.rank == root else None, root, tag_a)
+            C = local_matmul(A', B, C)
+            if k == steps - 1: break
+            (B,) = neighbor_exchange([(b_to, B, tag_b)], [(b_from, tag_b)])
+
     The op is *resident*: a program yields it once and the engine owns the
     phase from then on.  ``steps`` counts the rounds still to run and
     ``a_block`` / ``b_block`` / ``c_block`` are the rank's blocks at that
@@ -245,9 +255,10 @@ class ShiftPhaseOp:
     resumes the generator exactly once, with the final ``(A, B, C)``.
     ``superstep=False`` runs, fault plans and ``ctx.parallel`` sub-tasks
     are answered :data:`FALLBACK` straight away, and the program runs
-    the loop above from the op's state; so is a grouped phase wherever no
-    closed form will come, or a foreign hop releases it.  Either way the
-    simulated times, statistics and blocks are bit-identical.
+    the loop above from the op's state; so is a grouped or broadcast phase
+    (no engine-run round moves groups or broadcasts) wherever no closed form
+    will come, or a foreign hop releases it.  Either way the simulated
+    times, statistics and blocks are bit-identical.
     """
 
     steps: int
@@ -266,6 +277,9 @@ class ShiftPhaseOp:
     tags: tuple = ()
     swaps: tuple = ()
     phase: str | None = None
+    # a broadcast phase's (the third loop above)
+    row: Any = None
+    roots: tuple = ()
 
 
 @dataclass(frozen=True)

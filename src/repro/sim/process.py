@@ -79,6 +79,8 @@ def shift_loop(ctx, op: ShiftPhaseOp):
     (a grouped phase's ``A`` and ``B``: its lists of groups)."""
     if op.dims is not None:
         return (yield from _grouped_loop(ctx, op))
+    if op.row is not None:
+        return (yield from _broadcast_loop(ctx, op))
     a_block, b_block, c_block = op.a_block, op.b_block, op.c_block
     peers = op.align
     for _left in range(op.steps):
@@ -137,6 +139,22 @@ def _grouped_loop(ctx, op: ShiftPhaseOp):
             list(zip(peers, blocks, op.tags)), list(zip(peers, op.tags))
         )
     return blocks[0::2], blocks[1::2], c_block
+
+
+def _broadcast_loop(ctx, op: ShiftPhaseOp):
+    """:func:`shift_loop` for a broadcast phase (see :class:`ShiftPhaseOp`)."""
+    from repro.collectives import broadcast  # (circular at module level)
+
+    row, b_block, c_block = op.row, op.b_block, op.c_block
+    for k, root in enumerate(op.roots):
+        roaming = op.a_block if row.rank == root else None
+        roaming = yield from broadcast(row, roaming, root=root, tag=op.tag_a)
+        c_block = yield from ctx.local_matmul(roaming, b_block, c_block)
+        if k < op.steps - 1:
+            (b_block,) = yield from ctx.neighbor_exchange(
+                [(op.b_to, b_block, op.tag_b)], [(op.b_from, op.tag_b)]
+            )
+    return op.a_block, b_block, c_block
 
 
 class ProcessContext:
@@ -413,6 +431,8 @@ class ProcessContext:
         tags: tuple = (),
         swaps: tuple = (),
         phase: str | None = None,
+        row: Any = None,
+        roots: tuple = (),
     ):
         """Run a uniform shift-multiply superstep (generator).
 
@@ -426,7 +446,9 @@ class ProcessContext:
         A *grouped* phase (Ho-Johnsson-Edelman's) gives ``dims``, ``tags``,
         ``swaps`` and ``phase`` instead of the four peers (see
         :class:`~repro.sim.ops.ShiftPhaseOp`) and returns the final group
-        lists and ``C``.
+        lists and ``C``.  A *broadcast* phase (Fox-Otto-Hey's) gives the
+        row communicator ``row``, one broadcast root per step in ``roots``
+        and B's peers, and returns its own ``A``, the final ``B`` and ``C``.
 
         The phase is declared once, as a resident
         :class:`~repro.sim.ops.ShiftPhaseOp`: the engine runs its rounds
@@ -435,11 +457,12 @@ class ProcessContext:
         :mod:`repro.sim.superstep`; never, under a scenario, tracing or a
         watchdog) — and resumes this generator once, with the final blocks.
         A fault plan, ``superstep=False`` and a ``ctx.parallel`` sub-task
-        are answered :data:`~repro.sim.ops.FALLBACK` instead (a grouped
-        phase also wherever no closed form comes), and :func:`shift_loop`,
-        which defines the phase, runs what is left of it message by
-        message: the engine's own rounds, the hop table and the closed
-        form are held bit-identical to it by ``tests/conformance``.
+        are answered :data:`~repro.sim.ops.FALLBACK` instead (a grouped or
+        broadcast phase also wherever no closed form comes), and
+        :func:`shift_loop`, which defines the phase, runs what is left of
+        it message by message: the engine's own rounds, the hop table and
+        the closed form are held bit-identical to it by
+        ``tests/conformance``.
         """
         if steps < 1:
             raise SimulationError(f"shift_phase needs steps >= 1, got {steps}")
@@ -459,7 +482,13 @@ class ProcessContext:
                 f"local_matmul shape mismatch: {a_block.shape} @ {b_block.shape}"
             )
         peers = (a_to, a_from, b_to, b_from)
-        if dims is None:
+        if row is not None:
+            if len(roots) != steps or dims is not None or align is not None:
+                raise SimulationError(
+                    "a broadcast shift_phase needs a root per step, no dims and no align"
+                )
+            peers = (None, None, *map(self._check_peer, peers[2:]))
+        elif dims is None:
             peers = tuple(map(self._check_peer, peers))
         elif not tags or len(tags) % 2 or len(dims) != steps - 1 or align is not None:
             raise SimulationError(
@@ -469,6 +498,7 @@ class ProcessContext:
         op = ShiftPhaseOp(
             steps, a_block, b_block, int(tag_a), int(tag_b), *peers,
             align=align, dims=dims, tags=tags, swaps=swaps, phase=phase,
+            row=row, roots=tuple(roots),
         )
         verdict = yield op
         if verdict is not FALLBACK:

@@ -18,7 +18,9 @@ table* replays those moves and what they overlap in the event path's
 order (see "the hop table" and "lifted pairs" below).  A *grouped* phase
 (Ho-Johnsson-Edelman's) moves single hops only: :func:`_grouped` states its
 alignment and rounds as rows of the recurrence below, and anything else
-hands the whole phase back to the program's loop.
+hands the whole phase back to the program's loop.  So does a *broadcast*
+phase (Fox-Otto-Hey's): :func:`_broadcasting` states each stage's row
+broadcasts (the broadcast's own step table) and B's roll as rows.
 
 One recurrence
 --------------
@@ -78,10 +80,10 @@ tag_b``, when the shifts are not neighbour permutations whose receivers
 expect exactly their senders, or when queued blocks do not pair up with the
 rounds their receivers have left.  Refusing is always safe: the engine-run
 round schedules the events the per-message loop would.  Each refusal is
-counted per rank-round (a grouped phase's: all of its rounds) it sends to
-the event path.  Channels a closed
-form creates in plan order rather than event order fold their busy times in
-channel-key order all the same (``NetworkStats.total_channel_busy``).
+counted per rank-round (a grouped or broadcast phase's: all of its rounds)
+it sends to the event path.  Channels a closed form creates in plan order
+rather than event order fold their busy times in channel-key order all the
+same (``NetworkStats.total_channel_busy``).
 """
 
 from __future__ import annotations
@@ -221,6 +223,18 @@ def _fold_row(plan, Tn, ready, src, dst, chan, w, distinct=True) -> None:
         np.maximum.at(Tn, dst, e)
         np.add.at(msgs_in, dst, 1)
         np.add.at(words_in, dst, w)
+
+
+def _fold_steps(plan, T, steps) -> np.ndarray:
+    """Fold ``steps`` one after another (a step: rows ``(src, dst, chan,
+    w)``, every send ready at the clock the step starts from); returns the
+    clocks after the last."""
+    for step in steps:
+        Tn = T.copy()
+        for src, dst, chan, w in step:
+            _fold_row(plan, Tn, T[src], src, dst, chan, w)
+        T = Tn
+    return T
 
 
 def _commit(engine: "Engine", plan: dict) -> None:
@@ -406,6 +420,22 @@ def _frontier(engine: "Engine", parked: dict) -> tuple:
     }, _seed(engine, keys, np.zeros(len(keys), dtype=np.int64), ranks)
 
 
+def _rank_channels(engine: "Engine", uses: np.ndarray) -> tuple:
+    """A plan over the channels ``rank -> rank ^ (1 << k)`` that ``uses``
+    (``[rank, k]``: reservations) names, and each one's plan column
+    (``[rank, k]``, -1 unused): rank-major."""
+    n, dim = uses.shape
+    used = np.flatnonzero(uses)
+    col = np.full(n * dim, -1, dtype=np.intp)
+    col[used] = np.arange(len(used))
+    nodes, dims = np.divmod(used, dim)
+    plan = _seed(
+        engine, list(zip(nodes.tolist(), (nodes ^ (1 << dims)).tolist())),
+        uses.ravel()[used], range(n),
+    )
+    return col.reshape(n, dim), plan
+
+
 def _grouped(engine: "Engine", parked: dict) -> tuple:
     """Validate a parked grouped phase (every rank in it, the network quiet)
     and state its rows; returns the ``(spec, plan)`` :func:`_advance` folds,
@@ -444,21 +474,12 @@ def _grouped(engine: "Engine", parked: dict) -> tuple:
         if (moves[dst, c] != m[src]).any():
             raise _Refuse("grouped shift: an alignment move is not an exchange")
         movers.append((src, dst, m[src]))
-    # Channel columns, rank-major, for every round's dimensions and every
-    # alignment move, each reserved that many times.
+    # Every round's dimensions and every alignment move, that many times.
     uses = np.zeros((n, dim), dtype=np.int64)
     uses += np.bincount([k for ks in rounds for k in ks], minlength=dim)
     for src, _dst, k in movers:
         uses[src, k] += 1
-    used = np.flatnonzero(uses)
-    col = np.full(n * dim, -1, dtype=np.intp)
-    col[used] = np.arange(len(used))
-    col = col.reshape(n, dim)
-    nodes, dims = np.divmod(used, dim)
-    plan = _seed(
-        engine, list(zip(nodes.tolist(), (nodes ^ (1 << dims)).tolist())),
-        uses.ravel()[used], range(n),
-    )
+    col, plan = _rank_channels(engine, uses)
 
     steps, a_shape, b_shape = first.steps, key[5], key[6]
     widths = _trees()[1].chunk_sizes(a_shape[1], len(tags) // 2)
@@ -479,6 +500,95 @@ def _grouped(engine: "Engine", parked: dict) -> tuple:
         ],
         "phase": first.phase,
         "data": {"rounds": rounds, "blocks": (
+            [op.a_block for op in ops], [op.b_block for op in ops], [None] * n,
+        )},
+    }, plan
+
+
+def _broadcasting(engine: "Engine", parked: dict) -> tuple:
+    """Validate a parked broadcast phase (every rank in it, the network
+    quiet) and state its rows; returns the ``(spec, plan)`` :func:`_advance`
+    folds, or refuses.  A stage is every row's broadcast from the root its
+    members name — the rounds of :func:`_broadcast_table`, each row a
+    subcube over the same dimensions — then B's roll: one hop to ``b_to``,
+    across a dimension no row spans, to the rank whose ``b_from`` names the
+    sender."""
+    n, dim = engine.config.num_nodes, engine.config.dimension
+    if len(parked) != n or not _all_parked_and_quiet(engine, parked):
+        raise _Refuse("broadcast shift: ranks outside the phase, or traffic in flight")
+    ops = [parked[r][0] for r in range(n)]
+    form = attrgetter("steps", "tag_a", "tag_b", "row.free_dims", "a_block.shape", "b_block.shape")
+    key = form(ops[0])
+    declared: dict = {}  # (members, roots) -> {comm rank: rank}
+    for r, op in enumerate(ops):
+        if op.row is None or form(op) != key:
+            raise _Refuse("broadcast shift: ranks differ in steps, tags, rows or blocks")
+        declared.setdefault((op.row.members, op.roots), {})[op.row.rank] = r
+    steps, free_dims, a_shape, b_shape = key[0], key[3], key[4], key[5]
+    sub = np.zeros(n, dtype=np.intp)  # each rank's subcube index in its row
+    roots = np.zeros((steps, n), dtype=np.intp)  # per stage, each rank's root
+    for (members, row_roots), ranks in declared.items():
+        tables = _tables(
+            engine, (members, free_dims), lambda: _subcube_tables(members, free_dims)
+        )
+        if (
+            tables is None or ranks != dict(enumerate(members))
+            or len(row_roots) != steps or min(row_roots) < 0
+            or max(row_roots) >= len(members)
+        ):
+            raise _Refuse("broadcast shift: a row is not a subcube its members declare alike")
+        ids = tables[4]
+        sub[ids] = tables[0]
+        roots[:, ids] = ids[list(row_roots)][:, None]
+    everyone = np.arange(n)
+    uses = np.zeros((n, dim), dtype=np.int64)
+    b_to = b_from = b_dim = None
+    if steps > 1:
+        b_to = np.array([op.b_to for op in ops], dtype=np.intp)
+        b_from = np.array([op.b_from for op in ops], dtype=np.intp)
+        hop = b_to ^ everyone
+        spanned = sum(1 << k for k in free_dims)
+        if (
+            (hop <= 0) | (hop & (hop - 1) != 0) | (hop & spanned != 0)
+            | (b_from[b_to] != everyone)
+        ).any():
+            raise _Refuse("broadcast shift: the roll is not a neighbour permutation across rows")
+        b_dim = np.log2(hop).astype(np.intp)
+        uses[everyone, b_dim] = steps - 1
+    # A rank sends in a round and tree of a stage when its index relative
+    # to that stage's root is one of the tree's senders (``hit``).
+    rel = sub ^ sub[roots]
+    table = []
+    for row in _broadcast_table(
+        len(free_dims), engine.config.port_model is not PortModel.ONE_PORT,
+        ops[0].a_block,
+    ) if free_dims else ():
+        table.append([])
+        for senders, k, w in row:
+            hit = np.zeros(1 << len(free_dims), dtype=bool)
+            hit[senders] = True
+            uses[:, free_dims[k]] += hit[rel].sum(axis=0)
+            table[-1].append((hit, free_dims[k], w))
+    col, plan = _rank_channels(engine, uses)
+
+    def stages():  # per stage, its broadcast's rounds of rows, as folded
+        for s in range(steps):
+            rounds = []
+            for row in table:
+                rows = []
+                for hit, k, w in row:
+                    src = np.flatnonzero(hit[rel[s]])
+                    rows.append((src, src ^ (1 << k), col[src, k], w))
+                rounds.append(rows)
+            yield rounds
+
+    b_row = [] if b_to is None else [(b_to, col[everyone, b_dim], b_shape[0] * b_shape[1])]
+    return {
+        "ranks": list(range(n)), "left": [steps] * n, "sent": [False] * n,
+        "rounds": [steps] * n, "at": [parked[r][1] for r in range(n)],
+        "a_shape": a_shape, "b_shape": b_shape,
+        "stages": stages(), "rows": [b_row] * (steps - 1),
+        "data": {"roots": roots, "b_from": b_from, "blocks": (
             [op.a_block for op in ops], [op.b_block for op in ops], [None] * n,
         )},
     }, plan
@@ -781,6 +891,8 @@ def _rotate_blocks(spec: dict) -> tuple[list, list, list]:
     have, so ``C`` comes out bitwise equal."""
     if "swaps" in spec:
         return _rotate_groups(spec)
+    if "stages" in spec:
+        return _rotate_stages(spec)
     data, a_from_idx, b_from_idx = spec["data"], spec["a_from_idx"], spec["b_from_idx"]
     left, sent = list(data["left"]), list(data["sent"])
     queue_a = [list(q) for q in data["queue_a"]]
@@ -850,6 +962,24 @@ def _rotate_groups(spec: dict) -> tuple[list, list, list]:
     )
 
 
+def _rotate_stages(spec: dict) -> tuple[list, list, list]:
+    """:func:`_rotate_blocks` for a broadcast phase: per stage every rank's
+    ``C (+)= A·B`` with its stage root's resident ``A``, then B's roll."""
+    data = spec["data"]
+    a_blocks, b_blocks, c_blocks = map(list, data["blocks"])
+    roots, b_from = data["roots"].tolist(), data["b_from"]
+    b_from = None if b_from is None else b_from.tolist()
+    for s, stage in enumerate(roots):
+        for i, r in enumerate(stage):
+            if s:
+                c_blocks[i] += a_blocks[r] @ b_blocks[i]
+            else:
+                c_blocks[i] = a_blocks[r] @ b_blocks[i]
+        if s < len(roots) - 1:
+            b_blocks = [b_blocks[j] for j in b_from]
+    return a_blocks, b_blocks, c_blocks
+
+
 def try_advance_superstep(engine: "Engine", parked: dict) -> dict | str:
     """Advance the resident shift phases from a quiet frontier, in closed form.
 
@@ -858,12 +988,16 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | str:
     engine's mailboxes, posted receives and mid-round waiters of the phase
     are consumed — or, with nothing touched, the reason the frontier is not
     eligible (the caller then runs one more round through the events,
-    issues the alignment, or hands a grouped phase back to its loop).
+    issues the alignment, or hands a grouped or broadcast phase back to its
+    loop).
     """
     plan_from = _frontier
     for op, _at in parked.values():
         if op.dims is not None:
             plan_from = _grouped
+            break
+        if op.row is not None:
+            plan_from = _broadcasting
             break
         if op.align is not None:
             plan_from = _hop_table
@@ -879,7 +1013,9 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
     commit the phase.  One block pair on fixed peers: ``plan``'s first
     columns are the round channels of ``spec["senders"]``, A then B.  A
     grouped phase (:func:`_grouped`) states its rows itself: its alignment
-    steps' (``swaps``) and each round's (``rows``)."""
+    steps' (``swaps``) and each round's (``rows``); so does a broadcast
+    phase (:func:`_broadcasting`): each round's (``rows``) and, before each
+    multiply, its stage's broadcast steps (the next of ``stages``)."""
     ranks: list[int] = spec["ranks"]
     n_ranks = len(ranks)
     a_rows, a_cols = spec["a_shape"]
@@ -887,14 +1023,10 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
     m_a = a_rows * a_cols
     m_b = b_rows * b_cols
     # A multiply per block group, in group order (one pair: one group).
-    grouped = "swaps" in spec
     flops_time = engine.config.params.flops_time
-    if grouped:
-        flops = [2.0 * a_rows * w * b_cols for w in spec["widths"]]
-        d_c = [flops_time(f) for f in flops]
-    else:
-        flops = (2.0 * a_rows * a_cols * b_cols,)
-        d_c = (flops_time(flops[0]),)
+    flops = [2.0 * a_rows * w * b_cols for w in spec.get("widths", (a_cols,))]
+    d_c = [flops_time(f) for f in flops]
+    stages = spec.get("stages")
 
     left = np.array(spec["left"], dtype=np.int64)
     sent = np.array(spec["sent"], dtype=bool)
@@ -916,22 +1048,17 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
             np.add(flops_acc, f, out=flops_acc, where=todo)
             np.add(compute_acc, d, out=compute_acc, where=todo)
 
+    # A grouped phase's alignment: per step A's exchanges, then B's; its
+    # phase is marked where each rank's ends.
+    T = _fold_steps(plan, T, spec.get("swaps", ()))
     marks = ()
-    if grouped:
-        # A grouped phase's alignment: per step A's exchanges, then B's; its
-        # phase is marked where each rank's ends.
-        for step in spec["swaps"]:
-            Tn = T.copy()
-            for src, dst, col, w in step:
-                _fold_row(plan, Tn, T[src], src, dst, col, w)
-            T = Tn
-        if spec["phase"] is not None:
-            marks = [(r, spec["phase"], at) for r, at in zip(ranks, T.tolist())]
+    if spec.get("phase") is not None:
+        marks = [(r, spec["phase"], at) for r, at in zip(ranks, T.tolist())]
 
     top = int(left.max())
     if top > 1:
-        rows, queues = (spec["rows"], ()) if grouped else (None, None)
-        if not grouped:
+        rows, queues = spec.get("rows"), ()
+        if rows is None:
             senders = spec["senders"]
             col_a = np.zeros(n_ranks, dtype=np.intp)
             col_a[senders] = np.arange(len(senders))
@@ -949,6 +1076,8 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
         # it has fewer left, or is mid-round in it.  Ranks behind the
         # frontier run it while the others wait.
         for k in range(top, 1, -1):
+            if stages is not None:
+                T = _fold_steps(plan, T, next(stages))
             send = multiplies >= k
             src = np.flatnonzero(send)
             ready = T[src]
@@ -958,7 +1087,7 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
             if rows is None:
                 _fold_row(plan, Tn, ready, src, a_to_idx[src], col_a[src], m_a)
                 _fold_row(plan, Tn, ready, src, b_to_idx[src], col_b[src], m_b)
-            else:  # (every rank of a grouped phase is in every round)
+            else:  # (every rank of a grouped or broadcast phase is in every round)
                 for dst, col, w in rows[top - k]:
                     _fold_row(plan, Tn, ready, src, dst, col, w)
             # a block whose sender ran this round earlier is queued already
@@ -977,6 +1106,8 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
                 unmatched = np.array(list(map(len, queue))) - taken
                 msgs_in += unmatched
                 words_in += m * unmatched
+    if stages is not None:
+        T = _fold_steps(plan, T, next(stages))
     for d in d_c:  # the last multiplies
         T = T + d
 
@@ -1299,9 +1430,10 @@ def _tree_senders(orders: tuple, combine: bool) -> tuple:
     )
 
 
-def _rooted_senders(g: _CollGroup, orders: tuple, combine: bool) -> list:
-    """:func:`_tree_senders` as comm ranks of ``g``, rooted at ``g.root``."""
-    base, senders = int(g.sub[g.root]), _tree_senders(orders, combine)
+def _rooted_senders(g: _CollGroup, orders: tuple) -> list:
+    """:func:`_tree_senders` of combining trees as comm ranks of ``g``,
+    rooted at ``g.root`` (a broadcast reads :func:`_broadcast_table`)."""
+    base, senders = int(g.sub[g.root]), _tree_senders(orders, combine=True)
     return [[g.cr_of_sub[rel ^ base] for rel in row] for row in senders]
 
 
@@ -1507,7 +1639,7 @@ def _reduce_tables(g: _CollGroup, sizes, shapes, orders, chunked):
     piece = _piece_sizes(sizes, len(orders))[0].tolist()
     start = np.cumsum(piece) - piece
     steps, rounds = [], []
-    for t, row in enumerate(_rooted_senders(g, orders, combine=True)):
+    for t, row in enumerate(_rooted_senders(g, orders)):
         steps.append([(si, orders[j][t], piece[j]) for j, si in enumerate(row)])
         cols = [
             (np.repeat(g.partners[orders[j][t]][si], piece[j]),
@@ -1521,20 +1653,31 @@ def _reduce_tables(g: _CollGroup, sizes, shapes, orders, chunked):
     return steps, rounds, picks
 
 
+def _broadcast_table(d: int, chunked: bool, data) -> list:
+    """A broadcast's step table relative to its root: per round, per tree,
+    ``(senders' indices relative to the root, subcube dimension, words)``."""
+    orders = _orders(d, not chunked)
+    sizes = (
+        _piece_sizes([data.size], len(orders))[0].tolist() if chunked
+        else [payload_words(data)]
+    )
+    return [
+        [(senders, orders[j][t], sizes[j]) for j, senders in enumerate(row)]
+        for t, row in enumerate(_tree_senders(orders, combine=False))
+    ]
+
+
 def _broadcast_steps(engine, groups, chunked):
     """Distribution trees: whoever holds tree ``j``'s piece forwards it;
     every non-root returns a copy of its own."""
     for g in groups:
-        orders = _orders(g.d, not chunked)
         data = g.payloads[g.root]
         if chunked:
             data = np.asarray(data)
-            sizes = _piece_sizes([data.size], len(orders))[0].tolist()
-        else:
-            sizes = [payload_words(data)]
+        base = int(g.sub[g.root])
         g.steps = [
-            [(senders, orders[j][t], sizes[j]) for j, senders in enumerate(row)]
-            for t, row in enumerate(_rooted_senders(g, orders, combine=False))
+            [(g.cr_of_sub[rel ^ base], k, w) for rel, k, w in row]
+            for row in _broadcast_table(g.d, chunked, data)
         ]
         g.values = [
             g.payloads[i] if i == g.root

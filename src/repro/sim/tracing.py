@@ -116,7 +116,8 @@ class RunResult:
         between the event path and the closed forms, so it never enters
         :meth:`trace_lines` or any digest.
     shift_rounds_event, shift_rounds_closed_form:
-        Rank-rounds of ``ctx.shift_phase`` (one per rank per multiply)
+        Rank-rounds of ``ctx.shift_phase`` (one per rank per multiply; a
+        Fox rank-round is one stage: its row broadcast, multiply and B roll)
         that ran as events (engine-run or in the program's loop), and that
         :mod:`repro.sim.superstep` advanced in closed form; together they
         are every rank's ``steps``, plus one for each alignment the engine

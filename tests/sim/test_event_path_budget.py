@@ -258,12 +258,14 @@ def _default_run(key, p, **machine):
         # 121 389 calls (before the step tables: 439 733, all 2 048
         # messages as events).
         (_default_run("simple", 256), 2048, 0, 127_500),
-        # Row broadcasts were already closed forms; the B-roll is now a
-        # neighbour-exchange round: 326 483 calls (before: 554 248, 3 840
-        # of 7 680 messages as events).
-        (_default_run("fox", 256), 7680, 0, 342_800),
+        # Fox: the 16 broadcast-multiply-roll stages are one declared
+        # broadcast shift phase, each rank parked once and every stage folded
+        # in closed form: 42 822 calls (parent: 326 483, 16 row broadcasts
+        # and 15 B-roll neighbour exchanges each parked and resolved apart;
+        # before those: 554 248, 3 840 of 7 680 messages as events).
+        (_default_run("fox", 256), 7680, 0, 45_000),
         # Multi-port HJE: the XOR alignment and every multiply step are one
-        # declared grouped shift phase, folded in closed form: 7 348 calls
+        # declared grouped shift phase, folded in closed form: 6 971 calls
         # (parent: 65 122, the alignment's 192 messages evented and each
         # step a neighbour-exchange round; before those: 205 227, all 2 880).
         (_default_run("hje", 64, port_model=PortModel.MULTI_PORT), 2880, 0, 7_720),
