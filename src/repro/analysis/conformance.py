@@ -20,9 +20,11 @@ a seeded, shrinkable differential suite:
 * :func:`run_suite` drives the whole sweep and formats reproducers.
 
 Faulty cases run the "fast" configuration through the generator loops
-too, and pin the fallback-equivalence contract instead.  Degraded and
-``traced`` cases pay one event per hop on both sides: there the engine's
-own rounds are compared with those loops, hop record by hop record.
+too, and pin the fallback-equivalence contract instead.  Degraded cases
+pay one event per hop on both sides: there the engine's own rounds are
+compared with those loops.  ``traced`` cases compare hop record by hop
+record, and there only an aligned shift phase parks: the hop table emits
+its records (see ``repro.sim.superstep``, "Traced phases").
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class Case:
     #: ``{"kind": "scenario", "severity": ..., "seed": ...}`` atom
     atoms: tuple = ()
     data_seed: int = 0
-    traced: bool = False  # compare the paths under trace=True too (nothing parks)
+    traced: bool = False  # compare the paths under trace=True too
 
 
 def _applicable_machines(key: str) -> list[tuple[int, int]]:

@@ -92,6 +92,11 @@ _NODE_FAIL = 4
 _SHIFT_MULTIPLY = 5
 _SHIFT_EXCHANGE = 6
 _SHIFT_REPARK = 7
+#: an event of a traced hop table's tail (see _resolve): sent to its replay
+_TABLE = 8
+
+#: how a tracing window's release is counted (see _drain_events)
+_BESIDE = "per-hop tracing: traffic beside a parked phase"
 
 
 def task_rank(task: Task) -> int:
@@ -177,9 +182,10 @@ class Engine:
         Let the engine run declared phases itself, bit-identically (see
         :mod:`repro.sim.superstep`).  On by default: in closed form unless
         faults, scenarios, tracing or a ``max_virtual_time`` watchdog need
-        every hop as an event, and then (faults excepted) round by round
-        without the program's generator loop (a grouped or broadcast shift
-        phase: with it).  ``False`` forces that loop for every phase (the
+        every hop as an event (tracing: but an aligned shift phase's, which
+        the hop table emits in event order), and then (faults excepted)
+        round by round without the program's generator loop (a grouped or
+        broadcast shift phase: with it).  ``False`` forces that loop for every phase (the
         conformance suite's reference runs).
     timing_only:
         Skip local matrix products: ``ctx.local_matmul`` charges the same
@@ -265,6 +271,15 @@ class Engine:
         self._one_port = config.port_model.name == "ONE_PORT"
         #: why no phase of this run may park (None: phases park)
         self._ineligible = superstep_ineligibility_reason(self)
+        #: a traced run whose aligned shift phases still park for the hop
+        #: table, each in a *tracing window*: the time its ranks parked at,
+        #: until whatever is observable next (an event later than that or not
+        #: a resume, a schedule, a message id, a compute record) releases
+        #: them at it first — exactly where the event path issues them
+        self._traced_parks = self._ineligible == "per-hop tracing" and not self._cut_through
+        self._window: float | None = None
+        #: the traced hop table whose tail is on the event queue (_TABLE)
+        self._table: Generator | None = None
         #: whether the engine may run a main program's declared rounds itself
         self._resident = superstep and self.faults is None
 
@@ -353,6 +368,7 @@ class Engine:
             if not self._parked:
                 break
             self._resolve()
+        self._table = None  # (its frame holds this engine)
 
         unfinished = [
             r for r in range(self.config.num_nodes)
@@ -424,9 +440,15 @@ class Engine:
             if not (events or ready):
                 return
             if ready and (not events or ready[0] < events[0]):
-                time, _, kind, payload = ready.popleft()
+                time, seq, kind, payload = ready.popleft()
             else:
-                time, _, kind, payload = heappop(events)
+                time, seq, kind, payload = heappop(events)
+            if self._window is not None and (kind != _RESUME or time > self._window):
+                # A tracing window closes: put the event back (the parked
+                # ranks' events sort before it) and release them.
+                heapq.heappush(events, (time, seq, kind, payload))
+                self._release(_BESIDE)
+                continue
             self._now = time
             self._events_processed += 1
             if max_events is not None and self._events_processed > max_events:
@@ -458,6 +480,8 @@ class Engine:
             elif kind == _SHIFT_REPARK:
                 (task, waiter) = payload
                 self._shift_repark(task, waiter, time)
+            elif kind == _TABLE:
+                self._table.send(payload)
             elif kind == _RECV_TIMEOUT:
                 (rank, handle) = payload
                 self._expire_recv(rank, handle, time)
@@ -474,7 +498,10 @@ class Engine:
         the phase (a shift phase's mid-round waiters too) resumes at its
         phase-exit time with the phase's value.  Shift and collective
         phases parked side by side have no combined closed form: they,
-        like a refused phase, are released onto the event path.
+        like a refused phase, are released onto the event path.  A traced
+        hop table has planned up to the first rank leaving its phase: the
+        rest of it goes on the event queue, and each rank resumes inline as
+        it leaves (see ``superstep._replay``).
         """
         parked = self._parked
         kinds = {op.__class__ for op, _at in parked.values()}
@@ -490,6 +517,11 @@ class Engine:
             return
         self._parked = {}
         self._hazards.clear()
+        self._window = None
+        if outcome.__class__ is tuple:  # (a traced hop table, its values)
+            self._table, outcome = outcome
+            self._table.send(outcome)
+            return
         for task, (finish, value) in outcome.items():
             self._schedule(finish, _RESUME, (task, value))
 
@@ -502,6 +534,7 @@ class Engine:
         parked = self._parked
         self._parked = {}
         self._hazards.clear()
+        self._window = None
         fallback = []
         refused = 0  # collective phases and shift rank-rounds
         for task, (op, at) in parked.items():
@@ -515,13 +548,16 @@ class Engine:
                 fallback.append((task, at))
                 self._shift_rounds_event += op.steps
                 refused += op.steps
-            else:
+            elif op.align is None:
                 refused += 1
-                if op.align is None:
-                    self._schedule(at, _SHIFT_MULTIPLY, (task, op))
-                else:  # issued now, at the park time (the hazards held)
+                self._schedule(at, _SHIFT_MULTIPLY, (task, op))
+            else:  # issued now, at the park time (the hazards or the window held)
+                if self._ineligible is None:
+                    refused += 1
                     self._shift_rounds_event += 1
-                    self._shift_exchange(task, op, at)
+                else:  # traced: every round by events (_shift_multiply counts them)
+                    refused += op.steps
+                self._shift_exchange(task, op, at)
         self._refusals[reason] += refused
         for task, at in fallback:
             self._schedule(at, _RESUME, (task, FALLBACK))
@@ -561,6 +597,8 @@ class Engine:
         if the clock ever revisits an earlier instant (barrier releases
         can schedule into the past of the *event* clock).
         """
+        if self._window is not None:
+            self._release(_BESIDE)
         ready = self._ready
         seq = self._seq
         self._seq = seq + 1
@@ -656,6 +694,8 @@ class Engine:
                     self.stats[rank].compute_time += op.duration
                     if op.duration > 0:
                         if self.trace_enabled:
+                            if self._window is not None:
+                                self._release(_BESIDE)
                             self.trace.append(
                                 TraceRecord(
                                     "compute", now, now + op.duration, rank,
@@ -689,6 +729,11 @@ class Engine:
                     return
 
                 if cls is ShiftPhaseOp:
+                    if self._traced_parks and op.align is not None and task.__class__ is not tuple:
+                        # traced: parked in a tracing window (see __init__)
+                        self._parked[task] = (op, now)
+                        self._window = now
+                        return
                     refused = self._ineligible
                     if refused is None and task.__class__ is tuple:
                         refused = "ctx.parallel sub-task"
@@ -1004,6 +1049,8 @@ class Engine:
         st.compute_time += duration
         if duration > 0:
             if self.trace_enabled:
+                if self._window is not None:
+                    self._release(_BESIDE)
                 self.trace.append(
                     TraceRecord(
                         "compute", time, time + duration, task, {"flops": flops}
@@ -1222,6 +1269,8 @@ class Engine:
         nwords: int, now: float, ack_tag: int | None = None,
         crc: int | None = None,
     ) -> Handle:
+        if self._window is not None:
+            self._release(_BESIDE)
         handle = Handle("send", task, self._handle_seq, dst, tag)
         self._handle_seq += 1
         if self.config.copy_on_send:

@@ -454,8 +454,9 @@ class ProcessContext:
         :class:`~repro.sim.ops.ShiftPhaseOp`: the engine runs its rounds
         itself — through the event machinery while foreign traffic is in
         flight, in closed form from the first quiet frontier (see
-        :mod:`repro.sim.superstep`; never, under a scenario, tracing or a
-        watchdog) — and resumes this generator once, with the final blocks.
+        :mod:`repro.sim.superstep`; never under a scenario or a watchdog,
+        and traced only an aligned phase, through the hop table) — and
+        resumes this generator once, with the final blocks.
         A fault plan, ``superstep=False`` and a ``ctx.parallel`` sub-task
         are answered :data:`~repro.sim.ops.FALLBACK` instead (a grouped or
         broadcast phase also wherever no closed form comes), and

@@ -68,8 +68,9 @@ path — the queued delivery's (or completed handle's) time.
 Eligibility
 -----------
 Two predicates.  :func:`superstep_ineligibility_reason`: may a run's phases
-park at all (not with a fault plan, a heterogeneous scenario, per-hop trace
-records, a ``max_virtual_time`` watchdog or ``superstep=False``)?
+park at all (not with a fault plan, a heterogeneous scenario, a
+``max_virtual_time`` watchdog or ``superstep=False``; with per-hop trace
+records only an aligned phase, see "Traced phases")?
 ``Engine._resident``: may the engine run a declared round itself (a main
 program, no fault plan, ``superstep=True``)?  What fails the second is
 answered ``FALLBACK``, and the program's generator loop, the definition of
@@ -84,6 +85,36 @@ counted per rank-round (a grouped or broadcast phase's: all of its rounds)
 it sends to the event path.  Channels a closed form creates in plan order
 rather than event order fold their busy times in channel-key order all the
 same (``NetworkStats.total_channel_busy``).
+
+Traced phases
+-------------
+A traced run appends a record per hop and per multiply in event order, and
+numbers messages as they are sent, so a closed form must emit them where
+the event path would.  Only the aligned phase ``cannon_kernel`` declares
+(Cannon, Berntsen, 3DD-Cannon, DNS-Cannon, torus Cannon; not under
+cut-through routing) parks: every other phase kind is refused when it is
+declared.  Three rules make the hop table exact:
+
+* *the tracing window.*  The ranks parked at one time stay parked only
+  while nothing observable happens: before an event later than that or
+  not a resume, before anything is scheduled, before a message id is
+  taken and before a compute record is appended, the engine releases
+  them at their park time (counted per rank-round under ``"per-hop
+  tracing: traffic beside a parked phase"``), exactly where the event
+  path issues their alignment;
+* *table order.*  With every rank parked (the window held) the table runs
+  the whole phase, no fold: :func:`_replay` visits hops in the event
+  path's ``(time, seq)`` order and appends each hop record as it reserves
+  the hop, each compute record as a multiply starts, and takes each
+  message's id from ``Engine._msg_seq`` as it is sent;
+* *the queue tail.*  A rank that leaves the phase runs its program next,
+  and its moves contend with the phase's.  So the table is planned only up
+  to the first rank that leaves and committed there; its pending events go
+  on the engine's queue in table order, that rank resumes inline, and each
+  later table event reserves through ``ContentionTracker.reserve_hop``
+  and emits its record when it runs, each rank resuming inline as it
+  leaves.  The values are :func:`_rotate_blocks`' over the aligned level
+  frontier, which do not depend on timing.
 """
 
 from __future__ import annotations
@@ -99,6 +130,7 @@ import numpy as np
 from repro.sim.machine import PortModel
 from repro.sim.message import copy_payload, payload_words
 from repro.sim.ops import CollectivePhaseOp, ShiftPhaseOp
+from repro.sim.tracing import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -123,10 +155,10 @@ def superstep_ineligibility_reason(engine: "Engine") -> str | None:
         return "fault plan"
     if engine.scenario is not None:
         return "heterogeneous scenario"
-    if engine.trace_enabled:
-        return "per-hop tracing"
     if engine.max_virtual_time is not None:
         return "max_virtual_time watchdog"
+    if engine.trace_enabled:  # (last: the engine parks traced aligned phases)
+        return "per-hop tracing"
     return None
 
 
@@ -639,14 +671,25 @@ def _messages(route: list, last: list, dur: list, key: list, sender: list) -> di
 
 
 def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
-            kids: list, stop: tuple = (0, -1), rounds=None) -> dict:
+            kids: list, stop: tuple = (0, -1), rounds=None, traced=None):
     """Run the table over ``plan`` (its channel and port columns, reserved
     in place); returns ``{"forked", "finished"}``: task -> time, the
     finished main tasks in finishing order.  ``parks``: ``(task, time)`` in
     park order; ``stop``: ``(m, hops)``, the table stops at the end of the
     time that reserves the last of the ``hops`` hops of messages ``0 .. m -
     1`` (``(0, -1)``: it runs to the end); ``rounds``: Cannon's ``(steps,
-    ((column, from, cost) per rank) for A then B)``."""
+    ((column, from, cost, (source, destination, words)) per rank) for A
+    then B)``.
+
+    A generator, so that one step body serves both ways a table runs:
+    untraced it never yields (:func:`_run_table`).  ``traced``, ``(engine,
+    flops)``, it emits the records the event path would, as it goes (see
+    "Traced phases" in the module doc), and yields at the first rank to
+    leave the phase, the table so far written to ``plan``; sent every
+    rank's ``(finish, value)`` there, it puts its pending events on the
+    engine's queue and becomes their handler: each ``_TABLE`` event is sent
+    in, reserves on the tracker, and what it schedules goes on the queue.
+    """
     route, dur, key, sender, last = (msgs[k] for k in ("route", "dur", "key", "sender", "last"))
     end0, arrive, issue = msgs["end0"], msgs["arrive"], msgs["issue"]
     chan_free, chan_busy = plan["chan_free"].tolist(), plan["chan_busy"].tolist()
@@ -663,25 +706,66 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
     pending: defaultdict = defaultdict(list)
     for task, at in parks:
         pending[at] += ((_RESUME, task, 0),)
-    while pending and todo:
-        t = min(pending)
-        level = pending.pop(t)
-        for kind, a, h in level:
+    # values: every rank's (finish, value), once the tail is on the queue
+    trace = values = leaving = None
+    if traced is not None:
+        from repro.sim.engine import _TABLE
+
+        engine, flops = traced
+        trace, keys, ends, mid = engine.trace, plan["keys"], msgs["ends"], {}
+        reserve, schedule = engine.tracker.reserve_hop, engine._schedule
+    while True:
+        if values is None and leaving is None and pending and todo:
+            t = min(pending)
+            level = pending.pop(t)
+            batch = iter(level)
+        else:
+            if values is None:  # the end, or a traced table's first exit
+                plan["chan_free"] = np.array(chan_free)
+                plan["chan_busy"] = np.array(chan_busy)
+                plan["uses"] = plan["uses"] + np.array(uses, dtype=np.int64)
+                if ports is not None:
+                    ports["free"], ports["busy"] = np.array(port_free), np.array(port_busy)
+                    ports["sends"] = ports["sends"] + port_sends
+                if leaving is None:
+                    return {"forked": forked, "finished": finished}
+                values = yield  # (the caller commits the plan)
+                engine._now = t  # (the queue goes on from the first exit)
+            for at, events in pending.items():  # what the last event scheduled ...
+                for event in events:
+                    schedule(at, _TABLE, event)
+            pending.clear()
+            if leaving is not None:  # ... then the rank that left, inline
+                engine._step(leaving, t, values[leaving][1])
+                leaving = None
+            batch = ((yield),)
+            t = engine._now
+            level = pending[t]
+        for kind, a, h in batch:
             if kind == _READY:
                 c, u = route[a][h]
-                s, d = t, dur[a]
-                if chan_free[c] > s:
-                    s = chan_free[c]
-                if ports is not None and port_free[u] > s:
-                    s = port_free[u]
-                e = s + d
-                chan_free[c] = e
-                chan_busy[c] += d
-                uses[c] += 1
-                if ports is not None:
-                    port_free[u] = e
-                    port_busy[u] += d
-                    port_sends[u] += 1
+                d = dur[a]
+                if values is None:  # planned in the table's columns
+                    s = t
+                    if chan_free[c] > s:
+                        s = chan_free[c]
+                    if ports is not None and port_free[u] > s:
+                        s = port_free[u]
+                    e = s + d
+                    chan_free[c] = e
+                    chan_busy[c] += d
+                    uses[c] += 1
+                    if ports is not None:
+                        port_free[u] = e
+                        port_busy[u] += d
+                        port_sends[u] += 1
+                else:  # on the queue: the tracker's
+                    s = reserve(u, keys[c][1], t, d)
+                    e = s + d
+                if trace is not None:
+                    src, dst, w = ends[a]
+                    trace.append(TraceRecord("hop", s, e, u, {
+                        "to": keys[c][1], "msg": mid[a], "words": w, "src": src, "dst": dst}))
                 if h == 0:
                     end0[a] = e
                 arrive[a] = e
@@ -719,7 +803,7 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
                 j += 1
                 if op == _SEND or op == _RSEND:
                     if op == _RSEND:  # a round block: a new single-hop message
-                        col, _frm, cost = per_rank[arg][task]
+                        col, _frm, cost, end = per_rank[arg][task]
                         route += (((col, task),),)
                         dur += (cost,)
                         key += ((task, done[task], arg),)
@@ -728,8 +812,13 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
                         end0 += (t,)
                         arrive += (t,)
                         issue += (t,)
+                        if trace is not None:
+                            ends += (end,)
                         arg = n_msgs
                         n_msgs += 1
+                    if trace is not None:
+                        mid[arg] = engine._msg_seq
+                        engine._msg_seq += 1
                     issue[arg] = t
                     if last[arg] >= 0:
                         handles[task] += 1
@@ -751,11 +840,17 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
                         break
                 elif op == _ELAPSE:
                     if arg > 0:
+                        if trace is not None:
+                            trace.append(TraceRecord("compute", t, t + arg, task, {"flops": flops}))
                         pending[t + arg] += ((_RESUME, task, 0),)
                         break
                 elif op == _LOOP:  # a multiply done: the next round, or the end
                     done[task] += 1
                     if done[task] == steps:
+                        if trace is not None:  # it leaves the phase, resumed at once
+                            leaving = task
+                            if values is None:  # the first to: the rest of this
+                                pending[t] = list(batch)  # time goes on the queue too
                         break
                     j = arg
                 elif op == _FORK:
@@ -773,13 +868,15 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
                             level += ((_RESUME, up, 0),)
                     break
             pc[task] = j
-    plan["chan_free"] = np.array(chan_free)
-    plan["chan_busy"] = np.array(chan_busy)
-    plan["uses"] = plan["uses"] + np.array(uses, dtype=np.int64)
-    if ports is not None:
-        ports["free"], ports["busy"] = np.array(port_free), np.array(port_busy)
-        ports["sends"] = ports["sends"] + port_sends
-    return {"forked": forked, "finished": finished}
+
+
+def _run_table(*args, **kwargs) -> dict:
+    """:func:`_replay` run to its end; returns its ``{"forked", "finished"}``."""
+    try:
+        next(_replay(*args, **kwargs))
+    except StopIteration as end:
+        return end.value
+    raise AssertionError("an untraced table never yields")  # pragma: no cover
 
 
 def _hop_table(engine: "Engine", parked: dict) -> tuple:
@@ -805,7 +902,8 @@ def _hop_table(engine: "Engine", parked: dict) -> tuple:
     t_s, t_w = engine._t_s, engine._t_w
     if t_s + t_w * min(m_a, m_b) <= 0:
         raise _Refuse("aligned shift: zero-length hop")
-    d_c = engine.config.params.flops_time(2.0 * a_shape[0] * a_shape[1] * b_shape[1])
+    flops = 2.0 * a_shape[0] * a_shape[1] * b_shape[1]
+    d_c = engine.config.params.flops_time(flops)
 
     # Message 2r is rank r's alignment A, 2r + 1 its B (keyed by id); round
     # blocks are added as they are sent.  Channel columns: the ranks' round
@@ -834,20 +932,39 @@ def _hop_table(engine: "Engine", parked: dict) -> tuple:
         for r, (_, a, _, b) in enumerate(align)
     ]
     froms = ([op.a_from for op in ops], [op.b_from for op in ops])
-    per_rank = tuple([(ab * n + r, froms[ab][r], cost[ab]) for r in ranks] for ab in (0, 1))
+    tos, words = ([op.a_to for op in ops], [op.b_to for op in ops]), (m_a, m_b)
+    per_rank = tuple([(ab * n + r, froms[ab][r], cost[ab], (r, tos[ab][r], words[ab]))
+                      for r in ranks] for ab in (0, 1))
     plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
-    _replay(plan, msgs, scripts, [(task, at[task]) for task in parked], [-1] * n,
-            [0] * n, stop=(2 * n, todo), rounds=(steps, per_rank))
+    parks = [(task, at[task]) for task in parked]
+    data = {  # the values: from the aligned level frontier
+        "left": [steps] * n, "sent": [False] * n,
+        "queue_a": [[] for _ in ranks], "queue_b": [[] for _ in ranks],
+        "blocks": ([ops[a].a_block for _d, a, _e, _f in align],
+                   [ops[b].b_block for _d, _a, _e, b in align], [None] * n),
+    }
+    if engine.trace_enabled:  # the whole phase through the table
+        msgs["ends"] = [(m >> 1, align[m >> 1][2 * (m & 1)], words[m & 1]) for m in range(2 * n)]
+        table = _replay(plan, msgs, scripts, parks, [-1] * n, [0] * n,
+                        rounds=(steps, per_rank), traced=(engine, flops))
+        next(table)  # to the first rank that leaves it
+        plan["stats"] += steps * np.array([[2], [m_a + m_b], [2], [m_a + m_b]])
+        return {  # (every multiply charged, none left to fold)
+            "table": table, "ranks": ranks, "left": [1] * n, "sent": [False] * n, "at": at,
+            "rounds": [steps] * n, "a_from_idx": peers[0], "b_from_idx": peers[1],
+            "a_shape": a_shape, "b_shape": b_shape, "data": data,
+        }, plan
+    _run_table(plan, msgs, scripts, parks, [-1] * n, [0] * n,
+               stop=(2 * n, todo), rounds=(steps, per_rank))
 
     # per rank: rounds sent, the last one's issue time and A, B ends, and
     # the round blocks reserved to it, oldest first
     end0, arrive = msgs["end0"], msgs["arrive"]
     sent, issue, end = [0] * n, [0.0] * n, ([0.0] * n, [0.0] * n)
     inbound = ([[] for _ in ranks], [[] for _ in ranks])
-    to = ([op.a_to for op in ops], [op.b_to for op in ops])
     for m in range(2 * n, len(msgs["key"])):
         r, k, ab = msgs["key"][m]
-        inbound[ab][to[ab][r]] += (arrive[m],)
+        inbound[ab][tos[ab][r]] += (arrive[m],)
         sent[r], issue[r] = k, msgs["issue"][m]
         end[ab][r] = arrive[m]
     # Every message counted at both ends, the queued ones too ...
@@ -875,13 +992,7 @@ def _hop_table(engine: "Engine", parked: dict) -> tuple:
         "taken_a": list(map(len, inbound[0])), "taken_b": list(map(len, inbound[1])),
         "arrive_a": inbound[0], "arrive_b": inbound[1],
         "a_from_idx": peers[0], "b_from_idx": peers[1],
-        "a_shape": a_shape, "b_shape": b_shape,
-        "data": {  # the values: from the aligned level frontier
-            "left": [steps] * n, "sent": [False] * n,
-            "queue_a": [[] for _ in ranks], "queue_b": [[] for _ in ranks],
-            "blocks": ([ops[a].a_block for _d, a, _e, _f in align],
-                       [ops[b].b_block for _d, _a, _e, b in align], [None] * n),
-        },
+        "a_shape": a_shape, "b_shape": b_shape, "data": data,
     }, plan
 
 
@@ -1005,7 +1116,10 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | str:
         spec, plan = plan_from(engine, parked)
     except _Refuse as refusal:
         return refusal.args[0]
-    return _advance(engine, spec, plan)
+    outcome = _advance(engine, spec, plan)
+    if "table" in spec:  # traced: it resumes each rank as it leaves
+        return spec["table"], outcome
+    return outcome
 
 
 def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
@@ -1924,8 +2038,8 @@ def _lift_table(engine: "Engine", parked: dict) -> tuple:
         for task, _at in parks:
             scripts[task] += ((_END, 0),)
         plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
-        state = _replay(plan, _messages(route, last, dur, key, sender), scripts[:n],
-                        parks, [-1] * n, [0] * n)
+        state = _run_table(plan, _messages(route, last, dur, key, sender), scripts[:n],
+                           parks, [-1] * n, [0] * n)
         at = np.zeros(n)
         at[list(state["finished"])] = list(state["finished"].values())
         outcome, plans = _fold_groups(engine, groups, at)
@@ -1965,8 +2079,8 @@ def _lift_table(engine: "Engine", parked: dict) -> tuple:
             scripts[child] += ((_END, 0),)
         plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
         parent = [-1] * n + [r for r in range(n) for _ in (0, 1)]
-        state = _replay(plan, _messages(route, last, dur, key, sender), scripts, parks,
-                        parent, [2] * n + [0] * (2 * n))
+        state = _run_table(plan, _messages(route, last, dur, key, sender), scripts, parks,
+                           parent, [2] * n + [0] * (2 * n))
         values: dict = {task: [None, None] for task in parked}
         for g in groups:
             for node, value in zip(g.nodes, g.values):

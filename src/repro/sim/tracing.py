@@ -132,7 +132,9 @@ class RunResult:
         reason to how many shift rank-rounds and collective phases it sent
         to the event path (an ineligible run's feature, ``"ctx.parallel
         sub-task"`` — a refused pair's two collectives are declared again by
-        its sub-tasks and counted again — a hazard release, the planner's
+        its sub-tasks and counted again — a hazard release, ``"per-hop
+        tracing: traffic beside a parked phase"`` — a traced aligned phase
+        released at its park time, every rank-round of it — the planner's
         validation, or ``"planner exception: <Type>"``), and sums to
         ``shift_rounds_event + collective_phases_event``.  Diagnostics too,
         outside every digest.

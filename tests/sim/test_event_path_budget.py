@@ -5,15 +5,17 @@ but the number of Python + C function calls ``cProfile`` sees for a fixed
 run is exact: it repeats from run to run, so a ceiling a few percent
 above today's value turns "a message got more expensive" into a
 deterministic tier-1 failure.  Four runs are forced onto
-the per-message event path the way real runs are — one by ``trace=True``,
-three by a protocol layer of ``repro.mpi``: a lossy plan under
-:class:`~repro.mpi.ReliableContext`, a forced
+the per-message event path the way real runs are — one by ``trace=True``
+with cut-through routing, three by a protocol layer of ``repro.mpi``: a
+lossy plan under :class:`~repro.mpi.ReliableContext`, a forced
 :class:`~repro.mpi.IntegrityContext` (a checksum at send and at delivery),
 and a plan with every kind of window, where the per-window fault table is
-actually consulted.  Three more are kept from parking (a scenario, a
-watchdog, HJE traced) and pin that such a run's rounds stay out of the
-generator loops.  The others keep every knob at its default, and pin how
-few of their messages reach the event path at all.
+actually consulted.  Four more are kept from parking (traced cut-through
+Cannon, a scenario, a watchdog, HJE traced) and pin that such a run's
+rounds stay out of the generator loops.  The others pin how few of their
+messages reach the event path at all: traced store-and-forward Cannon,
+whose kernel the hop table plans, and runs with every knob at its
+default.
 
 The ceilings are calls ÷ ``total_messages()`` of the whole
 ``Algorithm.run`` (distribute + simulate + collect) on CPython 3.11,
@@ -33,6 +35,7 @@ import functools
 
 from repro.mpi import IntegrityContext, ReliableContext
 from repro.sim import FaultPlan, PortModel
+from repro.sim.machine import RoutingMode
 from repro.sim.scenario import random_heterogeneous
 
 N = P = 16
@@ -41,9 +44,14 @@ A = _rng.standard_normal((N, N))
 B = _rng.standard_normal((N, N))
 
 
-def _traced():
-    cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0)
-    return get_algorithm("cannon").run(A, B, cfg, trace=True, verify=True)
+def _traced(superstep=True, **machine):
+    cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0, **machine)
+    return get_algorithm("cannon").run(
+        A, B, cfg, trace=True, verify=True, superstep=superstep
+    )
+
+
+_traced_cut_through = functools.partial(_traced, routing=RoutingMode.CUT_THROUGH)
 
 
 def _lossy_reliable():
@@ -100,9 +108,10 @@ def _calls(fn):
 @pytest.mark.parametrize(
     "fn, messages, ceiling",
     [
-        # PR 24: 61.82 calls/message, the engine running the shift rounds
-        # itself (PR 22, through ctx.shift_phase's loop: 82.07; before: 89.69)
-        (_traced, 128, 64.9),
+        # 58.23 calls/message, the engine running the alignment and the
+        # shift rounds itself (store-and-forward, PR 24: 61.82; PR 22,
+        # through ctx.shift_phase's loop: 82.07; before: 89.69)
+        (_traced_cut_through, 128, 61.1),
         # PR 22: 94.72 (parent 136.24); 8 retransmissions
         (_lossy_reliable, 260, 99.5),
         # PR 22: 101.09 (parent 166.24): the envelope is copied once and
@@ -113,7 +122,7 @@ def _calls(fn):
         (_windowed_reliable, 251, 108.0),
     ],
     ids=[
-        "cannon_traced", "cannon_reliable_5pct_drops",
+        "cannon_traced_cut_through", "cannon_reliable_5pct_drops",
         "cannon_forced_integrity", "cannon_reliable_windowed_plan",
     ],
 )
@@ -143,9 +152,15 @@ def _small(key, superstep, *, run_kw=None, **machine):
         # Calls per message with the rounds engine-run (and, in brackets,
         # through the generator loops: the parent's cost of the same run,
         # and still superstep=False's); the ceiling is the former + 5 %.
-        # Cannon's alignment is engine-run too: 57.22 (83.20; with the
-        # alignment still the program's own, 61.82)
-        (functools.partial(_small, "cannon", run_kw={"trace": True}), 128, 335, 0, 60.1),
+        # Traced cut-through Cannon (no hop table plans cut-through hops):
+        # its alignment is engine-run too, 58.23 (87.33)
+        (
+            functools.partial(
+                _small, "cannon", run_kw={"trace": True},
+                routing=RoutingMode.CUT_THROUGH,
+            ),
+            128, 335, 0, 61.1,
+        ),
         # 77.93 (103.91; 82.53): every hop is costed from the epoch's link
         # table
         (
@@ -171,13 +186,16 @@ def _small(key, superstep, *, run_kw=None, **machine):
             224, 536, 2 * 32, 66.1,
         ),
     ],
-    ids=["cannon_traced", "cannon_scenario", "cannon_watchdog", "hje_multi_traced"],
+    ids=[
+        "cannon_traced_cut_through", "cannon_scenario", "cannon_watchdog",
+        "hje_multi_traced",
+    ],
 )
 def test_a_run_that_cannot_park_keeps_its_rounds_out_of_the_generator(
     run, messages, events, isends, ceiling
 ):
-    """n = p = 16, ``t_s=10, t_w=1``: a traced, scenario-backed or
-    watchdogged run pays one event per hop, as many as ``superstep=False``
+    """n = p = 16, ``t_s=10, t_w=1``: a traced cut-through, scenario-backed
+    or watchdogged run pays one event per hop, as many as ``superstep=False``
     pays — and no ``ctx.isend`` frame inside a phase but HJE's 32
     alignment sends, two profiler entries each (a grouped phase has no
     engine-run round: its loop runs it; Cannon's alignment is part of its
@@ -204,6 +222,32 @@ def test_a_run_that_cannot_park_keeps_its_rounds_out_of_the_generator(
         f"{per_message:.2f} calls per simulated message, ceiling {ceiling}"
     )
     assert loop / messages >= per_message + 15
+
+
+def test_traced_cannon_runs_its_kernel_in_the_hop_table():
+    """n = p = 16, ``t_s=10, t_w=1``, traced: every rank parks before its
+    alignment and the hop table plans the kernel, its hop and compute
+    records emitted where the event path appends them; from the first rank
+    to finish, the table's last events run on the event queue.  35 events,
+    no message issued as one, the same trace as ``superstep=False``'s.
+    2 904 calls plus ~5 % (7 324 with the alignment and rounds engine-run,
+    335 events; 11 049 through the generator loops)."""
+    _traced()
+    first, run, stats = _calls(_traced)
+    second, _, _ = _calls(_traced)
+    assert first == second, "the call count of a fixed run must repeat exactly"
+    result = run.result
+    assert result.total_messages() == 128
+    assert result.events_processed == 35
+    assert result.closed_form_refusals == {}
+    assert result.shift_rounds_closed_form == 16 * 4
+    issued = sum(
+        entry.callcount for entry in stats
+        if getattr(entry.code, "co_name", None) == "_issue_send"
+    )
+    assert issued == 0
+    assert result.trace_digest() == _traced(superstep=False).result.trace_digest()
+    assert first <= 3_050, f"{first} calls, ceiling 3 050"
 
 
 def _default_knobs():

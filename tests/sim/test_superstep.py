@@ -223,13 +223,13 @@ def _torus_program(steps, foreign):
     return prog
 
 
-def _engines(prog, p, *, timing_only=False, **cfg_kw):
+def _engines(prog, p, *, timing_only=False, trace=False, **cfg_kw):
     """Both paths, keeping the engines: (engine, result) fast and slow."""
     out = []
     for superstep in (True, False):
         eng = Engine(
             MachineConfig.create(p, **{**PARAMS, **cfg_kw}),
-            superstep=superstep, timing_only=timing_only,
+            superstep=superstep, timing_only=timing_only, trace=trace,
         )
         out.append((eng, eng.run(prog)))
     return out
@@ -557,7 +557,9 @@ def _resident_cases():
     x timing_only, at p = 16 (Berntsen, whose grid is 3-D: 8) and 64.  The
     two caps are small enough to raise mid-phase; ``max_events`` alone
     would leave the run closed-form eligible (its event count is then the
-    closed form's), so it rides on a traced run."""
+    closed form's), so it rides on an unreached ``max_virtual_time``.
+    Cannon's and Berntsen's traced runs park their aligned phase: they are
+    ``TestTracedTable``'s."""
     for p in (8, 16, 64):
         features = {
             "traced": ({"trace": True}, {}),
@@ -566,7 +568,7 @@ def _resident_cases():
             "congested": ({}, {"scenario": congested_dimension(p, 1, 2.5)}),
             "vt-cap-unreached": ({"max_virtual_time": 1e9}, {}),
             "vt-cap": ({"max_virtual_time": 150.0}, {}),
-            "event-cap": ({"max_events": 12 * p, "trace": True}, {}),
+            "event-cap": ({"max_events": 12 * p, "max_virtual_time": 1e9}, {}),
         }
         keys = {8: ("berntsen",), 16: ("cannon", "hje", "fox")}.get(
             p, ("cannon", "berntsen", "hje", "fox")
@@ -574,6 +576,8 @@ def _resident_cases():
         for (name, (run_kw, cfg_kw)), key, port, routing, timing in itertools.product(
             features.items(), keys, PortModel, RoutingMode, (False, True),
         ):
+            if name == "traced" and key in ("cannon", "berntsen"):
+                continue
             yield pytest.param(
                 key, p, port, routing, timing, run_kw, cfg_kw, name.endswith("-cap"),
                 id=f"{key}-p{p}-{port.name}-{routing.name}-"
@@ -583,9 +587,10 @@ def _resident_cases():
 
 class TestResidentRounds:
     """A run that may not park keeps its shift rounds and neighbour
-    exchanges engine-run.  Same simulation as the generator loops
-    (``superstep=False``), event for event: hop records, blocks, statistics,
-    event count — or the watchdog's error, progress snapshot included."""
+    exchanges engine-run (a traced one: all but an aligned phase's).  Same
+    simulation as the generator loops (``superstep=False``), event for
+    event: hop records, blocks, statistics, event count — or the
+    watchdog's error, progress snapshot included."""
 
     @staticmethod
     def _outcome(key, p, port, routing, timing_only, run_kw, cfg_kw, superstep):
@@ -875,10 +880,12 @@ class TestReachAtScale:
         assert r.closed_form_refusals == {}
 
 
-def _kernel_engines(key, p, port, routing, t_c, timing_only=False, n=None, foreign=None):
+def _kernel_engines(key, p, port, routing, t_c, timing_only=False, n=None, foreign=None,
+                    trace=False, then=None):
     """Both paths of one ``cannon_kernel`` caller (or any algorithm: ``n``
     sets its size), keeping the engines, and the product each assembles
-    (``None`` timing-only); ``foreign`` runs ``_foreign_then_phase`` first."""
+    (``None`` timing-only); ``foreign`` runs ``_foreign_then_phase`` first,
+    ``then(ctx)`` (a generator) after the algorithm's program."""
     n = n or {8: 16, 16: 16, 32: 16, 64: 16}.get(p, 2 * int(round(p ** 0.5)))
     rng = np.random.default_rng(7)
     A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
@@ -909,21 +916,26 @@ def _kernel_engines(key, p, port, routing, t_c, timing_only=False, n=None, forei
         def prog(ctx):
             if foreign is not None:
                 yield from _foreign_then_phase(ctx, foreign)
-            return (yield from algo.program(ctx, n, initial.get(ctx.rank, {})))
+            value = yield from algo.program(ctx, n, initial.get(ctx.rank, {}))
+            if then is not None:
+                yield from then(ctx)
+            return value
 
         def collect(results):
             return algo.collect_output(n, cfg.cube, results)
     runs = []
     for superstep in (True, False):
-        eng = Engine(cfg, superstep=superstep, timing_only=timing_only)
+        eng = Engine(cfg, superstep=superstep, timing_only=timing_only, trace=trace)
         runs.append((eng, eng.run(prog)))
     return runs, None if timing_only else [collect(r.results) for _e, r in runs]
 
 
-def _aligned_matrix():
+def _aligned_matrix(hybrid_ps=(32, 256)):
+    """Every ``cannon_kernel`` caller (the DNS and 3DD hybrids at
+    ``hybrid_ps``) x port model x routing mode x ``t_c``."""
     sizes = {
         "cannon": (16, 64, 256), "torus_cannon": (16, 64, 256),
-        "berntsen": (8, 64), "dns_cannon": (32, 256), "3dd_cannon": (32, 256),
+        "berntsen": (8, 64), "dns_cannon": hybrid_ps, "3dd_cannon": hybrid_ps,
     }
     for key, ps in sizes.items():
         for p, port, routing, t_c in itertools.product(
@@ -1025,6 +1037,104 @@ class TestAlignedPhase:
         fast, slow = _engines(prog, 4, **cfg_kw)
         _assert_same_machine(fast, slow)
         assert fast[1].closed_form_refusals[reason] == 4
+
+
+#: how a release of traced parks is counted, and the reason a traced run's
+#: other phases are refused at declaration
+_WINDOW = "per-hop tracing: traffic beside a parked phase"
+_TRACED = "per-hop tracing"
+
+
+def _assert_same_trace(runs, products=None):
+    """``_assert_same_machine`` with the hop and compute records line by
+    line and ``C`` byte for byte (``products``: each path's)."""
+    fast, slow = runs[0][1], runs[1][1]
+    assert fast.trace_lines() == slow.trace_lines()
+    _assert_same_machine(*runs, blocks=False)
+    if products is not None:
+        assert products[0].tobytes() == products[1].tobytes()
+    assert sum(fast.closed_form_refusals.values()) == (
+        fast.shift_rounds_event + fast.collective_phases_event
+    )
+
+
+class TestTracedTable:
+    """Traced runs park ``cannon_kernel``'s aligned shift phase and run it
+    through the hop table, emitting each hop and compute record where the
+    event path appends it; from the first rank that leaves the phase on,
+    the table's events run on the event queue.  Every case is the traced
+    ``superstep=False`` run, record for record."""
+
+    @pytest.mark.parametrize("key, p, port, routing, t_c", _aligned_matrix((32, 128)))
+    def test_same_trace_as_the_generator_loops(self, key, p, port, routing, t_c):
+        runs, products = _kernel_engines(
+            key, p, port, routing, t_c, n=32 if p == 128 else None, trace=True
+        )
+        _assert_same_trace(runs, products)
+        # (superstep=False runs every rank-round of every phase by events)
+        result, rank_rounds = runs[0][1], runs[1][1].shift_rounds_event
+        refusals = dict(result.closed_form_refusals)
+        if routing is RoutingMode.CUT_THROUGH:
+            # no table plans cut-through hops: refused when declared
+            assert _WINDOW not in refusals and result.shift_rounds_closed_form == 0
+            return
+        if key in ("dns_cannon", "3dd_cannon") and (
+            key == "dns_cannon" or port is PortModel.MULTI_PORT
+        ):
+            # the collectives before the kernel (refused when declared) are
+            # still moving when the first ranks park: the window releases them
+            assert refusals.pop(_WINDOW) == result.shift_rounds_event == rank_rounds
+        else:  # batched: every multiply in the table
+            assert _rounds(result) == (0, rank_rounds)
+        # what else a traced run refuses: collectives, at declaration
+        assert set(refusals) <= {_TRACED}
+        if key in ("cannon", "torus_cannon"):
+            assert refusals == {}
+
+    def test_benchmark_unit_batches(self):
+        """n = 64, p = 256, one port, ``t_s = 150, t_w = 3``: the event
+        path's 21 759 events are the table's tail, 766 of them."""
+        rng = np.random.default_rng(3)
+        A, B = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+        runs = [
+            get_algorithm("cannon").run(
+                A, B, MachineConfig.create(256, t_s=150.0, t_w=3.0, t_c=0.0),
+                trace=True, superstep=superstep,
+            )
+            for superstep in (True, False)
+        ]
+        fast, slow = (run.result for run in runs)
+        assert fast.trace_lines() == slow.trace_lines()
+        assert runs[0].C.tobytes() == runs[1].C.tobytes()
+        assert fast.closed_form_refusals == {}
+        assert _rounds(fast) == (0, 256 * 16)
+        assert (fast.events_processed, slow.events_processed) == (766, 21_759)
+
+    @pytest.mark.parametrize("port", PortModel, ids=lambda port: port.name)
+    @pytest.mark.parametrize("key, p", [("cannon", 64), ("cannon", 256), ("berntsen", 64)])
+    def test_a_rank_that_left_moves_among_the_tail(self, key, p, port):
+        """After the kernel each rank computes a while and exchanges with
+        its farthest node: those hops contend with the table's tail, the
+        rounds of ranks still in the phase."""
+
+        def then(ctx):
+            yield from ctx.elapse(2.0 * (ctx.rank % 3))
+            yield from ctx.exchange(ctx.rank ^ (p - 1), np.ones(3), tag=77)
+
+        runs, products = _kernel_engines(
+            key, p, port, RoutingMode.STORE_AND_FORWARD, 0.5, trace=True, then=then
+        )
+        _assert_same_trace(runs, products)
+        assert runs[0][1].shift_rounds_event == 0
+
+    @pytest.mark.parametrize("port", PortModel, ids=lambda port: port.name)
+    @pytest.mark.parametrize("key", ["cannon", "berntsen"])
+    def test_timing_only(self, key, port):
+        runs, _ = _kernel_engines(
+            key, 64, port, RoutingMode.STORE_AND_FORWARD, 0.5, timing_only=True, trace=True
+        )
+        _assert_same_trace(runs)
+        assert runs[0][1].shift_rounds_event == 0
 
 
 def _lifted_matrix():
@@ -1432,9 +1542,35 @@ def _fox_fuzz_cases():
         )
 
 
+def _traced_fuzz_cases():
+    """``_fuzz_cases``' 100 aligned Cannon kernels (traced: none ties)."""
+    for case in _fuzz_cases():
+        if not case.values[0]:
+            yield pytest.param(*case.values[1:], id=case.id)
+
+
 class TestFuzz:
     """Both closed forms against the generator loops on staggered
     frontiers, resource by resource."""
+
+    @pytest.mark.parametrize("p, foreign, t_c, port", _traced_fuzz_cases())
+    def test_traced_same_trace(self, p, foreign, t_c, port):
+        """Traced, each foreign stream is still in flight when the first
+        ranks park: the window releases them, record for record."""
+        runs = _engines(_aligned_program(foreign), p, trace=True, t_c=t_c, port_model=port)
+        _assert_same_trace(runs)
+        _assert_same_kernel_run(*runs)
+        assert _WINDOW in runs[0][1].closed_form_refusals
+
+    @pytest.mark.parametrize("port", PortModel, ids=lambda port: port.name)
+    @pytest.mark.parametrize("t_c", (0.0, 0.25, 0.5, 1.0))
+    @pytest.mark.parametrize("p", (16, 64))
+    def test_traced_kernels_alone_batch(self, p, t_c, port):
+        runs = _engines(_aligned_program(), p, trace=True, t_c=t_c, port_model=port)
+        _assert_same_trace(runs)
+        _assert_same_kernel_run(*runs)
+        assert runs[0][1].closed_form_refusals == {}
+        assert _rounds(runs[0][1]) == (0, p * int(round(p ** 0.5)))
 
     @pytest.mark.parametrize("key, p, foreign, t_c, port", _lifted_fuzz_cases())
     def test_lifted_same_machine(self, key, p, foreign, t_c, port):
