@@ -58,6 +58,7 @@ succeed; a deterministic always-corrupting link is a
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Callable
 
@@ -498,15 +499,15 @@ def run_campaign(
 
 
 def _report_digest(report: dict[str, Any]) -> str:
-    """Stable fingerprint of a campaign's outcome.
+    """Stable fingerprint of a campaign's (or a degradation sweep's) outcome.
 
     Invariant across ``--jobs`` settings and across reruns: ``detail``
     strings are excluded because the engine's diagnostics embed
     process-global message/handle counters, which depend on how trials
     were sharded over workers — everything semantic (trial outcomes,
-    violation kinds, fault atoms, minimized reproducers) is covered.
+    violation kinds, fault atoms, minimized reproducers; a sweep's cell
+    outcomes, times, overheads and ranking) is covered.
     """
-    import hashlib
 
     def strip(obj):
         if isinstance(obj, dict):

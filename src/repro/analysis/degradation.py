@@ -33,7 +33,6 @@ anywhere — a report regenerated months later is bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -41,6 +40,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.registry import get_algorithm
+from repro.analysis.chaos import _report_digest
 from repro.analysis.parallel import run_grid
 from repro.errors import ReproError, SimulationError
 from repro.sim.machine import MachineConfig, PortModel
@@ -378,27 +378,6 @@ def report_from_points(
     }
     report["digest"] = _report_digest(report)
     return report
-
-
-def _report_digest(report: dict[str, Any]) -> str:
-    """Stable fingerprint of a report's semantic content.
-
-    ``detail`` strings are excluded (engine diagnostics can embed
-    process-global counters that depend on worker sharding, exactly as in
-    the chaos reports); everything semantic — cell outcomes, times,
-    overheads, the ranking — is covered.
-    """
-
-    def strip(obj):
-        if isinstance(obj, dict):
-            return {k: strip(v) for k, v in obj.items()
-                    if k not in ("detail", "digest")}
-        if isinstance(obj, list):
-            return [strip(v) for v in obj]
-        return obj
-
-    payload = json.dumps(strip(report), sort_keys=True, default=repr)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def graceful_region_map(

@@ -202,31 +202,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _warn_if_event_path(port, t_s, t_w) -> None:
-    """One-line heads-up when a sim-backed figure cannot use the closed
-    form, naming the feature that forces the event path (which is orders
-    of magnitude slower at the top of the lattice)."""
-    from repro.sim.engine import Engine
-    from repro.sim.machine import MachineConfig
-    from repro.sim.superstep import superstep_ineligibility_reason
-
-    probe = Engine(MachineConfig.create(
-        16, t_s=t_s, t_w=t_w, t_c=0.0, port_model=port
-    ))
-    reason = superstep_ineligibility_reason(probe)
-    if reason is not None:
-        print(
-            f"warning: superstep closed form unavailable ({reason}); on the event "
-            f"path the sim backend costs 45-110 host calls per message, one event a hop",
-            file=sys.stderr,
-        )
-
-
 def _cmd_figure(args) -> int:
     port = PortModel.ONE_PORT if args.figure == 13 else PortModel.MULTI_PORT
     t_s, t_w = PANELS[args.panel]
-    if args.backend == "sim":
-        _warn_if_event_path(port, t_s, t_w)
     rm = cached_region_map(
         _cache(args), port, t_s, t_w,
         log2_n_max=args.log2n, log2_p_max=args.log2p, jobs=args.jobs,

@@ -14,8 +14,6 @@ The reduction operations are the communication inverses of the broadcasts
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ModelError
 from repro.sim.machine import PortModel
 from repro.util.bits import ilog2, is_power_of_two
@@ -103,11 +101,3 @@ class CollectiveCosts:
     def evaluate(coeffs: tuple[float, float], t_s: float, t_w: float) -> float:
         a, b = coeffs
         return a * t_s + b * t_w
-
-
-def _self_test() -> None:  # pragma: no cover - sanity helper
-    assert CollectiveCosts.broadcast(8, 12, PortModel.ONE_PORT) == (3, 36)
-    assert CollectiveCosts.broadcast(8, 12, PortModel.MULTI_PORT) == (3, 12)
-    assert math.isclose(
-        CollectiveCosts.alltoall(8, 2, PortModel.ONE_PORT)[1], 24.0
-    )

@@ -151,8 +151,8 @@ class ContextProxy:
     def neighbor_exchange(self, sends, recvs):
         """One round of single-hop exchanges over this layer's own
         primitives (:func:`~repro.sim.process.exchange_round`).  Only the
-        bare context declares the round to the engine — a layer's protocol
-        traffic has no closed form."""
+        bare context hands the round to the engine: through a layer, every
+        message of it is the layer's own ``isend``."""
         return exchange_round(self, sends, recvs)
 
     def _paired(self, send_gen, recv_gen):

@@ -233,14 +233,6 @@ class HostPool(ChunkExecutor):
                 task.unlink(missing_ok=True)
         return state.epoch
 
-    def stop_hosts(self) -> None:
-        """Ask every known host agent to drain and exit."""
-        if not self.hosts_root.is_dir():
-            return
-        for hdir in self.hosts_root.iterdir():
-            if hdir.is_dir():
-                (hdir / "STOP").touch()
-
     # -- main loop -----------------------------------------------------------
 
     def run(

@@ -54,6 +54,7 @@ from repro.sim.ops import (
     BarrierOp,
     CollectivePhaseOp,
     ElapseOp,
+    ExchangeOp,
     Handle,
     ParallelOp,
     RecvOp,
@@ -775,7 +776,6 @@ class Engine:
 
                 if cls is CollectivePhaseOp:
                     refused = self._ineligible
-                    specs = op.specs
                     if refused is None and task.__class__ is tuple:
                         # (its fused parent already declared the pair)
                         refused = "ctx.parallel sub-task"
@@ -810,30 +810,6 @@ class Engine:
                     if refused is not None:
                         self._coll_event += 1
                         self._refusals[refused] += 1
-                        if (
-                            self._resident
-                            and task.__class__ is not tuple
-                            and specs[0].kind == "neighbor_exchange"
-                        ):
-                            # exchange_round, run here: every send in
-                            # order, then every receive, one wait.
-                            sends, recvs = specs[0].payload
-                            handles = [
-                                self._issue_send(
-                                    task, rank, dst, data, tag,
-                                    payload_words(data), now,
-                                )
-                                for dst, data, tag in sends
-                            ]
-                            handles += [
-                                self._issue_recv(task, rank, src, tag, now)
-                                for src, tag in recvs
-                            ]
-                            waiter = self._await(task, handles, "exchange")
-                            if waiter is None:
-                                return
-                            value = waiter.resume_value()
-                            continue
                         # Answer immediately — the schedule runs its
                         # ordinary rounds; zero extra events, identical
                         # trace.
@@ -861,6 +837,28 @@ class Engine:
                         for hop in () if dst == rank else self.routes.healthy(rank, dst):
                             hazards[hop[0] if self._one_port else hop] = thr
                     return
+
+                if cls is ExchangeOp:
+                    if not self._resident or task.__class__ is tuple:
+                        # exchange_round runs it, as a shift phase's loop
+                        # runs on the same runs: superstep=False, a fault
+                        # plan, a ctx.parallel sub-task.
+                        value = FALLBACK
+                        continue
+                    # exchange_round, run here: every send in order, then
+                    # every receive, one wait.
+                    handles = [
+                        self._issue_send(task, rank, dst, data, tag, payload_words(data), now)
+                        for dst, data, tag in op.sends
+                    ]
+                    handles += [
+                        self._issue_recv(task, rank, src, tag, now) for src, tag in op.recvs
+                    ]
+                    waiter = self._await(task, handles, "exchange")
+                    if waiter is None:
+                        return
+                    value = waiter.resume_value()
+                    continue
 
                 if cls is BarrierOp:
                     if isinstance(task, tuple):

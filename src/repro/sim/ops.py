@@ -23,6 +23,7 @@ __all__ = [
     "CollectiveSpec",
     "Lift",
     "CollectivePhaseOp",
+    "ExchangeOp",
     "TIMED_OUT",
     "FALLBACK",
 ]
@@ -181,10 +182,11 @@ class BarrierOp:
 
 class _Fallback:
     """Sentinel the engine feeds back into a ``yield`` of a
-    :class:`ShiftPhaseOp` or :class:`CollectivePhaseOp` when it will not
-    run the phase itself: the program runs the phase's definition instead,
-    message by message (``ProcessContext.shift_phase``'s loop from the op's
-    remaining rounds, a collective's ordinary schedule, ``exchange_round``).
+    :class:`ShiftPhaseOp`, :class:`CollectivePhaseOp` or :class:`ExchangeOp`
+    when it will not run the phase or round itself: the program runs its
+    definition instead, message by message (``ProcessContext.shift_phase``'s
+    loop from the op's remaining rounds, a collective's ordinary schedule,
+    ``exchange_round``).
     """
 
     _instance = None
@@ -294,15 +296,9 @@ class CollectiveSpec:
     that schedule's hop pattern.  ``payload`` is the object the rank
     contributes (a single block, or the per-destination block list for
     alltoall/reduce-scatter); the engine only reads it, never mutates it.
-
-    A ``"neighbor_exchange"`` round (``ProcessContext.neighbor_exchange``)
-    is declared by a rank that knows only itself: ``members`` is
-    ``(node,)``, ``free_dims`` are the dimensions its sends cross,
-    ``payload`` is ``(sends, recvs)`` and ``sched`` is unused.
     """
 
     # "allgather" | "alltoall" | "reduce_scatter" | "broadcast" | "reduce"
-    # | "neighbor_exchange"
     kind: str
     sched: str  # "sbt" | "rotated"
     members: tuple
@@ -341,20 +337,34 @@ class CollectivePhaseOp:
     """Declare a dimension-exchange collective phase (or a fused pair).
 
     Yielded by the dispatch functions in :mod:`repro.collectives` before
-    they fall into their per-message rounds, by the 3D family's fused
+    they fall into their per-message rounds, and by the 3D family's fused
     "two collectives in parallel" phases (``specs`` then holds two entries,
-    one per sub-collective, in ``ctx.parallel`` slot order), and by
-    ``ProcessContext.neighbor_exchange`` for one round of single-hop
-    exchanges.  A fused pair may carry its :class:`Lift`, which then runs
-    first.  The engine answers either with the collective's return value(s)
-    — the phase is done and the rank's clock already advanced,
-    bit-identically to the event path — or with :data:`FALLBACK`, in which
-    case the caller runs the lift (if any) and the ordinary schedule
-    through the event path.
+    one per sub-collective, in ``ctx.parallel`` slot order).  A fused pair
+    may carry its :class:`Lift`, which then runs first.  The engine answers
+    either with the collective's return value(s) — the phase is done and
+    the rank's clock already advanced, bit-identically to the event path —
+    or with :data:`FALLBACK`, in which case the caller runs the lift (if
+    any) and the ordinary schedule through the event path.
     """
 
     specs: tuple
     lift: Lift | None = None
+
+
+@dataclass(slots=True)
+class ExchangeOp:
+    """One round of single-hop exchanges (``ProcessContext.neighbor_exchange``):
+    ``sends`` lists ``(dst, data, tag)`` in program order, ``recvs`` lists
+    ``(src, tag)``.  Semantically :func:`~repro.sim.process.exchange_round`:
+    post every send, post every receive, wait for all of them.  The engine
+    issues a main program's round itself (``superstep`` on, no fault plan)
+    and answers with the received payloads in ``recvs`` order; anything
+    else is answered :data:`FALLBACK`, and ``exchange_round`` runs the
+    round.  It is never a declared phase.
+    """
+
+    sends: list
+    recvs: list
 
 
 @dataclass

@@ -33,9 +33,8 @@ from repro.sim.ops import (
     FALLBACK,
     TIMED_OUT,
     BarrierOp,
-    CollectivePhaseOp,
-    CollectiveSpec,
     ElapseOp,
+    ExchangeOp,
     Handle,
     ParallelOp,
     RecvOp,
@@ -43,8 +42,6 @@ from repro.sim.ops import (
     ShiftPhaseOp,
     WaitOp,
 )
-
-from repro.util.bits import set_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -326,19 +323,14 @@ class ProcessContext:
         for all of them, and returns the received payloads in ``recvs``
         order.
 
-        The round is declared to the engine first, as a one-spec
-        :class:`~repro.sim.ops.CollectivePhaseOp` of kind
-        ``"neighbor_exchange"``: when every rank parks on such a round with
-        the network quiet, :mod:`repro.sim.superstep` times all of them at
-        once and answers with the received payloads; on a run that cannot
-        park (scenario, tracing, watchdog) the engine issues a main
-        program's round message by message and answers alike.  Otherwise
-        (``superstep=False``, a fault plan, a sub-task, a round the planner
-        refuses — a multi-hop or self send, a receive no send matches) the
-        answer is :data:`~repro.sim.ops.FALLBACK` and
-        :func:`exchange_round`, which defines the round, runs it.
+        The round is one :class:`~repro.sim.ops.ExchangeOp`: on a run
+        whose rounds the engine may run (``superstep`` on, no fault plan)
+        it issues a main program's round itself, message by message, and
+        answers with the received payloads.  Otherwise (``superstep=False``,
+        a fault plan, a ``ctx.parallel`` sub-task) the answer is
+        :data:`~repro.sim.ops.FALLBACK` and :func:`exchange_round`, which
+        defines the round, runs it.  The events are the same either way.
         """
-        rank = self.rank
         sends = [
             (self._check_peer(dst), data, tag if tag.__class__ is int else int(tag))
             for dst, data, tag in sends
@@ -354,13 +346,7 @@ class ProcessContext:
                 payload_words(data)
         if not (sends or recvs):
             return []
-        crossed = 0
-        for dst, _data, _tag in sends:
-            crossed |= dst ^ rank
-        verdict = yield CollectivePhaseOp((CollectiveSpec(
-            "neighbor_exchange", "", (rank,), 0, set_bits(crossed), 0,
-            (sends, recvs),
-        ),))
+        verdict = yield ExchangeOp(sends, recvs)
         if verdict is not FALLBACK:
             return verdict
         return (yield from exchange_round(self, sends, recvs))

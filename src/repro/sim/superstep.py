@@ -224,12 +224,12 @@ def _seed(engine: "Engine", keys: list, uses: np.ndarray, nodes) -> dict:
     return plan
 
 
-def _fold_row(plan, Tn, ready, src, dst, chan, w, distinct=True) -> None:
+def _fold_row(plan, Tn, ready, src, dst, chan, w) -> None:
     """Fold one row of sends through the recurrence (module docstring):
     node column ``src[i]`` sends ``w`` words (an int or one per send) over
     channel column ``chan[i]`` to ``dst[i]``, ready at ``ready[i]``, and the
-    clocks ``Tn`` take each send's end at both of its nodes.  No channel or
-    port twice in one row (``distinct``: no node receives twice either)."""
+    clocks ``Tn`` take each send's end at both of its nodes.  No channel,
+    port or receiving node twice in one row."""
     t_s, t_w = plan["hop"]
     chan_free, ports = plan["chan_free"], plan["ports"]
     s = np.maximum(ready, chan_free[chan])
@@ -247,14 +247,9 @@ def _fold_row(plan, Tn, ready, src, dst, chan, w, distinct=True) -> None:
     Tn[src] = np.maximum(Tn[src], e)
     msgs_out[src] += 1
     words_out[src] += w
-    if distinct:
-        Tn[dst] = np.maximum(Tn[dst], e)
-        msgs_in[dst] += 1
-        words_in[dst] += w
-    else:
-        np.maximum.at(Tn, dst, e)
-        np.add.at(msgs_in, dst, 1)
-        np.add.at(words_in, dst, w)
+    Tn[dst] = np.maximum(Tn[dst], e)
+    msgs_in[dst] += 1
+    words_in[dst] += w
 
 
 def _fold_steps(plan, T, steps) -> np.ndarray:
@@ -1269,12 +1264,10 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
 # ---------------------------------------------------------------------------
 #
 # The collectives in ``repro.collectives`` declare themselves to the engine
-# before running their wire schedule (see ``repro.collectives.phase``), and
-# ``ProcessContext.neighbor_exchange`` declares a round of single-hop
-# exchanges the same way.  When every active rank is parked on a
-# CollectivePhaseOp with quiet queues, the phase decomposes into *groups* —
-# one per (kind, schedule, member-tuple, tag, root, op); a neighbour
-# exchange is one machine-wide group — whose channels are provably disjoint.
+# before running their wire schedule (see ``repro.collectives.phase``).
+# When every active rank is parked on a CollectivePhaseOp with quiet queues,
+# the phase decomposes into *groups* — one per (kind, schedule,
+# member-tuple, tag, root, op) — whose channels are provably disjoint.
 #
 # A collective group runs the paper's Table 1 schedule: ``d = log N`` rounds
 # of spanning binomial trees, one tree per dimension order in ``orders``.  A
@@ -1288,10 +1281,7 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
 # "merging" below) through the module's one recurrence, row by row.  A send
 # across ``k`` arrives at the sender's ``k``-partner, and the new clocks
 # take effect when the round ends (the schedules ``waitall`` once per
-# round; a rank with nothing to do keeps its clock).  A neighbour exchange
-# lists each rank's sends in program order, row ``r`` holding everyone's
-# ``r``-th, so a rank in several rows reserves its port — and a channel it
-# uses twice — in the order its injection events fire.
+# round; a rank with nothing to do keeps its clock).
 #
 # The values move as stacked arrays: ``_classes`` buckets the groups whose
 # block layouts agree, ``_stack`` makes a bucket one ``(groups, rows,
@@ -1350,7 +1340,6 @@ def _advance(engine: "Engine", spec: dict, plan: dict) -> dict:
 #: dimension-exchange kinds: every rank sends in every round
 EXCHANGE_KINDS = frozenset({"allgather", "alltoall", "reduce_scatter"})
 _ROOTED_KINDS = frozenset({"broadcast", "reduce"})
-_NEIGHBOR = "neighbor_exchange"
 
 
 def _subcube_tables(nodes, free_dims) -> tuple | None:
@@ -1377,8 +1366,8 @@ class _CollGroup:
 
     __slots__ = (
         "kind", "nodes", "free_dims", "root", "op", "n", "d", "sub",
-        "cr_of_sub", "partners", "everyone", "node_ids", "sub_key", "dim_ids",
-        "at", "payloads", "filled", "slot", "steps", "values", "tag",
+        "cr_of_sub", "partners", "everyone", "node_ids", "sub_key", "at",
+        "payloads", "filled", "slot", "steps", "values", "tag",
     )
 
     def __init__(self, kind, nodes, free_dims, root, op, slot, tables):
@@ -1393,8 +1382,6 @@ class _CollGroup:
             self.sub, self.cr_of_sub, self.partners, self.everyone,
             self.node_ids, self.sub_key,
         ) = tables
-        #: free_dims as an array, for rows whose senders cross different ones
-        self.dim_ids = np.asarray(free_dims, dtype=np.intp)
         self.at = [0.0] * self.n
         self.payloads = [None] * self.n
         self.filled = 0  # bit cr: member cr has declared
@@ -1426,17 +1413,11 @@ def _collective_groups(engine: "Engine", parked: dict) -> list:
             # dimensions: each channel then belongs to one schedule.
             raise _Refuse("fused pair shares a dimension")
         for slot, spec in enumerate(specs):
-            kind = spec.kind
-            if kind == _NEIGHBOR:
-                # One machine-wide group; comm rank == node address.
-                key = kind
-                cr = task
-            else:
-                key = (
-                    kind, spec.sched, spec.members, spec.free_dims,
-                    spec.tag, spec.root, spec.op,
-                )
-                cr = spec.rank
+            key = (
+                spec.kind, spec.sched, spec.members, spec.free_dims,
+                spec.tag, spec.root, spec.op,
+            )
+            cr = spec.rank
             g = groups.get(key)
             if g is None:
                 g = groups[key] = _new_group(engine, spec, slot, sched)
@@ -1450,14 +1431,9 @@ def _collective_groups(engine: "Engine", parked: dict) -> list:
             g.filled |= 1 << cr
             g.at[cr] = at
             g.payloads[cr] = spec.payload
-    if _NEIGHBOR in groups and len(groups) > 1:
-        raise _Refuse("neighbor exchange beside a collective")
     for g in groups.values():
         if g.filled != (1 << g.n) - 1:
-            raise _Refuse(
-                "neighbor exchange without every rank" if g.kind == _NEIGHBOR
-                else "malformed phase"
-            )
+            raise _Refuse("malformed phase")
     return [g for g in groups.values() if g.slot == 0] + [
         g for g in groups.values() if g.slot == 1
     ]
@@ -1466,17 +1442,6 @@ def _collective_groups(engine: "Engine", parked: dict) -> list:
 def _new_group(engine: "Engine", spec, slot: int, sched: str) -> _CollGroup:
     """Validate what all members of one group share and build the group."""
     kind = spec.kind
-    if kind == _NEIGHBOR:
-        # Comm rank == node address: the index maps are the identity and
-        # a partner is one XOR away (no table).
-        n, d = engine.config.num_nodes, engine.config.dimension
-        if n != 1 << d:
-            raise _Refuse("malformed phase")
-        everyone = np.arange(n)
-        return _CollGroup(
-            kind, range(n), range(d), None, None, slot,
-            (everyone, everyone, None, everyone, everyone, None),
-        )
     n = len(spec.members)
     if kind in EXCHANGE_KINDS:
         if spec.root is not None:
@@ -1800,51 +1765,12 @@ def _broadcast_steps(engine, groups, chunked):
         ]
 
 
-def _neighbor_exchange_steps(engine, groups, chunked):
-    """One round of single-hop sends: row ``r`` holds every rank's ``r``-th
-    send, so a rank's injections are folded in its program order."""
-    g, = groups
-    ndarray = np.ndarray
-    dim_of = {1 << k: k for k in range(g.d)}
-    inbound: list[dict] = [{} for _ in range(g.n)]  # receiver -> (src, tag) -> data
-    rows: list[list] = []  # rows[r]: (sender, dimension, words) per send
-    try:
-        for i, (sends, _recvs) in enumerate(g.payloads):
-            if len(sends) > len(rows):
-                rows.extend([] for _ in range(len(sends) - len(rows)))
-            for row, (dst, data, tag) in zip(rows, sends):
-                box = inbound[dst]
-                key = (i, tag)
-                if key in box:
-                    raise _Refuse("neighbor exchange: repeated (source, tag)")
-                box[key] = data
-                row.append((
-                    i, dim_of[dst ^ i],
-                    data.size if data.__class__ is ndarray else payload_words(data),
-                ))
-    except KeyError:
-        raise _Refuse("neighbor exchange: non-neighbour or self send") from None
-    values = []
-    for box, (_sends, recvs) in zip(inbound, g.payloads):
-        # Every queued message is received and every receive names its own
-        # (source, tag): the pairing cannot depend on arrival order.
-        if len(recvs) != len(box) or set(recvs) != box.keys():
-            raise _Refuse("neighbor exchange: unmatched receive or tag")
-        values.append([
-            data.copy() if data.__class__ is ndarray else copy_payload(data)
-            for data in map(box.__getitem__, recvs)
-        ])
-    g.steps = [[tuple(np.array(row, dtype=np.int64).T) for row in rows]]
-    g.values = values
-
-
 _STEP_TABLES = {
     "allgather": _exchange_steps,
     "alltoall": _exchange_steps,
     "reduce_scatter": _folding_steps,
     "broadcast": _broadcast_steps,
     "reduce": _folding_steps,
-    _NEIGHBOR: _neighbor_exchange_steps,
 }
 
 
@@ -1880,10 +1806,7 @@ def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
                     bucket = buckets[(t, slot, r)] = ([], [], [])
                 src = ids if si is everyone else ids[si]
                 bucket[0].append(src)
-                bucket[1].append(
-                    g.dim_ids[k] if k.__class__ is ndarray
-                    else np.full(len(src), dims[k])
-                )
+                bucket[1].append(np.full(len(src), dims[k]))
                 bucket[2].append(
                     w if w.__class__ is ndarray else np.full(len(src), w)
                 )
@@ -1931,10 +1854,10 @@ def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
     return plan
 
 
-def _reserve_rounds(plan: dict, distinct: bool) -> None:
+def _reserve_rounds(plan: dict) -> None:
     """Fold the phase's rounds through :func:`_fold_row`: every row of a
     round is ready at the round's ``T``; a fused pair's rounds alternate,
-    slot 0 first.  ``distinct`` says no node receives twice within a row."""
+    slot 0 first."""
     t_s, t_w = plan["hop"]
     clocks, ports = plan["T"], plan["ports"]
     last = None if ports is None else ports.get("ready")
@@ -1956,7 +1879,7 @@ def _reserve_rounds(plan: dict, distinct: bool) -> None:
                     if (t_s + t_w * w).min() <= 0:
                         raise _Refuse("one-port pair: zero-length hop")
                     last[src] = ready
-                _fold_row(plan, Tn, ready, src, dst, chan, w, distinct)
+                _fold_row(plan, Tn, ready, src, dst, chan, w)
             clocks[slot] = Tn
 
 
@@ -2122,7 +2045,7 @@ def _plan_phase(engine: "Engine", parked: dict):
 def _fold_groups(engine: "Engine", groups: list, at: np.ndarray):
     """Fold stepped groups, entering at ``at``; returns ``(outcome, [plan])``."""
     plan = _reserve(engine, groups, at)
-    _reserve_rounds(plan, distinct=groups[0].kind != _NEIGHBOR)
+    _reserve_rounds(plan)
     # A fused pair resumes with [value_a, value_b] at the later finish,
     # like ctx.parallel (slot-0 groups come first, so a pair's second half
     # finds the first).

@@ -126,8 +126,9 @@ class RunResult:
         every digest the same way.
     collective_phases_closed_form, collective_phases_event, closed_form_refusals:
         Declared collective phases — one per rank per ``CollectivePhaseOp``
-        (a collective call, a fused pair, a ``ctx.neighbor_exchange`` round)
-        — that :mod:`repro.sim.superstep` answered in closed form, and
+        (a collective call or a fused pair; a ``ctx.neighbor_exchange``
+        round is no phase, the engine or ``exchange_round`` issues it) —
+        that :mod:`repro.sim.superstep` answered in closed form, and
         that ran message by message; ``closed_form_refusals`` maps the
         reason to how many shift rank-rounds and collective phases it sent
         to the event path (an ineligible run's feature, ``"ctx.parallel

@@ -4,14 +4,15 @@ Conformance runs whole algorithms through ``superstep=True`` and
 ``superstep=False`` and compares digests — but the resolver answers any
 refusal or exception while planning with the event-path fallback, so a
 broken planner still passes there.  This matrix closes that hole: every
-(kind, port model, subcube dimension, root), the neighbour-exchange round
-and the one-port fused pairs run on inputs chosen to break a recurrence
-that is only almost right, and the engine's own counters
-(``RunResult.collective_phases_*``, ``closed_form_refusals``) assert that
-the closed form *answered* every phase — or, in the refusal cases at the
-end, that it refused under the expected name and the fallback still
-equals the event path.  Both paths are compared down to every channel's
-and every send port's free time, busy time and reservation count.
+(kind, port model, subcube dimension, root) and the one-port fused pairs
+run on inputs chosen to break a recurrence that is only almost right, and
+the engine's own counters (``RunResult.collective_phases_*``,
+``closed_form_refusals``) assert that the closed form *answered* every
+phase — or, in the refusal cases at the end, that it refused under the
+expected name and the fallback still equals the event path.  Both paths
+are compared down to every channel's and every send port's free time,
+busy time and reservation count.  A neighbour-exchange round is no phase:
+the engine issues it, and its programs are held to the same comparison.
 
 The inputs, per case:
 
@@ -155,12 +156,27 @@ def _run(prog, p, port, superstep, **run_kw):
     return result, resources
 
 
+def _both_paths(prog, p, port, **run_kw):
+    """Run ``prog`` on the default path and on the event path; the two
+    agree bit for bit, down to every channel and send port."""
+    fast, fast_resources = _run(prog, p, port, True, **run_kw)
+    slow, slow_resources = _run(prog, p, port, False, **run_kw)
+    assert fast.total_time == slow.total_time
+    assert fast.stats == slow.stats
+    assert fast.network == slow.network
+    assert fast.trace_digest() == slow.trace_digest()
+    assert fast_resources == slow_resources
+    for rank in range(p):
+        assert _same(fast.results[rank], slow.results[rank]), rank
+    return fast, slow
+
+
 def _assert_paths_agree(prog, p, port, refused=None, **run_kw):
     """Both paths agree bit for bit; the default one answered every
     declared phase in closed form — or, with ``refused`` set, refused under
     exactly that reason (plus the sub-task declarations a released fused
     pair repeats)."""
-    fast, fast_resources = _run(prog, p, port, True, **run_kw)
+    fast, slow = _both_paths(prog, p, port, **run_kw)
     if refused is None:
         assert fast.collective_phases_closed_form > 0
         assert fast.collective_phases_event == 0, fast.closed_form_refusals
@@ -172,16 +188,18 @@ def _assert_paths_agree(prog, p, port, refused=None, **run_kw):
     assert fast.collective_phases_event == sum(
         fast.closed_form_refusals.values()
     )
-    slow, slow_resources = _run(prog, p, port, False, **run_kw)
     assert slow.collective_phases_closed_form == 0  # the reference never parks
     assert set(slow.closed_form_refusals) == {"superstep disabled"}
-    assert fast.total_time == slow.total_time
-    assert fast.stats == slow.stats
-    assert fast.network == slow.network
-    assert fast.trace_digest() == slow.trace_digest()
-    assert fast_resources == slow_resources
-    for rank in range(p):
-        assert _same(fast.results[rank], slow.results[rank]), rank
+    return fast
+
+
+def _assert_rounds_agree(prog, p, port, **run_kw):
+    """Both paths agree bit for bit on a program of neighbour-exchange
+    rounds, none of which is a declared phase on either path."""
+    fast, slow = _both_paths(prog, p, port, **run_kw)
+    for run in (fast, slow):
+        assert run.collective_phases_closed_form == run.collective_phases_event == 0
+        assert run.closed_form_refusals == {}
     return fast
 
 
@@ -221,7 +239,7 @@ def test_timing_only_zero_reduce(port_model, d):
     _assert_paths_agree(prog, 1 << d, port_model, timing_only=True)
 
 
-# -- neighbour-exchange rounds ---------------------------------------------------
+# -- neighbour-exchange rounds: engine-issued, no phase ---------------------------
 
 
 def _warm_up(ctx):
@@ -265,15 +283,14 @@ def test_neighbor_exchange_equals_event_path(port_model, timing_only):
         nothing = yield from ctx.neighbor_exchange([], [])
         return first, second, nothing, ctx.now
 
-    fast = _assert_paths_agree(prog, 16, port_model, timing_only=timing_only)
-    assert fast.collective_phases_closed_form == 2 * 16
+    fast = _assert_rounds_agree(prog, 16, port_model, timing_only=timing_only)
     assert fast.results[1][2] == []
     assert len(fast.results[1][0]) == 5 and len(fast.results[0][0]) == 4
 
 
 def test_neighbor_exchange_runs_message_by_message_in_a_sub_task(port_model):
     """``ctx.parallel`` sub-tasks share their node's port with siblings: the
-    round is answered inline and its loop runs."""
+    round is answered ``FALLBACK`` and its loop runs."""
 
     def prog(ctx):
         def half(tag):
@@ -284,10 +301,7 @@ def test_neighbor_exchange_runs_message_by_message_in_a_sub_task(port_model):
         values = yield from ctx.parallel(half(1), half(2))
         return values, ctx.now
 
-    fast, _ = _run(prog, 4, port_model, True)
-    slow, _ = _run(prog, 4, port_model, False)
-    assert fast.closed_form_refusals == {"ctx.parallel sub-task": 8}
-    assert fast.total_time == slow.total_time and fast.stats == slow.stats
+    _assert_rounds_agree(prog, 4, port_model)
 
 
 # -- one-port fused pairs ----------------------------------------------------------
@@ -546,7 +560,15 @@ def test_rooted_pair_on_one_port_parks_and_batches():
     _assert_paths_agree(prog, 8, PortModel.ONE_PORT)
 
 
-def _refused_exchange(port_model, sends_recvs, refused, p=8, after=None):
+# -- neighbour-exchange rounds the closed form used to refuse ----------------------
+#
+# Named for the refusal each program once drew: the engine now issues every
+# one of them, and only the same machine on both paths is left to assert.
+
+
+def _round_agrees(port_model, sends_recvs, p=8, after=None):
+    """One round per rank, entered at staggered times, then ``after``."""
+
     def prog(ctx):
         yield from ctx.compute(5.0 * (ctx.rank % 3))
         sends, recvs = sends_recvs(ctx.rank)
@@ -555,10 +577,14 @@ def _refused_exchange(port_model, sends_recvs, refused, p=8, after=None):
             got = [got, (yield from after(ctx))]
         return got, ctx.now
 
-    return _assert_paths_agree(prog, p, port_model, refused=refused)
+    return _assert_rounds_agree(prog, p, port_model)
 
 
 def test_exchange_beside_a_collective_is_refused(port_model):
+    """Odd ranks run an allgather, even ranks a round: the allgather, the
+    only phase, is answered in closed form once the rounds' traffic is
+    done."""
+
     def prog(ctx):
         if ctx.rank & 1:
             comm = Comm(ctx, [1, 3, 5, 7])
@@ -570,9 +596,9 @@ def test_exchange_beside_a_collective_is_refused(port_model):
             )
         return value, ctx.now
 
-    _assert_paths_agree(
-        prog, 8, port_model, refused="neighbor exchange beside a collective"
-    )
+    fast, _slow = _both_paths(prog, 8, port_model)
+    assert (fast.collective_phases_closed_form, fast.collective_phases_event) == (4, 0)
+    assert fast.closed_form_refusals == {}
 
 
 @pytest.mark.parametrize("hops", [0, 2], ids=["self", "two-hop"])
@@ -582,9 +608,7 @@ def test_exchange_with_a_non_neighbour_or_self_send_is_refused(port_model, hops)
     def plan(rank):
         return [(rank ^ span, _vec(4, rank), 2)], [(rank ^ span, 2)]
 
-    _refused_exchange(
-        port_model, plan, "neighbor exchange: non-neighbour or self send"
-    )
+    _round_agrees(port_model, plan)
 
 
 def test_exchange_with_an_unmatched_tag_is_refused(port_model):
@@ -599,18 +623,14 @@ def test_exchange_with_an_unmatched_tag_is_refused(port_model):
         elif ctx.rank == 1:
             return (yield from ctx.recv(0, tag=5))
 
-    _refused_exchange(
-        port_model, plan, "neighbor exchange: unmatched receive or tag", after=after
-    )
+    _round_agrees(port_model, plan, after=after)
 
 
 def test_exchange_with_a_wildcard_or_missing_receive_is_refused(port_model):
     def wildcard(rank):
         return [(rank ^ 1, _vec(4, rank), 5)], [(ANY_SOURCE, 5)]
 
-    _refused_exchange(
-        port_model, wildcard, "neighbor exchange: unmatched receive or tag"
-    )
+    _round_agrees(port_model, wildcard)
 
     def missing(rank):
         # Odd ranks leave the message queued and pick it up afterwards.
@@ -621,15 +641,11 @@ def test_exchange_with_a_wildcard_or_missing_receive_is_refused(port_model):
             return (yield from ctx.recv(ctx.rank ^ 1, tag=5))
         yield from ()
 
-    _refused_exchange(
-        port_model, missing, "neighbor exchange: unmatched receive or tag",
-        after=after,
-    )
+    _round_agrees(port_model, missing, after=after)
 
 
 def test_exchange_without_every_rank_is_refused(port_model):
-    """Ranks that have already finished leave the round without its
-    machine-wide group."""
+    """Ranks that have already finished take no part in the round."""
 
     def prog(ctx):
         if ctx.rank >= 4:
@@ -638,9 +654,7 @@ def test_exchange_without_every_rank_is_refused(port_model):
         got = yield from ctx.neighbor_exchange([(peer, _vec(4, ctx.rank), 1)], [(peer, 1)])
         return got, ctx.now
 
-    _assert_paths_agree(
-        prog, 8, port_model, refused="neighbor exchange without every rank"
-    )
+    _assert_rounds_agree(prog, 8, port_model)
 
 
 def test_planner_exception_is_counted_not_hidden(monkeypatch, port_model):

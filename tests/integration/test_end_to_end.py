@@ -98,24 +98,7 @@ class TestCLI:
                      "--backend", "sim"]) == 0
         captured = capsys.readouterr()
         assert "legend:" in captured.out
-        # fault-free uniform machine: the closed form is eligible, so no
-        # event-path warning is emitted
-        assert "superstep" not in captured.err
-
-    def test_figure_sim_backend_warns_when_ineligible(
-        self, capsys, monkeypatch
-    ):
-        import repro.sim.superstep as superstep_mod
-
-        monkeypatch.setattr(
-            superstep_mod, "superstep_ineligibility_reason",
-            lambda engine: "fault plan",
-        )
-        assert main(["figure", "13", "a", "--log2n", "3", "--log2p", "3",
-                     "--backend", "sim"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1  # one line
-        assert "fault plan" in err and "event path" in err
+        assert captured.err == ""
 
     def test_table2(self, capsys):
         assert main(["table2", "-n", "16", "-p", "8"]) == 0

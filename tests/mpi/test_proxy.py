@@ -90,7 +90,7 @@ def test_options_of_the_stack():
 
 
 def test_neighbor_exchange_runs_over_the_layers_own_primitives():
-    """Only the bare context declares a neighbour-exchange round to the
+    """Only the bare context hands a neighbour-exchange round to the
     engine; through a layer every message of the round is the layer's own
     ``isend`` — and an armed protocol still delivers it on a lossy link."""
     from repro.sim import FaultPlan

@@ -19,10 +19,12 @@ import pytest
 import itertools
 import random
 
+import repro.sim.process as process_mod
 from repro.algorithms import get_algorithm
 from repro.algorithms.common import cannon_kernel
 from repro.algorithms.torus_cannon import torus_machine_like
 from repro.blocks.partition import BlockPartition2D
+from repro.collectives import allgather
 from repro.collectives.phase import Lift, allgather_call, broadcast_call, parallel_pair
 from repro.errors import AlgorithmError, LivelockError, SimulationError
 from repro.mpi import Comm
@@ -726,8 +728,8 @@ class TestCollectivePhases:
         ids=["one-port", "multi-port"],
     )
     def test_shift_phase_parked_beside_a_collective_releases_both(self, port):
-        """Ranks 0-1 park on a shift phase while ranks 2-3 park on a
-        neighbour exchange: no closed form covers the mix, so both kinds
+        """Ranks 0-1 park on a shift phase while ranks 2-3 park on an
+        allgather: no closed form covers the mix, so both kinds
         are released onto the event path in one step.  The shift phase
         then runs one more engine-run round (its A and B shifts share a
         channel, which the closed form refuses) and batches its last."""
@@ -742,11 +744,7 @@ class TestCollectivePhases:
                         b_block=np.full((2, 2), float(r + 3)), tag_a=1, tag_b=2,
                     )
                 )
-            return (
-                yield from ctx.neighbor_exchange(
-                    [(r ^ 1, np.full(2, float(r)), 5)], [(r ^ 1, 5)]
-                )
-            )
+            return (yield from allgather(Comm(ctx, [2, 3]), np.full(2, float(r)), tag=5))
 
         fast, slow = _both_paths(prog, port_model=port)
         assert fast.total_time == slow.total_time == 100.0
@@ -1280,11 +1278,12 @@ class TestGroupedPhase:
         assert result.collective_phases_event == result.collective_phases_closed_form == 0
         assert result.events_processed == 2 * p  # a start, a resume
 
-    def test_a_foreign_hop_hands_the_phase_back(self):
+    def test_a_foreign_hop_hands_the_phase_back(self, monkeypatch):
         """Rank 5 sends rank 10 two messages across ranks parked in the
         phase: the release answers them FALLBACK, and their loops run all
         of their rounds on today's path (each multiply step a neighbour
-        exchange, here batched again from the first quiet point)."""
+        exchange, which the engine issues message by message)."""
+        engines = _exchange_round_engines(monkeypatch)
         (fast, slow), products = _kernel_engines(
             "hje", 16, PortModel.MULTI_PORT, RoutingMode.STORE_AND_FORWARD, 0.5,
             n=16, foreign=(5, 10, 2, 9.0),
@@ -1294,9 +1293,10 @@ class TestGroupedPhase:
         result = fast[1]
         released = result.closed_form_refusals["foreign hop at a parked rank's resources"]
         assert released > 0 and released % 4 == 0  # all four rounds of a rank
-        assert sum(result.closed_form_refusals.values()) == (
-            result.shift_rounds_event + result.collective_phases_event
-        )
+        assert sum(result.closed_form_refusals.values()) == result.shift_rounds_event
+        # the loops' exchanges: engine-issued, and no collective phase
+        assert engines == {slow[0]}
+        assert result.collective_phases_event == result.collective_phases_closed_form == 0
 
     @staticmethod
     def _phase(tags=(5, 6), phase=lambda r: "rounds", mail=False):
@@ -1323,23 +1323,36 @@ class TestGroupedPhase:
 
         return prog
 
-    @pytest.mark.parametrize("prog, reason, exchanges", [
-        (_phase(), None, {}),
-        (_phase(tags=(5, 5)), "grouped shift: rounds are not exchanges on distinct tags", {}),
+    @pytest.mark.parametrize("prog, reason", [
+        (_phase(), None),
+        (_phase(tags=(5, 5)), "grouped shift: rounds are not exchanges on distinct tags"),
         (_phase(phase=lambda r: "rounds" if r else "first"),
-         "grouped shift: ranks differ in steps, rounds, tags or blocks", {}),
-        # (the message stays queued through the loop's two exchange rounds)
-        (_phase(mail=True), "grouped shift: ranks outside the phase, or traffic in flight",
-         {"ranks outside the phase, or traffic in flight": 8}),
+         "grouped shift: ranks differ in steps, rounds, tags or blocks"),
+        # (the message stays queued through the loop's two exchange rounds,
+        # which the engine issues: no phase, so nothing more is refused)
+        (_phase(mail=True), "grouped shift: ranks outside the phase, or traffic in flight"),
     ], ids=["batched", "repeated-tag", "phase-differs", "traffic-in-flight"])
-    def test_refusals_are_named_and_exact(self, prog, reason, exchanges):
+    def test_refusals_are_named_and_exact(self, prog, reason):
         """What the planner cannot state hands every rank's whole phase back
         to its loop, counted per rank-round; the same machine either way."""
         fast, slow = _engines(prog, 4, port_model=PortModel.ONE_PORT)
         _assert_same_kernel_run(fast, slow)
-        expected = {} if reason is None else {reason: 4 * 3, **exchanges}
+        expected = {} if reason is None else {reason: 4 * 3}
         assert fast[1].closed_form_refusals == expected
         assert _rounds(fast[1]) == ((0, 12) if reason is None else (12, 0))
+
+
+def _exchange_round_engines(monkeypatch) -> set:
+    """The engines on which a program runs ``exchange_round`` from now on."""
+    engines = set()
+    loop = process_mod.exchange_round
+
+    def spy(ctx, sends, recvs):
+        engines.add(ctx.engine)
+        return loop(ctx, sends, recvs)
+
+    monkeypatch.setattr(process_mod, "exchange_round", spy)
+    return engines
 
 
 def _broadcast_matrix():
@@ -1402,11 +1415,12 @@ class TestBroadcastPhase:
         (_phase(b_to=lambda r: r ^ 1),
          "broadcast shift: the roll is not a neighbour permutation across rows", {}),
     ], ids=["batched", "blocks-differ", "row-order-differs", "roll-within-a-row"])
-    def test_refusals_are_named_and_exact(self, prog, reason, collectives):
+    def test_refusals_are_named_and_exact(self, prog, reason, collectives, monkeypatch):
         """What the planner cannot state hands every rank's whole phase back
-        to its loop, counted per rank-stage (the loop's broadcasts and rolls
-        are then declared, and batched, one by one); the same machine
-        either way."""
+        to its loop, counted per rank-stage (the loop's broadcasts are then
+        declared, and batched, one by one; the engine issues its rolls);
+        the same machine either way."""
+        engines = _exchange_round_engines(monkeypatch)
         fast, slow = _engines(prog, 4, port_model=PortModel.ONE_PORT)
         _assert_same_machine(fast, slow, blocks=False)
         for rank, c in slow[1].results.items():
@@ -1419,36 +1433,29 @@ class TestBroadcastPhase:
         assert sum(result.closed_form_refusals.values()) == (
             result.shift_rounds_event + result.collective_phases_event
         )
+        # the loops' rolls: engine-issued, and no collective phase (one per
+        # rank-stage: the broadcast)
+        assert engines == {slow[0]}
+        assert result.collective_phases_event + result.collective_phases_closed_form == (
+            0 if reason is None else 4 * 2
+        )
 
 
 #: Fuzz cases that hit ROADMAP item 1's (time, seq) tie: the torus and
-#: Cannon ones also wrong before the alignment joined the shift phase, the
-#: HJE one before HJE declared its phase once.  A hazard release at
-#: time t puts the parked ranks back on the event path at their earlier
-#: park times, and their events at exactly t sort after the foreign events
-#: already queued there; or a foreign hop is ready exactly when a parked
-#: rank's next round sends (its threshold, so no release), and only the
-#: order in which the two were scheduled says which goes first.  Pinned
-#: until the engine orders by that key.
+#: Cannon ones also wrong before the alignment joined the shift phase.  A
+#: hazard release at time t puts the parked ranks back on the event path at
+#: their earlier park times, and their events at exactly t sort after the
+#: foreign events already queued there; or a foreign hop is ready exactly
+#: when a parked rank's next round sends (its threshold, so no release),
+#: and only the order in which the two were scheduled says which goes
+#: first.  Pinned until the engine orders by that key.
 _TIE = "(time, seq) tie at a hazard release"
 _AT = "(time, seq) tie at a hazard threshold"
-#: a refused resolve releases ranks parked about a hundred time units before
-#: the rank that joined last, into the past of groupmates already running;
-#: as wrong before Fox declared its phase once, when its broadcasts and
-#: rolls parked apart
-_PAST = "release into the past of running groupmates"
 _TIED = {
-    "fox-p64-(19, 54, 2, 33.0)-tc0.5-ONE_PORT": _PAST,
-    "fox-p64-(21, 11, 2, 29.0)-tc0.5-MULTI_PORT": _PAST,
     "torus-p16-(6, 8, 4, 39.0)-tc0.5-MULTI_PORT": _TIE,
     "cannon-p16-(14, 13, 3, 22.0)-tc1.0-ONE_PORT": _TIE,
     "torus-p16-(6, 1, 1, 29.0)-tc0.5-MULTI_PORT": _AT,  # 5 -> 1 at 49
     "torus-p16-(3, 14, 2, 39.0)-tc1.0-ONE_PORT": _AT,  # 2 -> 6 at 98
-    # port 4 at 122: rank 4 parks then, its ports' queues set by the
-    # alignment, not by the gap; as wrong (1318, not 1376) with HJE's rounds
-    # as separate neighbour-exchange phases, and with every closed form
-    # refused — the release alone
-    "hje-p64-(7, 32, 3, 26.0)-tc1.0-ONE_PORT": _TIE,
 }
 
 
