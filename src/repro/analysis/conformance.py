@@ -23,8 +23,9 @@ Faulty cases run the "fast" configuration through the generator loops
 too, and pin the fallback-equivalence contract instead.  Degraded cases
 pay one event per hop on both sides: there the engine's own rounds are
 compared with those loops.  ``traced`` cases compare hop record by hop
-record, and there only an aligned shift phase parks: the hop table emits
-its records (see ``repro.sim.superstep``, "Traced phases").
+record, and there only an aligned shift phase and a lifted pair park:
+the hop table emits their records (see ``repro.sim.superstep``, "Traced
+phases").
 """
 
 from __future__ import annotations

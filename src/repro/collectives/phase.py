@@ -17,7 +17,8 @@ collectives use disjoint channels and each admits its standalone closed
 form; on a one-port machine both schedules are planned through one port
 column per node.  3DD and DNS (and their Cannon hybrids) declare their
 phase-1 lift with the pair (``lift=``): every rank parks before it, and
-the hop table plans the multi-hop lift with the broadcasts it overlaps.
+the hop table plans the multi-hop lift with the broadcasts it overlaps
+(traced too: it emits their hop records in the event path's order).
 On ``FALLBACK`` the program runs :func:`lift_loop`, the lift's definition,
 and declares the pair again.
 """

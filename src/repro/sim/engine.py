@@ -183,11 +183,12 @@ class Engine:
         Let the engine run declared phases itself, bit-identically (see
         :mod:`repro.sim.superstep`).  On by default: in closed form unless
         faults, scenarios, tracing or a ``max_virtual_time`` watchdog need
-        every hop as an event (tracing: but an aligned shift phase's, which
-        the hop table emits in event order), and then (faults excepted)
-        round by round without the program's generator loop (a grouped or
-        broadcast shift phase: with it).  ``False`` forces that loop for every phase (the
-        conformance suite's reference runs).
+        every hop as an event (tracing: but an aligned shift phase's and a
+        lifted pair's, which the hop table emits in event order), and then
+        (faults excepted) round by round without the program's generator
+        loop (a grouped or broadcast shift phase: with it).  ``False``
+        forces that loop for every phase (the conformance suite's reference
+        runs).
     timing_only:
         Skip local matrix products: ``ctx.local_matmul`` charges the same
         flops/time but returns a zero-cost broadcast view instead of the
@@ -272,11 +273,12 @@ class Engine:
         self._one_port = config.port_model.name == "ONE_PORT"
         #: why no phase of this run may park (None: phases park)
         self._ineligible = superstep_ineligibility_reason(self)
-        #: a traced run whose aligned shift phases still park for the hop
-        #: table, each in a *tracing window*: the time its ranks parked at,
-        #: until whatever is observable next (an event later than that or not
-        #: a resume, a schedule, a message id, a compute record) releases
-        #: them at it first — exactly where the event path issues them
+        #: a traced run whose aligned shift phases and lifted pairs still
+        #: park for the hop table, each in a *tracing window*: the time its
+        #: ranks parked at, until whatever is observable next (an event
+        #: later than that or not a resume, a schedule, a message id, a
+        #: compute record) releases them at it first — exactly where the
+        #: event path issues them
         self._traced_parks = self._ineligible == "per-hop tracing" and not self._cut_through
         self._window: float | None = None
         #: the traced hop table whose tail is on the event queue (_TABLE)
@@ -444,9 +446,14 @@ class Engine:
                 time, seq, kind, payload = ready.popleft()
             else:
                 time, seq, kind, payload = heappop(events)
-            if self._window is not None and (kind != _RESUME or time > self._window):
+            if self._window is not None and (
+                time > self._window
+                or kind != _RESUME and (kind != _TABLE or payload[0] != _RESUME)
+            ):
                 # A tracing window closes: put the event back (the parked
-                # ranks' events sort before it) and release them.
+                # ranks' events sort before it) and release them.  (A table
+                # event that resumes a task is a resume: the table releases
+                # the window before a message id, see superstep._replay.)
                 heapq.heappush(events, (time, seq, kind, payload))
                 self._release(_BESIDE)
                 continue
@@ -505,6 +512,7 @@ class Engine:
         it leaves (see ``superstep._replay``).
         """
         parked = self._parked
+        self._window = None  # (it held: the queues drained)
         kinds = {op.__class__ for op, _at in parked.values()}
         if len(kinds) > 1:
             self._release("shift phase parked beside a collective")
@@ -518,7 +526,6 @@ class Engine:
             return
         self._parked = {}
         self._hazards.clear()
-        self._window = None
         if outcome.__class__ is tuple:  # (a traced hop table, its values)
             self._table, outcome = outcome
             self._table.send(outcome)
@@ -531,7 +538,9 @@ class Engine:
         shift phases for one engine-run round (a grouped or broadcast one
         with FALLBACK, for all of its rounds), then collectives with
         FALLBACK, each kind in park order; what that sends to the event path
-        is counted under ``reason``."""
+        is counted under ``reason``.  A tracing window's parks (nothing came
+        between) are answered at once, in park order, as the event path
+        answers them when they are declared."""
         parked = self._parked
         self._parked = {}
         self._hazards.clear()
@@ -540,11 +549,14 @@ class Engine:
         refused = 0  # collective phases and shift rank-rounds
         for task, (op, at) in parked.items():
             if op.__class__ is not ShiftPhaseOp:
-                fallback.append((task, at))
                 self._coll_event += 1
                 refused += 1
                 if op.lift is not None and not op.lift.ran:
                     self._lifts_released = True
+                if self._ineligible is None:
+                    fallback.append((task, at))
+                else:  # traced: answered now, at the park time (the window held)
+                    self._step(task, at, FALLBACK)
             elif op.dims is not None or op.row is not None:
                 fallback.append((task, at))
                 self._shift_rounds_event += op.steps
@@ -781,6 +793,14 @@ class Engine:
                         refused = "ctx.parallel sub-task"
                     lift = op.lift
                     if lift is not None and not lift.ran:
+                        if (
+                            self._traced_parks and not self._lifts_released
+                            and task.__class__ is not tuple
+                        ):
+                            # traced: parked in a tracing window (see __init__)
+                            self._parked[task] = (op, now)
+                            self._window = now
+                            return
                         if (
                             refused is not None
                             or self._cut_through

@@ -70,7 +70,7 @@ Eligibility
 Two predicates.  :func:`superstep_ineligibility_reason`: may a run's phases
 park at all (not with a fault plan, a heterogeneous scenario, a
 ``max_virtual_time`` watchdog or ``superstep=False``; with per-hop trace
-records only an aligned phase, see "Traced phases")?
+records only an aligned phase or a lifted pair, see "Traced phases")?
 ``Engine._resident``: may the engine run a declared round itself (a main
 program, no fault plan, ``superstep=True``)?  What fails the second is
 answered ``FALLBACK``, and the program's generator loop, the definition of
@@ -90,31 +90,41 @@ Traced phases
 -------------
 A traced run appends a record per hop and per multiply in event order, and
 numbers messages as they are sent, so a closed form must emit them where
-the event path would.  Only the aligned phase ``cannon_kernel`` declares
-(Cannon, Berntsen, 3DD-Cannon, DNS-Cannon, torus Cannon; not under
-cut-through routing) parks: every other phase kind is refused when it is
-declared.  Three rules make the hop table exact:
+the event path would.  Only the phases that start with multi-hop moves
+park (not under cut-through routing): the aligned phase ``cannon_kernel``
+declares (Cannon, Berntsen, 3DD-Cannon, DNS-Cannon, torus Cannon) and the
+lifted pair 3DD and DNS (and their Cannon hybrids) declare.  Every other
+phase kind is refused when it is declared.  Three rules make the hop table
+exact:
 
 * *the tracing window.*  The ranks parked at one time stay parked only
   while nothing observable happens: before an event later than that or
   not a resume, before anything is scheduled, before a message id is
   taken and before a compute record is appended, the engine releases
-  them at their park time (counted per rank-round under ``"per-hop
-  tracing: traffic beside a parked phase"``), exactly where the event
-  path issues their alignment;
+  them at their park time (counted under ``"per-hop tracing: traffic
+  beside a parked phase"``: an aligned phase per rank-round, a lifted
+  pair per rank), exactly where the event path issues their alignment
+  or answers their pair ``FALLBACK``;
 * *table order.*  With every rank parked (the window held) the table runs
   the whole phase, no fold: :func:`_replay` visits hops in the event
   path's ``(time, seq)`` order and appends each hop record as it reserves
   the hop, each compute record as a multiply starts, and takes each
-  message's id from ``Engine._msg_seq`` as it is sent;
-* *the queue tail.*  A rank that leaves the phase runs its program next,
-  and its moves contend with the phase's.  So the table is planned only up
+  message's id from ``Engine._msg_seq`` as it is sent.  Every refusal is
+  decided before the table runs;
+* *the queue tail.*  A rank that leaves the phase (a kernel's last round,
+  a lifted pair's ``_END`` with both values) runs its program next, and
+  its moves contend with the phase's.  So the table is planned only up
   to the first rank that leaves and committed there; its pending events go
   on the engine's queue in table order, that rank resumes inline, and each
   later table event reserves through ``ContentionTracker.reserve_hop``
   and emits its record when it runs, each rank resuming inline as it
-  leaves.  The values are :func:`_rotate_blocks`' over the aligned level
-  frontier, which do not depend on timing.
+  leaves.  A table event that resumes a task counts as a resume for the
+  window a rank that left may have opened, so the table releases that
+  window before it takes a message id (what it schedules releases it
+  through ``Engine._schedule``, right after a compute record).  A lifted
+  pair marks its phase where each rank forks, on the tail too.  The values
+  (:func:`_rotate_blocks`' over the aligned level frontier, the
+  broadcasts' step tables) do not depend on timing.
 """
 
 from __future__ import annotations
@@ -157,7 +167,7 @@ def superstep_ineligibility_reason(engine: "Engine") -> str | None:
         return "heterogeneous scenario"
     if engine.max_virtual_time is not None:
         return "max_virtual_time watchdog"
-    if engine.trace_enabled:  # (last: the engine parks traced aligned phases)
+    if engine.trace_enabled:  # (last: the engine parks traced aligned phases, lifted pairs)
         return "per-hop tracing"
     return None
 
@@ -651,7 +661,7 @@ def _broadcasting(engine: "Engine", parked: dict) -> tuple:
 # reservation is a rank's own single-hop round send, which :func:`_advance`
 # folds exactly from any frontier.
 
-_RESUME, _READY, _DONE = range(3)
+_RESUME, _READY, _DONE = range(3)  # (numbered as the engine's kinds of these events)
 _SEND, _RECV, _WAIT, _ELAPSE, _FORK, _END, _LOOP, _RSEND, _RRECV = range(9)
 
 
@@ -678,12 +688,14 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
 
     A generator, so that one step body serves both ways a table runs:
     untraced it never yields (:func:`_run_table`).  ``traced``, ``(engine,
-    flops)``, it emits the records the event path would, as it goes (see
-    "Traced phases" in the module doc), and yields at the first rank to
-    leave the phase, the table so far written to ``plan``; sent every
-    rank's ``(finish, value)`` there, it puts its pending events on the
-    engine's queue and becomes their handler: each ``_TABLE`` event is sent
-    in, reserves on the tracker, and what it schedules goes on the queue.
+    flops, marks)``, it emits the records the event path would, as it goes
+    (see "Traced phases" in the module doc), marks each task of ``marks``
+    (task -> phase) where it forks, and yields at the first rank to leave
+    the phase (its last round's ``_LOOP``, or its ``_END``), the table so
+    far written to ``plan``; sent every rank's value there, it puts its
+    pending events on the engine's queue and becomes their handler: each
+    ``_TABLE`` event is sent in, reserves on the tracker, and what it
+    schedules goes on the queue.
     """
     route, dur, key, sender, last = (msgs[k] for k in ("route", "dur", "key", "sender", "last"))
     end0, arrive, issue = msgs["end0"], msgs["arrive"], msgs["issue"]
@@ -701,12 +713,12 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
     pending: defaultdict = defaultdict(list)
     for task, at in parks:
         pending[at] += ((_RESUME, task, 0),)
-    # values: every rank's (finish, value), once the tail is on the queue
+    # values: every rank's value, once the tail is on the queue
     trace = values = leaving = None
     if traced is not None:
-        from repro.sim.engine import _TABLE
+        from repro.sim.engine import _BESIDE, _TABLE
 
-        engine, flops = traced
+        engine, flops, marks = traced
         trace, keys, ends, mid = engine.trace, plan["keys"], msgs["ends"], {}
         reserve, schedule = engine.tracker.reserve_hop, engine._schedule
     while True:
@@ -731,7 +743,7 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
                     schedule(at, _TABLE, event)
             pending.clear()
             if leaving is not None:  # ... then the rank that left, inline
-                engine._step(leaving, t, values[leaving][1])
+                engine._step(leaving, t, values[leaving])
                 leaving = None
             batch = ((yield),)
             t = engine._now
@@ -812,6 +824,8 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
                         arg = n_msgs
                         n_msgs += 1
                     if trace is not None:
+                        if engine._window is not None:  # (a resume on the tail: see
+                            engine._release(_BESIDE)  # Engine._drain_events)
                         mid[arg] = engine._msg_seq
                         engine._msg_seq += 1
                     issue[arg] = t
@@ -839,28 +853,27 @@ def _replay(plan: dict, msgs: dict, scripts: list, parks, parent: list,
                             trace.append(TraceRecord("compute", t, t + arg, task, {"flops": flops}))
                         pending[t + arg] += ((_RESUME, task, 0),)
                         break
-                elif op == _LOOP:  # a multiply done: the next round, or the end
+                elif op == _LOOP and done[task] + 1 < steps:  # a multiply done
                     done[task] += 1
-                    if done[task] == steps:
-                        if trace is not None:  # it leaves the phase, resumed at once
-                            leaving = task
-                            if values is None:  # the first to: the rest of this
-                                pending[t] = list(batch)  # time goes on the queue too
-                        break
                     j = arg
                 elif op == _FORK:
                     forked[task] = t
+                    if trace is not None and task in marks:  # (no traced table refuses)
+                        engine._phase_marks[task].append((marks[task], t))
                     for child in arg:
                         level += ((_RESUME, child, 0),)
                     break
-                else:  # _END
-                    up = parent[task]
-                    if up < 0:
-                        finished[task] = t
-                    else:
-                        kids[up] -= 1
-                        if not kids[up]:
-                            level += ((_RESUME, up, 0),)
+                elif op == _END and parent[task] >= 0:  # the last sub-task resumes its parent
+                    kids[parent[task]] -= 1
+                    if not kids[parent[task]]:
+                        level += ((_RESUME, parent[task], 0),)
+                    break
+                else:  # a main task's _END, or its last round's _LOOP: it leaves
+                    finished[task] = t
+                    if trace is not None:  # resumed at once
+                        leaving = task
+                        if values is None:  # the first to: the rest of this
+                            pending[t] = list(batch)  # time goes on the queue too
                     break
             pc[task] = j
 
@@ -941,7 +954,7 @@ def _hop_table(engine: "Engine", parked: dict) -> tuple:
     if engine.trace_enabled:  # the whole phase through the table
         msgs["ends"] = [(m >> 1, align[m >> 1][2 * (m & 1)], words[m & 1]) for m in range(2 * n)]
         table = _replay(plan, msgs, scripts, parks, [-1] * n, [0] * n,
-                        rounds=(steps, per_rank), traced=(engine, flops))
+                        rounds=(steps, per_rank), traced=(engine, flops, {}))
         next(table)  # to the first rank that leaves it
         plan["stats"] += steps * np.array([[2], [m_a + m_b], [2], [m_a + m_b]])
         return {  # (every multiply charged, none left to fold)
@@ -1086,11 +1099,12 @@ def _rotate_stages(spec: dict) -> tuple[list, list, list]:
     return a_blocks, b_blocks, c_blocks
 
 
-def try_advance_superstep(engine: "Engine", parked: dict) -> dict | str:
+def try_advance_superstep(engine: "Engine", parked: dict) -> dict | tuple | str:
     """Advance the resident shift phases from a quiet frontier, in closed form.
 
     ``parked`` is ``engine._parked``.  Returns ``{task: (finish_time,
-    (a, b, c))}`` for every rank of the phase on success — and then the
+    (a, b, c))}`` (traced: ``(table, {task: (a, b, c)})``, see "Traced
+    phases") for every rank of the phase on success — and then the
     engine's mailboxes, posted receives and mid-round waiters of the phase
     are consumed — or, with nothing touched, the reason the frontier is not
     eligible (the caller then runs one more round through the events,
@@ -1113,7 +1127,7 @@ def try_advance_superstep(engine: "Engine", parked: dict) -> dict | str:
         return refusal.args[0]
     outcome = _advance(engine, spec, plan)
     if "table" in spec:  # traced: it resumes each rank as it leaves
-        return spec["table"], outcome
+        return spec["table"], {r: blocks for r, (_finish, blocks) in outcome.items()}
     return outcome
 
 
@@ -1894,27 +1908,34 @@ def _reserve_rounds(plan: dict) -> None:
 # the lift reserves is the pair's, so the pair folds through
 # :func:`_reserve_rounds` from the frontier the lift leaves, each rank
 # starting when its lift is done (a staggered park).  Otherwise — one port:
-# the lift's forwarders still hold ports while the broadcasts start — the
-# table replays the pair too, to its end: ``ctx.parallel``'s two sub-tasks
-# running the schedules round by round, a one-port tree's blocking send or
-# receive, a multi-port round's sends and receives in tree order and one
-# ``waitall``.
+# the lift's forwarders still hold ports while the broadcasts start; traced:
+# the pair's hops need their records — the table replays the pair too, to
+# its end: ``ctx.parallel``'s two sub-tasks running the schedules round by
+# round, a one-port tree's blocking send or receive, a multi-port round's
+# sends and receives in tree order and one ``waitall``.  Traced, a rank
+# leaves the pair at its ``_END``, with both values, and the table's tail
+# runs on the event queue from the first to leave (see "Traced phases").
+# Every refusal is decided before the table runs: a traced table emits
+# records as it goes.
 
 
 def _lift_table(engine: "Engine", parked: dict) -> tuple:
     """Plan parked lifts and the broadcast pairs they feed (reads only);
-    returns ``(outcome, plans)`` as :func:`_plan_phase`, or refuses."""
+    returns ``(outcome, plans)`` as :func:`_plan_phase`, or refuses.
+    Traced, ``outcome`` is ``(table, values)``: the table run to the first
+    rank that leaves the pair, and every rank's ``[value_a, value_b]``."""
     if not _all_parked_and_quiet(engine, parked):
         raise _Refuse("ranks outside the phase, or traffic in flight")
     n = engine.config.num_nodes
     chunked = engine.config.port_model is not PortModel.ONE_PORT
+    traced = engine.trace_enabled
     t_s, t_w = engine._t_s, engine._t_w
     copy = engine.config.copy_on_send
     route, last, dur, key, sender, col = [], [], [], [], [], {}
-    ends, nm, received = [], 0, 0  # ends: per message (source, destination, words, tag)
+    ends, nm, received = [], 0, []  # ends: per message (source, destination, words)
     scripts: list = [None] * (3 * n)  # the ranks, then their sub-tasks (below)
     lifted: dict = {}  # (source, destination, tag) -> the block it carries
-    fed, marks = {}, []
+    fed, marks = {}, {}
     for task, (op, _at) in parked.items():  # the lift's messages first ...
         if op.lift is None:
             raise _Refuse("lifted pair beside another phase")
@@ -1934,7 +1955,7 @@ def _lift_table(engine: "Engine", parked: dict) -> tuple:
             dur += (t_s + t_w * w,)
             key += ((task, dst, tag),)
             sender += (task,)
-            ends += ((task, dst, w, tag),)
+            ends += ((task, dst, w),)
             lifted[(task, dst, tag)] = data if not copy else (
                 data.copy() if data.__class__ is np.ndarray else copy_payload(data))
     for task, (op, at) in parked.items():  # ... then who receives them
@@ -1943,12 +1964,12 @@ def _lift_table(engine: "Engine", parked: dict) -> tuple:
             if (src, task, tag) not in lifted:
                 raise _Refuse("lifted pair: a lift receive no lift send matches")
             scripts[task] += ((_RECV, (src, task, tag)), (_WAIT, 0))
-            received += 1
+            received += ((src, task, tag),)
             specs[slot] = replace(specs[slot], payload=lifted[(src, task, tag)])
         fed[task] = (CollectivePhaseOp(tuple(specs)), at)
         if op.lift.phase is not None:
-            marks += ((task, op.lift.phase),)
-    if not len(lifted) == received == nm:
+            marks[task] = op.lift.phase
+    if not nm == len(lifted) == len(set(received)) == len(received):
         raise _Refuse("lifted pair: a lift send no receive matches, or a repeated one")
     groups = _collective_groups(engine, fed)
     if {g.kind for g in groups} != {"broadcast"} or groups[-1].slot != 1:
@@ -1956,16 +1977,11 @@ def _lift_table(engine: "Engine", parked: dict) -> tuple:
     _broadcast_steps(engine, groups, chunked)
     parks = [(task, at) for task, (_op, at) in parked.items()]
     dims = {task: op.specs[0].free_dims + op.specs[1].free_dims for task, (op, _) in parked.items()}
-    apart = chunked and not any((u ^ v).bit_length() - 1 in dims[u] for u, v in col if u in dims)
+    apart = chunked and not traced and not any(
+        (u ^ v).bit_length() - 1 in dims[u] for u, v in col if u in dims)
     if apart:  # the lift alone, then the pair from the frontier it leaves
         for task, _at in parks:
             scripts[task] += ((_END, 0),)
-        plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
-        state = _run_table(plan, _messages(route, last, dur, key, sender), scripts[:n],
-                           parks, [-1] * n, [0] * n)
-        at = np.zeros(n)
-        at[list(state["finished"])] = list(state["finished"].values())
-        outcome, plans = _fold_groups(engine, groups, at)
     else:  # the lift and the pair: sub-task n + 2r + slot runs rank r's slot
         for task, _at in parks:
             scripts[task] += ((_FORK, (n + 2 * task, n + 2 * task + 1)), (_END, 0))
@@ -1994,35 +2010,42 @@ def _lift_table(engine: "Engine", parked: dict) -> tuple:
                         dur += (hop_cost,)
                         key += ((src, dst, tag),)
                         sender += (a,)
-                        ends += ((src, dst, w, tag),)
+                        ends += ((src, dst, w),)
                         touched[a] = touched[b] = True
                 for task in touched:
                     scripts[task] += ((_WAIT, 0),)
         for child in range(n, 3 * n):
             scripts[child] += ((_END, 0),)
-        plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
-        parent = [-1] * n + [r for r in range(n) for _ in (0, 1)]
-        state = _run_table(plan, _messages(route, last, dur, key, sender), scripts, parks,
-                           parent, [2] * n + [0] * (2 * n))
-        values: dict = {task: [None, None] for task in parked}
-        for g in groups:
-            for node, value in zip(g.nodes, g.values):
-                values[node][g.slot] = value
-        outcome = {task: (t, values[task]) for task, t in state["finished"].items()}
-        plans = []
-    if len(state["finished"]) != len(parked):
-        raise _Refuse("lifted pair: a rank never finished")
-    if len({(src, dst, tag) for src, dst, _w, tag in ends}) != len(ends):
-        raise _Refuse("lifted pair: a repeated (source, destination, tag)")
+        if len(set(key)) != len(key):
+            raise _Refuse("lifted pair: a repeated (source, destination, tag)")
+    plan = _seed(engine, list(col), np.zeros(len(col), dtype=np.int64), range(n))
     if ends:
-        src, dst, words = (np.array(c, dtype=np.int64) for c in list(zip(*ends))[:3])
+        src, dst, words = (np.array(c, dtype=np.int64) for c in zip(*ends))
         plan["stats"] += [
             np.bincount(src, minlength=n), np.bincount(src, words, n).astype(np.int64),
             np.bincount(dst, minlength=n), np.bincount(dst, words, n).astype(np.int64),
         ]
-    done = state["finished" if apart else "forked"]  # (when the pair starts)
-    plan["marks"] = [(task, phase, done[task]) for task, phase in marks]
-    return outcome, [plan] + plans
+    msgs = _messages(route, last, dur, key, sender)
+    if apart:
+        state = _run_table(plan, msgs, scripts[:n], parks, [-1] * n, [0] * n)
+        at = np.zeros(n)
+        at[list(state["finished"])] = list(state["finished"].values())
+        outcome, plans = _fold_groups(engine, groups, at)
+        plan["marks"] = [(task, phase, state["finished"][task]) for task, phase in marks.items()]
+        return outcome, [plan] + plans
+    values: dict = {task: [None, None] for task in parked}
+    for g in groups:
+        for node, value in zip(g.nodes, g.values):
+            values[node][g.slot] = value
+    parent, kids = [-1] * n + [r for r in range(n) for _ in (0, 1)], [2] * n + [0] * (2 * n)
+    if traced:  # (it marks each rank's phase where it forks)
+        msgs["ends"] = ends
+        table = _replay(plan, msgs, scripts, parks, parent, kids, traced=(engine, 0.0, marks))
+        next(table)  # to the first rank that leaves the pair
+        return (table, values), [plan]
+    state = _run_table(plan, msgs, scripts, parks, parent, kids)
+    plan["marks"] = [(task, phase, state["forked"][task]) for task, phase in marks.items()]
+    return {task: (t, values[task]) for task, t in state["finished"].items()}, [plan]
 
 
 def _plan_phase(engine: "Engine", parked: dict):
@@ -2061,16 +2084,18 @@ def _fold_groups(engine: "Engine", groups: list, at: np.ndarray):
     return outcome, [plan]
 
 
-def try_advance_collective(engine: "Engine", parked: dict) -> dict | str:
+def try_advance_collective(engine: "Engine", parked: dict) -> dict | tuple | str:
     """Advance fully-parked collective phases in closed form.
 
     ``parked`` maps task -> (CollectivePhaseOp, park_time).  Returns
     ``{task: (finish_time, value)}`` (fused pairs get ``[value_a, value_b]``
-    at the later finish, like ``ctx.parallel``) or, when the phase must
-    fall back to the event path, the reason (the engine counts it once per
-    parked rank).  Nothing — tracker state, statistics — is mutated unless
-    the whole phase plans successfully, so a refusal leaves the engine
-    exactly where the event path would start.
+    at the later finish, like ``ctx.parallel``); a traced lifted pair
+    ``(table, {task: [value_a, value_b]})``, its hop table run to the first
+    rank that leaves (see "Traced phases"); or, when the phase must fall
+    back to the event path, the reason (the engine counts it once per
+    parked rank).  Nothing — tracker state, statistics, trace records — is
+    mutated unless the whole phase plans successfully, so a refusal leaves
+    the engine exactly where the event path would start.
     """
     try:
         outcome, plans = _plan_phase(engine, parked)
@@ -2085,5 +2110,5 @@ def try_advance_collective(engine: "Engine", parked: dict) -> dict | str:
         _commit(engine, plan)
         for task, phase, at in plan.get("marks", ()):
             engine._phase_marks[task].append((phase, at))
-    engine._coll_closed_form += len(outcome)
+    engine._coll_closed_form += len(parked)
     return outcome

@@ -135,7 +135,8 @@ class RunResult:
         sub-task"`` — a refused pair's two collectives are declared again by
         its sub-tasks and counted again — a hazard release, ``"per-hop
         tracing: traffic beside a parked phase"`` — a traced aligned phase
-        released at its park time, every rank-round of it — the planner's
+        released at its park time, every rank-round of it, or a traced
+        lifted pair, once per rank — the planner's
         validation, or ``"planner exception: <Type>"``), and sums to
         ``shift_rounds_event + collective_phases_event``.  Diagnostics too,
         outside every digest.

@@ -259,11 +259,13 @@ class TestReroute:
     @pytest.mark.xfail(
         strict=True, raises=AlgorithmError,
         reason="ROADMAP item 1, wrong product: result mismatch (max abs error "
-        "7.87333).  First suspect: the mid-flight splice in Engine._start_hop "
-        "puts two same-(src, dst, tag) messages on routes of different length, "
-        "so the later one is matched first (MPI's non-overtaking rule, which "
-        "nothing asserts).  The neighbouring fault (16, 18) is a golden trace "
-        "and passes.",
+        "7.87333).  Message 484 (26 -> 27, tag 1, issued at 290) and message "
+        "566 (same source, destination and tag, issued at 349, after the heal) "
+        "take routes from two route epochs, 26-30-31-27 and 26-10-11-27; no "
+        "mid-flight splice is involved.  566 arrives first (406.2 against "
+        "409), so the older receive matches it (MPI's non-overtaking rule, "
+        "which nothing asserts).  The neighbouring fault (16, 18) is a golden "
+        "trace and passes.",
     )
     @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
     def test_reroute_under_a_scenario_keeps_the_product(self, trace):

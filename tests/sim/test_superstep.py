@@ -19,6 +19,7 @@ import pytest
 import itertools
 import random
 
+import repro.sim.engine as engine_mod
 import repro.sim.process as process_mod
 from repro.algorithms import get_algorithm
 from repro.algorithms.common import cannon_kernel
@@ -1045,9 +1046,11 @@ _TRACED = "per-hop tracing"
 
 def _assert_same_trace(runs, products=None):
     """``_assert_same_machine`` with the hop and compute records line by
-    line and ``C`` byte for byte (``products``: each path's)."""
+    line, every rank's phase marks and ``C`` byte for byte (``products``:
+    each path's)."""
     fast, slow = runs[0][1], runs[1][1]
     assert fast.trace_lines() == slow.trace_lines()
+    assert runs[0][0]._phase_marks == runs[1][0]._phase_marks
     _assert_same_machine(*runs, blocks=False)
     if products is not None:
         assert products[0].tobytes() == products[1].tobytes()
@@ -1108,6 +1111,49 @@ class TestTracedTable:
         assert _rounds(fast) == (0, 256 * 16)
         assert (fast.events_processed, slow.events_processed) == (766, 21_759)
 
+    def test_lifted_benchmark_unit_batches(self):
+        """3DD, n = 64, p = 512, one port, ``t_s = 150, t_w = 3``: the
+        lifted pair runs through the table; only the reduce, refused when
+        it is declared, runs by events."""
+        rng = np.random.default_rng(3)
+        A, B = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+        runs = [
+            get_algorithm("3dd").run(
+                A, B, MachineConfig.create(512, t_s=150.0, t_w=3.0, t_c=0.0),
+                trace=True, superstep=superstep,
+            )
+            for superstep in (True, False)
+        ]
+        fast, slow = (run.result for run in runs)
+        assert fast.trace_lines() == slow.trace_lines()
+        assert runs[0].C.tobytes() == runs[1].C.tobytes()
+        assert fast.closed_form_refusals == {_TRACED: 512}
+        assert fast.collective_phases_closed_form == 512
+        assert (fast.events_processed, slow.events_processed) == (3_831, 7_696)
+
+    def test_a_resume_on_the_tail_releases_a_window_before_it_sends(self):
+        """p = 8, multi-port: ranks 4 and 3 lift a block each, then every
+        rank runs an aligned kernel.  A rank that leaves the pair early
+        parks its kernel in a tracing window; a sub-task resumed on the
+        table's tail at that very time sends next, and the table releases
+        the window before the message takes its id."""
+        sends = {4: [(3, np.ones(1), 9)], 3: [(2, np.ones(3), 9)]}
+        recvs = {3: [(4, 9, 0)], 2: [(3, 9, 1)]}
+        pair = TestLiftedPairs._pair(sends=lambda r: sends.get(r, ()),
+                                     recvs=lambda r: recvs.get(r, ()))
+
+        def prog(ctx):
+            values, _now = yield from pair(ctx)
+            yield from TestAlignedPhase._phase(2)(ctx)
+            return values, ctx.now
+
+        runs = _engines(prog, 8, trace=True, t_s=2.0, t_w=2.0, t_c=0.0,
+                        port_model=PortModel.MULTI_PORT)
+        _assert_same_trace(runs)
+        TestLiftedPairs._assert_same_values(*runs)
+        assert runs[0][1].closed_form_refusals == {_WINDOW: 2 * 8}
+        assert runs[0][1].collective_phases_closed_form == 8
+
     @pytest.mark.parametrize("port", PortModel, ids=lambda port: port.name)
     @pytest.mark.parametrize("key, p", [("cannon", 64), ("cannon", 256), ("berntsen", 64)])
     def test_a_rank_that_left_moves_among_the_tail(self, key, p, port):
@@ -1136,32 +1182,41 @@ class TestTracedTable:
 
 
 def _lifted_matrix():
-    for key, p, port, routing, t_c in itertools.product(
-        ("3dd", "dns"), (8, 64, 512), PortModel, RoutingMode, (0.0, 0.5)
+    for trace, key, p, port, routing, t_c in itertools.product(
+        (False, True), ("3dd", "dns"), (8, 64, 512), PortModel, RoutingMode, (0.0, 0.5)
     ):
         yield pytest.param(
-            key, p, port, routing, t_c,
-            id=f"{key}-p{p}-{port.name}-{routing.name}-tc{t_c}",
+            key, p, port, routing, t_c, trace,
+            id=f"{key}-p{p}-{port.name}-{routing.name}-tc{t_c}" + "-traced" * trace,
         )
 
 
 class TestLiftedPairs:
     """The hop table's lifted pairs (3DD's and DNS's phase-1 lift with the
     broadcast pair it feeds) against the generator loops, n = 16, resource
-    by resource, phase marks and bitwise ``C``.  3DD-Cannon and DNS-Cannon
-    run in ``TestAlignedPhase``'s matrix, whose store-and-forward runs
-    refuse nothing either."""
+    by resource, phase marks and bitwise ``C`` — traced too, record by
+    record.  3DD-Cannon and DNS-Cannon run in ``TestAlignedPhase``'s and
+    ``TestTracedTable``'s matrices, whose store-and-forward runs batch
+    their pairs too."""
 
-    @pytest.mark.parametrize("key, p, port, routing, t_c", _lifted_matrix())
-    def test_same_machine_as_the_generator_loops(self, key, p, port, routing, t_c):
-        (fast, slow), products = _kernel_engines(key, p, port, routing, t_c, n=16)
-        _assert_same_machine(fast, slow, blocks=False)
-        assert np.array_equal(*products)
-        result = fast[1]
+    @pytest.mark.parametrize("key, p, port, routing, t_c, trace", _lifted_matrix())
+    def test_same_machine_as_the_generator_loops(self, key, p, port, routing, t_c, trace):
+        runs, products = _kernel_engines(key, p, port, routing, t_c, n=16, trace=trace)
+        if trace:
+            _assert_same_trace(runs, products)
+        else:
+            _assert_same_machine(*runs, blocks=False)
+            assert np.array_equal(*products)
+        result = runs[0][1]
         if routing is RoutingMode.STORE_AND_FORWARD:
-            assert result.closed_form_refusals == {}
-            assert result.collective_phases_event == 0
-            assert result.collective_phases_closed_form == 2 * p  # pair, reduce
+            # traced: the reduce is refused when it is declared
+            assert result.closed_form_refusals == ({_TRACED: p} if trace else {})
+            assert result.collective_phases_event == p * trace
+            assert result.collective_phases_closed_form == (2 - trace) * p  # pair, reduce
+        elif trace:
+            # refused when declared: the pair's second declaration, its
+            # two sub-tasks' collectives and the reduce
+            assert result.closed_form_refusals == {_TRACED: 4 * p}
         else:
             # No table plans cut-through hops: the lift runs on the event
             # path and the pair is declared again — on one port refused
@@ -1225,29 +1280,70 @@ class TestLiftedPairs:
         assert fast[1].closed_form_refusals == {}
         assert fast[1].collective_phases_closed_form == 8
 
-    @pytest.mark.parametrize("prog, reason", [
-        (_pair("allgather", lambda r: [(7, np.ones(2), 9)] * (r == 0),
-               lambda r: [(0, 9, 0)] * (r == 7)), "lifted pair: not a broadcast pair"),
-        (_pair(sends=lambda r: [(7, np.ones(2), 9)] * (r == 0)),
-         "lifted pair: a lift send no receive matches, or a repeated one"),
-        (_pair(sends=lambda r: [(7, np.ones(2), 9)] * 2 * (r == 0),
-               recvs=lambda r: [(0, 9, 1)] * 2 * (r == 7)),
-         "lifted pair: a lift send no receive matches, or a repeated one"),
-        (_pair(sends=lambda r: [(1, np.ones(2), (3 << 6) | 0)] * (r == 0),
-               recvs=lambda r: [(0, (3 << 6) | 0, 1)] * (r == 1)),
-         "lifted pair: a repeated (source, destination, tag)"),
-        (_pair(lifted=lambda r: r % 2 == 0), "lifted pair beside another phase"),
-    ], ids=["allgather-pair", "unreceived-send", "repeated-send", "lift-tag-of-the-pair",
-            "beside-a-plain-pair"])
+    _REFUSED = [
+        pytest.param(
+            _pair("allgather", lambda r: [(7, np.ones(2), 9)] * (r == 0),
+                  lambda r: [(0, 9, 0)] * (r == 7)),
+            "lifted pair: not a broadcast pair", id="allgather-pair"),
+        pytest.param(
+            _pair(sends=lambda r: [(7, np.ones(2), 9)] * (r == 0)),
+            "lifted pair: a lift send no receive matches, or a repeated one",
+            id="unreceived-send"),
+        pytest.param(
+            _pair(sends=lambda r: [(7, np.ones(2), 9)] * 2 * (r == 0),
+                  recvs=lambda r: [(0, 9, 1)] * 2 * (r == 7)),
+            "lifted pair: a lift send no receive matches, or a repeated one",
+            id="repeated-send"),
+        pytest.param(
+            _pair(sends=lambda r: [(1, np.ones(2), (3 << 6) | 0)] * (r == 0),
+                  recvs=lambda r: [(0, (3 << 6) | 0, 1)] * (r == 1)),
+            "lifted pair: a repeated (source, destination, tag)", id="lift-tag-of-the-pair"),
+        pytest.param(
+            _pair(lifted=lambda r: r % 2 == 0), "lifted pair beside another phase",
+            id="beside-a-plain-pair"),
+    ]
+
+    @staticmethod
+    def _assert_same_values(fast, slow):
+        for rank, (values, now) in slow[1].results.items():
+            got, at = fast[1].results[rank]
+            assert at == now and all(map(np.array_equal, got, values))
+
+    @pytest.mark.parametrize("prog, reason", _REFUSED)
     def test_refusals_are_named_and_exact(self, prog, reason):
         """A lift the table cannot state is refused by name, every parked
         rank is released, and the event path runs it: the same machine."""
         fast, slow = _engines(prog, 8, port_model=PortModel.ONE_PORT)
         _assert_same_machine(fast, slow, blocks=False)
-        for rank, (values, now) in slow[1].results.items():
-            got, at = fast[1].results[rank]
-            assert at == now and all(map(np.array_equal, got, values))
+        self._assert_same_values(fast, slow)
         assert fast[1].closed_form_refusals[reason] == 8
+
+    @pytest.mark.parametrize("prog, reason", _REFUSED)
+    def test_traced_refusals_come_before_any_record(self, prog, reason, monkeypatch):
+        """Traced, the table decides each refusal before it emits a record
+        (the trace is as the planner found it) and the event path runs the
+        pair, record for record.  A plain pair is refused when it is
+        declared: its sub-tasks' first moves release rank 0's window
+        instead, and the later lifted ranks run theirs on the event path."""
+        seen = []  # per planned phase: (its refusal, records before, after)
+        plan = engine_mod.try_advance_collective
+
+        def spy(engine, parked):
+            before = len(engine.trace)
+            outcome = plan(engine, parked)
+            seen.append((outcome if outcome.__class__ is str else None, before,
+                         len(engine.trace)))
+            return outcome
+
+        monkeypatch.setattr(engine_mod, "try_advance_collective", spy)
+        runs = _engines(prog, 8, trace=True, port_model=PortModel.ONE_PORT)
+        _assert_same_trace(runs)
+        self._assert_same_values(*runs)
+        refusals = runs[0][1].closed_form_refusals
+        if reason == "lifted pair beside another phase":
+            assert seen == [] and refusals[_WINDOW] == 1
+        else:
+            assert seen == [(reason, 0, 0)] and refusals[reason] == 8
 
 
 def _grouped_matrix():
@@ -1441,7 +1537,7 @@ class TestBroadcastPhase:
         )
 
 
-#: Fuzz cases that hit ROADMAP item 1's (time, seq) tie: the torus and
+#: Fuzz cases that hit ROADMAP item 2's (time, seq) tie: the torus and
 #: Cannon ones also wrong before the alignment joined the shift phase.  A
 #: hazard release at time t puts the parked ranks back on the event path at
 #: their earlier park times, and their events at exactly t sort after the
@@ -1586,6 +1682,18 @@ class TestFuzz:
         )
         _assert_same_machine(fast, slow, blocks=False)
         assert np.array_equal(*products)
+
+    @pytest.mark.parametrize("key, p, foreign, t_c, port", _lifted_fuzz_cases())
+    def test_lifted_same_trace(self, key, p, foreign, t_c, port):
+        """Traced, the foreign stream moves while the other ranks park in
+        a tracing window before their lifts: it releases them, record for
+        record."""
+        runs, products = _kernel_engines(
+            key, p, port, RoutingMode.STORE_AND_FORWARD, t_c, n=16, foreign=foreign,
+            trace=True,
+        )
+        _assert_same_trace(runs, products)
+        assert _WINDOW in runs[0][1].closed_form_refusals
 
     @pytest.mark.parametrize("p, foreign, t_c, port", _grouped_fuzz_cases())
     def test_grouped_same_machine(self, p, foreign, t_c, port):
