@@ -15,6 +15,7 @@ the ``(r, c)`` block of ``C``.  Applicability: ``p ≤ n^{3/2}`` (Table 3).
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 import numpy as np
@@ -32,13 +33,15 @@ from repro.topology.hypercube import Hypercube
 __all__ = ["BerntsenAlgorithm"]
 
 
+@functools.cache
 def _layout(cube: Hypercube):
-    """Split the cube into ∛p subcubes of p^{2/3} nodes, each a 2-D grid."""
+    """Split the cube into ∛p subcubes of p^{2/3} nodes, each a 2-D grid
+    (once per cube dimension: every rank's program reads it)."""
     total = cube.dimension  # = 3k
     k = total // 3
     split_dims = tuple(range(2 * k, 3 * k))  # high k bits select the subcube
     subcubes = cube.split(split_dims)
-    grids = [SubcubeGrid2D(sc) for sc in subcubes]
+    grids = tuple(SubcubeGrid2D(sc) for sc in subcubes)
     return k, grids
 
 

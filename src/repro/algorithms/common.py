@@ -8,6 +8,7 @@ algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,17 +73,15 @@ def require_cubic_grid(n: int, p: int, algo: str) -> int:
 class GridView2D:
     """A rank's view of the √p×√p grid: coordinates and communicators.
 
-    The row/column communicators are built on first use: algorithms that
-    only shift along grid edges (Cannon) never pay for ``p·√p``-scale
-    member enumeration during per-rank setup.
+    The grid is the machine shape's shared embedding, and the row and
+    column communicators wrap its cached member tuples; each is built on
+    first use, so Cannon, which only shifts along grid edges, builds none.
     """
 
     grid: Grid2DEmbedding
     row: int
     col: int
     _ctx: ProcessContext
-    _row_comm: Comm | None = None
-    _col_comm: Comm | None = None
 
     @classmethod
     def create(cls, ctx: ProcessContext) -> "GridView2D":
@@ -90,19 +89,15 @@ class GridView2D:
         r, c = grid.coords_of(ctx.rank)
         return cls(grid=grid, row=r, col=c, _ctx=ctx)
 
-    @property
+    @cached_property
     def row_comm(self) -> Comm:
         """Members ordered by column coordinate."""
-        if self._row_comm is None:
-            self._row_comm = Comm(self._ctx, self.grid.row_members(self.row))
-        return self._row_comm
+        return Comm(self._ctx, self.grid._row(self.row))
 
-    @property
+    @cached_property
     def col_comm(self) -> Comm:
         """Members ordered by row coordinate."""
-        if self._col_comm is None:
-            self._col_comm = Comm(self._ctx, self.grid.col_members(self.col))
-        return self._col_comm
+        return Comm(self._ctx, self.grid._col(self.col))
 
     @property
     def q(self) -> int:
@@ -139,9 +134,9 @@ class GridView3D:
             x=x,
             y=y,
             z=z,
-            x_comm=Comm(ctx, grid.line_members("x", x, y, z)),
-            y_comm=Comm(ctx, grid.line_members("y", x, y, z)),
-            z_comm=Comm(ctx, grid.line_members("z", x, y, z)),
+            x_comm=Comm(ctx, grid._line("x", x, y, z)),
+            y_comm=Comm(ctx, grid._line("y", x, y, z)),
+            z_comm=Comm(ctx, grid._line("z", x, y, z)),
         )
 
     @property

@@ -67,9 +67,9 @@ def make_spec(
     return CollectiveSpec(
         kind=kind,
         sched=sched.value,
-        members=tuple(comm.members),
+        members=comm.members,
         rank=comm.rank,
-        free_dims=tuple(comm.free_dims),
+        free_dims=comm.free_dims,
         tag=tag,
         payload=payload,
         root=root,

@@ -195,20 +195,6 @@ class Comm:
         """Non-blocking receive from comm rank ``src``; returns a Handle."""
         return self.ctx.irecv(self.node_of(src), tag)
 
-    def sendrecv(
-        self,
-        dst: int,
-        data: Any,
-        src: int,
-        send_tag: int = 0,
-        recv_tag: int = -1,
-        nwords: int | None = None,
-    ):
-        """Concurrent send to ``dst`` + receive from ``src`` (comm ranks)."""
-        return self.ctx.sendrecv(
-            self.node_of(dst), data, self.node_of(src), send_tag, recv_tag, nwords
-        )
-
     def exchange(self, peer: int, data: Any, tag: int = 0, nwords: int | None = None):
         """Full-duplex pairwise exchange with comm rank ``peer``."""
         return self.ctx.exchange(self.node_of(peer), data, tag, nwords)

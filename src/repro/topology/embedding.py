@@ -20,12 +20,13 @@ subscripts.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 from typing import Callable, Iterable
 
 from repro.errors import TopologyError
 from repro.topology.hypercube import Hypercube, Subcube
-from repro.util.bits import gray_code, gray_code_inverse, ilog2, is_power_of_two
+from repro.util.bits import ilog2, is_power_of_two
 
 __all__ = [
     "RingEmbedding",
@@ -36,12 +37,25 @@ __all__ = [
     "largest_live_subcube",
 ]
 
-# line_members memo shared by every embedding instance of the same shape:
-# a grid line's node list depends only on the grid signature, the axis, and
-# the fixed coordinates, and every rank on the line asks for the same list
-# (p·3 asks for p·3/q distinct lines on a 3-D grid).  Values are tuples;
-# the public methods return fresh lists.
-_line_cache: dict[tuple, tuple[int, ...]] = {}
+# Per-rank set-up reads shared tables.  A grid embedding is immutable and a
+# pure function of its arguments, so each grid class builds one instance per
+# distinct argument tuple in a cached ``__new__`` (a ``Hypercube`` hashes
+# and compares by dimension), and every rank of every run on that machine
+# shape shares it.  Each instance caches its rows, columns or lines as
+# tuples in ``_lines`` the first time a rank asks (p·3 asks for p·3/q
+# distinct lines on a 3-D grid); the public ``*_members`` methods return
+# fresh lists, internal callers read the tuples.  Grid coordinate ``x`` maps
+# to ``x ^ x >> 1`` (``gray_code``) inline, and back through a per-width
+# ``_gray_inverse`` table (``gray_code_inverse``).
+
+
+@functools.cache
+def _gray_inverse(bits: int) -> tuple[int, ...]:
+    """``gray_code_inverse(g)`` at index ``g``, for every ``bits``-bit ``g``."""
+    inverse = [0] * (1 << bits)
+    for i in range(1 << bits):
+        inverse[i ^ i >> 1] = i
+    return tuple(inverse)
 
 
 def largest_live_subcube(
@@ -102,11 +116,12 @@ class RingEmbedding:
 
     def node_at(self, position: int) -> int:
         """Cube node of the ring position (positions wrap modulo length)."""
-        return gray_code(position % self.length)
+        position %= self.length
+        return position ^ position >> 1
 
     def position_of(self, node: int) -> int:
         self.cube._check_node(node)
-        return gray_code_inverse(node)
+        return _gray_inverse(self._k)[node]
 
     def shift(self, position: int, by: int) -> int:
         """Cube node that is ``by`` ring-steps after ``position``."""
@@ -127,20 +142,25 @@ class Grid2DEmbedding:
     row-wise collective among ``cols`` processors runs on a ``log cols``-cube.
     """
 
-    __slots__ = ("cube", "rows", "cols", "_kr", "_kc")
+    __slots__ = ("cube", "rows", "cols", "_kr", "_kc", "_inverse", "_lines")
 
-    def __init__(self, cube: Hypercube, rows: int, cols: int):
-        self._kr = _check_side(rows, "grid row")
-        self._kc = _check_side(cols, "grid column")
-        if self._kr + self._kc != cube.dimension:
+    @staticmethod
+    @functools.cache
+    def __new__(cls, cube: Hypercube, rows: int, cols: int) -> "Grid2DEmbedding":
+        kr = _check_side(rows, "grid row")
+        kc = _check_side(cols, "grid column")
+        if kr + kc != cube.dimension:
             raise TopologyError(
                 f"{rows}x{cols} grid does not tile a {cube.num_nodes}-node cube"
             )
-        self.cube = cube
-        self.rows = rows
-        self.cols = cols
+        grid = object.__new__(cls)
+        grid.cube, grid.rows, grid.cols, grid._kr, grid._kc = cube, rows, cols, kr, kc
+        grid._inverse = _gray_inverse(max(kr, kc))
+        grid._lines = {}
+        return grid
 
     @classmethod
+    @functools.cache
     def square(cls, cube: Hypercube) -> "Grid2DEmbedding":
         """The ``√p × √p`` embedding (cube dimension must be even)."""
         if cube.dimension % 2:
@@ -154,13 +174,13 @@ class Grid2DEmbedding:
         """Cube node of grid position ``(row, col)`` (coordinates wrap)."""
         row %= self.rows
         col %= self.cols
-        return (gray_code(row) << self._kc) | gray_code(col)
+        return (row ^ row >> 1) << self._kc | col ^ col >> 1
 
     def coords_of(self, node: int) -> tuple[int, int]:
-        self.cube._check_node(node)
-        col_bits = node & ((1 << self._kc) - 1)
-        row_bits = node >> self._kc
-        return gray_code_inverse(row_bits), gray_code_inverse(col_bits)
+        if not 0 <= node < self.rows << self._kc:
+            self.cube._check_node(node)
+        inverse = self._inverse
+        return inverse[node >> self._kc], inverse[node & (self.cols - 1)]
 
     def row_subcube(self, row: int) -> Subcube:
         """The subcube holding grid row ``row`` (column coordinate free)."""
@@ -172,12 +192,26 @@ class Grid2DEmbedding:
         anchor = self.node_at(0, col)
         return Subcube(self.cube, tuple(range(self._kc, self._kc + self._kr)), anchor)
 
+    def _row(self, row: int) -> tuple[int, ...]:
+        key = ("row", row % self.rows)
+        line = self._lines.get(key)
+        if line is None:
+            line = self._lines[key] = tuple(self.node_at(row, c) for c in range(self.cols))
+        return line
+
+    def _col(self, col: int) -> tuple[int, ...]:
+        key = ("col", col % self.cols)
+        line = self._lines.get(key)
+        if line is None:
+            line = self._lines[key] = tuple(self.node_at(r, col) for r in range(self.rows))
+        return line
+
     def row_members(self, row: int) -> list[int]:
         """Cube nodes of row ``row`` ordered by column coordinate."""
-        return [self.node_at(row, c) for c in range(self.cols)]
+        return list(self._row(row))
 
     def col_members(self, col: int) -> list[int]:
-        return [self.node_at(r, col) for r in range(self.rows)]
+        return list(self._col(col))
 
 
 class Grid3DRectEmbedding:
@@ -190,61 +224,68 @@ class Grid3DRectEmbedding:
     paper's ``p_{i,j,k}``: ``(x, y, z)``.
     """
 
-    __slots__ = ("cube", "sx", "sy", "sz", "_kx", "_ky", "_kz")
+    __slots__ = ("cube", "sx", "sy", "sz", "_kx", "_ky", "_kz", "_inverse", "_lines")
 
-    def __init__(self, cube: Hypercube, sx: int, sy: int, sz: int):
-        self._kx = _check_side(sx, "grid x")
-        self._ky = _check_side(sy, "grid y")
-        self._kz = _check_side(sz, "grid z")
-        if self._kx + self._ky + self._kz != cube.dimension:
+    @staticmethod
+    @functools.cache
+    def __new__(cls, cube: Hypercube, sx: int, sy: int, sz: int) -> "Grid3DRectEmbedding":
+        kx = _check_side(sx, "grid x")
+        ky = _check_side(sy, "grid y")
+        kz = _check_side(sz, "grid z")
+        if kx + ky + kz != cube.dimension:
             raise TopologyError(
                 f"{sx}x{sy}x{sz} grid does not tile a {cube.num_nodes}-node cube"
             )
-        self.cube = cube
-        self.sx, self.sy, self.sz = sx, sy, sz
+        grid = object.__new__(cls)
+        grid.cube, grid.sx, grid.sy, grid.sz = cube, sx, sy, sz
+        grid._kx, grid._ky, grid._kz = kx, ky, kz
+        grid._inverse = _gray_inverse(max(kx, ky, kz))
+        grid._lines = {}
+        return grid
 
     def node_at(self, x: int, y: int, z: int) -> int:
         x %= self.sx
         y %= self.sy
         z %= self.sz
         return (
-            (gray_code(x) << (self._ky + self._kz))
-            | (gray_code(y) << self._kz)
-            | gray_code(z)
+            (x ^ x >> 1) << (self._ky + self._kz)
+            | (y ^ y >> 1) << self._kz
+            | z ^ z >> 1
         )
 
     def coords_of(self, node: int) -> tuple[int, int, int]:
-        self.cube._check_node(node)
-        z_bits = node & ((1 << self._kz) - 1)
-        y_bits = (node >> self._kz) & ((1 << self._ky) - 1)
-        x_bits = node >> (self._ky + self._kz)
+        if not 0 <= node < self.sx << (self._ky + self._kz):
+            self.cube._check_node(node)
+        inverse = self._inverse
         return (
-            gray_code_inverse(x_bits),
-            gray_code_inverse(y_bits),
-            gray_code_inverse(z_bits),
+            inverse[node >> (self._ky + self._kz)],
+            inverse[node >> self._kz & (self.sy - 1)],
+            inverse[node & (self.sz - 1)],
         )
+
+    def _line(self, axis: str, x: int, y: int, z: int) -> tuple[int, ...]:
+        if axis == "x":
+            key = ("x", y % self.sy, z % self.sz)
+        elif axis == "y":
+            key = ("y", x % self.sx, z % self.sz)
+        elif axis == "z":
+            key = ("z", x % self.sx, y % self.sy)
+        else:
+            raise TopologyError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+        line = self._lines.get(key)
+        if line is None:
+            if axis == "x":
+                line = tuple(self.node_at(c, y, z) for c in range(self.sx))
+            elif axis == "y":
+                line = tuple(self.node_at(x, c, z) for c in range(self.sy))
+            else:
+                line = tuple(self.node_at(x, y, c) for c in range(self.sz))
+            self._lines[key] = line
+        return line
 
     def line_members(self, axis: str, x: int = 0, y: int = 0, z: int = 0) -> list[int]:
         """Cube nodes along ``axis``, ordered by that grid coordinate."""
-        sig = ("rect", self.cube.dimension, self._kx, self._ky, self._kz)
-        if axis == "x":
-            key = sig + ("x", y % self.sy, z % self.sz)
-        elif axis == "y":
-            key = sig + ("y", x % self.sx, z % self.sz)
-        elif axis == "z":
-            key = sig + ("z", x % self.sx, y % self.sy)
-        else:
-            raise TopologyError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-        cached = _line_cache.get(key)
-        if cached is None:
-            if axis == "x":
-                cached = tuple(self.node_at(c, y, z) for c in range(self.sx))
-            elif axis == "y":
-                cached = tuple(self.node_at(x, c, z) for c in range(self.sy))
-            else:
-                cached = tuple(self.node_at(x, y, c) for c in range(self.sz))
-            _line_cache[key] = cached
-        return list(cached)
+        return list(self._line(axis, x, y, z))
 
 
 class SubcubeGrid2D:
@@ -257,7 +298,7 @@ class SubcubeGrid2D:
     rows and columns are themselves sub-subcubes with dilation-1 rings.
     """
 
-    __slots__ = ("subcube", "side", "_k")
+    __slots__ = ("subcube", "side", "_k", "_inverse")
 
     def __init__(self, subcube: Subcube):
         if subcube.dimension % 2:
@@ -267,23 +308,16 @@ class SubcubeGrid2D:
         self.subcube = subcube
         self._k = subcube.dimension // 2
         self.side = 1 << self._k
+        self._inverse = _gray_inverse(self._k)
 
     def node_at(self, row: int, col: int) -> int:
         row %= self.side
         col %= self.side
-        return self.subcube.member((gray_code(row) << self._k) | gray_code(col))
+        return self.subcube.member((row ^ row >> 1) << self._k | col ^ col >> 1)
 
     def coords_of(self, node: int) -> tuple[int, int]:
         idx = self.subcube.index_of(node)
-        col_bits = idx & ((1 << self._k) - 1)
-        row_bits = idx >> self._k
-        return gray_code_inverse(row_bits), gray_code_inverse(col_bits)
-
-    def row_members(self, row: int) -> list[int]:
-        return [self.node_at(row, c) for c in range(self.side)]
-
-    def col_members(self, col: int) -> list[int]:
-        return [self.node_at(r, col) for r in range(self.side)]
+        return self._inverse[idx >> self._k], self._inverse[idx & (self.side - 1)]
 
 
 class Grid3DEmbedding(Grid3DRectEmbedding):
@@ -298,16 +332,17 @@ class Grid3DEmbedding(Grid3DRectEmbedding):
 
     __slots__ = ("side",)
 
-    def __init__(self, cube: Hypercube):
-        # Not super().__init__: one divisibility test replaces its three
-        # side checks, and every rank of every 3-D algorithm builds one.
+    @staticmethod
+    @functools.cache
+    def __new__(cls, cube: Hypercube) -> "Grid3DEmbedding":
         if cube.dimension % 3:
             raise TopologyError(
                 f"3-D grid needs a cube dimension divisible by 3, got {cube.dimension}"
             )
-        self.cube = cube
-        self._kx = self._ky = self._kz = cube.dimension // 3
-        self.side = self.sx = self.sy = self.sz = 1 << self._kx
+        q = 1 << cube.dimension // 3
+        grid = Grid3DRectEmbedding.__new__(cls, cube, q, q, q)
+        grid.side = q
+        return grid
 
     def _axis_dims(self, axis: str) -> tuple[int, ...]:
         k = self._kx

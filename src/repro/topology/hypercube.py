@@ -11,6 +11,7 @@ a row/column/line enjoy full hypercube connectivity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,8 +39,11 @@ class Hypercube:
         self._dimension = int(dimension)
 
     @classmethod
+    @functools.cache
     def with_nodes(cls, num_nodes: int) -> "Hypercube":
-        """Build the hypercube with exactly ``num_nodes`` (a power of two)."""
+        """The hypercube with exactly ``num_nodes`` (a power of two): one
+        shared instance per size, so the grid memos keyed on it match
+        by identity."""
         if not is_power_of_two(num_nodes):
             raise TopologyError(
                 f"hypercube node count must be a power of two, got {num_nodes}"
