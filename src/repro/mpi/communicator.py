@@ -19,11 +19,13 @@ point helpers are namespaced by the caller, not the communicator.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Any, Sequence
 
 from repro.errors import CommunicatorError
 from repro.sim.process import ProcessContext
+from repro.topology.hypercube import subcube_layout
 from repro.util.bits import set_bits
 
 __all__ = ["Comm"]
@@ -37,8 +39,10 @@ def _subcube_structure(
 
     The derived maps depend only on the member tuple, and every member of a
     grid line constructs the identical communicator — caching turns the
-    per-rank O(size) validation into a lookup.  Returned containers are
-    shared across ranks and must be treated as read-only.
+    per-rank validation into a lookup.  The subcube-index maps are
+    :func:`~repro.topology.hypercube.subcube_layout`'s, which the
+    collective planner reads too.  Returned containers are shared across
+    ranks and must be treated as read-only.
     """
     if not members:
         raise CommunicatorError("communicator needs at least one member")
@@ -49,41 +53,21 @@ def _subcube_structure(
         raise CommunicatorError(
             f"communicator size must be a power of two, got {size}"
         )
-    base = members[0]
-    varying = 0
-    for node in members:
-        varying |= node ^ base
-    free_dims = tuple(set_bits(varying))
+    # The bits some member does not share with the others vary; the AND of
+    # the members is then their subcube's anchor.
+    anchor = reduce(and_, members)
+    free_dims = tuple(set_bits(reduce(or_, members) ^ anchor))
     if 1 << len(free_dims) != size:
         raise CommunicatorError(
             f"members {list(members)} do not form a subcube: {len(free_dims)} "
             f"varying bits for {size} nodes"
         )
-
-    index_of_node: dict[int, int] = {}
-    subidx_of_commrank: list[int] = []
-    for cr, node in enumerate(members):
-        sub = 0
-        for k, dim in enumerate(free_dims):
-            if (node >> dim) & 1:
-                sub |= 1 << k
-        index_of_node[node] = cr
-        subidx_of_commrank.append(sub)
-    commrank_of_subidx = [0] * size
-    seen = set()
-    for cr, sub in enumerate(subidx_of_commrank):
-        if sub in seen:
-            raise CommunicatorError(
-                f"members {list(members)} do not form a subcube"
-            )
-        seen.add(sub)
-        commrank_of_subidx[sub] = cr
-    return (
-        free_dims,
-        index_of_node,
-        tuple(subidx_of_commrank),
-        tuple(commrank_of_subidx),
-    )
+    layout = subcube_layout(tuple([node ^ anchor for node in members]), free_dims)
+    if layout is None:
+        raise CommunicatorError(
+            f"members {list(members)} do not form a subcube"
+        )
+    return free_dims, dict(zip(members, range(size))), layout[4], layout[5]
 
 
 class Comm:

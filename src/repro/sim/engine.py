@@ -307,9 +307,8 @@ class Engine:
         self._coll_event = 0
         self._refusals: defaultdict[str, int] = defaultdict(int)
         # Read-only tables the collective planner builds the first time a
-        # phase needs them: (members, free_dims) -> that subcube's index
-        # maps; (kind, subcube, ..., block layout) -> a schedule's step
-        # table and stacked-data-plane indices.
+        # phase needs them: (kind, subcube, ..., block layout) -> a
+        # schedule's step table and stacked-data-plane indices.
         self._coll_tables: dict[tuple, tuple] = {}
         # Ids and the event sequence number (_seq) are plain integers bumped
         # in place: the next value can be read without being consumed.
@@ -1669,16 +1668,23 @@ class Engine:
     # -- phases --------------------------------------------------------------
 
     def _aggregate_phases(self) -> dict[str, tuple[float, float]]:
+        # A phase runs from its mark to the rank's next mark (its finish
+        # after the last).  The comparisons are inline, picking what
+        # min(lo, start) and max(hi, end) would: no call per mark.
         out: dict[str, tuple[float, float]] = {}
+        stats = self.stats
         for rank, marks in self._phase_marks.items():
-            finish = self.stats[rank].finish_time
-            for i, (name, start) in enumerate(marks):
-                end = marks[i + 1][1] if i + 1 < len(marks) else finish
+            if not marks:
+                continue
+            name, start = marks[0]
+            for following in marks[1:] + [(None, stats[rank].finish_time)]:
+                end = following[1]
                 if name in out:
                     lo, hi = out[name]
-                    out[name] = (min(lo, start), max(hi, end))
+                    out[name] = (start if start < lo else lo, end if end > hi else hi)
                 else:
                     out[name] = (start, end)
+                name, start = following
         return out
 
 

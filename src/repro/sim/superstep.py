@@ -141,6 +141,7 @@ from repro.sim.machine import PortModel
 from repro.sim.message import copy_payload, payload_words
 from repro.sim.ops import CollectivePhaseOp, ShiftPhaseOp
 from repro.sim.tracing import TraceRecord
+from repro.topology.hypercube import subcube_tables
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -565,9 +566,7 @@ def _broadcasting(engine: "Engine", parked: dict) -> tuple:
     sub = np.zeros(n, dtype=np.intp)  # each rank's subcube index in its row
     roots = np.zeros((steps, n), dtype=np.intp)  # per stage, each rank's root
     for (members, row_roots), ranks in declared.items():
-        tables = _tables(
-            engine, (members, free_dims), lambda: _subcube_tables(members, free_dims)
-        )
+        tables = subcube_tables(members, free_dims)
         if (
             tables is None or ranks != dict(enumerate(members))
             or len(row_roots) != steps or min(row_roots) < 0
@@ -596,10 +595,10 @@ def _broadcasting(engine: "Engine", parked: dict) -> tuple:
     # to that stage's root is one of the tree's senders (``hit``).
     rel = sub ^ sub[roots]
     table = []
-    for row in _broadcast_table(
-        len(free_dims), engine.config.port_model is not PortModel.ONE_PORT,
-        ops[0].a_block,
-    ) if free_dims else ():
+    chunked = engine.config.port_model is not PortModel.ONE_PORT
+    a_block = ops[0].a_block
+    words = a_block.size if chunked else payload_words(a_block)
+    for row in _broadcast_table(len(free_dims), chunked, words) if free_dims else ():
         table.append([])
         for senders, k, w in row:
             hit = np.zeros(1 << len(free_dims), dtype=bool)
@@ -1356,25 +1355,6 @@ EXCHANGE_KINDS = frozenset({"allgather", "alltoall", "reduce_scatter"})
 _ROOTED_KINDS = frozenset({"broadcast", "reduce"})
 
 
-def _subcube_tables(nodes, free_dims) -> tuple | None:
-    """The subcube-index maps Comm guarantees, recomputed from the member
-    list: ``(sub, cr_of_sub, partners, everyone, node_ids, sub_key)``
-    (read-only, shared by every phase of a run over the same members), or
-    ``None`` if the members are not the subcube spanning ``free_dims``."""
-    ids = np.asarray(nodes, dtype=np.intp)
-    bits = 1 << np.asarray(free_dims, dtype=np.intp)
-    everyone = np.arange(len(ids))
-    sub = ((ids[:, None] & bits) != 0) @ (1 << everyone[:len(bits)])
-    cr_of_sub = np.full(len(ids), -1, dtype=np.intp)
-    cr_of_sub[sub] = everyone
-    if ((ids ^ ids[0]) & ~bits.sum()).any() or (cr_of_sub < 0).any():
-        return None  # a node outside the subcube, or two on one subindex
-    # partners[k, i]: comm rank of member i's neighbour across subcube
-    # dimension k.
-    partners = cr_of_sub[sub ^ (1 << everyone[:len(bits), None])]
-    return sub, cr_of_sub, partners, everyone, ids, tuple(sub.tolist())
-
-
 class _CollGroup:
     """One collective operation instance: a member set running one schedule."""
 
@@ -1434,7 +1414,7 @@ def _collective_groups(engine: "Engine", parked: dict) -> list:
             cr = spec.rank
             g = groups.get(key)
             if g is None:
-                g = groups[key] = _new_group(engine, spec, slot, sched)
+                g = groups[key] = _new_group(spec, slot, sched)
             if (
                 not 0 <= cr < g.n
                 or g.nodes[cr] != task
@@ -1453,7 +1433,7 @@ def _collective_groups(engine: "Engine", parked: dict) -> list:
     ]
 
 
-def _new_group(engine: "Engine", spec, slot: int, sched: str) -> _CollGroup:
+def _new_group(spec, slot: int, sched: str) -> _CollGroup:
     """Validate what all members of one group share and build the group."""
     kind = spec.kind
     n = len(spec.members)
@@ -1469,11 +1449,10 @@ def _new_group(engine: "Engine", spec, slot: int, sched: str) -> _CollGroup:
         raise _Refuse("schedule does not match the port model")
     if n < 2 or n != (1 << len(spec.free_dims)):
         raise _Refuse("malformed phase")
-    shape = (spec.members, spec.free_dims)
-    tables = _tables(engine, shape, lambda: _subcube_tables(*shape))
+    tables = subcube_tables(spec.members, spec.free_dims)
     if tables is None:
         raise _Refuse("malformed phase")
-    g = _CollGroup(kind, *shape, spec.root, spec.op, slot, tables)
+    g = _CollGroup(kind, spec.members, spec.free_dims, spec.root, spec.op, slot, tables)
     g.tag = spec.tag
     return g
 
@@ -1746,14 +1725,12 @@ def _reduce_tables(g: _CollGroup, sizes, shapes, orders, chunked):
     return steps, rounds, picks
 
 
-def _broadcast_table(d: int, chunked: bool, data) -> list:
+def _broadcast_table(d: int, chunked: bool, words: int) -> list:
     """A broadcast's step table relative to its root: per round, per tree,
-    ``(senders' indices relative to the root, subcube dimension, words)``."""
+    ``(senders' indices relative to the root, subcube dimension, words)``
+    (multi-port: ``words`` split into one chunk per tree)."""
     orders = _orders(d, not chunked)
-    sizes = (
-        _piece_sizes([data.size], len(orders))[0].tolist() if chunked
-        else [payload_words(data)]
-    )
+    sizes = _piece_sizes([words], len(orders))[0].tolist() if chunked else [words]
     return [
         [(senders, orders[j][t], sizes[j]) for j, senders in enumerate(row)]
         for t, row in enumerate(_tree_senders(orders, combine=False))
@@ -1767,11 +1744,14 @@ def _broadcast_steps(engine, groups, chunked):
         data = g.payloads[g.root]
         if chunked:
             data = np.asarray(data)
-        base = int(g.sub[g.root])
-        g.steps = [
-            [(g.cr_of_sub[rel ^ base], k, w) for rel, k, w in row]
-            for row in _broadcast_table(g.d, chunked, data)
-        ]
+        words = data.size if chunked else payload_words(data)
+        g.steps = _tables(
+            engine, (g.kind, g.sub_key, g.root, chunked, words),
+            lambda: [
+                [(g.cr_of_sub[rel ^ g.sub[g.root]], k, w) for rel, k, w in row]
+                for row in _broadcast_table(g.d, chunked, words)
+            ],
+        )
         g.values = [
             g.payloads[i] if i == g.root
             else data.copy() if chunked else copy_payload(data)
@@ -1794,10 +1774,36 @@ _STEP_TABLES = {
 # comm rank becomes its node address, subcube dimension ``k`` the physical
 # dimension ``free_dims[k]`` (so the ``k``-partner is ``node ^ (1 << dim)``),
 # and row ``r`` of round ``t`` of every group in one slot is one row.  Groups
-# share no rank, so which of them a row's senders come from changes nothing
-# — and a phase of 64 eight-node groups costs the numpy calls of one.
+# share no rank, and a row has no channel, port or receiver twice, so which
+# of them a row's senders come from, and in what order, changes nothing.
+#
+# Groups differ only in their node addresses when they share a layout, so
+# ``_reserve`` plans per *family* — the groups with the same slot, the same
+# ``steps`` object and the same ``free_dims`` — not per group: it stacks a
+# family's ``node_ids`` into one ``(groups, n)`` array and states each of
+# its rows with one set of numpy calls.  A phase of 64 eight-node groups
+# on one layout costs the numpy calls of one group.  What makes the steps
+# objects shared: the step tables are built once per layout and engine
+# (``_tables``, a broadcast's keyed by its root and word count too), and
+# the subcube maps they index (``subcube_tables``) once per member tuple
+# and process.  Shared tables are never written: the subcube maps' arrays
+# are read-only (``writeable=False``), and a fold writes only into the
+# plan's own columns and the stacked copies ``_reserve`` makes.
 
 _DIM_BITS = 6  # a channel's code is (sender << _DIM_BITS) | dimension
+
+
+def _concat(parts: list) -> tuple:
+    """One row from several families' ``(src, dst, code, words)`` parts."""
+    src, dst, code, words = zip(*parts)
+    if {w.__class__ for w in words} == {int} and len(set(words)) == 1:
+        words = words[0]  # (a broadcast's or reduce's groups, one per root)
+    else:
+        words = np.concatenate([
+            w if w.__class__ is np.ndarray else np.full(s.size, w)
+            for s, w in zip(src, words)
+        ])
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(code), words
 
 
 def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
@@ -1807,46 +1813,42 @@ def _reserve(engine: "Engine", groups: list, at: np.ndarray) -> dict:
     returned plan and :func:`_commit` applies it.  ``plan["rounds"][t]`` is
     ``(slot, rows)`` pairs, slot 0 first; a row is ``(src, dst, chan,
     words)``: node addresses, indices into the plan's channel columns, word
-    counts.
+    counts (an int when every send agrees).
     """
-    ndarray = np.ndarray
-    buckets: dict[tuple[int, int, int], tuple[list, list, list]] = {}
+    families: dict = {}
     for g in groups:
-        ids, dims, slot, everyone = g.node_ids, g.free_dims, g.slot, g.everyone
+        families.setdefault((g.slot, id(g.steps), g.free_dims), []).append(g)
+    buckets: dict = {}  # (t, slot, r) -> one (src, dst, code, words) per family
+    for (slot, _steps, dims), family in families.items():
+        g = family[0]
+        ids = np.array([f.node_ids for f in family])  # [group, comm rank]
+        everyone, flat = g.everyone, ids.ravel()
+        lanes = np.zeros((len(family), 1), dtype=np.int64)  # tiles a word row
         for t, rows in enumerate(g.steps):
             for r, (si, k, w) in enumerate(rows):
-                bucket = buckets.get((t, slot, r))
-                if bucket is None:
-                    bucket = buckets[(t, slot, r)] = ([], [], [])
-                src = ids if si is everyone else ids[si]
-                bucket[0].append(src)
-                bucket[1].append(np.full(len(src), dims[k]))
-                bucket[2].append(
-                    w if w.__class__ is ndarray else np.full(len(src), w)
+                src = flat if si is everyone else ids[:, si].ravel()
+                if w.__class__ is np.ndarray:
+                    w = (lanes + w).ravel()
+                buckets.setdefault((t, slot, r), []).append(
+                    (src, src ^ (1 << dims[k]), (src << _DIM_BITS) | dims[k], w)
                 )
     merged = [
-        (t, slot) + tuple(
-            parts[0] if len(parts) == 1 else np.concatenate(parts)
-            for parts in columns
-        )
-        for (t, slot, _r), columns in sorted(buckets.items())
+        (t, slot) + (parts[0] if len(parts) == 1 else _concat(parts))
+        for (t, slot, _r), parts in sorted(buckets.items())
     ]
     # One column per channel the phase uses, in channel-code order.
     used, chan = np.unique(
-        np.concatenate([(src << _DIM_BITS) | dim for _t, _s, src, dim, _w in merged]),
-        return_inverse=True,
+        np.concatenate([code for *_, code, _w in merged]), return_inverse=True
     )
     rounds: list[list] = []
     offset = 0
-    for t, slot, src, dim, w in merged:
+    for t, slot, src, dst, _code, w in merged:
         if t == len(rounds):
             rounds.append([])
         if not rounds[t] or rounds[t][-1][0] != slot:
             rounds[t].append((slot, []))
-        rounds[t][-1][1].append(
-            (src, src ^ (1 << dim), chan[offset:offset + len(src)], w)
-        )
-        offset += len(src)
+        rounds[t][-1][1].append((src, dst, chan[offset:offset + src.size], w))
+        offset += src.size
     keys = [
         (u, u ^ (1 << k))
         for u, k in zip(
@@ -1890,7 +1892,7 @@ def _reserve_rounds(plan: dict) -> None:
                     tie_ok = t == 0 and slot == 1
                     if not (ready >= before if tie_ok else ready > before).all():
                         raise _Refuse("one-port pair: port order not provable")
-                    if (t_s + t_w * w).min() <= 0:
+                    if np.min(t_s + t_w * w) <= 0:
                         raise _Refuse("one-port pair: zero-length hop")
                     last[src] = ready
                 _fold_row(plan, Tn, ready, src, dst, chan, w)

@@ -39,9 +39,9 @@ __all__ = [
 
 # Per-rank set-up reads shared tables.  A grid embedding is immutable and a
 # pure function of its arguments, so each grid class builds one instance per
-# distinct argument tuple in a cached ``__new__`` (a ``Hypercube`` hashes
-# and compares by dimension), and every rank of every run on that machine
-# shape shares it.  Each instance caches its rows, columns or lines as
+# distinct argument tuple in a cached ``__new__`` (as ``Hypercube`` does per
+# dimension, so a cube key matches by identity), and every rank of every
+# run on that machine shape shares it.  Each instance caches its rows, columns or lines as
 # tuples in ``_lines`` the first time a rank asks (p·3 asks for p·3/q
 # distinct lines on a 3-D grid); the public ``*_members`` methods return
 # fresh lists, internal callers read the tuples.  Grid coordinate ``x`` maps

@@ -15,10 +15,12 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.util.bits import ilog2, is_power_of_two
 
-__all__ = ["Hypercube", "Subcube"]
+__all__ = ["Hypercube", "Subcube", "subcube_layout", "subcube_tables"]
 
 
 class Hypercube:
@@ -33,17 +35,24 @@ class Hypercube:
 
     __slots__ = ("_dimension",)
 
-    def __init__(self, dimension: int):
+    @staticmethod
+    @functools.cache
+    def __new__(cls, dimension: int) -> "Hypercube":
+        # One instance per dimension, so a cube compares and hashes by
+        # identity: the per-rank memos keyed on a cube cost no Python call.
         if dimension < 0:
             raise TopologyError(f"hypercube dimension must be >= 0, got {dimension}")
-        self._dimension = int(dimension)
+        cube = object.__new__(cls)
+        cube._dimension = int(dimension)
+        return cube
+
+    def __getnewargs__(self) -> tuple[int]:
+        return (self._dimension,)  # unpickling returns the shared instance
 
     @classmethod
     @functools.cache
     def with_nodes(cls, num_nodes: int) -> "Hypercube":
-        """The hypercube with exactly ``num_nodes`` (a power of two): one
-        shared instance per size, so the grid memos keyed on it match
-        by identity."""
+        """The hypercube with exactly ``num_nodes`` (a power of two)."""
         if not is_power_of_two(num_nodes):
             raise TopologyError(
                 f"hypercube node count must be a power of two, got {num_nodes}"
@@ -169,12 +178,6 @@ class Hypercube:
             cubes.append(Subcube(self, free, anchor))
         return cubes
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Hypercube) and other._dimension == self._dimension
-
-    def __hash__(self) -> int:
-        return hash(("Hypercube", self._dimension))
-
     def __repr__(self) -> str:
         return f"Hypercube(dimension={self._dimension})"
 
@@ -257,3 +260,69 @@ class Subcube:
             f"Subcube(free_dims={self.free_dims}, anchor={self.anchor:#b}, "
             f"parent_dim={self.parent.dimension})"
         )
+
+
+# The subcube-index maps of an ordered member list.  Every member of a grid
+# line builds the same communicator, every group of a collective phase over
+# that line plans with the same maps, and parallel lines differ only in
+# their subcube's anchor.  So the maps are computed once per process and
+# *layout* (the members' offsets from their anchor), looked up once per
+# member tuple, and shared, read-only (arrays ``writeable=False``).
+
+
+@functools.cache
+def _arange(n: int) -> np.ndarray:
+    everyone = np.arange(n)
+    everyone.flags.writeable = False
+    return everyone
+
+
+@functools.lru_cache(maxsize=4096)
+def subcube_layout(offsets: tuple[int, ...], free_dims: tuple[int, ...]) -> tuple | None:
+    """``(sub, cr_of_sub, partners, everyone, sub_key, cr_key)`` of members
+    at ``offsets`` (in their order, the *comm ranks*) from the anchor of the
+    subcube spanning ``free_dims``, or ``None`` if they are not that
+    subcube (an offset outside it, or two on one subcube index).
+
+    ``sub[i]``: member ``i``'s subcube index (its ``free_dims`` bits,
+    packed in that order); ``cr_of_sub``: its inverse; ``partners[k, i]``:
+    the member across subcube dimension ``k``; ``everyone``:
+    ``arange(size)``, one array per size; ``sub_key`` and ``cr_key``:
+    ``sub`` and ``cr_of_sub`` as tuples.  The arrays are shared and
+    read-only.
+    """
+    rel = np.array(offsets, dtype=np.intp)
+    d = len(free_dims)
+    if len(rel) != 1 << d:
+        return None
+    bits = 1 << np.array(free_dims, dtype=np.intp)
+    everyone = _arange(len(rel))
+    sub = ((rel[:, None] & bits) != 0) @ (1 << everyone[:d])
+    cr_of_sub = np.full(len(rel), -1, dtype=np.intp)
+    cr_of_sub[sub] = everyone
+    if (rel & ~bits.sum()).any() or (cr_of_sub < 0).any():
+        return None
+    partners = cr_of_sub[sub ^ (1 << everyone[:d, None])]
+    for table in (sub, cr_of_sub, partners):
+        table.flags.writeable = False
+    return (
+        sub, cr_of_sub, partners, everyone,
+        tuple(sub.tolist()), tuple(cr_of_sub.tolist()),
+    )
+
+
+@functools.lru_cache(maxsize=65536)
+def subcube_tables(members: tuple[int, ...], free_dims: tuple[int, ...]) -> tuple | None:
+    """``(sub, cr_of_sub, partners, everyone, node_ids, sub_key)``: the
+    :func:`subcube_layout` of ``members`` and the members as a read-only
+    array, or ``None`` if they are not the subcube spanning ``free_dims``."""
+    if not members:
+        return None
+    mask = sum([1 << k for k in free_dims])
+    anchor = members[0] & ~mask
+    layout = subcube_layout(tuple([m ^ anchor for m in members]), free_dims)
+    if layout is None:
+        return None
+    node_ids = np.array(members, dtype=np.intp)
+    node_ids.flags.writeable = False
+    return (*layout[:4], node_ids, layout[4])

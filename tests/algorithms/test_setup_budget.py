@@ -52,10 +52,12 @@ def _run(key, n, port):
         # of them enumerating its row and column); its 64 block products
         # are an event each
         ("simple", 64, PortModel.ONE_PORT, 49_152, 952.3),
-        # 598.79 (parent: 611.79, with 6 Gray-code calls per rank)
-        ("3d_all", 256, PortModel.MULTI_PORT, 262_144, 628.7),
-        # 184.11 (parent: 197.68, with 6.56 Gray-code calls per rank)
-        ("dns", 16, PortModel.ONE_PORT, 12_032, 193.3),
+        # 544.80 (598.79 before the collective planner folded groups
+        # into families; 611.79 with 6 Gray-code calls per rank)
+        ("3d_all", 256, PortModel.MULTI_PORT, 262_144, 572.0),
+        # 161.22 (184.11 before the planner's families; 197.68 with 6.56
+        # Gray-code calls per rank)
+        ("dns", 16, PortModel.ONE_PORT, 12_032, 169.3),
     ],
     ids=["cannon_n64", "simple_n64", "3d_all_n256_multi", "dns_n16"],
 )

@@ -36,7 +36,7 @@ from repro.topology.embedding import (
     RingEmbedding,
     SubcubeGrid2D,
 )
-from repro.topology.hypercube import Hypercube
+from repro.topology.hypercube import Hypercube, subcube_layout, subcube_tables
 from repro.util.bits import gray_code, gray_code_inverse
 
 MAX_DIM = 14
@@ -52,6 +52,7 @@ def _drop_shared_tables():
     for memo in (
         Grid2DEmbedding.__new__, Grid2DEmbedding.square,
         Grid3DRectEmbedding.__new__, Grid3DEmbedding.__new__, _subcube_structure,
+        subcube_layout, subcube_tables,
     ):
         memo.cache_clear()
 

@@ -1,11 +1,15 @@
 """Tests for the Hypercube and Subcube abstractions."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.topology.hypercube import Hypercube, Subcube
+from repro.topology.hypercube import Hypercube, Subcube, subcube_tables
 
 dims = st.integers(min_value=0, max_value=8)
 
@@ -26,6 +30,14 @@ class TestHypercubeBasics:
     def test_negative_dimension_rejected(self):
         with pytest.raises(TopologyError):
             Hypercube(-1)
+
+    def test_one_shared_cube_per_dimension(self):
+        cube = Hypercube(5)
+        assert Hypercube(5) is cube and Hypercube(np.int64(5)) is cube
+        assert Hypercube.with_nodes(32) is cube
+        assert pickle.loads(pickle.dumps(cube)) is cube
+        assert copy.deepcopy(cube) is cube and copy.copy(cube) is cube
+        assert pickle.loads(pickle.dumps(Subcube(cube, (0, 2), 1))).parent is cube
 
     def test_link_count(self):
         assert Hypercube(0).num_links == 0
@@ -163,3 +175,56 @@ class TestSubcube:
             for b in range(len(free)):
                 other = sub.member(idx ^ (1 << b))
                 assert cube.are_neighbors(sub.member(idx), other)
+
+
+def _maps_by_definition(members, free_dims):
+    """``subcube_tables``' maps by the definition, one member at a time."""
+    sub = [sum(((node >> dim) & 1) << k for k, dim in enumerate(free_dims))
+           for node in members]
+    cr_of_sub = [sub.index(s) for s in range(len(members))]
+    partners = [[cr_of_sub[s ^ (1 << k)] for s in sub] for k in range(len(free_dims))]
+    return sub, cr_of_sub, partners
+
+
+class TestSubcubeTables:
+    @pytest.mark.parametrize(
+        "members, free_dims",
+        [
+            ((5,), ()),
+            ((8, 9), (0,)),
+            ((9, 8), (0,)),
+            # a Gray-code ordered line and its members in another order
+            ((16, 17, 19, 18), (0, 1)),
+            ((18, 16, 19, 17), (1, 0)),
+            ((32 + 0, 32 + 4, 32 + 64, 32 + 68, 32 + 1, 32 + 5, 32 + 65, 32 + 69), (0, 2, 6)),
+        ],
+    )
+    def test_maps_equal_the_definition(self, members, free_dims):
+        sub, cr_of_sub, partners, everyone, node_ids, sub_key = subcube_tables(
+            members, free_dims
+        )
+        want = _maps_by_definition(members, free_dims)
+        assert (sub.tolist(), cr_of_sub.tolist(), partners.tolist()) == want
+        assert everyone.tolist() == list(range(len(members)))
+        assert node_ids.tolist() == list(members) and sub_key == tuple(want[0])
+        for table in (sub, cr_of_sub, partners, everyone, node_ids):
+            assert not table.flags.writeable
+
+    def test_parallel_lines_share_their_maps(self):
+        a = subcube_tables((0, 1, 3, 2), (0, 1))
+        b = subcube_tables((12, 13, 15, 14), (0, 1))
+        assert all(x is y for x, y in zip(a[:4], b[:4]))
+        assert b[4].tolist() == [12, 13, 15, 14]
+
+    @pytest.mark.parametrize(
+        "members, free_dims",
+        [
+            ((), ()),
+            ((0, 1, 2), (0, 1)),  # not 2^d members
+            ((0, 3), (0,)),  # 3 leaves the subcube
+            ((0, 1, 1, 0), (0, 1)),  # two members on one index
+            ((0, 1, 2, 3), (0, 0)),  # a dimension twice
+        ],
+    )
+    def test_not_the_subcube(self, members, free_dims):
+        assert subcube_tables(members, free_dims) is None
