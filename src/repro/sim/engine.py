@@ -29,6 +29,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict, deque
+from itertools import starmap
+from types import GeneratorType
 from typing import Any, Callable, Generator
 
 import numpy as np
@@ -99,9 +101,14 @@ _TABLE = 8
 #: how a tracing window's release is counted (see _drain_events)
 _BESIDE = "per-hop tracing: traffic beside a parked phase"
 
+#: the send handle of every ack and NACK a destination node injects: born
+#: complete, so no hop ever completes or notifies it, and no task waits on it
+_NODE_SEND = Handle("send", -1)
+_NODE_SEND.complete(0.0)
+
 
 def task_rank(task: Task) -> int:
-    return task[0] if isinstance(task, tuple) else task
+    return task[0] if task.__class__ is tuple else task
 
 
 class _Waiter:
@@ -118,15 +125,6 @@ class _Waiter:
         #: handles ([send A, recv A, send B, recv B]) belong to
         self.op = op
 
-    def resume_value(self) -> Any:
-        if self.mode == "wait":
-            return [h.value for h in self.handles]
-        if self.mode == "recv":
-            return self.handles[0].value
-        if self.mode == "exchange":  # the payloads, in ``recvs`` order
-            return [h.value for h in self.handles if h.kind == "recv"]
-        return None  # blocking send
-
     def describe(self) -> str:
         kinds = ", ".join(
             f"{h.detail or h.kind}#{h.handle_id}"
@@ -136,6 +134,15 @@ class _Waiter:
         return f"waiting on {kinds or 'nothing?'}"
 
 
+def _resume_value(mode: str, handles: list[Handle]) -> list:
+    """What a task waiting on ``handles`` resumes with: a wait every value,
+    an exchange its payloads in ``recvs`` order.  (A blocking send or recv
+    resumes with its one handle's value: a send's is ``None``.)"""
+    if mode == "wait":
+        return [h.value for h in handles]
+    return [h.value for h in handles if h.kind == "recv"]
+
+
 class _ParallelWait:
     """A parent task waiting for its spawned sub-tasks."""
 
@@ -143,25 +150,9 @@ class _ParallelWait:
 
     def __init__(self, children: list[Task]):
         self.remaining = set(children)
-        self.values: dict[Task, Any] = {}
+        #: the children's return values, by slot
+        self.values: list[Any] = [None] * len(children)
         self.latest = 0.0
-
-
-class _Transfer:
-    """One in-flight message and its (possibly rerouted) hop list.
-
-    ``dropped`` flips when a fault-plan roll loses the message (or a
-    fail-stopped node swallows it): downstream hops stop and delivery
-    never happens, but the sender-side handle still completes normally —
-    the loss is silent, exactly like a real dropped packet.
-    """
-
-    __slots__ = ("msg", "hops", "dropped")
-
-    def __init__(self, msg: Message, hops: list[tuple[int, int]]):
-        self.msg = msg
-        self.hops = hops
-        self.dropped = False
 
 
 class Engine:
@@ -176,9 +167,13 @@ class Engine:
     max_events:
         Watchdog: abort with :class:`~repro.errors.LivelockError` after
         this many engine events (``None`` = unbounded).  Converts infinite
-        retransmission/ping-pong loops into a diagnosable error.
+        retransmission/ping-pong loops into a diagnosable error.  A receive
+        timer whose receive completed first is no event: it is dropped
+        uncounted.
     max_virtual_time:
-        Watchdog: abort once the event clock passes this virtual time.
+        Watchdog: abort once an event's time passes this virtual time.  A
+        dropped stale timer never does, so a finished run is not reported
+        as a livelock for the timers it left behind.
     superstep:
         Let the engine run declared phases itself, bit-identically (see
         :mod:`repro.sim.superstep`).  On by default: in closed form unless
@@ -456,6 +451,11 @@ class Engine:
                 heapq.heappush(events, (time, seq, kind, payload))
                 self._release(_BESIDE)
                 continue
+            if kind == _RECV_TIMEOUT and payload[1].done:
+                # A stale timer: its receive completed first.  Nothing
+                # happens at its time, so it is no event: it neither moves
+                # the clock nor counts against the watchdogs.
+                continue
             self._now = time
             self._events_processed += 1
             if max_events is not None and self._events_processed > max_events:
@@ -472,11 +472,11 @@ class Engine:
                 task, value = payload
                 self._step(task, time, value)
             elif kind == _HOP_READY:
-                (transfer, hop_index, handle) = payload
-                self._start_hop(transfer, hop_index, handle, time)
+                (msg, hop_index, handle) = payload
+                self._start_hop(msg, hop_index, handle, time)
             elif kind == _HOP_DONE:
-                (transfer, hop_index, handle) = payload
-                self._finish_hop(transfer, hop_index, handle, time)
+                (msg, hop_index, handle) = payload
+                self._finish_hop(msg, hop_index, handle, time)
             elif kind == _SHIFT_MULTIPLY:
                 (task, op) = payload
                 if not self._shift_multiply(task, op, time):
@@ -585,9 +585,9 @@ class Engine:
     def time_of(self, rank: int) -> float:
         """Current virtual time as seen by the caller (active task aware)."""
         task = self._active_task
-        if task is not None and task_rank(task) == rank:
+        if task.__class__ is tuple and task[0] == rank:
             return self._task_time[task]
-        return self._task_time[rank]
+        return self._task_time[rank]  # (an active main program is its rank)
 
     # ------------------------------------------------------------------
     # internals
@@ -632,7 +632,10 @@ class Engine:
         rank = task[0] if task.__class__ is tuple else task
         if rank in self.failed or task not in self._gens:
             return  # fail-stopped (or halted) rank: no further progress
-        self._task_time[task] = max(self._task_time.get(task, 0.0), time)
+        # (every task in _gens has a clock: ranks from the start, sub-tasks
+        # from their spawn)
+        if time > self._task_time[task]:
+            self._task_time[task] = time
         gen = self._gens[task]
         prev_active = self._active_task
         self._active_task = task
@@ -695,10 +698,9 @@ class Engine:
                     continue
 
                 if cls is WaitOp:
-                    waiter = self._await(task, op.handles, "wait")
-                    if waiter is None:
+                    if self._await(task, op.handles, "wait"):
                         return
-                    value = waiter.resume_value()
+                    value = _resume_value("wait", op.handles)
                     continue
 
                 if cls is ElapseOp:
@@ -721,7 +723,7 @@ class Engine:
                 if cls is ParallelOp:
                     children = []
                     for slot, sub in enumerate(op.generators):
-                        if not hasattr(sub, "send"):
+                        if sub.__class__ is not GeneratorType and not hasattr(sub, "send"):
                             raise SimulationError(
                                 "ctx.parallel expects generators (call the "
                                 "generator functions when passing them)"
@@ -867,16 +869,19 @@ class Engine:
                     # exchange_round, run here: every send in order, then
                     # every receive, one wait.
                     handles = [
-                        self._issue_send(task, rank, dst, data, tag, payload_words(data), now)
+                        self._issue_send(
+                            task, rank, dst, data, tag,
+                            data.size if data.__class__ is np.ndarray else payload_words(data),
+                            now,
+                        )
                         for dst, data, tag in op.sends
                     ]
                     handles += [
                         self._issue_recv(task, rank, src, tag, now) for src, tag in op.recvs
                     ]
-                    waiter = self._await(task, handles, "exchange")
-                    if waiter is None:
+                    if self._await(task, handles, "exchange"):
                         return
-                    value = waiter.resume_value()
+                    value = _resume_value("exchange", handles)
                     continue
 
                 if cls is BarrierOp:
@@ -898,17 +903,19 @@ class Engine:
     def _task_finished(self, task: Task, value: Any) -> None:
         finish = self._task_time[task]
         del self._gens[task]
-        if isinstance(task, tuple):
+        if task.__class__ is tuple:
             parent, slot = self._parent_of.pop(task)
             pw = self._parallel[parent]
             pw.remaining.discard(task)
             pw.values[slot] = value
-            pw.latest = max(pw.latest, finish)
+            if finish > pw.latest:
+                pw.latest = finish
             if not pw.remaining:
                 del self._parallel[parent]
-                values = [pw.values[i] for i in range(len(pw.values))]
-                resume_at = max(self._task_time[parent], pw.latest)
-                self._schedule(resume_at, _RESUME, (parent, values))
+                resume_at = self._task_time[parent]
+                if pw.latest > resume_at:
+                    resume_at = pw.latest
+                self._schedule(resume_at, _RESUME, (parent, pw.values))
             return
         self.results[task] = value
         self.done.add(task)
@@ -1096,9 +1103,9 @@ class Engine:
             self._issue_send(task, task, peers[2], b, op.tag_b, b.size, time),
             self._issue_recv(task, task, peers[3], op.tag_b, time),
         ]
-        waiter = self._await(task, handles, "shift", op)
-        if waiter is not None:  # self-shifts complete on the spot
-            self._shift_repark(task, waiter, time)
+        if not self._await(task, handles, "shift", op):
+            # self-shifts complete on the spot
+            self._shift_repark(task, _Waiter(handles, "shift", op), time)
         elif self._ineligible is None:
             self._arm_blocked(task, self._blocked[task])
 
@@ -1118,15 +1125,14 @@ class Engine:
 
     def _await(
         self, task: Task, handles: list[Handle], mode: str, op: Any = None
-    ) -> _Waiter | None:
+    ) -> bool:
         """Block ``task`` until ``handles`` complete (``_notify`` resumes it
-        as ``mode`` says); returns the waiter instead when they all have."""
-        waiter = _Waiter(handles, mode, op)
+        as ``mode`` says); ``False``, nothing blocked, when they all have."""
         for h in handles:
             if not h.done:
-                self._blocked[task] = waiter
-                return None
-        return waiter
+                self._blocked[task] = _Waiter(handles, mode, op)
+                return True
+        return False
 
     # -- faults ----------------------------------------------------------
 
@@ -1154,14 +1160,12 @@ class Engine:
         self._maybe_release_barrier()
 
     def _lose_message(
-        self, transfer: "_Transfer", node: int, start: float, end: float,
-        reason: str,
+        self, msg: Message, node: int, start: float, end: float, reason: str,
     ) -> None:
-        """Mark ``transfer`` lost; it will never be delivered or forwarded."""
-        transfer.dropped = True
+        """Mark ``msg`` lost; it will never be delivered or forwarded."""
+        msg.dropped = True
         self._messages_dropped += 1
         if self.trace_enabled:
-            msg = transfer.msg
             self.trace.append(
                 TraceRecord(
                     "drop", start, end, node,
@@ -1171,7 +1175,7 @@ class Engine:
             )
 
     def _maybe_corrupt(
-        self, transfer: "_Transfer", u: int, v: int, start: float, end: float
+        self, msg: Message, u: int, v: int, start: float, end: float
     ) -> None:
         """Roll the plan's link corruptions for this hop and, when one
         fires, bit-flip a private copy of the payload (the sender's buffer
@@ -1181,7 +1185,6 @@ class Engine:
         events = fs.roll_corruptions(u, v, start)
         if not events:
             return
-        msg = transfer.msg
         data = copy_payload(msg.data)
         flipped = 0
         for lc in events:
@@ -1334,9 +1337,7 @@ class Engine:
                 # the void but the send itself costs the sender nothing extra.
                 if not handle.done:
                     handle.complete(now)
-                self._lose_message(
-                    _Transfer(msg, []), msg.src, now, now, "dest-failed"
-                )
+                self._lose_message(msg, msg.src, now, now, "dest-failed")
                 return
             if self._adaptive and fs.plan.reroute:
                 # Degraded-aware detouring: prefer cheap healthy links.
@@ -1354,7 +1355,7 @@ class Engine:
                 # LinkFailedError when the message reaches the dead link.
                 # A window that kills nothing has nothing to check.
                 if win.dead and fs.plan.reroute and not all(
-                    win.alive(u, v) for u, v in cached
+                    starmap(win.alive, cached)
                 ):
                     cached = self.routes.detour(
                         msg.src, msg.dst, win.alive, fs.route_epoch(now)
@@ -1370,16 +1371,17 @@ class Engine:
                             )
                         )
             # Fault mode may splice a detour tail in-place mid-flight
-            # (_start_hop), so each transfer needs its own mutable copy.
+            # (_start_hop), so each message needs its own mutable copy.
             hops = list(cached)
-        self._schedule(now, _HOP_READY, (_Transfer(msg, hops), 0, handle))
+        msg.hops = hops
+        self._schedule(now, _HOP_READY, (msg, 0, handle))
 
     def _start_hop(
-        self, transfer: _Transfer, hop_index: int, handle: Handle, time: float
+        self, msg: Message, hop_index: int, handle: Handle, time: float
     ) -> None:
-        if transfer.dropped:  # pragma: no cover - defensive (CT pipelining)
+        if msg.dropped:  # pragma: no cover - defensive (CT pipelining)
             return
-        msg, hops = transfer.msg, transfer.hops
+        hops = msg.hops
         u, v = hops[hop_index]
         if self._parked:
             thr = self._hazards.get(u if self._one_port else (u, v))
@@ -1393,7 +1395,7 @@ class Engine:
                 # then retry this hop after their reservations have gone
                 # in first.
                 self._release("foreign hop at a parked rank's resources")
-                self._schedule(time, _HOP_READY, (transfer, hop_index, handle))
+                self._schedule(time, _HOP_READY, (msg, hop_index, handle))
                 return
         fs = self.faults
         tw_factor = 1.0
@@ -1407,7 +1409,7 @@ class Engine:
                     # The node holding the message died (the message dies
                     # too), or nobody is left to receive it.
                     self._lose_message(
-                        transfer, u, time, time,
+                        msg, u, time, time,
                         "node-failed" if u in dead_nodes else "dest-failed",
                     )
                     if hop_index == 0 and not handle.done:
@@ -1476,31 +1478,29 @@ class Engine:
             if not win.lo <= start < win.hi:
                 win = fs.window_at(start)
             if (win.drop_p or win.base_drop_p) and fs.roll_drop(u, v, start):
-                self._lose_message(transfer, v, start, start + duration, "drop")
+                self._lose_message(msg, v, start, start + duration, "drop")
             elif win.corruptions:
-                self._maybe_corrupt(transfer, u, v, start, start + duration)
+                self._maybe_corrupt(msg, u, v, start, start + duration)
         if (
             self._cut_through
             and hop_index < len(hops) - 1
-            and not transfer.dropped
+            and not msg.dropped
         ):
             # Virtual cut-through: the next link sees the header one
             # (possibly degraded) start-up time after this hop starts
             # transmitting; the payload streams behind it.
             self._schedule(
-                start + header_ts,
-                _HOP_READY,
-                (transfer, hop_index + 1, handle),
+                start + header_ts, _HOP_READY, (msg, hop_index + 1, handle)
             )
-        self._schedule(start + duration, _HOP_DONE, (transfer, hop_index, handle))
+        self._schedule(start + duration, _HOP_DONE, (msg, hop_index, handle))
 
     def _finish_hop(
-        self, transfer: _Transfer, hop_index: int, handle: Handle, time: float
+        self, msg: Message, hop_index: int, handle: Handle, time: float
     ) -> None:
-        msg, hops = transfer.msg, transfer.hops
+        last = hop_index == len(msg.hops) - 1
         if (
-            hop_index == len(hops) - 1
-            and not transfer.dropped
+            last
+            and not msg.dropped
             and msg.dst in self._parked
             and ((op := self._parked[msg.dst][0]).__class__ is CollectivePhaseOp
                  or op.align is not None or op.dims is not None
@@ -1520,17 +1520,18 @@ class Engine:
             # exempt: blocks queued at a parked rank are part of the
             # frontier the shift closed form advances.
             self._release("delivery to a parked rank")
-            self._schedule(time, _HOP_DONE, (transfer, hop_index, handle))
+            self._schedule(time, _HOP_DONE, (msg, hop_index, handle))
             return
         if hop_index == 0 and not handle.done:
-            handle.complete(time)
+            handle.done = True  # (a send's value stays None)
+            handle.completion_time = time
             self._notify(handle.task)
-        if transfer.dropped:
+        if msg.dropped:
             return
-        if hop_index == len(hops) - 1:
+        if last:
             self._deliver(msg, time)
         elif self._store_forward:
-            self._schedule(time, _HOP_READY, (transfer, hop_index + 1, handle))
+            self._schedule(time, _HOP_READY, (msg, hop_index + 1, handle))
 
     # -- receives ----------------------------------------------------------
 
@@ -1548,8 +1549,12 @@ class Engine:
                 tag_f == ANY_TAG or tag_f == msg.tag
             ):
                 box.pop(i)
-                self._count_receive(rank, msg)
-                handle.complete(max(now, arrival), msg.data)
+                st = self.stats[rank]
+                st.messages_received += 1
+                st.words_received += msg.nwords
+                handle.done = True
+                handle.completion_time = arrival if arrival > now else now
+                handle.value = msg.data
                 return handle
         self._pending_recvs[rank].append((src_f, tag_f, handle))
         if timeout is not None:
@@ -1557,8 +1562,8 @@ class Engine:
         return handle
 
     def _expire_recv(self, rank: int, handle: Handle, time: float) -> None:
-        if handle.done:  # the message made it in time
-            return
+        # (a receive that completed first never gets here: _drain_events
+        # drops its timer)
         pending = self._pending_recvs.get(rank, [])
         for i, (_src, _tag, h) in enumerate(pending):
             if h is handle:
@@ -1566,11 +1571,6 @@ class Engine:
                 break
         handle.complete(time, TIMED_OUT)
         self._notify(handle.task)
-
-    def _count_receive(self, rank: int, msg: Message) -> None:
-        st = self.stats[rank]
-        st.messages_received += 1
-        st.words_received += msg.nwords
 
     def _deliver(self, msg: Message, time: float) -> None:
         fs = self.faults
@@ -1584,7 +1584,7 @@ class Engine:
             # The destination fail-stopped while the message was on its
             # final hop: nobody is home to consume or acknowledge it.  The
             # sender's timeout/retransmission path observes the silence.
-            self._lose_message(_Transfer(msg, []), msg.dst, time, time, "dest-failed")
+            self._lose_message(msg, msg.dst, time, time, "dest-failed")
             return
         if msg.crc is not None and msg.src != msg.dst:
             # End-to-end integrity: the destination node re-computes the
@@ -1611,9 +1611,7 @@ class Engine:
                     )
                     self._msg_seq += 1
                     self.stats[msg.dst].messages_sent += 1
-                    nack_handle = Handle("send", msg.dst)
-                    nack_handle.complete(time)
-                    self._inject(nack, nack_handle, time)
+                    self._inject(nack, _NODE_SEND, time)
                 return
         if msg.ack_tag is not None and msg.src != msg.dst:
             # Delivery acknowledgement: the receiving *node* confirms
@@ -1628,9 +1626,7 @@ class Engine:
             )
             self._msg_seq += 1
             self.stats[msg.dst].messages_sent += 1
-            ack_handle = Handle("send", msg.dst)
-            ack_handle.complete(time)  # no task waits on the NIC's send
-            self._inject(ack, ack_handle, time)
+            self._inject(ack, _NODE_SEND, time)
         pending = self._pending_recvs[msg.dst]
         msg_src, msg_tag = msg.src, msg.tag
         for i, (src_f, tag_f, handle) in enumerate(pending):
@@ -1640,8 +1636,12 @@ class Engine:
                 tag_f == ANY_TAG or tag_f == msg_tag
             ):
                 pending.pop(i)
-                self._count_receive(msg.dst, msg)
-                handle.complete(time, msg.data)
+                st = self.stats[msg.dst]
+                st.messages_received += 1
+                st.words_received += msg.nwords
+                handle.done = True
+                handle.completion_time = time
+                handle.value = msg.data
                 self._notify(handle.task)
                 return
         self._mailbox[msg.dst].append((time, msg))
@@ -1660,10 +1660,13 @@ class Engine:
             if h.completion_time > resume_at:
                 resume_at = h.completion_time
         del self._blocked[task]
-        if waiter.mode == "shift":
+        mode, handles = waiter.mode, waiter.handles
+        if mode == "shift":
             self._schedule(resume_at, _SHIFT_REPARK, (task, waiter))
+        elif mode == "recv" or mode == "send":
+            self._schedule(resume_at, _RESUME, (task, handles[0].value))
         else:
-            self._schedule(resume_at, _RESUME, (task, waiter.resume_value()))
+            self._schedule(resume_at, _RESUME, (task, _resume_value(mode, handles)))
 
     # -- phases --------------------------------------------------------------
 

@@ -171,13 +171,22 @@ def copy_payload(data: Any) -> Any:
 
 
 class Message:
-    """An in-flight message: a plain record of envelope, payload pointer
-    and integrity fields.  ``nwords`` drives the ``t_s + t_w·m`` hop cost;
-    ``send_time`` is the virtual time it was enqueued at the source."""
+    """An in-flight message: a plain record of envelope, payload pointer,
+    integrity fields and transport state.  ``nwords`` drives the
+    ``t_s + t_w·m`` hop cost; ``send_time`` is the virtual time it was
+    enqueued at the source.
+
+    ``hops`` is the route the engine gives it at injection (a fault plan
+    may splice a detour into it mid-flight).  ``dropped`` flips when a
+    fault-plan roll loses the message (or a fail-stopped node swallows
+    it): downstream hops stop and delivery never happens, but the
+    sender-side handle still completes normally — the loss is silent,
+    exactly like a real dropped packet.
+    """
 
     __slots__ = (
         "src", "dst", "tag", "data", "nwords", "send_time",
-        "msg_id", "ack_tag", "crc",
+        "msg_id", "ack_tag", "crc", "hops", "dropped",
     )
 
     def __init__(
@@ -205,6 +214,8 @@ class Message:
         #: canonical header+payload bytes at delivery; a mismatch is NACK'd
         #: (see :func:`message_crc` and the engine's ``_deliver``)
         self.crc = crc
+        self.hops: list | tuple = ()
+        self.dropped = False
 
     def __repr__(self) -> str:
         return (

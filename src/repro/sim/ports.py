@@ -358,6 +358,10 @@ class ContentionTracker:
         # order while the event path creates them in reservation order, and
         # float addition is order-sensitive.  A fixed order keeps the metric
         # well-defined (and bit-identical) across both.
+        # One gather, then a plain loop: builtin sum() of Python floats is
+        # compensated from CPython 3.12 on, which would change the bits.
         ids = self._channel_ids
-        busy = self._busy
-        return float(sum(busy[ids[k]] for k in sorted(ids)))
+        total = 0.0
+        for busy in self._busy[[ids[k] for k in sorted(ids)]].tolist():
+            total += busy
+        return total

@@ -178,7 +178,10 @@ class ProcessContext:
 
     def _check_peer(self, peer: int) -> int:
         """Range-check a peer rank and return it as a Python ``int``, so a
-        numpy integer never reaches route-cache keys or trace records."""
+        numpy integer never reaches route-cache keys or trace records.
+
+        The per-message helpers below test the common case, an in-range
+        ``int``, inline and call this only for anything else."""
         if not 0 <= peer < self.num_ranks:
             raise SimulationError(
                 f"rank {peer} out of range on a {self.num_ranks}-node machine"
@@ -204,12 +207,18 @@ class ProcessContext:
         additionally asks it to verify the payload's canonical checksum
         at delivery and NACK a corrupted copy.
         """
-        yield SendOp(
-            self._check_peer(dst), data,
-            tag if tag.__class__ is int else int(tag),
-            payload_words(data, nwords),
-            blocking=True, ack_tag=ack_tag, crc=crc,
-        )
+        # The common case (an in-range int peer and tag, an explicit count
+        # or an array) takes no call; the checks keep their order.
+        if dst.__class__ is not int or not 0 <= dst < self.num_ranks:
+            dst = self._check_peer(dst)
+        if tag.__class__ is not int:
+            tag = int(tag)
+        if nwords.__class__ is not int or nwords < 0:
+            nwords = (
+                data.size if nwords is None and data.__class__ is np.ndarray
+                else payload_words(data, nwords)
+            )
+        yield SendOp(dst, data, tag, nwords, blocking=True, ack_tag=ack_tag, crc=crc)
 
     def isend(
         self,
@@ -222,11 +231,18 @@ class ProcessContext:
         crc: int | None = None,
     ):
         """Non-blocking send; returns a :class:`Handle`."""
+        # (the checks of send, inline alike)
+        if dst.__class__ is not int or not 0 <= dst < self.num_ranks:
+            dst = self._check_peer(dst)
+        if tag.__class__ is not int:
+            tag = int(tag)
+        if nwords.__class__ is not int or nwords < 0:
+            nwords = (
+                data.size if nwords is None and data.__class__ is np.ndarray
+                else payload_words(data, nwords)
+            )
         handle = yield SendOp(
-            self._check_peer(dst), data,
-            tag if tag.__class__ is int else int(tag),
-            payload_words(data, nwords),
-            blocking=False, ack_tag=ack_tag, crc=crc,
+            dst, data, tag, nwords, blocking=False, ack_tag=ack_tag, crc=crc
         )
         return handle
 
@@ -243,7 +259,9 @@ class ProcessContext:
         lost message becomes a typed, catchable failure instead of a
         whole-run :class:`~repro.errors.DeadlockError`.
         """
-        if src != ANY_SOURCE:
+        if src != ANY_SOURCE and (
+            src.__class__ is not int or not 0 <= src < self.num_ranks
+        ):
             src = self._check_peer(src)
         if timeout is not None and timeout <= 0:
             raise SimulationError(f"recv timeout must be positive, got {timeout}")
@@ -264,7 +282,9 @@ class ProcessContext:
         :data:`~repro.sim.ops.TIMED_OUT` (``handle.timed_out`` is True) if
         the window expires first.
         """
-        if src != ANY_SOURCE:
+        if src != ANY_SOURCE and (
+            src.__class__ is not int or not 0 <= src < self.num_ranks
+        ):
             src = self._check_peer(src)
         if timeout is not None and timeout <= 0:
             raise SimulationError(f"recv timeout must be positive, got {timeout}")

@@ -110,8 +110,9 @@ class RunResult:
         healthy machine).  Their ``finish_time`` is their failure time and
         they contribute no entry to ``results``.
     events_processed:
-        Engine events the run consumed (resumes, hop starts/ends, timeouts,
-        fail-stops) — the count the ``max_events`` watchdog caps.  A
+        Engine events the run consumed (resumes, hop starts/ends, receive
+        timeouts that fired, fail-stops) — the count the ``max_events``
+        watchdog caps.  A timer whose receive completed first is no event.  A
         diagnostic of host work, not of the simulated machine: it differs
         between the event path and the closed forms, so it never enters
         :meth:`trace_lines` or any digest.

@@ -68,6 +68,12 @@ class TestCleanMachine:
                     yield from rel.send(1, np.ones(1), tag=DATA_BASE)
                 with pytest.raises(CommunicatorError):
                     yield from rel.recv(1, tag=ANY_TAG)
+                with pytest.raises(CommunicatorError, match="got -3"):
+                    yield from rel.irecv(1, tag=-3)
+                with pytest.raises(CommunicatorError, match=f"got {DATA_BASE}"):
+                    yield from rel.sendrecv(1, np.ones(1), 1, send_tag=DATA_BASE)
+                with pytest.raises(CommunicatorError, match="got -1"):
+                    yield from rel.sendrecv(1, np.ones(1), 1, send_tag=0)
             if False:
                 yield
             return None

@@ -141,6 +141,30 @@ class TestPointToPoint:
         with pytest.raises(SimulationError):
             run_spmd(CFG, prog)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda ctx: ctx.isend(-1, np.ones(1)), "rank -1 out of range on a 8-node"),
+            (lambda ctx: ctx.recv(8), "rank 8 out of range"),
+            (lambda ctx: ctx.irecv(np.int64(9)), "rank 9 out of range"),
+            # the peer is checked before the word count
+            (lambda ctx: ctx.send(99, None), "rank 99 out of range"),
+            (lambda ctx: ctx.isend(1, None), "timing-only message needs an explicit nwords"),
+            (lambda ctx: ctx.send(1, None, nwords=-2), "explicit nwords must be >= 0"),
+        ],
+    )
+    def test_each_send_and_recv_checks_its_peer_then_its_word_count(
+        self, call, message
+    ):
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from call(ctx)
+            return None
+            yield
+
+        with pytest.raises(SimulationError, match=message):
+            run_spmd(CFG, prog)
+
     def test_numpy_integer_peers_stay_python_ints(self):
         """Peers computed with numpy (``np.int64``) are normalized where
         the op is built: same route-cache keys, same trace digest as the

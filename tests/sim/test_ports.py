@@ -99,6 +99,28 @@ class TestAggregationEdgeCases:
         util = tracker.channel_utilization(1.0)
         assert util[(1, 0)] == 0.7
 
+    def test_total_is_the_sorted_key_fold_whatever_the_creation_order(self):
+        """Every channel of a 5-cube, created in a shuffled order, each
+        holding a sum of non-dyadic durations: the total is bit for bit
+        the sequential fold in channel-key order (the definition), and
+        the same whichever order created the channels."""
+        rng = np.random.default_rng(7)
+        hops = [(u, u ^ (1 << d)) for u in range(32) for d in range(5)]
+        durations = {hop: rng.uniform(0.1, 3.0, size=3) / 7.0 for hop in hops}
+        totals = []
+        for _ in range(3):
+            tracker = ContentionTracker(cfg(PortModel.MULTI_PORT, p=32))
+            for i in rng.permutation(len(hops)):
+                u, v = hops[i]
+                for d in durations[u, v]:
+                    tracker.reserve_hop(u, v, 0.0, float(d))
+            busy = tracker._busy
+            ids = tracker._channel_ids
+            expected = float(sum(busy[ids[k]] for k in sorted(ids)))
+            assert tracker.total_channel_busy() == expected
+            totals.append(tracker.total_channel_busy())
+        assert totals[0] == totals[1] == totals[2]
+
     def test_simultaneous_reservations_at_equal_timestamps(self):
         """Distinct channels reserved at the same instant all start then;
         a back-to-back reservation starting exactly at the free time is

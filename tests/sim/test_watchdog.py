@@ -6,7 +6,9 @@ enough state to diagnose it — never a silent hang."""
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, LivelockError
+from repro import get_algorithm
+from repro.errors import CommTimeoutError, DeadlockError, LivelockError
+from repro.mpi import ReliableContext
 from repro.sim import FaultPlan, MachineConfig, run_spmd
 from repro.sim.ops import Handle
 
@@ -49,6 +51,74 @@ class TestLivelock:
 
         res = run_spmd(CFG, prog, max_events=100_000, max_virtual_time=1e9)
         assert res.results[0] == 0
+
+
+class TestStaleTimers:
+    """A receive timer whose receive completed first is no event: it
+    neither counts nor trips a watchdog, however late it lies."""
+
+    def test_a_timer_past_the_cap_whose_receive_completed_does_not_trip(self):
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.recv(1, timeout=1000.0)
+            elif ctx.rank == 1:
+                yield from ctx.send(0, np.ones(4))
+            return ctx.rank
+
+        free = run_spmd(CFG, prog)
+        assert free.total_time == 14.0
+        # 4 starts, hop ready and done, rank 1's and rank 0's resumes
+        assert free.events_processed == 8
+        capped = run_spmd(CFG, prog, max_virtual_time=100.0, max_events=8)
+        assert capped.total_time == 14.0
+        assert capped.events_processed == 8
+
+    def test_a_live_timeout_past_the_cap_still_trips(self):
+        def prog(ctx):
+            if ctx.rank == 0:
+                try:
+                    yield from ctx.recv(1, timeout=1000.0)  # nobody sends
+                except CommTimeoutError:
+                    pass
+            return ctx.rank
+
+        assert run_spmd(CFG, prog).events_processed == 4 + 2
+        with pytest.raises(LivelockError) as exc:
+            run_spmd(CFG, prog, max_virtual_time=100.0)
+        assert exc.value.reason == "max_virtual_time"
+        assert exc.value.virtual_time == 1000.0
+        with pytest.raises(LivelockError) as exc:
+            run_spmd(CFG, prog, max_events=5)
+        assert exc.value.reason == "max_events"
+
+    def test_a_finished_lossy_run_fits_caps_of_its_own_size(self):
+        """Cannon, n = p = 16, a 5 % drop plan under ReliableContext: most
+        ack timers outlive their acks (120 of them here).  The run fits a
+        ``max_virtual_time`` of 1.5 × its makespan and a ``max_events`` of
+        exactly the events it consumed."""
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+
+        def run(**caps):
+            plan = FaultPlan(seed=3).with_drop_rate(0.05)
+            cfg = MachineConfig.create(16, t_s=10.0, t_w=1.0, faults=plan)
+            return get_algorithm("cannon").run(
+                a, b, cfg, verify=True, context_factory=ReliableContext, **caps
+            ).result
+
+        free = run()
+        assert free.total_time == 2542.0
+        assert free.events_processed == 1114
+        assert free.network.retransmissions > 0
+        for caps in (
+            {"max_virtual_time": 1.5 * free.total_time},
+            {"max_events": free.events_processed},
+        ):
+            capped = run(**caps)
+            assert capped.total_time == free.total_time
+            assert capped.events_processed == free.events_processed
+        with pytest.raises(LivelockError):
+            run(max_events=free.events_processed - 1)
 
 
 class TestOperationText:
