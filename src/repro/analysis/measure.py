@@ -102,16 +102,6 @@ class CoefficientComparison:
     measured: tuple[float, float]
     model: tuple[float, float] | None
 
-    def ratio(self, t_s: float, t_w: float) -> float | None:
-        """measured/model total time at the given parameters."""
-        if self.model is None:
-            return None
-        model_t = self.model[0] * t_s + self.model[1] * t_w
-        measured_t = self.measured[0] * t_s + self.measured[1] * t_w
-        if model_t == 0:
-            return None
-        return measured_t / model_t
-
 
 def measured_vs_model(
     key: str, n: int, p: int, port: PortModel

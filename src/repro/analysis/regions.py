@@ -19,11 +19,12 @@ The whole lattice is evaluated in one shot
 simulator itself: every candidate is *run* (``timing_only``, ``t_c = 0`` so
 only communication is timed, exactly what Table 2 models) and the winner is
 the smallest simulated makespan.  The superstep closed form makes this
-affordable at machine sizes the event path cannot touch — a Cannon point at
-``p = 2¹⁵`` batches thousands of rounds into one algebra step — but 3D
-collectives still walk the event path, so simulation-backed maps are meant
-for *restricted* lattices (a band of rows around a disputed boundary), not
-the full default figure lattice.
+affordable at machine sizes the event path cannot touch: every candidate's
+shift and collective phases advance in closed form, a few engine events per
+rank, so a Cannon point at ``p = 2¹⁵`` batches thousands of rounds into one
+algebra step.  A point still costs work linear in ``p``, so
+simulation-backed maps are meant for *restricted* lattices (a band of rows
+around a disputed boundary), not the full default figure lattice.
 """
 
 from __future__ import annotations
@@ -167,21 +168,6 @@ class RegionMap:
         return won / total
 
 
-#: algorithms whose phases the superstep closed form batches (uniform
-#: shift rounds, HJE's grouped phase); everything else simulates round by
-#: round on the event path.  Only a chunk-costing hint — never affects
-#: results.
-_SUPERSTEP_BATCHED = frozenset({"cannon", "dns_cannon", "3dd_cannon", "hje"})
-
-#: 3D-family algorithms whose collective phases (allgather, all-to-all,
-#: reduce-scatter, broadcast, reduce) advance in closed form on fault-free
-#: uniform machines.  On multi-port every communication phase batches; on
-#: one-port the fused overlapped phase (two collectives interleaving on one
-#: send port) still runs the event path, so roughly one of three
-#: communication phases keeps its per-message cost.
-_COLLECTIVE_BATCHED = frozenset({"3d_all", "3d_all_rect", "3dd", "dns"})
-
-
 def _sim_row(
     task: tuple[PortModel, float, float, float, tuple[float, ...], tuple[str, ...]],
 ) -> tuple[list[str | None], list[float]]:
@@ -226,19 +212,14 @@ def _sim_row(
 
 
 def _sim_row_weight(
-    ln: float,
-    log2_p: tuple[float, ...],
-    algos: tuple[str, ...],
-    port: PortModel = PortModel.ONE_PORT,
+    ln: float, log2_p: tuple[float, ...], algos: tuple[str, ...]
 ) -> float:
     """Estimated cost of one simulated lattice row, for chunk planning.
 
-    Event-path collectives cost roughly ``p·log₂p`` engine events per
-    point; superstep- and collective-batched algorithms collapse their
-    rounds and scale like ``p`` (on one-port the 3D family keeps roughly
-    one event-path phase in three — see :data:`_COLLECTIVE_BATCHED`).
-    Rows near the top of the ``p`` range are therefore orders of
-    magnitude heavier than the rest — exactly the skew
+    Every candidate runs its phases in closed form, a few engine events
+    per rank, so a point costs about ``p`` per applicable candidate.  Rows
+    near the top of the ``p`` range are therefore orders of magnitude
+    heavier than the rest — exactly the skew
     :func:`~repro.analysis.parallel.plan_chunks` weights exist for.
     """
     from repro.algorithms import get_algorithm
@@ -248,17 +229,8 @@ def _sim_row_weight(
     for lp in log2_p:
         p = int(round(2.0 ** lp))
         for key in algos:
-            if not get_algorithm(key).applicable(n, p):
-                continue
-            if key in _SUPERSTEP_BATCHED:
+            if get_algorithm(key).applicable(n, p):
                 weight += p
-            elif key in _COLLECTIVE_BATCHED:
-                if port is PortModel.MULTI_PORT:
-                    weight += p
-                else:
-                    weight += p * max(1.0, lp) / 3.0
-            else:
-                weight += p * max(1.0, lp)
     return weight or 1.0
 
 
@@ -310,7 +282,7 @@ def region_map(
     else:
         tasks = [(port, t_s, t_w, ln, tuple(log2_p), algos) for ln in log2_n]
         weights = [
-            _sim_row_weight(ln, tuple(log2_p), algos, port) for ln in log2_n
+            _sim_row_weight(ln, tuple(log2_p), algos) for ln in log2_n
         ]
         index = {key: k for k, key in enumerate(algos)}
         rows_w: list[list[int]] = []

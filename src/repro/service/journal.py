@@ -195,12 +195,6 @@ class Journal:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- append --------------------------------------------------------------
 
     def append(self, body: dict[str, Any]) -> int:

@@ -316,8 +316,11 @@ class Supervisor(ChunkExecutor):
 
         The timeout is ``min(_POLL_S, next lease deadline - now, next
         pending.not_before - now)``.  A pending chunk that is already
-        ready imposes none: it is waiting for a worker, and a worker
-        frees up only through a report or an exit.
+        ready imposes none while every live worker is busy: it is waiting
+        for a worker, and a worker frees up only through a report or an
+        exit.  One that came due since ``_assign`` read the clock, with a
+        live worker idle, makes the timeout 0: nothing else would wake
+        the loop to lease it.
         """
         before = self._clock()
         # objects[0] is the result pipe (SimpleQueue has no public handle
@@ -333,7 +336,13 @@ class Supervisor(ChunkExecutor):
             if worker.lease_deadline - before < timeout:
                 timeout = worker.lease_deadline - before
         for chunk in pending:
-            if before < chunk.not_before < before + timeout:
+            if chunk.not_before <= before:
+                if len(busy) < len(pool) and any(
+                    w.busy is None and w.proc.is_alive() for w in pool
+                ):
+                    timeout = 0.0
+                    break
+            elif chunk.not_before < before + timeout:
                 timeout = chunk.not_before - before
         ready = self._wait([reader, *busy], max(0.0, timeout))
         for obj in ready:

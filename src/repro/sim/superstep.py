@@ -225,7 +225,7 @@ def _seed(engine: "Engine", keys: list, uses: np.ndarray, nodes) -> dict:
         "ports": None,
     }
     if engine.config.port_model is PortModel.ONE_PORT:
-        pid = tracker._port_ids[nodes]
+        pid = np.asarray(nodes, dtype=np.intp)  # node u's send port: slot u
         plan["ports"] = {
             "pid": pid,
             "free": tracker._free[pid],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms import ALGORITHMS, get_algorithm
+from repro.algorithms import ALGORITHMS, get_algorithm, list_algorithms
 from repro.errors import NotApplicableError
 
 SQUARE_GRID = ["simple", "cannon", "hje", "diagonal2d"]
@@ -99,3 +99,9 @@ class TestRegistry:
             assert algo.key
             assert algo.name
             assert algo.paper_section
+
+
+def test_list_algorithms_is_the_sorted_registry():
+    keys = list_algorithms()
+    assert keys == sorted(ALGORITHMS) and "cannon" in keys
+    assert [get_algorithm(k) for k in keys] == [ALGORITHMS[k] for k in keys]

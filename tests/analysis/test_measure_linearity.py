@@ -19,7 +19,12 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import ALGORITHMS
-from repro.analysis.measure import extract_coefficients, measure_comm_time
+from repro.analysis.measure import (
+    extract_coefficients,
+    measure_comm_time,
+    measured_vs_model,
+)
+from repro.models.table2 import overhead_coefficients
 from repro.sim import PortModel
 
 #: candidate matrix sizes, smallest applicable one is used per algorithm
@@ -79,3 +84,12 @@ def test_scaling_homogeneity():
     doubled = measure_comm_time("cannon", 16, 16, PortModel.ONE_PORT,
                                 t_s=14.0, t_w=6.0)
     assert doubled == 2.0 * base
+
+
+@pytest.mark.parametrize("key,n,p", [("cannon", 16, 16), ("3d_all", 16, 8)])
+def test_measured_vs_model_pairs_the_engine_with_table2(key, n, p):
+    for port in PortModel:
+        cmp = measured_vs_model(key, n, p, port)
+        assert (cmp.key, cmp.n, cmp.p, cmp.port) == (key, n, p, port)
+        assert cmp.measured == extract_coefficients(key, n, p, port)
+        assert cmp.model == overhead_coefficients(key, n, p, port)

@@ -38,6 +38,7 @@ class TestFIndex:
 class TestBlockPartition2D:
     def test_block_values(self):
         part = BlockPartition2D(4, 2)
+        assert part.block_shape == (2, 2)
         M = numbered(4)
         assert np.array_equal(part.extract(M, 0, 0), [[0, 1], [4, 5]])
         assert np.array_equal(part.extract(M, 1, 1), [[10, 11], [14, 15]])

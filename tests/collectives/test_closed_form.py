@@ -145,14 +145,13 @@ def _run(prog, p, port, superstep, **run_kw):
     )
     result = engine.run(prog)
     tracker = engine.tracker
+    slots = dict(tracker._channel_ids)
+    if port is PortModel.ONE_PORT:  # node u's send port is slot u
+        slots.update({node: node for node in range(p)})
     resources = {
         key: (float(tracker._free[i]), float(tracker._busy[i]), int(tracker._nres[i]))
-        for key, i in tracker._channel_ids.items()
+        for key, i in slots.items()
     }
-    for node, port_view in tracker._send_port.items():
-        resources[node] = (
-            port_view.next_free, port_view.busy_time, port_view.reservations
-        )
     return result, resources
 
 

@@ -100,6 +100,32 @@ class TestCLI:
         assert "legend:" in captured.out
         assert captured.err == ""
 
+    def test_sweep(self, capsys):
+        """One row per value; each cell is the Table 2 overhead and
+        ``best`` names the row's minimizer (``-`` where inapplicable)."""
+        from repro.models.table2 import communication_overhead
+
+        assert main(["sweep", "p", "64", "512", "-n", "16", "--algorithms",
+                     "cannon", "3dd", "--ts", "10", "--tw", "1",
+                     "--no-cache"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "sweep over p (one-port; n=16, t_s=10, t_w=1)"
+        assert lines[1].split() == ["p", "cannon", "3dd", "best"]
+        assert len(lines) == 4
+        for line, p in zip(lines[2:], (64, 512)):
+            value, *cells, best = line.split()
+            assert float(value) == p
+            times = {
+                key: communication_overhead(
+                    key, 16, p, PortModel.ONE_PORT, 10.0, 1.0)
+                for key in ("cannon", "3dd")
+            }
+            assert cells == [
+                "-" if t is None else f"{t:.1f}" for t in times.values()
+            ]
+            live = {k: t for k, t in times.items() if t is not None}
+            assert best == min(live, key=live.get)
+
     def test_table2(self, capsys):
         assert main(["table2", "-n", "16", "-p", "8"]) == 0
         out = capsys.readouterr().out

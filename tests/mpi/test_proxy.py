@@ -4,6 +4,7 @@ only its concern, and an idle layer stands down in its constructor."""
 import inspect
 
 import numpy as np
+import pytest
 
 from repro.algorithms import ABFTMatmul, get_algorithm
 from repro.mpi import (
@@ -15,6 +16,7 @@ from repro.mpi import (
     ReliableContext,
 )
 from repro.sim import MachineConfig, run_spmd
+from repro.sim.machine import MachineParams
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
 
@@ -122,3 +124,46 @@ def test_neighbor_exchange_runs_over_the_layers_own_primitives():
             16, t_s=10.0, t_w=1.0, faults=FaultPlan(seed=3).with_drop_rate(0.05)
         )
         algo.run(A, B, lossy, verify=True, context_factory=ReliableContext)
+
+
+def _recovery_over_full_cube(ctx):
+    cube = ctx.config.cube
+    return RecoveryContext(ctx, cube.subcube(range(cube.dimension), 0))
+
+
+LAYERS = {
+    "reliable": ReliableContext,
+    "integrity": IntegrityContext,
+    "detector": FailureDetectorContext,
+    "recovery": _recovery_over_full_cube,
+}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_layer_forwards_the_local_surface(layer):
+    """``engine``, ``stats``, ``compute``, ``barrier``,
+    ``note_retransmission`` and ``wait`` reach the bare context through
+    each layer: the same objects, the same clocks, the same counters."""
+
+    def run(wrap):
+        def prog(ctx):
+            wrapped = wrap(ctx)
+            assert wrapped.engine is ctx.engine
+            assert wrapped.stats is ctx.stats
+            yield from wrapped.compute(3.0 * (1 + ctx.rank))
+            yield from wrapped.barrier()
+            wrapped.note_retransmission()
+            peer = ctx.rank ^ 1
+            handle = yield from wrapped.irecv(peer)
+            yield from wrapped.send(peer, np.array([float(ctx.rank)]))
+            got = yield from wrapped.wait(handle)
+            return ctx.now, float(got[0]), wrapped.stats.flops
+
+        params = MachineParams(t_s=10.0, t_w=1.0, t_c=0.5)
+        return run_spmd(CFG.with_params(params), prog)
+
+    bare, wrapped = run(lambda ctx: ctx), run(LAYERS[layer])
+    assert wrapped.results == bare.results
+    assert wrapped.results[2] == (bare.total_time, 3.0, 9.0)
+    assert wrapped.network.retransmissions == 4
+    assert wrapped.network == bare.network

@@ -129,6 +129,42 @@ class TestRecoveryContext:
             vrank, got = res.results[phys]
             assert got == float(vrank ^ 1)
 
+    def test_send_recv_and_sendrecv_translate_rank_and_tag(self):
+        """Each point-to-point call maps a virtual peer to its physical
+        subcube member and shifts the tag, both ways: a bare context on
+        the other side sees physical ranks and shifted tags."""
+        cube = Hypercube(3)
+        sub = shrink(cube, [0])
+        member = [sub.member(i) for i in range(sub.num_nodes)]
+        assert member == [4, 5, 6, 7]  # virtual rank v is physical 4 + v
+
+        def prog(ctx):
+            if ctx.rank not in member:
+                return None
+            rctx = RecoveryContext(ctx, sub, tag_shift=100)
+            v = rctx.rank
+            if v == 0:  # virtual send -> bare receive at the physical peer
+                yield from rctx.send(1, np.array([7.0]), tag=3)
+                got = yield from rctx.recv(1, tag=4)
+                return float(got[0])
+            if v == 1:  # bare send -> virtual receive
+                got = yield from ctx.recv(member[0], tag=103)
+                yield from ctx.send(member[0], got + 1.0, tag=104)
+                return float(got[0])
+            if v == 2:  # virtual sendrecv <-> bare pair at the physical peer
+                got = yield from rctx.sendrecv(
+                    3, np.array([2.0]), src=3, send_tag=5, recv_tag=6
+                )
+                return float(got[0])
+            got = yield from ctx.recv(member[2], tag=105)
+            yield from ctx.send(member[2], got * 10.0, tag=106)
+            return float(got[0])
+
+        # a wrong rank or tag on any side leaves a receive unmatched, and
+        # the run fails instead of returning these values
+        res = run_spmd(MachineConfig.create(8, t_s=10.0, t_w=1.0), prog)
+        assert [res.results[m] for m in member] == [8.0, 7.0, 20.0, 2.0]
+
     def test_non_member_is_rejected(self):
         cube = Hypercube(3)
         sub = shrink(cube, [5])

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import CommTimeoutError, CommunicatorError
 from repro.mpi import ACK_BASE, DATA_BASE, Comm, ReliableContext
 from repro.sim import ANY_TAG, FaultPlan, MachineConfig, PortModel, run_spmd
+from repro.sim.ops import TIMED_OUT
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
 
@@ -525,3 +526,25 @@ class TestThroughCommunicators:
         assert np.allclose(runs[0].C, A @ B)
         assert runs[0].total_time == runs[1].total_time
         assert runs[0].result.network == runs[1].result.network
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["bare", "reliable"])
+def test_an_irecv_handle_says_whether_its_timeout_expired(armed):
+    """``handle.timed_out`` is False while pending and after a delivery,
+    True once the window expired (the value is then ``TIMED_OUT``)."""
+
+    def prog(ctx):
+        c = ReliableContext(ctx, force_protocol=True) if armed else ctx
+        if ctx.rank == 1:
+            yield from c.send(0, np.ones(2), tag=8)
+            return None
+        if ctx.rank != 0:
+            return None
+        late = yield from c.irecv(1, tag=7, timeout=500.0)
+        sent = yield from c.irecv(1, tag=8, timeout=500.0)
+        assert not late.timed_out and not sent.timed_out
+        got, expired = yield from c.waitall([sent, late])
+        return got.tolist(), expired is TIMED_OUT, sent.timed_out, late.timed_out
+
+    res = run_spmd(CFG, prog)
+    assert res.results[0] == ([1.0, 1.0], True, False, True)

@@ -11,6 +11,7 @@ the final stream file.
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -422,6 +423,51 @@ def test_cli_submit_shed_echoes_retry_after(tmp_path, capsys):
     assert outcome["shed"] is True
     assert outcome["retry_after"] > 0
     assert "queue full" in outcome["reason"]
+
+
+def test_cli_submit_to_a_locked_state_spools_and_reads_the_ack(tmp_path, capsys):
+    # The service below holds LOCK with this live pid, so ``submit``
+    # cannot journal the job itself: it spools the request, and the
+    # holder's ingest_spool (the daemon's step, run on a thread here)
+    # journals it and acks with the job id.
+    state = tmp_path / "svc"
+    argv = [
+        "submit", "--json", "--state-dir", str(state), "--wait", "30",
+        "sweep", "n", "--values", "64", "128", "-p", "64",
+    ]
+    with _service(tmp_path) as svc:
+        stop = threading.Event()
+
+        def daemon():
+            while not stop.is_set() and not svc.ingest_spool():
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=daemon)
+        thread.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["spooled"] is True and outcome["coalesced"] is False
+        assert [job["id"] for job in svc.jobs()["jobs"]] == [outcome["job"]]
+    assert not list((state / "spool").iterdir())  # request and ack consumed
+
+
+def test_cli_submit_spool_wait_expires_without_an_ack(tmp_path, capsys):
+    state = tmp_path / "svc"
+    with _service(tmp_path):  # holds LOCK; nobody ingests the spool
+        assert main([
+            "submit", "--state-dir", str(state), "--wait", "0.2",
+            "sweep", "n", "--values", "64", "-p", "64",
+        ]) == 1
+    err = capsys.readouterr().err
+    assert "daemon did not ack within 0.2s" in err
+    requests = list((state / "spool").glob("req-*.json"))
+    assert len(requests) == 1
+    assert requests[0].stem[len("req-"):] in err  # left for the next daemon
 
 
 def test_cli_jobs_surfaces_quarantine_and_last_shed(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.regions import region_map
 from repro.errors import ServiceError
-from repro.service.jobs import build_cells, evaluate_chunk, make_spec
+from repro.service.jobs import build_cells, evaluate_chunk, finalize, make_spec
 from repro.sim.machine import PortModel
 
 _LATTICE = {
@@ -68,6 +68,27 @@ class TestRegionMapBackend:
         for a, b in zip(sim_recs, model_recs):
             assert set(a) == set(b) == {"log2_n", "winners", "times"}
             assert len(a["winners"]) == len(b["winners"])
+
+
+class TestChaosJob:
+    @pytest.mark.parametrize("stack", ["none", "protected"])
+    def test_report_matches_the_one_shot_campaign(self, stack):
+        """A chaos job's cells carry the one-shot campaign's fault-free
+        horizon, and its report the same clean count and violations."""
+        from repro.analysis.chaos import run_campaign
+
+        spec = make_spec("chaos", {"trials": 4, "seed": 2026, "stack": stack})
+        cells = build_cells(spec)
+        report = finalize(spec, evaluate_chunk(spec.kind, spec.params, cells))
+        one_shot = run_campaign(
+            trials=4, seed=2026, stack=stack, minimize=False
+        )
+        assert [c["trial"] for c in cells] == [0, 1, 2, 3]
+        assert {c["horizon"] for c in cells} == {one_shot["horizon"]}
+        assert report["horizon"] == one_shot["horizon"]
+        assert report["clean"] == one_shot["clean"]
+        assert report["violations"] == one_shot["violations"]
+        assert report["quarantined_cells"] == []
 
 
 class TestMakeSpecRefusals:

@@ -17,6 +17,7 @@ every block through it.
 
 from __future__ import annotations
 
+import itertools
 import time
 from multiprocessing import connection
 
@@ -299,6 +300,45 @@ def test_events_wake_the_loop_not_the_cap(job, monkeypatch, scenario):
         assert outcomes[3].quarantined
         assert counters.wakes_timeout >= 1
     for i in set(range(len(plan))) - poisoned:
+        assert outcomes[i].records == reference[i]
+
+
+def test_a_retry_due_before_the_block_is_not_slept_on(job):
+    # A failed chunk's backoff can run out between the loop's clock read
+    # for _assign and _block's own read, with the worker idle: nothing
+    # will wake the loop for it, so that block must not wait at all.
+    # Every read of this clock is a virtual second later, far past any
+    # backoff, so each retry is due by the time the loop blocks.
+    spec, cells, plan, reference = job
+    ticks = itertools.count()
+    retrying: set[int] = set()
+    due_timeouts: list[float] = []
+
+    def on_event(event):
+        if event["t"] == "retry":
+            retrying.add(event["chunk"])
+        elif event["t"] == "lease":
+            retrying.discard(event["chunk"])
+
+    def wait(objects, timeout):
+        if retrying and len(objects) == 1:  # the only worker is idle
+            due_timeouts.append(timeout)
+        return connection.wait(objects, min(timeout, 0.05))
+
+    supervisor = Supervisor(
+        workers=1,
+        chaos=ChaosPolicy(poison_chunks=frozenset({3})),
+        max_attempts=2,
+        backoff_base_s=0.01,
+        chunk_deadline_s=1e9,
+        on_event=on_event,
+        clock=lambda: float(next(ticks)),
+        wait=wait,
+    )
+    outcomes = supervisor.run(spec.kind, spec.params, cells, plan)
+    assert outcomes[3].quarantined
+    assert due_timeouts == [0.0]
+    for i in range(3):
         assert outcomes[i].records == reference[i]
 
 

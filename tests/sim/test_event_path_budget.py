@@ -403,9 +403,7 @@ def test_first_touch_of_a_link_or_route_costs_a_handful_of_calls():
     """At large p most links and routes are touched once per run, so the
     cold path of ``reserve_hop`` and ``RouteCache.healthy`` is paid per
     message: 6 calls more than a warm one for a link, 2 for a neighbour's
-    route and 11 for a ten-hop one (were 24, 11 and 29 through
-    ``hop_resources`` — a ``Resource`` view nobody read included — and
-    ``ecube_path``)."""
+    route and 11 for a ten-hop one."""
     from repro.sim.ports import ContentionTracker
     from repro.topology.routing import RouteCache
 

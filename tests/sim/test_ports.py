@@ -6,77 +6,77 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import MachineConfig, PortModel, run_spmd
 from repro.sim.machine import MachineParams
-from repro.sim.ports import ContentionTracker, Resource, ResourceSet
+from repro.sim.ports import ContentionTracker
 
 
 def cfg(port, p=8):
     return MachineConfig.create(p, t_s=10.0, t_w=1.0, port_model=port)
 
 
-class TestResource:
-    def test_fifo_reservation(self):
-        r = Resource("x")
-        s1 = r.earliest_start(0.0)
-        r.hold(s1, 5.0)
-        assert r.earliest_start(0.0) == 5.0
-        assert r.busy_time == 5.0
-        assert r.reservations == 1
-
-    def test_double_booking_rejected(self):
-        r = Resource("x")
-        r.hold(0.0, 10.0)
-        with pytest.raises(SimulationError):
-            r.hold(5.0, 1.0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
-            Resource("x").hold(0.0, -1.0)
-
-    def test_joint_reservation_takes_max(self):
-        a, b = Resource("a"), Resource("b")
-        a.hold(0.0, 7.0)
-        start = ResourceSet.reserve([a, b], ready=2.0, duration=3.0)
-        assert start == 7.0
-        assert b.next_free == 10.0
+def columns(tracker, slot):
+    """``(next free, busy, reservations)`` of one tracker slot."""
+    return (
+        float(tracker._free[slot]),
+        float(tracker._busy[slot]),
+        int(tracker._nres[slot]),
+    )
 
 
 class TestTracker:
     def test_non_neighbor_hop_rejected(self):
         tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
         with pytest.raises(SimulationError):
-            tracker.hop_resources(0, 3)
+            tracker.reserve_hop(0, 3, 0.0, 1.0)
 
-    def test_first_touch_validates_and_views_stay_lazy(self):
-        """``reserve_hop`` resolves a cold hop to column ids without building
-        a view; a non-link is rejected before any slot is allocated, and
-        ``hop_resources`` hands out views over the very slots reserved."""
+    def test_negative_duration_rejected(self):
+        tracker = ContentionTracker(cfg(PortModel.MULTI_PORT))
+        with pytest.raises(SimulationError, match="negative hold duration"):
+            tracker.reserve_hop(0, 1, 0.0, -1.0)
+
+    def test_first_touch_validates_and_caches_the_hop_slots(self):
+        """``reserve_hop`` resolves a cold hop to column ids once; a
+        non-link is rejected before any slot is allocated, and the cached
+        ids name the very slots reserved."""
         tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
         with pytest.raises(SimulationError, match="not a hypercube link"):
             tracker.reserve_hop(0, 3, 0.0, 1.0)
         with pytest.raises(SimulationError, match="not a hypercube link"):
             tracker.reserve_hop(2, 2, 0.0, 1.0)
-        assert tracker.channels_used() == 0
+        assert tracker.channels_used() == 0 and not tracker._hop_ids
         assert tracker.reserve_hop(0, 1, 2.0, 5.0) == 2.0
-        assert not tracker._channel._views  # nobody asked for an object yet
-        channel, port = tracker.hop_resources(0, 1)
-        assert (channel.next_free, channel.busy_time, channel.reservations) == (7.0, 5.0, 1)
-        assert port is tracker._send_port[0] and port.next_free == 7.0
-        assert tracker.hop_resources(0, 1)[0] is channel
+        channel, port = tracker._hop_ids[(0, 1)]
+        assert channel == tracker._channel_ids[(0, 1)]
+        assert columns(tracker, channel) == (7.0, 5.0, 1)
+        assert port == 0 and columns(tracker, port) == (7.0, 5.0, 1)
 
     def test_one_port_has_send_engagement(self):
+        """Node ``u``'s send port is slot ``u``: the first ``p`` slots,
+        before any channel."""
         tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
-        assert len(tracker.hop_resources(0, 1)) == 2  # channel + send port
+        tracker.reserve_hop(5, 4, 0.0, 1.0)
+        assert tracker._hop_ids[(5, 4)] == (8, 5)  # channel + send port
+        assert columns(tracker, 5) == (1.0, 1.0, 1)
+        assert all(columns(tracker, u) == (0.0, 0.0, 0) for u in range(8) if u != 5)
 
     def test_multi_port_channel_only(self):
         tracker = ContentionTracker(cfg(PortModel.MULTI_PORT))
-        assert len(tracker.hop_resources(0, 1)) == 1
+        tracker.reserve_hop(5, 4, 0.0, 1.0)
+        assert tracker._hop_ids[(5, 4)] == (0,)
+
+    def test_joint_reservation_takes_max(self):
+        """A one-port hop starts when its channel *and* the sender's port
+        are both free, then holds both."""
+        tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
+        tracker.reserve_hop(0, 1, 0.0, 7.0)  # port 0 busy until 7
+        assert tracker.reserve_hop(0, 2, 2.0, 3.0) == 7.0  # idle channel
+        assert columns(tracker, tracker._channel_ids[(0, 2)]) == (10.0, 3.0, 1)
+        assert columns(tracker, 0) == (10.0, 10.0, 2)
+        assert tracker.reserve_hop(1, 0, 2.0, 3.0) == 2.0  # full duplex
 
     def test_channel_utilization(self):
         tracker = ContentionTracker(cfg(PortModel.MULTI_PORT))
         tracker.reserve_hop(0, 1, 0.0, 10.0)
-        util = tracker.channel_utilization(20.0)
-        assert util[(0, 1)] == pytest.approx(0.5)
-        assert tracker.channels_used() == len(util) == 1
+        assert tracker.channels_used() == 1
         assert tracker.max_channel_busy() == 10.0
         assert tracker.total_channel_busy() == 10.0
 
@@ -96,8 +96,7 @@ class TestAggregationEdgeCases:
             expected += durations[key]
         assert tracker.total_channel_busy() == expected
         assert tracker.max_channel_busy() == 10.0 / 3.0
-        util = tracker.channel_utilization(1.0)
-        assert util[(1, 0)] == 0.7
+        assert tracker._busy[tracker._channel_ids[(1, 0)]] == 0.7
 
     def test_total_is_the_sorted_key_fold_whatever_the_creation_order(self):
         """Every channel of a 5-cube, created in a shuffled order, each
@@ -130,10 +129,7 @@ class TestAggregationEdgeCases:
         assert starts == [5.0, 5.0, 5.0]
         # exactly at the free boundary: allowed, extends the same channel
         assert tracker.reserve_hop(0, 1, 7.0, 1.0) == 7.0
-        res = tracker._channel_resource(0, 1)
-        assert res.next_free == 8.0
-        assert res.busy_time == 3.0
-        assert res.reservations == 2
+        assert columns(tracker, tracker._channel_ids[(0, 1)]) == (8.0, 3.0, 2)
 
     def test_equal_busy_ties_in_max(self):
         tracker = ContentionTracker(cfg(PortModel.MULTI_PORT))
@@ -145,24 +141,24 @@ class TestAggregationEdgeCases:
         tracker = ContentionTracker(cfg(PortModel.MULTI_PORT))
         assert tracker.total_channel_busy() == 0.0
         assert tracker.max_channel_busy() == 0.0
-        assert tracker.channel_utilization(0.0) == {}
         assert tracker.channels_used() == 0
-        tracker.reserve_hop(0, 1, 0.0, 1.0)
-        assert tracker.channel_utilization(0.0) == {(0, 1): 0.0}
+        tracker.reserve_hop(0, 1, 0.0, 0.0)
+        assert tracker.channels_used() == 1
+        assert tracker.total_channel_busy() == tracker.max_channel_busy() == 0.0
 
-    def test_views_stay_valid_across_column_growth(self):
-        """Resource views hold (store, index), so growing the backing
-        columns must not detach or stale them."""
+    def test_slots_stay_valid_across_column_growth(self):
+        """Cached hop ids are column indices, so growing the columns
+        must keep every slot's state and id."""
         tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
-        res = tracker._channel_resource(0, 1)
-        res.hold(0.0, 3.0)
+        tracker.reserve_hop(0, 1, 0.0, 3.0)
+        ids = tracker._hop_ids[(0, 1)]
         cap = len(tracker._free)
         while tracker._n < cap + 2:  # force at least one _grow()
             tracker._alloc()
-        assert res.next_free == 3.0
-        assert res.busy_time == 3.0
-        assert tracker._channel_resource(0, 1) is res  # cached view
-        res.hold(3.0, 1.0)
+        assert len(tracker._free) > cap
+        assert [columns(tracker, i) for i in ids] == [(3.0, 3.0, 1)] * 2
+        assert tracker.reserve_hop(0, 1, 0.0, 1.0) == 3.0
+        assert tracker._hop_ids[(0, 1)] == ids
         assert tracker.total_channel_busy() == 4.0
 
     def test_one_port_send_port_aggregation_excluded_from_channels(self):
@@ -170,8 +166,10 @@ class TestAggregationEdgeCases:
         statistics."""
         tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
         tracker.reserve_hop(0, 1, 0.0, 6.0)  # holds channel AND send port
-        assert tracker.total_channel_busy() == 6.0
-        assert set(tracker.channel_utilization(6.0)) == {(0, 1)}
+        tracker.reserve_hop(2, 3, 0.0, 9.0)
+        assert tracker.total_channel_busy() == 15.0
+        assert tracker.max_channel_busy() == 9.0
+        assert tracker.channels_used() == 2
 
 
 class TestOnePortSerialization:

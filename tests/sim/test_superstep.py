@@ -239,13 +239,16 @@ def _engines(prog, p, *, timing_only=False, trace=False, **cfg_kw):
 
 
 def _resources(engine):
-    """Every channel's and send port's (next free, busy, reservations)."""
+    """Every channel's and send port's (next free, busy, reservations),
+    read off the tracker's columns (on one-port node ``r``'s port is
+    slot ``r``)."""
     tracker = engine.tracker
-    views = dict(tracker._channel.items())
-    views.update({("port", r): res for r, res in tracker._send_port.items()})
+    slots = dict(tracker._channel_ids)
+    if engine.config.port_model is PortModel.ONE_PORT:
+        slots.update({("port", r): r for r in range(engine.config.num_nodes)})
     return {
-        key: (res.next_free, res.busy_time, res.reservations)
-        for key, res in views.items()
+        key: (float(tracker._free[i]), float(tracker._busy[i]), int(tracker._nres[i]))
+        for key, i in slots.items()
     }
 
 
