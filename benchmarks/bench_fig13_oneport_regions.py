@@ -16,7 +16,6 @@ import pytest
 from _report import format_table, write_report
 from repro.analysis.figures import PANELS, render_ascii
 from repro.analysis.measure import measure_cell
-from repro.analysis.parallel import run_grid
 from repro.analysis.regions import best_algorithm, region_map
 from repro.sim import PortModel
 
@@ -24,11 +23,11 @@ LOG2N, LOG2P = 13, 20
 
 
 @pytest.mark.parametrize("panel", sorted(PANELS))
-def test_fig13_panel(benchmark, panel, jobs):
+def test_fig13_panel(benchmark, panel):
     t_s, t_w = PANELS[panel]
     rm = benchmark(
         region_map, PortModel.ONE_PORT, t_s, t_w,
-        log2_n_max=LOG2N, log2_p_max=LOG2P, jobs=jobs,
+        log2_n_max=LOG2N, log2_p_max=LOG2P,
     )
     art = render_ascii(
         rm, f"Figure 13({panel}) reproduction: one-port, t_s={t_s:g}, t_w={t_w:g}"
@@ -61,20 +60,18 @@ def _measured_cells():
     return cells
 
 
-def test_fig13_measured_winners(benchmark, jobs):
+def test_fig13_measured_winners(benchmark):
     """Validate the region map's t_s=150 winners against *simulated* runs.
 
     This is the expensive, simulation-backed counterpart of the analytic
     panels: every applicable candidate is executed in the event simulator
     at each lattice cell and its measured (a, b) coefficients decide the
-    winner.  The sweep shards across ``--jobs`` worker processes through
-    run_grid — per-cell results are bit-identical for any job count, so
-    the flag only moves wall clock.
+    winner.
     """
     cells = _measured_cells()
     t_s, t_w = PANELS["a"]
 
-    measured = benchmark(run_grid, measure_cell, cells, jobs=jobs)
+    measured = benchmark(lambda: [measure_cell(cell) for cell in cells])
 
     by_cell = {}
     for key, n, p, (a, b) in measured:

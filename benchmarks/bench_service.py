@@ -1,4 +1,4 @@
-"""Service overhead and determinism: SweepService vs direct run_grid.
+"""Service overhead and determinism: SweepService vs direct evaluation.
 
 The crash-safe service wraps every sweep in a WAL journal, a supervised
 worker pool, and a content-addressed chunk cache.  That machinery must

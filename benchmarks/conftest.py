@@ -3,23 +3,5 @@
 import sys
 import pathlib
 
-import pytest
-
 # Make the sibling _report helper importable regardless of rootdir.
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for sweep-style benchmarks (run_grid); "
-        "results are identical for any value, only wall clock changes",
-    )
-
-
-@pytest.fixture
-def jobs(request):
-    """Worker count for benchmarks that shard work through run_grid."""
-    return request.config.getoption("--jobs")

@@ -485,20 +485,15 @@ def _lattice_descriptor(
 def cached_region_map(cache, port, t_s, t_w, **kwargs):
     """:func:`repro.analysis.regions.region_map` through a result cache.
 
-    ``cache=None`` (or a disabled cache) computes directly.  ``jobs`` is
-    deliberately *not* part of the key — the map is proven bit-identical
-    for every jobs value, so all of them share one entry.
+    ``cache=None`` (or a disabled cache) computes directly.
     """
     from repro.analysis.regions import region_map
 
     if cache is None:
         return region_map(port, t_s, t_w, **kwargs)
-    jobs = kwargs.pop("jobs", 1)
     descriptor = _lattice_descriptor(port, t_s, t_w, **kwargs)
     return cache.fetch(
-        "region_map",
-        descriptor,
-        lambda: region_map(port, t_s, t_w, jobs=jobs, **kwargs),
+        "region_map", descriptor, lambda: region_map(port, t_s, t_w, **kwargs)
     )
 
 
@@ -518,7 +513,6 @@ def cached_figure(cache, figure: int, **kwargs):
     if cache is None:
         return build(**kwargs)
     port = PortModel.ONE_PORT if figure == 13 else PortModel.MULTI_PORT
-    jobs = kwargs.pop("jobs", 1)
     descriptor = {
         "figure": figure,
         "panels": {
@@ -527,7 +521,7 @@ def cached_figure(cache, figure: int, **kwargs):
         "lattice": _lattice_descriptor(port, 0.0, 0.0, **kwargs),
     }
     return cache.fetch(
-        "figure_panels", descriptor, lambda: build(jobs=jobs, **kwargs)
+        "figure_panels", descriptor, lambda: build(**kwargs)
     )
 
 

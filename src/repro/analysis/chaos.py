@@ -44,7 +44,7 @@ Every trial is a pure function of ``(campaign seed, trial index)``:
 matrices, fault atoms and the plan's RNG seed all derive from
 ``default_rng([seed, trial])``, and the driver precomputes the fault-free
 horizon once, so a campaign is bit-identical across reruns and across
-any ``--jobs`` setting (``run_grid`` merges shards in submission order).
+however the sweep service shards its trials over workers.
 
 Coverage limits (by design)
 ---------------------------
@@ -66,7 +66,6 @@ import numpy as np
 
 from repro.algorithms import get_algorithm
 from repro.algorithms.abft import ABFTMatmul
-from repro.analysis.parallel import run_grid
 from repro.errors import (
     DeadlockError,
     LivelockError,
@@ -195,7 +194,7 @@ def plan_from_atoms(atoms: list[dict[str, Any]], seed: int) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# one trial (module-level and picklable for run_grid)
+# one trial (module-level and picklable for the service's workers)
 # ---------------------------------------------------------------------------
 
 
@@ -420,7 +419,6 @@ def run_campaign(
     algorithm: str = "cannon",
     n: int = 8,
     p: int = 16,
-    jobs: int = 1,
     minimize: bool = True,
     check_replay: bool = True,
     only_trial: int | None = None,
@@ -431,11 +429,11 @@ def run_campaign(
 ) -> dict[str, Any]:
     """Run a seeded chaos campaign; returns the JSON-able report.
 
-    The report is a pure function of every parameter except ``jobs``,
-    which only shards the work (``run_grid`` keeps the merge order
-    deterministic).  ``only_trial`` replays a single trial —
-    optionally restricted to ``atom_subset`` indices of its sampled
-    fault atoms — which is the reproducer form the minimizer emits.
+    The report is a pure function of its parameters, one
+    :func:`_run_trial` call per trial.  ``only_trial`` replays a single
+    trial — optionally restricted to ``atom_subset`` indices of its
+    sampled fault atoms — which is the reproducer form the minimizer
+    emits.
 
     ``severity`` > 0 layers a seeded heterogeneous network scenario
     (:func:`~repro.sim.scenario.random_heterogeneous` at
@@ -471,7 +469,7 @@ def run_campaign(
         }
         for t in wanted
     ]
-    records = run_grid(_run_trial, cells, jobs=jobs)
+    records = [_run_trial(cell) for cell in cells]
 
     violations = []
     for cell, record in zip(cells, records):
@@ -501,12 +499,13 @@ def run_campaign(
 def _report_digest(report: dict[str, Any]) -> str:
     """Stable fingerprint of a campaign's (or a degradation sweep's) outcome.
 
-    Invariant across ``--jobs`` settings and across reruns: ``detail``
-    strings are excluded because the engine's diagnostics embed
-    process-global message/handle counters, which depend on how trials
-    were sharded over workers — everything semantic (trial outcomes,
-    violation kinds, fault atoms, minimized reproducers; a sweep's cell
-    outcomes, times, overheads and ranking) is covered.
+    Invariant across reruns and across the sweep service's worker
+    counts: ``detail`` strings are excluded because the engine's
+    diagnostics embed process-global message/handle counters, which
+    depend on how trials were sharded over workers — everything
+    semantic (trial outcomes, violation kinds, fault atoms, minimized
+    reproducers; a sweep's cell outcomes, times, overheads and ranking)
+    is covered.
     """
 
     def strip(obj):

@@ -16,15 +16,15 @@ comparable.
 Outputs:
 
 * :func:`severity_sweep` — the raw grid of :class:`DegradationPoint`
-  cells, evaluated through :func:`~repro.analysis.parallel.run_grid`
-  (bit-identical for any ``jobs``),
+  cells, one pure function per cell (the sweep service leases the same
+  cells to its workers),
 * :func:`degradation_report` — a JSON-able report ranking algorithms by
   overhead growth (the *most graceful degrader* first), carrying a
-  jobs-invariant digest in the chaos-report style,
+  replay-invariant digest in the chaos-report style,
 * :func:`graceful_region_map` — a region-map variant: for each matrix
   size, which algorithm degrades most gracefully at a given severity,
 * ``repro degrade`` — the CLI over all of the above (``--check`` reruns
-  with different sharding and replays, failing on any digest mismatch).
+  the report and fails on any digest mismatch).
 
 Everything is a pure function of its seeds: matrices from ``seed``, the
 scenario from ``(profile, severity, scenario_seed)``, no wall-clock
@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.chaos import _report_digest
-from repro.analysis.parallel import run_grid
 from repro.errors import ReproError, SimulationError
 from repro.sim.machine import MachineConfig, PortModel
 from repro.sim.scenario import (
@@ -182,14 +181,13 @@ def severity_sweep(
     t_w: float = 3.0,
     port_model: PortModel = PortModel.ONE_PORT,
     max_events: int = 5_000_000,
-    jobs: int = 1,
 ) -> list[DegradationPoint]:
     """Run each algorithm at each severity; one point per cell.
 
-    Cells are evaluated through :func:`~repro.analysis.parallel.run_grid`
-    and baselines (severity 0 on the uniform machine) are computed once
-    per algorithm inside the same grid, so the whole sweep is
-    bit-identical for any ``jobs`` value.  Runs that raise a
+    Each cell is one pure :func:`_run_cell` call, and baselines (severity
+    0 on the uniform machine) are computed once per algorithm inside the
+    same grid, so the sweep service, which leases these cells to its
+    workers, reproduces it bit for bit.  Runs that raise a
     :class:`~repro.errors.ReproError` are recorded as failed cells, not
     propagated.
     """
@@ -199,7 +197,7 @@ def severity_sweep(
         adaptive=adaptive, t_s=t_s, t_w=t_w, port_model=port_model,
         max_events=max_events,
     )
-    records = run_grid(_run_cell, cells, jobs=jobs)
+    records = [_run_cell(cell) for cell in cells]
     return points_from_records(algorithms, records)
 
 
@@ -288,21 +286,20 @@ def degradation_report(
     t_w: float = 3.0,
     port_model: PortModel = PortModel.ONE_PORT,
     max_events: int = 5_000_000,
-    jobs: int = 1,
 ) -> dict[str, Any]:
     """The JSON-able graceful-degradation report for one (n, p) point.
 
     Ranks the algorithms by overhead growth across the severity axis —
     the smallest growth is the *most graceful degrader*.  The report is
-    a pure function of every parameter except ``jobs`` and carries a
-    ``digest`` invariant across reruns, replays, and sharding.
+    a pure function of its parameters and carries a ``digest`` invariant
+    across reruns, replays, and the sweep service's sharding.
     """
     keys = [k for k in algorithms if get_algorithm(k).applicable(n, p)]
     points = severity_sweep(
         keys, n, p, severities,
         profile=profile, scenario_seed=scenario_seed, seed=seed,
         adaptive=adaptive, t_s=t_s, t_w=t_w, port_model=port_model,
-        max_events=max_events, jobs=jobs,
+        max_events=max_events,
     )
     return report_from_points(
         keys, points,
@@ -391,7 +388,6 @@ def graceful_region_map(
     seed: int = 0,
     t_s: float = 150.0,
     t_w: float = 3.0,
-    jobs: int = 1,
     max_events: int = 5_000_000,
 ) -> dict[str, Any]:
     """The *most graceful degrader* across matrix sizes at one severity.
@@ -411,7 +407,7 @@ def graceful_region_map(
         points = severity_sweep(
             keys, n, p, [severity],
             profile=profile, scenario_seed=scenario_seed, seed=seed,
-            t_s=t_s, t_w=t_w, jobs=jobs, max_events=max_events,
+            t_s=t_s, t_w=t_w, max_events=max_events,
         )
         per_algo: dict[str, list[DegradationPoint]] = {k: [] for k in keys}
         for pt in points:

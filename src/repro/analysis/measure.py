@@ -82,10 +82,10 @@ def measure_cell(
 ) -> tuple[str, int, int, tuple[float, float]]:
     """:func:`extract_coefficients` over one plain-data task tuple.
 
-    The module-level worker for sharding a grid of ``(key, n, p, port)``
-    cells across processes with :func:`repro.analysis.parallel.run_grid`;
-    returns the cell identity along with the measured ``(a, b)`` pair so
-    the merged results are self-describing.
+    One cell of a ``(key, n, p, port)`` grid, module-level and
+    plain-data so a grid of them can be evaluated anywhere; returns the
+    cell identity along with the measured ``(a, b)`` pair so the merged
+    results are self-describing.
     """
     key, n, p, port = task
     return (key, n, p, extract_coefficients(key, n, p, port))

@@ -1,40 +1,31 @@
-"""Deterministic parallel execution of embarrassingly-parallel sweeps.
+"""Chunk planning for the sweep service, the repo's one parallel executor.
 
-Region maps, coefficient sweeps, and resilience grids all evaluate one
-pure function over many independent cells.  :func:`run_grid` shards such a
-grid over a :class:`~concurrent.futures.ProcessPoolExecutor` while keeping
-the result *bit-identical* to the sequential evaluation:
+Region maps, coefficient sweeps, degradation and chaos grids all
+evaluate one pure function over many independent cells.  Evaluated in
+process they are plain loops; to use more cores, submit the grid to the
+sweep service (``repro submit ...`` then ``repro serve --workers N``),
+which leases contiguous chunks of cells to supervised workers.  This
+module is that service's partitioning:
 
-* **Deterministic partitioning** — cells are split into contiguous chunks
-  of a fixed, input-derived size, never by worker availability, so the
-  same inputs always produce the same shards.
-* **Ordered merge** — chunk results are concatenated in submission order
-  (worker completion order never matters), so ``run_grid(f, cells,
-  jobs=k)`` returns exactly ``[f(c) for c in cells]`` for every ``k``.
+* :func:`default_jobs` / :func:`resolve_jobs` — the worker count, resolved
+  once per job so the chunk plan can be journaled;
+* :func:`plan_chunks` — deterministic contiguous chunk boundaries,
+  derived from the cell count, worker count and chunk size only, never
+  from worker availability, so the same inputs always shard identically;
+* :func:`contiguous_spans` — chunk index sets collapsed into spans.
 
-Each worker process evaluates its cells with its own private simulator
-state (engines, route caches, fault RNG streams are all built per run
-from seeds), so parallelism cannot perturb any simulated timing — a
-property pinned by the replay-determinism test suite.
-
-``jobs <= 1`` bypasses the pool entirely (no pickling requirement); with
-a pool, ``fn`` and the cells must be picklable (module-level functions,
-plain-data cells).
+Each worker evaluates its cells with its own private simulator state
+(engines, route caches, fault RNG streams are all built per run from
+seeds), and the service merges records in cell order, so the sealed
+report does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable
 
-__all__ = [
-    "run_grid", "default_jobs", "resolve_jobs", "plan_chunks",
-    "contiguous_spans",
-]
-
-C = TypeVar("C")
-R = TypeVar("R")
+__all__ = ["default_jobs", "resolve_jobs", "plan_chunks", "contiguous_spans"]
 
 
 def default_jobs() -> int:
@@ -70,14 +61,14 @@ def default_jobs() -> int:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """The effective worker count for one grid run, resolved exactly once.
+    """The effective worker count for one job, resolved exactly once.
 
     ``None`` consults :func:`default_jobs` (and therefore ``REPRO_JOBS``)
     *at this call*, so the environment is read one time per run and the
     resolved value can be recorded (the sweep service journals it in the
     chunk plan).  A later ``REPRO_JOBS`` change can never re-shard work
     that was planned under the old value.  Explicit non-positive values
-    degrade to 1, matching :func:`run_grid`'s historical behaviour.
+    degrade to 1.
     """
     if jobs is None:
         return default_jobs()
@@ -85,55 +76,23 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def plan_chunks(
-    n_cells: int,
-    jobs: int,
-    chunk_size: int | None = None,
-    *,
-    weights: Sequence[float] | None = None,
+    n_cells: int, jobs: int, chunk_size: int | None = None
 ) -> list[tuple[int, int]]:
     """Deterministic contiguous chunk boundaries for an ``n_cells`` grid.
 
     Returns ``[(start, stop), ...]`` half-open index ranges covering
     ``range(n_cells)`` in order.  The partition depends only on
-    ``(n_cells, jobs, chunk_size, weights)`` — never on scheduling or
-    worker availability — so the same inputs always shard identically.
-    This is the single source of truth for sharding: :func:`run_grid`
-    splits its cell list with it, and the sweep-service supervisor leases
-    exactly these ranges to workers (and journals them, so a resumed job
-    re-uses the recorded plan verbatim).
+    ``(n_cells, jobs, chunk_size)`` — never on scheduling or worker
+    availability — so the same inputs always shard identically.  The
+    sweep-service supervisor leases exactly these ranges to workers (and
+    journals them, so a resumed job re-uses the recorded plan verbatim).
 
     ``chunk_size=None`` targets about four chunks per worker — small
     enough to balance load, large enough to amortize pickling.
-
-    ``weights`` (one non-negative cost estimate per cell) replaces the
-    count-based split with a cost-based one: contiguous chunks each
-    carrying roughly ``total/(jobs*4)`` of the estimated cost.  Cells
-    whose simulated cost varies by orders of magnitude (a region-map row
-    mixing superstep-batched Cannon points with event-path 3D collectives)
-    shard evenly instead of serializing behind one heavy chunk.  Weights
-    only steer the partition — results never depend on them.  An explicit
-    ``chunk_size`` takes precedence.
     """
     if n_cells <= 0:
         return []
     jobs = max(1, jobs)
-    if weights is not None and chunk_size is None:
-        if len(weights) != n_cells:
-            raise ValueError(
-                f"weights has {len(weights)} entries for {n_cells} cells"
-            )
-        if any(w < 0 for w in weights):
-            raise ValueError("chunk weights must be non-negative")
-        target = sum(weights) / (jobs * 4)
-        bounds: list[tuple[int, int]] = []
-        start, acc = 0, 0.0
-        for i, w in enumerate(weights):
-            if i > start and acc + w > target:
-                bounds.append((start, i))
-                start, acc = i, 0.0
-            acc += w
-        bounds.append((start, n_cells))
-        return bounds
     if chunk_size is None:
         chunk_size = max(1, -(-n_cells // (jobs * 4)))
     elif chunk_size < 1:
@@ -161,66 +120,3 @@ def contiguous_spans(indices: Iterable[int]) -> list[tuple[int, int]]:
         else:
             spans.append((i, i + 1))
     return spans
-
-
-def _run_chunk(fn: Callable[[C], R], chunk: Sequence[C]) -> list[R]:
-    """Evaluate one shard in a worker (module-level, hence picklable)."""
-    return [fn(cell) for cell in chunk]
-
-
-def run_grid(
-    fn: Callable[[C], R],
-    cells: Iterable[C],
-    *,
-    jobs: int | None = 1,
-    chunk_size: int | None = None,
-    weights: Sequence[float] | None = None,
-) -> list[R]:
-    """``[fn(c) for c in cells]``, optionally sharded over processes.
-
-    Parameters
-    ----------
-    fn:
-        A pure function of one cell.  Must be picklable (module-level)
-        when ``jobs > 1``.
-    cells:
-        The grid; consumed once, evaluated in order.
-    jobs:
-        Worker processes.  ``None`` resolves :func:`default_jobs` exactly
-        once, here, and uses that fixed value for the whole run (a
-        mid-run ``REPRO_JOBS`` change cannot re-shard in-flight work);
-        ``<= 1`` evaluates inline with no pool and no pickling
-        requirement; ``0``/negative are treated as 1.
-    chunk_size:
-        Cells per shard.  Defaults to splitting the grid into about four
-        chunks per worker — small enough to balance load, large enough to
-        amortize pickling.  The partition (:func:`plan_chunks`) depends
-        only on the cell count, ``jobs``, and this value, never on
-        scheduling, so results are reproducible run to run.
-    weights:
-        Optional per-cell cost estimates for the cost-based partition
-        (see :func:`plan_chunks`).  Purely a load-balancing hint: results
-        are bit-identical with or without it.
-
-    Returns the results in cell order, identical to the sequential
-    evaluation regardless of ``jobs``.
-    """
-    cell_list = list(cells)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(cell_list) <= 1:
-        return [fn(cell) for cell in cell_list]
-    jobs = min(jobs, len(cell_list))
-    chunks = [
-        cell_list[start:stop]
-        for start, stop in plan_chunks(
-            len(cell_list), jobs, chunk_size, weights=weights
-        )
-    ]
-    out: list[R] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-        # Collect in submission (= input) order: the merge is ordered by
-        # construction, so worker scheduling cannot reorder results.
-        for future in futures:
-            out.extend(future.result())
-    return out

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.parallel import run_grid
 from repro.errors import ModelError
 from repro.models.table2 import communication_overhead, winner_grids
 from repro.sim.machine import PortModel
@@ -211,29 +210,6 @@ def _sim_row(
     return row_w, row_t
 
 
-def _sim_row_weight(
-    ln: float, log2_p: tuple[float, ...], algos: tuple[str, ...]
-) -> float:
-    """Estimated cost of one simulated lattice row, for chunk planning.
-
-    Every candidate runs its phases in closed form, a few engine events
-    per rank, so a point costs about ``p`` per applicable candidate.  Rows
-    near the top of the ``p`` range are therefore orders of magnitude
-    heavier than the rest — exactly the skew
-    :func:`~repro.analysis.parallel.plan_chunks` weights exist for.
-    """
-    from repro.algorithms import get_algorithm
-
-    n = int(round(2.0 ** ln))
-    weight = 0.0
-    for lp in log2_p:
-        p = int(round(2.0 ** lp))
-        for key in algos:
-            if get_algorithm(key).applicable(n, p):
-                weight += p
-    return weight or 1.0
-
-
 def region_map(
     port: PortModel,
     t_s: float,
@@ -244,7 +220,6 @@ def region_map(
     log2_n_min: int = 1,
     log2_p_min: int = 2,
     algorithms: tuple[str, ...] | None = None,
-    jobs: int = 1,
     backend: str = "model",
 ) -> RegionMap:
     """Compute the best-algorithm map on an integer log₂ lattice.
@@ -255,14 +230,15 @@ def region_map(
 
     ``backend="model"`` (default) evaluates the Table 2 closed forms over
     the whole lattice in one shot (:func:`repro.models.table2
-    .winner_grids`); ``jobs`` is irrelevant there.
+    .winner_grids`).
 
     ``backend="sim"`` times each candidate in the discrete-event engine
-    instead (see :func:`_sim_row`); rows are sharded over ``jobs`` worker
-    processes with cost weights (:func:`_sim_row_weight`) because
-    simulated rows get heavier with ``p``, and every ``jobs`` value
-    produces the same map.  Pass a *restricted* lattice — the default
-    figure lattice is model-sized, not simulation-sized.
+    instead (see :func:`_sim_row`), one lattice row at a time.  To spread
+    the rows over several cores, submit the map to the sweep service
+    (``repro submit region-map --backend sim`` then ``repro serve
+    --workers N``); it evaluates the same rows and seals the same map.
+    Pass a *restricted* lattice — the default figure lattice is
+    model-sized, not simulation-sized.
     """
     if log2_n_min > log2_n_max or log2_p_min > log2_p_max:
         raise ModelError("empty lattice for region map")
@@ -280,14 +256,11 @@ def region_map(
             algos, n_values, p_values, port, t_s, t_w
         )
     else:
-        tasks = [(port, t_s, t_w, ln, tuple(log2_p), algos) for ln in log2_n]
-        weights = [
-            _sim_row_weight(ln, tuple(log2_p), algos) for ln in log2_n
-        ]
         index = {key: k for k, key in enumerate(algos)}
         rows_w: list[list[int]] = []
         rows_t: list[list[float]] = []
-        for row_w, row_t in run_grid(_sim_row, tasks, jobs=jobs, weights=weights):
+        for ln in log2_n:
+            row_w, row_t = _sim_row((port, t_s, t_w, ln, tuple(log2_p), algos))
             rows_w.append([-1 if w is None else index[w] for w in row_w])
             rows_t.append(row_t)
         winner_idx = np.array(rows_w, dtype=np.int16)

@@ -207,8 +207,7 @@ def _cmd_figure(args) -> int:
     t_s, t_w = PANELS[args.panel]
     rm = cached_region_map(
         _cache(args), port, t_s, t_w,
-        log2_n_max=args.log2n, log2_p_max=args.log2p, jobs=args.jobs,
-        backend=args.backend,
+        log2_n_max=args.log2n, log2_p_max=args.log2p, backend=args.backend,
     )
     title = (
         f"Figure {args.figure}({args.panel}): {port.value}, "
@@ -441,7 +440,6 @@ def _cmd_chaos(args) -> int:
         algorithm=args.algorithm,
         n=args.n,
         p=args.p,
-        jobs=args.jobs,
         minimize=not args.no_minimize,
         check_replay=not args.no_replay_check,
         only_trial=args.only_trial,
@@ -484,18 +482,17 @@ def _cmd_degrade(args) -> int:
               file=sys.stderr)
         return 1
 
-    def compute(jobs):
+    def compute():
         return degradation_report(
             keys, args.n, args.p, args.severities,
             profile=args.profile, scenario_seed=args.scenario_seed,
             seed=args.seed, adaptive=not args.oblivious,
             t_s=args.ts, t_w=args.tw, port_model=_port(args.port),
-            jobs=jobs,
         )
 
     cache = _cache(args)
     if cache is None:
-        report = compute(args.jobs)
+        report = compute()
     else:
         descriptor = {
             "algorithms": list(keys),
@@ -510,27 +507,22 @@ def _cmd_degrade(args) -> int:
             "t_w": float(args.tw),
             "port": _port(args.port).value,
         }
-        report = cache.fetch(
-            "degradation_report", descriptor, lambda: compute(args.jobs)
-        )
+        report = cache.fetch("degradation_report", descriptor, compute)
     print(format_degradation_table(report))
     if args.json:
         with open(args.json, "w") as fh:
             _json.dump(report, fh, indent=2, default=repr)
         print(f"report written to {args.json}")
     if args.check:
-        alt_jobs = 2 if args.jobs == 1 else 1
-        replay = compute(alt_jobs)
+        replay = compute()
         if replay["digest"] != report["digest"]:
             print(
                 f"error: replay digest mismatch "
-                f"(jobs={args.jobs}: {report['digest']}, "
-                f"jobs={alt_jobs}: {replay['digest']})",
+                f"(report: {report['digest']}, replay: {replay['digest']})",
                 file=sys.stderr,
             )
             return 1
-        print(f"replay check OK: digest {report['digest']} invariant "
-              f"across jobs={args.jobs} and jobs={alt_jobs}")
+        print(f"replay check OK: digest {report['digest']} reproduced")
     return 0
 
 
@@ -871,10 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--log2n", type=int, default=13)
     p_fig.add_argument("--log2p", type=int, default=20)
     p_fig.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for --backend sim rows (same map for any value)",
-    )
-    p_fig.add_argument(
         "--backend", choices=["model", "sim"], default="model",
         help="model = Table 2 closed forms (default); sim = time each "
              "candidate in the engine (keep --log2p modest)",
@@ -980,10 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("-n", type=int, default=8)
     p_ch.add_argument("-p", type=int, default=16)
     p_ch.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (same report and digest for any value)",
-    )
-    p_ch.add_argument(
         "--only-trial", type=int, default=None,
         help="replay a single trial instead of the whole campaign",
     )
@@ -1057,13 +1041,9 @@ def build_parser() -> argparse.ArgumentParser:
              "paths even on slow links)",
     )
     p_dg.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (same report and digest for any value)",
-    )
-    p_dg.add_argument(
         "--check", action="store_true",
-        help="rerun with different sharding and fail on digest mismatch "
-             "(CI gate for replay determinism and jobs-invariance)",
+        help="recompute the report and fail on digest mismatch "
+             "(CI gate for replay determinism)",
     )
     p_dg.add_argument(
         "--json", default=None, metavar="FILE",
@@ -1222,7 +1202,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_dir(p_sv)
     p_sv.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS or CPU count)",
+        help="worker processes (default: $REPRO_JOBS, else half the CPUs "
+             "this process may run on, at least 1)",
     )
     p_sv.add_argument("--chunk-size", type=int, default=None)
     p_sv.add_argument(

@@ -2,8 +2,7 @@
 
 Every artefact family the service serves — Table 2 axis sweeps, region
 maps, graceful-degradation reports, chaos campaigns — already reduces to
-*one pure function over many independent cells* (that is what
-:func:`~repro.analysis.parallel.run_grid` exploits).  This module gives
+*one pure function over many independent cells*.  This module gives
 each family a uniform shape the supervisor can lease chunk by chunk:
 
 ``normalize(params)``

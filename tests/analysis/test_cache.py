@@ -247,13 +247,6 @@ class TestCachedWrappers:
         assert np.array_equal(warm.times, direct.times, equal_nan=True)
         assert np.array_equal(cold.times, warm.times, equal_nan=True)
 
-    def test_cached_region_map_jobs_not_in_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        kwargs = dict(log2_n_max=5, log2_p_max=6)
-        cached_region_map(cache, ONE, 150.0, 3.0, jobs=1, **kwargs)
-        cached_region_map(cache, ONE, 150.0, 3.0, jobs=4, **kwargs)
-        assert cache.hits == 1 and cache.misses == 1
-
     def test_cached_region_map_none_cache_computes(self):
         rm = cached_region_map(None, ONE, 150.0, 3.0, log2_n_max=4, log2_p_max=4)
         assert rm.winners

@@ -1,9 +1,10 @@
-"""Tests for worker-count selection (``default_jobs``).
+"""Tests for the sweep service's worker count and chunk planner.
 
-``run_grid``'s bit-identity across jobs/chunk sizes is pinned by the
-replay-determinism suite; this module covers the ``default_jobs``
-precedence chain: ``REPRO_JOBS`` env override, then the CPU affinity
-mask, then ``os.cpu_count()``, with the visible-CPU count halved.
+This module covers the ``default_jobs`` precedence chain: ``REPRO_JOBS``
+env override, then the CPU affinity mask, then ``os.cpu_count()``, with
+the visible-CPU count halved; and the ``plan_chunks`` partition.  That
+the service's sealed digests do not depend on the worker count is pinned
+in ``tests/service/test_service.py``.
 """
 
 import os
@@ -12,11 +13,6 @@ import pytest
 
 import repro.analysis.parallel as parallel_mod
 from repro.analysis.parallel import default_jobs
-
-
-def _square(cell: int) -> int:
-    """Module-level so worker processes can unpickle it."""
-    return cell * cell
 
 
 class TestDefaultJobs:
@@ -97,9 +93,9 @@ class TestChunkPlanning:
         assert plan_chunks(0, 4) == []
 
     def test_resolve_jobs_reads_env_once(self, monkeypatch):
-        """The satellite fix: run_grid resolves the worker count exactly
-        once per call, so a mid-process REPRO_JOBS change cannot
-        re-shard work already planned."""
+        """The worker count is resolved exactly once per job, so a
+        mid-process REPRO_JOBS change cannot re-shard work already
+        planned."""
         from repro.analysis.parallel import resolve_jobs
 
         monkeypatch.setenv("REPRO_JOBS", "3")
@@ -115,66 +111,3 @@ class TestChunkPlanning:
         assert resolve_jobs(4) == 4
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-3) == 1
-
-
-class TestWeightedChunks:
-    """Cost-weighted planning: same coverage guarantees, balanced cost."""
-
-    def test_weighted_plan_covers_every_cell_exactly_once(self):
-        from repro.analysis.parallel import plan_chunks
-
-        weights = [float(2 ** (i % 11)) for i in range(100)]
-        plan = plan_chunks(100, 4, weights=weights)
-        covered = [i for start, stop in plan for i in range(start, stop)]
-        assert covered == list(range(100))
-
-    def test_weighted_plan_is_deterministic(self):
-        from repro.analysis.parallel import plan_chunks
-
-        weights = [1.0, 5.0, 1.0, 1.0, 20.0, 1.0]
-        assert plan_chunks(6, 2, weights=weights) == plan_chunks(
-            6, 2, weights=weights
-        )
-
-    def test_skewed_weights_isolate_heavy_cells(self):
-        """A tail of heavy cells must not ride in one oversized chunk:
-        every chunk stays near the per-chunk cost target (one cell may
-        overshoot it — chunks are contiguous and never split a cell)."""
-        from repro.analysis.parallel import plan_chunks
-
-        weights = [1.0] * 12 + [100.0] * 4
-        plan = plan_chunks(16, 2, weights=weights)
-        costs = [sum(weights[start:stop]) for start, stop in plan]
-        target = sum(weights) / 8
-        assert all(
-            c <= target or (stop - start) == 1
-            for c, (start, stop) in zip(costs, plan)
-        )
-        # each heavy cell travels alone
-        assert [(start, stop) for start, stop in plan if start >= 12] == [
-            (i, i + 1) for i in range(12, 16)
-        ]
-
-    def test_explicit_chunk_size_overrides_weights(self):
-        from repro.analysis.parallel import plan_chunks
-
-        assert plan_chunks(4, 2, 2, weights=[9.0, 1.0, 1.0, 1.0]) == [
-            (0, 2), (2, 4)
-        ]
-
-    def test_weight_validation(self):
-        from repro.analysis.parallel import plan_chunks
-
-        with pytest.raises(ValueError, match="entries"):
-            plan_chunks(3, 2, weights=[1.0, 1.0])
-        with pytest.raises(ValueError, match="non-negative"):
-            plan_chunks(2, 2, weights=[1.0, -1.0])
-
-    def test_run_grid_with_weights_is_bit_identical(self):
-        from repro.analysis.parallel import run_grid
-
-
-        cells = list(range(37))
-        weights = [float(1 + (i * 7) % 13) for i in cells]
-        expected = [c * c for c in cells]
-        assert run_grid(_square, cells, jobs=2, weights=weights) == expected

@@ -19,7 +19,7 @@ from repro.service import (
     parse_injections,
 )
 from repro.service.hostpool import HostPoolCounters
-from repro.service.jobs import evaluate_chunk
+from repro.service.jobs import build_cells, evaluate_chunk, finalize, make_spec
 from repro.service.lease import ChunkExecutor, LeaseLadder
 from repro.service.supervisor import WAKE_COUNTERS
 
@@ -261,6 +261,25 @@ def test_degrade_digest_matches_direct_report(tmp_path):
     )
     with _service(tmp_path) as svc:
         svc.submit("degrade", DEGRADE)
+        report = svc.run_pending()[0]
+    assert report["digest"] == direct["digest"]
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("degrade", DEGRADE),
+    ("chaos", {"trials": 4, "seed": 2026, "stack": "none"}),
+    ("region_map", {"backend": "sim", "log2_n_min": 3, "log2_n_max": 5,
+                    "log2_p_min": 2, "log2_p_max": 6}),
+], ids=["degrade", "chaos", "region_map"])
+def test_digest_matches_in_process_run(tmp_path, kind, params):
+    """Two forked workers, one cell per chunk, seal the digest of
+    evaluating every cell in this process: each worker rebuilds its own
+    engines, route caches and seeded fault streams, so the worker count
+    never shows in a report."""
+    spec = make_spec(kind, params)
+    direct = finalize(spec, evaluate_chunk(kind, spec.params, build_cells(spec)))
+    with _service(tmp_path) as svc:
+        svc.submit(kind, params)
         report = svc.run_pending()[0]
     assert report["digest"] == direct["digest"]
 
