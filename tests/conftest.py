@@ -66,6 +66,26 @@ def rng_seed(request):
     return request.config.getoption("--rng-seed")
 
 
+@pytest.fixture
+def on_service(tmp_path_factory):
+    """Run one job on a fresh sweep service and return its sealed report.
+
+    The service is the one parallel executor: ``workers`` forked
+    processes (default 2), one cell per chunk, so each worker rebuilds
+    its own engines, route caches and seeded fault streams.  Tests use it
+    to pin that the worker count never shows in a result.
+    """
+    from repro.service import SweepService
+
+    def run(kind: str, params: dict, workers: int = 2) -> dict:
+        state = tmp_path_factory.mktemp(f"svc-{kind}-w{workers}")
+        with SweepService(state, workers=workers, chunk_size=1) as svc:
+            svc.submit(kind, params)
+            return svc.run_pending()[0]
+
+    return run
+
+
 def make_config(
     p: int,
     *,
