@@ -1,9 +1,10 @@
 """Shared reporting for the benchmark harness.
 
-Every bench module regenerates one of the paper's tables/figures.  Besides
-the pytest-benchmark timings, each writes its reproduced artefact (a
-formatted text table or ASCII region map) into ``benchmarks/results/`` so
-the paper-vs-measured comparison survives the run.
+Each bench module writes its reproduced artefact (a formatted text table,
+rendered with :func:`repro.analysis.report.format_table`) into
+``benchmarks/results/`` so the comparison survives the run.  The paper's
+Tables 1–3, claims and Figure 13/14 files there come from
+``python -m repro report -o benchmarks/results`` instead.
 """
 
 from __future__ import annotations
@@ -18,18 +19,3 @@ def write_report(name: str, text: str) -> pathlib.Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text)
     return path
-
-
-def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
-    widths = [
-        max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-        for i, h in enumerate(headers)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"

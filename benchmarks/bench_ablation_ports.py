@@ -12,8 +12,9 @@ Written to ``benchmarks/results/ablation_ports.txt``.
 import numpy as np
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
 from repro.analysis.measure import measure_comm_time
+from repro.analysis.report import format_table
 from repro.collectives import allgather, broadcast
 from repro.mpi import Comm
 from repro.sim import MachineConfig, PortModel, run_spmd

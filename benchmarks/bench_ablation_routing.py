@@ -11,8 +11,9 @@ Written to ``benchmarks/results/ablation_routing.txt``.
 
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
 from repro.analysis.measure import extract_coefficients
+from repro.analysis.report import format_table
 from repro.models.table2 import overhead_coefficients
 from repro.sim import PortModel, RoutingMode
 

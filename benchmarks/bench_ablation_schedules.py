@@ -13,7 +13,8 @@ Written to ``benchmarks/results/ablation_schedules.txt``.
 import numpy as np
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
+from repro.analysis.report import format_table
 from repro.collectives import Schedule, broadcast
 from repro.mpi import Comm
 from repro.sim import MachineConfig, PortModel, run_spmd

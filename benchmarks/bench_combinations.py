@@ -10,8 +10,9 @@ Written to ``benchmarks/results/combinations.txt``.
 import numpy as np
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
 from repro.algorithms import get_algorithm
+from repro.analysis.report import format_table
 from repro.sim import MachineConfig, PortModel
 
 _rows: list[list[str]] = []

@@ -29,9 +29,10 @@ import sys
 import numpy as np
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
 from repro.algorithms import get_algorithm
 from repro.algorithms.abft import ABFTMatmul
+from repro.analysis.report import format_table
 from repro.mpi.integrity import IntegrityContext
 from repro.mpi.reliable import ReliableContext
 from repro.sim.machine import MachineConfig

@@ -26,8 +26,9 @@ import time
 import numpy as np
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
 from repro.algorithms import get_algorithm
+from repro.analysis.report import format_table
 from repro.sim.machine import MachineConfig
 from repro.sim.scenario import hotspot, random_heterogeneous, uniform
 

@@ -16,7 +16,8 @@ Written to ``benchmarks/results/fault_tolerance.txt``.
 
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
+from repro.analysis.report import format_table
 from repro.analysis.resilience import (
     completion_rate,
     degradation_sweep,

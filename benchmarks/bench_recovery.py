@@ -21,7 +21,8 @@ import sys
 
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
+from repro.analysis.report import format_table
 from repro.analysis.resilience import format_recovery_table, recovery_sweep
 
 #: algorithm -> an applicable (n, p) point on a small machine

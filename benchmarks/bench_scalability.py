@@ -12,7 +12,8 @@ Written to ``benchmarks/results/scalability.txt``.
 
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
+from repro.analysis.report import format_table
 from repro.analysis.scalability import isoefficiency_n
 from repro.sim import PortModel
 

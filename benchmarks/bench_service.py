@@ -41,7 +41,8 @@ import sys
 import tempfile
 import time
 
-from _report import format_table, write_report
+from _report import write_report
+from repro.analysis.report import format_table
 
 PARAMS = {
     "algorithms": ["cannon", "berntsen", "3dd", "3d_all"],

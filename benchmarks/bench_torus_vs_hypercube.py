@@ -11,9 +11,10 @@ Written to ``benchmarks/results/torus_vs_hypercube.txt``.
 import numpy as np
 import pytest
 
-from _report import format_table, write_report
+from _report import write_report
 from repro.algorithms import get_algorithm
 from repro.algorithms.torus_cannon import run_cannon_on_torus, torus_machine_like
+from repro.analysis.report import format_table
 from repro.sim import MachineConfig
 
 TS, TW = 10.0, 1.0

@@ -43,7 +43,8 @@ import sys
 import tempfile
 import time
 
-from _report import format_table, write_report
+from _report import write_report
+from repro.analysis.report import format_table
 
 WEIGHTS = {"heavy": 3.0, "light": 1.0}
 JOBS_PER_TENANT = 5

@@ -356,17 +356,16 @@ class ResultCache:
     def verify(
         self,
         *,
-        prune_tmp: bool = True,
         tmp_max_age_s: float = 3600.0,
         partials_dir: str | os.PathLike | None = None,
         live_jobs: "Iterable[str]" = (),
     ) -> dict:
-        """Audit the store for crash debris; optionally remove it.
+        """Audit the store for crash debris and remove the stale part.
 
         :meth:`put` writes to a ``<digest>.tmp.<pid>`` sibling and
         renames it into place — a crash between those two steps leaves
         an orphaned tmp file that no ``get`` will ever read.  ``verify``
-        finds such files and (with ``prune_tmp``) deletes the ones older
+        finds such files and deletes the ones older
         than ``tmp_max_age_s`` seconds; younger ones are assumed to
         belong to a live concurrent writer and are only counted.  It
         also counts corrupt ``.pkl`` entries (``prune`` deletes those),
@@ -389,7 +388,7 @@ class ResultCache:
                     age = now - tmp.stat().st_mtime
                 except OSError:
                     continue
-                if prune_tmp and age >= tmp_max_age_s:
+                if age >= tmp_max_age_s:
                     tmp.unlink(missing_ok=True)
                     tmp_removed += 1
         entries = self._entries()

@@ -20,7 +20,6 @@ from repro.sim.machine import MachineConfig, PortModel, RoutingMode
 __all__ = [
     "measure_comm_time",
     "extract_coefficients",
-    "measure_cell",
     "measured_vs_model",
     "CoefficientComparison",
 ]
@@ -75,20 +74,6 @@ def extract_coefficients(
     a = measure_comm_time(key, n, p, port, t_s=1.0, t_w=0.0, routing=routing)
     b = measure_comm_time(key, n, p, port, t_s=0.0, t_w=1.0, routing=routing)
     return (a, b)
-
-
-def measure_cell(
-    task: tuple[str, int, int, PortModel],
-) -> tuple[str, int, int, tuple[float, float]]:
-    """:func:`extract_coefficients` over one plain-data task tuple.
-
-    One cell of a ``(key, n, p, port)`` grid, module-level and
-    plain-data so a grid of them can be evaluated anywhere; returns the
-    cell identity along with the measured ``(a, b)`` pair so the merged
-    results are self-describing.
-    """
-    key, n, p, port = task
-    return (key, n, p, extract_coefficients(key, n, p, port))
 
 
 @dataclass

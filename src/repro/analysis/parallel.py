@@ -31,28 +31,13 @@ __all__ = ["default_jobs", "resolve_jobs", "plan_chunks", "contiguous_spans"]
 def default_jobs() -> int:
     """Worker count used when a caller asks for "parallel" without a number.
 
-    Precedence, highest first:
-
-    1. ``REPRO_JOBS`` environment variable — used verbatim when it parses
-       as a positive integer (malformed or non-positive values are
-       ignored and fall through);
-    2. the CPU *affinity* mask (``os.sched_getaffinity(0)`` where the
-       platform provides it) — a container or ``taskset`` pinning sees
-       the CPUs it was actually given, not the whole machine;
-    3. ``os.cpu_count()`` as the last resort.
-
-    The visible-CPU count from (2)/(3) is halved (at least one): sweeps
+    Half the CPUs in this process's *affinity* mask
+    (``os.sched_getaffinity(0)`` where the platform provides it, else
+    ``os.cpu_count()``), at least one: a container or ``taskset`` pinning
+    sees the CPUs it was actually given, not the whole machine.  Sweeps
     are CPU-bound pure Python, so hyper-sibling oversubscription buys
     nothing, and leaving headroom keeps interactive use pleasant.
     """
-    env = os.environ.get("REPRO_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs > 0:
-            return jobs
     try:
         visible = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
@@ -63,12 +48,10 @@ def default_jobs() -> int:
 def resolve_jobs(jobs: int | None) -> int:
     """The effective worker count for one job, resolved exactly once.
 
-    ``None`` consults :func:`default_jobs` (and therefore ``REPRO_JOBS``)
-    *at this call*, so the environment is read one time per run and the
+    ``None`` consults :func:`default_jobs` *at this call*, so the
     resolved value can be recorded (the sweep service journals it in the
-    chunk plan).  A later ``REPRO_JOBS`` change can never re-shard work
-    that was planned under the old value.  Explicit non-positive values
-    degrade to 1.
+    chunk plan) and a resumed job never re-shards work planned under
+    another worker count.  Explicit non-positive values degrade to 1.
     """
     if jobs is None:
         return default_jobs()

@@ -1,22 +1,26 @@
-"""One-call reproduction report: every table, figure and claim.
+"""The paper's evaluation, one artefact per function.
 
-:func:`full_report` regenerates the paper's evaluation programmatically —
-Table 1 (measured vs model), Table 2 coefficients, Table 3 space, the
-Figure 13/14 region maps, and the §5 claims — and returns it as one text
-document.  ``hypercube-mm report`` prints it; the benchmark suite produces
-the same artefacts with timing data under ``benchmarks/results/``.
+Each ``*_section`` function returns the exact text of one file under
+``benchmarks/results/``: Tables 1–3 measured against their closed forms,
+the §5/§6 claims checked on the simulator, the Figure 13/14 region maps
+and Figure 13(a)'s winners re-decided by simulated runs.
+:data:`ARTEFACTS` names them all by file name.
+``hypercube-mm report`` prints them; ``hypercube-mm report -o DIR``
+writes ``DIR/<name>.txt``, so ``-o benchmarks/results`` regenerates the
+committed files byte for byte.
 """
 
 from __future__ import annotations
 
-import io
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.algorithms import ALGORITHMS, get_algorithm
 from repro.analysis.figures import PANELS, render_ascii
 from repro.analysis.measure import extract_coefficients, measure_comm_time
-from repro.analysis.regions import region_map
+from repro.analysis.regions import best_algorithm, candidates, region_map
 from repro.collectives import (
     CollectiveCosts,
     allgather,
@@ -27,94 +31,115 @@ from repro.collectives import (
     reduce_scatter,
     scatter,
 )
-from repro.models.table2 import overhead_coefficients
+from repro.models.table2 import OVERHEAD_MODELS, overhead_coefficients
 from repro.models.table3 import SPACE_MODELS, overall_space
 from repro.mpi import Comm
 from repro.sim import MachineConfig, PortModel, run_spmd
 
-__all__ = ["full_report", "table1_section", "table2_section", "table3_section"]
-
-_TABLE2_KEYS = [
-    "simple", "cannon", "hje", "berntsen", "dns",
-    "3dd", "3d_all_trans", "3d_all",
+__all__ = [
+    "ARTEFACTS",
+    "claims_section",
+    "fig13_measured_section",
+    "figure_section",
+    "format_table",
+    "table1_section",
+    "table2_section",
+    "table3_section",
 ]
 
+ONE, MULTI = PortModel.ONE_PORT, PortModel.MULTI_PORT
 
-def _fmt_row(cells: list[str], widths: list[int]) -> str:
-    return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
+#: Table 1's rows: CollectiveCosts pattern -> (label, body on an M-word block)
+TABLE1_ROWS: dict[str, tuple[str, Callable]] = {
+    "broadcast": (
+        "One-to-All Broadcast",
+        lambda comm, M: broadcast(
+            comm, np.ones(M) if comm.rank == 0 else None, root=0
+        ),
+    ),
+    "scatter": (
+        "One-to-All Personalized",
+        lambda comm, M: scatter(
+            comm, [np.ones(M)] * comm.size if comm.rank == 0 else None, root=0
+        ),
+    ),
+    "gather": (
+        "All-to-One Collection",
+        lambda comm, M: gather(comm, np.ones(M), root=0),
+    ),
+    "allgather": (
+        "All-to-All Broadcast",
+        lambda comm, M: allgather(comm, np.ones(M)),
+    ),
+    "alltoall": (
+        "All-to-All Personalized",
+        lambda comm, M: alltoall(comm, [np.ones(M)] * comm.size),
+    ),
+    "reduce": (
+        "All-to-One Reduction",
+        lambda comm, M: reduce(comm, np.ones(M), root=0),
+    ),
+    "reduce_scatter": (
+        "All-to-All Reduction",
+        lambda comm, M: reduce_scatter(comm, [np.ones(M)] * comm.size),
+    ),
+}
 
 
-def _render(headers: list[str], rows: list[list[str]]) -> str:
+def format_table(headers: list[str], rows: list[list], title: str = "") -> str:
+    """Left-aligned columns two spaces apart under a dashed rule."""
     widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+        max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
         for i, h in enumerate(headers)
     ]
-    out = [_fmt_row(headers, widths), _fmt_row(["-" * w for w in widths], widths)]
-    out += [_fmt_row(r, widths) for r in rows]
-    return "\n".join(out)
+    lines = [title] if title else []
+    lines.append("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"
 
 
 def table1_section(N: int = 16, M: int = 32) -> str:
-    """Measured vs Table 1 for every collective and port model."""
-    ops = {
-        "one-to-all broadcast": (
-            lambda comm: broadcast(
-                comm, np.ones(M) if comm.rank == 0 else None, root=0
-            ),
-            CollectiveCosts.broadcast,
-        ),
-        "one-to-all personalized": (
-            lambda comm: scatter(
-                comm, [np.ones(M)] * comm.size if comm.rank == 0 else None, root=0
-            ),
-            CollectiveCosts.scatter,
-        ),
-        "all-to-all broadcast": (
-            lambda comm: allgather(comm, np.ones(M)),
-            CollectiveCosts.allgather,
-        ),
-        "all-to-all personalized": (
-            lambda comm: alltoall(comm, [np.ones(M)] * comm.size),
-            CollectiveCosts.alltoall,
-        ),
-        "all-to-one reduction": (
-            lambda comm: reduce(comm, np.ones(M), root=0),
-            CollectiveCosts.reduce,
-        ),
-        "all-to-all reduction": (
-            lambda comm: reduce_scatter(comm, [np.ones(M)] * comm.size),
-            CollectiveCosts.reduce_scatter,
-        ),
-    }
-    rows = []
-    for label, (body, cost_fn) in ops.items():
-        for port in PortModel:
-            def prog(ctx, body=body):
-                comm = Comm(ctx, list(range(N)))
-                yield from body(comm)
-                return ctx.now
+    """Measured vs Table 1 for every collective and port model.
 
-            a = run_spmd(
-                MachineConfig.create(N, t_s=1, t_w=0, port_model=port), prog
-            ).total_time
-            b = run_spmd(
-                MachineConfig.create(N, t_s=0, t_w=1, port_model=port), prog
-            ).total_time
-            ma, mb = cost_fn(N, M, port)
-            rows.append(
-                [label, str(port), f"({a:g}, {b:g})", f"({ma:g}, {mb:g})"]
+    Each schedule runs once at ``(t_s, t_w) = (1, 0)`` and once at
+    ``(0, 1)``, which reads off its ``(a, b)`` pair exactly.
+    """
+    rows = []
+    for pattern, (label, body) in TABLE1_ROWS.items():
+        def prog(ctx, body=body):
+            yield from body(Comm(ctx, list(range(N))), M)
+            return ctx.now
+
+        for port in PortModel:
+            a, b = (
+                run_spmd(
+                    MachineConfig.create(N, t_s=t_s, t_w=t_w, port_model=port),
+                    prog,
+                ).total_time
+                for t_s, t_w in ((1.0, 0.0), (0.0, 1.0))
             )
-    return (
-        f"TABLE 1 — collectives on an N={N} cube, M={M} words; "
-        "(t_s-term, t_w-term)\n"
-        + _render(["communication", "port", "measured", "model"], rows)
+            ma, mb = getattr(CollectiveCosts, pattern)(N, M, port)
+            rows.append(
+                [label, str(port), f"{a:g}", f"{ma:g}", f"{b:g}", f"{mb:g}"]
+            )
+    return format_table(
+        ["communication", "port model", "a meas", "a model", "b meas", "b model"],
+        rows,
+        title=f"Table 1 reproduction: N={N} hypercube, M={M} words "
+        "(cost = a*t_s + b*t_w)",
     )
 
 
 def table2_section(n: int = 64, p: int = 64) -> str:
-    """Measured vs Table 2 coefficients for every applicable algorithm/port."""
+    """Measured vs Table 2 coefficients for every applicable algorithm/port.
+
+    At the default ``n = p = 64`` all eight algorithms apply (64 is both
+    a square and a cube, and ``p = n^1.5`` is 3D All's boundary).
+    """
     rows = []
-    for key in _TABLE2_KEYS:
+    for key in OVERHEAD_MODELS:
         if not ALGORITHMS[key].applicable(n, p):
             continue
         for port in PortModel:
@@ -124,88 +149,160 @@ def table2_section(n: int = 64, p: int = 64) -> str:
                 [
                     ALGORITHMS[key].name,
                     str(port),
-                    f"({meas[0]:g}, {meas[1]:g})",
-                    f"({model[0]:g}, {model[1]:.4g})" if model else "-",
+                    f"{meas[0]:.1f}",
+                    f"{model[0]:.1f}" if model else "-",
+                    f"{meas[1]:.1f}",
+                    f"{model[1]:.1f}" if model else "-",
                 ]
             )
-    return (
-        f"TABLE 2 — communication overhead (a, b) at n={n}, p={p}; "
-        "time = a*t_s + b*t_w\n"
-        + _render(["algorithm", "port", "measured", "model"], rows)
+    return format_table(
+        ["algorithm", "port model", "a meas", "a model", "b meas", "b model"],
+        rows,
+        title=f"Table 2 reproduction: n={n}, p={p} "
+        "(communication time = a*t_s + b*t_w)",
     )
 
 
 def table3_section(n: int = 32) -> str:
-    """Measured vs Table 3 space for every algorithm."""
-    cases = {
-        "simple": 16, "cannon": 16, "hje": 16, "berntsen": 8,
-        "dns": 8, "3dd": 8, "3d_all_trans": 8, "3d_all": 8,
-    }
-    rng = np.random.default_rng(0)
+    """Measured vs Table 3 overall space (sum of per-node peaks)."""
+    p_of = {"simple": 16, "cannon": 16, "hje": 16}  # 2-D grids; the rest 3-D
+    rng = np.random.default_rng(1)
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
     rows = []
-    for key, p in cases.items():
+    for key, space in SPACE_MODELS.items():
+        p = p_of.get(key, 8)
         run = get_algorithm(key).run(A, B, MachineConfig.create(p))
         measured = run.result.total_peak_memory_words()
         model = overall_space(key, n, p)
         rows.append(
             [
                 ALGORITHMS[key].name,
-                SPACE_MODELS[key].formula,
+                space.formula,
                 f"{model:.0f}",
                 str(measured),
+                f"{measured / model:.2f}",
             ]
         )
-    return (
-        f"TABLE 3 — overall space (words, sum of per-node peaks) at n={n}\n"
-        + _render(["algorithm", "formula", "model", "measured"], rows)
+    return format_table(
+        ["algorithm", "formula", "model words", "measured words", "ratio"],
+        rows,
+        title="Table 3 reproduction: overall space (sum of per-node peaks)",
     )
 
 
 def claims_section() -> str:
-    lines = ["HEADLINE CLAIMS (simulated, t_s=150, t_w=3)"]
+    """The §5/§6 headline claims, each instance run on the simulator.
+
+    1. 3DD ≤ DNS and 3D All ≤ 3D All_Trans on both port models — why the
+       paper carries only the two new algorithms forward.
+    2. 3D All has the least overhead of every applicable algorithm for
+       8 ≤ p ≤ n^1.5.
+    3. HJE beats Cannon on multi-port machines.
+    4. In n^1.5 < p ≤ n², 3DD beats Cannon at t_s = 150 but not as
+       t_s → 0.
+    """
+    t_s, t_w = PANELS["a"]
+    rows = []
+
+    def note(claim: str, instance: str, holds: bool) -> None:
+        rows.append([claim, instance, "HOLDS" if holds else "VIOLATED"])
+
+    def t(key, n, p, port, ts=t_s):
+        return measure_comm_time(key, n, p, port, ts, t_w)
+
     for port in PortModel:
-        t_all = measure_comm_time("3d_all", 64, 64, port, 150, 3)
-        rivals = {
-            k: measure_comm_time(k, 64, 64, port, 150, 3)
-            for k in ("cannon", "berntsen", "3dd", "dns", "3d_all_trans")
-        }
-        ok = all(t_all <= t for t in rivals.values())
-        lines.append(
-            f"  3D All least overhead at n=64, p=64 ({port}): "
-            f"{'HOLDS' if ok else 'VIOLATED'} ({t_all:.0f} vs "
-            + ", ".join(f"{k}={v:.0f}" for k, v in rivals.items())
-            + ")"
-        )
-    hje = measure_comm_time("hje", 64, 64, PortModel.MULTI_PORT, 150, 3)
-    cannon = measure_comm_time("cannon", 64, 64, PortModel.MULTI_PORT, 150, 3)
-    lines.append(
-        f"  HJE < Cannon on multi-port: "
-        f"{'HOLDS' if hje < cannon else 'VIOLATED'} ({hje:.0f} vs {cannon:.0f})"
-    )
-    return "\n".join(lines)
-
-
-def full_report(*, figures: bool = True) -> str:
-    """The complete reproduction: tables, claims, and region maps."""
-    out = io.StringIO()
-    out.write("REPRODUCTION REPORT — Gupta & Sadayappan, SPAA 1994\n")
-    out.write("=" * 66 + "\n\n")
-    out.write(table1_section() + "\n\n")
-    out.write(table2_section() + "\n\n")
-    out.write(table3_section() + "\n\n")
-    out.write(claims_section() + "\n")
-    if figures:
-        for fig, port in ((13, PortModel.ONE_PORT), (14, PortModel.MULTI_PORT)):
-            for panel, (t_s, t_w) in PANELS.items():
-                rm = region_map(port, t_s, t_w, log2_n_max=12, log2_p_max=18)
-                out.write(
-                    "\n"
-                    + render_ascii(
-                        rm,
-                        f"FIGURE {fig}({panel}) — {port}, t_s={t_s:g}, t_w={t_w:g}",
-                    )
-                    + "\n"
+        for n, p in [(16, 8), (32, 64), (64, 64)]:
+            for claim, new, old in (
+                ("3DD <= DNS", "3dd", "dns"),
+                ("3D All <= All_Trans", "3d_all", "3d_all_trans"),
+            ):
+                a, b = t(new, n, p, port), t(old, n, p, port)
+                note(claim, f"n={n} p={p} {port}: {a:.0f} vs {b:.0f}", a <= b)
+    for port in PortModel:
+        for n, p in [(16, 8), (32, 64), (64, 64), (64, 512)]:
+            t_all = t("3d_all", n, p, port)
+            for rival in ("berntsen", "3dd", "dns", "3d_all_trans", "cannon"):
+                if not ALGORITHMS[rival].applicable(n, p):
+                    continue
+                t_rival = t(rival, n, p, port)
+                note(
+                    "3D All best in region",
+                    f"vs {rival} n={n} p={p} {port}: {t_all:.0f} vs {t_rival:.0f}",
+                    t_all <= t_rival,
                 )
-    return out.getvalue()
+    for n, p in [(32, 16), (64, 64), (128, 64)]:
+        hje, cannon = t("hje", n, p, MULTI), t("cannon", n, p, MULTI)
+        note(
+            "HJE < Cannon (multi-port)",
+            f"n={n} p={p}: {hje:.0f} vs {cannon:.0f}",
+            hje < cannon,
+        )
+    n, p = 8, 64  # p = n^2, above n^1.5 ≈ 22.6
+    dd, cannon = t("3dd", n, p, ONE), t("cannon", n, p, ONE)
+    note("3DD < Cannon at t_s=150", f"n={n} p={p}: {dd:.0f} vs {cannon:.0f}",
+         dd < cannon)
+    dd, cannon = t("3dd", n, p, ONE, 0.01), t("cannon", n, p, ONE, 0.01)
+    note("Cannon < 3DD at t_s→0", f"n={n} p={p}: {cannon:.2f} vs {dd:.2f}",
+         cannon < dd)
+    return format_table(
+        ["claim", "instance", "verdict"],
+        rows,
+        title="Paper claims verified on the simulator "
+        f"(t_s={t_s:g}, t_w={t_w:g} unless stated)",
+    )
+
+
+def figure_section(fig: int, panel: str) -> str:
+    """One Figure 13 (one-port) or 14 (multi-port) panel as ASCII art,
+    over the paper's lattice n ≤ 2^13, p ≤ 2^20."""
+    port = {13: ONE, 14: MULTI}[fig]
+    t_s, t_w = PANELS[panel]
+    rm = region_map(port, t_s, t_w, log2_n_max=13, log2_p_max=20)
+    return render_ascii(
+        rm, f"Figure {fig}({panel}) reproduction: {port}, t_s={t_s:g}, t_w={t_w:g}"
+    )
+
+
+def fig13_measured_section() -> str:
+    """Figure 13(a)'s winners re-decided by simulated runs.
+
+    At each (n, p) of a small lattice, every applicable one-port
+    candidate runs on the simulator and its measured ``(a, b)`` prices
+    it at panel (a)'s ``(t_s, t_w)``; the cheapest is set beside the
+    Table 2 winner.  The analytic winner may not be runnable at a point
+    (3D All needs a cubic p).
+    """
+    t_s, t_w = PANELS["a"]
+    rows = []
+    for n in (16, 32):
+        for p in (16, 64):
+            times = {}
+            for key in candidates(ONE):
+                if ALGORITHMS[key].applicable(n, p):
+                    a, b = extract_coefficients(key, n, p, ONE)
+                    times[key] = a * t_s + b * t_w
+            winner = min(times, key=times.get)
+            analytic, _ = best_algorithm(n, p, ONE, t_s, t_w)
+            rows.append([n, p, winner, f"{times[winner]:.0f}", analytic])
+    return format_table(
+        ["n", "p", "simulated winner", "sim time", "analytic winner"],
+        rows,
+        title=f"Figure 13(a) winners, simulated vs Table 2 "
+        f"(t_s={t_s:g}, t_w={t_w:g})",
+    )
+
+
+#: every artefact's function, keyed by its file name (without ``.txt``)
+ARTEFACTS: dict[str, Callable[[], str]] = {
+    "table1": table1_section,
+    "table2": table2_section,
+    "table3": table3_section,
+    "claims": claims_section,
+    **{
+        f"fig{fig}_{panel}": partial(figure_section, fig, panel)
+        for fig in (13, 14)
+        for panel in PANELS
+    },
+    "fig13_measured": fig13_measured_section,
+}

@@ -21,6 +21,9 @@ Subcommands
 ``--no-cache`` (and ``--cache-dir``) to serve repeat invocations from the
 persistent content-addressed result cache; ``REPRO_CACHE=1`` flips the
 default on.  Cached and computed outputs are bit-identical.
+
+``report -o benchmarks/results`` rewrites the committed Tables 1-3,
+claims and Figure 13/14 files byte for byte.
 """
 
 from __future__ import annotations
@@ -272,7 +275,7 @@ def _cmd_trace(args) -> int:
         f"{algo.name}: n={args.n}, p={args.p}, {config.port_model.value}, "
         f"{config.routing.value}, total={run.total_time:g}"
     )
-    ranks = list(range(min(args.p, args.lanes)))
+    ranks = list(range(min(args.p, 16)))  # at most 16 lanes
     print(render_gantt(run.result, width=args.width, ranks=ranks))
     return 0
 
@@ -282,7 +285,7 @@ def _cmd_scalability(args) -> int:
     ps = [float(2 ** k) for k in range(3, args.log2p_max + 1)]
     print(
         f"n required to hold efficiency E={args.efficiency:g} "
-        f"({port.value}, t_s={args.ts:g}, t_w={args.tw:g}, t_c={args.tc_flops:g})"
+        f"({port.value}, t_s={args.ts:g}, t_w={args.tw:g}, t_c=1)"
     )
     keys = args.algorithms or ["cannon", "berntsen", "3dd", "3d_all"]
     header = f"{'p':>10s}" + "".join(f"{k:>14s}" for k in keys)
@@ -291,7 +294,7 @@ def _cmd_scalability(args) -> int:
         row = f"{int(p):10d}"
         for key in keys:
             n = isoefficiency_curve(
-                key, [p], args.efficiency, port, args.ts, args.tw, args.tc_flops
+                key, [p], args.efficiency, port, args.ts, args.tw
             )[0].n_required
             row += f"{n:14.0f}" if n is not None else f"{'-':>14s}"
         print(row)
@@ -401,11 +404,7 @@ def _cmd_cache(args) -> int:
         print(f"removed {cache.clear()} cache entr(ies) from {cache.root}")
         return 0
     if args.action == "verify":
-        audit = cache.verify(
-            prune_tmp=not args.keep_tmp,
-            partials_dir=partials_dir,
-            live_jobs=live_jobs,
-        )
+        audit = cache.verify(partials_dir=partials_dir, live_jobs=live_jobs)
         print(f"cache root : {cache.root}")
         print(f"checked    : {audit['checked']}")
         print(f"corrupt    : {audit['corrupt']}")
@@ -537,8 +536,6 @@ def _service_params(args) -> dict:
         value = getattr(args, cli_name, None)
         if value is not None:
             params[key] = value
-    if getattr(args, "no_adaptive", False):
-        params["adaptive"] = False
     return params
 
 
@@ -820,15 +817,23 @@ def _cmd_jobs(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.analysis.report import full_report
+    import pathlib
 
-    text = full_report(figures=not args.no_figures)
+    from repro.analysis.report import ARTEFACTS
+
+    texts = {
+        name: make()
+        for name, make in ARTEFACTS.items()
+        if not (args.no_figures and name.startswith("fig"))
+    }
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"report written to {args.output}")
+        out = pathlib.Path(args.output)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out / f"{name}.txt").write_text(text)
+        print(f"{len(texts)} artefacts written to {out}")
     else:
-        print(text)
+        print("\n\n".join(text.rstrip("\n") for text in texts.values()))
     return 0
 
 
@@ -895,15 +900,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("-p", type=int, default=8)
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--width", type=int, default=72)
-    p_tr.add_argument("--lanes", type=int, default=16, help="max lanes shown")
     _add_machine_args(p_tr)
     p_tr.set_defaults(func=_cmd_trace)
 
     p_sc = sub.add_parser("scalability", help="isoefficiency curves")
     p_sc.add_argument("-E", "--efficiency", type=float, default=0.8)
     p_sc.add_argument("--log2p-max", type=int, default=15)
-    p_sc.add_argument("--tc-flops", type=float, default=1.0,
-                      help="t_c per flop used for the efficiency model")
     p_sc.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
     _add_cost_args(p_sc)
     p_sc.set_defaults(func=_cmd_scalability)
@@ -1058,10 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ca.add_argument("action", choices=["stats", "clear", "prune", "verify"])
     p_ca.add_argument(
-        "--keep-tmp", action="store_true",
-        help="verify: report orphaned tmp files without removing them",
-    )
-    p_ca.add_argument(
         "--cache-dir", default=None,
         help="cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro-hypercube-mm)",
@@ -1084,9 +1082,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "report", help="regenerate the paper's full evaluation"
     )
-    p_rep.add_argument("-o", "--output", help="write to a file instead of stdout")
     p_rep.add_argument(
-        "--no-figures", action="store_true", help="skip the region maps"
+        "-o", "--output", metavar="DIR",
+        help="write each artefact to DIR/<name>.txt instead of stdout",
+    )
+    p_rep.add_argument(
+        "--no-figures", action="store_true",
+        help="skip the Figure 13/14 artefacts",
     )
     p_rep.set_defaults(func=_cmd_report)
 
@@ -1170,7 +1172,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_k.add_argument("--scenario-seed", type=int, default=None)
     p_k.add_argument("--seed", type=int, default=None)
-    p_k.add_argument("--no-adaptive", action="store_true")
     p_k.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
     p_k.set_defaults(_param_map=[
         ("n", "n"), ("p", "p"), ("severities", "severities"),
@@ -1202,8 +1203,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_dir(p_sv)
     p_sv.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS, else half the CPUs "
-             "this process may run on, at least 1)",
+        help="worker processes (default: half the CPUs this process may "
+             "run on, at least 1)",
     )
     p_sv.add_argument("--chunk-size", type=int, default=None)
     p_sv.add_argument(

@@ -17,8 +17,8 @@ The contract, end to end:
   returns a job id — it never executes anything.
 * ``run_pending`` executes journaled-but-unfinished jobs in submission
   order: the chunk plan is journaled *before* the first lease (a
-  resumed job re-uses the recorded plan even if ``REPRO_JOBS`` changed
-  meanwhile), every completed chunk's records go to the content-
+  resumed job re-uses the recorded plan even if it is served with
+  another worker count), every completed chunk's records go to the content-
   addressed cache *before* the completion fact is journaled, and the
   supervisor re-leases chunks across worker deaths, hangs, and
   quarantines.
@@ -192,7 +192,6 @@ class SweepService:
             # snapshots without a live job are counted, not deleted —
             # they are a dead daemon's last visible progress.
             audit = self.cache.verify(
-                prune_tmp=True,
                 partials_dir=self.state_dir / "results",
                 live_jobs=[j.id for j in self.pending_jobs()],
             )
@@ -621,8 +620,8 @@ class SweepService:
         if job.plan is None:
             # First execution: resolve the worker count *now*, derive the
             # chunk plan from it, and journal both before leasing
-            # anything.  A resume re-uses this exact plan — environment
-            # changes (REPRO_JOBS) can never re-shard recorded work.
+            # anything.  A resume re-uses this exact plan — a different
+            # worker count can never re-shard recorded work.
             workers = resolve_jobs(self.workers)
             plan = plan_chunks(len(cells), workers, self.chunk_size)
             job.plan = [list(c) for c in plan]

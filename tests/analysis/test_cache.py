@@ -400,16 +400,6 @@ class TestCacheVerify:
         audit = cache.verify(tmp_max_age_s=0.0)
         assert audit["tmp_removed"] == 1
 
-    def test_keep_tmp_reports_without_removing(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        debris = tmp_path / "objects" / "zz" / ("f" * 64 + ".tmp.1")
-        debris.parent.mkdir(parents=True)
-        debris.write_bytes(b"x")
-        os.utime(debris, (1.0, 1.0))
-        audit = cache.verify(prune_tmp=False)
-        assert audit["tmp_found"] == 1 and audit["tmp_removed"] == 0
-        assert debris.exists()
-
     def test_corrupt_entries_counted(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("k", {"x": 1}, [1])

@@ -1,10 +1,9 @@
 """Tests for the sweep service's worker count and chunk planner.
 
-This module covers the ``default_jobs`` precedence chain: ``REPRO_JOBS``
-env override, then the CPU affinity mask, then ``os.cpu_count()``, with
-the visible-CPU count halved; and the ``plan_chunks`` partition.  That
-the service's sealed digests do not depend on the worker count is pinned
-in ``tests/service/test_service.py``.
+This module covers ``default_jobs`` (half the CPUs in the affinity mask,
+else half of ``os.cpu_count()``, at least one) and the ``plan_chunks``
+partition.  That the service's sealed digests do not depend on the
+worker count is pinned in ``tests/service/test_service.py``.
 """
 
 import os
@@ -16,10 +15,6 @@ from repro.analysis.parallel import default_jobs
 
 
 class TestDefaultJobs:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert default_jobs() == 7
-
     @pytest.mark.parametrize("bad", ["0", "-3", "two", "", "1.5"])
     def test_malformed_env_values_fall_through(self, monkeypatch, bad):
         monkeypatch.setenv("REPRO_JOBS", bad)
@@ -30,22 +25,18 @@ class TestDefaultJobs:
         assert jobs == default_jobs()
 
     def test_affinity_mask_is_honoured(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
         )
         assert default_jobs() == 4  # 8 visible CPUs, halved
 
     def test_halving_floors_at_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0}, raising=False
         )
         assert default_jobs() == 1
 
     def test_cpu_count_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-
         def no_affinity(pid):
             raise OSError("no affinity on this platform")
 
@@ -53,12 +44,13 @@ class TestDefaultJobs:
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert default_jobs() == 3
 
-    def test_env_beats_affinity(self, monkeypatch):
+    def test_env_var_is_ignored(self, monkeypatch):
+        """``serve --workers`` is the one override; no variable is read."""
         monkeypatch.setenv("REPRO_JOBS", "2")
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
         )
-        assert default_jobs() == 2
+        assert default_jobs() == 32
 
     def test_exported(self):
         assert "default_jobs" in parallel_mod.__all__
@@ -91,19 +83,6 @@ class TestChunkPlanning:
         from repro.analysis.parallel import plan_chunks
 
         assert plan_chunks(0, 4) == []
-
-    def test_resolve_jobs_reads_env_once(self, monkeypatch):
-        """The worker count is resolved exactly once per job, so a
-        mid-process REPRO_JOBS change cannot re-shard work already
-        planned."""
-        from repro.analysis.parallel import resolve_jobs
-
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        resolved = resolve_jobs(None)
-        assert resolved == 3
-        monkeypatch.setenv("REPRO_JOBS", "9")
-        assert resolved == 3  # already a plain int — nothing re-reads env
-        assert resolve_jobs(None) == 9
 
     def test_resolve_jobs_explicit_values(self):
         from repro.analysis.parallel import resolve_jobs

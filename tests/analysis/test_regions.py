@@ -45,6 +45,10 @@ class TestBestAlgorithm:
         assert key == "cannon"
 
 
+#: the paper's lattice, which ``benchmarks/results/fig1{3,4}_*.txt`` draw
+PAPER_LATTICE = {"log2_n_max": 13, "log2_p_max": 20}
+
+
 class TestHeadlineClaims:
     """§5/§6 quantitative claims, checked over the whole lattice."""
 
@@ -57,7 +61,7 @@ class TestHeadlineClaims:
         paper allows HJE to win at very small p, so we assert ≥ 95% there.
         """
         t_s, t_w = PANELS[panel]
-        rm = region_map(port, t_s, t_w, log2_n_max=12, log2_p_max=18)
+        rm = region_map(port, t_s, t_w, **PAPER_LATTICE)
         frac = rm.fraction_won(
             "3d_all", where=lambda n, p: 8 <= p <= n ** 1.5
         )
@@ -68,7 +72,7 @@ class TestHeadlineClaims:
 
     def test_3dd_wins_middle_band_at_ipsc_params(self):
         """§5.1: for t_s=150, t_w=3, 3DD is best over n^1.5 < p ≤ n²."""
-        rm = region_map(ONE, 150, 3, log2_n_max=12, log2_p_max=18)
+        rm = region_map(ONE, 150, 3, **PAPER_LATTICE)
         frac = rm.fraction_won(
             "3dd", where=lambda n, p: max(8, n ** 1.5) < p <= n * n
         )
@@ -76,19 +80,34 @@ class TestHeadlineClaims:
 
     def test_cannon_takes_middle_band_for_small_ts(self):
         """§5.1: for very small t_s, Cannon wins most of n^1.5 < p ≤ n²."""
-        rm = region_map(ONE, 0.5, 3, log2_n_max=12, log2_p_max=18)
+        rm = region_map(ONE, 0.5, 3, **PAPER_LATTICE)
         frac = rm.fraction_won(
             "cannon", where=lambda n, p: n ** 1.5 < p <= n * n
         )
         assert frac > 0.5
+        # ...so the band that 3DD owns at t_s=150 flips away from it
+        assert rm.fraction_won(
+            "3dd", where=lambda n, p: max(8, n ** 1.5) < p <= n * n
+        ) < 0.5
 
     def test_deep_region_is_all_3dd(self):
         for port in (ONE, MULTI):
-            rm = region_map(port, 150, 3, log2_n_max=12, log2_p_max=18)
-            frac = rm.fraction_won(
-                "3dd", where=lambda n, p: n * n < p <= n ** 3
-            )
-            assert frac == 1.0
+            for t_s, t_w in PANELS.values():
+                rm = region_map(port, t_s, t_w, **PAPER_LATTICE)
+                frac = rm.fraction_won(
+                    "3dd", where=lambda n, p: n * n < p <= n ** 3
+                )
+                assert frac == 1.0, (port, t_s)
+
+    def test_multi_port_keeps_3d_all_share(self):
+        """Multi-port does not shrink 3D All's winning share: HJE takes a
+        few small-p points at most."""
+        one, multi = (
+            region_map(port, 150, 3, log2_n_max=12, log2_p_max=16)
+            .counts().get("3d_all", 0)
+            for port in (ONE, MULTI)
+        )
+        assert multi >= 0.9 * one > 0
 
     def test_cannon_wins_p4_row(self):
         """p = 4 < 8: no 3-D algorithm forms a grid; Cannon (q=2) wins."""

@@ -1,5 +1,7 @@
 """Cross-module integration: CLI, consistency across algorithms, scale."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -221,7 +223,6 @@ class TestExamplesRun:
     )
     def test_example(self, script, argv, monkeypatch, capsys):
         import importlib.util
-        import pathlib
         import sys
 
         path = (
@@ -241,14 +242,19 @@ class TestReportCommand:
     def test_report_no_figures(self, capsys):
         assert main(["report", "--no-figures"]) == 0
         out = capsys.readouterr().out
-        assert "TABLE 1" in out
-        assert "TABLE 2" in out
-        assert "TABLE 3" in out
-        assert "HEADLINE CLAIMS" in out
+        assert "Table 1 reproduction" in out
+        assert "Table 2 reproduction" in out
+        assert "Table 3 reproduction" in out
+        assert "Paper claims verified" in out
+        assert "Figure" not in out
         assert "VIOLATED" not in out
 
     def test_report_to_file(self, tmp_path, capsys):
-        target = tmp_path / "report.txt"
-        assert main(["report", "--no-figures", "-o", str(target)]) == 0
-        assert "written" in capsys.readouterr().out
-        assert "TABLE 1" in target.read_text()
+        """``report -o DIR`` rewrites the committed artefacts byte for byte."""
+        results = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"
+        assert main(["report", "-o", str(tmp_path)]) == 0
+        assert "13 artefacts written" in capsys.readouterr().out
+        written = sorted(tmp_path.iterdir())
+        assert len(written) == 13
+        for path in written:
+            assert path.read_bytes() == (results / path.name).read_bytes(), path.name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.errors import ModelError
+from repro.errors import ModelError, NotApplicableError
 from repro.models.table3 import SPACE_MODELS, overall_space, processor_limit
 from repro.sim import MachineConfig
 
@@ -68,6 +68,15 @@ class TestMeasuredSpace:
         model = overall_space("3d_all", 16, 8)
         assert 0.9 * model <= measured <= 1.6 * model
 
+    @pytest.mark.parametrize("key", sorted(SPACE_MODELS))
+    def test_every_algorithm_within_a_constant_of_the_model(self, key):
+        """Accounting granularity (result blocks, staging buffers) allows
+        a modest constant factor at n = 32; the scaling term must match."""
+        p = 16 if key in ("simple", "cannon", "hje") else 8
+        measured = self._measured_total(key, 32, p)
+        model = overall_space(key, 32, p)
+        assert 0.65 * model <= measured <= 1.7 * model
+
     def test_space_ordering_simple_worst(self):
         """Table 3's point: Simple uses the most space at scale."""
         n, p = 32, 16
@@ -77,3 +86,14 @@ class TestMeasuredSpace:
         assert overall_space("simple", 256, 4096) > overall_space(
             "3dd", 256, 4096
         )
+
+
+def test_runs_beyond_the_processor_limit_refuse():
+    """Table 3's ``p ≤ n^k`` columns hold at run time, not only in
+    :func:`processor_limit`."""
+    for key, n, p in [("cannon", 4, 64), ("berntsen", 32, 512),
+                      ("3d_all", 32, 512), ("3d_all_trans", 32, 512)]:
+        assert p > processor_limit(key, n)
+        with pytest.raises(NotApplicableError):
+            get_algorithm(key).check_applicable(n, p)
+    get_algorithm("3dd").check_applicable(8, 512)  # 3DD reaches p = n³

@@ -155,14 +155,13 @@ def test_corrupt_journal_tail_recovers_with_warning(tmp_path, clean_digest):
     assert [r["digest"] for r in reports] == [clean_digest]
 
 
-def test_journaled_plan_immune_to_jobs_env_change(tmp_path, monkeypatch):
-    """Satellite: a resumed sweep re-uses the journaled chunk plan even
-    if REPRO_JOBS changed between runs — resharding mid-job would make
+def test_journaled_plan_immune_to_jobs_env_change(tmp_path):
+    """A resumed sweep re-uses the journaled chunk plan even if it is
+    served with another worker count — resharding mid-job would make
     chunk indices (and the journal's completion facts) meaningless."""
-    monkeypatch.setenv("REPRO_JOBS", "2")
     inject = parse_injections(["crash-service:1"])
     with SweepService(
-        tmp_path / "svc", workers=None, inject=inject
+        tmp_path / "svc", workers=2, inject=inject
     ) as svc:
         svc.submit("sweep", SWEEP)
         with pytest.raises(InjectedServiceCrash):
@@ -171,8 +170,7 @@ def test_journaled_plan_immune_to_jobs_env_change(tmp_path, monkeypatch):
         plan_before = [list(c) for c in job.plan]
         assert job.planned_workers == 2
 
-    monkeypatch.setenv("REPRO_JOBS", "7")
-    with SweepService(tmp_path / "svc", workers=None) as svc:
+    with SweepService(tmp_path / "svc", workers=7) as svc:
         (job,) = svc.pending_jobs()
         assert [list(c) for c in job.plan] == plan_before
         assert job.planned_workers == 2
