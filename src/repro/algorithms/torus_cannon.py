@@ -11,8 +11,8 @@ either way.  The machines differ in the *alignment* phase: a shift by
 the hypercube :class:`~repro.algorithms.cannon.CannonAlgorithm`, on a
 ``q × q`` :class:`~repro.topology.torus.Torus2D` machine, so the two
 phase timings are directly comparable (see
-``tests/algorithms/test_torus_cannon.py`` and
-``benchmarks/bench_torus_vs_hypercube.py``).
+``tests/algorithms/test_torus_cannon.py`` and the ``torus_vs_hypercube``
+artefact of :mod:`repro.analysis.report`).
 """
 
 from __future__ import annotations

@@ -66,13 +66,6 @@ class ResiliencePoint:
             return None
         return self.total_time / self.baseline_time
 
-    @property
-    def retransmission_overhead(self) -> float:
-        """Resends per application message (0 on a clean run)."""
-        if self.messages_sent == 0:
-            return 0.0
-        return self.retransmissions / self.messages_sent
-
 
 def transient_scenario(
     *,

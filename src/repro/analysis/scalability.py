@@ -21,7 +21,10 @@ from repro.errors import ModelError
 from repro.models.table2 import communication_overhead, structurally_applicable
 from repro.sim.machine import PortModel
 
-__all__ = ["efficiency", "isoefficiency_n", "isoefficiency_curve", "IsoPoint"]
+__all__ = [
+    "efficiency", "format_isoefficiency_table", "isoefficiency_n",
+    "isoefficiency_curve", "IsoPoint",
+]
 
 
 def efficiency(
@@ -114,3 +117,23 @@ def isoefficiency_curve(
         IsoPoint(p, isoefficiency_n(key, p, target_efficiency, port, t_s, t_w, t_c))
         for p in ps
     ]
+
+
+def format_isoefficiency_table(
+    keys: list[str], ps: list[float], target_efficiency: float,
+    port: PortModel, t_s: float, t_w: float,
+) -> str:
+    """The ``n`` each algorithm needs at each ``p`` (``t_c = 1``), one
+    row per ``p``; ``-`` where it is unattainable or never applies."""
+    lines = [
+        f"n required to hold efficiency E={target_efficiency:g} "
+        f"({port.value}, t_s={t_s:g}, t_w={t_w:g}, t_c=1)",
+        f"{'p':>10s}" + "".join(f"{k:>14s}" for k in keys),
+    ]
+    for p in ps:
+        row = f"{int(p):10d}"
+        for key in keys:
+            n = isoefficiency_n(key, p, target_efficiency, port, t_s, t_w)
+            row += f"{n:14.0f}" if n is not None else f"{'-':>14s}"
+        lines.append(row)
+    return "\n".join(lines)

@@ -22,8 +22,8 @@ Subcommands
 persistent content-addressed result cache; ``REPRO_CACHE=1`` flips the
 default on.  Cached and computed outputs are bit-identical.
 
-``report -o benchmarks/results`` rewrites the committed Tables 1-3,
-claims and Figure 13/14 files byte for byte.
+``report -o benchmarks/results`` rewrites every committed file there
+byte for byte.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.analysis.cache import (
     cached_sweep,
 )
 from repro.analysis.figures import PANELS, render_ascii
-from repro.analysis.scalability import isoefficiency_curve
+from repro.analysis.scalability import format_isoefficiency_table
 from repro.errors import NotApplicableError, ReproError
 from repro.models.table2 import overhead_coefficients
 from repro.sim import RoutingMode
@@ -281,23 +281,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_scalability(args) -> int:
-    port = _port(args.port)
-    ps = [float(2 ** k) for k in range(3, args.log2p_max + 1)]
-    print(
-        f"n required to hold efficiency E={args.efficiency:g} "
-        f"({port.value}, t_s={args.ts:g}, t_w={args.tw:g}, t_c=1)"
-    )
-    keys = args.algorithms or ["cannon", "berntsen", "3dd", "3d_all"]
-    header = f"{'p':>10s}" + "".join(f"{k:>14s}" for k in keys)
-    print(header)
-    for p in ps:
-        row = f"{int(p):10d}"
-        for key in keys:
-            n = isoefficiency_curve(
-                key, [p], args.efficiency, port, args.ts, args.tw
-            )[0].n_required
-            row += f"{n:14.0f}" if n is not None else f"{'-':>14s}"
-        print(row)
+    print(format_isoefficiency_table(
+        args.algorithms or ["cannon", "berntsen", "3dd", "3d_all"],
+        [float(2 ** k) for k in range(3, args.log2p_max + 1)],
+        args.efficiency, _port(args.port), args.ts, args.tw,
+    ))
     return 0
 
 
@@ -1301,9 +1289,16 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # ``... | head``: point stdout at devnull so the exit flush cannot
+        # raise again, and exit 1 (the recipe in the ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

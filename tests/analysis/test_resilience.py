@@ -1,7 +1,9 @@
 """Tests for the degradation experiments (repro.analysis.resilience)."""
 
+import numpy as np
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.analysis.resilience import (
     ResiliencePoint,
     completion_rate,
@@ -9,7 +11,8 @@ from repro.analysis.resilience import (
     format_resilience_table,
     transient_scenario,
 )
-from repro.sim import FaultPlan
+from repro.mpi.reliable import ReliableContext
+from repro.sim import FaultPlan, MachineConfig
 
 
 def _point(**kw) -> ResiliencePoint:
@@ -26,10 +29,6 @@ class TestResiliencePoint:
     def test_slowdown(self):
         assert _point().slowdown == pytest.approx(2.0)
         assert _point(completed=False, total_time=None).slowdown is None
-
-    def test_retransmission_overhead(self):
-        assert _point().retransmission_overhead == pytest.approx(0.1)
-        assert _point(messages_sent=0).retransmission_overhead == 0.0
 
 
 class TestTransientScenario:
@@ -48,6 +47,23 @@ class TestTransientScenario:
         assert plan.drop_rate == pytest.approx(0.05)
         assert plan.link_dead(3, 2, 0.0)
         assert not plan.link_dead(0, 1, 0.0)
+
+    @pytest.mark.parametrize(
+        "key,n,p",
+        [("cannon", 16, 16), ("fox", 16, 16), ("berntsen", 8, 8), ("3d_all", 8, 8)],
+    )
+    def test_reliable_delivery_survives_it(self, key, n, p):
+        """The windowed link death plus 1 % drops: the run verifies and
+        every lost message was resent."""
+        rng = np.random.default_rng(0)
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        cfg = MachineConfig.create(p, faults=transient_scenario(seed=5))
+        run = get_algorithm(key).run(
+            A, B, cfg, verify=True, context_factory=ReliableContext,
+            max_events=2_000_000,
+        )
+        net = run.result.network
+        assert net.retransmissions >= (1 if net.messages_dropped else 0)
 
 
 class TestDegradationSweep:

@@ -1,11 +1,16 @@
 """Cross-module integration: CLI, consistency across algorithms, scale."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro import ALGORITHMS, MachineConfig, PortModel, get_algorithm
+from repro.analysis.report import scalability_section
 from repro.cli import main
 
 
@@ -154,6 +159,27 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "3d_all" in out
 
+    def test_scalability_defaults_are_the_report_artefact(self, capsys):
+        assert main(["scalability"]) == 0
+        assert capsys.readouterr().out == scalability_section()
+
+    @pytest.mark.parametrize("command", ["list", "scalability"])
+    def test_closed_reader_ends_without_a_traceback(self, command):
+        """``hypercube-mm ... | head``: a reader gone before the output is
+        written ends the run with exit 1 and nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", command],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
+
     def test_run_with_cut_through_routing(self, capsys):
         assert main(["run", "3dd", "-n", "16", "-p", "8",
                      "--routing", "ct"]) == 0
@@ -253,8 +279,8 @@ class TestReportCommand:
         """``report -o DIR`` rewrites the committed artefacts byte for byte."""
         results = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"
         assert main(["report", "-o", str(tmp_path)]) == 0
-        assert "13 artefacts written" in capsys.readouterr().out
+        assert "23 artefacts written" in capsys.readouterr().out
         written = sorted(tmp_path.iterdir())
-        assert len(written) == 13
+        assert len(written) == 23
         for path in written:
             assert path.read_bytes() == (results / path.name).read_bytes(), path.name
