@@ -24,9 +24,8 @@ Run directly for the CI service-smoke gate::
 
 which asserts digest equality and a per-chunk service overhead
 ``(cold - direct) / chunks`` under ``MAX_CHUNK_OVERHEAD_S``, and prints
-the overhead table.  Without ``--smoke`` the table is written to
-``benchmarks/results/service.txt``; ``--json LABEL`` records the run
-under ``runs[LABEL]`` of the committed ledger
+the overhead table.  Without flags it prints the table and writes no
+file; ``--json LABEL`` records the run under ``runs[LABEL]`` of the committed ledger
 ``benchmarks/BENCH_service.json`` (point ``PYTHONPATH`` at another
 checkout's ``src`` to record that checkout with this script).
 """
@@ -41,7 +40,6 @@ import sys
 import tempfile
 import time
 
-from _report import write_report
 from repro.analysis.report import format_table
 
 PARAMS = {
@@ -228,8 +226,6 @@ def main(argv=None) -> int:
         LEDGER_PATH.write_text(
             json.dumps({"meta": LEDGER_META, "runs": runs}, indent=1) + "\n"
         )
-    elif not args.smoke:
-        write_report("service", text + "\n")
     return 0
 
 

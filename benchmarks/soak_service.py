@@ -27,7 +27,7 @@ Asserted invariants (any failure exits non-zero):
   deficit-round-robin share in the first weight window (no starvation);
 * the drained daemon reports ``drained=True`` and exits 0.
 
-Run directly::
+Run directly (it prints a summary table and writes no file)::
 
     PYTHONPATH=src python benchmarks/soak_service.py --seconds 90
 """
@@ -43,7 +43,6 @@ import sys
 import tempfile
 import time
 
-from _report import write_report
 from repro.analysis.report import format_table
 
 WEIGHTS = {"heavy": 3.0, "light": 1.0}
@@ -126,8 +125,6 @@ def main(argv=None) -> int:
         help="overall wall-clock budget (the soak exits early once "
              "every job completes and the daemon drains)",
     )
-    parser.add_argument("--smoke", action="store_true",
-                        help="skip writing benchmarks/results/")
     args = parser.parse_args(argv)
     deadline = time.monotonic() + args.seconds
     started = time.monotonic()
@@ -298,8 +295,6 @@ def main(argv=None) -> int:
         text = format_table(["metric", "value"], rows,
                             title="Resilient daemon soak")
         print(text)
-        if not args.smoke:
-            write_report("service_soak", text + "\n")
     finally:
         for proc in procs:
             if proc.poll() is None:

@@ -36,7 +36,7 @@ applicability conditions and the ``∛p`` grid.
 from __future__ import annotations
 
 from repro.algorithms.all3d_rect import All3DRectAlgorithm
-from repro.algorithms.common import require, require_cubic_grid
+from repro.algorithms.common import require_fig8_grid
 from repro.topology.embedding import Grid3DEmbedding
 from repro.topology.hypercube import Hypercube
 
@@ -54,16 +54,7 @@ class All3DAlgorithm(All3DRectAlgorithm):
         super().__init__()  # no y_side: the cube has one shape
 
     def check_applicable(self, n: int, p: int) -> None:
-        q = require_cubic_grid(n, p, self.name)
-        require(
-            n % (q * q) == 0,
-            f"{self.name}: n={n} must be divisible by p^(2/3)={q * q} "
-            "(Fig. 8 partition and row-group splits)",
-        )
-        require(
-            p <= round(n ** 1.5),
-            f"{self.name}: requires p <= n^(3/2) (p={p}, n={n})",
-        )
+        require_fig8_grid(n, p, self.name)
 
     def _grid(self, cube: Hypercube) -> Grid3DEmbedding:
         return Grid3DEmbedding(cube)

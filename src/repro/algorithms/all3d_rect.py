@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.common import GridView3D, TAG_A, TAG_B, TAG_C, TAG_D, require
+from repro.blocks.partition import BlockGrid
 from repro.collectives import alltoall, reduce_scatter
 from repro.collectives.chunking import chunk_slices
 from repro.collectives.phase import allgather_call, parallel_pair
@@ -100,12 +101,6 @@ class All3DRectAlgorithm(MatmulAlgorithm):
             n % (q1 * q2) == 0,
             f"{self.name}: n={n} must be divisible by q1*q2={q1 * q2}",
         )
-        # §4.2.2's limit argument: an x-y plane holds q1·q2 processors and
-        # at most n can reside there (one column group each).
-        require(
-            q1 * q2 <= n,
-            f"{self.name}: x-y plane has q1*q2={q1 * q2} > n={n} processors",
-        )
 
     # -- data layout ---------------------------------------------------------
 
@@ -113,28 +108,17 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         q1, q2 = self._sides_for(cube.num_nodes)
         return Grid3DRectEmbedding(cube, q1, q2, q1)
 
-    @staticmethod
-    def _extract(M: np.ndarray, n: int, q1: int, q2: int, k: int, c: int):
-        rb = n // q1
-        cb = n // (q1 * q2)
-        return np.ascontiguousarray(
-            M[k * rb:(k + 1) * rb, c * cb:(c + 1) * cb]
-        )
-
-    def distribute_inputs(self, A, B, cube: Hypercube):
+    def placement(self, n: int, cube: Hypercube):
+        # p_{i,j,k} holds A_{k,f(i,j)} and B_{k,f(i,j)} and ends with
+        # C_{k,f(i,j)}, f(i,j) = i·q2 + j: the Fig. 8 blocks when q2 = q1.
         grid = self._grid(cube)
         q1, q2 = grid.sx, grid.sy
-        n = A.shape[0]
-        out = {}
-        for i in range(q1):
-            for j in range(q2):
-                c = i * q2 + j
-                for k in range(q1):
-                    out[grid.node_at(i, j, k)] = {
-                        "A": self._extract(A, n, q1, q2, k, c),
-                        "B": self._extract(B, n, q1, q2, k, c),
-                    }
-        return out
+        blocks = BlockGrid(n, q1, q1 * q2)
+        return blocks, blocks, blocks, [
+            (grid.node_at(i, j, k), ix, ix, ix)
+            for i in range(q1) for j in range(q2) for k in range(q1)
+            for ix in [(k, i * q2 + j)]
+        ]
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView3D.create(ctx, self._grid(ctx.config.cube))
@@ -177,18 +161,3 @@ class All3DRectAlgorithm(MatmulAlgorithm):
         ]
         c_block = yield from reduce_scatter(view.y_comm, pieces, tag=TAG_A)
         return c_block
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = self._grid(cube)
-        q1, q2 = grid.sx, grid.sy
-        rb = n // q1
-        cb = n // (q1 * q2)
-        C = np.zeros((n, n))
-        for i in range(q1):
-            for j in range(q2):
-                c = i * q2 + j
-                for k in range(q1):
-                    C[k * rb:(k + 1) * rb, c * cb:(c + 1) * cb] = results[
-                        grid.node_at(i, j, k)
-                    ]
-        return C

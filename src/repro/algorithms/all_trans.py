@@ -35,10 +35,9 @@ from repro.algorithms.common import (
     TAG_B,
     TAG_C,
     TAG_D,
-    require,
-    require_cubic_grid,
+    require_fig8_grid,
 )
-from repro.blocks.partition import PartitionFig8, PartitionFig9, f_index
+from repro.blocks.partition import BlockGrid, f_index
 from repro.collectives import allgather, broadcast, gather, reduce_scatter
 from repro.collectives.chunking import chunk_slices
 from repro.topology.embedding import Grid3DEmbedding
@@ -55,33 +54,19 @@ class AllTransAlgorithm(MatmulAlgorithm):
     paper_section = "4.2.1"
 
     def check_applicable(self, n: int, p: int) -> None:
-        q = require_cubic_grid(n, p, self.name)
-        require(
-            n % (q * q) == 0,
-            f"{self.name}: n={n} must be divisible by p^(2/3)={q * q} "
-            "(Fig. 8/9 partitions)",
-        )
-        require(
-            p <= round(n ** 1.5),
-            f"{self.name}: requires p <= n^(3/2) (p={p}, n={n})",
-        )
+        require_fig8_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
+    def placement(self, n: int, cube: Hypercube):
+        # p_{i,j,k} holds the Fig. 8 block A_{k,f(i,j)} and the Fig. 9
+        # block B_{f(i,j),k}, and ends with C_{k,f(i,j)}.
         grid = Grid3DEmbedding(cube)
         q = grid.side
-        n = A.shape[0]
-        fig8 = PartitionFig8(n, q)
-        fig9 = PartitionFig9(n, q)
-        out = {}
-        for i in range(q):
-            for j in range(q):
-                c = f_index(i, j, q)
-                for k in range(q):
-                    out[grid.node_at(i, j, k)] = {
-                        "A": fig8.extract(A, k, c),
-                        "B": fig9.extract(B, c, k),
-                    }
-        return out
+        fig8 = BlockGrid(n, q, q * q)
+        return fig8, BlockGrid(n, q * q, q), fig8, [
+            (grid.node_at(i, j, k), (k, c), (c, k), (k, c))
+            for i in range(q) for j in range(q) for c in [f_index(i, j, q)]
+            for k in range(q)
+        ]
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView3D.create(ctx)
@@ -122,14 +107,3 @@ class AllTransAlgorithm(MatmulAlgorithm):
         ]
         c_block = yield from reduce_scatter(view.y_comm, pieces, tag=TAG_A)
         return c_block
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid3DEmbedding(cube)
-        q = grid.side
-        fig8 = PartitionFig8(n, q)
-        blocks = {}
-        for i in range(q):
-            for j in range(q):
-                for k in range(q):
-                    blocks[(k, f_index(i, j, q))] = results[grid.node_at(i, j, k)]
-        return fig8.assemble(blocks)

@@ -1,15 +1,15 @@
 """Algorithm protocol and the run/verify harness.
 
-A :class:`MatmulAlgorithm` bundles four things:
+A :class:`MatmulAlgorithm` bundles three things:
 
-* an applicability check (the ``p ≤ n^k`` / power-of-two conditions of the
-  paper's Table 3 plus divisibility constraints of the block partitions),
-* the initial data distribution (which blocks of ``A`` and ``B`` each cube
-  node holds before the clock starts),
-* the per-processor SPMD program (a generator exercising the simulator),
-* output collection (reassembling ``C`` from the per-node results).
+* an applicability check (the grid-shape conditions of the paper's Table 3
+  plus divisibility constraints of the block partitions),
+* the placement: which block of ``A``, ``B`` and ``C`` each cube node holds
+  (before the clock starts for ``A`` and ``B``, after it stops for ``C``),
+* the per-processor SPMD program (a generator exercising the simulator).
 
-Distribution and collection happen *outside* the simulated clock — the
+The base class derives the initial distribution and the reassembly of
+``C`` from the placement.  Both happen *outside* the simulated clock — the
 paper's timing likewise assumes operands pre-distributed in each
 algorithm's required layout.
 """
@@ -80,20 +80,41 @@ class MatmulAlgorithm(abc.ABC):
         return True
 
     @abc.abstractmethod
-    def distribute_inputs(
-        self, A: np.ndarray, B: np.ndarray, cube: Hypercube
-    ) -> dict[int, dict[str, Any]]:
-        """Initial per-node local data (``{node: {...blocks...}}``)."""
+    def placement(self, n: int, cube: Hypercube) -> tuple:
+        """The data layout on ``cube`` for ``n × n`` operands:
+        ``(A grid, B grid, C grid, holders)``: one
+        :class:`~repro.blocks.partition.BlockGrid` per matrix and, for each
+        node that holds data, ``(node, A index, B index, C index)``.  The nodes
+        that receive ``A`` and ``B`` are the ones that return ``C``."""
 
     @abc.abstractmethod
     def program(self, ctx, n: int, local: dict[str, Any]):
         """The SPMD generator for one processor; returns its output locals."""
 
-    @abc.abstractmethod
+    def distribute_inputs(
+        self, A: np.ndarray, B: np.ndarray, cube: Hypercube
+    ) -> dict[int, dict[str, Any]]:
+        """Initial per-node local data, ``{node: {"A": block, "B": block}}``."""
+        a_grid, b_grid, _c, holders = self.placement(A.shape[0], cube)
+        return {
+            node: {"A": a_grid.extract(A, a), "B": b_grid.extract(B, b)}
+            for node, a, b, _ in holders
+        }
+
     def collect_output(
         self, n: int, cube: Hypercube, results: dict[int, Any]
     ) -> np.ndarray:
-        """Reassemble the product matrix from per-node program returns."""
+        """Reassemble the product matrix from per-node program returns;
+        a holder that returned no block (or none at all) raises
+        :class:`AlgorithmError`."""
+        _a, _b, c_grid, holders = self.placement(n, cube)
+        blocks = {}
+        for node, _, _, c in holders:
+            block = results[node] if node in results else None
+            if block is None:
+                raise AlgorithmError(f"{self.name}: node {node} returned no C block")
+            blocks[c] = block
+        return c_grid.assemble(blocks)
 
     # -- harness -----------------------------------------------------------
 

@@ -18,14 +18,11 @@ from __future__ import annotations
 import functools
 from typing import Any
 
-import numpy as np
-
 from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import TAG_C, cannon_kernel, require, require_cubic_grid
-from repro.blocks.partition import ColumnGroups, RowGroups
+from repro.algorithms.common import TAG_C, cannon_kernel, require_fig8_grid
+from repro.blocks.partition import BlockGrid
 from repro.collectives import reduce_scatter
 from repro.collectives.chunking import chunk_slices
-from repro.errors import AlgorithmError
 from repro.mpi.communicator import Comm
 from repro.topology.embedding import SubcubeGrid2D
 from repro.topology.hypercube import Hypercube
@@ -53,41 +50,21 @@ class BerntsenAlgorithm(MatmulAlgorithm):
     paper_section = "3.4"
 
     def check_applicable(self, n: int, p: int) -> None:
-        q = require_cubic_grid(n, p, self.name)
-        require(
-            n % (q * q) == 0,
-            f"{self.name}: n={n} must be divisible by p^(2/3)={q * q} "
-            "(block columns of the A column-sets)",
-        )
-        require(
-            p <= round(n ** 1.5),
-            f"{self.name}: requires p <= n^(3/2) (p={p}, n={n})",
-        )
+        require_fig8_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
-        n = A.shape[0]
+    def placement(self, n: int, cube: Hypercube):
+        # Node (m, r, c) of subcube m's grid holds block (r, c) of A's
+        # column set m and of B's row set m: A block (r, m·q + c) of the
+        # (q, q²) grid, B block (m·q + r, c) of the (q², q) grid.  It ends
+        # with row slice m of C block (r, c): C block (r·q + m, c) of the
+        # (q², q) grid.
         k, grids = _layout(cube)
         q = 1 << k
-        a_cols = ColumnGroups(n, q)
-        b_rows = RowGroups(n, q)
-        out = {}
-        for m, grid in enumerate(grids):
-            a_set = a_cols.extract(A, m)  # n x n/q
-            b_set = b_rows.extract(B, m)  # n/q x n
-            # Block partition the sets over the subcube's q x q grid:
-            # A-set blocks are (n/q) x (n/q**2), B-set blocks (n/q**2) x (n/q).
-            ra, ca = n // q, n // (q * q)
-            for r in range(q):
-                for c in range(q):
-                    out[grid.node_at(r, c)] = {
-                        "A": np.ascontiguousarray(
-                            a_set[r * ra:(r + 1) * ra, c * ca:(c + 1) * ca]
-                        ),
-                        "B": np.ascontiguousarray(
-                            b_set[r * ca:(r + 1) * ca, c * ra:(c + 1) * ra]
-                        ),
-                    }
-        return out
+        tall = BlockGrid(n, q * q, q)
+        return BlockGrid(n, q, q * q), tall, tall, [
+            (grid.node_at(r, c), (r, m * q + c), (m * q + r, c), (r * q + m, c))
+            for m, grid in enumerate(grids) for r in range(q) for c in range(q)
+        ]
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         cube = ctx.config.cube
@@ -117,20 +94,3 @@ class BerntsenAlgorithm(MatmulAlgorithm):
         pieces = [outer[rows] for rows in chunk_slices(outer.shape[0], q)]
         c_piece = yield from reduce_scatter(cross, pieces, tag=TAG_C)
         return c_piece
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        k, grids = _layout(cube)
-        q = 1 << k
-        block = n // q  # side of a C block on the subcube grid
-        piece_rows = block // q
-        C = np.zeros((n, n))
-        for m, grid in enumerate(grids):
-            for r in range(q):
-                for c in range(q):
-                    node = grid.node_at(r, c)
-                    piece = results[node]
-                    if piece is None:
-                        raise AlgorithmError(f"node {node} returned no C piece")
-                    row0 = r * block + m * piece_rows
-                    C[row0:row0 + piece_rows, c * block:(c + 1) * block] = piece
-        return C

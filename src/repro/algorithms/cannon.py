@@ -20,10 +20,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import GridView2D, cannon_kernel, require_square_grid
-from repro.blocks.partition import BlockPartition2D
-from repro.topology.embedding import Grid2DEmbedding
-from repro.topology.hypercube import Hypercube
+from repro.algorithms.common import (
+    GridView2D, cannon_kernel, require_square_grid, square_placement,
+)
 
 __all__ = ["CannonAlgorithm"]
 
@@ -38,17 +37,7 @@ class CannonAlgorithm(MatmulAlgorithm):
     def check_applicable(self, n: int, p: int) -> None:
         require_square_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(A.shape[0], grid.rows)
-        return {
-            grid.node_at(i, j): {
-                "A": part.extract(A, i, j),
-                "B": part.extract(B, i, j),
-            }
-            for i in range(grid.rows)
-            for j in range(grid.cols)
-        }
+    placement = staticmethod(square_placement)
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView2D.create(ctx)
@@ -60,14 +49,3 @@ class CannonAlgorithm(MatmulAlgorithm):
             ctx, view.grid.node_at, view.q, view.row, view.col, a_block, b_block
         )
         return c_block
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(n, grid.rows)
-        return part.assemble(
-            {
-                (i, j): results[grid.node_at(i, j)]
-                for i in range(grid.rows)
-                for j in range(grid.cols)
-            }
-        )

@@ -1,8 +1,8 @@
 """Shared helpers for the algorithm implementations.
 
 Grid views (2-D and 3-D coordinates plus row/column/line communicators),
-applicability predicates, and the Cannon kernel reused by Berntsen's
-algorithm.
+applicability predicates, the square-grid placement of Cannon, Fox, HJE and
+Simple, and the Cannon kernel reused by Berntsen's algorithm.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.blocks.partition import BlockGrid
 from repro.errors import NotApplicableError
 from repro.mpi.communicator import Comm
 from repro.sim.ops import ShiftPhaseOp
@@ -25,6 +26,8 @@ __all__ = [
     "require",
     "require_square_grid",
     "require_cubic_grid",
+    "require_fig8_grid",
+    "square_placement",
     "GridView2D",
     "GridView3D",
     "cannon_kernel",
@@ -54,7 +57,6 @@ def require_square_grid(n: int, p: int, algo: str) -> int:
     )
     q = 1 << (ilog2(p) // 2)
     require(n % q == 0, f"{algo}: n={n} must be divisible by sqrt(p)={q}")
-    require(p <= n * n, f"{algo}: requires p <= n^2 (p={p}, n={n})")
     return q
 
 
@@ -67,6 +69,29 @@ def require_cubic_grid(n: int, p: int, algo: str) -> int:
     q = 1 << (ilog2(p) // 3)
     require(n % q == 0, f"{algo}: n={n} must be divisible by cbrt(p)={q}")
     return q
+
+
+def require_fig8_grid(n: int, p: int, algo: str) -> int:
+    """Check p = 8^k and n divisible by p^{2/3}, the Fig. 8/9 column
+    groups (Berntsen, 3D All_Trans, 3D All); returns ∛p."""
+    q = require_cubic_grid(n, p, algo)
+    require(
+        n % (q * q) == 0,
+        f"{algo}: n={n} must be divisible by p^(2/3)={q * q} (Fig. 8/9 partitions)",
+    )
+    return q
+
+
+def square_placement(n: int, cube) -> tuple:
+    """Figure 1 on the √p×√p grid: ``p_{ij}`` holds ``A_{ij}``, ``B_{ij}``
+    and ends with ``C_{ij}`` (Cannon, Fox, HJE, Simple)."""
+    grid = Grid2DEmbedding.square(cube)
+    q = grid.rows
+    blocks = BlockGrid(n, q, q)
+    return blocks, blocks, blocks, [
+        (grid.node_at(i, j), ix, ix, ix)
+        for i in range(q) for j in range(q) for ix in [(i, j)]
+    ]
 
 
 @dataclass

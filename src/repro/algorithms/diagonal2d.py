@@ -26,8 +26,8 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import GridView2D, TAG_A, TAG_B, TAG_C, require, require_square_grid
-from repro.blocks.partition import ColumnGroups, RowGroups
+from repro.algorithms.common import GridView2D, TAG_A, TAG_B, TAG_C, require_square_grid
+from repro.blocks.partition import BlockGrid
 from repro.collectives import broadcast, reduce, scatter
 from repro.collectives.chunking import chunk_slices
 from repro.errors import AlgorithmError
@@ -45,25 +45,17 @@ class Diagonal2DAlgorithm(MatmulAlgorithm):
     paper_section = "4.1.1"
 
     def check_applicable(self, n: int, p: int) -> None:
-        q = require_square_grid(n, p, self.name)
-        require(
-            n % (q * q) == 0 or n % q == 0,
-            f"{self.name}: n={n} must be divisible by sqrt(p)={q}",
-        )
+        require_square_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
-        n = A.shape[0]
+    def placement(self, n: int, cube: Hypercube):
+        # p_{j,j} holds column group j of A and row group j of B, and ends
+        # with column group j of C.
         grid = Grid2DEmbedding.square(cube)
         q = grid.rows
-        a_cols = ColumnGroups(n, q)
-        b_rows = RowGroups(n, q)
-        return {
-            grid.node_at(j, j): {
-                "A": a_cols.extract(A, j),
-                "B": b_rows.extract(B, j),
-            }
-            for j in range(q)
-        }
+        columns = BlockGrid(n, 1, q)
+        return columns, BlockGrid(n, q, 1), columns, [
+            (grid.node_at(j, j), (0, j), (j, 0), (0, j)) for j in range(q)
+        ]
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView2D.create(ctx)
@@ -101,11 +93,3 @@ class Diagonal2DAlgorithm(MatmulAlgorithm):
                 raise AlgorithmError(f"diagonal node p_{i},{j} got no C group")
             return c_group
         return None
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid2DEmbedding.square(cube)
-        q = grid.rows
-        cols = ColumnGroups(n, q)
-        return cols.assemble(
-            {i: results[grid.node_at(i, i)] for i in range(q)}
-        )

@@ -34,10 +34,9 @@ from repro.algorithms.common import (
     TAG_B,
     TAG_C,
     TAG_D,
-    require,
     require_cubic_grid,
 )
-from repro.blocks.partition import BlockPartition2D
+from repro.blocks.partition import BlockGrid
 from repro.collectives import reduce
 from repro.collectives.phase import Lift, broadcast_call, parallel_pair
 from repro.errors import AlgorithmError
@@ -55,21 +54,17 @@ class Diagonal3DAlgorithm(MatmulAlgorithm):
     paper_section = "4.1.2"
 
     def check_applicable(self, n: int, p: int) -> None:
-        q = require_cubic_grid(n, p, self.name)
-        require(p <= n ** 3, f"{self.name}: requires p <= n^3 (p={p}, n={n})")
+        require_cubic_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
+    def placement(self, n: int, cube: Hypercube):
+        # p_{i,i,k} holds A_{k,i} and B_{k,i} and ends with C_{k,i}.
         grid = Grid3DEmbedding(cube)
         q = grid.side
-        part = BlockPartition2D(A.shape[0], q)
-        return {
-            grid.node_at(i, i, k): {
-                "A": part.extract(A, k, i),
-                "B": part.extract(B, k, i),
-            }
-            for i in range(q)
-            for k in range(q)
-        }
+        blocks = BlockGrid(n, q, q)
+        return blocks, blocks, blocks, [
+            (grid.node_at(i, i, k), ix, ix, ix)
+            for i in range(q) for k in range(q) for ix in [(k, i)]
+        ]
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView3D.create(ctx)
@@ -112,15 +107,3 @@ class Diagonal3DAlgorithm(MatmulAlgorithm):
                 raise AlgorithmError(f"p_({i},{j},{k}) missing C block")
             return c_block
         return None
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid3DEmbedding(cube)
-        q = grid.side
-        part = BlockPartition2D(n, q)
-        return part.assemble(
-            {
-                (k, i): results[grid.node_at(i, i, k)]
-                for i in range(q)
-                for k in range(q)
-            }
-        )

@@ -29,10 +29,9 @@ from repro.algorithms.common import (
     TAG_B,
     TAG_C,
     TAG_D,
-    require,
     require_cubic_grid,
 )
-from repro.blocks.partition import BlockPartition2D
+from repro.blocks.partition import BlockGrid
 from repro.collectives import reduce
 from repro.collectives.phase import Lift, broadcast_call, parallel_pair
 from repro.topology.embedding import Grid3DEmbedding
@@ -49,21 +48,17 @@ class DNSAlgorithm(MatmulAlgorithm):
     paper_section = "3.5"
 
     def check_applicable(self, n: int, p: int) -> None:
-        q = require_cubic_grid(n, p, self.name)
-        require(p <= n ** 3, f"{self.name}: requires p <= n^3 (p={p}, n={n})")
+        require_cubic_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
+    def placement(self, n: int, cube: Hypercube):
+        # p_{i,j,0} holds A_{ij} and B_{ij} and ends with C_{ij}.
         grid = Grid3DEmbedding(cube)
         q = grid.side
-        part = BlockPartition2D(A.shape[0], q)
-        return {
-            grid.node_at(i, j, 0): {
-                "A": part.extract(A, i, j),
-                "B": part.extract(B, i, j),
-            }
-            for i in range(q)
-            for j in range(q)
-        }
+        blocks = BlockGrid(n, q, q)
+        return blocks, blocks, blocks, [
+            (grid.node_at(i, j, 0), ix, ix, ix)
+            for i in range(q) for j in range(q) for ix in [(i, j)]
+        ]
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView3D.create(ctx)
@@ -105,15 +100,3 @@ class DNSAlgorithm(MatmulAlgorithm):
         ctx.phase("reduce")
         c_block = yield from reduce(view.z_comm, partial, root=0, tag=TAG_A)
         return c_block if k == 0 else None
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid3DEmbedding(cube)
-        q = grid.side
-        part = BlockPartition2D(n, q)
-        return part.assemble(
-            {
-                (i, j): results[grid.node_at(i, j, 0)]
-                for i in range(q)
-                for j in range(q)
-            }
-        )

@@ -24,73 +24,36 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import (
-    TAG_A,
-    TAG_B,
-    TAG_C,
-    TAG_D,
-    cannon_kernel,
-    require,
-)
-from repro.blocks.partition import BlockPartition2D
+from repro.algorithms.common import TAG_A, TAG_B, TAG_C, TAG_D, cannon_kernel
+from repro.algorithms.supernode import SupernodeAlgorithm
+from repro.blocks.partition import BlockGrid
 from repro.collectives import reduce
 from repro.collectives.phase import Lift, broadcast_call, parallel_pair
-from repro.algorithms.supernode import SupernodeLayout, decompose
-from repro.errors import NotApplicableError
 from repro.mpi.communicator import Comm
 from repro.topology.hypercube import Hypercube
 
 __all__ = ["DNSCannonAlgorithm"]
 
-# Backwards-compatible aliases (the layout machinery moved to
-# repro.algorithms.supernode once the 3DD x Cannon combination shared it).
-_decompose = decompose
-_Layout = SupernodeLayout
 
-
-class DNSCannonAlgorithm(MatmulAlgorithm):
+class DNSCannonAlgorithm(SupernodeAlgorithm):
     """DNS x Cannon supernode combination (see module doc)."""
 
     key = "dns_cannon"
     name = "DNS x Cannon"
     paper_section = "3.5 (combination)"
 
-    def __init__(self, mesh_size: int | None = None):
-        self.mesh_size = mesh_size
-
-    def _layout_for(self, p: int) -> SupernodeLayout:
-        split = decompose(p, self.mesh_size)
-        if split is None:
-            raise NotApplicableError(
-                f"{self.name}: p={p} does not split into 8^a * 4^b with "
-                f"a, b >= 1 (mesh_size={self.mesh_size})"
-            )
-        return SupernodeLayout(*split)
-
-    def check_applicable(self, n: int, p: int) -> None:
-        layout = self._layout_for(p)
-        side = layout.sigma * layout.rho
-        require(
-            n % side == 0,
-            f"{self.name}: n={n} must be divisible by cbrt(s)*sqrt(r)={side}",
-        )
-        require(p <= n ** 3, f"{self.name}: requires p <= n^3 (p={p}, n={n})")
-
-    def distribute_inputs(self, A, B, cube: Hypercube):
+    def placement(self, n: int, cube: Hypercube):
+        # Supernode (I, J, 0) holds A_{IJ} and B_{IJ} and ends with C_{IJ};
+        # its processor (u, v) holds their (u, v) sub-blocks.
         layout = self._layout_for(cube.num_nodes)
         sigma, rho = layout.sigma, layout.rho
-        part = BlockPartition2D(A.shape[0], sigma * rho)
-        out = {}
-        for I in range(sigma):
-            for J in range(sigma):
-                for u in range(rho):
-                    for v in range(rho):
-                        out[layout.node(I, J, 0, u, v)] = {
-                            "A": part.extract(A, I * rho + u, J * rho + v),
-                            "B": part.extract(B, I * rho + u, J * rho + v),
-                        }
-        return out
+        blocks = BlockGrid(n, sigma * rho, sigma * rho)
+        return blocks, blocks, blocks, [
+            (layout.node(I, J, 0, u, v), ix, ix, ix)
+            for I in range(sigma) for J in range(sigma)
+            for u in range(rho) for v in range(rho)
+            for ix in [(I * rho + u, J * rho + v)]
+        ]
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         layout = self._layout_for(ctx.config.num_nodes)
@@ -137,17 +100,3 @@ class DNSCannonAlgorithm(MatmulAlgorithm):
         ctx.phase("reduce")
         c_block = yield from reduce(z_comm, partial, root=0, tag=TAG_A)
         return c_block if K == 0 else None
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        layout = self._layout_for(cube.num_nodes)
-        sigma, rho = layout.sigma, layout.rho
-        part = BlockPartition2D(n, sigma * rho)
-        blocks = {}
-        for I in range(sigma):
-            for J in range(sigma):
-                for u in range(rho):
-                    for v in range(rho):
-                        blocks[(I * rho + u, J * rho + v)] = results[
-                            layout.node(I, J, 0, u, v)
-                        ]
-        return part.assemble(blocks)

@@ -32,12 +32,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import GridView2D, TAG_A, TAG_B, require_square_grid
-from repro.blocks.partition import BlockPartition2D
+from repro.algorithms.common import (
+    GridView2D, TAG_A, TAG_B, require_square_grid, square_placement,
+)
 from repro.sim.ops import ShiftPhaseOp
 from repro.sim.process import ProcessContext, shift_loop
-from repro.topology.embedding import Grid2DEmbedding
-from repro.topology.hypercube import Hypercube
 
 __all__ = ["FoxAlgorithm"]
 
@@ -52,17 +51,7 @@ class FoxAlgorithm(MatmulAlgorithm):
     def check_applicable(self, n: int, p: int) -> None:
         require_square_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(A.shape[0], grid.rows)
-        return {
-            grid.node_at(i, j): {
-                "A": part.extract(A, i, j),
-                "B": part.extract(B, i, j),
-            }
-            for i in range(grid.rows)
-            for j in range(grid.cols)
-        }
+    placement = staticmethod(square_placement)
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView2D.create(ctx)
@@ -85,14 +74,3 @@ class FoxAlgorithm(MatmulAlgorithm):
         else:
             _a, _b, c_block = yield from shift_loop(ctx, ShiftPhaseOp(**phase))
         return c_block
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(n, grid.rows)
-        return part.assemble(
-            {
-                (i, j): results[grid.node_at(i, j)]
-                for i in range(grid.rows)
-                for j in range(grid.cols)
-            }
-        )

@@ -35,13 +35,11 @@ from functools import lru_cache
 from typing import Any
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import TAG_A, TAG_B, require, require_square_grid
-from repro.blocks.partition import BlockPartition2D
-from repro.errors import AlgorithmError
+from repro.algorithms.common import (
+    TAG_A, TAG_B, require, require_square_grid, square_placement,
+)
 from repro.sim.ops import ShiftPhaseOp
 from repro.sim.process import ProcessContext, shift_loop
-from repro.topology.embedding import Grid2DEmbedding
-from repro.topology.hypercube import Hypercube
 from repro.util.bits import gray_code, ilog2
 
 __all__ = ["HJEAlgorithm"]
@@ -82,17 +80,7 @@ class HJEAlgorithm(MatmulAlgorithm):
             f"(n={n}, sqrt(p)={q}, log sqrt(p)={d})",
         )
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(A.shape[0], grid.rows)
-        return {
-            grid.node_at(i, j): {
-                "A": part.extract(A, i, j),
-                "B": part.extract(B, i, j),
-            }
-            for i in range(grid.rows)
-            for j in range(grid.cols)
-        }
+    placement = staticmethod(square_placement)
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         d = ctx.config.dimension // 2
@@ -123,19 +111,3 @@ class HJEAlgorithm(MatmulAlgorithm):
         else:
             _a, _b, c_block = yield from shift_loop(ctx, ShiftPhaseOp(**phase))
         return c_block
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(n, grid.rows)
-        kc = ilog2(grid.rows)
-        blocks = {}
-        for node_id, c_block in results.items():
-            if c_block is None:
-                raise AlgorithmError(f"node {node_id} returned no C block")
-            y = node_id & ((1 << kc) - 1)
-            x = node_id >> kc
-            # The C block at codes (x, y) is C_{inv_gray(x), inv_gray(y)},
-            # i.e. exactly the grid position of the node.
-            i, j = grid.coords_of(node_id)
-            blocks[(i, j)] = c_block
-        return part.assemble(blocks)

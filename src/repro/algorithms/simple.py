@@ -18,11 +18,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.algorithms.common import GridView2D, TAG_A, TAG_B, require_square_grid
-from repro.blocks.partition import BlockPartition2D
+from repro.algorithms.common import (
+    GridView2D, TAG_A, TAG_B, require_square_grid, square_placement,
+)
 from repro.collectives.phase import allgather_call, parallel_pair
-from repro.topology.embedding import Grid2DEmbedding
-from repro.topology.hypercube import Hypercube
 
 __all__ = ["SimpleAlgorithm"]
 
@@ -37,17 +36,7 @@ class SimpleAlgorithm(MatmulAlgorithm):
     def check_applicable(self, n: int, p: int) -> None:
         require_square_grid(n, p, self.name)
 
-    def distribute_inputs(self, A, B, cube: Hypercube):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(A.shape[0], grid.rows)
-        out = {}
-        for i in range(grid.rows):
-            for j in range(grid.cols):
-                out[grid.node_at(i, j)] = {
-                    "A": part.extract(A, i, j),
-                    "B": part.extract(B, i, j),
-                }
-        return out
+    placement = staticmethod(square_placement)
 
     def program(self, ctx, n: int, local: dict[str, Any]):
         view = GridView2D.create(ctx)
@@ -69,14 +58,3 @@ class SimpleAlgorithm(MatmulAlgorithm):
         for k in range(q):
             c_block = yield from ctx.local_matmul(a_row[k], b_col[k], c_block)
         return c_block
-
-    def collect_output(self, n: int, cube: Hypercube, results):
-        grid = Grid2DEmbedding.square(cube)
-        part = BlockPartition2D(n, grid.rows)
-        return part.assemble(
-            {
-                (i, j): results[grid.node_at(i, j)]
-                for i in range(grid.rows)
-                for j in range(grid.cols)
-            }
-        )

@@ -13,13 +13,19 @@ supernode coordinates, so
   neighbour transfers), and
 * *corresponding* processors of the supernodes along any grid axis form a
   subcube (supernode-level collectives run at full speed).
+
+:class:`SupernodeAlgorithm` is the two combinations' shared base: the
+``mesh_size`` choice, the layout and the applicability check.
 """
 
 from __future__ import annotations
 
+from repro.algorithms.base import MatmulAlgorithm
+from repro.algorithms.common import require
+from repro.errors import NotApplicableError
 from repro.util.bits import gray_code, gray_code_inverse, ilog2, is_power_of_two
 
-__all__ = ["decompose", "SupernodeLayout"]
+__all__ = ["decompose", "SupernodeLayout", "SupernodeAlgorithm"]
 
 
 def decompose(p: int, mesh_size: int | None) -> tuple[int, int] | None:
@@ -89,3 +95,28 @@ class SupernodeLayout:
 
     def z_line(self, I: int, J: int, u: int, v: int) -> list[int]:
         return [self.node(I, J, z, u, v) for z in range(self.sigma)]
+
+
+class SupernodeAlgorithm(MatmulAlgorithm):
+    """A supernode combination: ``p = 8^a·4^b`` with ``n`` divisible by
+    ``∛s·√r`` (``mesh_size = 4^b`` explicit, or the largest supernode grid)."""
+
+    def __init__(self, mesh_size: int | None = None):
+        self.mesh_size = mesh_size
+
+    def _layout_for(self, p: int) -> SupernodeLayout:
+        split = decompose(p, self.mesh_size)
+        if split is None:
+            raise NotApplicableError(
+                f"{self.name}: p={p} does not split into 8^a * 4^b with "
+                f"a, b >= 1 (mesh_size={self.mesh_size})"
+            )
+        return SupernodeLayout(*split)
+
+    def check_applicable(self, n: int, p: int) -> None:
+        layout = self._layout_for(p)
+        side = layout.sigma * layout.rho
+        require(
+            n % side == 0,
+            f"{self.name}: n={n} must be divisible by cbrt(s)*sqrt(r)={side}",
+        )

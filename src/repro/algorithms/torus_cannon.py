@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmRun
 from repro.algorithms.common import cannon_kernel
-from repro.blocks.partition import BlockPartition2D
+from repro.blocks.partition import BlockGrid
 from repro.errors import AlgorithmError, NotApplicableError
 from repro.sim.engine import run_spmd
 from repro.sim.machine import MachineConfig
@@ -70,11 +70,11 @@ def run_cannon_on_torus(
     if n % q:
         raise NotApplicableError(f"n={n} not divisible by torus side {q}")
 
-    part = BlockPartition2D(n, q)
+    part = BlockGrid(n, q, q)
     initial = {
         torus.node_at(r, c): {
-            "A": part.extract(A, r, c),
-            "B": part.extract(B, r, c),
+            "A": part.extract(A, (r, c)),
+            "B": part.extract(B, (r, c)),
         }
         for r in range(q)
         for c in range(q)

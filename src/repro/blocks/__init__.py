@@ -1,19 +1,5 @@
 """Matrix block partitions used by the paper's data distributions."""
 
-from repro.blocks.partition import (
-    BlockPartition2D,
-    ColumnGroups,
-    RowGroups,
-    PartitionFig8,
-    PartitionFig9,
-    f_index,
-)
+from repro.blocks.partition import BlockGrid, f_index
 
-__all__ = [
-    "BlockPartition2D",
-    "ColumnGroups",
-    "RowGroups",
-    "PartitionFig8",
-    "PartitionFig9",
-    "f_index",
-]
+__all__ = ["BlockGrid", "f_index"]

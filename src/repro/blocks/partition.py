@@ -1,18 +1,18 @@
-"""Matrix partitions from the paper's figures.
+"""The one matrix partition behind every data layout of the paper.
 
-* :class:`BlockPartition2D` — Figure 1: an ``n × n`` matrix cut into
-  ``q × q`` square blocks ``M_{ij}``.
-* :class:`ColumnGroups` / :class:`RowGroups` — Berntsen's and the 2-D
-  Diagonal algorithm's splits of ``A`` by columns and ``B`` by rows into
-  ``q`` groups.
-* :class:`PartitionFig8` — Figure 8: the 3D All family's partition of ``A``
-  into ``∛p × p^{2/3}`` blocks ``A_{k, f(i,j)}`` with ``f(i,j) = i·∛p + j``.
-* :class:`PartitionFig9` — Figure 9: the transposed layout for ``B``
-  (``p^{2/3} × ∛p`` blocks ``B_{f(i,j), k}``).
+Each algorithm places its operands by cutting an ``n × n`` matrix into
+``rows × cols`` equal rectangles, a :class:`BlockGrid`.  The paper's
+figures are five shapes of it, for ``q = √p`` or ``∛p``:
 
-Extraction methods return *copies* (C-contiguous) so simulator payloads are
-independent of the source matrix; assembly methods rebuild full matrices
-from per-block dictionaries and are the inverse of extraction.
+* ``(q, q)`` — Figure 1's square blocks ``M_{ij}``;
+* ``(1, q)`` / ``(q, 1)`` — Berntsen's and the 2-D Diagonal algorithm's
+  column groups of ``A`` and row groups of ``B``;
+* ``(q, q²)`` — Figure 8: ``A_{k, f(i,j)}`` with ``f(i,j) = i·∛p + j``;
+* ``(q², q)`` — Figure 9, the transposed layout for ``B``.
+
+Extraction returns *copies* (C-contiguous) so simulator payloads are
+independent of the source matrix; assembly rebuilds the full matrix from a
+dictionary of blocks and is the inverse of extraction.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 
-__all__ = [
-    "BlockPartition2D",
-    "ColumnGroups",
-    "RowGroups",
-    "PartitionFig8",
-    "PartitionFig9",
-    "f_index",
-]
+__all__ = ["BlockGrid", "f_index"]
 
 
 def f_index(i: int, j: int, q: int) -> int:
@@ -36,181 +29,58 @@ def f_index(i: int, j: int, q: int) -> int:
     return i * q + j
 
 
-def _check_divisible(n: int, q: int, what: str) -> int:
-    if q <= 0:
-        raise DistributionError(f"{what}: group count must be positive, got {q}")
-    if n % q:
-        raise DistributionError(
-            f"{what}: matrix size {n} not divisible into {q} groups"
-        )
-    return n // q
+class BlockGrid:
+    """An ``n × n`` matrix cut into ``rows × cols`` equal rectangles;
+    block ``(i, j)`` is row block ``i``, column block ``j``."""
 
+    __slots__ = ("n", "rows", "cols", "height", "width")
 
-class BlockPartition2D:
-    """Figure 1: ``q × q`` square blocks of an ``n × n`` matrix."""
-
-    def __init__(self, n: int, q: int):
+    def __init__(self, n: int, rows: int, cols: int):
+        for count in (rows, cols):
+            if count <= 0:
+                raise DistributionError(
+                    f"{rows}x{cols} blocks: block counts must be positive"
+                )
+            if n % count:
+                raise DistributionError(
+                    f"{rows}x{cols} blocks: matrix size {n} not divisible "
+                    f"into {count} groups"
+                )
         self.n = n
-        self.q = q
-        self.block = _check_divisible(n, q, "2-D block partition")
+        self.rows = rows
+        self.cols = cols
+        self.height = n // rows
+        self.width = n // cols
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        return (self.block, self.block)
+        return (self.height, self.width)
 
-    def extract(self, matrix: np.ndarray, i: int, j: int) -> np.ndarray:
-        """Block ``M_{ij}`` (row block ``i``, column block ``j``)."""
-        self._check_index(i, j)
-        b = self.block
-        return np.ascontiguousarray(matrix[i * b:(i + 1) * b, j * b:(j + 1) * b])
+    def extract(self, matrix: np.ndarray, index: tuple[int, int]) -> np.ndarray:
+        """A C-contiguous copy of block ``index = (i, j)`` (a copy even
+        where the slice is contiguous already, as a row group is)."""
+        i, j = index
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise DistributionError(
+                f"block index ({i},{j}) out of range for "
+                f"{self.rows}x{self.cols} blocks"
+            )
+        h, w = self.height, self.width
+        return matrix[i * h:(i + 1) * h, j * w:(j + 1) * w].copy()
 
     def assemble(self, blocks: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
         """Rebuild the full matrix from ``{(i, j): block}``."""
         out = np.zeros((self.n, self.n))
-        b = self.block
+        rows, cols, h, w = self.rows, self.cols, self.height, self.width
+        shape = (h, w)
         for (i, j), blk in blocks.items():
-            self._check_index(i, j)
-            if blk.shape != (b, b):
+            if not (0 <= i < rows and 0 <= j < cols):
                 raise DistributionError(
-                    f"block ({i},{j}) has shape {blk.shape}, expected {(b, b)}"
+                    f"block index ({i},{j}) out of range for {rows}x{cols} blocks"
                 )
-            out[i * b:(i + 1) * b, j * b:(j + 1) * b] = blk
+            if blk.shape != shape:
+                raise DistributionError(
+                    f"block ({i},{j}) has shape {blk.shape}, expected {shape}"
+                )
+            out[i * h:(i + 1) * h, j * w:(j + 1) * w] = blk
         return out
-
-    def _check_index(self, i: int, j: int) -> None:
-        if not (0 <= i < self.q and 0 <= j < self.q):
-            raise DistributionError(
-                f"block index ({i},{j}) out of range for {self.q}x{self.q} blocks"
-            )
-
-
-class ColumnGroups:
-    """``q`` groups of consecutive columns (``n × n/q`` slabs)."""
-
-    def __init__(self, n: int, q: int):
-        self.n = n
-        self.q = q
-        self.width = _check_divisible(n, q, "column groups")
-
-    def extract(self, matrix: np.ndarray, j: int) -> np.ndarray:
-        self._check_index(j)
-        w = self.width
-        return np.ascontiguousarray(matrix[:, j * w:(j + 1) * w])
-
-    def assemble(self, groups: dict[int, np.ndarray]) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        w = self.width
-        for j, g in groups.items():
-            self._check_index(j)
-            out[:, j * w:(j + 1) * w] = g
-        return out
-
-    def _check_index(self, j: int) -> None:
-        if not 0 <= j < self.q:
-            raise DistributionError(f"column group {j} out of range for q={self.q}")
-
-
-class RowGroups:
-    """``q`` groups of consecutive rows (``n/q × n`` slabs)."""
-
-    def __init__(self, n: int, q: int):
-        self.n = n
-        self.q = q
-        self.height = _check_divisible(n, q, "row groups")
-
-    def extract(self, matrix: np.ndarray, i: int) -> np.ndarray:
-        self._check_index(i)
-        h = self.height
-        return np.ascontiguousarray(matrix[i * h:(i + 1) * h, :])
-
-    def assemble(self, groups: dict[int, np.ndarray]) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        h = self.height
-        for i, g in groups.items():
-            self._check_index(i)
-            out[i * h:(i + 1) * h, :] = g
-        return out
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.q:
-            raise DistributionError(f"row group {i} out of range for q={self.q}")
-
-
-class PartitionFig8:
-    """Figure 8: ``A`` cut into ``q`` row blocks × ``q²`` column blocks.
-
-    Block ``A_{k, c}`` has shape ``(n/q, n/q²)``; processor ``p_{i,j,k}``
-    initially holds ``A_{k, f(i,j)}``.
-    """
-
-    def __init__(self, n: int, q: int):
-        self.n = n
-        self.q = q
-        self.row_block = _check_divisible(n, q, "Fig. 8 rows")
-        self.col_block = _check_divisible(n, q * q, "Fig. 8 columns")
-
-    @property
-    def block_shape(self) -> tuple[int, int]:
-        return (self.row_block, self.col_block)
-
-    def extract(self, matrix: np.ndarray, k: int, c: int) -> np.ndarray:
-        """Block ``A_{k, c}`` with ``0 <= k < q`` and ``0 <= c < q²``."""
-        self._check_index(k, c)
-        rb, cb = self.row_block, self.col_block
-        return np.ascontiguousarray(
-            matrix[k * rb:(k + 1) * rb, c * cb:(c + 1) * cb]
-        )
-
-    def assemble(self, blocks: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rb, cb = self.row_block, self.col_block
-        for (k, c), blk in blocks.items():
-            self._check_index(k, c)
-            out[k * rb:(k + 1) * rb, c * cb:(c + 1) * cb] = blk
-        return out
-
-    def _check_index(self, k: int, c: int) -> None:
-        if not (0 <= k < self.q and 0 <= c < self.q * self.q):
-            raise DistributionError(
-                f"Fig. 8 block ({k},{c}) out of range for q={self.q}"
-            )
-
-
-class PartitionFig9:
-    """Figure 9: ``B`` cut into ``q²`` row blocks × ``q`` column blocks.
-
-    Block ``B_{r, k}`` has shape ``(n/q², n/q)``; in the 3D All_Trans
-    algorithm processor ``p_{i,j,k}`` initially holds ``B_{f(i,j), k}``.
-    """
-
-    def __init__(self, n: int, q: int):
-        self.n = n
-        self.q = q
-        self.row_block = _check_divisible(n, q * q, "Fig. 9 rows")
-        self.col_block = _check_divisible(n, q, "Fig. 9 columns")
-
-    @property
-    def block_shape(self) -> tuple[int, int]:
-        return (self.row_block, self.col_block)
-
-    def extract(self, matrix: np.ndarray, r: int, k: int) -> np.ndarray:
-        """Block ``B_{r, k}`` with ``0 <= r < q²`` and ``0 <= k < q``."""
-        self._check_index(r, k)
-        rb, cb = self.row_block, self.col_block
-        return np.ascontiguousarray(
-            matrix[r * rb:(r + 1) * rb, k * cb:(k + 1) * cb]
-        )
-
-    def assemble(self, blocks: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rb, cb = self.row_block, self.col_block
-        for (r, k), blk in blocks.items():
-            self._check_index(r, k)
-            out[r * rb:(r + 1) * rb, k * cb:(k + 1) * cb] = blk
-        return out
-
-    def _check_index(self, r: int, k: int) -> None:
-        if not (0 <= r < self.q * self.q and 0 <= k < self.q):
-            raise DistributionError(
-                f"Fig. 9 block ({r},{k}) out of range for q={self.q}"
-            )

@@ -105,3 +105,66 @@ def test_list_algorithms_is_the_sorted_registry():
     keys = list_algorithms()
     assert keys == sorted(ALGORITHMS) and "cannon" in keys
     assert [get_algorithm(k) for k in keys] == [ALGORITHMS[k] for k in keys]
+
+
+def _square(n, k):
+    """p = 4^k' (k' ≥ 1) and √p divides n."""
+    return k >= 2 and k % 2 == 0 and n % (1 << k // 2) == 0
+
+
+def _cubic(n, k, power):
+    """p = 8^k' (k' ≥ 1) and (∛p)^power divides n."""
+    return k >= 3 and k % 3 == 0 and n % (1 << k // 3 * power) == 0
+
+
+def _hje(n, k):
+    """The square grid with n/√p ≥ log √p."""
+    return _square(n, k) and n >> k // 2 >= k // 2
+
+
+def _rect(n, k):
+    """q1 × q2 × q1 with the smallest q2 ≥ 2 (2 for odd log p, else 4),
+    q1 ≥ 2, and q1·q2 dividing n."""
+    log_q2 = 1 if k % 2 else 2
+    return k - log_q2 >= 2 and n % (1 << (k - log_q2) // 2 + log_q2) == 0
+
+
+def _supernode(n, k):
+    """p = 8^a·4^b with the smallest b ≥ 1, a ≥ 1, and ∛s·√r = 2^(a+b)
+    dividing n."""
+    for b in range(1, k // 2 + 1):
+        if k - 2 * b >= 3 and (k - 2 * b) % 3 == 0:
+            return n % (1 << (k - 2 * b) // 3 + b) == 0
+    return False
+
+
+TABLE3_PREDICATES = {
+    "simple": _square,
+    "cannon": _square,
+    "fox": _square,
+    "diagonal2d": _square,
+    "hje": _hje,
+    "dns": lambda n, k: _cubic(n, k, 1),
+    "3dd": lambda n, k: _cubic(n, k, 1),
+    "berntsen": lambda n, k: _cubic(n, k, 2),
+    "3d_all_trans": lambda n, k: _cubic(n, k, 2),
+    "3d_all": lambda n, k: _cubic(n, k, 2),
+    "3d_all_rect": _rect,
+    "dns_cannon": _supernode,
+    "3dd_cannon": _supernode,
+}
+
+
+@pytest.mark.parametrize("key", sorted(ALGORITHMS))
+def test_applicability_is_grid_shape_and_divisibility(key):
+    """Over every n ≤ 2¹⁰ and p = 2⁰…2²⁰ an algorithm runs exactly where
+    its grid forms and its blocks divide n (Table 3's ``p ≤ n^k`` columns
+    follow from the divisibility: ``n % d == 0`` gives ``n ≥ d``)."""
+    algo, predicate = ALGORITHMS[key], TABLE3_PREDICATES[key]
+    wrong = [
+        (n, 1 << k)
+        for k in range(21)
+        for n in range(1, (1 << 10) + 1)
+        if algo.applicable(n, 1 << k) != predicate(n, k)
+    ]
+    assert not wrong, wrong[:10]

@@ -4,34 +4,35 @@ import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.algorithms.dns_cannon import DNSCannonAlgorithm, _Layout, _decompose
+from repro.algorithms.dns_cannon import DNSCannonAlgorithm
+from repro.algorithms.supernode import SupernodeLayout, decompose
 from repro.errors import NotApplicableError
 from repro.sim import MachineConfig
 
 
 class TestDecomposition:
     def test_auto_prefers_small_mesh(self):
-        assert _decompose(32, None) == (1, 1)     # 8 * 4
-        assert _decompose(256, None) == (2, 1)    # 64 * 4
-        assert _decompose(128, None) == (1, 2)    # 8 * 16
+        assert decompose(32, None) == (1, 1)     # 8 * 4
+        assert decompose(256, None) == (2, 1)    # 64 * 4
+        assert decompose(128, None) == (1, 2)    # 8 * 16
 
     def test_k6_is_impossible(self):
         # 64 = 2^6: 3a + 2b = 6 has no solution with a, b >= 1
-        assert _decompose(64, None) is None
+        assert decompose(64, None) is None
 
     def test_explicit_mesh(self):
-        assert _decompose(128, 16) == (1, 2)
-        assert _decompose(512, 64) == (1, 3)
-        assert _decompose(512, 4) is None  # 512/4 = 128 is not 8^a
-        assert _decompose(128, 8) is None  # mesh must be 4^b
+        assert decompose(128, 16) == (1, 2)
+        assert decompose(512, 64) == (1, 3)
+        assert decompose(512, 4) is None  # 512/4 = 128 is not 8^a
+        assert decompose(128, 8) is None  # mesh must be 4^b
 
     def test_non_power_of_two(self):
-        assert _decompose(48, None) is None
+        assert decompose(48, None) is None
 
 
 class TestLayout:
     def test_coords_roundtrip(self):
-        layout = _Layout(1, 1)  # 2x2x2 supernodes of 2x2 meshes, p=32
+        layout = SupernodeLayout(1, 1)  # 2x2x2 supernodes of 2x2 meshes, p=32
         seen = set()
         for I in range(2):
             for J in range(2):
@@ -46,7 +47,7 @@ class TestLayout:
     def test_mesh_neighbors_are_cube_neighbors(self):
         from repro.topology.hypercube import Hypercube
 
-        layout = _Layout(1, 2)  # p = 8 * 16 = 128
+        layout = SupernodeLayout(1, 2)  # p = 8 * 16 = 128
         cube = Hypercube.with_nodes(128)
         for u in range(4):
             for v in range(4):
@@ -57,7 +58,7 @@ class TestLayout:
     def test_supernode_lines_are_subcubes(self):
         from repro.mpi.communicator import Comm  # noqa: F401 - construction below
 
-        layout = _Layout(1, 1)
+        layout = SupernodeLayout(1, 1)
         members = [layout.node(0, y, 1, 1, 0) for y in range(2)]
         diff = members[0] ^ members[1]
         assert bin(diff).count("1") == 1  # single varying supernode-y bit

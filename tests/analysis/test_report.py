@@ -129,11 +129,9 @@ class TestFullReport:
         ]
 
     def test_every_committed_result_has_a_generator(self):
-        """``benchmarks/results/`` holds exactly the report's artefacts
-        (beside the wall-clock tables the two service benches may leave
-        there, which are never committed)."""
+        """``benchmarks/results/`` holds exactly the report's artefacts."""
         stems = {path.stem for path in RESULTS.glob("*.txt")}
-        assert set(ARTEFACTS) == stems - {"service", "service_soak"}
+        assert set(ARTEFACTS) == stems
 
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"

@@ -90,7 +90,6 @@ def test_random_point_to_point_permutations(seed):
 def test_algorithm_then_collective_composition(port, seed):
     """Run a matmul, then allreduce a checksum of C — composed workloads."""
     from repro.algorithms import get_algorithm
-    from repro.blocks import BlockPartition2D
 
     n, p = 16, 16
     rng = np.random.default_rng(seed)

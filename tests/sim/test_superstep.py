@@ -24,7 +24,7 @@ import repro.sim.process as process_mod
 from repro.algorithms import get_algorithm
 from repro.algorithms.common import cannon_kernel
 from repro.algorithms.torus_cannon import torus_machine_like
-from repro.blocks.partition import BlockPartition2D
+from repro.blocks.partition import BlockGrid
 from repro.collectives import allgather
 from repro.collectives.phase import Lift, allgather_call, broadcast_call, parallel_pair
 from repro.errors import AlgorithmError, LivelockError, SimulationError
@@ -897,13 +897,13 @@ def _kernel_engines(key, p, port, routing, t_c, timing_only=False, n=None, forei
     if key == "torus_cannon":
         q = int(round(p ** 0.5))
         cfg = torus_machine_like(cfg, q)
-        torus, part = cfg.cube, BlockPartition2D(n, q)
+        torus, part = cfg.cube, BlockGrid(n, q, q)
 
         def prog(ctx):
             r, c = torus.coords_of(ctx.rank)
             return (yield from cannon_kernel(
-                ctx, torus.node_at, q, r, c, part.extract(A, r, c),
-                part.extract(B, r, c),
+                ctx, torus.node_at, q, r, c, part.extract(A, (r, c)),
+                part.extract(B, (r, c)),
             ))
 
         def collect(results):

@@ -77,3 +77,38 @@ def test_experiments_doc_covers_every_table_and_figure():
     text = (pathlib.Path(__file__).parents[1] / "EXPERIMENTS.md").read_text()
     for artefact in ("Table 1", "Table 2", "Table 3", "Figures 13", "Figures 14"):
         assert artefact in text, artefact
+
+
+def _resolves(dotted):
+    """True if ``dotted`` imports, or is an attribute chain of a module
+    that does."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_documented_module_names_exist():
+    """Every backticked ``repro.…`` name in the docs names something."""
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).parents[1]
+    docs = [root / "README.md", root / "DESIGN.md", root / "EXPERIMENTS.md"]
+    docs += sorted((root / "docs").glob("*.md"))
+    missing = sorted({
+        f"{doc.name}: {name}"
+        for doc in docs
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text())
+        for name in re.findall(r"\brepro(?:\.\w+)+", span)
+        if not _resolves(name)
+    })
+    assert not missing, missing
