@@ -63,13 +63,9 @@ def _sweep_params(tenant: str, index: int) -> dict:
 
 
 def _direct_digest(params: dict) -> str:
-    from repro.service.jobs import (
-        build_cells, evaluate_chunk, finalize, make_spec,
-    )
+    from repro.service.jobs import evaluate, make_spec
 
-    spec = make_spec("sweep", params)
-    records = evaluate_chunk(spec.kind, spec.params, build_cells(spec))
-    return finalize(spec, records)["digest"]
+    return evaluate(make_spec("sweep", params))["digest"]
 
 
 def _cli(*argv: str, **popen_kw) -> subprocess.Popen:
@@ -187,7 +183,7 @@ def main(argv=None) -> int:
             proc = _cli(
                 "submit", "--state-dir", str(state), "--tenant", tenant,
                 "--json", "--wait", "30", "sweep", "n",
-                "--values", *(str(v) for v in params["values"]),
+                *(str(v) for v in params["values"]),
                 "--algorithms", *params["algorithms"], "-p", "64",
             )
             spool_procs.append((proc, tenant, expected_digest))

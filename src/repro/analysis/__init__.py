@@ -25,7 +25,6 @@ from repro.analysis.cache import (
     cached_coefficients,
     cached_figure,
     cached_region_map,
-    cached_sweep,
     engine_fingerprint,
 )
 from repro.analysis.measure import (
@@ -54,7 +53,6 @@ __all__ = [
     "cached_coefficients",
     "cached_figure",
     "cached_region_map",
-    "cached_sweep",
     "engine_fingerprint",
     "extract_coefficients",
     "measure_comm_time",

@@ -62,7 +62,6 @@ __all__ = [
     "ResultCache",
     "cached_region_map",
     "cached_figure",
-    "cached_sweep",
     "cached_coefficients",
 ]
 
@@ -521,30 +520,6 @@ def cached_figure(cache, figure: int, **kwargs):
     }
     return cache.fetch(
         "figure_panels", descriptor, lambda: build(**kwargs)
-    )
-
-
-def cached_sweep(cache, algorithms, variable, values, **kwargs):
-    """:func:`repro.analysis.sweep.sweep` through a result cache."""
-    from repro.analysis.sweep import sweep
-
-    if cache is None:
-        return sweep(algorithms, variable, values, **kwargs)
-    port = kwargs.get("port", PortModel.ONE_PORT)
-    descriptor = {
-        "algorithms": list(algorithms),
-        "variable": variable,
-        "values": [float(v) for v in values],
-        "n": float(kwargs.get("n", 256)),
-        "p": float(kwargs.get("p", 64)),
-        "port": port,
-        "t_s": float(kwargs.get("t_s", 150.0)),
-        "t_w": float(kwargs.get("t_w", 3.0)),
-    }
-    return cache.fetch(
-        "sweep",
-        descriptor,
-        lambda: sweep(algorithms, variable, values, **kwargs),
     )
 
 

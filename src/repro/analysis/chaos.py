@@ -82,6 +82,8 @@ __all__ = [
     "sample_atoms",
     "plan_from_atoms",
     "run_campaign",
+    "campaign_cells",
+    "campaign_report",
     "minimize_atoms",
     "format_report",
 ]
@@ -443,21 +445,51 @@ def run_campaign(
     budget the integrity layer needs for real corruption.  The default
     0.0 runs on the uniform machine, bit-identical to earlier releases.
     """
+    cells = campaign_cells(
+        trials=trials, seed=seed, stack=stack, algorithm=algorithm, n=n,
+        p=p, check_replay=check_replay, deadline_factor=deadline_factor,
+        severity=severity, scenario_seed=scenario_seed,
+        only_trial=only_trial, atom_subset=atom_subset,
+    )
+    return campaign_report(
+        cells, [_run_trial(cell) for cell in cells], minimize=minimize
+    )
+
+
+def campaign_cells(
+    *,
+    trials: int,
+    seed: int,
+    stack: str,
+    algorithm: str,
+    n: int,
+    p: int,
+    check_replay: bool = True,
+    deadline_factor: float = 200.0,
+    severity: float = 0.0,
+    scenario_seed: int = 0,
+    only_trial: int | None = None,
+    atom_subset: list[int] | None = None,
+) -> list[dict[str, Any]]:
+    """The campaign's trial cells, one :func:`_run_trial` input each.
+
+    Every trial, or only ``only_trial`` (restricted to ``atom_subset``).
+    Each cell carries the fault-free horizon: the virtual duration of a
+    clean run, the time scale fault windows are sampled against and the
+    unit of the hang deadline.  It is deterministic (seeded matrices,
+    uniform machine), so a resumed service job rebuilds identical cells.
+    """
     if stack not in STACKS:
         raise ValueError(f"stack must be one of {STACKS}, got {stack!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-
-    # Fault-free horizon: virtual duration of a clean run, the time scale
-    # fault windows are sampled against and the unit of the hang deadline.
     baseline = get_algorithm(algorithm).run(
         *_trial_matrices(np.random.default_rng([seed, 0]), n),
         MachineConfig.create(p),
     )
     horizon = baseline.result.total_time
-
     wanted = range(trials) if only_trial is None else [only_trial]
-    cells = [
+    return [
         {
             "seed": seed, "trial": t, "stack": stack,
             "algorithm": algorithm, "n": n, "p": p,
@@ -469,11 +501,25 @@ def run_campaign(
         }
         for t in wanted
     ]
-    records = [_run_trial(cell) for cell in cells]
 
+
+def campaign_report(
+    cells: list[dict[str, Any]],
+    records: list[dict[str, Any] | None],
+    *,
+    minimize: bool = False,
+) -> dict[str, Any]:
+    """The JSON-able campaign report from the cells' records (cell order).
+
+    A ``None`` record is a trial the sweep service quarantined: it counts
+    neither as clean nor as a violation, and the report names it in
+    ``quarantined_cells``, which only such a report carries (and
+    digests).  ``minimize`` delta-debugs each violating trial's fault set
+    into a reproducer.
+    """
     violations = []
     for cell, record in zip(cells, records):
-        if record["violation"] is None:
+        if record is None or record["violation"] is None:
             continue
         entry = {
             "trial": record["trial"],
@@ -485,13 +531,17 @@ def run_campaign(
             entry["reproducer"] = _minimize_violation(cell, record)
         violations.append(entry)
 
+    first = cells[0]
+    quarantined = [i for i, rec in enumerate(records) if rec is None]
     report = {
-        "stack": stack, "algorithm": algorithm, "n": n, "p": p,
-        "seed": seed, "trials": trials, "horizon": horizon,
-        "severity": severity, "scenario_seed": scenario_seed,
-        "clean": len(records) - len(violations),
-        "violations": violations,
+        key: first[key]
+        for key in ("stack", "algorithm", "n", "p", "seed", "trials",
+                    "horizon", "severity", "scenario_seed")
     }
+    report["clean"] = len(records) - len(quarantined) - len(violations)
+    report["violations"] = violations
+    if quarantined:
+        report["quarantined_cells"] = quarantined
     report["digest"] = _report_digest(report)
     return report
 

@@ -18,13 +18,14 @@ Outputs:
 * :func:`severity_sweep` — the raw grid of :class:`DegradationPoint`
   cells, one pure function per cell (the sweep service leases the same
   cells to its workers),
-* :func:`degradation_report` — a JSON-able report ranking algorithms by
+* :func:`report_from_points` — a JSON-able report ranking algorithms by
   overhead growth (the *most graceful degrader* first), carrying a
-  replay-invariant digest in the chaos-report style,
+  replay-invariant digest in the chaos-report style; the ``degrade``
+  job of :mod:`repro.service.jobs` evaluates the whole report,
 * :func:`graceful_region_map` — a region-map variant: for each matrix
   size, which algorithm degrades most gracefully at a given severity,
-* ``repro degrade`` — the CLI over all of the above (``--check`` reruns
-  the report and fails on any digest mismatch).
+* ``repro degrade`` — the CLI over that job (``--check`` reruns the
+  report and fails on any digest mismatch).
 
 Everything is a pure function of its seeds: matrices from ``seed``, the
 scenario from ``(profile, severity, scenario_seed)``, no wall-clock
@@ -59,7 +60,6 @@ __all__ = [
     "sweep_cells",
     "points_from_records",
     "report_from_points",
-    "degradation_report",
     "graceful_region_map",
     "format_degradation_table",
     "format_region_map",
@@ -272,43 +272,6 @@ def _growth(points: list[DegradationPoint]) -> float | None:
     return max(overheads) - 1.0
 
 
-def degradation_report(
-    algorithms: list[str],
-    n: int,
-    p: int,
-    severities: list[float],
-    *,
-    profile: str = "random",
-    scenario_seed: int = 0,
-    seed: int = 0,
-    adaptive: bool = True,
-    t_s: float = 150.0,
-    t_w: float = 3.0,
-    port_model: PortModel = PortModel.ONE_PORT,
-    max_events: int = 5_000_000,
-) -> dict[str, Any]:
-    """The JSON-able graceful-degradation report for one (n, p) point.
-
-    Ranks the algorithms by overhead growth across the severity axis —
-    the smallest growth is the *most graceful degrader*.  The report is
-    a pure function of its parameters and carries a ``digest`` invariant
-    across reruns, replays, and the sweep service's sharding.
-    """
-    keys = [k for k in algorithms if get_algorithm(k).applicable(n, p)]
-    points = severity_sweep(
-        keys, n, p, severities,
-        profile=profile, scenario_seed=scenario_seed, seed=seed,
-        adaptive=adaptive, t_s=t_s, t_w=t_w, port_model=port_model,
-        max_events=max_events,
-    )
-    return report_from_points(
-        keys, points,
-        n=n, p=p, severities=severities, profile=profile,
-        scenario_seed=scenario_seed, seed=seed, adaptive=adaptive,
-        t_s=t_s, t_w=t_w, port_model=port_model,
-    )
-
-
 def report_from_points(
     keys: list[str],
     points: list[DegradationPoint],
@@ -326,9 +289,9 @@ def report_from_points(
 ) -> dict[str, Any]:
     """Assemble the ranking report from already-evaluated sweep points.
 
-    The single assembly path behind :func:`degradation_report` — external
-    executors (the sweep service) that evaluated the same cells reach the
-    identical report (and digest) through it.
+    The single assembly path of the ``degrade`` job: a direct
+    ``repro degrade`` and the sweep service evaluate the same cells and
+    reach the identical report (and digest) through it.
     """
     per_algo: dict[str, list[DegradationPoint]] = {k: [] for k in keys}
     for pt in points:

@@ -16,6 +16,18 @@ Subcommands
 ``report``       regenerate the paper's full evaluation in one run
 ``cache``        inspect or maintain the persistent result cache
 ``list``         list the available algorithms
+``submit``       queue a job on the crash-safe sweep service
+``serve``        execute the service's pending jobs (resumes from the journal)
+``work``         a multi-host worker agent for the service
+``jobs``         inspect service jobs and counters
+
+``sweep``, ``degrade`` and ``chaos`` are also service job kinds, and
+``submit <kind>`` takes exactly their job flags: each kind's flags are
+declared once below, and both doors build the job with
+:func:`repro.service.jobs.make_spec`, which holds every default.  A
+direct ``sweep`` or ``degrade`` is that job evaluated in process
+(:func:`repro.service.jobs.evaluate`); a direct ``chaos`` is
+:func:`repro.analysis.chaos.run_campaign` over the same cells.
 
 ``figure``, ``sweep``, ``table2``, ``faults`` and ``degrade`` accept ``--cache`` /
 ``--no-cache`` (and ``--cache-dir``) to serve repeat invocations from the
@@ -40,7 +52,6 @@ from repro.analysis.cache import (
     ResultCache,
     cached_coefficients,
     cached_region_map,
-    cached_sweep,
 )
 from repro.analysis.figures import PANELS, render_ascii
 from repro.analysis.scalability import format_isoefficiency_table
@@ -129,6 +140,143 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
         "--routing", choices=["sf", "ct"], default="sf",
         help="multi-hop routing: store-and-forward (sf) or cut-through (ct)",
     )
+
+
+# One function per job kind declares its flags for the direct subcommand
+# and ``submit <kind>`` alike.  Every dest is a job param key and every
+# default is None, so a flag left out takes ``make_spec``'s default.
+
+
+def _job_cost_params(p: argparse.ArgumentParser) -> list:
+    return [
+        p.add_argument("--ts", dest="t_s", type=float,
+                       help="start-up cost t_s"),
+        p.add_argument("--tw", dest="t_w", type=float,
+                       help="per-word cost t_w"),
+        p.add_argument("--port", choices=["one", "multi"],
+                       help="port model (one-port or multi-port nodes)"),
+    ]
+
+
+def _sweep_params(p: argparse.ArgumentParser) -> list:
+    return [
+        p.add_argument("variable", choices=["n", "p", "t_s", "t_w"]),
+        p.add_argument("values", type=float, nargs="+"),
+        p.add_argument("-n", type=float, help="matrix size"),
+        p.add_argument("-p", type=float, help="processor count"),
+        p.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS)),
+        *_job_cost_params(p),
+    ]
+
+
+def _region_map_params(p: argparse.ArgumentParser) -> list:
+    return [
+        p.add_argument("--log2-n-max", type=int),
+        p.add_argument("--log2-p-max", type=int),
+        p.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS)),
+        *_job_cost_params(p),
+        p.add_argument(
+            "--backend", choices=["model", "sim"],
+            help="model = Table 2 closed forms (default); "
+                 "sim = time each candidate in the event engine",
+        ),
+    ]
+
+
+def _degrade_params(p: argparse.ArgumentParser) -> list:
+    return [
+        p.add_argument("-n", type=int, help="matrix size"),
+        p.add_argument("-p", type=int, help="processor count"),
+        p.add_argument(
+            "--severities", type=float, nargs="+",
+            help="severity levels to sweep (0 = uniform network)",
+        ),
+        p.add_argument(
+            "--profile",
+            choices=["uniform", "random", "hotspot", "dimension",
+                     "background"],
+            help="network-scenario profile shaping the degradation",
+        ),
+        p.add_argument(
+            "--scenario-seed", type=int,
+            help="seed for the scenario's link selection and magnitudes",
+        ),
+        p.add_argument("--seed", type=int, help="matrix seed"),
+        p.add_argument(
+            "--algorithms", nargs="+", choices=sorted(ALGORITHMS),
+            metavar="ALGO",
+            help="algorithm keys to rank (those not applicable at this "
+                 "n, p are dropped)",
+        ),
+        p.add_argument(
+            "--oblivious", dest="adaptive", action="store_false",
+            default=None,
+            help="disable degradation-aware detour routing (fixed e-cube "
+                 "paths even on slow links)",
+        ),
+        *_job_cost_params(p),
+    ]
+
+
+def _chaos_params(p: argparse.ArgumentParser) -> list:
+    return [
+        p.add_argument("--trials", type=int),
+        p.add_argument("--seed", type=int, help="campaign seed"),
+        p.add_argument(
+            "--stack", choices=["none", "reliable", "integrity", "protected"],
+            help="protection stack the algorithm runs under",
+        ),
+        p.add_argument("--algorithm", choices=sorted(ALGORITHMS)),
+        p.add_argument("-n", type=int, help="matrix size"),
+        p.add_argument("-p", type=int, help="processor count"),
+        p.add_argument(
+            "--severity", type=float,
+            help="layer a seeded heterogeneous network scenario of this "
+                 "severity under every trial's fault plan (0 = uniform)",
+        ),
+        p.add_argument(
+            "--scenario-seed", type=int,
+            help="seed for the heterogeneous scenario (with --severity)",
+        ),
+        p.add_argument(
+            "--no-replay-check", dest="check_replay", action="store_false",
+            default=None,
+            help="skip the same-seed bit-identical replay invariant",
+        ),
+    ]
+
+
+_JOB_PARAMS = {
+    "sweep": _sweep_params,
+    "region-map": _region_map_params,
+    "degrade": _degrade_params,
+    "chaos": _chaos_params,
+}
+
+
+def _add_job_params(p: argparse.ArgumentParser, kind: str) -> None:
+    actions = _JOB_PARAMS[kind](p)
+    p.set_defaults(job_kind=kind.replace("-", "_"),
+                   job_keys=[action.dest for action in actions])
+
+
+def _job_params(args) -> dict:
+    """The job parameters the command line sets: ``submit``'s ``--params``
+    JSON object, overridden by every kind flag that was given."""
+    import json as _json
+
+    params = _json.loads(args.params) if getattr(args, "params", None) else {}
+    for key in args.job_keys:
+        value = getattr(args, key)
+        if value is not None:
+            params[key] = value
+    return params
+
+
+def _job_spec(args):
+    from repro.service.jobs import make_spec
+
+    return make_spec(args.job_kind, _job_params(args))
 
 
 def _cmd_list(_args) -> int:
@@ -221,26 +369,26 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    keys = tuple(args.algorithms or ["cannon", "berntsen", "3dd", "3d_all"])
-    points = cached_sweep(
-        _cache(args), keys, args.variable, args.values,
-        n=args.n, p=args.p, port=_port(args.port),
-        t_s=args.ts, t_w=args.tw,
-    )
-    fixed = {"n": args.n, "p": args.p, "t_s": args.ts, "t_w": args.tw}
-    fixed.pop(args.variable)
+    from repro.service.jobs import evaluate
+
+    spec = _job_spec(args)
+    p = spec.params
+    report = evaluate(spec, _cache(args))
+    keys = p["algorithms"]
+    fixed = {key: p[key] for key in ("n", "p", "t_s", "t_w")}
+    fixed.pop(p["variable"])
     print(
-        f"sweep over {args.variable} ({_port(args.port).value}; "
+        f"sweep over {p['variable']} ({p['port']}; "
         + ", ".join(f"{k}={v:g}" for k, v in fixed.items()) + ")"
     )
-    print(f"{args.variable:>12s}" + "".join(f"{k:>14s}" for k in keys)
+    print(f"{p['variable']:>12s}" + "".join(f"{k:>14s}" for k in keys)
           + f"{'best':>14s}")
-    for pt in points:
-        row = f"{pt.value:12g}"
+    for pt in report["points"]:
+        row = f"{pt['value']:12g}"
         for key in keys:
-            t = pt.times[key]
+            t = pt["times"][key]
             row += f"{t:14.1f}" if t is not None else f"{'-':>14s}"
-        print(row + f"{pt.best() or '-':>14s}")
+        print(row + f"{pt['best'] or '-':>14s}")
     return 0
 
 
@@ -421,18 +569,10 @@ def _cmd_chaos(args) -> int:
             print("error: --atoms requires --only-trial", file=sys.stderr)
             return 1
     report = run_campaign(
-        trials=args.trials,
-        seed=args.seed,
-        stack=args.stack,
-        algorithm=args.algorithm,
-        n=args.n,
-        p=args.p,
+        **_job_spec(args).params,
         minimize=not args.no_minimize,
-        check_replay=not args.no_replay_check,
         only_trial=args.only_trial,
         atom_subset=atom_subset,
-        severity=args.severity,
-        scenario_seed=args.scenario_seed,
     )
     print(format_report(report))
     if args.json:
@@ -456,52 +596,18 @@ def _cmd_chaos(args) -> int:
 def _cmd_degrade(args) -> int:
     import json as _json
 
-    from repro.analysis.degradation import (
-        DEFAULT_ALGORITHMS,
-        degradation_report,
-        format_degradation_table,
-    )
+    from repro.analysis.degradation import format_degradation_table
+    from repro.service.jobs import evaluate
 
-    keys = args.algorithms or DEFAULT_ALGORITHMS
-    keys = [k for k in keys if get_algorithm(k).applicable(args.n, args.p)]
-    if not keys:
-        print("error: no selected algorithm is applicable at this (n, p)",
-              file=sys.stderr)
-        return 1
-
-    def compute():
-        return degradation_report(
-            keys, args.n, args.p, args.severities,
-            profile=args.profile, scenario_seed=args.scenario_seed,
-            seed=args.seed, adaptive=not args.oblivious,
-            t_s=args.ts, t_w=args.tw, port_model=_port(args.port),
-        )
-
-    cache = _cache(args)
-    if cache is None:
-        report = compute()
-    else:
-        descriptor = {
-            "algorithms": list(keys),
-            "n": args.n,
-            "p": args.p,
-            "severities": [float(s) for s in args.severities],
-            "profile": args.profile,
-            "scenario_seed": args.scenario_seed,
-            "seed": args.seed,
-            "adaptive": not args.oblivious,
-            "t_s": float(args.ts),
-            "t_w": float(args.tw),
-            "port": _port(args.port).value,
-        }
-        report = cache.fetch("degradation_report", descriptor, compute)
+    spec = _job_spec(args)
+    report = evaluate(spec, _cache(args))
     print(format_degradation_table(report))
     if args.json:
         with open(args.json, "w") as fh:
             _json.dump(report, fh, indent=2, default=repr)
         print(f"report written to {args.json}")
     if args.check:
-        replay = compute()
+        replay = evaluate(spec)
         if replay["digest"] != report["digest"]:
             print(
                 f"error: replay digest mismatch "
@@ -511,20 +617,6 @@ def _cmd_degrade(args) -> int:
             return 1
         print(f"replay check OK: digest {report['digest']} reproduced")
     return 0
-
-
-def _service_params(args) -> dict:
-    """Collect the submitted job's parameters from parsed CLI args."""
-    import json as _json
-
-    params: dict = {}
-    if getattr(args, "params", None):
-        params.update(_json.loads(args.params))
-    for cli_name, key in getattr(args, "_param_map", ()):
-        value = getattr(args, cli_name, None)
-        if value is not None:
-            params[key] = value
-    return params
 
 
 def _submit_outcome(args, kind: str, outcome: dict) -> int:
@@ -601,8 +693,8 @@ def _cmd_submit(args) -> int:
     from repro.errors import ServiceError, ServiceOverloadError
     from repro.service import SweepService
 
-    kind = args.kind.replace("-", "_")
-    params = _service_params(args)
+    kind = args.job_kind
+    params = _job_params(args)
     try:
         with SweepService(
             args.state_dir,
@@ -866,12 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser(
         "sweep", help="tabulate model overheads along one parameter axis"
     )
-    p_sw.add_argument("variable", choices=["n", "p", "t_s", "t_w"])
-    p_sw.add_argument("values", type=float, nargs="+")
-    p_sw.add_argument("-n", type=float, default=256)
-    p_sw.add_argument("-p", type=float, default=64)
-    p_sw.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    _add_cost_args(p_sw)
+    _add_job_params(p_sw, "sweep")
     _add_cache_args(p_sw)
     p_sw.set_defaults(func=_cmd_sweep)
 
@@ -946,17 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="randomized fault-injection campaign with minimized reproducers",
     )
-    p_ch.add_argument("--trials", type=int, default=25)
-    p_ch.add_argument("--seed", type=int, default=0, help="campaign seed")
-    p_ch.add_argument(
-        "--stack", choices=["none", "reliable", "integrity", "protected"],
-        default="none", help="protection stack the algorithm runs under",
-    )
-    p_ch.add_argument(
-        "--algorithm", choices=sorted(ALGORITHMS), default="cannon"
-    )
-    p_ch.add_argument("-n", type=int, default=8)
-    p_ch.add_argument("-p", type=int, default=16)
+    _add_job_params(p_ch, "chaos")
     p_ch.add_argument(
         "--only-trial", type=int, default=None,
         help="replay a single trial instead of the whole campaign",
@@ -967,21 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
              "this is the reproducer form the minimizer emits)",
     )
     p_ch.add_argument(
-        "--severity", type=float, default=0.0,
-        help="layer a seeded heterogeneous network scenario of this "
-             "severity under every trial's fault plan (0 = uniform)",
-    )
-    p_ch.add_argument(
-        "--scenario-seed", type=int, default=0,
-        help="seed for the heterogeneous scenario (with --severity)",
-    )
-    p_ch.add_argument(
         "--no-minimize", action="store_true",
         help="skip delta-debugging the failing trials' fault sets",
-    )
-    p_ch.add_argument(
-        "--no-replay-check", action="store_true",
-        help="skip the same-seed bit-identical replay invariant",
     )
     p_ch.add_argument(
         "--json", default=None, metavar="FILE",
@@ -1003,33 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="graceful-degradation sweep over heterogeneous network "
              "scenarios (which algorithm degrades most gracefully?)",
     )
-    p_dg.add_argument("-n", type=int, default=8)
-    p_dg.add_argument("-p", type=int, default=16)
-    p_dg.add_argument(
-        "--severities", type=float, nargs="+", default=[0.5, 1.0, 2.0],
-        help="severity levels to sweep (0 = uniform network)",
-    )
-    p_dg.add_argument(
-        "--profile",
-        choices=["uniform", "random", "hotspot", "dimension", "background"],
-        default="random",
-        help="network-scenario profile shaping the degradation",
-    )
-    p_dg.add_argument(
-        "--scenario-seed", type=int, default=0,
-        help="seed for the scenario's link selection and magnitudes",
-    )
-    p_dg.add_argument("--seed", type=int, default=0, help="matrix seed")
-    p_dg.add_argument(
-        "--algorithms", nargs="+", metavar="ALGO", default=None,
-        help="algorithm keys to rank (default: the standard pool, "
-             "filtered by applicability)",
-    )
-    p_dg.add_argument(
-        "--oblivious", action="store_true",
-        help="disable degradation-aware detour routing (fixed e-cube "
-             "paths even on slow links)",
-    )
+    _add_job_params(p_dg, "degrade")
     p_dg.add_argument(
         "--check", action="store_true",
         help="recompute the report and fail on digest mismatch "
@@ -1039,7 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="FILE",
         help="also write the full JSON report to FILE",
     )
-    _add_cost_args(p_dg)
     _add_cache_args(p_dg)
     p_dg.set_defaults(func=_cmd_degrade)
 
@@ -1108,82 +1145,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kind_sub = p_sub.add_subparsers(dest="kind", required=True)
 
-    def _kind_parser(name: str, help_: str) -> argparse.ArgumentParser:
-        p = kind_sub.add_parser(name, help=help_)
-        p.add_argument(
+    for kind, help_ in [
+        ("sweep", "parameter sweep over n/p/t_s/t_w"),
+        ("region-map", "best-algorithm region map"),
+        ("degrade", "graceful-degradation severity report"),
+        ("chaos", "seeded fault-injection campaign"),
+    ]:
+        p_k = kind_sub.add_parser(kind, help=help_)
+        p_k.add_argument(
             "--params", default=None,
             help="extra job parameters as a JSON object (flags win)",
         )
-        p.set_defaults(func=_cmd_submit)
-        return p
-
-    p_k = _kind_parser("sweep", "parameter sweep over n/p/t_s/t_w")
-    p_k.add_argument("variable", choices=["n", "p", "t_s", "t_w"])
-    p_k.add_argument("--values", nargs="+", type=float, required=True)
-    p_k.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    p_k.add_argument("-n", type=float, default=None)
-    p_k.add_argument("-p", type=float, default=None)
-    p_k.add_argument("--ts", type=float, default=None)
-    p_k.add_argument("--tw", type=float, default=None)
-    p_k.add_argument("--port", choices=["one", "multi"], default=None)
-    p_k.set_defaults(_param_map=[
-        ("variable", "variable"), ("values", "values"),
-        ("algorithms", "algorithms"), ("n", "n"), ("p", "p"),
-        ("ts", "t_s"), ("tw", "t_w"), ("port", "port"),
-    ])
-
-    p_k = _kind_parser("region-map", "best-algorithm region map")
-    p_k.add_argument("--log2-n-max", type=int, default=None)
-    p_k.add_argument("--log2-p-max", type=int, default=None)
-    p_k.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    p_k.add_argument("--ts", type=float, default=None)
-    p_k.add_argument("--tw", type=float, default=None)
-    p_k.add_argument("--port", choices=["one", "multi"], default=None)
-    p_k.add_argument(
-        "--backend", choices=["model", "sim"], default=None,
-        help="model = Table 2 closed forms (default); "
-             "sim = time each candidate in the event engine",
-    )
-    p_k.set_defaults(_param_map=[
-        ("log2_n_max", "log2_n_max"), ("log2_p_max", "log2_p_max"),
-        ("algorithms", "algorithms"), ("ts", "t_s"), ("tw", "t_w"),
-        ("port", "port"), ("backend", "backend"),
-    ])
-
-    p_k = _kind_parser("degrade", "graceful-degradation severity report")
-    p_k.add_argument("-n", type=int, default=None)
-    p_k.add_argument("-p", type=int, default=None)
-    p_k.add_argument("--severities", nargs="+", type=float, default=None)
-    p_k.add_argument(
-        "--profile", default=None,
-        choices=["uniform", "random", "hotspot", "dimension", "background"],
-    )
-    p_k.add_argument("--scenario-seed", type=int, default=None)
-    p_k.add_argument("--seed", type=int, default=None)
-    p_k.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS))
-    p_k.set_defaults(_param_map=[
-        ("n", "n"), ("p", "p"), ("severities", "severities"),
-        ("profile", "profile"), ("scenario_seed", "scenario_seed"),
-        ("seed", "seed"), ("algorithms", "algorithms"),
-    ])
-
-    p_k = _kind_parser("chaos", "seeded fault-injection campaign")
-    p_k.add_argument("--trials", type=int, default=None)
-    p_k.add_argument("--seed", type=int, default=None)
-    p_k.add_argument(
-        "--stack", default=None,
-        choices=["none", "reliable", "integrity", "protected"],
-    )
-    p_k.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=None)
-    p_k.add_argument("-n", type=int, default=None)
-    p_k.add_argument("-p", type=int, default=None)
-    p_k.add_argument("--severity", type=float, default=None)
-    p_k.add_argument("--scenario-seed", type=int, default=None)
-    p_k.set_defaults(_param_map=[
-        ("trials", "trials"), ("seed", "seed"), ("stack", "stack"),
-        ("algorithm", "algorithm"), ("n", "n"), ("p", "p"),
-        ("severity", "severity"), ("scenario_seed", "scenario_seed"),
-    ])
+        _add_job_params(p_k, kind)
+        p_k.set_defaults(func=_cmd_submit)
 
     p_sv = sub.add_parser(
         "serve", help="execute pending service jobs (resumes from the journal)"

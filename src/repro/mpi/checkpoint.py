@@ -168,6 +168,9 @@ class CheckpointedMatmul:
         # The consistent cut is the initial distribution on the full machine;
         # writing it costs one snapshot charge before the clock-relevant work.
         full_inputs = algo.distribute_inputs(A, B, cube)
+        # One distribution per restart, shared by its participants; each
+        # takes only its own blocks, and a later epoch gets fresh ones.
+        sub_inputs: dict = {}
 
         factory = self.context_factory
 
@@ -201,10 +204,12 @@ class CheckpointedMatmul:
                             rctx = RecoveryContext(
                                 det, desc, tag_shift=epoch * EPOCH_TAG_STRIDE
                             )
-                            vcube = rctx.config.cube
-                            local = algo.distribute_inputs(A, B, vcube).get(
-                                rctx.rank, {}
-                            )
+                            key = (epoch, desc_out)
+                            if key not in sub_inputs:
+                                sub_inputs[key] = algo.distribute_inputs(
+                                    A, B, rctx.config.cube
+                                )
+                            local = sub_inputs[key].get(rctx.rank, {})
                             # restore the inputs from the checkpoint store
                             yield from det.elapse(
                                 params.hop_time(_input_words(local))

@@ -5,8 +5,9 @@ maps, graceful-degradation reports, chaos campaigns — already reduces to
 *one pure function over many independent cells*.  This module gives
 each family a uniform shape the supervisor can lease chunk by chunk:
 
-``normalize(params)``
-    Apply defaults and coerce to canonical JSON-safe values.  The
+``make_spec(kind, params)``
+    Apply the kind's defaults (the only ones: every job flag of the CLI
+    defaults to ``None``) and coerce to canonical JSON-safe values.  The
     normalized params are what gets journaled and what the job's
     content-addressed key digests — logically-equal submissions coalesce.
 ``build_cells(spec)``
@@ -20,6 +21,9 @@ each family a uniform shape the supervisor can lease chunk by chunk:
     ``degrade`` kind this is literally
     :func:`repro.analysis.degradation.report_from_points`, so a service
     job and a direct ``repro degrade`` produce bit-identical digests.
+``evaluate(spec)``
+    The three above in this process, in one chunk: what a direct
+    ``repro sweep`` or ``repro degrade`` prints.
 
 Quarantined chunks surface as ``None`` records; ``finalize`` is handed
 the record list with holes and each family degrades explicitly (the
@@ -37,7 +41,10 @@ from repro.analysis.cache import canonical_json, engine_fingerprint, task_digest
 from repro.errors import AlgorithmError, ServiceError
 from repro.sim.machine import PortModel
 
-__all__ = ["JobSpec", "KINDS", "build_cells", "evaluate_chunk", "finalize"]
+__all__ = [
+    "JobSpec", "KINDS", "make_spec", "build_cells", "evaluate_chunk",
+    "finalize", "evaluate",
+]
 
 #: job kinds the service accepts
 KINDS = ("sweep", "region_map", "degrade", "chaos")
@@ -238,41 +245,10 @@ def build_cells(spec: JobSpec) -> list:
             port_model=PortModel(p["port"]), max_events=p["max_events"],
         )
     if spec.kind == "chaos":
-        horizon = _chaos_horizon(p)
-        return [
-            {
-                "seed": p["seed"], "trial": t, "stack": p["stack"],
-                "algorithm": p["algorithm"], "n": p["n"], "p": p["p"],
-                "horizon": horizon,
-                "deadline": p["deadline_factor"] * horizon,
-                "check_replay": p["check_replay"], "atoms": None,
-                "atom_subset": None, "trials": p["trials"],
-                "severity": p["severity"],
-                "scenario_seed": p["scenario_seed"],
-            }
-            for t in range(p["trials"])
-        ]
+        from repro.analysis.chaos import campaign_cells
+
+        return campaign_cells(**p)
     raise ServiceError(f"unknown job kind {spec.kind!r}")
-
-
-def _chaos_horizon(params: dict) -> float:
-    """Fault-free virtual duration of one clean run — the time scale
-    chaos fault windows are sampled against.  Deterministic (seeded
-    matrices, uniform machine), so every resume recomputes the same
-    value and rebuilds identical cells."""
-    import numpy as np
-
-    from repro.algorithms.registry import get_algorithm
-    from repro.analysis.chaos import _trial_matrices
-    from repro.sim.machine import MachineConfig
-
-    baseline = get_algorithm(params["algorithm"]).run(
-        *_trial_matrices(
-            np.random.default_rng([params["seed"], 0]), params["n"]
-        ),
-        MachineConfig.create(params["p"]),
-    )
-    return baseline.result.total_time
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +388,31 @@ def finalize(spec: JobSpec, records: list) -> dict:
         report["quarantined_cells"] = []
         return report
     if spec.kind == "chaos":
-        from repro.analysis.chaos import _report_digest
+        from repro.analysis.chaos import campaign_report
 
-        violations = []
-        horizon = _chaos_horizon(p)
-        for rec in records:
-            if rec is None:
-                continue
-            if rec["violation"] is not None:
-                violations.append({
-                    "trial": rec["trial"],
-                    "kind": rec["violation"]["kind"],
-                    "detail": rec["violation"]["detail"],
-                    "atoms": rec["atoms"],
-                })
-        evaluated = sum(1 for rec in records if rec is not None)
-        report = {
-            "kind": "chaos",
-            "stack": p["stack"], "algorithm": p["algorithm"],
-            "n": p["n"], "p": p["p"], "seed": p["seed"],
-            "trials": p["trials"], "horizon": horizon,
-            "severity": p["severity"], "scenario_seed": p["scenario_seed"],
-            "clean": evaluated - len(violations),
-            "violations": violations,
-            "quarantined_cells": missing,
-        }
-        report["digest"] = _report_digest(report)
+        # Digested like the one-shot campaign: ``kind`` and an empty
+        # ``quarantined_cells`` stay outside the digest.
+        report = {"kind": "chaos", **campaign_report(build_cells(spec), records)}
+        report.setdefault("quarantined_cells", [])
         return report
     raise ServiceError(f"unknown job kind {spec.kind!r}")
+
+
+def evaluate(spec: JobSpec, cache=None) -> dict:
+    """The job's report with every cell evaluated in this process.
+
+    A direct ``repro sweep`` or ``repro degrade`` is this call; the
+    service reaches the same report, digest included, chunk by chunk.
+    ``cache`` (a :class:`~repro.analysis.cache.ResultCache`) memoizes
+    the report under the job's normalized params.
+    """
+
+    def compute() -> dict:
+        return finalize(
+            spec, evaluate_chunk(spec.kind, spec.params, build_cells(spec))
+        )
+
+    if cache is None:
+        return compute()
+    return cache.fetch("job", {"kind": spec.kind, "params": spec.params},
+                       compute)

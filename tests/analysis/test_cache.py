@@ -14,7 +14,6 @@ from repro.analysis.cache import (
     cached_coefficients,
     cached_figure,
     cached_region_map,
-    cached_sweep,
     canonical_json,
     engine_fingerprint,
     task_digest,
@@ -23,6 +22,7 @@ from repro.analysis.regions import region_map
 from repro.analysis.sweep import sweep
 from repro.cli import main
 from repro.errors import ModelError
+from repro.service.jobs import evaluate, make_spec
 from repro.sim.machine import PortModel
 
 ONE = PortModel.ONE_PORT
@@ -303,17 +303,22 @@ class TestCachedWrappers:
             cached_figure(ResultCache(tmp_path), 15)
 
     def test_cached_sweep_round_trip(self, tmp_path):
+        """A sweep job's report is cached under its normalized params:
+        the warm report is the cold one, and both hold the library's
+        ``sweep`` points."""
         cache = ResultCache(tmp_path)
         keys = ("cannon", "3dd")
         values = [16.0, 64.0, 256.0]
-        cold = cached_sweep(cache, keys, "p", values, n=256)
-        warm = cached_sweep(cache, keys, "p", values, n=256)
+        spec = make_spec("sweep", {"algorithms": list(keys), "variable": "p",
+                                   "values": values, "n": 256})
+        cold = evaluate(spec, cache)
+        warm = evaluate(make_spec("sweep", dict(spec.params)), cache)
         direct = sweep(keys, "p", values, n=256)
-        assert cache.hits == 1
-        for got, want in zip(warm, direct):
-            assert got.value == want.value
-            assert got.times == want.times
-        assert [pt.times for pt in cold] == [pt.times for pt in warm]
+        assert cache.hits == 1 and cache.misses == 1
+        assert warm == cold == evaluate(spec)
+        for got, want in zip(warm["points"], direct):
+            assert got["value"] == want.value
+            assert got["times"] == want.times
 
 
 class TestCacheCLI:

@@ -18,13 +18,13 @@ from repro.analysis.cache import (
 from repro.analysis.degradation import (
     DEFAULT_ALGORITHMS,
     DegradationPoint,
-    degradation_report,
     format_degradation_table,
     format_region_map,
     graceful_region_map,
     scenario_for,
     severity_sweep,
 )
+from repro.service.jobs import evaluate, make_spec
 from repro.cli import main
 from repro.errors import SimulationError
 from repro.sim.scenario import hotspot, random_heterogeneous
@@ -97,11 +97,16 @@ class TestSeveritySweep:
 
 
 class TestDegradationReport:
+    @staticmethod
+    def degradation_report(**params):
+        return evaluate(make_spec("degrade", dict(
+            algorithms=DEFAULT_ALGORITHMS, n=8, p=16, severities=SEVERITIES,
+            **FAST, **params,
+        )))
+
     @pytest.fixture(scope="class")
     def report(self):
-        return degradation_report(
-            DEFAULT_ALGORITHMS, 8, 16, SEVERITIES, **FAST
-        )
+        return self.degradation_report()
 
     def test_ranks_at_least_three_algorithms(self, report):
         """Acceptance: >= 3 algorithms ranked across >= 3 severities."""
@@ -115,9 +120,7 @@ class TestDegradationReport:
     def test_replay_and_jobs_invariant(self, report, on_service):
         """Acceptance: identical report on replay and on the service's
         forked workers."""
-        again = degradation_report(
-            DEFAULT_ALGORITHMS, 8, 16, SEVERITIES, **FAST
-        )
+        again = self.degradation_report()
         sharded = on_service("degrade", dict(
             algorithms=DEFAULT_ALGORITHMS, n=8, p=16, severities=SEVERITIES,
             **FAST,
@@ -127,9 +130,7 @@ class TestDegradationReport:
             assert other["ranking"] == report["ranking"]
 
     def test_scenario_seed_changes_the_outcome(self, report):
-        other = degradation_report(
-            DEFAULT_ALGORITHMS, 8, 16, SEVERITIES, scenario_seed=99, **FAST
-        )
+        other = self.degradation_report(scenario_seed=99)
         assert other["digest"] != report["digest"]
 
     def test_table_renders_every_ranked_algorithm(self, report):

@@ -242,3 +242,28 @@ class TestCheckpointRestart:
         # snapshot charge only: strictly more than the plain run, but
         # within the cost of writing one input block per rank
         assert base.total_time < run.total_time <= base.total_time * 1.5
+
+    def test_restart_distributes_inputs_once_per_submachine(
+        self, monkeypatch, capsys
+    ):
+        """The survivors of a kill share one input distribution of the
+        restart's sub-machine: 4 holders x 2 blocks on Cannon's 2x2 grid,
+        not that once for every participant."""
+        from repro.blocks.partition import BlockGrid
+        from repro.cli import main
+
+        grids = []
+        extract = BlockGrid.extract
+
+        def counting_extract(self, matrix, index):
+            grids.append((self.rows, self.cols))
+            return extract(self, matrix, index)
+
+        monkeypatch.setattr(BlockGrid, "extract", counting_extract)
+        assert main([
+            "recover", "-n", "16", "-p", "16", "--algorithms", "cannon",
+            "--kill-fracs", "0.3", "--modes", "checkpoint",
+        ]) == 0
+        assert " sub\n" in capsys.readouterr().out
+        assert grids.count((2, 2)) == 8
+        assert set(grids) == {(4, 4), (2, 2)}

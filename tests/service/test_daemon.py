@@ -412,7 +412,7 @@ def test_cli_submit_shed_echoes_retry_after(tmp_path, capsys):
         svc.submit("sweep", _small([64, 128]))  # leaves one pending job
     argv = [
         "submit", "--state-dir", str(state), "--max-pending", "1",
-        "sweep", "n", "--values", "64", "256", "-p", "64",
+        "sweep", "n", "64", "256", "-p", "64",
     ]
     assert main(argv) == 75
     err = capsys.readouterr().err
@@ -433,7 +433,7 @@ def test_cli_submit_to_a_locked_state_spools_and_reads_the_ack(tmp_path, capsys)
     state = tmp_path / "svc"
     argv = [
         "submit", "--json", "--state-dir", str(state), "--wait", "30",
-        "sweep", "n", "--values", "64", "128", "-p", "64",
+        "sweep", "n", "64", "128", "-p", "64",
     ]
     with _service(tmp_path) as svc:
         stop = threading.Event()
@@ -461,7 +461,7 @@ def test_cli_submit_spool_wait_expires_without_an_ack(tmp_path, capsys):
     with _service(tmp_path):  # holds LOCK; nobody ingests the spool
         assert main([
             "submit", "--state-dir", str(state), "--wait", "0.2",
-            "sweep", "n", "--values", "64", "-p", "64",
+            "sweep", "n", "64", "-p", "64",
         ]) == 1
     err = capsys.readouterr().err
     assert "daemon did not ack within 0.2s" in err

@@ -89,6 +89,16 @@ class TestChaosJob:
         assert report["clean"] == one_shot["clean"]
         assert report["violations"] == one_shot["violations"]
         assert report["quarantined_cells"] == []
+        assert report["digest"] == one_shot["digest"]
+
+    def test_quarantined_trial_changes_the_digest(self):
+        spec = make_spec("chaos", {"trials": 4, "seed": 2026, "stack": "none"})
+        records = evaluate_chunk(spec.kind, spec.params, build_cells(spec))
+        whole = finalize(spec, records)
+        for hole in range(len(records)):
+            holed = finalize(spec, records[:hole] + [None] + records[hole + 1:])
+            assert holed["quarantined_cells"] == [hole]
+            assert holed["digest"] != whole["digest"]
 
 
 class TestMakeSpecRefusals:

@@ -247,14 +247,18 @@ def test_rate_limit_replay_consumes_bucket(tmp_path):
 
 
 def test_degrade_digest_matches_direct_report(tmp_path):
-    """The service's degrade job digests bit-identically to the direct
-    `degradation_report` path — same cells, same assembly."""
-    from repro.analysis.degradation import degradation_report
+    """The service's degrade job digests bit-identically to the analysis
+    layer's own sweep and ranking — same cells, same assembly."""
+    from repro.analysis.degradation import report_from_points, severity_sweep
 
-    direct = degradation_report(
-        algorithms=tuple(DEGRADE["algorithms"]),
-        n=DEGRADE["n"], p=DEGRADE["p"],
-        severities=tuple(DEGRADE["severities"]),
+    keys = list(DEGRADE["algorithms"])
+    points = severity_sweep(
+        keys, DEGRADE["n"], DEGRADE["p"], DEGRADE["severities"],
+        scenario_seed=DEGRADE["scenario_seed"],
+    )
+    direct = report_from_points(
+        keys, points, n=DEGRADE["n"], p=DEGRADE["p"],
+        severities=DEGRADE["severities"],
         scenario_seed=DEGRADE["scenario_seed"],
     )
     with _service(tmp_path) as svc:
