@@ -313,7 +313,7 @@ def _violation_of(cell: dict[str, Any]) -> dict[str, Any] | None:
 def _run_trial(cell: dict[str, Any]) -> dict[str, Any]:
     """Grid cell entry point: one trial's record (picklable both ways)."""
     violation = _violation_of(cell)
-    record: dict[str, Any] = {"trial": cell["trial"]}
+    record: dict[str, Any] = {"trial": cell["trial"], "horizon": cell["horizon"]}
     if violation is None:
         record["violation"] = None
     else:
@@ -452,7 +452,8 @@ def run_campaign(
         only_trial=only_trial, atom_subset=atom_subset,
     )
     return campaign_report(
-        cells, [_run_trial(cell) for cell in cells], minimize=minimize
+        cells[0], [_run_trial(cell) for cell in cells],
+        cells=cells if minimize else None,
     )
 
 
@@ -504,21 +505,23 @@ def campaign_cells(
 
 
 def campaign_report(
-    cells: list[dict[str, Any]],
+    params: dict[str, Any],
     records: list[dict[str, Any] | None],
     *,
-    minimize: bool = False,
+    cells: list[dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
-    """The JSON-able campaign report from the cells' records (cell order).
+    """The JSON-able campaign report from its records (cell order).
 
-    A ``None`` record is a trial the sweep service quarantined: it counts
-    neither as clean nor as a violation, and the report names it in
+    ``params`` are the campaign's parameters (a chaos job's, or any of
+    its cells); the fault-free horizon rides in every record.  A ``None``
+    record is a trial the sweep service quarantined: it counts neither
+    as clean nor as a violation, and the report names it in
     ``quarantined_cells``, which only such a report carries (and
-    digests).  ``minimize`` delta-debugs each violating trial's fault set
-    into a reproducer.
+    digests).  Given the records' ``cells``, each violating trial's
+    fault set is delta-debugged into a reproducer.
     """
     violations = []
-    for cell, record in zip(cells, records):
+    for i, record in enumerate(records):
         if record is None or record["violation"] is None:
             continue
         entry = {
@@ -527,14 +530,14 @@ def campaign_report(
             "detail": record["violation"]["detail"],
             "atoms": record["atoms"],
         }
-        if minimize and cell["atom_subset"] is None:
-            entry["reproducer"] = _minimize_violation(cell, record)
+        if cells is not None and cells[i]["atom_subset"] is None:
+            entry["reproducer"] = _minimize_violation(cells[i], record)
         violations.append(entry)
 
-    first = cells[0]
     quarantined = [i for i, rec in enumerate(records) if rec is None]
+    horizon = next((rec["horizon"] for rec in records if rec is not None), None)
     report = {
-        key: first[key]
+        key: horizon if key == "horizon" else params[key]
         for key in ("stack", "algorithm", "n", "p", "seed", "trials",
                     "horizon", "severity", "scenario_seed")
     }

@@ -17,7 +17,8 @@ a seeded, shrinkable differential suite:
   :func:`~repro.analysis.chaos.minimize_atoms` (dropping fault/scenario
   atoms) plus an axis-reset sweep (plainer routing/port/parameters), so
   the reproducer that gets printed is locally minimal;
-* :func:`run_suite` drives the whole sweep and formats reproducers.
+* :func:`closed_form_reach` counts the cases the closed forms batched
+  (``repro report``'s ``conformance`` artefact prints it).
 
 Faulty cases run the "fast" configuration through the generator loops
 too, and pin the fallback-equivalence contract instead.  Degraded cases
@@ -48,7 +49,6 @@ __all__ = [
     "diff_case",
     "shrink_case",
     "reproducer",
-    "run_suite",
     "closed_form_reach",
     "SUITE_COUNT",
 ]
@@ -106,7 +106,8 @@ _ALTERNATING_BEFORE_SINGLE_HOP = 16
 _PORTS = ("one-port", "multi-port")
 _ROUTINGS = ("store-and-forward", "cut-through")
 
-#: size of the sample ``tests/conformance`` and the CI reach report run
+#: size of the sample ``tests/conformance`` runs; the ``conformance``
+#: report artefact measures the closed forms' reach over it
 SUITE_COUNT = 97
 
 
@@ -473,59 +474,3 @@ def reproducer(case: Case) -> str:
         f"Case, diff_case; print(diff_case({case!r}))\""
     )
 
-
-def run_suite(
-    seed: int = 2026,
-    count: int = 52,
-    algorithms: tuple[str, ...] | None = None,
-    *,
-    shrink: bool = True,
-    log: Callable[[str], None] = print,
-) -> dict:
-    """Run the differential sweep; returns ``{"cases", "mismatches"}``.
-
-    Every mismatch is shrunk (unless ``shrink=False``) and logged with a
-    ready-to-paste reproducer before the report is returned.
-    """
-    cases = sample_cases(seed, count, algorithms)
-    mismatches: list[dict] = []
-    for case in cases:
-        label = diff_case(case)
-        if label is None:
-            continue
-        minimal = shrink_case(case) if shrink else case
-        log(
-            f"conformance mismatch: {label}\n  shrunk case: {minimal!r}\n"
-            f"  reproduce: {reproducer(minimal)}"
-        )
-        mismatches.append(
-            {"case": case, "shrunk": minimal, "label": label}
-        )
-    return {"cases": len(cases), "mismatches": mismatches}
-
-
-def main() -> int:
-    """Print the closed-form reach of the suite's sample; 1 if any planner
-    raised (the ``conformance`` CI job runs this after the suite)."""
-    reach = closed_form_reach(sample_cases(count=SUITE_COUNT))
-    print(
-        f"{reach['batched']} of {reach['declared']} fault-free cases that "
-        f"declare shift or collective phases batched every one of them "
-        f"({reach['eligible']} fault-free cases sampled)"
-    )
-    for reason, count in sorted(reach["refusals"].items()):
-        print(f"  refused {count:7d} rank-rounds and phases: {reason}")
-    print("cases not batched:")
-    for case, refused in reach["unbatched"]:
-        reasons = ", ".join(f"{reason} x{count}" for reason, count in sorted(refused.items()))
-        print(
-            f"  {case.algorithm} n={case.n} p={case.p} {case.port} {case.routing} "
-            f"(t_s, t_w, t_c)={(case.t_s, case.t_w, case.t_c)}: {reasons}"
-        )
-    for case, reason in reach["planner_exceptions"]:
-        print(f"{reason}\n  reproduce: {reproducer(case)}")
-    return 1 if reach["planner_exceptions"] else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

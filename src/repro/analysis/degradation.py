@@ -24,8 +24,8 @@ Outputs:
   job of :mod:`repro.service.jobs` evaluates the whole report,
 * :func:`graceful_region_map` — a region-map variant: for each matrix
   size, which algorithm degrades most gracefully at a given severity,
-* ``repro degrade`` — the CLI over that job (``--check`` reruns the
-  report and fails on any digest mismatch).
+* ``repro degrade`` — the CLI over that job (``repro report``'s
+  ``identities`` artefact pins one report's digest).
 
 Everything is a pure function of its seeds: matrices from ``seed``, the
 scenario from ``(profile, severity, scenario_seed)``, no wall-clock
@@ -45,6 +45,7 @@ from repro.analysis.chaos import _report_digest
 from repro.errors import ReproError, SimulationError
 from repro.sim.machine import MachineConfig, PortModel
 from repro.sim.scenario import (
+    PROFILES,
     NetworkScenario,
     background_traffic,
     congested_dimension,
@@ -109,6 +110,10 @@ def scenario_for(
     """
     if severity < 0:
         raise SimulationError(f"severity must be >= 0, got {severity}")
+    if profile not in PROFILES:
+        raise SimulationError(
+            f"unknown scenario profile {profile!r} (expected one of {PROFILES})"
+        )
     if severity == 0.0 or profile == "uniform":
         sc = uniform()
     elif profile == "random":
@@ -118,13 +123,8 @@ def scenario_for(
     elif profile == "dimension":
         dim = p.bit_length() - 1
         sc = congested_dimension(p, seed % dim, 1.0 + severity)
-    elif profile == "background":
-        sc = background_traffic(p, factor=1.0 + severity, seed=seed)
     else:
-        raise SimulationError(
-            f"unknown scenario profile {profile!r} (expected uniform, "
-            "random, hotspot, dimension or background)"
-        )
+        sc = background_traffic(p, factor=1.0 + severity, seed=seed)
     return sc.with_adaptive_routing(adaptive)
 
 

@@ -4,7 +4,9 @@ Each ``*_section`` function returns the exact text of one file under
 ``benchmarks/results/``: Tables 1–3 measured against their closed forms,
 the §5/§6 claims checked on the simulator, the Figure 13/14 region maps
 and Figure 13(a)'s winners re-decided by simulated runs, then the
-extension, ablation and robustness tables.
+extension, ablation and robustness tables; last, the repo's own
+identities: the closed forms' reach over the conformance sample and the
+digests of the seeded runs the docs and CI quote.
 :data:`ARTEFACTS` names them all by file name.
 ``hypercube-mm report`` prints them; ``hypercube-mm report -o DIR``
 writes ``DIR/<name>.txt``, so ``-o benchmarks/results`` regenerates the
@@ -20,6 +22,10 @@ import numpy as np
 
 from repro.algorithms import ALGORITHMS, ABFTMatmul, get_algorithm
 from repro.algorithms.torus_cannon import run_cannon_on_torus, torus_machine_like
+from repro.analysis.chaos import run_campaign
+from repro.analysis.conformance import (
+    SUITE_COUNT, closed_form_reach, reproducer, sample_cases,
+)
 from repro.analysis.figures import PANELS, render_ascii
 from repro.analysis.measure import extract_coefficients, measure_comm_time
 from repro.analysis.regions import best_algorithm, candidates, region_map
@@ -38,9 +44,11 @@ from repro.collectives import (
     reduce_scatter,
     scatter,
 )
+from repro.errors import ReproError
 from repro.models.table2 import OVERHEAD_MODELS, overhead_coefficients
 from repro.models.table3 import SPACE_MODELS, overall_space
 from repro.mpi import Comm, IntegrityContext, ReliableContext
+from repro.service.jobs import evaluate, make_spec
 from repro.sim import MachineConfig, PortModel, RoutingMode, run_spmd
 from repro.sim.scenario import hotspot, random_heterogeneous, uniform
 
@@ -51,12 +59,14 @@ __all__ = [
     "ablation_schedules_section",
     "claims_section",
     "combinations_section",
+    "conformance_section",
     "corruption_section",
     "degradation_section",
     "fault_tolerance_section",
     "fig13_measured_section",
     "figure_section",
     "format_table",
+    "identities_section",
     "recovery_section",
     "scalability_section",
     "table1_section",
@@ -521,6 +531,95 @@ def degradation_section() -> str:
     )
 
 
+def conformance_section() -> str:
+    """The closed forms' reach over the conformance suite's sample: how
+    many fault-free cases that declare shift or collective phases ran
+    none of them by events, the refusal reasons of the rest, and each
+    case not batched.  A planner that raised fails the report instead,
+    with a reproducer per case (the fallback would hide the bug)."""
+    reach = closed_form_reach(sample_cases(count=SUITE_COUNT))
+    if reach["planner_exceptions"]:
+        raise ReproError("closed-form planner raised:\n" + "\n".join(
+            f"{reason}\n  reproduce: {reproducer(case)}"
+            for case, reason in reach["planner_exceptions"]
+        ))
+    lines = [
+        f"{reach['batched']} of {reach['declared']} fault-free cases that "
+        f"declare shift or collective phases batched every one of them "
+        f"({reach['eligible']} fault-free cases sampled)"
+    ]
+    for reason, count in sorted(reach["refusals"].items()):
+        lines.append(f"  refused {count:7d} rank-rounds and phases: {reason}")
+    lines.append("cases not batched:")
+    for case, refused in reach["unbatched"]:
+        reasons = ", ".join(f"{reason} x{count}" for reason, count in sorted(refused.items()))
+        lines.append(
+            f"  {case.algorithm} n={case.n} p={case.p} {case.port} {case.routing} "
+            f"(t_s, t_w, t_c)={(case.t_s, case.t_w, case.t_c)}: {reasons}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+#: ``identities.txt``'s rows: (name, command, job kind, params).  A
+#: ``repro chaos`` row is :func:`~repro.analysis.chaos.run_campaign`, which
+#: digests each violation's minimized reproducer; a ``repro submit`` row is
+#: the service job evaluated in process (the digest ``repro serve`` seals,
+#: and for ``degrade`` and ``sweep`` the direct command's).
+IDENTITIES: tuple[tuple[str, str, str, dict], ...] = (
+    ("chaos, protected", "repro chaos --trials 25 --seed 2026 --stack protected",
+     "chaos", {"trials": 25, "seed": 2026, "stack": "protected"}),
+    ("chaos, unprotected", "repro chaos --trials 25 --seed 2026 --stack none",
+     "chaos", {"trials": 25, "seed": 2026, "stack": "none"}),
+    ("chaos, degraded network",
+     "repro chaos --trials 10 --seed 2026 --stack protected --severity 1.0",
+     "chaos", {"trials": 10, "seed": 2026, "stack": "protected", "severity": 1.0}),
+    ("chaos, docs example", "repro chaos --trials 6 --seed 2026 --stack none",
+     "chaos", {"trials": 6, "seed": 2026, "stack": "none"}),
+    ("degrade job",
+     "repro submit degrade -n 8 -p 16 --severities 0.5 1.0 2.0 --ts 7 --tw 3",
+     "degrade", {"n": 8, "p": 16, "severities": [0.5, 1.0, 2.0], "t_s": 7, "t_w": 3}),
+    ("chaos job", "repro submit chaos --trials 4 --seed 2026",
+     "chaos", {"trials": 4, "seed": 2026}),
+    ("sweep job", "repro submit sweep n 64 128 256 512 -p 64",
+     "sweep", {"variable": "n", "values": [64, 128, 256, 512], "p": 64}),
+    ("region map job",
+     "repro submit region-map --backend sim --log2-n-max 8 --log2-p-max 12",
+     "region_map", {"backend": "sim", "log2_n_max": 8, "log2_p_max": 12}),
+)
+
+
+def identities_section() -> str:
+    """The digest of every seeded run the docs and CI quote, with its
+    outcome counts.  The oracle's meaning is checked too: a protected
+    campaign with a violation, or an unprotected one without, fails the
+    report."""
+    rows = []
+    for name, command, kind, params in IDENTITIES:
+        spec = make_spec(kind, params)
+        if command.startswith("repro chaos"):
+            report = run_campaign(**spec.params)
+        else:
+            report = evaluate(spec)
+        if "clean" in report:
+            found = len(report["violations"])
+            if (report["stack"], bool(found)) in (("protected", True), ("none", False)):
+                raise ReproError(
+                    f"{command}: {found} violation(s) on the "
+                    f"{report['stack']} stack"
+                )
+            outcome = f"{report['clean']} clean, {found} violations"
+        elif "rows" in report:
+            outcome = f"{len(report['rows'])} rows"
+        else:
+            outcome = f"{len(report['points'])} points"
+        rows.append([name, command, outcome, report["digest"]])
+    return format_table(
+        ["identity", "command", "outcome", "digest"], rows,
+        title="Seeded runs and their digests (repro chaos: minimized "
+        "reproducers; repro submit: the service job, evaluated in process)",
+    )
+
+
 #: every artefact's function, keyed by its file name (without ``.txt``)
 ARTEFACTS: dict[str, Callable[[], str]] = {
     "table1": table1_section,
@@ -543,4 +642,6 @@ ARTEFACTS: dict[str, Callable[[], str]] = {
     "recovery": recovery_section,
     "corruption": corruption_section,
     "degradation": degradation_section,
+    "conformance": conformance_section,
+    "identities": identities_section,
 }

@@ -59,6 +59,7 @@ from repro.errors import NotApplicableError, ReproError
 from repro.models.table2 import overhead_coefficients
 from repro.sim import RoutingMode
 from repro.sim.gantt import render_gantt
+from repro.sim.scenario import PROFILES
 from repro.util import atomic_write
 
 __all__ = ["main"]
@@ -192,9 +193,7 @@ def _degrade_params(p: argparse.ArgumentParser) -> list:
             help="severity levels to sweep (0 = uniform network)",
         ),
         p.add_argument(
-            "--profile",
-            choices=["uniform", "random", "hotspot", "dimension",
-                     "background"],
+            "--profile", choices=PROFILES,
             help="network-scenario profile shaping the degradation",
         ),
         p.add_argument(
@@ -579,17 +578,6 @@ def _cmd_chaos(args) -> int:
         with open(args.json, "w") as fh:
             _json.dump(report, fh, indent=2, default=repr)
         print(f"report written to {args.json}")
-    if args.require_clean and report["violations"]:
-        print(
-            f"error: --require-clean but {len(report['violations'])} "
-            f"violation(s) found",
-            file=sys.stderr,
-        )
-        return 1
-    if args.require_violation and not report["violations"]:
-        print("error: --require-violation but the campaign was clean",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -599,23 +587,12 @@ def _cmd_degrade(args) -> int:
     from repro.analysis.degradation import format_degradation_table
     from repro.service.jobs import evaluate
 
-    spec = _job_spec(args)
-    report = evaluate(spec, _cache(args))
+    report = evaluate(_job_spec(args), _cache(args))
     print(format_degradation_table(report))
     if args.json:
         with open(args.json, "w") as fh:
             _json.dump(report, fh, indent=2, default=repr)
         print(f"report written to {args.json}")
-    if args.check:
-        replay = evaluate(spec)
-        if replay["digest"] != report["digest"]:
-            print(
-                f"error: replay digest mismatch "
-                f"(report: {report['digest']}, replay: {replay['digest']})",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"replay check OK: digest {report['digest']} reproduced")
     return 0
 
 
@@ -1051,15 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="FILE",
         help="also write the full JSON report to FILE",
     )
-    p_ch.add_argument(
-        "--require-clean", action="store_true",
-        help="exit 1 if any violation is found (CI gate)",
-    )
-    p_ch.add_argument(
-        "--require-violation", action="store_true",
-        help="exit 1 if NO violation is found (CI sanity check that the "
-             "oracle catches unprotected corruption)",
-    )
     p_ch.set_defaults(func=_cmd_chaos)
 
     p_dg = sub.add_parser(
@@ -1068,11 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
              "scenarios (which algorithm degrades most gracefully?)",
     )
     _add_job_params(p_dg, "degrade")
-    p_dg.add_argument(
-        "--check", action="store_true",
-        help="recompute the report and fail on digest mismatch "
-             "(CI gate for replay determinism)",
-    )
     p_dg.add_argument(
         "--json", default=None, metavar="FILE",
         help="also write the full JSON report to FILE",

@@ -157,6 +157,7 @@ def _normalize_region_map(p: dict) -> dict:
 def _normalize_degrade(p: dict) -> dict:
     from repro.algorithms.registry import get_algorithm
     from repro.analysis.degradation import DEFAULT_ALGORITHMS
+    from repro.sim.scenario import PROFILES
 
     n, pp = int(p.get("n", 8)), int(p.get("p", 16))
     keys = list(p.get("algorithms") or DEFAULT_ALGORITHMS)
@@ -165,12 +166,18 @@ def _normalize_degrade(p: dict) -> dict:
         raise ServiceError(
             f"no selected algorithm is applicable at n={n}, p={pp}"
         )
-    severities = p.get("severities") or [0.5, 1.0, 2.0]
+    severities = [float(s) for s in p.get("severities") or [0.5, 1.0, 2.0]]
+    profile = p.get("profile", "random")
+    if profile not in PROFILES or min(severities) < 0:
+        raise ServiceError(
+            f"degrade job needs a profile in {PROFILES} and severities "
+            f">= 0, got {profile!r} and {severities}"
+        )
     return {
         "algorithms": keys,
         "n": n, "p": pp,
-        "severities": [float(s) for s in severities],
-        "profile": p.get("profile", "random"),
+        "severities": severities,
+        "profile": profile,
         "scenario_seed": int(p.get("scenario_seed", 0)),
         "seed": int(p.get("seed", 0)),
         "adaptive": bool(p.get("adaptive", True)),
@@ -182,6 +189,7 @@ def _normalize_degrade(p: dict) -> dict:
 
 
 def _normalize_chaos(p: dict) -> dict:
+    from repro.algorithms.registry import get_algorithm
     from repro.analysis.chaos import STACKS
 
     stack = p.get("stack", "none")
@@ -190,13 +198,16 @@ def _normalize_chaos(p: dict) -> dict:
     trials = int(p.get("trials", 25))
     if trials < 1:
         raise ServiceError(f"trials must be >= 1, got {trials}")
+    algorithm = p.get("algorithm", "cannon")
+    n, pp = int(p.get("n", 8)), int(p.get("p", 16))
+    if not get_algorithm(algorithm).applicable(n, pp):
+        raise ServiceError(f"{algorithm} is not applicable at n={n}, p={pp}")
     return {
         "trials": trials,
         "seed": int(p.get("seed", 0)),
         "stack": stack,
-        "algorithm": p.get("algorithm", "cannon"),
-        "n": int(p.get("n", 8)),
-        "p": int(p.get("p", 16)),
+        "algorithm": algorithm,
+        "n": n, "p": pp,
         "check_replay": bool(p.get("check_replay", True)),
         "deadline_factor": float(p.get("deadline_factor", 200.0)),
         "severity": float(p.get("severity", 0.0)),
@@ -392,7 +403,7 @@ def finalize(spec: JobSpec, records: list) -> dict:
 
         # Digested like the one-shot campaign: ``kind`` and an empty
         # ``quarantined_cells`` stay outside the digest.
-        report = {"kind": "chaos", **campaign_report(build_cells(spec), records)}
+        report = {"kind": "chaos", **campaign_report(p, records)}
         report.setdefault("quarantined_cells", [])
         return report
     raise ServiceError(f"unknown job kind {spec.kind!r}")

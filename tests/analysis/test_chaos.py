@@ -192,22 +192,6 @@ class TestMinimizeAtoms:
 
 
 class TestChaosCLI:
-    def test_require_violation_gate(self, capsys):
-        code = main([
-            "chaos", "--trials", "6", "--seed", str(DEMO_SEED),
-            "--stack", "none", "--require-violation",
-        ])
-        assert code == 0
-        assert "violations" in capsys.readouterr().out
-
-    def test_require_clean_fails_on_unprotected(self, capsys):
-        code = main([
-            "chaos", "--trials", "6", "--seed", str(DEMO_SEED),
-            "--stack", "none", "--require-clean", "--no-minimize",
-        ])
-        assert code == 1
-        assert "require-clean" in capsys.readouterr().err
-
     def test_reproducer_command_line_replays(self, capsys):
         code = main([
             "chaos", "--stack", "none", "--algorithm", "cannon",

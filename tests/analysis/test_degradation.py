@@ -8,6 +8,8 @@ the result-cache addressing (two scenarios on machines with equal
 lattices must never collide on one cache key).
 """
 
+import pathlib
+
 import pytest
 
 from repro.analysis.cache import (
@@ -31,6 +33,7 @@ from repro.sim.scenario import hotspot, random_heterogeneous
 
 FAST = {"t_s": 7.0, "t_w": 3.0}
 SEVERITIES = [0.5, 1.0, 2.0]
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"
 
 
 class TestScenarioFor:
@@ -196,10 +199,17 @@ class TestDegradeCli:
     ]
 
     def test_degrade_reports_and_checks(self, capsys):
-        assert main(self.ARGS + ["--check"]) == 0
+        """A rerun replays the report, and its digest is the one the
+        ``degrade job`` row of ``identities.txt`` pins."""
+        assert main(self.ARGS) == 0
         out = capsys.readouterr().out
         assert "most graceful degrader" in out
-        assert "replay check OK" in out
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out == out
+        identities = RESULTS / "identities.txt"
+        row = next(line for line in identities.read_text().splitlines()
+                   if line.startswith("degrade job"))
+        assert f"digest: {row.split()[-1]}" in out
 
     def test_degrade_serves_from_cache(self, tmp_path, capsys):
         args = self.ARGS[:-1] + ["--cache", "--cache-dir", str(tmp_path)]

@@ -118,7 +118,7 @@ class TestFullReport:
             "torus_vs_hypercube", "combinations",
             "ablation_ports", "ablation_routing", "ablation_schedules",
             "scalability", "fault_tolerance", "recovery",
-            "corruption", "degradation",
+            "corruption", "degradation", "conformance", "identities",
         ]
 
     def test_with_figures_smoke(self):

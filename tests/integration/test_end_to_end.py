@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro import ALGORITHMS, MachineConfig, PortModel, get_algorithm
-from repro.analysis.report import scalability_section
+from repro.analysis.report import ARTEFACTS, scalability_section
 from repro.cli import main
 
 
@@ -264,23 +264,32 @@ class TestExamplesRun:
         assert capsys.readouterr().out
 
 
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"
+
+
 class TestReportCommand:
-    def test_report_no_figures(self, capsys):
+    def test_report_no_figures(self, capsys, monkeypatch):
+        """The print path; the identity sections (15 s, recomputed and
+        compared byte for byte by ``test_report_to_file``) print their
+        committed text here."""
+        for name in ("conformance", "identities"):
+            text = (RESULTS / f"{name}.txt").read_text()
+            monkeypatch.setitem(ARTEFACTS, name, lambda text=text: text)
         assert main(["report", "--no-figures"]) == 0
         out = capsys.readouterr().out
         assert "Table 1 reproduction" in out
         assert "Table 2 reproduction" in out
         assert "Table 3 reproduction" in out
         assert "Paper claims verified" in out
+        assert "Seeded runs and their digests" in out
         assert "Figure" not in out
         assert "VIOLATED" not in out
 
     def test_report_to_file(self, tmp_path, capsys):
         """``report -o DIR`` rewrites the committed artefacts byte for byte."""
-        results = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"
         assert main(["report", "-o", str(tmp_path)]) == 0
-        assert "23 artefacts written" in capsys.readouterr().out
+        assert "25 artefacts written" in capsys.readouterr().out
         written = sorted(tmp_path.iterdir())
-        assert len(written) == 23
+        assert len(written) == 25
         for path in written:
-            assert path.read_bytes() == (results / path.name).read_bytes(), path.name
+            assert path.read_bytes() == (RESULTS / path.name).read_bytes(), path.name

@@ -16,15 +16,15 @@ CASES = [
     (["sweep", "n", "64", "128", "-p", "64"], []),
     (["sweep", "p", "16", "64", "--algorithms", "cannon", "3dd",
       "--ts", "10", "--tw", "1", "--port", "multi"], ["--no-cache"]),
-    # CI's resilience-smoke lines
+    # rows of benchmarks/results/identities.txt
     (["degrade", "-n", "8", "-p", "16", "--severities", "0.5", "1.0", "2.0",
-      "--ts", "7", "--tw", "3"], ["--check"]),
+      "--ts", "7", "--tw", "3"], ["--no-cache"]),
     (["chaos", "--trials", "25", "--seed", "2026", "--stack", "protected"],
-     ["--require-clean"]),
+     ["--json", "report.json"]),
     (["chaos", "--trials", "25", "--seed", "2026", "--stack", "none"],
-     ["--require-violation"]),
+     ["--no-minimize"]),
     (["chaos", "--trials", "10", "--seed", "2026", "--stack", "protected",
-      "--severity", "1.0"], ["--require-clean"]),
+      "--severity", "1.0"], ["--only-trial", "3"]),
     # every other job flag
     (["degrade", "--oblivious", "--profile", "hotspot", "--seed", "3",
       "--scenario-seed", "2", "--algorithms", "cannon", "fox",
@@ -69,7 +69,7 @@ def test_kind_flags_default_to_none(argv):
 
 
 @pytest.mark.parametrize("direct_only", [
-    ["degrade", "--check"],
+    ["degrade", "--json", "report.json"],
     ["degrade", "--cache"],
     ["chaos", "--no-minimize"],
     ["chaos", "--only-trial", "3"],
@@ -83,7 +83,7 @@ def test_direct_only_flags_are_refused_by_submit(direct_only, capsys):
 
 @pytest.mark.parametrize("job,direct_only,digest", [
     (["degrade", "-n", "8", "-p", "16", "--severities", "0.5", "1.0", "2.0",
-      "--ts", "7", "--tw", "3"], ["--check", "--no-cache"], "6b677a5ecf0b4a76"),
+      "--ts", "7", "--tw", "3"], ["--no-cache"], "6b677a5ecf0b4a76"),
     (["chaos", "--trials", "4", "--seed", "2026"], ["--no-minimize"],
      "72bdf048f44a534c"),
 ], ids=["degrade", "chaos"])

@@ -7,7 +7,9 @@ import pytest
 
 from repro.analysis.regions import region_map
 from repro.errors import ServiceError
-from repro.service.jobs import build_cells, evaluate_chunk, finalize, make_spec
+from repro.service.jobs import (
+    build_cells, evaluate, evaluate_chunk, finalize, make_spec,
+)
 from repro.sim.machine import PortModel
 
 _LATTICE = {
@@ -91,6 +93,19 @@ class TestChaosJob:
         assert report["quarantined_cells"] == []
         assert report["digest"] == one_shot["digest"]
 
+    def test_evaluate_builds_the_cells_once(self, monkeypatch):
+        """The campaign header's horizon rides in the records, so
+        ``finalize`` does not rerun the fault-free baseline."""
+        import repro.analysis.chaos as chaos
+
+        calls = []
+        build = chaos.campaign_cells
+        monkeypatch.setattr(chaos, "campaign_cells",
+                            lambda **kw: calls.append(kw) or build(**kw))
+        report = evaluate(make_spec("chaos", {"trials": 2, "seed": 2026}))
+        assert len(calls) == 1
+        assert report["horizon"] > 0
+
     def test_quarantined_trial_changes_the_digest(self):
         spec = make_spec("chaos", {"trials": 4, "seed": 2026, "stack": "none"})
         records = evaluate_chunk(spec.kind, spec.params, build_cells(spec))
@@ -127,6 +142,20 @@ class TestMakeSpecRefusals:
         worker): the offending key is named at submission."""
         with pytest.raises(ServiceError, match="cannonn"):
             make_spec(kind, {**params, "algorithms": ["cannon", "cannonn"]})
+
+    @pytest.mark.parametrize("kind,params,match", [
+        ("degrade", {"profile": "wormhole"}, "wormhole"),
+        ("degrade", {"severities": [1.0, -1.0]}, "severities >= 0"),
+        ("chaos", {"algorithm": "nope"}, "unknown algorithm 'nope'"),
+        ("chaos", {"n": 7}, "not applicable at n=7, p=16"),
+    ], ids=["unknown-profile", "negative-severity", "unknown-algorithm",
+            "not-applicable"])
+    def test_spec_evaluate_would_raise_on_is_refused(self, kind, params, match):
+        """Each of these was admitted and then raised in ``evaluate``
+        (``SimulationError``, ``AlgorithmError``, ``NotApplicableError``):
+        admission checks the tables the evaluator reads."""
+        with pytest.raises(ServiceError, match=match):
+            make_spec(kind, params)
 
     def test_registered_key_without_table2_row_still_admitted(self):
         spec = make_spec("sweep", {"values": [64], "algorithms": ["fox"]})
