@@ -99,7 +99,7 @@ def degradation_sweep(
 ) -> list[ResiliencePoint]:
     """Run each algorithm at each drop rate; returns one point per cell.
 
-    ``plan`` optionally supplies extra faults (link failures, degradations)
+    ``plan`` optionally supplies extra faults (link failures, fail-stops)
     layered under every drop rate; the rate itself is applied on top with
     :meth:`~repro.sim.faults.FaultPlan.with_drop_rate`.  Runs that raise a
     :class:`~repro.errors.ReproError` subclass (timeout after bounded

@@ -9,7 +9,7 @@ Subcommands
 ``table2``       measured vs modelled (a, b) coefficients for one point
 ``trace``        run one algorithm and draw an ASCII Gantt chart
 ``scalability``  isoefficiency curves (n required to hold efficiency E)
-``faults``       degradation sweep on a lossy machine (reliable delivery)
+``faults``       drop-rate sweep on a lossy machine (reliable delivery)
 ``recover``      node fail-stop recovery sweep (ABFT / checkpoint restart)
 ``chaos``        randomized fault campaign with minimized reproducers
 ``degrade``      graceful-degradation sweep on heterogeneous networks
@@ -963,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.set_defaults(func=_cmd_scalability)
 
     p_fl = sub.add_parser(
-        "faults", help="degradation sweep on a lossy machine"
+        "faults", help="drop-rate sweep on a lossy machine"
     )
     p_fl.add_argument("-n", type=int, default=16)
     p_fl.add_argument("-p", type=int, default=16)

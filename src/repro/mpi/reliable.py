@@ -62,25 +62,6 @@ def _nothing_to_wait_for():
     yield  # pragma: no cover - generator protocol compatibility
 
 
-def _worst_link_slowdown(config) -> float:
-    """Worst single-link slowdown the scenario and the fault plan's
-    degradations can inflict together (1.0 on a nominal network)."""
-    scale = 1.0
-    scenario = getattr(config, "scenario", None)
-    if scenario is not None:
-        scale *= scenario.worst_case_factor()
-    plan = getattr(config, "faults", None)
-    if plan is not None and plan.degradations:
-        # Entries on the same physical link may overlap in time and
-        # stack; entries on different links cannot slow the same hop.
-        per_link: dict[tuple[int, int], float] = {}
-        for deg in plan.degradations:
-            key = (min(deg.u, deg.v), max(deg.u, deg.v))
-            per_link[key] = per_link.get(key, 1.0) * deg.factor
-        scale *= max(per_link.values())
-    return scale
-
-
 class _ReliableHandle:
     """Deferred reliable operation, completed by :meth:`ReliableContext.waitall`.
 
@@ -113,9 +94,9 @@ class ReliableContext(ContextProxy):
         Base wait for an ack before retransmitting.  Default: an estimate
         of the worst-case round trip (network diameter each way) times
         ``slack``, further scaled by the worst single-link slowdown the
-        machine's :class:`~repro.sim.scenario.NetworkScenario` and fault
-        plan degradations can inflict — a degraded-but-lossless link
-        must wait longer, not retransmit.
+        machine's :class:`~repro.sim.scenario.NetworkScenario` can
+        inflict — a degraded-but-lossless link must wait longer, not
+        retransmit.
     max_retries:
         Resends attempted before giving up with
         :class:`~repro.errors.CommTimeoutError`.  With backoff ``b`` the
@@ -166,10 +147,13 @@ class ReliableContext(ContextProxy):
         # timeout assumes nominal hop times, so a slow-but-lossless link
         # would trip spurious retransmissions (or exhaust retries into a
         # CommTimeoutError) purely because of network weather.  Scale the
-        # round-trip budget by the worst single-link slowdown either layer
+        # round-trip budget by the worst single-link slowdown the scenario
         # can inflict — conservative, and 1.0 on a nominal network so the
         # existing timeout behaviour is untouched.
-        self._timeout_scale = _worst_link_slowdown(ctx.config)
+        scenario = getattr(ctx.config, "scenario", None)
+        self._timeout_scale = (
+            1.0 if scenario is None else scenario.worst_case_factor()
+        )
         self._rtt: dict[int, float] = {}
         plan = getattr(ctx.config, "faults", None)
         self._passthrough = not force_protocol and (

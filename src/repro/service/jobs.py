@@ -34,6 +34,7 @@ dropping them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -111,6 +112,18 @@ def _port_value(params: dict, default: str = "one-port") -> str:
 # normalize: defaults + canonical JSON-safe params per kind
 # ---------------------------------------------------------------------------
 
+#: the least value of each machine axis the evaluators accept
+_LEAST = {"n": 1.0, "p": 1.0, "t_s": 0.0, "t_w": 0.0}
+
+
+def _check_range(kind: str, name: str, values) -> None:
+    least = _LEAST[name]
+    for value in values:
+        if not least <= value < math.inf:
+            raise ServiceError(
+                f"{kind} job needs a finite {name} >= {least:g}, got {value:g}"
+            )
+
 
 def _normalize_sweep(p: dict) -> dict:
     values = p.get("values")
@@ -119,7 +132,7 @@ def _normalize_sweep(p: dict) -> dict:
     variable = p.get("variable", "p")
     if variable not in ("n", "p", "t_s", "t_w"):
         raise ServiceError(f"unknown sweep variable {variable!r}")
-    return {
+    spec = {
         "algorithms": list(p.get("algorithms")
                            or ["cannon", "berntsen", "3dd", "3d_all"]),
         "variable": variable,
@@ -130,6 +143,10 @@ def _normalize_sweep(p: dict) -> dict:
         "t_s": float(p.get("t_s", 150.0)),
         "t_w": float(p.get("t_w", 3.0)),
     }
+    for name in _LEAST:
+        swept = spec["values"] if name == variable else [spec[name]]
+        _check_range("sweep", name, swept)
+    return spec
 
 
 def _normalize_region_map(p: dict) -> dict:
@@ -143,7 +160,7 @@ def _normalize_region_map(p: dict) -> dict:
             f"region_map backend must be 'model' or 'sim', got {backend!r}"
         )
     algorithms = p.get("algorithms")
-    return {
+    spec = {
         "port": _port_value(p),
         "t_s": float(p.get("t_s", 150.0)),
         "t_w": float(p.get("t_w", 3.0)),
@@ -152,6 +169,9 @@ def _normalize_region_map(p: dict) -> dict:
         "algorithms": list(algorithms) if algorithms else None,
         "backend": backend,
     }
+    for name in ("t_s", "t_w"):
+        _check_range("region_map", name, [spec[name]])
+    return spec
 
 
 def _normalize_degrade(p: dict) -> dict:
@@ -173,7 +193,7 @@ def _normalize_degrade(p: dict) -> dict:
             f"degrade job needs a profile in {PROFILES} and severities "
             f">= 0, got {profile!r} and {severities}"
         )
-    return {
+    spec = {
         "algorithms": keys,
         "n": n, "p": pp,
         "severities": severities,
@@ -186,6 +206,9 @@ def _normalize_degrade(p: dict) -> dict:
         "port": _port_value(p),
         "max_events": int(p.get("max_events", 5_000_000)),
     }
+    for name in ("t_s", "t_w"):
+        _check_range("degrade", name, [spec[name]])
+    return spec
 
 
 def _normalize_chaos(p: dict) -> dict:
@@ -202,6 +225,17 @@ def _normalize_chaos(p: dict) -> dict:
     n, pp = int(p.get("n", 8)), int(p.get("p", 16))
     if not get_algorithm(algorithm).applicable(n, pp):
         raise ServiceError(f"{algorithm} is not applicable at n={n}, p={pp}")
+    severity = float(p.get("severity", 0.0))
+    if not 0 <= severity < math.inf:
+        raise ServiceError(
+            f"chaos job needs a finite severity >= 0, got {severity:g}"
+        )
+    deadline_factor = float(p.get("deadline_factor", 200.0))
+    if not 0 < deadline_factor < math.inf:
+        raise ServiceError(
+            "chaos job needs a finite deadline_factor > 0, "
+            f"got {deadline_factor:g}"
+        )
     return {
         "trials": trials,
         "seed": int(p.get("seed", 0)),
@@ -209,8 +243,8 @@ def _normalize_chaos(p: dict) -> dict:
         "algorithm": algorithm,
         "n": n, "p": pp,
         "check_replay": bool(p.get("check_replay", True)),
-        "deadline_factor": float(p.get("deadline_factor", 200.0)),
-        "severity": float(p.get("severity", 0.0)),
+        "deadline_factor": deadline_factor,
+        "severity": severity,
         "scenario_seed": int(p.get("scenario_seed", 0)),
     }
 

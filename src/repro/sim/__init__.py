@@ -19,7 +19,6 @@ from repro.sim.engine import Engine, run_spmd
 from repro.sim.faults import (
     FaultPlan,
     FaultState,
-    LinkDegradation,
     LinkDrop,
     LinkFault,
     NodeFailure,
@@ -49,7 +48,6 @@ __all__ = [
     "FaultState",
     "LinkFault",
     "LinkDrop",
-    "LinkDegradation",
     "NodeFailure",
     "LinkCost",
     "NetworkScenario",

@@ -1398,7 +1398,6 @@ class Engine:
                 self._schedule(time, _HOP_READY, (msg, hop_index, handle))
                 return
         fs = self.faults
-        tw_factor = 1.0
         if fs is not None:
             win = fs.window
             if not win.lo <= time < win.hi:
@@ -1445,28 +1444,19 @@ class Engine:
                                  "src": msg.src, "dst": msg.dst},
                             )
                         )
-            if win.tw_factor:
-                tw_factor = win.tw_factor.get((u, v), 1.0)
         if self.scenario is None:
             header_ts = self._t_s
-            if tw_factor == 1.0:
-                duration = self._t_s + self._t_w * msg.nwords
-            else:
-                duration = self.config.params.hop_time(msg.nwords, tw_factor)
+            duration = self._t_s + self._t_w * msg.nwords
             ts_f = tw_f = 1.0
         else:
-            # Scenario factors compose multiplicatively with the fault
-            # plan's degradation: independent slowdown sources stack.
             _, _, factors = self._static_costs or self._link_costs(time)
             ts_f, tw_f = factors[u, v] if (u, v) in factors else (1.0, 1.0)
             header_ts = ts_f * self._t_s
-            duration = header_ts + self._t_w * tw_f * tw_factor * msg.nwords
+            duration = header_ts + self._t_w * tw_f * msg.nwords
         start = self.tracker.reserve_hop(u, v, time, duration)
         if self.trace_enabled:
             info = {"to": v, "msg": msg.msg_id, "words": msg.nwords,
                     "src": msg.src, "dst": msg.dst}
-            if tw_factor != 1.0:
-                info["degraded"] = tw_factor
             if ts_f != 1.0 or tw_f != 1.0:
                 info["slow"] = (ts_f, tw_f)
             self.trace.append(

@@ -8,8 +8,6 @@ wrong on a simulated machine:
   default infinite window,
 * **message drops** — each hop over a link is lost with some probability
   (a global rate, plus per-link windowed overrides),
-* **link degradation** — a per-link multiplier stretching the ``t_w`` part
-  of the hop cost during a window (a flaky cable, a congested backplane),
 * **node fail-stop** — a node halts at a virtual time: its program makes
   no further progress and every incident link goes dead,
 * **link corruption** — a hop over a link perturbs the payload with some
@@ -49,7 +47,6 @@ from repro.errors import SimulationError
 __all__ = [
     "LinkFault",
     "LinkDrop",
-    "LinkDegradation",
     "NodeFailure",
     "LinkCorruption",
     "NodeCorruption",
@@ -65,15 +62,19 @@ FLIP_MODELS = ("sign", "exponent", "mantissa", "any")
 
 def _check_window(start: float, end: float) -> None:
     if start < 0:
-        raise SimulationError(f"fault window start must be >= 0, got {start}")
+        raise SimulationError(f"link window start must be >= 0, got {start}")
     if end <= start:
         raise SimulationError(
-            f"fault window must satisfy start < end, got [{start}, {end})"
+            f"link window must satisfy start < end, got [{start}, {end})"
         )
 
 
 class _LinkRecord:
-    """The directional channels a windowed link record names, and when."""
+    """The directional channels a windowed link record names, and when.
+
+    Shared by every per-link record: the fault records here and the
+    scenario's :class:`~repro.sim.scenario.LinkCost`.
+    """
 
     def channels(self) -> tuple[tuple[int, int], ...]:
         if self.directed or self.u == self.v:
@@ -81,6 +82,7 @@ class _LinkRecord:
         return ((self.u, self.v), (self.v, self.u))
 
     def covers(self, a: int, b: int, time: float) -> bool:
+        """True iff this record applies to channel ``a -> b`` at ``time``."""
         return self.start <= time < self.end and (a, b) in self.channels()
 
 
@@ -117,25 +119,6 @@ class LinkDrop(_LinkRecord):
         _check_window(self.start, self.end)
         if not 0.0 <= self.rate <= 1.0:
             raise SimulationError(f"drop rate must be in [0, 1], got {self.rate}")
-
-
-@dataclass(frozen=True)
-class LinkDegradation(_LinkRecord):
-    """A ``t_w`` slowdown multiplier on a link during ``[start, end)``."""
-
-    u: int
-    v: int
-    factor: float
-    start: float = 0.0
-    end: float = math.inf
-    directed: bool = False
-
-    def __post_init__(self):
-        _check_window(self.start, self.end)
-        if self.factor < 1.0:
-            raise SimulationError(
-                f"degradation factor must be >= 1 (a slowdown), got {self.factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -221,19 +204,19 @@ class FaultPlan:
             FaultPlan(seed=42)
             .with_link_fault(0, 1, start=100.0, end=500.0)   # transient
             .with_drop_rate(0.01)                            # global 1%
-            .with_degraded_link(2, 3, factor=4.0)            # slow link
             .with_node_failure(5, at=1000.0)                 # fail-stop
         )
 
     All fields are tuples so the plan is hashable and safe to embed in the
-    frozen :class:`~repro.sim.machine.MachineConfig`.
+    frozen :class:`~repro.sim.machine.MachineConfig`.  A slow link is not
+    a fault: it is a :class:`~repro.sim.scenario.LinkCost` on the
+    machine's :class:`~repro.sim.scenario.NetworkScenario`.
     """
 
     seed: int = 0
     link_faults: tuple[LinkFault, ...] = ()
     drops: tuple[LinkDrop, ...] = ()
     drop_rate: float = 0.0
-    degradations: tuple[LinkDegradation, ...] = ()
     node_failures: tuple[NodeFailure, ...] = ()
     corruptions: tuple[LinkCorruption, ...] = ()
     node_corruptions: tuple[NodeCorruption, ...] = ()
@@ -283,19 +266,6 @@ class FaultPlan:
         drop = LinkDrop(u, v, rate, start, end, directed)
         return replace(self, drops=self.drops + (drop,))
 
-    def with_degraded_link(
-        self,
-        u: int,
-        v: int,
-        factor: float,
-        *,
-        start: float = 0.0,
-        end: float = math.inf,
-        directed: bool = False,
-    ) -> "FaultPlan":
-        deg = LinkDegradation(u, v, factor, start, end, directed)
-        return replace(self, degradations=self.degradations + (deg,))
-
     def with_node_failure(self, node: int, *, at: float = 0.0) -> "FaultPlan":
         failure = NodeFailure(node, at)
         return replace(self, node_failures=self.node_failures + (failure,))
@@ -339,7 +309,6 @@ class FaultPlan:
             not self.link_faults
             and not self.drops
             and self.drop_rate == 0.0
-            and not self.degradations
             and not self.node_failures
             and not self.corruptions
             and not self.node_corruptions
@@ -349,14 +318,13 @@ class FaultPlan:
     def lossless(self) -> bool:
         """True iff no fault in this plan can *lose* a message.
 
-        Link faults with rerouting enabled only detour (slower, not lost)
-        and degradations only stretch hop times, so a plan with just those
-        never needs acknowledgements or retransmission — the reliable
-        layer fast-paths to plain delivery.  Drops, node fail-stops, and
-        dead links without rerouting can all swallow messages.  Corruption
-        faults deliver (wrong) data on time, so they do not break
-        losslessness — but see :attr:`can_corrupt`, which is what the
-        integrity layer consults before fast-pathing.
+        Link faults with rerouting enabled only detour (slower, not lost),
+        so a plan with just those never needs acknowledgements or
+        retransmission — the reliable layer fast-paths to plain delivery.
+        Drops, node fail-stops, and dead links without rerouting can all
+        swallow messages.  Corruption faults deliver (wrong) data on time,
+        so they do not break losslessness — but see :attr:`can_corrupt`,
+        which is what the integrity layer consults before fast-pathing.
         """
         return (
             self.drop_rate == 0.0
@@ -390,14 +358,6 @@ class FaultPlan:
     def node_failed(self, node: int, time: float) -> bool:
         t = self.node_fail_time(node)
         return t is not None and time >= t
-
-    def degradation(self, u: int, v: int, time: float) -> float:
-        """Combined ``t_w`` multiplier on ``u -> v`` at ``time`` (>= 1)."""
-        factor = 1.0
-        for deg in self.degradations:
-            if deg.covers(u, v, time):
-                factor *= deg.factor
-        return factor
 
     def drop_probability(self, u: int, v: int, time: float) -> float:
         """Per-hop drop probability on ``u -> v`` at ``time``.
@@ -445,16 +405,15 @@ class FaultWindow:
     ``end`` of a link record, every fail-stop instant) its point queries
     are constant, so for ``lo <= t < hi``: ``node_failed(n, t)`` is ``n in
     dead_nodes``, ``link_dead(u, v, t)`` is ``not alive(u, v)``, and
-    ``degradation``, ``drop_probability`` and the covering corruptions are
-    ``tw_factor.get((u, v), 1.0)``, ``drop_p.get((u, v), base_drop_p)`` and
-    ``corruptions.get((u, v), ())``.  Products are accumulated in plan
-    order from the plan methods' own starting values, so every float is
-    ``==`` theirs.  ``dead``: the window kills something.
+    ``drop_probability`` and the covering corruptions are ``drop_p.get((u,
+    v), base_drop_p)`` and ``corruptions.get((u, v), ())``.  Products are
+    accumulated in plan order from the plan methods' own starting values,
+    so every float is ``==`` theirs.  ``dead``: the window kills something.
     """
 
     __slots__ = (
-        "lo", "hi", "dead_nodes", "dead_channels", "dead", "tw_factor",
-        "drop_p", "base_drop_p", "corruptions",
+        "lo", "hi", "dead_nodes", "dead_channels", "dead", "drop_p",
+        "base_drop_p", "corruptions",
     )
 
     def __init__(self, plan: FaultPlan, lo: float, hi: float):
@@ -469,9 +428,6 @@ class FaultWindow:
         self.dead_nodes = {nf.node for nf in plan.node_failures if nf.time <= lo}
         self.dead_channels = {ch for _, ch in covering(plan.link_faults)}
         self.dead = bool(self.dead_nodes or self.dead_channels)
-        tw = self.tw_factor = {}
-        for deg, ch in covering(plan.degradations):
-            tw[ch] = tw.get(ch, 1.0) * deg.factor
         survive = {}
         for drop, ch in covering(plan.drops):
             survive[ch] = survive.get(ch, 1.0 - plan.drop_rate) * (1.0 - drop.rate)
@@ -541,7 +497,7 @@ class FaultState:
         fail_stops = {nf.time for nf in plan.node_failures}
         self._epoch_edges = sorted(fail_stops | _window_edges(plan.link_faults))
         self._edges = sorted(fail_stops | _window_edges(
-            plan.link_faults, plan.drops, plan.degradations, plan.corruptions
+            plan.link_faults, plan.drops, plan.corruptions
         ))
         self._windows: dict[int, FaultWindow] = {}
         self.window = self.window_at(0.0)
@@ -566,7 +522,7 @@ class FaultState:
         ``link_dead(u, v, t)`` is the same function of ``(u, v)`` for every
         ``t`` with the same epoch, so fault-tolerant routes may be memoized
         per ``(src, dst, epoch)`` (:class:`repro.topology.routing.RouteCache`).
-        Deliberately coarser than the window table: a drop or degradation
+        Deliberately coarser than the window table: a drop or corruption
         edge changes no route, so it must not cost a route search.
         """
         return bisect.bisect_right(self._epoch_edges, time)

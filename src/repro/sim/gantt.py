@@ -45,11 +45,10 @@ def lane_activity(
                     lane[i] = "="
         elif rec.kind == "hop" and rec.rank == rank:
             if rec.info.get("src") == rank:
-                # Own sends over a degraded channel ("slow" from a network
-                # scenario, "degraded" from a fault plan) get their own
-                # shading: the slow stretch is the thing you are looking for.
-                slow = "slow" in rec.info or "degraded" in rec.info
-                mark = "%" if slow else "#"
+                # Own sends over a slow channel (the scenario's "slow" key)
+                # get their own shading: the slow stretch is the thing you
+                # are looking for.
+                mark = "%" if "slow" in rec.info else "#"
             else:
                 mark = "-"
             for i in span(rec.start, rec.end):
@@ -102,10 +101,7 @@ def render_gantt(
         "legend: # sending own message   - forwarding   = computing   . idle"
     )
     if degraded_seen:
-        lines.append(
-            "        % sending over a degraded link (scenario- or "
-            "fault-slowed)"
-        )
+        lines.append("        % sending over a degraded link")
     net = result.network
     if (
         net.messages_dropped or net.hops_rerouted or net.retransmissions

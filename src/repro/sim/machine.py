@@ -96,17 +96,11 @@ class MachineParams:
                 f"machine parameters must be non-negative: {self}"
             )
 
-    def hop_time(self, nwords: int, tw_factor: float = 1.0) -> float:
-        """Time for one ``nwords``-word hop between neighbours.
-
-        ``tw_factor`` stretches the per-word part — the fault layer's link
-        degradation multiplier (1.0 = healthy link).
-        """
+    def hop_time(self, nwords: int) -> float:
+        """Time for one ``nwords``-word hop between nominal neighbours."""
         if nwords < 0:
             raise SimulationError(f"message size must be >= 0, got {nwords}")
-        if tw_factor < 0:
-            raise SimulationError(f"tw_factor must be >= 0, got {tw_factor}")
-        return self.t_s + self.t_w * tw_factor * nwords
+        return self.t_s + self.t_w * nwords
 
     def flops_time(self, flops: float) -> float:
         if flops < 0:
@@ -149,14 +143,14 @@ class MachineConfig:
         the same guarantee MPI's blocking send gives.
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan` injecting link
-        failures, message drops, link degradation and node fail-stops into
+        failures, message drops, corruption and node fail-stops into
         every run on this machine.  ``None`` (default) simulates a perfect
         network.
     scenario:
         Optional :class:`~repro.sim.scenario.NetworkScenario` assigning
         per-link ``(t_s, t_w)`` cost multipliers — a heterogeneous or
-        degraded network.  ``None`` (default) and a uniform scenario both
-        cost every link identically.
+        degraded network, and the one model of a slow link.  ``None``
+        (default) and a uniform scenario both cost every link identically.
     """
 
     cube: Hypercube

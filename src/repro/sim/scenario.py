@@ -25,9 +25,9 @@ immutable per-link cost map:
 
 Scenarios compose with :class:`~repro.sim.faults.FaultPlan`: faults decide
 what is *lost* or *dead*, the scenario decides what every surviving hop
-*costs*.  The engine multiplies the scenario's ``tw_factor`` with the
-fault plan's :class:`~repro.sim.faults.LinkDegradation` multiplier, and
-the route layer keys detours on the pair of epochs (see
+*costs*.  A slow link has one model, a :class:`LinkCost` entry, and one
+rule decides whether it is detoured: the scenario's ``adaptive_routing``.
+The route layer keys detours on the pair of epochs (see
 :meth:`NetworkScenario.epoch` and
 :meth:`~repro.sim.faults.FaultState.route_epoch`), so time-windowed cost
 changes and fault windows invalidate cached routes independently.
@@ -57,6 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.faults import _check_window, _LinkRecord
 
 __all__ = [
     "LinkCost",
@@ -70,17 +71,8 @@ __all__ = [
 ]
 
 
-def _check_window(start: float, end: float) -> None:
-    if start < 0:
-        raise SimulationError(f"cost window start must be >= 0, got {start}")
-    if end <= start:
-        raise SimulationError(
-            f"cost window must satisfy start < end, got [{start}, {end})"
-        )
-
-
 @dataclass(frozen=True)
-class LinkCost:
+class LinkCost(_LinkRecord):
     """One link's cost multipliers during ``[start, end)``.
 
     ``ts_factor`` stretches the hop's start-up cost, ``tw_factor`` its
@@ -105,14 +97,6 @@ class LinkCost:
                 "cost factors must be >= 1 (a slowdown), got "
                 f"ts_factor={self.ts_factor}, tw_factor={self.tw_factor}"
             )
-
-    def covers(self, a: int, b: int, time: float) -> bool:
-        """True iff this entry applies to channel ``a -> b`` at ``time``."""
-        if not self.start <= time < self.end:
-            return False
-        if (a, b) == (self.u, self.v):
-            return True
-        return not self.directed and (a, b) == (self.v, self.u)
 
     @property
     def is_identity(self) -> bool:
@@ -185,9 +169,8 @@ class NetworkScenario:
         by_channel: dict[tuple[int, int], list[LinkCost]] = {}
         edges: set[float] = set()
         for lc in self.links:
-            by_channel.setdefault((lc.u, lc.v), []).append(lc)
-            if not lc.directed:
-                by_channel.setdefault((lc.v, lc.u), []).append(lc)
+            for channel in lc.channels():
+                by_channel.setdefault(channel, []).append(lc)
             if lc.is_identity:
                 continue
             if lc.start > 0.0:

@@ -35,6 +35,7 @@ from repro.algorithms.abft import ABFTMatmul
 from repro.mpi import CheckpointedMatmul, IntegrityContext, ReliableContext
 from repro.sim import FaultPlan, MachineConfig, PortModel, RoutingMode
 from repro.sim.scenario import (
+    NetworkScenario,
     congested_dimension,
     hotspot,
     random_heterogeneous,
@@ -248,9 +249,9 @@ def _int_operands(n: int):
     return A, B
 
 
-def _resilient_cannon(n: int, plan: FaultPlan | None, factory):
+def _resilient_cannon(n: int, plan: FaultPlan | None, factory, scenario=None):
     A, B = _int_operands(n)
-    config = MachineConfig.create(16, faults=plan, **_PARAMS)
+    config = MachineConfig.create(16, faults=plan, scenario=scenario, **_PARAMS)
     return get_algorithm("cannon").run(
         A, B, config, verify=True, trace=True, context_factory=factory
     )
@@ -343,9 +344,10 @@ WINDOW_EDGE_CASE_ID = "reliable-cannon-n8-p16-window-edges-between-time-and-star
 def test_golden_trace_window_edge_between_hop_time_and_start(regen_golden):
     """Four second sends of the one-port skew are ready at ``time`` 0 and
     queue behind the first until their reservation ``start`` 19; a fault
-    window edge falls between the two.  Link health and degradation are
-    read at ``time``, the drop roll at ``start``.  Recorded at the commit
-    before the per-window fault table."""
+    window edge falls between the two.  Link health and the scenario's
+    link cost are read at ``time``, the drop roll at ``start``.  Recorded
+    at the commit before the per-window fault table, when the slow link
+    was a fault-plan degradation."""
     plan = (
         FaultPlan(seed=11)
         # dies at 10 under a queued hop: the hop still crosses at 19
@@ -354,10 +356,12 @@ def test_golden_trace_window_edge_between_hop_time_and_start(regen_golden):
         .with_link_drop(6, 14, 1.0, start=10.0, end=30.0, directed=True)
         # closed at 15: the hop that was ready inside it survives at 19
         .with_link_drop(10, 2, 1.0, start=0.0, end=15.0, directed=True)
-        # opens at 10: the hop that was ready at 0 is not slowed at 19
-        .with_degraded_link(7, 3, 2.0, start=10.0, end=40.0, directed=True)
     )
-    run = _resilient_cannon(8, plan, ReliableContext)
+    # opens at 10: the hop that was ready at 0 is not slowed at 19
+    slow = NetworkScenario().with_link_cost(
+        7, 3, tw_factor=2.0, start=10.0, end=40.0, directed=True
+    ).with_adaptive_routing(False)
+    run = _resilient_cannon(8, plan, ReliableContext, slow)
     trace = run.result.trace
     queued = {
         (rec.rank, rec.info["to"]): rec
@@ -365,7 +369,7 @@ def test_golden_trace_window_edge_between_hop_time_and_start(regen_golden):
     }
     for channel in ((5, 1), (6, 14), (10, 2), (7, 3)):
         assert queued[channel].end == 38.0  # 7 + 3·4 words, undegraded
-    assert "degraded" not in queued[(7, 3)].info
+    assert "slow" not in queued[(7, 3)].info
     drops = [rec for rec in trace if rec.kind == "drop"]
     assert [(d.start, d.info["msg"]) for d in drops] == [
         (19.0, queued[(6, 14)].info["msg"])

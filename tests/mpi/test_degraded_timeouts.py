@@ -5,9 +5,10 @@ the nominal ack-timeout estimate.  Without scenario-aware budgets the
 reliable layer would convict the slow link of losing messages: spurious
 retransmissions at best, a :class:`~repro.errors.CommTimeoutError` at
 worst.  These tests pin the contract that *degradation never masquerades
-as failure*: the timeout budget scales with the worst-case link slowdown
-of the scenario and of the fault plan's degradations, so lossless runs
-stay retransmission-free no matter how slow the network weather gets.
+as failure*: the timeout budget scales with the scenario's worst-case
+link slowdown (a slow link is a scenario ``LinkCost``, whether or not
+``adaptive_routing`` detours it), so lossless runs stay
+retransmission-free no matter how slow the network weather gets.
 """
 
 import numpy as np
@@ -59,13 +60,14 @@ class TestReliableUnderDegradation:
         assert res.network.retransmissions == 0
         assert res.network.messages_dropped == 0
 
-    def test_fault_plan_degradation_also_scales_the_budget(self):
-        plan = (
-            FaultPlan(seed=0)
-            .with_degraded_link(0, 1, factor=SEVERE)
-            .with_degraded_link(0, 1, factor=2.0)
+    def test_stacked_entries_scale_the_budget(self):
+        slow = (
+            NetworkScenario()
+            .with_link_cost(0, 1, tw_factor=SEVERE)
+            .with_link_cost(0, 1, tw_factor=2.0)
+            .with_adaptive_routing(False)
         )
-        cfg = MachineConfig.create(4, faults=plan, **PARAMS)
+        cfg = MachineConfig.create(4, scenario=slow, **PARAMS)
         res = run_spmd(cfg, _pingpong(ReliableContext, force_protocol=True))
         assert res.results[0] == pytest.approx(2 * np.arange(16.0).sum())
         assert res.network.retransmissions == 0
@@ -86,8 +88,8 @@ class TestReliableUnderDegradation:
         run_spmd(cfg, prog)
 
     def test_nominal_network_budget_unchanged(self):
-        """No scenario, no degradations: the estimate is exactly the
-        pre-scenario formula (scale 1.0)."""
+        """No scenario: the estimate is exactly the pre-scenario formula
+        (scale 1.0)."""
 
         def prog(ctx):
             rel = ReliableContext(ctx)

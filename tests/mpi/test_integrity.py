@@ -153,7 +153,7 @@ class TestPassthroughFastPath:
 
         class _LosslessOnly:
             config = MachineConfig.create(
-                4, faults=FaultPlan().with_degraded_link(0, 1, 2.0)
+                4, faults=FaultPlan().with_link_fault(0, 1)  # rerouted
             )
 
         assert IntegrityContext(_Clean()).passthrough

@@ -6,7 +6,14 @@ import pytest
 
 from repro.errors import CommTimeoutError, CommunicatorError
 from repro.mpi import ACK_BASE, DATA_BASE, Comm, ReliableContext
-from repro.sim import ANY_TAG, FaultPlan, MachineConfig, PortModel, run_spmd
+from repro.sim import (
+    ANY_TAG,
+    FaultPlan,
+    MachineConfig,
+    NetworkScenario,
+    PortModel,
+    run_spmd,
+)
 from repro.sim.ops import TIMED_OUT
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
@@ -395,11 +402,12 @@ class TestParallelUnderDegradation:
         healthy_cfg = MachineConfig.create(
             4, t_s=10.0, t_w=1.0, port_model=port_model
         )
-        plan = (FaultPlan()
-                .with_degraded_link(0, 1, 4.0)
-                .with_degraded_link(2, 3, 4.0))
+        slow = (NetworkScenario()
+                .with_link_cost(0, 1, tw_factor=4.0)
+                .with_link_cost(2, 3, tw_factor=4.0)
+                .with_adaptive_routing(False))
         degraded_cfg = MachineConfig.create(
-            4, t_s=10.0, t_w=1.0, port_model=port_model, faults=plan
+            4, t_s=10.0, t_w=1.0, port_model=port_model, scenario=slow
         )
         healthy = run_spmd(healthy_cfg, prog)
         degraded = run_spmd(degraded_cfg, prog)
@@ -449,9 +457,10 @@ class TestPassthroughFastPath:
             assert rel.result.network.retransmissions == 0
 
     def test_lossless_plan_also_fast_paths(self):
-        """A present-but-lossless plan (pure degradations) still takes the
-        fast path: degradation changes hop costs, not delivery."""
-        plan = FaultPlan().with_degraded_link(0, 1, 2.0)
+        """A present-but-lossless plan (a dead link the engine detours
+        around) still takes the fast path: a detour changes the route,
+        not delivery."""
+        plan = FaultPlan().with_link_fault(0, 1)
 
         def prog(ctx):
             rel = ReliableContext(ctx)

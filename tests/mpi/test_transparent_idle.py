@@ -13,7 +13,7 @@ from repro.mpi import (
     RecoveryContext,
     ReliableContext,
 )
-from repro.sim import FaultPlan, MachineConfig
+from repro.sim import FaultPlan, MachineConfig, NetworkScenario
 
 
 def _recovery_over_full_cube(ctx):
@@ -30,23 +30,27 @@ STACKS = {
     "recovery-detector": _recovery_over_full_cube,
 }
 
-#: a present-but-lossless plan: degradation changes hop costs, not delivery
-PLANS = {
-    "no-plan": None,
-    "degraded-link": FaultPlan().with_degraded_link(0, 1, 2.0),
+#: a present-but-lossless plan (a rerouted dead link changes routes, not
+#: delivery) on a machine with a slow link (changes hop costs, not delivery)
+MACHINES = {
+    "no-plan": {},
+    "degraded-link": {
+        "faults": FaultPlan().with_link_fault(0, 1),
+        "scenario": NetworkScenario().with_link_cost(2, 3, tw_factor=2.0),
+    },
 }
 
 ALGORITHMS = {"cannon": 16, "3d_all": 8}
 
 
 @pytest.mark.parametrize("key", ALGORITHMS)
-@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("stack", STACKS)
-def test_idle_stack_equals_bare_context(stack, plan, key):
+def test_idle_stack_equals_bare_context(stack, machine, key):
     rng = np.random.default_rng(0)
     A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
     config = MachineConfig.create(
-        ALGORITHMS[key], t_s=10.0, t_w=1.0, faults=PLANS[plan]
+        ALGORITHMS[key], t_s=10.0, t_w=1.0, **MACHINES[machine]
     )
     algo = get_algorithm(key)
     bare = algo.run(A, B, config, verify=True)

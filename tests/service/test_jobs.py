@@ -148,12 +148,19 @@ class TestMakeSpecRefusals:
         ("degrade", {"severities": [1.0, -1.0]}, "severities >= 0"),
         ("chaos", {"algorithm": "nope"}, "unknown algorithm 'nope'"),
         ("chaos", {"n": 7}, "not applicable at n=7, p=16"),
+        ("sweep", {"variable": "n", "values": [-5]}, "n >= 1, got -5"),
+        ("sweep", {"variable": "p", "values": [64, 0.5]}, "p >= 1, got 0.5"),
+        ("sweep", {"variable": "t_s", "values": [10], "n": 0}, "n >= 1, got 0"),
+        ("chaos", {"severity": -1.0}, "severity >= 0, got -1"),
     ], ids=["unknown-profile", "negative-severity", "unknown-algorithm",
-            "not-applicable"])
+            "not-applicable", "sweep-n-below-1", "sweep-p-below-1",
+            "sweep-fixed-n-below-1", "chaos-negative-severity"])
     def test_spec_evaluate_would_raise_on_is_refused(self, kind, params, match):
         """Each of these was admitted and then raised in ``evaluate``
-        (``SimulationError``, ``AlgorithmError``, ``NotApplicableError``):
-        admission checks the tables the evaluator reads."""
+        (``SimulationError``, ``AlgorithmError``, ``NotApplicableError``,
+        ``ModelError``) or, for a negative chaos severity, ran on a
+        meaningless scenario: admission checks the tables the evaluator
+        reads."""
         with pytest.raises(ServiceError, match=match):
             make_spec(kind, params)
 

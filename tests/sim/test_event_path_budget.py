@@ -36,7 +36,7 @@ import functools
 from repro.mpi import IntegrityContext, ReliableContext
 from repro.sim import FaultPlan, PortModel
 from repro.sim.machine import RoutingMode
-from repro.sim.scenario import random_heterogeneous
+from repro.sim.scenario import NetworkScenario, random_heterogeneous
 
 N = P = 16
 _rng = np.random.default_rng(0)
@@ -72,17 +72,22 @@ def _forced_integrity():
 
 def _windowed_reliable():
     """Every kind of window the fault table tabulates, open while the run
-    is busy: a link fault, two overlapping degradations on one link, a
-    drop window and a late fail-stop of a rank that has finished."""
+    is busy: a link fault, a drop window and a late fail-stop of a rank
+    that has finished; beside them, two overlapping cost windows of the
+    scenario on one link."""
     plan = (
         FaultPlan(seed=3)
         .with_link_fault(5, 1, start=10.0, end=400.0)
-        .with_degraded_link(6, 14, 2.0, start=0.0, end=300.0)
-        .with_degraded_link(14, 6, 1.5, start=100.0, end=600.0)
         .with_link_drop(10, 2, 0.5, start=50.0, end=500.0)
         .with_node_failure(12, at=450.0)
     )
-    cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0, faults=plan)
+    slow = (
+        NetworkScenario()
+        .with_link_cost(6, 14, tw_factor=2.0, start=0.0, end=300.0)
+        .with_link_cost(14, 6, tw_factor=1.5, start=100.0, end=600.0)
+        .with_adaptive_routing(False)
+    )
+    cfg = MachineConfig.create(P, t_s=10.0, t_w=1.0, faults=plan, scenario=slow)
     return get_algorithm("cannon").run(
         A, B, cfg, verify=True, context_factory=ReliableContext
     )
@@ -121,9 +126,10 @@ def _calls(fn):
         # envelope is copied once and checksummed twice per message, each
         # in one pass
         (_forced_integrity, 248, 83.2),
-        # 79.37 (101.01 before; 148.35 before the fault table); 2 drops,
-        # 4 reroutes, and from t = 450 every window has a dead node to
-        # check hops against
+        # 81.66 with the slow link a scenario cost (78.97 as a fault-plan
+        # degradation; 101.01 before; 148.35 before the fault table); 2
+        # drops, 4 reroutes, and from t = 450 every window has a dead node
+        # to check hops against
         (_windowed_reliable, 251, 83.4),
     ],
     ids=[

@@ -13,7 +13,7 @@ from repro.errors import (
     SimulationError,
     UnreachableError,
 )
-from repro.sim import FaultPlan, MachineConfig, run_spmd
+from repro.sim import FaultPlan, MachineConfig, NetworkScenario, run_spmd
 from repro.sim.faults import FaultState
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
@@ -46,10 +46,6 @@ class TestFaultPlanValidation:
             FaultPlan().with_link_fault(0, 1, start=5.0, end=5.0)
         with pytest.raises(SimulationError):
             FaultPlan().with_link_fault(0, 1, start=-1.0)
-
-    def test_degradation_must_be_slowdown(self):
-        with pytest.raises(SimulationError):
-            FaultPlan().with_degraded_link(0, 1, 0.5)
 
     def test_duplicate_node_failure(self):
         with pytest.raises(SimulationError):
@@ -84,14 +80,6 @@ class TestFaultPlanQueries:
         plan = FaultPlan().with_drop_rate(0.5).with_link_drop(0, 1, 0.5)
         assert plan.drop_probability(0, 1, 0.0) == pytest.approx(0.75)
         assert plan.drop_probability(2, 3, 0.0) == pytest.approx(0.5)
-
-    def test_degradation_composes(self):
-        plan = (FaultPlan()
-                .with_degraded_link(0, 1, 2.0)
-                .with_degraded_link(0, 1, 3.0, start=0.0, end=10.0))
-        assert plan.degradation(0, 1, 5.0) == pytest.approx(6.0)
-        assert plan.degradation(0, 1, 10.0) == pytest.approx(2.0)
-        assert plan.degradation(2, 3, 0.0) == 1.0
 
     def test_roll_drop_is_seeded(self):
         plan = FaultPlan(seed=9).with_drop_rate(0.5)
@@ -145,7 +133,17 @@ class TestDrops:
         assert res.network.messages_dropped == 0
 
 
+def slow_link(u: int, v: int, tw_factor: float) -> NetworkScenario:
+    """One link's ``t_w`` stretched, routes left on e-cube order."""
+    return NetworkScenario().with_link_cost(
+        u, v, tw_factor=tw_factor
+    ).with_adaptive_routing(False)
+
+
 class TestDegradation:
+    """A slow link is a scenario ``LinkCost``, not a fault: on a machine
+    with a fault plan it costs what it costs on a healthy one."""
+
     def test_degraded_hop_costs_more(self):
         """t_s + factor*t_w*m on the degraded link, exact."""
 
@@ -159,12 +157,12 @@ class TestDegradation:
 
         healthy = run_spmd(CFG, prog)
         assert healthy.results[1] == pytest.approx(15.0)
-        plan = FaultPlan().with_degraded_link(0, 1, 3.0)
-        degraded = run_spmd(faulty(4, plan), prog)
+        plan = FaultPlan().with_link_fault(2, 3)
+        degraded = run_spmd(faulty(4, plan, scenario=slow_link(0, 1, 3.0)), prog)
         assert degraded.results[1] == pytest.approx(10.0 + 3.0 * 5.0)
 
     def test_degradation_marks_trace(self):
-        plan = FaultPlan().with_degraded_link(0, 1, 2.0)
+        plan = FaultPlan().with_link_fault(2, 3)
 
         def prog(ctx):
             if ctx.rank == 0:
@@ -173,9 +171,10 @@ class TestDegradation:
                 yield from ctx.recv(0)
             return None
 
-        res = run_spmd(faulty(4, plan), prog, trace=True)
+        res = run_spmd(faulty(4, plan, scenario=slow_link(0, 1, 2.0)), prog,
+                       trace=True)
         hops = [r for r in res.trace if r.kind == "hop"]
-        assert any(r.info.get("degraded") == 2.0 for r in hops)
+        assert [r.info.get("slow") for r in hops] == [(1.0, 2.0)]
 
 
 class TestReroute:
@@ -370,7 +369,7 @@ class TestDeterminism:
     @staticmethod
     def _chatter(ctx):
         """Every rank exchanges with both neighbours twice, tolerating
-        losses; exercises drops, reroutes and degradations together."""
+        losses; exercises drops, reroutes and a slow link together."""
         peers = [ctx.rank ^ 1, ctx.rank ^ 2]
         got = 0.0
         for round_ in range(2):
@@ -389,13 +388,12 @@ class TestDeterminism:
         FaultPlan(seed=21)
         .with_drop_rate(0.3)
         .with_link_fault(0, 1, start=0.0, end=200.0)
-        .with_degraded_link(2, 3, 2.0)
     )
 
     def test_bit_identical_runs(self):
         """The acceptance guarantee: same (config, plan, program) ->
         bit-identical RunResult, traces included."""
-        cfg = faulty(4, self.PLAN)
+        cfg = faulty(4, self.PLAN, scenario=slow_link(2, 3, 2.0))
         a = run_spmd(cfg, self._chatter, trace=True)
         b = run_spmd(cfg, self._chatter, trace=True)
         assert a.total_time == b.total_time
@@ -434,7 +432,7 @@ class TestConfigIntegration:
 
 def _random_plan(seed: int) -> FaultPlan:
     """A seeded plan on the 4-cube built to collide: windows that share
-    an edge, stacked degradations and drops on one link, directed and
+    an edge, stacked drops and corruptions on one link, directed and
     undirected records, open-ended windows, several fail-stops."""
     rng = np.random.default_rng(seed)
     times = [0.0, 5.0, 10.0, 12.5, 20.0, 40.0]  # few values: edges coincide
@@ -453,7 +451,6 @@ def _random_plan(seed: int) -> FaultPlan:
     for _ in range(int(rng.integers(1, 4))):
         plan = plan.with_link_fault(*link(), **window())
     for u, v in (hot, hot[::-1], link(), link()):
-        plan = plan.with_degraded_link(u, v, float(rng.choice([1.0, 1.7, 3.0])), **window())
         plan = plan.with_link_drop(u, v, float(rng.choice([0.0, 0.1, 0.3, 1.0])), **window())
         plan = plan.with_link_corruption(u, v, float(rng.choice([0.0, 0.5, 1.0])), **window())
     for node in rng.choice(16, size=int(rng.integers(0, 4)), replace=False):
@@ -474,8 +471,7 @@ class TestWindowTable:
         plan = _random_plan(seed)
         state = FaultState(plan)
         edges = sorted({
-            t for records in (plan.link_faults, plan.drops, plan.degradations,
-                              plan.corruptions)
+            t for records in (plan.link_faults, plan.drops, plan.corruptions)
             for rec in records for t in (rec.start, rec.end) if math.isfinite(t)
         } | {nf.time for nf in plan.node_failures})
         assert len(edges) >= 3
@@ -496,7 +492,6 @@ class TestWindowTable:
                 dead = plan.link_dead(u, v, t)
                 assert win.alive(u, v) == (not dead)
                 assert win.dead or not dead
-                assert win.tw_factor.get((u, v), 1.0) == plan.degradation(u, v, t)
                 assert (
                     win.drop_p.get((u, v), win.base_drop_p)
                     == plan.drop_probability(u, v, t)
@@ -519,7 +514,7 @@ class TestWindowTable:
     def test_route_epoch_ignores_edges_that_change_no_route(self):
         plan = (FaultPlan().with_link_fault(0, 1, start=10.0, end=20.0)
                 .with_link_drop(2, 3, 0.5, start=15.0)
-                .with_degraded_link(4, 5, 2.0, start=12.0, end=18.0))
+                .with_link_corruption(4, 5, 0.5, start=12.0, end=18.0))
         state = FaultState(plan)
         assert [state.route_epoch(t) for t in (0, 10, 12, 15, 18, 19.9, 20)] == [
             0, 1, 1, 1, 1, 1, 2

@@ -158,12 +158,6 @@ class TestDegradedLinkShading:
         art = render_gantt(res, width=40)
         assert "% sending over a degraded link" in art
 
-    def test_fault_degraded_send_shaded(self):
-        plan = FaultPlan(seed=0).with_degraded_link(0, 1, factor=3.0)
-        res = self._pingpong(CFG.with_faults(plan))
-        lane = lane_activity(res.trace, 0, res.total_time, 60)
-        assert "%" in lane
-
     def test_uniform_run_has_no_shading(self):
         res = traced_run()
         art = render_gantt(res, width=40)

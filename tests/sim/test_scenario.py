@@ -251,11 +251,13 @@ class TestEngineCosting:
         hop = next(r for r in res.trace if r.kind == "hop")
         assert hop.info["slow"] == (2.0, 3.0)
 
-    def test_scenario_composes_with_fault_degradation(self):
-        sc = NetworkScenario(name="t").with_link_cost(
-            0, 1, tw_factor=2.0
-        ).with_adaptive_routing(False)
-        plan = FaultPlan(seed=0).with_degraded_link(0, 1, factor=3.0)
+    def test_stacked_entries_compose_on_one_hop(self):
+        sc = (
+            NetworkScenario(name="t")
+            .with_link_cost(0, 1, tw_factor=2.0)
+            .with_link_cost(0, 1, tw_factor=3.0, directed=True)
+            .with_adaptive_routing(False)
+        )
 
         def prog(ctx):
             if ctx.rank == 0:
@@ -264,7 +266,7 @@ class TestEngineCosting:
                 yield from ctx.recv(0)
             return None
 
-        res = run_spmd(_cfg(4, sc, faults=plan), prog)
+        res = run_spmd(_cfg(4, sc), prog)
         # t_s + t_w·(2·3)·4 = 7 + 72 = 79: the multipliers stack.
         assert res.total_time == pytest.approx(79.0)
 
@@ -310,6 +312,32 @@ class TestEngineCosting:
 
 
 class TestAdaptiveRouting:
+    @pytest.mark.parametrize("adaptive, arrival, detours", [
+        (True, 303.0, 1),  # three nominal hops around the slow link
+        (False, 10_001.0, 0),  # t_s + 100·t_w·100 on the slow link
+    ])
+    def test_adaptive_routing_is_the_one_detour_rule(
+        self, adaptive, arrival, detours
+    ):
+        """A ×100 ``t_w`` link on a 16-node cube (``t_s = t_w = 1``): one
+        100-word message ``0 -> 1`` is detoured or pays, and the
+        scenario's ``adaptive_routing`` alone decides which."""
+        sc = NetworkScenario(name="t").with_link_cost(
+            0, 1, tw_factor=100.0
+        ).with_adaptive_routing(adaptive)
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.send(1, list(range(100)), nwords=100)
+            elif ctx.rank == 1:
+                yield from ctx.recv(0)
+            return None
+
+        cfg = MachineConfig.create(16, t_s=1.0, t_w=1.0, scenario=sc)
+        res = run_spmd(cfg, prog)
+        assert res.total_time == arrival
+        assert res.adaptive_detours == detours
+
     def test_detour_around_expensive_link(self):
         sc = NetworkScenario(name="t").with_link_cost(
             0, 1, ts_factor=10.0, tw_factor=10.0
@@ -381,3 +409,62 @@ class TestAdaptiveRouting:
 
         with pytest.raises(LinkFailedError):
             run_spmd(_cfg(8, sc, faults=plan), prog)
+
+
+def _random_scenario(seed: int) -> NetworkScenario:
+    """A seeded scenario on the 4-cube built to collide: directed and
+    undirected entries stacked on one channel, windows that share an
+    edge, open-ended windows."""
+    rng = np.random.default_rng(seed)
+    times = [0.0, 5.0, 10.0, 12.5, 20.0, 40.0]  # few values: edges coincide
+
+    def entry(u, v):
+        start = float(rng.choice(times))
+        end = math.inf if rng.random() < 0.3 else start + float(rng.choice(times[1:]))
+        return dict(
+            u=u, v=v,
+            ts_factor=float(rng.choice([1.0, 1.25, 2.0])),
+            tw_factor=float(rng.choice([1.0, 1.7, 3.0])),
+            start=start, end=end, directed=bool(rng.random() < 0.5),
+        )
+
+    def link():
+        u = int(rng.integers(16))
+        return u, u ^ (1 << int(rng.integers(4)))
+
+    hot = link()  # four entries, both directions, land on this one link
+    sc = NetworkScenario(name=f"fuzz#{seed}")
+    for u, v in (hot, hot[::-1], hot, hot[::-1], link(), link()):
+        sc = sc.with_link_cost(**entry(u, v))
+    return sc
+
+
+CHANNELS_4CUBE = [(u, u ^ (1 << d)) for u in range(16) for d in range(4)]
+
+
+class TestCostTable:
+    """``channel_factors`` is ``factors`` tabulated per epoch: the point
+    query is the definition, the table has to agree with it everywhere,
+    floats bitwise; ``worst_case_factor`` bounds every factor it returns."""
+
+    @pytest.mark.parametrize("seed", range(54))
+    def test_table_equals_point_query_at_every_epoch_and_edge(self, seed):
+        sc = _random_scenario(seed)
+        edges = sorted({
+            t for lc in sc.links for t in (lc.start, lc.end) if math.isfinite(t)
+        })
+        assert len(edges) >= 3
+        probes = {0.0, edges[-1] + 1.0, 1e18}
+        for lo, hi in zip(edges, edges[1:]):
+            probes.add((lo + hi) / 2)
+        for edge in edges:
+            probes.update((edge, math.nextafter(edge, math.inf)))
+            if edge > 0.0:
+                probes.add(math.nextafter(edge, -math.inf))
+        worst = sc.worst_case_factor()
+        for t in sorted(probes):
+            table = sc.channel_factors(sc.epoch(t))
+            for u, v in CHANNELS_4CUBE:
+                factors = sc.factors(u, v, t)
+                assert table.get((u, v), (1.0, 1.0)) == factors
+                assert worst >= max(factors)

@@ -112,3 +112,24 @@ def test_documented_module_names_exist():
         if not _resolves(name)
     })
     assert not missing, missing
+
+
+def test_api_doc_builders_exist():
+    """Every ``.with_*(`` builder docs/API.md's code blocks quote is one
+    ``FaultPlan``, ``NetworkScenario`` or ``MachineConfig`` still has."""
+    import pathlib
+    import re
+
+    from repro.sim import FaultPlan, MachineConfig, NetworkScenario
+
+    text = (pathlib.Path(__file__).parents[1] / "docs" / "API.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.S | re.M)
+    quoted = {name for block in blocks
+              for name in re.findall(r"\.(with_\w+)\(", block)}
+    assert quoted, "no builder found: the code-block pattern is stale"
+    stale = sorted(
+        name for name in quoted
+        if not any(hasattr(cls, name)
+                   for cls in (FaultPlan, NetworkScenario, MachineConfig))
+    )
+    assert not stale, stale
