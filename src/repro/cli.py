@@ -453,7 +453,7 @@ def _cmd_faults(args) -> int:
     if args.transient:
         plan = transient_scenario(seed=args.plan_seed, drop_rate=0.0)
     print(
-        f"degradation sweep: n={args.n} p={args.p} t_s={args.ts:g} "
+        f"drop-rate sweep: n={args.n} p={args.p} t_s={args.ts:g} "
         f"t_w={args.tw:g} plan_seed={args.plan_seed}"
         + (" + transient link fault" if args.transient else "")
     )

@@ -41,7 +41,7 @@ from repro.errors import (
     LivelockError,
     SimulationError,
 )
-from repro.sim.faults import FaultState
+from repro.sim.faults import FaultState, LinkTimeline
 from repro.sim.machine import MachineConfig, RoutingMode
 from repro.sim.message import (
     CORRUPT_VERDICT,
@@ -227,16 +227,13 @@ class Engine:
         self._adaptive = (
             self.scenario is not None and self.scenario.adaptive_routing
         )
-        # One-word hop cost of a nominal link, and per scenario epoch the
-        # tables of the links that are not nominal (see _link_costs).
+        #: one-word hop cost of a nominal link (a route search's default)
         self._nominal_hop = self._t_s + self._t_w
-        self._cost_tables: dict[int, tuple[int, dict, dict]] = {}
-        #: a time-invariant scenario's one epoch of tables, read on every
-        #: hop without a lookup (None: none, or they change with time)
-        self._static_costs = (
-            self._link_costs(0.0)
-            if self.scenario is not None and not self.scenario.time_varying
-            else None
+        #: the run's link state, read by every hop (None: a healthy
+        #: machine, every link nominal and alive forever)
+        self.timeline: LinkTimeline | None = (
+            None if self.faults is None and self.scenario is None
+            else LinkTimeline(config)
         )
         if max_events is not None and max_events <= 0:
             raise SimulationError(f"max_events must be positive, got {max_events}")
@@ -348,8 +345,7 @@ class Engine:
         # the tie against any same-time resume of that rank.
         if self.faults is not None:
             for nf in self.faults.plan.node_failures:
-                if 0 <= nf.node < self.config.num_nodes:
-                    self._schedule(nf.time, _NODE_FAIL, (nf.node,))
+                self._schedule(nf.time, _NODE_FAIL, (nf.node,))
         for rank in range(self.config.num_nodes):
             ctx = ProcessContext(rank, self)
             gen = program(ctx)
@@ -1175,14 +1171,14 @@ class Engine:
             )
 
     def _maybe_corrupt(
-        self, msg: Message, u: int, v: int, start: float, end: float
+        self, msg: Message, win, u: int, v: int, start: float, end: float
     ) -> None:
         """Roll the plan's link corruptions for this hop and, when one
         fires, bit-flip a private copy of the payload (the sender's buffer
         and any shared references stay intact; downstream hops and the
         final delivery carry the perturbed copy)."""
         fs = self.faults
-        events = fs.roll_corruptions(u, v, start)
+        events = fs.roll_corruptions(win, u, v)
         if not events:
             return
         data = copy_payload(msg.data)
@@ -1257,31 +1253,6 @@ class Engine:
             snap[rank] = f"t={latest:g}, {state}"
         return snap
 
-    # -- scenario costing --------------------------------------------------
-
-    def _link_costs(self, time: float) -> tuple[int, dict, dict]:
-        """``(epoch, weights, factors)`` of the scenario epoch holding ``time``.
-
-        ``factors`` maps every channel the scenario degrades in that epoch
-        to its ``(ts_factor, tw_factor)`` and ``weights`` to its one-word
-        hop cost ``ts_factor·t_s + tw_factor·t_w``; a channel in neither
-        is nominal (``_nominal_hop``).  Built once per epoch and kept for
-        the run: hop costing and cost-aware routing both read these, and
-        :meth:`~repro.topology.routing.RouteCache.cheapest` memoizes its
-        routes under the same epoch.
-        """
-        epoch = self.scenario.epoch(time)
-        tables = self._cost_tables.get(epoch)
-        if tables is None:
-            t_s, t_w = self._t_s, self._t_w
-            factors = self.scenario.channel_factors(epoch)
-            weights = {
-                channel: ts_f * t_s + tw_f * t_w
-                for channel, (ts_f, tw_f) in factors.items()
-            }
-            tables = self._cost_tables[epoch] = (epoch, weights, factors)
-        return tables
-
     # -- sends -----------------------------------------------------------
 
     def _issue_send(
@@ -1314,65 +1285,55 @@ class Engine:
     def _inject(self, msg: Message, handle: Handle, now: float) -> None:
         """Route ``msg`` and schedule its first hop (fault-aware)."""
         fs = self.faults
-        if fs is None:
-            if self._adaptive:
-                # Heterogeneous costs: route around expensive links.  The
-                # cost table is constant within a scenario epoch, so the
-                # cheapest route is memoized per (src, dst, epoch).
-                epoch, weights, _ = self._static_costs or self._link_costs(now)
-                hops: list | tuple = self.routes.cheapest(
-                    msg.src, msg.dst, weights, self._nominal_hop, epoch,
-                )
-            else:
-                # Healthy machine: routes never change, so every transfer
-                # on the same (src, dst) pair shares one immutable cached
-                # hop tuple.
-                hops = self.routes.healthy(msg.src, msg.dst)
+        if fs is None and not self._adaptive:
+            # Healthy machine (or oblivious routing): routes never change,
+            # so every transfer on the same (src, dst) pair shares one
+            # immutable cached hop tuple.
+            msg.hops = self.routes.healthy(msg.src, msg.dst)
+            self._schedule(now, _HOP_READY, (msg, 0, handle))
+            return
+        tl = self.timeline
+        win = tl.window
+        if not win.lo <= now < win.hi:
+            win = tl.at(now)
+        if fs is not None and msg.dst in win.dead_nodes:
+            # Destination already fail-stopped: the message is lost in
+            # the void but the send itself costs the sender nothing extra.
+            if not handle.done:
+                handle.complete(now)
+            self._lose_message(msg, msg.src, now, now, "dest-failed")
+            return
+        if self._adaptive and (fs is None or fs.plan.reroute):
+            # Heterogeneous costs: route around expensive (and dead)
+            # links.  A route holds for the window's whole route index,
+            # so the cheapest one is memoized per (src, dst, route).
+            hops: list | tuple = self.routes.cheapest(
+                msg.src, msg.dst, win.weights, self._nominal_hop, win.route,
+                None if fs is None else win.alive,
+            )
         else:
-            win = fs.window
-            if not win.lo <= now < win.hi:
-                win = fs.window_at(now)
-            if msg.dst in win.dead_nodes:
-                # Destination already fail-stopped: the message is lost in
-                # the void but the send itself costs the sender nothing extra.
-                if not handle.done:
-                    handle.complete(now)
-                self._lose_message(msg, msg.src, now, now, "dest-failed")
-                return
-            if self._adaptive and fs.plan.reroute:
-                # Degraded-aware detouring: prefer cheap healthy links.
-                # The route depends on both piecewise-constant layers, so
-                # the cache key pairs their epochs — either kind of window
-                # edge invalidates it.
-                epoch, weights, _ = self._link_costs(now)
-                cached = self.routes.cheapest(
-                    msg.src, msg.dst, weights, self._nominal_hop,
-                    (fs.route_epoch(now), epoch), win.alive,
-                )
-            else:
-                cached = self.routes.healthy(msg.src, msg.dst)
-                # Strict mode keeps the native route; _start_hop raises
-                # LinkFailedError when the message reaches the dead link.
-                # A window that kills nothing has nothing to check.
-                if win.dead and fs.plan.reroute and not all(
-                    starmap(win.alive, cached)
-                ):
-                    cached = self.routes.detour(
-                        msg.src, msg.dst, win.alive, fs.route_epoch(now)
-                    )
-                    self._hops_rerouted += 1
-                    if self.trace_enabled:
-                        self.trace.append(
-                            TraceRecord(
-                                "reroute", now, now, msg.src,
-                                {"msg": msg.msg_id, "dead": None,
-                                 "via": cached[0][1] if cached else msg.dst,
-                                 "src": msg.src, "dst": msg.dst},
-                            )
+            hops = self.routes.healthy(msg.src, msg.dst)
+            # Strict mode keeps the native route; _start_hop raises
+            # LinkFailedError when the message reaches the dead link.
+            # A window that kills nothing has nothing to check.
+            if win.dead and fs.plan.reroute and not all(
+                starmap(win.alive, hops)
+            ):
+                hops = self.routes.detour(msg.src, msg.dst, win.alive, win.route)
+                self._hops_rerouted += 1
+                if self.trace_enabled:
+                    self.trace.append(
+                        TraceRecord(
+                            "reroute", now, now, msg.src,
+                            {"msg": msg.msg_id, "dead": None,
+                             "via": hops[0][1] if hops else msg.dst,
+                             "src": msg.src, "dst": msg.dst},
                         )
+                    )
+        if fs is not None:
             # Fault mode may splice a detour tail in-place mid-flight
             # (_start_hop), so each message needs its own mutable copy.
-            hops = list(cached)
+            hops = list(hops)
         msg.hops = hops
         self._schedule(now, _HOP_READY, (msg, 0, handle))
 
@@ -1398,10 +1359,15 @@ class Engine:
                 self._schedule(time, _HOP_READY, (msg, hop_index, handle))
                 return
         fs = self.faults
-        if fs is not None:
-            win = fs.window
+        tl = self.timeline
+        if tl is None:
+            header_ts = self._t_s
+            duration = self._t_s + self._t_w * msg.nwords
+            ts_f = tw_f = 1.0
+        else:
+            win = tl.window
             if not win.lo <= time < win.hi:
-                win = fs.window_at(time)
+                win = tl.at(time)
             if win.dead:
                 dead_nodes = win.dead_nodes
                 if u in dead_nodes or msg.dst in dead_nodes:
@@ -1419,18 +1385,17 @@ class Engine:
                     if not fs.plan.reroute:
                         raise LinkFailedError(u, v, time)
                     # Detour: recompute the surviving route from here
-                    # (cached per fault epoch — the dead-link set is
+                    # (cached per route index — the dead-link set is
                     # constant within one).  Raises UnreachableError when
                     # the surviving graph disconnects.
                     if self._adaptive:
-                        epoch, weights, _ = self._link_costs(time)
                         tail = self.routes.cheapest(
-                            u, msg.dst, weights, self._nominal_hop,
-                            (fs.route_epoch(time), epoch), win.alive,
+                            u, msg.dst, win.weights, self._nominal_hop,
+                            win.route, win.alive,
                         )
                     else:
                         tail = self.routes.detour(
-                            u, msg.dst, win.alive, fs.route_epoch(time)
+                            u, msg.dst, win.alive, win.route
                         )
                     dead = (u, v)
                     hops[hop_index:] = tail
@@ -1444,12 +1409,7 @@ class Engine:
                                  "src": msg.src, "dst": msg.dst},
                             )
                         )
-        if self.scenario is None:
-            header_ts = self._t_s
-            duration = self._t_s + self._t_w * msg.nwords
-            ts_f = tw_f = 1.0
-        else:
-            _, _, factors = self._static_costs or self._link_costs(time)
+            factors = win.factors
             ts_f, tw_f = factors[u, v] if (u, v) in factors else (1.0, 1.0)
             header_ts = ts_f * self._t_s
             duration = header_ts + self._t_w * tw_f * msg.nwords
@@ -1466,11 +1426,11 @@ class Engine:
             # The hop may have queued past a window edge: losses are rolled
             # where it transmits (start), not where it became ready (time).
             if not win.lo <= start < win.hi:
-                win = fs.window_at(start)
-            if (win.drop_p or win.base_drop_p) and fs.roll_drop(u, v, start):
+                win = tl.at(start)
+            if (win.drop_p or win.base_drop_p) and fs.roll_drop(win, u, v):
                 self._lose_message(msg, v, start, start + duration, "drop")
             elif win.corruptions:
-                self._maybe_corrupt(msg, u, v, start, start + duration)
+                self._maybe_corrupt(msg, win, u, v, start, start + duration)
         if (
             self._cut_through
             and hop_index < len(hops) - 1
@@ -1563,12 +1523,12 @@ class Engine:
         self._notify(handle.task)
 
     def _deliver(self, msg: Message, time: float) -> None:
-        fs = self.faults
         gone = msg.dst in self.failed
-        if fs is not None and not gone:
-            win = fs.window
+        if self.faults is not None and not gone:
+            tl = self.timeline
+            win = tl.window
             if not win.lo <= time < win.hi:
-                win = fs.window_at(time)
+                win = tl.at(time)
             gone = msg.dst in win.dead_nodes
         if gone:
             # The destination fail-stopped while the message was on its

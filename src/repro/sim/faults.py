@@ -32,6 +32,11 @@ Corruption decisions (and the bit-flip draws themselves) come from a
 operationally independent of the drop stream: adding or removing
 corruption faults never perturbs which messages a given plan drops, and
 vice versa — so replays stay bit-identical across fault-type mixes.
+
+A run reads the plan, together with the machine's
+:class:`~repro.sim.scenario.NetworkScenario`, through one
+:class:`LinkTimeline` of :class:`LinkWindow`\\ s; the plan's point
+queries stay the definition that table is tested against.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ __all__ = [
     "NodeCorruption",
     "FLIP_MODELS",
     "FaultPlan",
-    "FaultWindow",
+    "LinkWindow",
+    "LinkTimeline",
     "FaultState",
 ]
 
@@ -77,7 +83,7 @@ class _LinkRecord:
     """
 
     def channels(self) -> tuple[tuple[int, int], ...]:
-        if self.directed or self.u == self.v:
+        if self.directed:
             return ((self.u, self.v),)
         return ((self.u, self.v), (self.v, self.u))
 
@@ -398,25 +404,29 @@ def _flip_bit(value: float, model: str, rng: np.random.Generator) -> float:
     return float((bits ^ np.uint64(1 << bit)).view(np.float64))
 
 
-class FaultWindow:
-    """Every point query of a :class:`FaultPlan`, tabulated for one window.
+class LinkWindow:
+    """One window of a run's :class:`LinkTimeline`: every link's state in it.
 
-    Between two consecutive edges of a plan (every ``start`` / finite
-    ``end`` of a link record, every fail-stop instant) its point queries
-    are constant, so for ``lo <= t < hi``: ``node_failed(n, t)`` is ``n in
-    dead_nodes``, ``link_dead(u, v, t)`` is ``not alive(u, v)``, and
-    ``drop_probability`` and the covering corruptions are ``drop_p.get((u,
-    v), base_drop_p)`` and ``corruptions.get((u, v), ())``.  Products are
-    accumulated in plan order from the plan methods' own starting values,
-    so every float is ``==`` theirs.  ``dead``: the window kills something.
+    Between two consecutive edges of the timeline the point queries of the
+    machine's :class:`FaultPlan` and of its scenario are constant, so for
+    ``lo <= t < hi``: ``node_failed(n, t)`` is ``n in dead_nodes``,
+    ``link_dead(u, v, t)`` is ``not alive(u, v)``, ``drop_probability`` and
+    the covering corruptions are ``drop_p.get((u, v), base_drop_p)`` and
+    ``corruptions.get((u, v), ())``, and the scenario's ``factors(u, v, t)``
+    is ``factors.get((u, v), (1.0, 1.0))``, whose one-word hop cost
+    ``ts_factor·t_s + tw_factor·t_w`` is ``weights``.  Products are
+    accumulated in record order from the point queries' own starting
+    values, so every float is ``==`` theirs.  ``dead``: the window kills
+    something.  ``route``: how many route edges lie at or before ``lo``; a
+    route found in one window holds in every window with the same index.
     """
 
     __slots__ = (
-        "lo", "hi", "dead_nodes", "dead_channels", "dead", "drop_p",
-        "base_drop_p", "corruptions",
+        "lo", "hi", "route", "dead_nodes", "dead_channels", "dead", "drop_p",
+        "base_drop_p", "corruptions", "factors", "weights",
     )
 
-    def __init__(self, plan: FaultPlan, lo: float, hi: float):
+    def __init__(self, timeline: "LinkTimeline", lo: float, hi: float):
         def covering(records):
             return [
                 (rec, channel)
@@ -424,7 +434,9 @@ class FaultWindow:
                 for channel in rec.channels()
             ]
 
+        plan = timeline.plan
         self.lo, self.hi = lo, hi
+        self.route = bisect.bisect_right(timeline.route_edges, lo)
         self.dead_nodes = {nf.node for nf in plan.node_failures if nf.time <= lo}
         self.dead_channels = {ch for _, ch in covering(plan.link_faults)}
         self.dead = bool(self.dead_nodes or self.dead_channels)
@@ -436,6 +448,14 @@ class FaultWindow:
         corr = self.corruptions = {}
         for lc, ch in covering(plan.corruptions):
             corr[ch] = corr.get(ch, ()) + (lc,)
+        factors = self.factors = {}
+        for lc, ch in covering(timeline.costs):
+            ts_f, tw_f = factors[ch] if ch in factors else (1.0, 1.0)
+            factors[ch] = (ts_f * lc.ts_factor, tw_f * lc.tw_factor)
+        t_s, t_w = timeline.t_s, timeline.t_w
+        self.weights = {
+            ch: ts_f * t_s + tw_f * t_w for ch, (ts_f, tw_f) in factors.items()
+        }
 
     def alive(self, u: int, v: int) -> bool:
         """The routing layer's link predicate (``not link_dead``)."""
@@ -447,8 +467,80 @@ def _window_edges(*record_lists) -> set[float]:
     return {
         edge
         for records in record_lists for rec in records
-        for edge in (rec.start, rec.end) if math.isfinite(edge)
+        for edge in (rec.start, rec.end) if edge < math.inf
     }
+
+
+class LinkTimeline:
+    """One run's link state: the machine's fault plan and scenario, tabulated.
+
+    ``config.faults`` says what is dead or lost and ``config.scenario`` what
+    a hop costs; both are piecewise constant in time.  The timeline cuts
+    time at the union of their edges (every ``start`` / finite ``end`` of a
+    link record, every fail-stop instant) into :class:`LinkWindow`\\ s,
+    built when a query first lands in one.  ``window`` is the last one hit:
+    the engine reads it inline and calls :meth:`at` only when ``win.lo <= t
+    < win.hi`` fails.
+
+    Only some edges can change a route: a link fault's, a fail-stop, and a
+    cost edge when the scenario routes adaptively.  Those are the route
+    edges; a drop or corruption edge, or a cost edge under oblivious
+    routing, opens a window with the same ``route`` index, so it costs no
+    route search (:class:`~repro.topology.routing.RouteCache`).
+
+    Every record must name a link or node of ``config.cube``: one that
+    names nothing raises :class:`~repro.errors.SimulationError` here.
+    """
+
+    __slots__ = ("plan", "costs", "t_s", "t_w", "edges", "route_edges",
+                 "_windows", "window")
+
+    def __init__(self, config):
+        plan = config.faults if config.faults is not None else FaultPlan()
+        scenario = config.scenario
+        self.plan = plan
+        #: the scenario's entries that change a cost (not ``is_identity``),
+        #: in declaration order
+        self.costs = () if scenario is None else tuple([
+            lc for lc in scenario.links
+            if lc.ts_factor != 1.0 or lc.tw_factor != 1.0
+        ])
+        self.t_s, self.t_w = config.params.t_s, config.params.t_w
+        cube, n = config.cube, config.num_nodes
+        for rec in plan.link_faults + plan.drops + plan.corruptions + self.costs:
+            u, v = rec.u, rec.v
+            if not (0 <= u < n and 0 <= v < n and cube.are_neighbors(u, v)):
+                raise SimulationError(f"{rec!r} names no link of this machine")
+        for rec in plan.node_failures + plan.node_corruptions:
+            if not 0 <= rec.node < n:
+                raise SimulationError(f"{rec!r} names no node of this machine")
+        fault_edges = {nf.time for nf in plan.node_failures} | _window_edges(
+            plan.link_faults
+        )
+        cost_edges = _window_edges(self.costs)
+        self.edges = sorted(
+            fault_edges | cost_edges | _window_edges(plan.drops, plan.corruptions)
+        )
+        adaptive = scenario is not None and scenario.adaptive_routing
+        self.route_edges = sorted(
+            fault_edges | cost_edges if adaptive else fault_edges
+        )
+        self._windows: dict[int, LinkWindow] = {}
+        self.window = self.at(0.0)
+
+    def at(self, time: float) -> LinkWindow:
+        """The window holding ``time`` (and from now on ``self.window``)."""
+        edges = self.edges
+        i = bisect.bisect_right(edges, time)
+        win = self._windows.get(i)
+        if win is None:
+            win = self._windows[i] = LinkWindow(
+                self,
+                edges[i - 1] if i else -math.inf,
+                edges[i] if i < len(edges) else math.inf,
+            )
+        self.window = win
+        return win
 
 
 class FaultState:
@@ -461,18 +553,12 @@ class FaultState:
     Drop rolls consume ``_rng`` (seeded from ``plan.seed`` alone, exactly
     as before corruption faults existed); corruption rolls and bit-flip
     draws consume the independent ``_crng`` — so mixing fault types never
-    shifts either stream relative to a plan with one type only.
-
-    The plan's point queries are answered from one :class:`FaultWindow`
-    per piecewise-constant interval, built when a query first lands in it.
-    ``window`` is the last one hit: the engine reads it inline and calls
-    :meth:`window_at` only when ``win.lo <= t < win.hi`` fails.
+    shifts either stream relative to a plan with one type only.  What the
+    plan says at a time is the run's :class:`LinkTimeline`'s: a roll reads
+    the :class:`LinkWindow` its caller holds.
     """
 
-    __slots__ = (
-        "plan", "_rng", "_crng", "_epoch_edges", "_node_corr",
-        "_edges", "_windows", "window",
-    )
+    __slots__ = ("plan", "_rng", "_crng", "_node_corr")
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
@@ -489,55 +575,15 @@ class FaultState:
         self._node_corr: dict[int, list[NodeCorruption]] = {}
         for nc in sorted(plan.node_corruptions, key=lambda c: c.time):
             self._node_corr.setdefault(nc.node, []).append(nc)
-        # Times at which the dead-link set can change: link-fault window
-        # edges and node fail-stop instants.  Between consecutive edges the
-        # set is constant, which is what lets the engine cache detour
-        # routes per (src, dst, epoch) — see route_epoch.  The window table
-        # cuts at these and at every other record's edges too.
-        fail_stops = {nf.time for nf in plan.node_failures}
-        self._epoch_edges = sorted(fail_stops | _window_edges(plan.link_faults))
-        self._edges = sorted(fail_stops | _window_edges(
-            plan.link_faults, plan.drops, plan.corruptions
-        ))
-        self._windows: dict[int, FaultWindow] = {}
-        self.window = self.window_at(0.0)
-
-    def window_at(self, time: float) -> FaultWindow:
-        """The window holding ``time`` (and from now on ``self.window``)."""
-        edges = self._edges
-        i = bisect.bisect_right(edges, time)
-        win = self._windows.get(i)
-        if win is None:
-            win = self._windows[i] = FaultWindow(
-                self.plan,
-                edges[i - 1] if i else -math.inf,
-                edges[i] if i < len(edges) else math.inf,
-            )
-        self.window = win
-        return win
-
-    def route_epoch(self, time: float) -> int:
-        """Index of the piecewise-constant dead-link interval holding ``time``.
-
-        ``link_dead(u, v, t)`` is the same function of ``(u, v)`` for every
-        ``t`` with the same epoch, so fault-tolerant routes may be memoized
-        per ``(src, dst, epoch)`` (:class:`repro.topology.routing.RouteCache`).
-        Deliberately coarser than the window table: a drop or corruption
-        edge changes no route, so it must not cost a route search.
-        """
-        return bisect.bisect_right(self._epoch_edges, time)
 
     # Stateful (stream-consuming) ----------------------------------------
 
-    def roll_drop(self, u: int, v: int, time: float) -> bool:
-        """Decide whether the hop starting now on ``u -> v`` is lost.
+    def roll_drop(self, win: LinkWindow, u: int, v: int) -> bool:
+        """Decide whether the hop starting in ``win`` on ``u -> v`` is lost.
 
         Draws from the run's stream only when the effective probability is
         positive, so fault-free links never perturb the stream.
         """
-        win = self.window
-        if not win.lo <= time < win.hi:
-            win = self.window_at(time)
         p = win.drop_p.get((u, v), win.base_drop_p)
         if p <= 0.0:
             return False
@@ -545,17 +591,17 @@ class FaultState:
             return True
         return bool(self._rng.random() < p)
 
-    def roll_corruptions(self, u: int, v: int, time: float) -> list[LinkCorruption]:
-        """Corruption faults triggering on the hop starting now on ``u -> v``.
+    def roll_corruptions(
+        self, win: LinkWindow, u: int, v: int
+    ) -> list[LinkCorruption]:
+        """Corruption faults triggering on the hop starting in ``win`` on
+        ``u -> v``.
 
         Each covering fault rolls independently against its own rate, in
         plan order, drawing from the *corruption* stream only when the
         outcome is genuinely random (0 < rate < 1) — certain outcomes
         never consume it, and the drop stream is never touched.
         """
-        win = self.window
-        if not win.lo <= time < win.hi:
-            win = self.window_at(time)
         out = []
         for lc in win.corruptions.get((u, v), ()):
             if lc.rate <= 0.0:

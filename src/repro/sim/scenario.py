@@ -27,10 +27,11 @@ Scenarios compose with :class:`~repro.sim.faults.FaultPlan`: faults decide
 what is *lost* or *dead*, the scenario decides what every surviving hop
 *costs*.  A slow link has one model, a :class:`LinkCost` entry, and one
 rule decides whether it is detoured: the scenario's ``adaptive_routing``.
-The route layer keys detours on the pair of epochs (see
-:meth:`NetworkScenario.epoch` and
-:meth:`~repro.sim.faults.FaultState.route_epoch`), so time-windowed cost
-changes and fault windows invalidate cached routes independently.
+A run tabulates both declarations into one timeline
+(:class:`~repro.sim.faults.LinkTimeline`): each window holds the dead
+links, the loss tables and the cost table, and one ``route`` index that
+a cost edge advances only under adaptive routing, so a cached route is
+keyed on one integer whichever declaration's window edge invalidates it.
 
 Determinism
 -----------
@@ -49,7 +50,6 @@ linearity gates are unaffected.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, replace
@@ -127,16 +127,6 @@ class LinkCost(_LinkRecord):
         )
 
 
-def _compose(entries, time: float) -> tuple[float, float]:
-    """Product of the factors of the ``entries`` whose window holds ``time``."""
-    ts_f = tw_f = 1.0
-    for lc in entries:
-        if lc.start <= time < lc.end:
-            ts_f *= lc.ts_factor
-            tw_f *= lc.tw_factor
-    return (ts_f, tw_f)
-
-
 @dataclass(frozen=True)
 class NetworkScenario:
     """An immutable per-link ``(t_s, t_w)`` cost map for one machine.
@@ -163,22 +153,14 @@ class NetworkScenario:
     links: tuple[LinkCost, ...] = ()
     adaptive_routing: bool = True
 
-    # Derived lookup structures (not fields: equality/hash/pickle are by
-    # the declared fields; these are rebuilt in __post_init__).
+    # Derived lookup structure (not a field: equality/hash/pickle are by
+    # the declared fields; it is rebuilt in __post_init__).
     def __post_init__(self):
         by_channel: dict[tuple[int, int], list[LinkCost]] = {}
-        edges: set[float] = set()
         for lc in self.links:
             for channel in lc.channels():
                 by_channel.setdefault(channel, []).append(lc)
-            if lc.is_identity:
-                continue
-            if lc.start > 0.0:
-                edges.add(lc.start)
-            if math.isfinite(lc.end):
-                edges.add(lc.end)
         object.__setattr__(self, "_by_channel", by_channel)
-        object.__setattr__(self, "_edges", sorted(edges))
 
     def __getstate__(self):
         return {
@@ -227,46 +209,12 @@ class NetworkScenario:
     def factors(self, u: int, v: int, time: float) -> tuple[float, float]:
         """Combined ``(ts_factor, tw_factor)`` on channel ``u -> v`` at
         ``time``; covering entries compose multiplicatively."""
-        entries = self._by_channel.get((u, v))
-        if not entries:
-            return (1.0, 1.0)
-        return _compose(entries, time)
-
-    def channel_factors(
-        self, epoch: int
-    ) -> dict[tuple[int, int], tuple[float, float]]:
-        """Every channel whose :meth:`factors` differ from ``(1, 1)``
-        during ``epoch`` (see :meth:`epoch`), with those factors.
-
-        The whole cost map of one piecewise-constant interval in one walk:
-        the engine builds its per-epoch link-cost table from this once and
-        never asks :meth:`factors` per hop or per routing edge.
-        """
-        # Any time of the interval gives the same answer; its left end is
-        # the one that is always inside it.
-        time = self._edges[epoch - 1] if epoch else 0.0
-        table = {}
-        for channel, entries in self._by_channel.items():
-            both = _compose(entries, time)
-            if both != (1.0, 1.0):
-                table[channel] = both
-        return table
-
-    def epoch(self, time: float) -> int:
-        """Index of the piecewise-constant cost interval holding ``time``.
-
-        :meth:`factors` is the same function of ``(u, v)`` for every time
-        in one epoch (cost windows only open/close at the edges), so
-        cheapest routes may be memoized per ``(src, dst, epoch)`` —
-        exactly like :meth:`~repro.sim.faults.FaultState.route_epoch`
-        does for the dead-link set.
-        """
-        return bisect.bisect_right(self._edges, time)
-
-    @property
-    def time_varying(self) -> bool:
-        """True iff some non-identity entry has a finite window edge."""
-        return bool(self._edges)
+        ts_f = tw_f = 1.0
+        for lc in self._by_channel.get((u, v), ()):
+            if lc.start <= time < lc.end:
+                ts_f *= lc.ts_factor
+                tw_f *= lc.tw_factor
+        return (ts_f, tw_f)
 
     def worst_case_factor(self) -> float:
         """Upper bound on any single hop's slowdown under this scenario.

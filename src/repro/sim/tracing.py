@@ -143,7 +143,7 @@ class RunResult:
         outside every digest.
     route_searches, route_nodes_settled, adaptive_detours:
         What cost-aware routing under a non-uniform scenario cost and
-        found: cheapest-path searches run (one per ``(src, dst, epoch)``
+        found: cheapest-path searches run (one per ``(src, dst, route)``
         the route cache had not seen), the nodes they expanded, and how
         many of the routes found leave the topology's native route —
         through another dimension order or a longer detour.  (``network.

@@ -302,7 +302,7 @@ def cheapest_path(
 
     Channel ``u -> v`` costs ``costs.get((u, v), nominal)``; every entry of
     ``costs`` must be ``>= nominal`` (the scenario layer passes the degraded
-    one-word hop costs ``ts_factor·t_s + tw_factor·t_w`` of one epoch and
+    one-word hop costs ``ts_factor·t_s + tw_factor·t_w`` of one window and
     ``nominal = t_s + t_w``; its factors are ``>= 1`` by construction).
 
     Dijkstra over the (optionally ``alive``-filtered) topology with fully
@@ -347,29 +347,20 @@ class RouteCache:
     the e-cube walk for *every* message.  :meth:`healthy` computes each
     pair once and returns an immutable tuple shared by all transfers.
 
-    Under a fault plan the dead-link set is a piecewise-constant function
-    of time: it only changes at fault window edges and node fail-stop
-    times.  :meth:`detour` therefore memoizes fault-tolerant routes per
-    ``(src, dst, plan-epoch)``, where the *epoch* (see
-    :meth:`repro.sim.faults.FaultState.route_epoch`) counts how many such
-    edges lie at or before the current time.  Within an epoch the alive
-    predicate is constant, so the cached detour is exactly what
-    :func:`fault_tolerant_hops` would have recomputed.
+    Under a fault plan or a scenario the link state is a piecewise-constant
+    function of time, tabulated per run by
+    :class:`~repro.sim.faults.LinkTimeline`.  Its windows carry one
+    ``route`` index that counts only the edges that can change a route (a
+    link-fault edge, a fail-stop, and a cost edge under adaptive routing),
+    and :meth:`detour` and :meth:`cheapest` memoize per ``(src, dst,
+    route)``: within one index the alive predicate and the cost table are
+    constant, so a cached route is exactly what a new search would find.
+    ``searches``, ``nodes_settled`` and ``detours`` count what that cost:
+    cache misses, the nodes their searches expanded, and the routes found
+    that leave the native one.
 
     The cache is scoped to whoever owns it (the engine builds one per
     run), so no staleness can leak between machines or fault plans.
-
-    Under a :class:`~repro.sim.scenario.NetworkScenario` the per-link cost
-    map is likewise piecewise-constant in time (cost windows open and close
-    at fixed edges — see :meth:`repro.sim.scenario.NetworkScenario.epoch`),
-    so :meth:`cheapest` memoizes cost-aware routes per
-    ``(src, dst, epoch-key)`` where the caller's epoch key combines every
-    epoch counter the cost table / alive function depend on — the scenario
-    epoch alone on a healthy machine, the ``(fault-epoch, scenario-epoch)``
-    pair when a fault plan is active too, so either kind of window edge
-    invalidates the cached route.  ``searches``, ``nodes_settled`` and
-    ``detours`` count what that cost: cache misses, the nodes their
-    searches expanded, and the routes found that leave the native one.
     """
 
     __slots__ = (
@@ -383,7 +374,9 @@ class RouteCache:
         self._detours: dict[
             tuple[int, int, int], tuple[tuple[int, int], ...]
         ] = {}
-        self._cheapest: dict[tuple, tuple[tuple[int, int], ...]] = {}
+        self._cheapest: dict[
+            tuple[int, int, int], tuple[tuple[int, int], ...]
+        ] = {}
         self.searches = 0
         self.nodes_settled = 0
         self.detours = 0
@@ -398,16 +391,17 @@ class RouteCache:
         return hops
 
     def detour(
-        self, src: int, dst: int, alive: LinkPredicate, epoch: int
+        self, src: int, dst: int, alive: LinkPredicate, route: int
     ) -> tuple[tuple[int, int], ...]:
-        """A surviving route ``src -> dst`` under ``alive``, cached per epoch.
+        """A surviving route ``src -> dst`` under ``alive``, cached per
+        ``route`` index.
 
-        ``alive`` must be constant within ``epoch`` (the caller derives the
-        epoch from the same fault plan that backs the predicate).  Raises
+        ``alive`` must be constant within ``route`` (the caller reads both
+        from one timeline window).  Raises
         :class:`~repro.errors.UnreachableError`, uncached, when the
         surviving graph disconnects the pair.
         """
-        key = (src, dst, epoch)
+        key = (src, dst, route)
         hops = self._detours.get(key)
         if hops is None:
             hops = tuple(fault_tolerant_hops(self.topology, src, dst, alive))
@@ -420,19 +414,18 @@ class RouteCache:
         dst: int,
         costs: LinkCosts,
         nominal: float,
-        epoch,
+        route: int,
         alive: LinkPredicate | None = None,
     ) -> tuple[tuple[int, int], ...]:
-        """The minimum-cost route ``src -> dst``, cached per epoch key.
+        """The minimum-cost route ``src -> dst``, cached per ``route`` index.
 
         ``costs`` / ``nominal`` (see :func:`cheapest_path`) and ``alive``,
-        when given, must be constant for the lifetime of ``epoch`` — the
-        caller derives the key from the same scenario/fault plan that backs
-        them, combining both epoch counters when both layers are active.
-        Raises :class:`~repro.errors.UnreachableError`, uncached, when
-        ``alive`` disconnects the pair.
+        when given, must be constant within ``route`` (the caller reads
+        them all from one timeline window).  Raises
+        :class:`~repro.errors.UnreachableError`, uncached, when ``alive``
+        disconnects the pair.
         """
-        key = (src, dst, epoch)
+        key = (src, dst, route)
         hops = self._cheapest.get(key)
         if hops is None:
             native = self.healthy(src, dst)

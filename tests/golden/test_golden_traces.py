@@ -223,8 +223,8 @@ def test_golden_trace_congested_dimension_cut_through(regen_golden):
 def test_golden_trace_heterogeneous_rerouted_fault(regen_golden):
     """Both piecewise-constant layers at once: the link dies at t = 10
     under messages routed at t = 0 (the mid-flight splice re-routes them
-    by cost) and heals at t = 310 (the ``(fault epoch, scenario epoch)``
-    cache key must not serve the detour afterwards)."""
+    by cost) and heals at t = 310 (the cache key, the timeline window's
+    route index, must not serve the detour afterwards)."""
     plan = FaultPlan(seed=5).with_link_fault(16, 18, start=10.0, end=310.0)
     run = _run_scenario_case(
         "cannon", 16, 64, random_heterogeneous(64, 2.0, seed=1), faults=plan,

@@ -191,7 +191,7 @@ class TestCLI:
                      "--algorithms", "cannon",
                      "--drop-rates", "0", "0.05"]) == 0
         out = capsys.readouterr().out
-        assert "degradation sweep" in out
+        assert "drop-rate sweep: n=8 p=4" in out
         assert "completion rate: 100.0%" in out
 
     def test_faults_transient(self, capsys):

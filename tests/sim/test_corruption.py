@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import FaultPlan, MachineConfig, run_spmd
-from repro.sim.faults import FLIP_MODELS, FaultState
+from repro.sim.faults import FLIP_MODELS, FaultState, LinkTimeline
 from repro.sim.gantt import render_gantt
 
 
@@ -260,10 +260,11 @@ class TestStreamIsolation:
         change any drop outcome."""
         plain = FaultState(self.DROPS_ONLY)
         mixed = FaultState(self.MIXED)
+        tl = LinkTimeline(faulty(4, self.MIXED))
         for i in range(50):
-            t = float(i)
-            assert (plain.roll_drop(0, 1, t) == mixed.roll_drop(0, 1, t))
-            mixed.roll_corruptions(0, 1, t)  # consumes only the crng
+            win = tl.at(float(i))
+            assert (plain.roll_drop(win, 0, 1) == mixed.roll_drop(win, 0, 1))
+            mixed.roll_corruptions(win, 0, 1)  # consumes only the crng
 
     def test_replay_is_bit_identical_with_corruption(self):
         cfg = faulty(4, self.MIXED)
@@ -295,10 +296,10 @@ class TestWindowEdgeCases:
         plan = (FaultPlan(seed=1)
                 .with_link_corruption(0, 1, 1.0, start=0.0, end=100.0)
                 .with_link_corruption(0, 1, 1.0, start=100.0, end=200.0))
-        fs = FaultState(plan)
+        fs, tl = FaultState(plan), LinkTimeline(faulty(4, plan))
         first, second = plan.corruptions
         for t, want in [(0.0, first), (99.999, first), (100.0, second),
                         (199.999, second)]:
-            events = fs.roll_corruptions(0, 1, t)
+            events = fs.roll_corruptions(tl.at(t), 0, 1)
             assert events == [want], t
-        assert fs.roll_corruptions(0, 1, 200.0) == []
+        assert fs.roll_corruptions(tl.at(200.0), 0, 1) == []

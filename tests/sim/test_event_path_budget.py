@@ -175,7 +175,7 @@ def _small(key, superstep, *, run_kw=None, **machine):
             128, 335, 0, 48.6,
         ),
         # 50.49 (74.85; was 56.94 (86.04); 77.93 (103.91; 82.53) before):
-        # every hop is costed from the epoch's link table
+        # every hop is costed from the window's link table
         (
             functools.partial(
                 _small, "cannon", scenario=random_heterogeneous(P, 2.0, seed=0)
@@ -382,7 +382,7 @@ def test_default_knob_scenario_run_pays_for_its_routes_not_for_searching():
     expands its source and stops, so together they settle 3 298 nodes
     where the unbounded search settled 21 956.  Cost-aware routes keep
     every collective phase on the event path (2 048 declarations, 8 123
-    events).  280 644 calls plus ~5 %: the one epoch's link costs are read
+    events).  280 644 calls plus ~5 %: the one window's link costs are read
     without a lookup per hop and per message, and a relaxed edge's cost and
     Hamming bound are computed inline (was 369 025; before the bounded
     search: 1 004 835 under this harness — 994 268 as the

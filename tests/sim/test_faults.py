@@ -2,6 +2,7 @@
 behaviour under faults, and the determinism guarantee."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from repro.errors import (
     UnreachableError,
 )
 from repro.sim import FaultPlan, MachineConfig, NetworkScenario, run_spmd
-from repro.sim.faults import FaultState
+from repro.sim.faults import FaultState, LinkTimeline
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
 
@@ -83,13 +84,14 @@ class TestFaultPlanQueries:
 
     def test_roll_drop_is_seeded(self):
         plan = FaultPlan(seed=9).with_drop_rate(0.5)
-        rolls = [FaultState(plan).roll_drop(0, 1, 0.0) for _ in range(2)]
+        win = LinkTimeline(faulty(4, plan)).window
+        rolls = [FaultState(plan).roll_drop(win, 0, 1) for _ in range(2)]
         assert rolls[0] == rolls[1]
         # certain outcomes never consume the stream
-        sure = FaultState(FaultPlan().with_drop_rate(1.0))
-        assert sure.roll_drop(0, 1, 0.0) is True
-        none = FaultState(FaultPlan())
-        assert none.roll_drop(0, 1, 0.0) is False
+        for rate, lost in ((1.0, True), (0.0, False)):
+            plan = FaultPlan().with_drop_rate(rate)
+            win = LinkTimeline(faulty(4, plan)).window
+            assert FaultState(plan).roll_drop(win, 0, 1) is lost
 
 
 class TestDrops:
@@ -458,75 +460,164 @@ def _random_plan(seed: int) -> FaultPlan:
     return plan
 
 
+def _random_scenario(seed: int) -> NetworkScenario:
+    """A seeded scenario on the 4-cube built to collide: directed and
+    undirected entries stacked on one channel, windows that share an
+    edge (with each other and with :func:`_random_plan`'s), open-ended
+    windows, identity entries."""
+    rng = np.random.default_rng((seed, 1))
+    times = [0.0, 5.0, 10.0, 12.5, 20.0, 40.0]
+
+    def entry(u, v):
+        start = float(rng.choice(times))
+        end = math.inf if rng.random() < 0.3 else start + float(rng.choice(times[1:]))
+        return dict(
+            u=u, v=v,
+            ts_factor=float(rng.choice([1.0, 1.25, 2.0])),
+            tw_factor=float(rng.choice([1.0, 1.7, 3.0])),
+            start=start, end=end, directed=bool(rng.random() < 0.5),
+        )
+
+    def link():
+        u = int(rng.integers(16))
+        return u, u ^ (1 << int(rng.integers(4)))
+
+    hot = link()  # four entries, both directions, land on this one link
+    sc = NetworkScenario(name=f"fuzz#{seed}")
+    for u, v in (hot, hot[::-1], hot, hot[::-1], link(), link()):
+        sc = sc.with_link_cost(**entry(u, v))
+    return sc
+
+
 CHANNELS_4CUBE = [(u, u ^ (1 << d)) for u in range(16) for d in range(4)]
 
 
+def check_timeline(plan: FaultPlan | None, scenario: NetworkScenario) -> None:
+    """``LinkTimeline`` is the point queries of ``plan`` and ``scenario``,
+    tabulated: those are the definition, and every window has to agree
+    with them at every edge, its ``nextafter`` neighbours and the
+    midpoints — floats bitwise, corruptions in plan order.  A ``route``
+    index names one alive set (and, under adaptive routing, one cost
+    table), and ``worst_case_factor`` bounds every factor."""
+    t_s, t_w = 7.0, 3.0
+    tl = LinkTimeline(MachineConfig.create(
+        16, t_s=t_s, t_w=t_w, faults=plan, scenario=scenario,
+    ))
+    plan = plan or FaultPlan()
+    edges = sorted({
+        t for records in (plan.link_faults, plan.drops, plan.corruptions, scenario.links)
+        for rec in records for t in (rec.start, rec.end) if math.isfinite(t)
+    } | {nf.time for nf in plan.node_failures})
+    assert len(edges) >= 3
+    probes = {0.0, edges[-1] + 1.0, 1e18}
+    for lo, hi in zip(edges, edges[1:]):
+        probes.add((lo + hi) / 2)
+    for edge in edges:
+        probes.update((edge, math.nextafter(edge, math.inf)))
+        if edge > 0.0:
+            probes.add(math.nextafter(edge, -math.inf))
+    worst = scenario.worst_case_factor()
+    by_route = {}
+    # Out of order on purpose: the last-hit window must be re-checked.
+    for t in sorted(probes, key=lambda t: (t * 7919.0) % 13.0):
+        win = tl.at(t)
+        assert win is tl.window and win.lo <= t < win.hi
+        for node in range(16):
+            assert (node in win.dead_nodes) == plan.node_failed(node, t)
+        for u, v in CHANNELS_4CUBE:
+            dead = plan.link_dead(u, v, t)
+            assert win.alive(u, v) == (not dead)
+            assert win.dead or not dead
+            assert (
+                win.drop_p.get((u, v), win.base_drop_p)
+                == plan.drop_probability(u, v, t)
+            )
+            assert list(win.corruptions.get((u, v), ())) == [
+                lc for lc in plan.corruptions if lc.covers(u, v, t)
+            ]
+            ts_f, tw_f = scenario.factors(u, v, t)
+            assert win.factors.get((u, v), (1.0, 1.0)) == (ts_f, tw_f)
+            assert win.weights.get((u, v), t_s + t_w) == ts_f * t_s + tw_f * t_w
+            assert worst >= max(ts_f, tw_f)
+        state = (
+            frozenset(ch for ch in CHANNELS_4CUBE if not win.alive(*ch)),
+            tuple(sorted(win.weights.items())) if scenario.adaptive_routing else (),
+        )
+        assert by_route.setdefault(win.route, state) == state
+    ordered = [tl.at(t).route for t in sorted(probes)]
+    assert ordered == sorted(ordered)
+
+
 class TestWindowTable:
-    """``FaultWindow`` is ``FaultPlan``'s point queries, tabulated: the plan's
-    methods are the definition, the table has to agree with them
-    everywhere — floats bitwise, corruptions in plan order."""
+    """One arm for the whole link state: a random plan and a random
+    scenario on one machine, checked by :func:`check_timeline`."""
 
     @pytest.mark.parametrize("seed", range(54))
     def test_table_equals_plan_at_every_window_and_edge(self, seed):
-        plan = _random_plan(seed)
-        state = FaultState(plan)
-        edges = sorted({
-            t for records in (plan.link_faults, plan.drops, plan.corruptions)
-            for rec in records for t in (rec.start, rec.end) if math.isfinite(t)
-        } | {nf.time for nf in plan.node_failures})
-        assert len(edges) >= 3
-        probes = {0.0, edges[-1] + 1.0, 1e18}
-        for lo, hi in zip(edges, edges[1:]):
-            probes.add((lo + hi) / 2)
-        for edge in edges:
-            probes.update((edge, math.nextafter(edge, math.inf)))
-            if edge > 0.0:
-                probes.add(math.nextafter(edge, -math.inf))
-        # Out of order on purpose: the last-hit window must be re-checked.
-        for t in sorted(probes, key=lambda t: (t * 7919.0) % 13.0):
-            win = state.window_at(t)
-            assert win is state.window and win.lo <= t < win.hi
-            for node in range(16):
-                assert (node in win.dead_nodes) == plan.node_failed(node, t)
-            for u, v in CHANNELS_4CUBE:
-                dead = plan.link_dead(u, v, t)
-                assert win.alive(u, v) == (not dead)
-                assert win.dead or not dead
-                assert (
-                    win.drop_p.get((u, v), win.base_drop_p)
-                    == plan.drop_probability(u, v, t)
-                )
-                assert list(win.corruptions.get((u, v), ())) == [
-                    lc for lc in plan.corruptions if lc.covers(u, v, t)
-                ]
+        check_timeline(_random_plan(seed), _random_scenario(seed))
 
     def test_windows_are_built_once_and_only_where_asked(self):
         plan = (FaultPlan().with_link_fault(0, 1, start=10.0, end=20.0)
                 .with_link_drop(2, 3, 0.5, start=15.0))
-        state = FaultState(plan)
-        first = state.window_at(12.0)
+        tl = LinkTimeline(faulty(4, plan))
+        first = tl.at(12.0)
         assert (first.lo, first.hi) == (10.0, 15.0)
-        assert state.window_at(14.0) is first
-        assert state.window_at(17.0) is not first
-        assert state.window_at(10.0) is first
-        assert len(state._windows) == 3  # t = 0 (built with the state), 12, 17
+        assert tl.at(14.0) is first
+        assert tl.at(17.0) is not first
+        assert tl.at(10.0) is first
+        assert len(tl._windows) == 3  # t = 0 (built with the timeline), 12, 17
 
-    def test_route_epoch_ignores_edges_that_change_no_route(self):
+    def test_route_index_ignores_edges_that_change_no_route(self):
         plan = (FaultPlan().with_link_fault(0, 1, start=10.0, end=20.0)
                 .with_link_drop(2, 3, 0.5, start=15.0)
-                .with_link_corruption(4, 5, 0.5, start=12.0, end=18.0))
-        state = FaultState(plan)
-        assert [state.route_epoch(t) for t in (0, 10, 12, 15, 18, 19.9, 20)] == [
-            0, 1, 1, 1, 1, 1, 2
-        ]
+                .with_link_corruption(1, 5, 0.5, start=12.0, end=18.0))
+        slow = NetworkScenario("slow").with_link_cost(
+            6, 7, tw_factor=2.0, start=16.0, end=19.0
+        )
+        times = (0, 10, 12, 15, 16, 18, 19, 19.9, 20)
+        for scenario, routes in (
+            (None, [0, 1, 1, 1, 1, 1, 1, 1, 2]),
+            (slow.with_adaptive_routing(False), [0, 1, 1, 1, 1, 1, 1, 1, 2]),
+            (slow, [0, 1, 1, 1, 2, 2, 3, 3, 4]),
+        ):
+            tl = LinkTimeline(faulty(8, plan, scenario=scenario))
+            assert [tl.at(t).route for t in times] == routes
 
     def test_rolls_read_the_window_of_their_own_time(self):
         plan = (FaultPlan().with_link_drop(0, 1, 1.0, start=10.0, end=20.0)
                 .with_link_corruption(0, 1, 1.0, start=20.0))
-        state = FaultState(plan)
-        assert [state.roll_drop(0, 1, t) for t in (25.0, 15.0, 5.0, 19.9)] == [
+        tl, state = LinkTimeline(faulty(4, plan)), FaultState(plan)
+        assert [state.roll_drop(tl.at(t), 0, 1) for t in (25.0, 15.0, 5.0, 19.9)] == [
             False, True, False, True
         ]
-        assert [len(state.roll_corruptions(1, 0, t)) for t in (25.0, 15.0, 20.0)] == [
+        assert [len(state.roll_corruptions(tl.at(t), 1, 0)) for t in (25.0, 15.0, 20.0)] == [
             1, 0, 1
         ]
+
+    @pytest.mark.parametrize("faults, scenario", [
+        (None, NetworkScenario().with_link_cost(0, 3, tw_factor=50)),
+        (None, NetworkScenario().with_link_cost(0, 9, tw_factor=50)),
+        (None, NetworkScenario().with_link_cost(0, 0, tw_factor=50)),
+        (FaultPlan().with_link_fault(0, 3), None),
+        (FaultPlan().with_link_drop(0, 3, 1.0), None),
+        (FaultPlan().with_node_failure(9), None),
+    ], ids=["cost-non-link", "cost-no-node", "cost-self-loop",
+            "fault-non-link", "drop-non-link", "fail-stop-no-node"])
+    def test_records_naming_nothing_are_refused(self, faults, scenario):
+        """A record the machine has no link or node for used to be ignored
+        (a 4-word send 0 -> 3 took 10.0 under each); the timeline refuses
+        it, naming it."""
+        cfg = MachineConfig.create(4, t_s=1, t_w=1, faults=faults, scenario=scenario)
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.send(3, list(range(4)), nwords=4)
+            elif ctx.rank == 3:
+                yield from ctx.recv(0)
+            return None
+
+        record = (scenario.links if scenario else faults.link_faults
+                  + faults.drops + faults.node_failures)[0]
+        with pytest.raises(SimulationError, match=re.escape(repr(record))):
+            run_spmd(cfg, prog)
+        assert run_spmd(MachineConfig.create(4, t_s=1, t_w=1), prog).total_time == 10.0

@@ -18,7 +18,14 @@ from repro.analysis.regions import region_map
 from repro.mpi import ReliableContext
 from repro.service.jobs import build_cells, evaluate_chunk, finalize, make_spec
 from repro.sim import FaultPlan, MachineConfig, PortModel
-from repro.sim.faults import FaultState
+from repro.sim.faults import FaultState, LinkTimeline
+
+
+def _rolls(plan, k):
+    """``k`` drop rolls on channel ``0 -> 1`` at ``t = 0`` of one run."""
+    state = FaultState(plan)
+    win = LinkTimeline(MachineConfig.create(4, faults=plan)).at(0.0)
+    return [state.roll_drop(win, 0, 1) for _ in range(k)]
 
 
 def _run(key, n, p, plan, seed=0):
@@ -41,10 +48,7 @@ class TestSameSeedReplays:
 
     def test_fault_state_rolls_identically(self):
         plan = FaultPlan(seed=11).with_drop_rate(0.3)
-        rolls = [
-            [FaultState(plan).roll_drop(0, 1, 0.0) for _ in range(200)]
-            for _ in range(2)
-        ]
+        rolls = [_rolls(plan, 200) for _ in range(2)]
         assert rolls[0] == rolls[1]
 
     def test_node_failure_replay_is_bit_identical(self):
@@ -72,9 +76,7 @@ class TestSameSeedReplays:
 class TestDifferentSeedsDiverge:
     def test_fault_state_streams_diverge(self):
         streams = [
-            [FaultState(FaultPlan(seed=s).with_drop_rate(0.3)).roll_drop(0, 1, 0.0)
-             for _ in range(200)]
-            for s in (1, 2)
+            _rolls(FaultPlan(seed=s).with_drop_rate(0.3), 200) for s in (1, 2)
         ]
         assert streams[0] != streams[1]
 
@@ -110,10 +112,8 @@ class TestDropRateDivergence:
     def test_roll_drop_consumes_rng_only_when_armed(self):
         """Rate 0.0 must not consume randomness — the lossless fast path
         relies on a 0-rate plan being literally side-effect free."""
-        armed = FaultState(FaultPlan(seed=3).with_drop_rate(0.5))
-        disarmed = FaultState(FaultPlan(seed=3))
-        assert any(armed.roll_drop(0, 1, 0.0) for _ in range(50))
-        assert not any(disarmed.roll_drop(0, 1, 0.0) for _ in range(50))
+        assert any(_rolls(FaultPlan(seed=3).with_drop_rate(0.5), 50))
+        assert not any(_rolls(FaultPlan(seed=3), 50))
 
 
 class TestParallelExecutorDeterminism:

@@ -1,6 +1,7 @@
 """Tests for the NetworkScenario subsystem: per-link cost maps, named
 profiles, condition-trace replay, engine hop costing, and adaptive
-(cost-aware) routing with epoch-keyed cache invalidation."""
+(cost-aware) routing with route caches keyed on the timeline's route
+index."""
 
 import math
 import pickle
@@ -24,6 +25,8 @@ from repro.sim import (
     scenario_from_json,
     uniform,
 )
+from repro.sim.faults import LinkTimeline
+from tests.sim.test_faults import _random_scenario, check_timeline
 
 PARAMS = {"t_s": 7.0, "t_w": 3.0}
 
@@ -88,38 +91,29 @@ class TestNetworkScenario:
         assert sc.factors(1, 0, 0.0) == (5.0, 6.0)
         assert sc.factors(1, 3, 0.0) == (1.0, 1.0)
 
-    def test_epoch_counts_window_edges(self):
+    def test_route_index_counts_cost_edges(self):
         sc = (
             NetworkScenario(name="t")
             .with_link_cost(0, 1, tw_factor=2.0, start=10.0, end=20.0)
             .with_link_cost(2, 3, tw_factor=2.0, start=15.0)
         )
-        assert sc.epoch(0.0) == 0
-        assert sc.epoch(10.0) == 1
-        assert sc.epoch(15.0) == 2
-        assert sc.epoch(20.0) == 3
-        assert sc.time_varying
+        tl = LinkTimeline(_cfg(4, sc))
+        assert tl.edges == [10.0, 15.0, 20.0]
+        assert [tl.at(t).route for t in (0.0, 10.0, 15.0, 20.0)] == [0, 1, 2, 3]
 
-    def test_channel_factors_is_the_epochs_whole_cost_map(self):
+    def test_window_factors_are_its_whole_cost_map(self):
         sc = (
             NetworkScenario(name="t")
             .with_link_cost(0, 1, tw_factor=2.0, start=10.0, end=20.0)
             .with_link_cost(0, 1, ts_factor=3.0, start=15.0, directed=True)
             .with_link_cost(2, 3, tw_factor=1.0)  # identity: never listed
         )
-        assert sc.channel_factors(0) == {}
-        assert sc.channel_factors(1) == {(0, 1): (1.0, 2.0), (1, 0): (1.0, 2.0)}
-        assert sc.channel_factors(2) == {(0, 1): (3.0, 2.0), (1, 0): (1.0, 2.0)}
-        assert sc.channel_factors(3) == {(0, 1): (3.0, 1.0)}
-        # ... which is what the point query says anywhere inside the epoch
-        bg = background_traffic(16, jobs=3, seed=7)
-        edges = sorted({t for lc in bg.links for t in (lc.start, lc.end)})
-        for time in [0.0] + edges + [(a + b) / 2 for a, b in zip(edges, edges[1:])]:
-            table = bg.channel_factors(bg.epoch(time))
-            for u in range(16):
-                for d in range(4):
-                    v = u ^ (1 << d)
-                    assert table.get((u, v), (1.0, 1.0)) == bg.factors(u, v, time)
+        tl = LinkTimeline(_cfg(4, sc))
+        assert tl.at(0.0).factors == {}
+        assert tl.at(10.0).factors == {(0, 1): (1.0, 2.0), (1, 0): (1.0, 2.0)}
+        assert tl.at(15.0).factors == {(0, 1): (3.0, 2.0), (1, 0): (1.0, 2.0)}
+        assert tl.at(20.0).factors == {(0, 1): (3.0, 1.0)}
+        assert tl.at(20.0).weights == {(0, 1): 3.0 * 7.0 + 1.0 * 3.0}
 
     def test_uniform_detection(self):
         assert uniform().is_uniform
@@ -210,7 +204,6 @@ class TestProfiles:
     def test_background_traffic_is_windowed_and_replayable(self):
         a = background_traffic(8, jobs=2, seed=4)
         assert a == background_traffic(8, jobs=2, seed=4)
-        assert a.time_varying
         assert all(math.isfinite(lc.end) for lc in a.links)
 
     def test_profile_validation(self):
@@ -338,6 +331,29 @@ class TestAdaptiveRouting:
         assert res.total_time == arrival
         assert res.adaptive_detours == detours
 
+    @pytest.mark.parametrize("adaptive, pinned", [
+        (True, (6480.0, 499, 1005, 37, 1)),
+        (False, (5670.0, 0, 0, 0, 1)),
+    ])
+    def test_route_counters_of_faults_under_moving_costs(self, adaptive, pinned):
+        """A link fault, a drop window and a corruption window under
+        background traffic: the route caches search, settle and detour
+        exactly as many times as when routes were keyed on a fault epoch
+        and a cost epoch apiece (Cannon, n = 16, p = 64)."""
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((16, 16))
+        B = rng.standard_normal((16, 16))
+        plan = (FaultPlan().with_link_fault(10, 26, start=10, end=310)
+                .with_link_drop(1, 0, 0.0, start=5, end=200)
+                .with_link_corruption(2, 3, 0.0, start=7, end=90))
+        sc = background_traffic(64, seed=1).with_adaptive_routing(adaptive)
+        cfg = MachineConfig.create(64, t_s=150, t_w=3, faults=plan, scenario=sc)
+        res = get_algorithm("cannon").run(A, B, cfg).result
+        assert (
+            res.total_time, res.route_searches, res.route_nodes_settled,
+            res.adaptive_detours, res.network.hops_rerouted,
+        ) == pinned
+
     def test_detour_around_expensive_link(self):
         sc = NetworkScenario(name="t").with_link_cost(
             0, 1, ts_factor=10.0, tw_factor=10.0
@@ -351,7 +367,7 @@ class TestAdaptiveRouting:
         assert _route_of(8, sc, 0, 3) == [(0, 1), (1, 3)]
 
     def test_degradation_window_changes_chosen_detour(self):
-        """RouteCache invalidation keys on the scenario epoch: the same
+        """RouteCache invalidation keys on the window's route index: the same
         (src, dst) pair routes differently on the two sides of a
         degradation window edge."""
         sc = NetworkScenario(name="t").with_link_cost(
@@ -411,60 +427,10 @@ class TestAdaptiveRouting:
             run_spmd(_cfg(8, sc, faults=plan), prog)
 
 
-def _random_scenario(seed: int) -> NetworkScenario:
-    """A seeded scenario on the 4-cube built to collide: directed and
-    undirected entries stacked on one channel, windows that share an
-    edge, open-ended windows."""
-    rng = np.random.default_rng(seed)
-    times = [0.0, 5.0, 10.0, 12.5, 20.0, 40.0]  # few values: edges coincide
-
-    def entry(u, v):
-        start = float(rng.choice(times))
-        end = math.inf if rng.random() < 0.3 else start + float(rng.choice(times[1:]))
-        return dict(
-            u=u, v=v,
-            ts_factor=float(rng.choice([1.0, 1.25, 2.0])),
-            tw_factor=float(rng.choice([1.0, 1.7, 3.0])),
-            start=start, end=end, directed=bool(rng.random() < 0.5),
-        )
-
-    def link():
-        u = int(rng.integers(16))
-        return u, u ^ (1 << int(rng.integers(4)))
-
-    hot = link()  # four entries, both directions, land on this one link
-    sc = NetworkScenario(name=f"fuzz#{seed}")
-    for u, v in (hot, hot[::-1], hot, hot[::-1], link(), link()):
-        sc = sc.with_link_cost(**entry(u, v))
-    return sc
-
-
-CHANNELS_4CUBE = [(u, u ^ (1 << d)) for u in range(16) for d in range(4)]
-
-
 class TestCostTable:
-    """``channel_factors`` is ``factors`` tabulated per epoch: the point
-    query is the definition, the table has to agree with it everywhere,
-    floats bitwise; ``worst_case_factor`` bounds every factor it returns."""
+    """The same arm as ``test_faults.TestWindowTable``, on the timeline a
+    fault-free heterogeneous machine runs: the scenario alone."""
 
     @pytest.mark.parametrize("seed", range(54))
     def test_table_equals_point_query_at_every_epoch_and_edge(self, seed):
-        sc = _random_scenario(seed)
-        edges = sorted({
-            t for lc in sc.links for t in (lc.start, lc.end) if math.isfinite(t)
-        })
-        assert len(edges) >= 3
-        probes = {0.0, edges[-1] + 1.0, 1e18}
-        for lo, hi in zip(edges, edges[1:]):
-            probes.add((lo + hi) / 2)
-        for edge in edges:
-            probes.update((edge, math.nextafter(edge, math.inf)))
-            if edge > 0.0:
-                probes.add(math.nextafter(edge, -math.inf))
-        worst = sc.worst_case_factor()
-        for t in sorted(probes):
-            table = sc.channel_factors(sc.epoch(t))
-            for u, v in CHANNELS_4CUBE:
-                factors = sc.factors(u, v, t)
-                assert table.get((u, v), (1.0, 1.0)) == factors
-                assert worst >= max(factors)
+        check_timeline(None, _random_scenario(seed))

@@ -133,3 +133,31 @@ def test_api_doc_builders_exist():
                    for cls in (FaultPlan, NetworkScenario, MachineConfig))
     )
     assert not stale, stale
+
+
+
+def test_docs_quote_only_link_state_methods_that_exist():
+    """Every ``FaultState.<name>``, ``NetworkScenario.<name>`` and
+    ``scenario.<name>(`` the docs quote is one the class still has."""
+    import pathlib
+    import re
+
+    from repro.sim import FaultState, NetworkScenario
+
+    classes = {"FaultState": FaultState, "NetworkScenario": NetworkScenario,
+               "scenario": NetworkScenario}
+    pattern = re.compile(
+        r"\b(FaultState|NetworkScenario)\.(\w+)|(?<![\w.])(scenario)\.(\w+)\("
+    )
+    docs = sorted((pathlib.Path(__file__).parents[1] / "docs").glob("*.md"))
+    quoted = {
+        (doc.name, cls or var, name or call)
+        for doc in docs
+        for cls, name, var, call in pattern.findall(doc.read_text())
+    }
+    assert quoted, "no method quoted: the pattern is stale"
+    stale = sorted(
+        f"{doc}: {owner}.{name}" for doc, owner, name in quoted
+        if not hasattr(classes[owner], name)
+    )
+    assert not stale, stale

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError, UnreachableError
+from repro.sim import MachineConfig, MachineParams
+from repro.sim.faults import LinkTimeline
 from repro.sim.scenario import (
     LinkCost,
     NetworkScenario,
@@ -139,12 +141,10 @@ def _oracle(topology, src, dest, costs, nominal, alive=None):
 COSTS = [(150.0, 3.0), (0.1, 0.7), (7.0, 3.0)]
 
 
-def _table(scenario, t_s, t_w):
-    """The engine's link-cost table of the scenario's (only) epoch."""
-    return {
-        channel: ts_f * t_s + tw_f * t_w
-        for channel, (ts_f, tw_f) in scenario.channel_factors(0).items()
-    }
+def _table(topology, scenario, t_s, t_w):
+    """The engine's link-cost table of the scenario's (only) window."""
+    config = MachineConfig(topology, MachineParams(t_s, t_w), scenario=scenario)
+    return LinkTimeline(config).window.weights
 
 
 def _cube_maps(p):
@@ -228,7 +228,7 @@ class TestCheapestPath:
         many routes, so this is a test of the tie-breaking."""
         nominal = t_s + t_w
         for scenario in maps:
-            costs = _table(scenario, t_s, t_w)
+            costs = _table(topology, scenario, t_s, t_w)
             for src in topology.nodes():
                 for dest in topology.nodes():
                     for alive in _alive_filters(topology, src, dest):
@@ -251,7 +251,7 @@ class TestCheapestPath:
             random_heterogeneous(512, 8.0, fraction=0.7, seed=1),
             congested_dimension(512, 4, 4.0),
         ):
-            costs = _table(scenario, t_s, t_w)
+            costs = _table(cube, scenario, t_s, t_w)
             for src, dest in rng.integers(512, size=(40, 2)):
                 src, dest = int(src), int(dest)
                 # neighbours are what the engine mostly routes
