@@ -134,9 +134,9 @@ class All3DRectAlgorithm(MatmulAlgorithm):
             for rows in chunk_slices(b_block.shape[0], q2)
         ]
         received = yield from alltoall(view.y_comm, row_groups, tag=TAG_B)
-        # hstack over the y-line: the (q1*q2)x(q1) - partition block
+        # Joined over the y-line: the (q1*q2)x(q1) - partition block
         # B_{g(k,j), i} with g(k,j) = k*q2 + j.
-        b_wide = np.hstack(received)  # (n/(q1*q2), n/q1)
+        b_wide = np.concatenate(received, axis=1)  # (n/(q1*q2), n/q1)
 
         # -- phase 2: all-to-all broadcasts along x (A) and z (B) -------------
         ctx.phase("broadcasts")
@@ -149,9 +149,7 @@ class All3DRectAlgorithm(MatmulAlgorithm):
 
         # -- compute I_{k,i} = sum_m A_{k,f(m,j)} B_{g(m,j),i} -----------------
         ctx.phase("compute")
-        partial = None
-        for m in range(q1):
-            partial = yield from ctx.local_matmul(a_list[m], b_list[m], partial)
+        partial = yield from ctx.local_matmuls(a_list, b_list)
 
         # -- phase 3: all-to-all reduction along y -----------------------------
         ctx.phase("reduce")

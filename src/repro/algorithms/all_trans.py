@@ -94,9 +94,7 @@ class AllTransAlgorithm(MatmulAlgorithm):
 
         # -- compute I_{k,i} = sum_l A_{k,f(l,j)} B_{f(l,j),i} ----------------
         ctx.phase("compute")
-        partial = None
-        for l in range(q):
-            partial = yield from ctx.local_matmul(a_list[l], b_stack[l], partial)
+        partial = yield from ctx.local_matmuls(a_list, b_stack)
 
         # -- phase 3: all-to-all reduction along y ----------------------------
         # Column group l of I_{k,i} belongs to p_{i,l,k} (as C_{k,f(i,l)}).

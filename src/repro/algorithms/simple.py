@@ -54,7 +54,4 @@ class SimpleAlgorithm(MatmulAlgorithm):
         ctx.note_memory(2 * q * block_words + block_words)
 
         ctx.phase("compute")
-        c_block = None
-        for k in range(q):
-            c_block = yield from ctx.local_matmul(a_row[k], b_col[k], c_block)
-        return c_block
+        return (yield from ctx.local_matmuls(a_row, b_col))

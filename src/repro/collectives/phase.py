@@ -66,7 +66,7 @@ def make_spec(
     sched = resolve_schedule(comm, schedule)
     return CollectiveSpec(
         kind=kind,
-        sched=sched.value,
+        sched=sched._value_,  # (the member's value, without the enum property)
         members=comm.members,
         rank=comm.rank,
         free_dims=comm.free_dims,

@@ -86,6 +86,9 @@ class ContextProxy:
     def local_matmul(self, A, B, C=None):
         return self._ctx.local_matmul(A, B, C)
 
+    def local_matmuls(self, As, Bs, C=None):
+        return self._ctx.local_matmuls(As, Bs, C)
+
     def parallel(self, *generators):
         return self._ctx.parallel(*generators)
 

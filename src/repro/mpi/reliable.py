@@ -71,6 +71,10 @@ class _ReliableHandle:
 
     __slots__ = ("kind", "gen", "done", "value")
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _RELIABLE_HANDLES.add(cls)
+
     def __init__(self, kind: str, gen):
         self.kind = kind
         self.gen = gen
@@ -80,6 +84,10 @@ class _ReliableHandle:
     @property
     def timed_out(self) -> bool:
         return self.done and self.value is TIMED_OUT
+
+
+#: this class and its subclasses, for ``waitall``'s exact-class test
+_RELIABLE_HANDLES = {_ReliableHandle}
 
 
 class ReliableContext(ContextProxy):
@@ -366,15 +374,18 @@ class ReliableContext(ContextProxy):
         protocol cannot wait on another task's handle from a sub-task).
         """
         handles = list(handles)
-        reliable = [h for h in handles if isinstance(h, _ReliableHandle)]
+        reliable = 0
+        for h in handles:
+            if h.__class__ in _RELIABLE_HANDLES:
+                reliable += 1
         if not reliable:
             return (yield from self._ctx.waitall(handles))
-        if len(reliable) != len(handles):
+        if reliable != len(handles):
             raise CommunicatorError(
                 "cannot mix reliable and raw engine handles in one waitall"
             )
         gens = []
-        for h in reliable:
+        for h in handles:
             if h.done:
                 raise CommunicatorError("reliable handle already completed")
             gens.append(h.gen)

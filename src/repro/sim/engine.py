@@ -185,12 +185,12 @@ class Engine:
         forces that loop for every phase (the conformance suite's reference
         runs).
     timing_only:
-        Skip local matrix products: ``ctx.local_matmul`` charges the same
-        flops/time but returns a zero-cost broadcast view instead of the
-        real product.  Simulated times, stats and digests are unchanged
-        (they depend only on shapes and sizes); per-rank results are
-        meaningless.  This is what lets simulation-backed region maps
-        reach p = 2^15 and beyond.
+        Skip local matrix products: ``ctx.local_matmuls`` charges the same
+        flops/time but returns a zero-cost read-only view instead of the
+        real product, one per block shape (``zero_views``).  Simulated
+        times, stats and digests are unchanged (they depend only on shapes
+        and sizes); per-rank results are meaningless.  This is what lets
+        simulation-backed region maps reach p = 2^15 and beyond.
     """
 
     def __init__(
@@ -245,6 +245,9 @@ class Engine:
         self.max_virtual_time = max_virtual_time
         self.superstep_enabled = superstep
         self.timing_only = timing_only
+        #: ``ctx.local_matmuls``'s timing-only products: one read-only zero
+        #: view per block shape
+        self.zero_views: dict[tuple[int, int], np.ndarray] = {}
         # Declared phases parked for a closed form: task -> (op, park time),
         # the op a ShiftPhaseOp at a round boundary or a CollectivePhaseOp.
         # (A shift phase in the middle of an engine-run round sits in

@@ -67,11 +67,13 @@ FLIP_MODELS = ("sign", "exponent", "mantissa", "any")
 
 
 def _check_window(start: float, end: float) -> None:
-    if start < 0:
+    # Written so that NaN fails each test (every comparison with it is
+    # false); ``end = inf`` is a window that never closes.
+    if not start >= 0:
         raise SimulationError(f"link window start must be >= 0, got {start}")
-    if end <= start:
+    if not end > start:
         raise SimulationError(
-            f"link window must satisfy start < end, got [{start}, {end})"
+            f"link window end must be > start, got [{start}, {end})"
         )
 
 
@@ -135,7 +137,7 @@ class NodeFailure:
     time: float = 0.0
 
     def __post_init__(self):
-        if self.time < 0:
+        if not self.time >= 0:  # (NaN too)
             raise SimulationError(f"fail-stop time must be >= 0, got {self.time}")
 
 
@@ -193,7 +195,7 @@ class NodeCorruption:
     flips: int = 1
 
     def __post_init__(self):
-        if self.time < 0:
+        if not self.time >= 0:  # (NaN too)
             raise SimulationError(
                 f"node-corruption time must be >= 0, got {self.time}"
             )

@@ -127,8 +127,7 @@ def _grouped_loop(ctx, op: ShiftPhaseOp):
         blocks += [np.ascontiguousarray(a_block[:, g]), np.ascontiguousarray(b_block[g, :])]
     c_block = np.zeros((a_block.shape[0], b_block.shape[1]))
     for t in range(op.steps):
-        for l in range(0, len(blocks), 2):
-            c_block = yield from ctx.local_matmul(blocks[l], blocks[l + 1], c_block)
+        c_block = yield from ctx.local_matmuls(blocks[0::2], blocks[1::2], c_block)
         if t == op.steps - 1:
             break
         peers = [rank ^ (1 << dim) for dim in op.dims[t]]
@@ -374,51 +373,96 @@ class ProcessContext:
     # -- computation -------------------------------------------------------
 
     def elapse(self, duration: float):
-        """Advance this rank's clock by ``duration`` time units."""
+        """Advance this rank's clock by ``duration`` time units.
+
+        A zero duration yields nothing: the engine would answer its
+        ``ElapseOp`` at once, with no event, trace record or clock move."""
         if duration < 0:
             raise SimulationError(f"cannot elapse negative time {duration}")
-        yield ElapseOp(duration)
+        if duration > 0:
+            yield ElapseOp(duration)
+        else:
+            self.engine.stats[self.rank].compute_time += duration
 
     def compute(self, flops: float):
-        """Charge ``flops`` floating-point operations (``t_c`` each)."""
-        yield ElapseOp(self.config.params.flops_time(flops), flops)
+        """Charge ``flops`` floating-point operations (``t_c`` each).
+
+        At ``t_c = 0`` the charge is booked on the rank's statistics in
+        place and nothing is yielded (see :meth:`elapse`)."""
+        duration = self.config.params.flops_time(flops)
+        if duration > 0:
+            yield ElapseOp(duration, flops)
+        else:
+            st = self.engine.stats[self.rank]
+            st.flops += flops
+            st.compute_time += duration
 
     def local_matmul(self, A: np.ndarray, B: np.ndarray, C: np.ndarray | None = None):
         """Local block multiply ``A @ B`` (optionally accumulated into ``C``),
-        charging ``2·m·k·n`` flops; returns the product (or updated ``C``)."""
-        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        charging ``2·m·k·n`` flops; returns the product (or updated ``C``).
+        The one-pair case of :meth:`local_matmuls`."""
+        return self.local_matmuls((A,), (B,), C)
+
+    def local_matmuls(self, As, Bs, C: np.ndarray | None = None):
+        """``C (+)= Σ_k As[k] @ Bs[k]``, accumulated in ``k`` order: each
+        product is added to ``C`` (the first one starts it when ``C`` is
+        None) and charges its ``2·m·k·n`` flops; returns the sum (or the
+        updated ``C``).  A compute phase states its local products in one
+        call.
+
+        Each product with a duration yields one ``ElapseOp``, and a pending
+        :class:`~repro.sim.faults.NodeCorruption` then fires on ``C`` (the
+        first product completing at/after its virtual time is silently
+        perturbed).  A product of zero duration (``t_c = 0``) adds its
+        flops and time to the rank's statistics in place and yields
+        nothing: the engine answers a zero-length ``ElapseOp`` with those
+        two additions and no event, trace record or clock move.
+        """
+        if len(As) != len(Bs):
             raise SimulationError(
-                f"local_matmul shape mismatch: {A.shape} @ {B.shape}"
+                f"local_matmuls needs as many A blocks as B blocks, got "
+                f"{len(As)} and {len(Bs)}"
             )
-        m, k = A.shape
-        n = B.shape[1]
-        flops = 2.0 * m * k * n
-        if self.engine.timing_only:
-            # Timing-only mode: charge the same flops/time, skip the real
-            # product (and corruption, which would write into the view).
-            # The zero-cost broadcast view keeps the product's shape so
-            # later sends/matmuls still size their messages correctly.
+        engine = self.engine
+        rank = self.rank
+        t_c = self.config.params.t_c
+        timing_only = engine.timing_only
+        for A, B in zip(As, Bs):
+            if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+                raise SimulationError(
+                    f"local_matmul shape mismatch: {A.shape} @ {B.shape}"
+                )
+            m, k = A.shape
+            n = B.shape[1]
             if C is not None and C.shape != (m, n):
                 raise SimulationError(
                     f"accumulator shape {C.shape} != product shape {(m, n)}"
                 )
-            yield ElapseOp(self.config.params.flops_time(flops), flops)
-            return C if C is not None else np.broadcast_to(0.0, (m, n))
-        if C is None:
-            out = A @ B
-        else:
-            if C.shape != (m, n):
-                raise SimulationError(
-                    f"accumulator shape {C.shape} != product shape {(m, n)}"
-                )
-            C += A @ B
-            out = C
-        yield ElapseOp(self.config.params.flops_time(flops), flops)
-        # A pending NodeCorruption fires on the first multiply completing
-        # at/after its virtual time: the block this rank just produced is
-        # silently perturbed (see FaultPlan.with_node_corruption).
-        self.engine.apply_node_corruption(self.rank, out)
-        return out
+            flops = 2.0 * m * k * n
+            if timing_only:
+                # Timing-only mode: charge the same flops/time, skip the
+                # real product (and corruption, which would write into the
+                # view).  The run's read-only zero view of the product's
+                # shape keeps later sends and products sized correctly.
+                if C is None:
+                    zeros = engine.zero_views
+                    if (m, n) not in zeros:
+                        zeros[m, n] = np.broadcast_to(0.0, (m, n))
+                    C = zeros[m, n]
+            elif C is None:
+                C = A @ B
+            else:
+                C += A @ B
+            duration = t_c * flops  # (MachineParams.flops_time, inline)
+            if duration > 0:
+                yield ElapseOp(duration, flops)
+            else:
+                st = engine.stats[rank]
+                st.flops += flops
+                st.compute_time += duration
+            if not timing_only:
+                engine.apply_node_corruption(rank, C)
+        return C
 
     def shift_phase(
         self,
@@ -494,14 +538,32 @@ class ProcessContext:
                 raise SimulationError(
                     "a broadcast shift_phase needs a root per step, no dims and no align"
                 )
-            peers = (None, None, *map(self._check_peer, peers[2:]))
+            checked = (b_to, b_from)
+            peers = (None, None, *checked)
         elif dims is None:
-            peers = tuple(map(self._check_peer, peers))
+            checked = peers if align is None else (*peers, *align)
         elif not tags or len(tags) % 2 or len(dims) != steps - 1 or align is not None:
             raise SimulationError(
                 "a grouped shift_phase needs 2g tags, steps - 1 rounds of dims and no align"
             )
-        align = None if align is None else tuple(map(self._check_peer, align))
+        else:
+            checked = ()
+        # In-range int peers, the common case, take no call (as in send);
+        # anything else goes through _check_peer, peers before align.
+        num_ranks = self.num_ranks
+        for peer in checked:
+            if peer.__class__ is not int or not 0 <= peer < num_ranks:
+                check = self._check_peer
+                if row is not None:
+                    peers = (None, None, check(b_to), check(b_from))
+                else:
+                    peers = tuple(map(check, peers))
+                if align is not None:
+                    align = tuple(map(check, align))
+                break
+        else:
+            if align is not None:
+                align = tuple(align)
         op = ShiftPhaseOp(
             steps, a_block, b_block, int(tag_a), int(tag_b), *peers,
             align=align, dims=dims, tags=tags, swaps=swaps, phase=phase,

@@ -92,11 +92,12 @@ class LinkCost(_LinkRecord):
 
     def __post_init__(self):
         _check_window(self.start, self.end)
-        if self.ts_factor < 1.0 or self.tw_factor < 1.0:
-            raise SimulationError(
-                "cost factors must be >= 1 (a slowdown), got "
-                f"ts_factor={self.ts_factor}, tw_factor={self.tw_factor}"
-            )
+        for name in ("ts_factor", "tw_factor"):
+            factor = getattr(self, name)
+            if not factor >= 1.0:  # (NaN too)
+                raise SimulationError(
+                    f"cost factor {name} must be >= 1 (a slowdown), got {factor}"
+                )
 
     @property
     def is_identity(self) -> bool:
@@ -299,7 +300,7 @@ def _check_nodes(num_nodes: int) -> int:
 
 
 def _check_factor(factor: float) -> None:
-    if factor < 1.0:
+    if not factor >= 1.0:  # (NaN too)
         raise SimulationError(
             f"profile factor must be >= 1 (a slowdown), got {factor}"
         )
@@ -410,7 +411,7 @@ def random_heterogeneous(
     uniform machine.
     """
     _check_nodes(num_nodes)
-    if severity < 0:
+    if not severity >= 0:  # (NaN too)
         raise SimulationError(f"severity must be >= 0, got {severity}")
     if not 0.0 <= fraction <= 1.0:
         raise SimulationError(f"fraction must be in [0, 1], got {fraction}")
@@ -452,7 +453,7 @@ def background_traffic(
     _check_factor(factor)
     if jobs < 1:
         raise SimulationError(f"jobs must be >= 1, got {jobs}")
-    if horizon <= 0:
+    if not horizon > 0:  # (NaN too)
         raise SimulationError(f"horizon must be positive, got {horizon}")
     rng = np.random.default_rng((seed, 0xBAC6F1C))
     links: list[LinkCost] = []

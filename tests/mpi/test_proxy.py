@@ -22,8 +22,8 @@ CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
 
 FORWARDED_ONCE = (
     "rank", "engine", "config", "num_ranks", "now", "stats",
-    "elapse", "compute", "local_matmul", "parallel", "barrier",
-    "phase", "note_memory", "note_retransmission", "wait",
+    "elapse", "compute", "local_matmul", "local_matmuls", "parallel",
+    "barrier", "phase", "note_memory", "note_retransmission", "wait",
 )
 
 
@@ -141,9 +141,10 @@ LAYERS = {
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_every_layer_forwards_the_local_surface(layer):
-    """``engine``, ``stats``, ``compute``, ``barrier``,
-    ``note_retransmission`` and ``wait`` reach the bare context through
-    each layer: the same objects, the same clocks, the same counters."""
+    """``engine``, ``stats``, ``compute``, ``local_matmuls``,
+    ``barrier``, ``note_retransmission`` and ``wait`` reach the bare
+    context through each layer: the same objects, the same clocks, the
+    same counters."""
 
     def run(wrap):
         def prog(ctx):
@@ -151,6 +152,9 @@ def test_every_layer_forwards_the_local_surface(layer):
             assert wrapped.engine is ctx.engine
             assert wrapped.stats is ctx.stats
             yield from wrapped.compute(3.0 * (1 + ctx.rank))
+            eye = np.eye(2)
+            C = yield from wrapped.local_matmuls([eye, eye], [eye, 2 * eye])
+            assert C.tolist() == [[3.0, 0.0], [0.0, 3.0]]
             yield from wrapped.barrier()
             wrapped.note_retransmission()
             peer = ctx.rank ^ 1
@@ -164,6 +168,6 @@ def test_every_layer_forwards_the_local_surface(layer):
 
     bare, wrapped = run(lambda ctx: ctx), run(LAYERS[layer])
     assert wrapped.results == bare.results
-    assert wrapped.results[2] == (bare.total_time, 3.0, 9.0)
+    assert wrapped.results[2] == (bare.total_time, 3.0, 9.0 + 2 * 16.0)
     assert wrapped.network.retransmissions == 4
     assert wrapped.network == bare.network

@@ -14,6 +14,7 @@ from repro.sim import (
     PortModel,
     run_spmd,
 )
+from repro.mpi.reliable import _ReliableHandle
 from repro.sim.ops import TIMED_OUT
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
@@ -361,6 +362,36 @@ class TestNonblockingAndPairwise:
             return None
 
         run_spmd(CFG, prog)
+
+    def test_waitall_takes_subclassed_handles_and_refuses_any_mix(self):
+        """A subclass of the reliable handle (the detector's is one) is a
+        reliable handle to waitall; raw and reliable mixed in either order
+        are refused before anything runs."""
+
+        class Tagged(_ReliableHandle):
+            __slots__ = ()
+
+        def prog(ctx):
+            rel = ReliableContext(ctx, force_protocol=True)
+            if ctx.rank == 0:
+                raw = yield from ctx.isend(1, np.ones(1))
+                sent = yield from rel.isend(1, np.full(2, 3.0), tag=0)
+                tagged = Tagged(sent.kind, sent.gen)
+                for mixed in ([raw, tagged], [tagged, raw]):
+                    with pytest.raises(CommunicatorError, match="cannot mix"):
+                        yield from rel.waitall(mixed)
+                yield from ctx.wait(raw)
+                values = yield from rel.waitall([tagged])
+                return tagged.done and values == [None]
+            if ctx.rank == 1:
+                yield from ctx.recv(0)
+                data = yield from rel.recv(0, tag=0)
+                return data.tolist()
+            return None
+
+        res = run_spmd(CFG, prog)
+        assert res.results[0] is True
+        assert res.results[1] == [3.0, 3.0]
 
     def test_ring_exchange_on_lossy_machine(self):
         """Every rank exchanges with both cube neighbours under 10% loss —

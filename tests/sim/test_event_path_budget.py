@@ -113,24 +113,29 @@ def _calls(fn):
 @pytest.mark.parametrize(
     "fn, messages, ceiling",
     [
-        # 46.25 calls/message, the engine running the alignment and the
-        # shift rounds itself, the task clock, hop and handle upkeep done
-        # in place (52.59 before that; through ctx.shift_phase's loop,
-        # store-and-forward: 82.07; before the loop: 89.69)
-        (_traced_cut_through, 128, 48.6),
-        # 73.42: no stale ack timer is an event, no ack builds a Handle of
-        # its own (92.99 before; 136.24 before the fault table); 8
+        # 44.45 calls/message, the shift phase's peers range-checked inline
+        # (45.45 with _check_peer calls; 46.25 earlier), the engine running
+        # the alignment and the shift rounds itself, the task clock, hop
+        # and handle upkeep done in place (52.59 before that; through
+        # ctx.shift_phase's loop, store-and-forward: 82.07; before the
+        # loop: 89.69)
+        (_traced_cut_through, 128, 46.7),
+        # 70.47: the reliable layer's waitall sorts handles in one pass of
+        # exact-class tests (72.93 with an isinstance comprehension; 73.42
+        # earlier); no stale ack timer is an event, no ack builds a Handle
+        # of its own (92.99 before; 136.24 before the fault table); 8
         # retransmissions
-        (_lossy_reliable, 260, 77.1),
-        # 79.18 (99.28 before; 166.24 before one pass per payload): the
-        # envelope is copied once and checksummed twice per message, each
-        # in one pass
-        (_forced_integrity, 248, 83.2),
-        # 81.66 with the slow link a scenario cost (78.97 as a fault-plan
-        # degradation; 101.01 before; 148.35 before the fault table); 2
-        # drops, 4 reroutes, and from t = 450 every window has a dead node
-        # to check hops against
-        (_windowed_reliable, 251, 83.4),
+        (_lossy_reliable, 260, 74.0),
+        # 76.06 (78.64 before waitall's one pass; 79.18 earlier; 99.28
+        # before; 166.24 before one pass per payload): the envelope is
+        # copied once and checksummed twice per message, each in one pass
+        (_forced_integrity, 248, 79.9),
+        # 75.28 (77.83 before waitall's one pass; 81.66 earlier) with the
+        # slow link a scenario cost (78.97 as a fault-plan degradation;
+        # 101.01 before; 148.35 before the fault table); 2 drops, 4
+        # reroutes, and from t = 450 every window has a dead node to check
+        # hops against
+        (_windowed_reliable, 251, 79.0),
     ],
     ids=[
         "cannon_traced_cut_through", "cannon_reliable_5pct_drops",
@@ -164,41 +169,44 @@ def _small(key, superstep, *, run_kw=None, **machine):
         # through the generator loops: the parent's cost of the same run,
         # and still superstep=False's); the ceiling is the former + 5 %.
         # Traced cut-through Cannon (no hop table plans cut-through hops):
-        # its alignment is engine-run too, 46.25 (70.61; was 52.59 and
-        # 81.69 before the task clock, hop and handle upkeep were done in
-        # place; 58.23 (87.33) before that)
+        # its alignment is engine-run too, 44.45 with the shift phase's
+        # peers range-checked inline (45.45 before; 46.25 (70.61) earlier;
+        # was 52.59 and 81.69 before the task clock, hop and handle upkeep
+        # were done in place; 58.23 (87.33) before that)
         (
             functools.partial(
                 _small, "cannon", run_kw={"trace": True},
                 routing=RoutingMode.CUT_THROUGH,
             ),
-            128, 335, 0, 48.6,
+            128, 335, 0, 46.7,
         ),
-        # 50.49 (74.85; was 56.94 (86.04); 77.93 (103.91; 82.53) before):
-        # every hop is costed from the window's link table
+        # 48.90 (49.90 before the inline peer checks; 50.49 (74.85); was
+        # 56.94 (86.04); 77.93 (103.91; 82.53) before): every hop is costed
+        # from the window's link table
         (
             functools.partial(
                 _small, "cannon", scenario=random_heterogeneous(P, 2.0, seed=0)
             ),
-            128, 363, 0, 53.1,
+            128, 363, 0, 51.3,
         ),
-        # 43.23 (67.59; was 49.58 (78.68); 55.22 (81.20; 59.82) before): no
-        # trace records
+        # 41.44 (42.44 before the inline peer checks; 43.23 (67.59); was
+        # 49.58 (78.68); 55.22 (81.20; 59.82) before): no trace records
         (
             functools.partial(_small, "cannon", run_kw={"max_virtual_time": 1e9}),
-            128, 335, 0, 45.4,
+            128, 335, 0, 43.5,
         ),
-        # 51.99 (72.99; was 60.79 (83.51); 63.15 (85.87) before): the
-        # 2 log sqrt(p) exchanges of a multiply step are one op, issued by
-        # Engine._step; the declared grouped phase is answered FALLBACK, and
-        # shift_loop runs it (62.97 and 79.90 while the program ran its own
-        # loop, one frame shallower)
+        # 47.17, a round's group products one local_matmuls call (51.75
+        # one local_matmul call each; 51.99 (72.99); was 60.79 (83.51);
+        # 63.15 (85.87) before): the 2 log sqrt(p) exchanges of a multiply
+        # step are one op, issued by Engine._step; the declared grouped
+        # phase is answered FALLBACK, and shift_loop runs it (62.97 and
+        # 79.90 while the program ran its own loop, one frame shallower)
         (
             functools.partial(
                 _small, "hje", run_kw={"trace": True},
                 port_model=PortModel.MULTI_PORT,
             ),
-            224, 536, 2 * 32, 54.6,
+            224, 536, 2 * 32, 49.5,
         ),
     ],
     ids=[

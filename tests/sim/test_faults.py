@@ -15,7 +15,9 @@ from repro.errors import (
     UnreachableError,
 )
 from repro.sim import FaultPlan, MachineConfig, NetworkScenario, run_spmd
-from repro.sim.faults import FaultState, LinkTimeline
+from repro.sim.faults import (
+    FaultState, LinkFault, LinkTimeline, NodeCorruption, NodeFailure,
+)
 
 CFG = MachineConfig.create(4, t_s=10.0, t_w=1.0)
 
@@ -47,6 +49,23 @@ class TestFaultPlanValidation:
             FaultPlan().with_link_fault(0, 1, start=5.0, end=5.0)
         with pytest.raises(SimulationError):
             FaultPlan().with_link_fault(0, 1, start=-1.0)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: LinkFault(0, 1, end=math.nan), "end"),
+            (lambda: LinkFault(0, 1, start=math.nan), "start"),
+            (lambda: NodeFailure(0, math.nan), "fail-stop time"),
+            (lambda: NodeCorruption(0, math.nan), "node-corruption time"),
+        ],
+        ids=["window_end", "window_start", "fail_stop", "node_corruption"],
+    )
+    def test_nan_is_refused_at_construction(self, build, field):
+        with pytest.raises(SimulationError, match=field):
+            build()
+
+    def test_open_ended_window_stays_legal(self):
+        assert LinkFault(0, 1, start=5.0, end=math.inf).end == math.inf
 
     def test_duplicate_node_failure(self):
         with pytest.raises(SimulationError):

@@ -79,6 +79,11 @@ class TestLinkCost:
         with pytest.raises(SimulationError):
             LinkCost(0, 1, start=-1.0)
 
+    @pytest.mark.parametrize("field", ["ts_factor", "tw_factor"])
+    def test_nan_factor_is_refused(self, field):
+        with pytest.raises(SimulationError, match=field):
+            LinkCost(0, 1, **{field: math.nan})
+
 
 class TestNetworkScenario:
     def test_factors_compose_multiplicatively(self):
@@ -217,6 +222,21 @@ class TestProfiles:
             random_heterogeneous(7, 1.0)
         with pytest.raises(SimulationError):
             hotspot(8, 0, 0.5)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: hotspot(8, 0, math.nan), "factor"),
+            (lambda: congested_dimension(8, 1, math.nan), "factor"),
+            (lambda: background_traffic(8, factor=math.nan), "factor"),
+            (lambda: background_traffic(8, horizon=math.nan), "horizon"),
+            (lambda: random_heterogeneous(8, math.nan), "severity"),
+        ],
+        ids=["hotspot", "dimension", "background", "horizon", "random"],
+    )
+    def test_nan_profile_parameter_is_refused(self, build, field):
+        with pytest.raises(SimulationError, match=field):
+            build()
 
 
 class TestEngineCosting:
