@@ -716,9 +716,6 @@ def _cmd_serve(args) -> int:
     from repro.service.chaos import parse_injections
 
     inject = parse_injections(args.inject or [])
-    use_hosts = None
-    if getattr(args, "hosts", None) is not None:
-        use_hosts = args.hosts
     with SweepService(
         args.state_dir,
         workers=args.workers,
@@ -727,7 +724,6 @@ def _cmd_serve(args) -> int:
         max_attempts=args.max_attempts,
         backoff_base_s=args.backoff_base,
         tenant_weights=_tenant_weights(args.tenant_weight),
-        use_hosts=use_hosts,
         stale_after_s=args.stale_after,
         inject=None if inject.is_noop() else inject,
     ) as svc:
@@ -1162,16 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TENANT=W",
         help="fair-scheduling weight for a tenant (repeatable; "
              "unlisted tenants weigh 1.0)",
-    )
-    host_group = p_sv.add_mutually_exclusive_group()
-    host_group.add_argument(
-        "--hosts", dest="hosts", action="store_true", default=None,
-        help="execute chunks on `repro work` host agents (default: "
-             "auto-detect registered hosts)",
-    )
-    host_group.add_argument(
-        "--no-hosts", dest="hosts", action="store_false",
-        help="always use the in-process worker pool",
     )
     p_sv.add_argument(
         "--stale-after", type=float, default=5.0,

@@ -62,31 +62,39 @@ class TokenBucket:
         if self.last is None or now > self.last:
             self.last = now
 
-    def try_take(self, now: float) -> float:
-        """Take one token at time ``now``.
-
-        Returns ``0.0`` on success, else the seconds until a token will
-        be available (the ``retry_after`` hint).  The bucket state only
-        changes on success, so probing is free.
-        """
+    def wait(self, now: float) -> float:
+        """Seconds from ``now`` until a token is available (``0.0``: one
+        is).  Takes nothing, so probing is free."""
         if self.rate is None:
             return 0.0
         self._refill(now)
         if self.tokens >= 1.0:
-            self.tokens -= 1.0
             return 0.0
         if self.rate == 0:
             return float("inf")
         return (1.0 - self.tokens) / self.rate
+
+    def try_take(self, now: float) -> float:
+        """Take one token at time ``now``.
+
+        Returns ``0.0`` on success, else :meth:`wait`'s ``retry_after``
+        hint.  The bucket state only changes on success.
+        """
+        wait = self.wait(now)
+        if wait == 0.0 and self.rate is not None:
+            self.tokens -= 1.0
+        return wait
 
 
 class AdmissionController:
     """Decides, per submission, between *admit* and *shed* — never *queue
     forever*.
 
-    One instance per service.  ``admit`` raises
-    :class:`~repro.errors.ServiceOverloadError` on shed; counters
-    (``admitted``/``sheds``) feed the ``repro jobs`` report.
+    One instance per service.  ``admit`` decides, raising
+    :class:`~repro.errors.ServiceOverloadError` on shed, and takes
+    nothing: the service takes an admitted job's token from its tenant's
+    :meth:`bucket` (and counts admissions and sheds) in its journal
+    applier, so live and replayed jobs are charged alike.
     """
 
     def __init__(
@@ -102,8 +110,6 @@ class AdmissionController:
         self.tenant_rate = tenant_rate
         self.tenant_burst = float(tenant_burst)
         self._buckets: dict[str, TokenBucket] = {}
-        self.admitted = 0
-        self.sheds = 0
 
     def bucket(self, tenant: str) -> TokenBucket:
         if tenant not in self._buckets:
@@ -113,7 +119,8 @@ class AdmissionController:
         return self._buckets[tenant]
 
     def admit(self, tenant: str, pending: int, now: float) -> None:
-        """Admit one job for ``tenant`` given ``pending`` queued jobs.
+        """Decide one job for ``tenant`` given ``pending`` queued jobs:
+        return to admit it, raise to shed it.
 
         Queue pressure is checked first (it protects *everyone*), then
         the tenant's bucket (it protects everyone *else*).  On shed the
@@ -122,19 +129,16 @@ class AdmissionController:
         time for rate limiting.
         """
         if pending >= self.max_pending:
-            self.sheds += 1
             raise ServiceOverloadError(
                 f"pending queue full ({pending}/{self.max_pending})",
                 retry_after=1.0,
                 tenant=tenant,
             )
-        wait = self.bucket(tenant).try_take(now)
+        wait = self.bucket(tenant).wait(now)
         if wait > 0.0:
-            self.sheds += 1
             raise ServiceOverloadError(
                 f"tenant rate limit ({self.tenant_rate}/s, "
                 f"burst {self.tenant_burst:g})",
                 retry_after=min(wait, 3600.0),
                 tenant=tenant,
             )
-        self.admitted += 1

@@ -26,6 +26,8 @@ The contract, end to end:
   restarts, replays the journal, and resumes **exactly** the unfinished
   chunks — completed chunk payloads come back from the cache, so the
   final report digest is bit-identical to an undisturbed run.
+* the service's state is a fold of its journal: every change is a
+  record that ``SweepService._apply`` applies, live and on replay alike.
 
 Everything the robustness machinery counts (retries, expiries, sheds,
 coalesces) is surfaced by :meth:`jobs` and deliberately excluded from
@@ -130,7 +132,6 @@ class SweepService:
         tenant_weights: dict[str, float] | None = None,
         inject: ChaosPolicy | None = None,
         read_only: bool = False,
-        use_hosts: bool | None = None,
         stale_after_s: float = 5.0,
         clock=time.time,
     ):
@@ -142,9 +143,6 @@ class SweepService:
         self.backoff_base_s = float(backoff_base_s)
         self.inject = inject
         self.read_only = read_only
-        # Multi-host tier: None = auto (use agents when <state>/hosts/
-        # has any registered host), True/False force either way.
-        self.use_hosts = use_hosts
         self.stale_after_s = float(stale_after_s)
         self.clock = clock
         self._lock_fd: int | None = None
@@ -182,10 +180,10 @@ class SweepService:
         # in decision order — a resumed daemon replays this interleaving
         # before asking the scheduler for anything new.
         self._sched_decided: list[str] = []
-        self._sched_snapshot: dict | None = None
-        self._replay()
-        if self._sched_snapshot is not None:
-            self.scheduler.restore(self._sched_snapshot)
+        records, warnings = self.journal.replay()
+        self.warnings.extend(warnings)
+        for rec in records:
+            self._apply(rec)
         if not read_only:
             # Crash debris audit: a predecessor killed between tmp-write
             # and rename must not leak files forever.  Partial streaming
@@ -251,84 +249,69 @@ class SweepService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- journal replay -----------------------------------------------------
+    # -- the journal state machine ------------------------------------------
 
-    def _replay(self) -> None:
-        records, warnings = self.journal.replay()
-        self.warnings.extend(warnings)
-        for rec in records:
-            t = rec.get("t")
-            if t == "submit":
-                state = JobState(
-                    id=rec["job"], key=rec["key"], kind=rec["kind"],
-                    params=rec["params"], tenant=rec.get("tenant", "default"),
-                    submitted_ts=rec.get("ts", 0.0),
-                )
-                self.jobs_by_id[state.id] = state
-                self.counters["submitted"] += 1
-                # Rebuild the tenant's token-bucket history so a service
-                # restart does not refill everyone's burst for free.
-                self.admission.bucket(state.tenant).try_take(
-                    rec.get("ts", 0.0)
-                )
-                continue
-            if t == "shed":
-                self.counters["sheds"] += 1
-                self.admission.sheds += 1
-                self.last_shed = {
-                    "tenant": rec.get("tenant"),
-                    "reason": rec.get("reason"),
-                    "retry_after": rec.get("retry_after"),
-                    "ts": rec.get("ts"),
-                }
-                continue
-            if t == "sched":
-                # Replay the fair scheduler's journaled interleaving: the
-                # decision order is authoritative, and the last snapshot
-                # restores the deficit counters for *new* decisions.
-                self._sched_snapshot = rec.get("state")
-                self._sched_decided.append(rec.get("job", ""))
-                continue
-            job = self.jobs_by_id.get(rec.get("job", ""))
-            if job is None:
-                continue
-            if t == "coalesce":
-                job.coalesced += 1
-                self.counters["coalesced"] += 1
-            elif t == "plan":
-                job.plan = [list(c) for c in rec["chunks"]]
-                job.planned_workers = rec.get("workers")
-                job.cells = rec.get("cells")
-                job.status = "running"
-            elif t == "done":
-                job.done_chunks.add(int(rec["chunk"]))
-                job.attempts.pop(int(rec["chunk"]), None)
-            elif t == "quarantine":
-                job.quarantined.add(int(rec["chunk"]))
-                job.attempts.pop(int(rec["chunk"]), None)
-                self.counters["quarantined"] += 1
-            elif t == "job_done":
-                job.digest = rec.get("digest")
-                job.status = "degraded" if rec.get("quarantined") else "done"
-            elif t == "job_failed":
-                job.status = "failed"
-                job.error = rec.get("error")
-            else:
-                self._note_lease_event(job, rec)
+    def _record(self, rec: dict) -> None:
+        """Journal one fact, then apply it: a live run changes state only
+        through the records a replay reads."""
+        self.journal.append(rec)
+        self._apply(rec)
 
-    def _note_lease_event(self, job: JobState, rec: dict) -> None:
-        """The one reader of ``lease`` / ``hlease`` / ``hrevoke`` /
-        ``retry`` records: replay feeds it the journal, a live run feeds
-        it each event as it is journaled, so both end in the same
-        ``counters`` and :class:`JobState`.  Other record types pass."""
-        t = rec.get("t")
-        if t == "lease":
+    def _apply(self, rec: dict) -> None:
+        """The one applier of journal records, live (through
+        :meth:`_record`) and on replay alike, so a resumed service holds
+        exactly the state the live one had.  It is the only code that
+        moves a :class:`JobState`, ``counters``, ``last_shed``, the
+        scheduler's decisions and deficits, and the admission buckets.
+        A record type the service writes is handled here and nowhere
+        else."""
+        t = rec["t"]
+        if t == "shed":
+            self.counters["sheds"] += 1
+            self.last_shed = {
+                "tenant": rec.get("tenant"),
+                "reason": rec.get("reason"),
+                "retry_after": rec.get("retry_after"),
+                "ts": rec.get("ts"),
+            }
+            return
+        if t == "submit":
+            job = JobState(
+                id=rec["job"], key=rec["key"], kind=rec["kind"],
+                params=rec["params"], tenant=rec.get("tenant", "default"),
+                submitted_ts=rec.get("ts", 0.0),
+            )
+            self.jobs_by_id[job.id] = job
+            self.counters["submitted"] += 1
+            # The admitted job's token, taken here so a restart does not
+            # refill the tenant's burst for free.
+            self.admission.bucket(job.tenant).try_take(job.submitted_ts)
+            return
+        job = self.jobs_by_id.get(rec.get("job", ""))
+        if job is None:
+            return
+        if t == "coalesce":
+            job.coalesced += 1
+            self.counters["coalesced"] += 1
+        elif t == "sched":
+            # The decision order is authoritative; the deficit snapshot
+            # is what the scheduler's next decision starts from.
+            self._sched_decided.append(job.id)
+            self.scheduler.restore(rec["state"])
+        elif t == "plan":
+            job.plan = [list(c) for c in rec["chunks"]]
+            job.planned_workers = rec.get("workers")
+            job.cells = rec.get("cells")
+            job.status = "running"
+        elif t == "lease":
             job.leases += 1
             self.counters["leases"] += 1
         elif t == "hlease":
             self.counters["host_leases"] += 1
         elif t == "hrevoke":
             self.counters["host_revocations"] += 1
+        elif t == "hlocal":
+            pass  # a host-tier chunk run in process: a fact, no state
         elif t == "retry":
             job.retries += 1
             self.counters["retries"] += 1
@@ -337,6 +320,22 @@ class SweepService:
                 self.counters["worker_deaths"] += 1
             elif rec.get("reason") == "lease-expired":
                 self.counters["lease_expiries"] += 1
+        elif t == "done":
+            job.done_chunks.add(int(rec["chunk"]))
+            job.attempts.pop(int(rec["chunk"]), None)
+        elif t == "quarantine":
+            job.quarantined.add(int(rec["chunk"]))
+            job.attempts.pop(int(rec["chunk"]), None)
+            self.counters["quarantined"] += 1
+        elif t in ("job_done", "job_failed"):
+            if t == "job_done":
+                job.digest = rec.get("digest")
+                job.status = "degraded" if rec.get("quarantined") else "done"
+            else:
+                job.status = "failed"
+                job.error = rec.get("error")
+            if job.id in self._sched_decided:
+                self._sched_decided.remove(job.id)
 
     # -- submission ---------------------------------------------------------
 
@@ -364,9 +363,7 @@ class SweepService:
         now = float(self.clock())
         for job in self.pending_jobs():
             if job.key == key:
-                job.coalesced += 1
-                self.counters["coalesced"] += 1
-                self.journal.append({
+                self._record({
                     "t": "coalesce", "job": job.id, "tenant": tenant,
                     "ts": now,
                 })
@@ -374,27 +371,16 @@ class SweepService:
         try:
             self.admission.admit(tenant, len(self.pending_jobs()), now)
         except ServiceOverloadError as exc:
-            self.counters["sheds"] += 1
-            self.last_shed = {
-                "tenant": tenant, "reason": exc.reason,
-                "retry_after": exc.retry_after, "ts": now,
-            }
-            self.journal.append({
+            self._record({
                 "t": "shed", "tenant": tenant, "reason": exc.reason,
                 "retry_after": exc.retry_after, "ts": now,
             })
             raise
         job_id = self._next_job_id()
-        self.journal.append({
+        self._record({
             "t": "submit", "job": job_id, "key": key, "kind": spec.kind,
             "params": spec.params, "tenant": tenant, "ts": now,
         })
-        state = JobState(
-            id=job_id, key=key, kind=spec.kind, params=spec.params,
-            tenant=tenant, submitted_ts=now,
-        )
-        self.jobs_by_id[job_id] = state
-        self.counters["submitted"] += 1
         return job_id, False
 
     def _next_job_id(self) -> str:
@@ -423,19 +409,15 @@ class SweepService:
         interleaving exactly); only then is the deficit scheduler asked
         for a fresh decision, which is journaled before being returned.
         """
-        while self._sched_decided:
-            job = self.jobs_by_id.get(self._sched_decided[0])
-            if job is not None and job.status in ("pending", "running"):
-                return job
-            self._sched_decided.pop(0)
+        if self._sched_decided:
+            return self.jobs_by_id[self._sched_decided[0]]
         backlog: dict[str, list[JobState]] = {}
         for job in self.pending_jobs():
             backlog.setdefault(job.tenant, []).append(job)
         picked = self.scheduler.select(backlog)
         if picked is None:
             return None
-        self._sched_decided.append(picked.id)
-        self.journal.append({
+        self._record({
             "t": "sched", "job": picked.id, "tenant": picked.tenant,
             "state": self.scheduler.snapshot(),
         })
@@ -472,9 +454,7 @@ class SweepService:
         except InjectedServiceCrash:
             raise
         except ServiceError as exc:
-            job.status = "failed"
-            job.error = str(exc)
-            self.journal.append({
+            self._record({
                 "t": "job_failed", "job": job.id, "error": str(exc),
             })
             return None
@@ -576,9 +556,7 @@ class SweepService:
     def hosts_enabled(self) -> bool:
         """Whether jobs execute on the multi-host tier (``repro work``
         agents over the shared ``<state>/hosts/`` directory) instead of
-        the in-process worker pool."""
-        if self.use_hosts is not None:
-            return self.use_hosts
+        the in-process worker pool: once any host has a directory there."""
         hosts = self.state_dir / "hosts"
         return hosts.is_dir() and any(p.is_dir() for p in hosts.iterdir())
 
@@ -624,13 +602,9 @@ class SweepService:
             # worker count can never re-shard recorded work.
             workers = resolve_jobs(self.workers)
             plan = plan_chunks(len(cells), workers, self.chunk_size)
-            job.plan = [list(c) for c in plan]
-            job.planned_workers = workers
-            job.cells = len(cells)
-            job.status = "running"
-            self.journal.append({
+            self._record({
                 "t": "plan", "job": job.id, "cells": len(cells),
-                "chunks": job.plan, "workers": workers,
+                "chunks": [list(c) for c in plan], "workers": workers,
                 "chunk_deadline_s": self.chunk_deadline_s,
                 "max_attempts": self.max_attempts,
             })
@@ -687,12 +661,10 @@ class SweepService:
             self.cache.put(
                 self.CHUNK_KIND, self._chunk_descriptor(job, chunk), records
             )
-            self.journal.append({
+            self._record({
                 "t": "done", "job": job.id, "chunk": chunk,
                 "cache": self._chunk_cache_key(job, chunk),
             })
-            job.done_chunks.add(chunk)
-            job.attempts.pop(chunk, None)
             records_by_chunk[chunk] = records
             completed_this_run += 1
             if writer.offer(chunk, records):
@@ -703,8 +675,7 @@ class SweepService:
         def on_event(event: dict) -> None:
             body = dict(event)
             body["job"] = job.id
-            self.journal.append(body)
-            self._note_lease_event(job, event)
+            self._record(body)
 
         wakes = dict.fromkeys(WAKE_COUNTERS, 0)
         todo = set(range(len(plan))) - set(records_by_chunk)
@@ -727,9 +698,6 @@ class SweepService:
                 self.counters["wait_s"] = round(self.counters["wait_s"], 4)
             for chunk, outcome in outcomes.items():
                 if outcome.quarantined:
-                    job.quarantined.add(chunk)
-                    job.attempts.pop(chunk, None)
-                    self.counters["quarantined"] += 1
                     records_by_chunk[chunk] = None
             if executor.drained:
                 # Drain hand-back: no job_done record, no report — the
@@ -755,22 +723,22 @@ class SweepService:
         report["counters"] = {
             "leases": job.leases, "retries": job.retries, **wakes,
         }
-        job.digest = report.get("digest")
-        job.status = "degraded" if job.quarantined else "done"
-        self.journal.append({
-            "t": "job_done", "job": job.id, "digest": job.digest,
-            "quarantined": sorted(job.quarantined),
-            "counters": {
-                "retries": job.retries, "leases": job.leases,
-            },
-        })
         self._write_report(job, report)
         # Quarantined chunks stream as explicit nulls, then the footer
         # (report digest) seals the file as <job>.stream.jsonl and the
         # .partial.json disappears.
         for chunk in sorted(records_by_chunk):
             writer.offer(chunk, records_by_chunk[chunk])
-        writer.finish(job.digest, sorted(job.quarantined))
+        writer.finish(report.get("digest"), sorted(job.quarantined))
+        # Outputs first, journal second, as for chunks: a crash between
+        # the two finalizes the job again into the same bytes.
+        self._record({
+            "t": "job_done", "job": job.id, "digest": report.get("digest"),
+            "quarantined": sorted(job.quarantined),
+            "counters": {
+                "retries": job.retries, "leases": job.leases,
+            },
+        })
         return report
 
     def _write_report(self, job: JobState, report: dict) -> None:

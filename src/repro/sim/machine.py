@@ -103,7 +103,7 @@ class MachineParams:
         return self.t_s + self.t_w * nwords
 
     def flops_time(self, flops: float) -> float:
-        if flops < 0:
+        if not flops >= 0:  # NaN too
             raise SimulationError(f"flop count must be >= 0, got {flops}")
         return self.t_c * flops
 

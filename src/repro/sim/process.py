@@ -377,8 +377,10 @@ class ProcessContext:
 
         A zero duration yields nothing: the engine would answer its
         ``ElapseOp`` at once, with no event, trace record or clock move."""
-        if duration < 0:
-            raise SimulationError(f"cannot elapse negative time {duration}")
+        if not duration >= 0:  # NaN too
+            raise SimulationError(
+                f"elapse duration must be >= 0, got {duration}"
+            )
         if duration > 0:
             yield ElapseOp(duration)
         else:

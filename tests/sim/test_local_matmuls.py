@@ -144,6 +144,20 @@ def test_zero_time_work_yields_nothing(timing_only):
     assert ctx.stats.compute_time == 0.0
 
 
+@pytest.mark.parametrize("t_c", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "work, field",
+    [(lambda ctx: ctx.elapse(float("nan")), "elapse duration"),
+     (lambda ctx: ctx.compute(float("nan")), "flop count")],
+    ids=["elapse", "compute"],
+)
+def test_nan_work_is_refused(work, field, t_c):
+    ctx = _context(t_c)
+    with pytest.raises(SimulationError, match=field):
+        next(work(ctx))
+    assert (ctx.stats.flops, ctx.stats.compute_time) == (0.0, 0.0)
+
+
 def test_timed_work_still_yields_one_elapse_per_product():
     ctx = _context(0.5)
     A, B = np.ones((2, 3)), np.ones((3, 4))

@@ -161,3 +161,31 @@ def test_docs_quote_only_link_state_methods_that_exist():
         if not hasattr(classes[owner], name)
     )
     assert not stale, stale
+
+
+def test_service_doc_lists_exactly_the_records_the_applier_handles():
+    """docs/SERVICE.md's journal record types are the types
+    ``SweepService._apply`` compares ``t`` against: a record type the
+    service writes is handled there, and the doc names it."""
+    import ast
+    import pathlib
+    import re
+    import textwrap
+
+    from repro.service import SweepService
+
+    doc = (pathlib.Path(__file__).parents[1] / "docs" / "SERVICE.md").read_text()
+    (listing,) = re.findall(r"Record types:(.*?)\.\n", doc, flags=re.DOTALL)
+    listed = set(re.findall(r"`(\w+)`", listing))
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(SweepService._apply)))
+    handled = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                and node.left.id == "t"):
+            for right in node.comparators:
+                values = right.elts if isinstance(right, ast.Tuple) else [right]
+                handled.update(v.value for v in values
+                               if isinstance(v, ast.Constant))
+    assert "hlocal" in handled, "no record type found: the walk is stale"
+    assert listed == handled
