@@ -16,12 +16,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.collectives.api import Schedule, resolve_schedule, subtag
+from repro.collectives.api import Schedule, resolve_schedule, subtags
 from repro.collectives.chunking import chunk_header, rebuild_from_header, split_chunks
-from repro.collectives.phase import attempt, make_spec
+from repro.collectives.phase import make_spec
+from repro.collectives.sbt import dims_mask, exchange_partners, rotated_order
 from repro.mpi.communicator import Comm
 from repro.mpi.detector import LOST_PAYLOAD, lost_like
-from repro.sim.ops import FALLBACK
+from repro.sim.ops import FALLBACK, CollectivePhaseOp
 
 __all__ = ["allgather"]
 
@@ -38,27 +39,32 @@ def allgather(
     """
     if comm.size == 1:
         return [block]
-    verdict = yield from attempt(make_spec("allgather", comm, block, tag, schedule))
-    if verdict is not FALLBACK:
-        return verdict
     sched = resolve_schedule(comm, schedule)
+    spec = make_spec("allgather", comm, block, tag, sched)
+    if spec is not None:
+        verdict = yield CollectivePhaseOp((spec,))
+        if verdict is not FALLBACK:
+            return verdict
     if sched is Schedule.SBT:
         return (yield from _allgather_doubling(comm, block, tag))
     return (yield from _allgather_rotated(comm, block, tag))
 
 
 def _allgather_doubling(comm: Comm, block: Any, tag: int):
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
     pieces = {comm.rank: block}
-    my_sub = comm.subindex_of(comm.rank)
-    for k in range(comm.dimension):
-        peer = comm.dim_partner(comm.rank, k)
-        got = yield from comm.exchange(peer, pieces, subtag(tag, k))
+    my_sub = sub_of_rank[comm.rank]
+    tags = subtags(tag, comm.dimension)
+    for k, partners in enumerate(exchange_partners(comm.dimension, my_sub)):
+        peer = nodes[rank_of_sub[partners[0]]]
+        got = yield from ctx.exchange(peer, pieces, tags[k])
         if got is LOST_PAYLOAD:
             # Fail-stopped partner: its whole subtree (subindices equal to
             # the peer's on bits >= k) is unreachable this round — mark
             # those contributions lost rather than aborting the gather.
             for cr in range(comm.size):
-                if comm.subindex_of(cr) >> k == (my_sub >> k) ^ 1:
+                if sub_of_rank[cr] >> k == (my_sub >> k) ^ 1:
                     pieces[cr] = lost_like(block)
         else:
             pieces.update(got)
@@ -68,37 +74,34 @@ def _allgather_doubling(comm: Comm, block: Any, tag: int):
 def _allgather_rotated(comm: Comm, block: Any, tag: int):
     arr = np.asarray(block)
     d = comm.dimension
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
+    my_sub = sub_of_rank[comm.rank]
+    tags = subtags(tag, d)
     header = chunk_header(arr)
     schedules = [
         {comm.rank: (chunk, header)} for chunk in split_chunks(arr, d)
     ]
 
-    for t in range(d):
+    for t, partners in enumerate(exchange_partners(d, my_sub)):
         handles = []
         arrivals = []
-        for j in range(d):
-            dim = (j + t) % d
-            peer = comm.dim_partner(comm.rank, dim)
-            hs = yield from comm.isend(peer, schedules[j], subtag(tag, j))
-            hr = yield from comm.irecv(peer, subtag(tag, j))
+        for j, peer_sub in enumerate(partners):
+            peer = nodes[rank_of_sub[peer_sub]]
+            hs = yield from ctx.isend(peer, schedules[j], tags[j])
+            hr = yield from ctx.irecv(peer, tags[j])
             handles.extend((hs, hr))
             arrivals.append((j, hr))
-        yield from comm.ctx.waitall(handles)
-        my_sub = comm.subindex_of(comm.rank)
-        full = (1 << d) - 1
+        yield from ctx.waitall(handles)
         for j, hr in arrivals:
             if hr.value is LOST_PAYLOAD:
                 # Partner subtree for schedule j: subindices equal to the
                 # peer's outside the dimensions this schedule has visited.
-                dim = (j + t) % d
-                visited = 0
-                for s in range(t):
-                    visited |= 1 << (j + s) % d
-                peer_sub = my_sub ^ (1 << dim)
+                visited = dims_mask(rotated_order(d, j), t)
+                peer_sub = partners[j]
                 template = schedules[j][comm.rank]
                 for cr in range(comm.size):
-                    sub = comm.subindex_of(cr)
-                    if (sub ^ peer_sub) & full & ~visited == 0:
+                    if (sub_of_rank[cr] ^ peer_sub) & ~visited == 0:
                         schedules[j].setdefault(
                             cr, (lost_like(template[0]), template[1])
                         )

@@ -17,13 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.api import Schedule, resolve_schedule, subtag
+from repro.collectives.api import Schedule, resolve_schedule, subtags
 from repro.collectives.chunking import chunk_header, rebuild_from_header, split_chunks
-from repro.collectives.phase import attempt, make_spec
+from repro.collectives.phase import make_spec
+from repro.collectives.sbt import exchange_partners
 from repro.errors import SimulationError
 from repro.mpi.communicator import Comm
 from repro.mpi.detector import LOST_PAYLOAD, lost_like
-from repro.sim.ops import FALLBACK
+from repro.sim.ops import FALLBACK, CollectivePhaseOp
 
 __all__ = ["alltoall"]
 
@@ -44,32 +45,33 @@ def alltoall(
         )
     if comm.size == 1:
         return [blocks[0]]
-    verdict = yield from attempt(make_spec("alltoall", comm, tuple(blocks), tag, schedule))
-    if verdict is not FALLBACK:
-        return verdict
     sched = resolve_schedule(comm, schedule)
+    spec = make_spec("alltoall", comm, tuple(blocks), tag, sched)
+    if spec is not None:
+        verdict = yield CollectivePhaseOp((spec,))
+        if verdict is not FALLBACK:
+            return verdict
     if sched is Schedule.SBT:
         return (yield from _alltoall_dimex(comm, blocks, tag))
     return (yield from _alltoall_rotated(comm, blocks, tag))
 
 
-def _route_bit(comm: Comm, dst_commrank: int, dim: int) -> int:
-    return (comm.subindex_of(dst_commrank) >> dim) & 1
-
-
 def _alltoall_dimex(comm: Comm, blocks, tag: int):
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
     me = comm.rank
-    my_sub = comm.subindex_of(me)
+    my_sub = sub_of_rank[me]
+    tags = subtags(tag, comm.dimension)
     items = {(me, dst): blocks[dst] for dst in range(comm.size)}
-    for k in range(comm.dimension):
-        my_bit = (my_sub >> k) & 1
-        peer = comm.dim_partner(me, k)
+    for k, partners in enumerate(exchange_partners(comm.dimension, my_sub)):
+        bit = 1 << k
+        # an item moves when its destination differs from me in this bit
         moving = {
             key: items.pop(key)
             for key in list(items)
-            if _route_bit(comm, key[1], k) != my_bit
+            if (sub_of_rank[key[1]] ^ my_sub) & bit
         }
-        got = yield from comm.exchange(peer, moving, subtag(tag, k))
+        got = yield from ctx.exchange(nodes[rank_of_sub[partners[0]]], moving, tags[k])
         if got is not LOST_PAYLOAD:
             items.update(got)
         # A lost exchange leaves the peer-routed items missing; the final
@@ -84,35 +86,35 @@ def _alltoall_dimex(comm: Comm, blocks, tag: int):
 
 def _alltoall_rotated(comm: Comm, blocks, tag: int):
     d = comm.dimension
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
     me = comm.rank
-    my_sub = comm.subindex_of(me)
-    schedules = []
-    headers = [chunk_header(np.asarray(b)) for b in blocks]
-    for j in range(d):
-        schedules.append(
-            {
-                (me, dst): (split_chunks(np.asarray(blocks[dst]), d)[j], headers[dst])
-                for dst in range(comm.size)
-            }
-        )
+    my_sub = sub_of_rank[me]
+    tags = subtags(tag, d)
+    arrays = [np.asarray(b) for b in blocks]
+    headers = [chunk_header(a) for a in arrays]
+    parts = [split_chunks(a, d) for a in arrays]  # each block split once
+    schedules = [
+        {(me, dst): (parts[dst][j], headers[dst]) for dst in range(comm.size)}
+        for j in range(d)
+    ]
 
-    for t in range(d):
+    for partners in exchange_partners(d, my_sub):
         handles = []
         arrivals = []
-        for j in range(d):
-            dim = (j + t) % d
-            my_bit = (my_sub >> dim) & 1
-            peer = comm.dim_partner(me, dim)
+        for j, peer_sub in enumerate(partners):
+            bit = peer_sub ^ my_sub
+            peer = nodes[rank_of_sub[peer_sub]]
             moving = {
                 key: schedules[j].pop(key)
                 for key in list(schedules[j])
-                if _route_bit(comm, key[1], dim) != my_bit
+                if (sub_of_rank[key[1]] ^ my_sub) & bit
             }
-            hs = yield from comm.isend(peer, moving, subtag(tag, j))
-            hr = yield from comm.irecv(peer, subtag(tag, j))
+            hs = yield from ctx.isend(peer, moving, tags[j])
+            hr = yield from ctx.irecv(peer, tags[j])
             handles.extend((hs, hr))
             arrivals.append((j, hr))
-        yield from comm.ctx.waitall(handles)
+        yield from ctx.waitall(handles)
         for j, hr in arrivals:
             if hr.value is not LOST_PAYLOAD:
                 schedules[j].update(hr.value)
@@ -126,10 +128,7 @@ def _alltoall_rotated(comm: Comm, blocks, tag: int):
         for j in range(d):
             entry = schedules[j].get((src, me))
             if entry is None:
-                entry = (
-                    lost_like(split_chunks(np.asarray(blocks[src]), d)[j]),
-                    headers[src],
-                )
+                entry = (lost_like(parts[src][j]), headers[src])
             chunk, hdr = entry
             chunks.append(chunk)
         out.append(rebuild_from_header(chunks, hdr))

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 from repro.errors import SimulationError
 from repro.mpi.communicator import Comm
 from repro.sim.machine import PortModel
 
-__all__ = ["Schedule", "resolve_schedule", "subtag"]
+__all__ = ["Schedule", "resolve_schedule", "subtag", "subtags"]
 
 
 class Schedule(enum.Enum):
@@ -48,6 +49,13 @@ def subtag(base: int, sub: int) -> int:
     if sub >= (1 << _SUBTAG_BITS) or sub < 0:
         raise SimulationError(f"collective sub-tag {sub} out of range")
     return (base << _SUBTAG_BITS) | sub
+
+
+@lru_cache(maxsize=None)
+def subtags(base: int, count: int) -> tuple[int, ...]:
+    """``subtag(base, s)`` for ``s < count``: a collective's step or tree
+    tags, looked up by the programs instead of computed per message."""
+    return tuple([subtag(base, s) for s in range(count)])
 
 
 # Re-exported lazily by __init__; the individual operation modules are

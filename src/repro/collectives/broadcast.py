@@ -17,18 +17,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.collectives.api import Schedule, resolve_schedule, subtag
+from repro.collectives.api import Schedule, resolve_schedule, subtags
 from repro.collectives.chunking import chunk_header, rebuild_from_header, split_chunks
-from repro.collectives.sbt import (
-    distribute_child,
-    distribute_parent,
-    distribute_recv_step,
-    identity_order,
-    rotated_order,
-)
-from repro.collectives.phase import attempt, make_spec
+from repro.collectives.sbt import identity_order, rotated_moves, tree_role
+from repro.collectives.phase import make_spec
 from repro.mpi.communicator import Comm
-from repro.sim.ops import FALLBACK
+from repro.sim.ops import FALLBACK, CollectivePhaseOp
 
 __all__ = ["broadcast"]
 
@@ -47,66 +41,60 @@ def broadcast(
     """
     if comm.size == 1:
         return data
-    verdict = yield from attempt(
-        make_spec("broadcast", comm, data, tag, schedule, root=root)
-    )
-    if verdict is not FALLBACK:
-        return verdict
     sched = resolve_schedule(comm, schedule)
+    spec = make_spec("broadcast", comm, data, tag, sched, root=root)
+    if spec is not None:
+        verdict = yield CollectivePhaseOp((spec,))
+        if verdict is not FALLBACK:
+            return verdict
     if sched is Schedule.SBT:
         return (yield from _broadcast_sbt(comm, data, root, tag))
     return (yield from _broadcast_rotated(comm, data, root, tag))
 
 
 def _broadcast_sbt(comm: Comm, data: Any, root: int, tag: int):
-    d = comm.dimension
-    order = identity_order(d)
-    rel = comm.rel_index(comm.rank, root)
-
-    if rel == 0:
-        start = 0
-    else:
-        t_recv = distribute_recv_step(rel, order)
-        parent = comm.from_rel(distribute_parent(rel, order), root)
-        data = yield from comm.recv(parent, subtag(tag, t_recv))
-        start = t_recv + 1
-
-    for t in range(start, d):
-        child = comm.from_rel(distribute_child(rel, order, t), root)
-        yield from comm.send(child, data, subtag(tag, t))
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    root_sub = comm.sub_of_rank[root]
+    recvs, sends = tree_role(
+        "distribute", identity_order(comm.dimension),
+        comm.sub_of_rank[comm.rank] ^ root_sub,
+    )
+    tags = subtags(tag, comm.dimension)
+    for t, parent in recvs:
+        data = yield from ctx.recv(nodes[rank_of_sub[parent ^ root_sub]], tags[t])
+    for t, child in sends:
+        yield from ctx.send(nodes[rank_of_sub[child ^ root_sub]], data, tags[t])
     return data
 
 
 def _broadcast_rotated(comm: Comm, data: Any, root: int, tag: int):
     arr = np.asarray(data)
     d = comm.dimension
-    rel = comm.rel_index(comm.rank, root)
-    orders = [rotated_order(d, j) for j in range(d)]
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    root_sub = comm.sub_of_rank[root]
+    rel = comm.sub_of_rank[comm.rank] ^ root_sub
+    tags = subtags(tag, d)
 
     if rel == 0:
         have: list = list(split_chunks(arr, d))
         header = chunk_header(arr)
-        recv_steps = [None] * d
     else:
         have = [None] * d
         header = None
-        recv_steps = [distribute_recv_step(rel, orders[j]) for j in range(d)]
 
-    for t in range(d):
+    for moves in rotated_moves("distribute", d, rel):
         handles = []
         arrivals = []  # (tree, handle)
-        for j in range(d):
-            if rel == 0 or recv_steps[j] < t:
-                child = comm.from_rel(distribute_child(rel, orders[j], t), root)
-                h = yield from comm.isend(child, (have[j], header), subtag(tag, j))
-                handles.append(h)
-            elif recv_steps[j] == t:
-                parent = comm.from_rel(distribute_parent(rel, orders[j]), root)
-                h = yield from comm.irecv(parent, subtag(tag, j))
+        for j, sends, peer in moves:
+            node = nodes[rank_of_sub[peer ^ root_sub]]
+            if sends:
+                h = yield from ctx.isend(node, (have[j], header), tags[j])
+            else:
+                h = yield from ctx.irecv(node, tags[j])
                 arrivals.append((j, h))
-                handles.append(h)
+            handles.append(h)
         if handles:
-            yield from comm.ctx.waitall(handles)
+            yield from ctx.waitall(handles)
         for j, h in arrivals:
             chunk, hdr = h.value
             have[j] = chunk

@@ -14,15 +14,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.collectives.api import Schedule, resolve_schedule, subtag
+from repro.collectives.api import Schedule, resolve_schedule, subtags
 from repro.collectives.chunking import chunk_header, rebuild_from_header, split_chunks
-from repro.collectives.sbt import (
-    combine_child,
-    combine_parent,
-    combine_send_step,
-    identity_order,
-    rotated_order,
-)
+from repro.collectives.sbt import identity_order, rotated_moves, tree_role
 from repro.mpi.communicator import Comm
 
 __all__ = ["gather"]
@@ -49,54 +43,50 @@ def gather(
 
 
 def _gather_sbt(comm: Comm, block: Any, root: int, tag: int):
-    d = comm.dimension
-    order = identity_order(d)
-    rel = comm.rel_index(comm.rank, root)
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
+    root_sub = sub_of_rank[root]
+    rel = sub_of_rank[comm.rank] ^ root_sub
+    recvs, sends = tree_role("combine", identity_order(comm.dimension), rel)
+    tags = subtags(tag, comm.dimension)
     holding = {rel: block}
-    my_step = combine_send_step(rel, order)
 
-    for t in range(d):
-        if t == my_step:
-            parent = comm.from_rel(combine_parent(rel, order), root)
-            yield from comm.send(parent, holding, subtag(tag, t))
-            return None
-        child_rel = combine_child(rel, order, t)
-        if child_rel is not None:
-            child = comm.from_rel(child_rel, root)
-            got = yield from comm.recv(child, subtag(tag, t))
-            holding.update(got)
+    for t, child in recvs:
+        got = yield from ctx.recv(nodes[rank_of_sub[child ^ root_sub]], tags[t])
+        holding.update(got)
+    for t, parent in sends:
+        yield from ctx.send(nodes[rank_of_sub[parent ^ root_sub]], holding, tags[t])
+        return None
 
     # Only the root reaches here.
-    return [holding[comm.rel_index(cr, root)] for cr in range(comm.size)]
+    return [holding[sub_of_rank[cr] ^ root_sub] for cr in range(comm.size)]
 
 
 def _gather_rotated(comm: Comm, block: Any, root: int, tag: int):
     arr = np.asarray(block)
     d = comm.dimension
-    rel = comm.rel_index(comm.rank, root)
-    orders = [rotated_order(d, j) for j in range(d)]
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
+    root_sub = sub_of_rank[root]
+    rel = sub_of_rank[comm.rank] ^ root_sub
+    tags = subtags(tag, d)
     header = chunk_header(arr)
     have = [{rel: (chunk, header)} for chunk in split_chunks(arr, d)]
-    send_steps = [combine_send_step(rel, orders[j]) for j in range(d)]
 
-    for t in range(d):
+    for moves in rotated_moves("combine", d, rel):
         handles = []
         arrivals = []
-        for j in range(d):
-            if send_steps[j] == t:
-                parent = comm.from_rel(combine_parent(rel, orders[j]), root)
-                h = yield from comm.isend(parent, have[j], subtag(tag, j))
+        for j, sends, peer in moves:
+            node = nodes[rank_of_sub[peer ^ root_sub]]
+            if sends:
+                h = yield from ctx.isend(node, have[j], tags[j])
                 have[j] = None
-                handles.append(h)
-            elif send_steps[j] is None or send_steps[j] > t:
-                child_rel = combine_child(rel, orders[j], t)
-                if child_rel is not None:
-                    child = comm.from_rel(child_rel, root)
-                    h = yield from comm.irecv(child, subtag(tag, j))
-                    arrivals.append((j, h))
-                    handles.append(h)
+            else:
+                h = yield from ctx.irecv(node, tags[j])
+                arrivals.append((j, h))
+            handles.append(h)
         if handles:
-            yield from comm.ctx.waitall(handles)
+            yield from ctx.waitall(handles)
         for j, h in arrivals:
             have[j].update(h.value)
 
@@ -104,7 +94,7 @@ def _gather_rotated(comm: Comm, block: Any, root: int, tag: int):
         return None
     out = []
     for cr in range(comm.size):
-        r = comm.rel_index(cr, root)
+        r = sub_of_rank[cr] ^ root_sub
         chunks = []
         hdr = None
         for j in range(d):

@@ -35,7 +35,6 @@ from repro.sim.process import ProcessContext
 
 __all__ = [
     "make_spec",
-    "attempt",
     "CollectiveCall",
     "allgather_call",
     "broadcast_call",
@@ -59,14 +58,16 @@ def make_spec(
     Wrapped contexts (reliable delivery, CRC integrity, recovery) add
     protocol traffic the closed forms do not model, so only a plain
     :class:`ProcessContext` declares; everything else goes straight to the
-    event path.
+    event path.  A dispatch function passes the schedule it resolved (it
+    runs that one on ``FALLBACK``); anything else is resolved here.
     """
     if type(comm.ctx) is not ProcessContext:
         return None
-    sched = resolve_schedule(comm, schedule)
+    if schedule is not Schedule.SBT and schedule is not Schedule.ROTATED:
+        schedule = resolve_schedule(comm, schedule)
     return CollectiveSpec(
         kind=kind,
-        sched=sched._value_,  # (the member's value, without the enum property)
+        sched=schedule._value_,  # (the member's value, without the enum property)
         members=comm.members,
         rank=comm.rank,
         free_dims=comm.free_dims,
@@ -75,17 +76,6 @@ def make_spec(
         root=root,
         op=op,
     )
-
-
-def attempt(spec: CollectiveSpec | None):
-    """Yield the phase declaration; return the engine's verdict.
-
-    Returns :data:`FALLBACK` when the caller must run the
-    ordinary schedule (including when ``spec`` is None).
-    """
-    if spec is None:
-        return FALLBACK
-    return (yield CollectivePhaseOp((spec,)))
 
 
 @dataclass

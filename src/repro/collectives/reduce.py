@@ -13,18 +13,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.collectives.api import Schedule, resolve_schedule, subtag
+from repro.collectives.api import Schedule, resolve_schedule, subtags
 from repro.collectives.chunking import chunk_header, rebuild_from_header, split_chunks
-from repro.collectives.sbt import (
-    combine_child,
-    combine_parent,
-    combine_send_step,
-    identity_order,
-    rotated_order,
-)
-from repro.collectives.phase import attempt, make_spec
+from repro.collectives.sbt import identity_order, rotated_moves, tree_role
+from repro.collectives.phase import make_spec
 from repro.mpi.communicator import Comm
-from repro.sim.ops import FALLBACK
+from repro.sim.ops import FALLBACK, CollectivePhaseOp
 
 __all__ = ["reduce"]
 
@@ -44,63 +38,57 @@ def reduce(
     """
     if comm.size == 1:
         return np.asarray(block)
-    verdict = yield from attempt(
-        make_spec("reduce", comm, block, tag, schedule, root=root, op=op)
-    )
-    if verdict is not FALLBACK:
-        return verdict
     sched = resolve_schedule(comm, schedule)
+    spec = make_spec("reduce", comm, block, tag, sched, root=root, op=op)
+    if spec is not None:
+        verdict = yield CollectivePhaseOp((spec,))
+        if verdict is not FALLBACK:
+            return verdict
     if sched is Schedule.SBT:
         return (yield from _reduce_sbt(comm, block, root, op, tag))
     return (yield from _reduce_rotated(comm, block, root, op, tag))
 
 
 def _reduce_sbt(comm: Comm, block: Any, root: int, op: Callable, tag: int):
-    d = comm.dimension
-    order = identity_order(d)
-    rel = comm.rel_index(comm.rank, root)
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    root_sub = comm.sub_of_rank[root]
+    recvs, sends = tree_role(
+        "combine", identity_order(comm.dimension),
+        comm.sub_of_rank[comm.rank] ^ root_sub,
+    )
+    tags = subtags(tag, comm.dimension)
     acc = np.array(block)  # private accumulator
-    my_step = combine_send_step(rel, order)
-
-    for t in range(d):
-        if t == my_step:
-            parent = comm.from_rel(combine_parent(rel, order), root)
-            yield from comm.send(parent, acc, subtag(tag, t))
-            return None
-        child_rel = combine_child(rel, order, t)
-        if child_rel is not None:
-            child = comm.from_rel(child_rel, root)
-            got = yield from comm.recv(child, subtag(tag, t))
-            acc = op(acc, got)
-
+    for t, child in recvs:
+        got = yield from ctx.recv(nodes[rank_of_sub[child ^ root_sub]], tags[t])
+        acc = op(acc, got)
+    for t, parent in sends:
+        yield from ctx.send(nodes[rank_of_sub[parent ^ root_sub]], acc, tags[t])
+        return None
     return acc
 
 
 def _reduce_rotated(comm: Comm, block: Any, root: int, op: Callable, tag: int):
     arr = np.asarray(block)
     d = comm.dimension
-    rel = comm.rel_index(comm.rank, root)
-    orders = [rotated_order(d, j) for j in range(d)]
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    root_sub = comm.sub_of_rank[root]
+    rel = comm.sub_of_rank[comm.rank] ^ root_sub
+    tags = subtags(tag, d)
     chunks = [np.array(c) for c in split_chunks(arr, d)]
-    send_steps = [combine_send_step(rel, orders[j]) for j in range(d)]
 
-    for t in range(d):
+    for moves in rotated_moves("combine", d, rel):
         handles = []
         arrivals = []
-        for j in range(d):
-            if send_steps[j] == t:
-                parent = comm.from_rel(combine_parent(rel, orders[j]), root)
-                h = yield from comm.isend(parent, chunks[j], subtag(tag, j))
-                handles.append(h)
-            elif send_steps[j] is None or send_steps[j] > t:
-                child_rel = combine_child(rel, orders[j], t)
-                if child_rel is not None:
-                    child = comm.from_rel(child_rel, root)
-                    h = yield from comm.irecv(child, subtag(tag, j))
-                    arrivals.append((j, h))
-                    handles.append(h)
+        for j, sends, peer in moves:
+            node = nodes[rank_of_sub[peer ^ root_sub]]
+            if sends:
+                h = yield from ctx.isend(node, chunks[j], tags[j])
+            else:
+                h = yield from ctx.irecv(node, tags[j])
+                arrivals.append((j, h))
+            handles.append(h)
         if handles:
-            yield from comm.ctx.waitall(handles)
+            yield from ctx.waitall(handles)
         for j, h in arrivals:
             chunks[j] = op(chunks[j], h.value)
 

@@ -19,13 +19,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.collectives.api import Schedule, resolve_schedule, subtag
+from repro.collectives.api import Schedule, resolve_schedule, subtags
 from repro.collectives.chunking import chunk_header, rebuild_from_header, split_chunks
-from repro.collectives.phase import attempt, make_spec
+from repro.collectives.phase import make_spec
+from repro.collectives.sbt import exchange_partners
 from repro.errors import SimulationError
 from repro.mpi.communicator import Comm
 from repro.mpi.detector import LOST_PAYLOAD, lost_like
-from repro.sim.ops import FALLBACK
+from repro.sim.ops import FALLBACK, CollectivePhaseOp
 
 __all__ = ["reduce_scatter"]
 
@@ -47,30 +48,32 @@ def reduce_scatter(
         )
     if comm.size == 1:
         return np.asarray(blocks[0])
-    verdict = yield from attempt(
-        make_spec("reduce_scatter", comm, tuple(blocks), tag, schedule, op=op)
-    )
-    if verdict is not FALLBACK:
-        return verdict
     sched = resolve_schedule(comm, schedule)
+    spec = make_spec("reduce_scatter", comm, tuple(blocks), tag, sched, op=op)
+    if spec is not None:
+        verdict = yield CollectivePhaseOp((spec,))
+        if verdict is not FALLBACK:
+            return verdict
     if sched is Schedule.SBT:
         return (yield from _reduce_scatter_halving(comm, blocks, op, tag))
     return (yield from _reduce_scatter_rotated(comm, blocks, op, tag))
 
 
 def _reduce_scatter_halving(comm: Comm, blocks, op: Callable, tag: int):
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
     me = comm.rank
-    my_sub = comm.subindex_of(me)
+    my_sub = sub_of_rank[me]
+    tags = subtags(tag, comm.dimension)
     acc = {dst: np.array(blocks[dst]) for dst in range(comm.size)}
-    for k in range(comm.dimension):
-        my_bit = (my_sub >> k) & 1
-        peer = comm.dim_partner(me, k)
+    for k, partners in enumerate(exchange_partners(comm.dimension, my_sub)):
+        bit = 1 << k
         moving = {
             dst: acc.pop(dst)
             for dst in list(acc)
-            if (comm.subindex_of(dst) >> k) & 1 != my_bit
+            if (sub_of_rank[dst] ^ my_sub) & bit
         }
-        got = yield from comm.exchange(peer, moving, subtag(tag, k))
+        got = yield from ctx.exchange(nodes[rank_of_sub[partners[0]]], moving, tags[k])
         if got is LOST_PAYLOAD:
             # The partner's partial sums for my half died with it: every
             # destination I still accumulate is missing contributions, so
@@ -87,35 +90,35 @@ def _reduce_scatter_halving(comm: Comm, blocks, op: Callable, tag: int):
 
 def _reduce_scatter_rotated(comm: Comm, blocks, op: Callable, tag: int):
     d = comm.dimension
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
     me = comm.rank
-    my_sub = comm.subindex_of(me)
-    headers = [chunk_header(np.asarray(b)) for b in blocks]
-    schedules = []
-    for j in range(d):
-        schedules.append(
-            {
-                dst: np.array(split_chunks(np.asarray(blocks[dst]), d)[j])
-                for dst in range(comm.size)
-            }
-        )
+    my_sub = sub_of_rank[me]
+    tags = subtags(tag, d)
+    arrays = [np.asarray(b) for b in blocks]
+    headers = [chunk_header(a) for a in arrays]
+    parts = [split_chunks(a, d) for a in arrays]  # each block split once
+    schedules = [
+        {dst: np.array(parts[dst][j]) for dst in range(comm.size)}
+        for j in range(d)
+    ]
 
-    for t in range(d):
+    for partners in exchange_partners(d, my_sub):
         handles = []
         arrivals = []
-        for j in range(d):
-            dim = (j + t) % d
-            my_bit = (my_sub >> dim) & 1
-            peer = comm.dim_partner(me, dim)
+        for j, peer_sub in enumerate(partners):
+            bit = peer_sub ^ my_sub
+            peer = nodes[rank_of_sub[peer_sub]]
             moving = {
                 dst: schedules[j].pop(dst)
                 for dst in list(schedules[j])
-                if (comm.subindex_of(dst) >> dim) & 1 != my_bit
+                if (sub_of_rank[dst] ^ my_sub) & bit
             }
-            hs = yield from comm.isend(peer, moving, subtag(tag, j))
-            hr = yield from comm.irecv(peer, subtag(tag, j))
+            hs = yield from ctx.isend(peer, moving, tags[j])
+            hr = yield from ctx.irecv(peer, tags[j])
             handles.extend((hs, hr))
             arrivals.append((j, hr))
-        yield from comm.ctx.waitall(handles)
+        yield from ctx.waitall(handles)
         for j, hr in arrivals:
             if hr.value is LOST_PAYLOAD:
                 for dst in schedules[j]:

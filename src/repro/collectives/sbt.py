@@ -16,9 +16,30 @@ at step ``t`` every node whose relative bits lie within ``order[:t]`` sends
 across dimension ``order[t]``.  Combining trees (reduce, gather) are the
 mirror image: a node sends its accumulated data at the step of its first
 set bit (in ``order`` position), to the parent obtained by clearing it.
+
+Role tables
+-----------
+The ``distribute_*`` / ``combine_*`` functions are the definition of the
+trees; the event-path programs read tables derived from them, built once
+per ``(tree kind, dimension order, relative index)`` and shared by every
+call, rank and run (the tables are read-only tuples):
+
+* :func:`tree_role` — a node's ``(step, peer)`` receives and sends in one
+  tree, in step order: a distribution tree's one receive (from its parent)
+  precedes its sends, a combining tree's receives precede its one send;
+* :func:`rotated_moves` — per step, the ``(tree, sends, peer)`` moves of the
+  ``log N`` rotated trees, in tree order;
+* :func:`exchange_partners` — per step, the dimension-exchange partner in
+  each rotated schedule (schedule 0, the identity order, is the one-port
+  schedule's).
+
+``tests/collectives/test_roles.py`` holds every table to the definitions
+and every program's op stream to the tables.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.errors import SimulationError
 
@@ -33,14 +54,19 @@ __all__ = [
     "combine_parent",
     "combine_child",
     "subtree_members",
+    "tree_role",
+    "rotated_moves",
+    "exchange_partners",
 ]
 
 
+@lru_cache(maxsize=None)
 def identity_order(d: int) -> tuple[int, ...]:
     """The plain SBT dimension order ``(0, 1, …, d-1)``."""
     return tuple(range(d))
 
 
+@lru_cache(maxsize=None)
 def rotated_order(d: int, j: int) -> tuple[int, ...]:
     """Dimension order of rotated tree ``j``: ``(j, j+1, …) mod d``."""
     if not 0 <= j < d:
@@ -137,3 +163,72 @@ def subtree_members(rel: int, order: tuple[int, ...], t: int) -> list[int]:
                 node |= 1 << a
         out.append(node)
     return out
+
+
+# -- role tables: what the event-path programs read -------------------------
+
+#: ``(step, peer)`` pairs, in step order; ``peer`` is a relative index
+Moves = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def tree_role(kind: str, order: tuple[int, ...], rel: int) -> tuple[Moves, Moves]:
+    """``(receives, sends)`` of node ``rel`` in the ``kind`` tree along
+    ``order`` (``"distribute"``: broadcast, scatter; ``"combine"``: reduce,
+    gather), each a tuple of ``(step, peer)``.
+
+    Every receive comes before every send: a distribution tree's node
+    receives once, from its parent, and then sends to a child per later
+    step; a combining tree's node receives from a child per step before
+    its first set bit and then sends once, to its parent.  The root of a
+    distribution tree has no receive, the root of a combining tree no send.
+    """
+    steps = range(len(order))
+    if kind == "distribute":
+        recvs: list = []
+        t = distribute_recv_step(rel, order)
+        if t is not None:
+            recvs.append((t, distribute_parent(rel, order)))
+        sends = [(s, distribute_child(rel, order, s)) for s in steps]
+    elif kind == "combine":
+        recvs = [(s, combine_child(rel, order, s)) for s in steps]
+        sends = []
+        t = combine_send_step(rel, order)
+        if t is not None:
+            sends.append((t, combine_parent(rel, order)))
+    else:
+        raise SimulationError(f"unknown tree kind {kind!r}")
+    return (
+        tuple([move for move in recvs if move[1] is not None]),
+        tuple([move for move in sends if move[1] is not None]),
+    )
+
+
+@lru_cache(maxsize=None)
+def rotated_moves(
+    kind: str, d: int, rel: int
+) -> tuple[tuple[tuple[int, bool, int], ...], ...]:
+    """Per step ``t < d``, the ``(tree, sends, peer)`` moves of node ``rel``
+    in the ``d`` rotated ``kind`` trees, in tree order: ``sends`` is True
+    for a send to ``peer``, False for a receive from it.  A node moves at
+    most once per tree and step (see :func:`tree_role`)."""
+    steps: list[list] = [[] for _ in range(d)]
+    for j in range(d):
+        recvs, sends = tree_role(kind, rotated_order(d, j), rel)
+        for t, peer in sends:
+            steps[t].append((j, True, peer))
+        for t, peer in recvs:
+            steps[t].append((j, False, peer))
+    return tuple([tuple(moves) for moves in steps])
+
+
+@lru_cache(maxsize=None)
+def exchange_partners(d: int, rel: int) -> tuple[tuple[int, ...], ...]:
+    """Per step ``t < d``, node ``rel``'s partner in each of the ``d``
+    rotated dimension-exchange schedules: schedule ``j`` crosses dimension
+    ``rotated_order(d, j)[t]`` at step ``t``.  Schedule 0 crosses dimension
+    ``t``, the one-port (recursive doubling / halving) schedule's step."""
+    orders = [rotated_order(d, j) for j in range(d)]
+    return tuple(
+        [tuple([rel ^ (1 << order[t]) for order in orders]) for t in range(d)]
+    )

@@ -16,15 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.api import Schedule, resolve_schedule, subtag
+from repro.collectives.api import Schedule, resolve_schedule, subtags
 from repro.collectives.chunking import chunk_header, rebuild_from_header, split_chunks
-from repro.collectives.sbt import (
-    distribute_child,
-    distribute_parent,
-    distribute_recv_step,
-    identity_order,
-    rotated_order,
-)
+from repro.collectives.sbt import identity_order, rotated_moves, tree_role
 from repro.errors import SimulationError
 from repro.mpi.communicator import Comm
 
@@ -58,29 +52,22 @@ def scatter(
 
 
 def _scatter_sbt(comm: Comm, blocks, root: int, tag: int):
-    d = comm.dimension
-    order = identity_order(d)
-    rel = comm.rel_index(comm.rank, root)
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
+    root_sub = sub_of_rank[root]
+    rel = sub_of_rank[comm.rank] ^ root_sub
+    recvs, sends = tree_role("distribute", identity_order(comm.dimension), rel)
+    tags = subtags(tag, comm.dimension)
 
     if rel == 0:
-        holding = {
-            comm.rel_index(cr, root): blocks[cr] for cr in range(comm.size)
-        }
-        start = 0
-    else:
-        t_recv = distribute_recv_step(rel, order)
-        parent = comm.from_rel(distribute_parent(rel, order), root)
-        holding = yield from comm.recv(parent, subtag(tag, t_recv))
-        start = t_recv + 1
+        holding = {sub_of_rank[cr] ^ root_sub: blocks[cr] for cr in range(comm.size)}
+    for t, parent in recvs:
+        holding = yield from ctx.recv(nodes[rank_of_sub[parent ^ root_sub]], tags[t])
 
-    for t in range(start, d):
-        child = comm.from_rel(distribute_child(rel, order, t), root)
-        moving = {
-            r: holding.pop(r)
-            for r in list(holding)
-            if (r >> order[t]) & 1
-        }
-        yield from comm.send(child, moving, subtag(tag, t))
+    for t, child in sends:
+        bit = child ^ rel  # the dimension this step crosses
+        moving = {r: holding.pop(r) for r in list(holding) if r & bit}
+        yield from ctx.send(nodes[rank_of_sub[child ^ root_sub]], moving, tags[t])
 
     if set(holding) != {rel}:
         raise SimulationError(f"scatter invariant broken at rel {rel}: {set(holding)}")
@@ -89,46 +76,35 @@ def _scatter_sbt(comm: Comm, blocks, root: int, tag: int):
 
 def _scatter_rotated(comm: Comm, blocks, root: int, tag: int):
     d = comm.dimension
-    rel = comm.rel_index(comm.rank, root)
-    orders = [rotated_order(d, j) for j in range(d)]
+    ctx, nodes, rank_of_sub = comm.ctx, comm.members, comm.rank_of_sub
+    sub_of_rank = comm.sub_of_rank
+    root_sub = sub_of_rank[root]
+    rel = sub_of_rank[comm.rank] ^ root_sub
+    tags = subtags(tag, d)
 
+    have: list[dict] = [{} for _ in range(d)]
     if rel == 0:
-        have = []
-        for j in range(d):
-            tree = {}
-            for cr in range(comm.size):
-                arr = np.asarray(blocks[cr])
-                tree[comm.rel_index(cr, root)] = (
-                    split_chunks(arr, d)[j],
-                    chunk_header(arr),
-                )
-            have.append(tree)
-        recv_steps = [None] * d
-    else:
-        have = [{} for _ in range(d)]
-        recv_steps = [distribute_recv_step(rel, orders[j]) for j in range(d)]
+        for cr in range(comm.size):
+            arr = np.asarray(blocks[cr])
+            header = chunk_header(arr)
+            for j, chunk in enumerate(split_chunks(arr, d)):
+                have[j][sub_of_rank[cr] ^ root_sub] = (chunk, header)
 
-    for t in range(d):
+    for moves in rotated_moves("distribute", d, rel):
         handles = []
         arrivals = []
-        for j in range(d):
-            if rel == 0 or recv_steps[j] < t:
-                dim = orders[j][t]
-                child = comm.from_rel(distribute_child(rel, orders[j], t), root)
-                moving = {
-                    r: have[j].pop(r)
-                    for r in list(have[j])
-                    if (r >> dim) & 1
-                }
-                h = yield from comm.isend(child, moving, subtag(tag, j))
-                handles.append(h)
-            elif recv_steps[j] == t:
-                parent = comm.from_rel(distribute_parent(rel, orders[j]), root)
-                h = yield from comm.irecv(parent, subtag(tag, j))
+        for j, sends, peer in moves:
+            node = nodes[rank_of_sub[peer ^ root_sub]]
+            if sends:
+                bit = peer ^ rel  # the dimension tree j crosses this step
+                moving = {r: have[j].pop(r) for r in list(have[j]) if r & bit}
+                h = yield from ctx.isend(node, moving, tags[j])
+            else:
+                h = yield from ctx.irecv(node, tags[j])
                 arrivals.append((j, h))
-                handles.append(h)
+            handles.append(h)
         if handles:
-            yield from comm.ctx.waitall(handles)
+            yield from ctx.waitall(handles)
         for j, h in arrivals:
             have[j].update(h.value)
 

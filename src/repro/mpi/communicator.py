@@ -34,8 +34,12 @@ __all__ = ["Comm"]
 @lru_cache(maxsize=65536)
 def _subcube_structure(
     members: tuple[int, ...],
-) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...], tuple[int, ...]]:
-    """Validated subcube structure shared by every rank of a communicator.
+) -> tuple[
+    tuple[int, ...], dict[int, int], tuple[int, ...], tuple[int, ...], int, int
+]:
+    """Validated subcube structure shared by every rank of a communicator:
+    ``(free_dims, index_of_node, sub_of_rank, rank_of_sub, size,
+    dimension)``.
 
     The derived maps depend only on the member tuple, and every member of a
     grid line constructs the identical communicator — caching turns the
@@ -67,7 +71,10 @@ def _subcube_structure(
         raise CommunicatorError(
             f"members {list(members)} do not form a subcube"
         )
-    return free_dims, dict(zip(members, range(size))), layout[4], layout[5]
+    return (
+        free_dims, dict(zip(members, range(size))), layout[4], layout[5],
+        size, len(free_dims),
+    )
 
 
 class Comm:
@@ -81,6 +88,11 @@ class Comm:
         Cube-node addresses, in the semantic order that collective results
         should use.  Must form a subcube (size a power of two, all
         free-bit combinations present) and must contain ``ctx.rank``.
+
+    The shape (``size``, ``dimension``) and the layout maps (``sub_of_rank``:
+    comm rank → subcube index; ``rank_of_sub``: its inverse) are plain
+    attributes shared by every rank of the communicator: the collectives'
+    schedules read them directly, and they must be treated as read-only.
     """
 
     __slots__ = (
@@ -88,9 +100,11 @@ class Comm:
         "members",
         "rank",
         "free_dims",
+        "size",
+        "dimension",
+        "sub_of_rank",
+        "rank_of_sub",
         "_index_of_node",
-        "_subidx_of_commrank",
-        "_commrank_of_subidx",
     )
 
     def __init__(self, ctx: ProcessContext, members: Sequence[int]):
@@ -98,8 +112,10 @@ class Comm:
         (
             free_dims,
             index_of_node,
-            subidx_of_commrank,
-            commrank_of_subidx,
+            self.sub_of_rank,
+            self.rank_of_sub,
+            self.size,
+            self.dimension,
         ) = _subcube_structure(members)
 
         if ctx.rank not in index_of_node:
@@ -111,20 +127,9 @@ class Comm:
         self.members = members
         self.free_dims = free_dims
         self._index_of_node = index_of_node
-        self._subidx_of_commrank = subidx_of_commrank
-        self._commrank_of_subidx = commrank_of_subidx
         self.rank = index_of_node[ctx.rank]
 
-    # -- shape -------------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def dimension(self) -> int:
-        """Subcube dimension: ``log2(size)``."""
-        return len(self.free_dims)
+    # -- nodes ---------------------------------------------------------------
 
     def node_of(self, comm_rank: int) -> int:
         """Cube-node address of a comm rank."""
@@ -138,19 +143,19 @@ class Comm:
 
     def subindex_of(self, comm_rank: int) -> int:
         """Subcube index (free-dimension bits) of a member."""
-        return self._subidx_of_commrank[comm_rank]
+        return self.sub_of_rank[comm_rank]
 
     def from_subindex(self, subindex: int) -> int:
         """Comm rank whose subcube index is ``subindex``."""
-        return self._commrank_of_subidx[subindex]
+        return self.rank_of_sub[subindex]
 
     def rel_index(self, comm_rank: int, root: int = 0) -> int:
         """Subcube index relative to ``root`` (so ``root`` maps to 0)."""
-        return self.subindex_of(comm_rank) ^ self.subindex_of(root)
+        return self.sub_of_rank[comm_rank] ^ self.sub_of_rank[root]
 
     def from_rel(self, rel: int, root: int = 0) -> int:
         """Inverse of :meth:`rel_index`."""
-        return self.from_subindex(rel ^ self.subindex_of(root))
+        return self.rank_of_sub[rel ^ self.sub_of_rank[root]]
 
     def dim_partner(self, comm_rank: int, k: int) -> int:
         """Comm rank of the physical neighbour across subcube dimension ``k``."""
@@ -159,29 +164,29 @@ class Comm:
                 f"subcube dimension {k} out of range (communicator has "
                 f"{self.dimension} dimensions)"
             )
-        return self.from_subindex(self.subindex_of(comm_rank) ^ (1 << k))
+        return self.rank_of_sub[self.sub_of_rank[comm_rank] ^ (1 << k)]
 
     # -- point-to-point in comm-rank space: ``ctx``'s own generators ---------
 
     def send(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
         """Blocking send to comm rank ``dst`` (generator)."""
-        return self.ctx.send(self.node_of(dst), data, tag, nwords)
+        return self.ctx.send(self.members[dst], data, tag, nwords)
 
     def isend(self, dst: int, data: Any, tag: int = 0, nwords: int | None = None):
         """Non-blocking send to comm rank ``dst``; returns a Handle."""
-        return self.ctx.isend(self.node_of(dst), data, tag, nwords)
+        return self.ctx.isend(self.members[dst], data, tag, nwords)
 
     def recv(self, src: int, tag: int = -1):
         """Blocking receive from comm rank ``src``; returns the payload."""
-        return self.ctx.recv(self.node_of(src), tag)
+        return self.ctx.recv(self.members[src], tag)
 
     def irecv(self, src: int, tag: int = -1):
         """Non-blocking receive from comm rank ``src``; returns a Handle."""
-        return self.ctx.irecv(self.node_of(src), tag)
+        return self.ctx.irecv(self.members[src], tag)
 
     def exchange(self, peer: int, data: Any, tag: int = 0, nwords: int | None = None):
         """Full-duplex pairwise exchange with comm rank ``peer``."""
-        return self.ctx.exchange(self.node_of(peer), data, tag, nwords)
+        return self.ctx.exchange(self.members[peer], data, tag, nwords)
 
     def __repr__(self) -> str:
         return f"Comm(rank={self.rank}/{self.size}, members={self.members})"

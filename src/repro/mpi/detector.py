@@ -60,6 +60,7 @@ from repro.mpi.reliable import (
     _nothing_to_wait_for,
     _ReliableHandle,
 )
+from repro.sim.message import PING_TAG
 from repro.sim.process import ANY_SOURCE, ANY_TAG, ProcessContext
 
 __all__ = [
@@ -71,8 +72,6 @@ __all__ = [
     "PROBE_RETRIES",
 ]
 
-#: tag carrying probe pings (above every protocol namespace)
-PING_TAG = 1 << 23
 #: base tag for probe delivery-acks; per-(rank, probe) unique above this
 PING_ACK_BASE = 1 << 24
 _PING_STRIDE = 1 << 16

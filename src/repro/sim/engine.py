@@ -45,6 +45,7 @@ from repro.sim.faults import FaultState, LinkTimeline
 from repro.sim.machine import MachineConfig, RoutingMode
 from repro.sim.message import (
     CORRUPT_VERDICT,
+    PING_TAG,
     Message,
     copy_payload,
     message_crc,
@@ -1580,6 +1581,11 @@ class Engine:
             self._msg_seq += 1
             self.stats[msg.dst].messages_sent += 1
             self._inject(ack, _NODE_SEND, time)
+            if msg.tag == PING_TAG:
+                # A liveness probe ends with the node's acknowledgement:
+                # no program receives it, so it must not wait in a mailbox
+                # that every later receive at this rank would scan.
+                return
         pending = self._pending_recvs[msg.dst]
         msg_src, msg_tag = msg.src, msg.tag
         for i, (src_f, tag_f, handle) in enumerate(pending):

@@ -23,6 +23,7 @@ __all__ = [
     "canonical_bytes",
     "message_crc",
     "CORRUPT_VERDICT",
+    "PING_TAG",
 ]
 
 _message_ids = itertools.count()
@@ -30,6 +31,12 @@ _message_ids = itertools.count()
 #: ack-channel payload the destination node sends instead of a plain ack
 #: when a message's attached CRC fails verification at delivery (a NACK)
 CORRUPT_VERDICT = "__corrupt__"
+
+#: tag of a liveness probe (above every protocol namespace): the
+#: destination node acknowledges its delivery and the ping ends there —
+#: nothing is queued for the application (see the engine's ``_deliver``
+#: and :class:`repro.mpi.detector.FailureDetectorContext`)
+PING_TAG = 1 << 23
 
 #: exact classes of the leaves that are their own copy and whose canonical
 #: form is their ``repr`` (``None`` spells "N;")
@@ -118,9 +125,12 @@ def payload_words(data: Any, nwords: int | None = None) -> int:
         return nwords if nwords.__class__ is int else int(nwords)
     if data is None:
         raise SimulationError("timing-only message needs an explicit nwords")
-    if isinstance(data, np.ndarray):
+    cls = data.__class__
+    if cls is np.ndarray:
         return data.size
-    if isinstance(data, (list, tuple, dict)):
+    if cls is tuple or cls is list or cls is dict or isinstance(
+        data, (np.ndarray, list, tuple, dict)
+    ):
         return _container_words(data)
     if np.isscalar(data):
         return 1
@@ -131,14 +141,39 @@ def payload_words(data: Any, nwords: int | None = None) -> int:
 
 
 def _container_words(data: Any) -> int:
-    """Array-element count of the leaves of a nested container."""
+    """Array-element count of the leaves of a nested container.
+
+    One walk over exact classes, as in :func:`copy_payload` and
+    :func:`message_crc`: ``nodes`` grows by every container's items, an
+    array adds its size and an atom nothing.  Anything else (a subclass, a
+    numpy scalar) is counted by :func:`_subclass_words`.
+    """
+    words = 0
+    nodes = [data]
+    for node in nodes:
+        cls = node.__class__
+        if cls is np.ndarray:
+            words += node.size
+        elif cls is tuple or cls is list:
+            nodes += node
+        elif cls is dict:
+            nodes += node.values()
+        elif cls not in _ATOMS:
+            words += _subclass_words(node)
+    return words
+
+
+def _subclass_words(data: Any) -> int:
+    """:func:`_container_words` of a node of no exact class it knows: an
+    array subclass counts its elements, a container subclass its items'
+    words; any other leaf (int, str, dtype, shape member, ...) is free."""
     if isinstance(data, np.ndarray):
         return int(data.size)
-    if isinstance(data, (list, tuple)):
-        return sum(_container_words(item) for item in data)
     if isinstance(data, dict):
-        return sum(_container_words(v) for v in data.values())
-    return 0  # metadata leaf (int, str, shape tuple member, ...)
+        return _container_words(list(data.values()))
+    if isinstance(data, (list, tuple)):
+        return _container_words(list(data))
+    return 0
 
 
 def copy_payload(data: Any) -> Any:
@@ -149,8 +184,8 @@ def copy_payload(data: Any) -> Any:
     if cls in _ATOMS:
         return data
     if cls is tuple or cls is list:
-        # One pass over exact classes; only a nested container, a subclass
-        # or a dict recurses (and ends in the isinstance chain below).
+        # One pass over exact classes; only a nested container or a
+        # subclass recurses (a subclass ends in the isinstance chain below).
         items = list(data)
         for i, item in enumerate(items):
             item_cls = item.__class__
@@ -159,6 +194,8 @@ def copy_payload(data: Any) -> Any:
             elif item_cls not in _ATOMS:
                 items[i] = copy_payload(item)
         return items if cls is list else tuple(items)
+    if cls is dict:
+        return {k: copy_payload(v) for k, v in data.items()}
     if isinstance(data, np.ndarray):
         return data.copy()
     if isinstance(data, list):

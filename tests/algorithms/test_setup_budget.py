@@ -49,21 +49,26 @@ def _run(key, n, port):
         # with 20 gray_code / gray_code_inverse calls per rank, 16 in
         # cannon_kernel's eight neighbour lookups)
         ("cannon", 64, PortModel.ONE_PORT, 524_288, 101.5),
-        # 601.64, the 64 block products one local_matmuls call (742.64 as
-        # 64 local_matmul calls; 906.99 earlier; 1 303.00 with 260
-        # Gray-code calls per rank, 256 of them enumerating its row and
+        # 597.64, a communicator's shape two attributes (601.64 as
+        # properties; the 64 block products one local_matmuls call since
+        # 742.64 as 64 local_matmul calls; 906.99 earlier; 1 303.00 with
+        # 260 Gray-code calls per rank, 256 of them enumerating its row and
         # column); each product is still an event at t_c > 0
-        ("simple", 64, PortModel.ONE_PORT, 49_152, 631.7),
-        # 394.80, its 16 block products one local_matmuls call (483.80 as
-        # 16 local_matmul calls; 544.80 earlier; 598.79 before the
-        # collective planner folded groups into families; 611.79 with 6
-        # Gray-code calls per rank)
-        ("3d_all", 256, PortModel.MULTI_PORT, 262_144, 414.5),
-        # 124.06 (140.06 before make_spec read its schedule without the
-        # enum property and the product took the shared zero view; 161.22
-        # earlier; 184.11 before the planner's families; 197.68 with 6.56
-        # Gray-code calls per rank)
-        ("dns", 16, PortModel.ONE_PORT, 12_032, 130.3),
+        ("simple", 64, PortModel.ONE_PORT, 49_152, 627.5),
+        # 378.80, a communicator's shape two attributes, and a collective
+        # resolves its schedule once and yields its own declaration (394.80
+        # before; its 16 block products one
+        # local_matmuls call since 483.80 as 16 local_matmul calls; 544.80
+        # earlier; 598.79 before the collective planner folded groups into
+        # families; 611.79 with 6 Gray-code calls per rank)
+        ("3d_all", 256, PortModel.MULTI_PORT, 262_144, 397.7),
+        # 115.81, a communicator's shape two attributes, and a collective
+        # resolves its schedule once and yields its own declaration (124.06
+        # before; 140.06 before make_spec
+        # read its schedule without the enum property and the product took
+        # the shared zero view; 161.22 earlier; 184.11 before the planner's
+        # families; 197.68 with 6.56 Gray-code calls per rank)
+        ("dns", 16, PortModel.ONE_PORT, 12_032, 121.6),
     ],
     ids=["cannon_n64", "simple_n64", "3d_all_n256_multi", "dns_n16"],
 )

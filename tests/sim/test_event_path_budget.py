@@ -10,12 +10,14 @@ with cut-through routing, three by a protocol layer of ``repro.mpi``: a
 lossy plan under :class:`~repro.mpi.ReliableContext`, a forced
 :class:`~repro.mpi.IntegrityContext` (a checksum at send and at delivery),
 and a plan with every kind of window, where the per-window fault table is
-actually consulted.  Four more are kept from parking (traced cut-through
-Cannon, a scenario, a watchdog, HJE traced) and pin that such a run's
-rounds stay out of the generator loops.  The others pin how few of their
-messages reach the event path at all: traced store-and-forward Cannon,
-whose kernel the hop table plans, and runs with every knob at its
-default.
+actually consulted.  Two run every collective through its event-path
+program with ``superstep=False``: one-port 3DD (spanning binomial trees)
+and multi-port 3D All (rotated exchanges).  Four more are kept from
+parking (traced cut-through Cannon, a scenario, a watchdog, HJE traced)
+and pin that such a run's rounds stay out of the generator loops.  The
+others pin how few of their messages reach the event path at all:
+traced store-and-forward Cannon, whose kernel the hop table plans, and
+runs with every knob at its default.
 
 The ceilings are calls ÷ ``total_messages()`` of the whole
 ``Algorithm.run`` (distribute + simulate + collect) on CPython 3.11,
@@ -93,6 +95,14 @@ def _windowed_reliable():
     )
 
 
+def _unparked(key, **machine):
+    """p = 64 with ``superstep=False``: every collective phase declared is
+    refused, and each rank runs the collective's program message by
+    message."""
+    cfg = MachineConfig.create(64, t_s=10.0, t_w=1.0, **machine)
+    return get_algorithm(key).run(A, B, cfg, verify=True, superstep=False)
+
+
 def _calls(fn):
     # A cyclic collection inside the profiled run would add the calls of
     # every registered ``gc.callbacks`` hook (hypothesis installs one), and
@@ -136,10 +146,22 @@ def _calls(fn):
         # reroutes, and from t = 450 every window has a dead node to check
         # hops against
         (_windowed_reliable, 251, 79.0),
+        # 113.90: a rank's broadcast and reduce read its role from the
+        # tree's per-layout table and its peers from the communicator's
+        # layout maps (144.30 recomputing both per step)
+        (functools.partial(_unparked, "3dd"), 160, 119.6),
+        # 106.89: the rotated exchanges read their partners from a table,
+        # split each block once, and a message's words and copy are one
+        # loop over exact classes (186.64 before)
+        (
+            functools.partial(_unparked, "3d_all", port_model=PortModel.MULTI_PORT),
+            1024, 112.2,
+        ),
     ],
     ids=[
         "cannon_traced_cut_through", "cannon_reliable_5pct_drops",
         "cannon_forced_integrity", "cannon_reliable_windowed_plan",
+        "3dd_unparked_p64", "3d_all_multi_unparked_p64",
     ],
 )
 def test_calls_per_message_is_exact_and_bounded(fn, messages, ceiling):
@@ -390,12 +412,15 @@ def test_default_knob_scenario_run_pays_for_its_routes_not_for_searching():
     expands its source and stops, so together they settle 3 298 nodes
     where the unbounded search settled 21 956.  Cost-aware routes keep
     every collective phase on the event path (2 048 declarations, 8 123
-    events).  280 644 calls plus ~5 %: the one window's link costs are read
-    without a lookup per hop and per message, and a relaxed edge's cost and
-    Hamming bound are computed inline (was 369 025; before the bounded
-    search: 1 004 835 under this harness — 994 268 as the
-    ``3dd_p512_hetero`` unit of ``benchmarks/perf`` — of which ~650 000
-    were the searches, one ``factors`` call per relaxed edge)."""
+    events).  182 243 calls plus ~5 %: each rank reads its tree role from
+    a per-layout table and its communicator's shape from two attributes
+    (224 227 before, recomputing both per rank and step; 280 644 when the
+    one window's link costs were first read without a lookup per hop and
+    per message, and a relaxed edge's cost and Hamming bound computed
+    inline; 369 025 before that; before the bounded search: 1 004 835
+    under this harness — 994 268 as the ``3dd_p512_hetero`` unit of
+    ``benchmarks/perf`` — of which ~650 000 were the searches, one
+    ``factors`` call per relaxed edge)."""
     run = _default_run(
         "3dd", 512, scenario=random_heterogeneous(512, 2.0, seed=0)
     )
@@ -410,7 +435,7 @@ def test_default_knob_scenario_run_pays_for_its_routes_not_for_searching():
     assert res.route_nodes_settled <= 3_500
     assert res.closed_form_refusals == {"heterogeneous scenario": 2048}
     assert res.events_processed == 8123
-    assert first <= 294_700, f"{first} calls, ceiling 294 700"
+    assert first <= 191_400, f"{first} calls, ceiling 191 400"
 
 
 def test_first_touch_of_a_link_or_route_costs_a_handful_of_calls():

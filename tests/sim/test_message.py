@@ -1,9 +1,12 @@
 """Tests for payload word accounting and the message record."""
 
 import zlib
+from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.faults import _float_leaves  # the words corruption can touch
@@ -190,3 +193,57 @@ def test_container_kind_is_preserved_by_copy_not_by_the_checksum():
     a = np.ones(3)
     assert canonical_bytes([1, a]) == canonical_bytes((1, a))
     assert type(copy_payload([1, a])) is list and type(copy_payload((1, a))) is tuple
+
+
+# -- word counts of nested payloads against the recursive definition ----------
+
+
+def _recursive_words(data):
+    """The definition ``payload_words`` counts a container by."""
+    if isinstance(data, np.ndarray):
+        return int(data.size)
+    if isinstance(data, (list, tuple)):
+        return sum(_recursive_words(item) for item in data)
+    if isinstance(data, dict):
+        return sum(_recursive_words(v) for v in data.values())
+    return 0
+
+
+_Pair = namedtuple("_Pair", "chunk header")
+
+
+class _Dict(dict):
+    """A dict subclass: takes the word count's ``isinstance`` fallback."""
+
+
+_leaves = st.one_of(
+    st.integers(0, 5).map(np.zeros),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(np.ones),
+    st.floats(allow_nan=False).map(np.array),  # 0-d arrays
+    st.integers(0, 4).map(lambda n: np.zeros(n).view(_Tagged)),
+    st.sampled_from([np.float64(1.5), np.int32(3), np.bool_(True)]),
+    st.none(), st.integers(), st.floats(), st.booleans(), st.text(max_size=2),
+)
+
+
+def _containers(items):
+    return st.one_of(
+        st.lists(items, max_size=4),
+        st.lists(items, max_size=4).map(tuple),
+        st.dictionaries(st.integers(0, 9), items, max_size=4),
+        st.dictionaries(st.integers(0, 9), items, max_size=4).map(_Dict),
+        st.tuples(items, items).map(lambda pair: _Pair(*pair)),
+    )
+
+
+@given(_containers(st.recursive(_leaves, _containers, max_leaves=24)))
+def test_container_words_are_the_recursive_definition(payload):
+    """One loop over exact classes counts what the ``isinstance``
+    recursion counts: namedtuples, dict and ndarray subclasses, 0-d arrays
+    and numpy scalars included."""
+    assert payload_words(payload) == _recursive_words(payload)
+
+
+def test_an_array_subclass_counts_its_elements():
+    assert payload_words(np.zeros((2, 3)).view(_Tagged)) == 6
+    assert payload_words(_Pair(np.zeros(4).view(_Tagged), ((4,), "f8"))) == 4
